@@ -81,8 +81,8 @@ func BenchmarkAblationCostModel(b *testing.B) {
 // BenchmarkEnumerationDelay checks the constant-delay enumeration claim:
 // per-tuple enumeration cost from a factorised result must stay flat as the
 // result grows (Section 2: O(|S|) delay between successive tuples). The
-// encoded variant walks the arena-backed columns through the pull iterator
-// and allocates nothing per tuple; the pointer variant is the legacy form.
+// pull iterator walks the arena-backed columns and allocates nothing per
+// tuple.
 func BenchmarkEnumerationDelay(b *testing.B) {
 	for _, n := range []int{100, 400, 1600} {
 		rng := rand.New(rand.NewSource(10))
@@ -98,15 +98,11 @@ func BenchmarkEnumerationDelay(b *testing.B) {
 		for i, r := range q.Relations {
 			rels[i] = r.Clone()
 		}
-		fr, err := fbuild.Build(rels, tr.Clone())
-		if err != nil {
-			b.Fatal(err)
-		}
 		enc, err := fbuild.BuildEnc(rels, tr)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if fr.Count() == 0 {
+		if enc.Count() == 0 {
 			continue
 		}
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
@@ -120,20 +116,6 @@ func BenchmarkEnumerationDelay(b *testing.B) {
 					}
 					tuples++
 				}
-			}
-			b.StopTimer()
-			if tuples > 0 {
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(tuples), "ns/tuple")
-			}
-		})
-		b.Run(fmt.Sprintf("pointer/N=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			var tuples int64
-			for i := 0; i < b.N; i++ {
-				fr.Enumerate(func(relation.Tuple) bool {
-					tuples++
-					return true
-				})
 			}
 			b.StopTimer()
 			if tuples > 0 {

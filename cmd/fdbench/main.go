@@ -8,7 +8,6 @@
 //	fdbench -exp 4            # Figure 8:   evaluation on factorised data
 //	fdbench -exp 5            # prepared statements vs ad-hoc queries
 //	fdbench -exp 6            # factorised aggregation vs enumerate-then-fold
-//	fdbench -exp 7            # arena-backed columnar encoding vs pointer form
 //	fdbench -exp 8            # morsel-parallel execution: speedup vs worker count
 //	fdbench -exp 9            # ordered top-k (ORDER BY + LIMIT) vs flat sort-then-cut
 //	fdbench -exp 10           # write throughput: incremental delta merge vs full rebuild
@@ -34,7 +33,7 @@ import (
 )
 
 func main() {
-	exp := flag.Int("exp", 0, "experiment to run (1-14; 0 = all)")
+	exp := flag.Int("exp", 0, "experiment to run (1-6, 8-14; 0 = all)")
 	runs := flag.Int("runs", 3, "repetitions per configuration")
 	seed := flag.Int64("seed", 42, "random seed")
 	comb := flag.Bool("comb", false, "experiment 3: use the combinatorial dataset (Figure 7 right)")
@@ -51,7 +50,6 @@ func main() {
 		exp4(*seed, *runs, *timeout)
 		exp5(*seed, *runs)
 		exp6(*seed, *runs)
-		exp7(*seed, *runs)
 		exp8(*seed, *runs)
 		exp9(*seed, *runs)
 		exp10(*seed, *runs)
@@ -71,8 +69,6 @@ func main() {
 		exp5(*seed, *runs)
 	case 6:
 		exp6(*seed, *runs)
-	case 7:
-		exp7(*seed, *runs)
 	case 8:
 		exp8(*seed, *runs)
 	case 9:
@@ -88,7 +84,7 @@ func main() {
 	case 14:
 		exp14(*seed, *runs)
 	default:
-		fmt.Fprintln(os.Stderr, "fdbench: -exp must be 0..14")
+		fmt.Fprintln(os.Stderr, "fdbench: -exp must be 0..6 or 8..14")
 		os.Exit(2)
 	}
 }
@@ -197,7 +193,7 @@ func exp6(seed int64, runs int) {
 				fmt.Fprintln(os.Stderr, "fdbench:", err)
 				return
 			}
-			acc.FRepSize += row.FRepSize
+			acc.RepSize += row.RepSize
 			acc.Tuples += row.Tuples
 			acc.Groups += row.Groups
 			acc.FactMS += row.FactMS
@@ -216,7 +212,7 @@ func exp6(seed int64, runs int) {
 			speedup = acc.FoldMS / acc.FactMS
 		}
 		fmt.Printf("%s %d %d %d %d %.3f %.3f %.1f %v\n",
-			workload, scale, acc.FRepSize/int64(n), acc.Tuples/int64(n), acc.Groups/n,
+			workload, scale, acc.RepSize/int64(n), acc.Tuples/int64(n), acc.Groups/n,
 			acc.FactMS/f, acc.FoldMS/f, speedup, acc.FoldSkipped)
 	}
 	for _, scale := range []int{1, 2, 4, 8} {
@@ -224,50 +220,6 @@ func exp6(seed int64, runs int) {
 	}
 	for _, length := range []int{2, 4, 6, 8} {
 		run("chain", length, bench.Experiment6Chain)
-	}
-}
-
-func exp7(seed int64, runs int) {
-	fmt.Println("# Experiment 7: arena-backed columnar encoding vs pointer representation (same inputs, same f-tree)")
-	fmt.Println("# workload scale frep_size flat_tuples enumerated build_ptr_ms build_enc_ms build_x enum_ptr_ms enum_enc_ms enum_x agg_ptr_ms agg_enc_ms agg_x")
-	rng := rand.New(rand.NewSource(seed))
-	for _, scale := range []int{1, 2, 4, 8} {
-		var acc bench.Exp7Row
-		n := 0
-		for i := 0; i < runs; i++ {
-			row, err := bench.Experiment7Encoding(rng, bench.Exp7Config{Scale: scale, MaxEnum: 5_000_000})
-			if err != nil {
-				// The experiment doubles as the encoded-vs-pointer parity
-				// check CI runs; its failure must fail the process.
-				fmt.Fprintln(os.Stderr, "fdbench:", err)
-				os.Exit(1)
-			}
-			acc.FRepSize += row.FRepSize
-			acc.Tuples += row.Tuples
-			acc.Enumerated += row.Enumerated
-			acc.BuildPtrMS += row.BuildPtrMS
-			acc.BuildEncMS += row.BuildEncMS
-			acc.EnumPtrMS += row.EnumPtrMS
-			acc.EnumEncMS += row.EnumEncMS
-			acc.AggPtrMS += row.AggPtrMS
-			acc.AggEncMS += row.AggEncMS
-			n++
-		}
-		if n == 0 {
-			return
-		}
-		f := float64(n)
-		x := func(ptr, enc float64) float64 {
-			if enc <= 0 {
-				return 0
-			}
-			return ptr / enc
-		}
-		fmt.Printf("retailer %d %d %d %d %.3f %.3f %.1f %.3f %.3f %.1f %.3f %.3f %.1f\n",
-			scale, acc.FRepSize/int64(n), acc.Tuples/int64(n), acc.Enumerated/int64(n),
-			acc.BuildPtrMS/f, acc.BuildEncMS/f, x(acc.BuildPtrMS, acc.BuildEncMS),
-			acc.EnumPtrMS/f, acc.EnumEncMS/f, x(acc.EnumPtrMS, acc.EnumEncMS),
-			acc.AggPtrMS/f, acc.AggEncMS/f, x(acc.AggPtrMS, acc.AggEncMS))
 	}
 }
 
@@ -295,7 +247,7 @@ func exp8(seed int64, runs int) {
 					acc[r.Workers] = &r
 					continue
 				}
-				a.FRepSize += r.FRepSize
+				a.RepSize += r.RepSize
 				a.Tuples += r.Tuples
 				a.BuildMS += r.BuildMS
 				a.AggMS += r.AggMS
@@ -317,7 +269,7 @@ func exp8(seed int64, runs int) {
 		for _, w := range workers {
 			r := acc[w]
 			fmt.Printf("%s %d %d %d %d %.3f %.2f %.3f %.2f %.3f %.2f\n",
-				workload, scale, w, r.FRepSize/int64(n), r.Tuples/int64(n),
+				workload, scale, w, r.RepSize/int64(n), r.Tuples/int64(n),
 				r.BuildMS/f, x(base.BuildMS, r.BuildMS),
 				r.AggMS/f, x(base.AggMS, r.AggMS),
 				r.EnumMS/f, x(base.EnumMS, r.EnumMS))
@@ -349,7 +301,7 @@ func exp9(seed int64, runs int) {
 			}
 			acc.Workload, acc.Streamed = row.Workload, row.Streamed
 			acc.Tuples += row.Tuples
-			acc.FRepSize += row.FRepSize
+			acc.RepSize += row.RepSize
 			acc.BuildMS += row.BuildMS
 			acc.TopkMS += row.TopkMS
 			acc.FlatMS += row.FlatMS
@@ -365,7 +317,7 @@ func exp9(seed int64, runs int) {
 			mode = "stream"
 		}
 		fmt.Printf("%s %d %d %d %d %.3f %.3f %.3f %.1f %s\n",
-			acc.Workload, scale, k, acc.Tuples/int64(n), acc.FRepSize/int64(n),
+			acc.Workload, scale, k, acc.Tuples/int64(n), acc.RepSize/int64(n),
 			acc.BuildMS/f, acc.TopkMS/f, acc.FlatMS/f, speedup, mode)
 	}
 	for _, scale := range []int{2, 4, 8} {
@@ -557,7 +509,7 @@ func exp14(seed int64, runs int) {
 				a.TuplesA += r.TuplesA
 				a.TuplesB += r.TuplesB
 				a.Tuples += r.Tuples
-				a.FRepSize += r.FRepSize
+				a.RepSize += r.RepSize
 				a.BuildMS += r.BuildMS
 				a.FactMS += r.FactMS
 				a.FlatMS += r.FlatMS
@@ -573,7 +525,7 @@ func exp14(seed int64, runs int) {
 			}
 			fmt.Printf("%s %d %d %d %d %d %.3f %.3f %.3f %.1f\n",
 				op, scale, r.TuplesA/int64(n), r.TuplesB/int64(n), r.Tuples/int64(n),
-				r.FRepSize/int64(n), r.BuildMS/f, r.FactMS/f, r.FlatMS/f, speedup)
+				r.RepSize/int64(n), r.BuildMS/f, r.FactMS/f, r.FlatMS/f, speedup)
 		}
 	}
 }

@@ -71,6 +71,44 @@ func TestQ1ThroughPublicAPI(t *testing.T) {
 	}
 }
 
+// TestResultStringGolden pins the rendering of representations in the
+// paper's notation byte for byte: the Figure 1 example with and without
+// dictionary decoding, the empty result, and a forest of three roots with a
+// constant node and hidden class members (which still print — rendering
+// shows what the columns hold).
+func TestResultStringGolden(t *testing.T) {
+	db := grocery(t)
+	res := q1(t, db)
+	must := func(r *Result, err error) *Result {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	adnan := must(res.Where(Cmp("Disp.dispatcher", EQ, "Adnan")))
+	proj := must(adnan.ProjectTo("Orders.oid", "Orders.item", "Disp.dispatcher", "Disp.location"))
+	forest := must(proj.Join(must(db.Query(From("Produce")))))
+	if got, want := forest.FTree(), "Orders.item,Store.item~\n  Orders.oid\n  Disp.location,Store.location~\nDisp.dispatcher=const\nProduce.supplier\n  Produce.item\n"; got != want {
+		t.Fatalf("forest fixture changed shape:\n%s", got)
+	}
+	const adnanRoots = "(⟨Orders.item:Milk⟩×⟨Store.item:Milk⟩×⟨Orders.oid:01⟩×(⟨Disp.location:Istanbul⟩×⟨Store.location:Istanbul⟩ ∪ ⟨Disp.location:Izmir⟩×⟨Store.location:Izmir⟩) ∪ ⟨Orders.item:Cheese⟩×⟨Store.item:Cheese⟩×(⟨Orders.oid:01⟩ ∪ ⟨Orders.oid:03⟩)×⟨Disp.location:Istanbul⟩×⟨Store.location:Istanbul⟩ ∪ ⟨Orders.item:Melon⟩×⟨Store.item:Melon⟩×(⟨Orders.oid:02⟩ ∪ ⟨Orders.oid:03⟩)×⟨Disp.location:Istanbul⟩×⟨Store.location:Istanbul⟩) × ⟨Disp.dispatcher:Adnan⟩"
+	for _, c := range []struct{ name, got, want string }{
+		{"figure 1", res.String(),
+			"(⟨Orders.item:Milk⟩×⟨Store.item:Milk⟩×⟨Orders.oid:01⟩×(⟨Disp.location:Istanbul⟩×⟨Store.location:Istanbul⟩×(⟨Disp.dispatcher:Adnan⟩ ∪ ⟨Disp.dispatcher:Yasemin⟩) ∪ ⟨Disp.location:Izmir⟩×⟨Store.location:Izmir⟩×⟨Disp.dispatcher:Adnan⟩ ∪ ⟨Disp.location:Antalya⟩×⟨Store.location:Antalya⟩×⟨Disp.dispatcher:Volkan⟩) ∪ ⟨Orders.item:Cheese⟩×⟨Store.item:Cheese⟩×(⟨Orders.oid:01⟩ ∪ ⟨Orders.oid:03⟩)×(⟨Disp.location:Istanbul⟩×⟨Store.location:Istanbul⟩×(⟨Disp.dispatcher:Adnan⟩ ∪ ⟨Disp.dispatcher:Yasemin⟩) ∪ ⟨Disp.location:Antalya⟩×⟨Store.location:Antalya⟩×⟨Disp.dispatcher:Volkan⟩) ∪ ⟨Orders.item:Melon⟩×⟨Store.item:Melon⟩×(⟨Orders.oid:02⟩ ∪ ⟨Orders.oid:03⟩)×⟨Disp.location:Istanbul⟩×⟨Store.location:Istanbul⟩×(⟨Disp.dispatcher:Adnan⟩ ∪ ⟨Disp.dispatcher:Yasemin⟩))"},
+		{"figure 1, undecoded", res.Enc().String(),
+			"(⟨Orders.item:1⟩×⟨Store.item:1⟩×⟨Orders.oid:0⟩×(⟨Disp.location:6⟩×⟨Store.location:6⟩×(⟨Disp.dispatcher:9⟩ ∪ ⟨Disp.dispatcher:10⟩) ∪ ⟨Disp.location:7⟩×⟨Store.location:7⟩×⟨Disp.dispatcher:9⟩ ∪ ⟨Disp.location:8⟩×⟨Store.location:8⟩×⟨Disp.dispatcher:11⟩) ∪ ⟨Orders.item:2⟩×⟨Store.item:2⟩×(⟨Orders.oid:0⟩ ∪ ⟨Orders.oid:5⟩)×(⟨Disp.location:6⟩×⟨Store.location:6⟩×(⟨Disp.dispatcher:9⟩ ∪ ⟨Disp.dispatcher:10⟩) ∪ ⟨Disp.location:8⟩×⟨Store.location:8⟩×⟨Disp.dispatcher:11⟩) ∪ ⟨Orders.item:4⟩×⟨Store.item:4⟩×(⟨Orders.oid:3⟩ ∪ ⟨Orders.oid:5⟩)×⟨Disp.location:6⟩×⟨Store.location:6⟩×(⟨Disp.dispatcher:9⟩ ∪ ⟨Disp.dispatcher:10⟩))"},
+		{"empty", must(res.Where(Cmp("Orders.item", EQ, "Butter"))).String(), "∅"},
+		{"constant root", adnan.String(), adnanRoots},
+		{"forest, constant and hidden", forest.String(),
+			adnanRoots + " × (⟨Produce.supplier:Guney⟩×(⟨Produce.item:Milk⟩ ∪ ⟨Produce.item:Cheese⟩) ∪ ⟨Produce.supplier:Dikici⟩×⟨Produce.item:Milk⟩ ∪ ⟨Produce.supplier:Byzantium⟩×⟨Produce.item:Melon⟩)"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s renders as\n%s\nwant\n%s", c.name, c.got, c.want)
+		}
+	}
+}
+
 func TestExample2JoinOnFactorisedResults(t *testing.T) {
 	db := grocery(t)
 	r1 := q1(t, db)

@@ -21,7 +21,7 @@ import (
 type Exp6Row struct {
 	Workload    string // "retailer" or "chain"
 	Scale       int    // retailer scale factor / chain length
-	FRepSize    int64  // singletons in the factorised result
+	RepSize     int64  // singletons in the factorised result
 	Tuples      int64  // tuples of the (never materialised) flat result
 	Groups      int
 	FactMS      float64 // one pass over the representation
@@ -126,7 +126,7 @@ func FoldAggregate(fr *frep.Enc, groupBy []relation.Attribute, specs []frep.AggS
 }
 
 func sortAggRows(rows []frep.AggRow) {
-	// Same order as FRep.Aggregate: lexicographic on the key values.
+	// Same order as Enc.Aggregate: lexicographic on the key values.
 	sort.Slice(rows, func(i, j int) bool { return aggKeyLess(rows[i].Key, rows[j].Key) })
 }
 
@@ -243,7 +243,7 @@ func experiment6(q *core.Query, workload string, cfg Exp6Config, groupBy []relat
 	if err != nil {
 		return row, err
 	}
-	row.FRepSize = int64(fr.Size())
+	row.RepSize = int64(fr.Size())
 	row.Tuples = fr.Count()
 
 	start := time.Now()

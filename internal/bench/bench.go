@@ -7,6 +7,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -14,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fbuild"
 	"repro/internal/fplan"
-	"repro/internal/frep"
 	"repro/internal/ftree"
 	"repro/internal/gen"
 	"repro/internal/opt"
@@ -255,7 +255,7 @@ func Exp3FromQuery(q *core.Query, cfg Exp3Config) (Exp3Row, error) {
 	if err != nil {
 		return row, err
 	}
-	fr, err := fbuild.Build(cloneRels(q.Relations), tr)
+	fr, err := fbuild.BuildEnc(cloneRels(q.Relations), tr)
 	if err != nil {
 		return row, err
 	}
@@ -320,7 +320,7 @@ func Experiment4Point(rng *rand.Rand, cfg Exp4Config) (Exp4Row, error) {
 	if err != nil {
 		return row, err
 	}
-	fr, err := fbuild.Build(cloneRels(q.Relations), tr)
+	fr, err := fbuild.BuildEnc(cloneRels(q.Relations), tr)
 	if err != nil {
 		return row, err
 	}
@@ -351,12 +351,12 @@ func Experiment4Point(rng *rand.Rand, cfg Exp4Config) (Exp4Row, error) {
 		return row, err
 	}
 	row.PlanCost = res.Cost
-	exec := fr.Clone()
 	start := time.Now()
-	if err := res.Plan.Execute(exec); err != nil {
+	exec, err := res.Plan.ExecuteEnc(context.TODO(), fr)
+	if err != nil {
 		return row, err
 	}
-	row.FDBMS = float64(time.Since(start).Microseconds()) / 1000
+	row.FDBMS = ms(start)
 	row.FDBSize = int64(exec.Size())
 	row.EmptyResult = exec.IsEmpty()
 
@@ -405,7 +405,7 @@ func GrocerySmoke() (q1Size, q2Size, joinedSize int, err error) {
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	f1, err := fbuild.Build(cloneRels(q1.Relations), t1)
+	f1, err := fbuild.BuildEnc(cloneRels(q1.Relations), t1)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -417,12 +417,12 @@ func GrocerySmoke() (q1Size, q2Size, joinedSize int, err error) {
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	f2, err := fbuild.Build(cloneRels(q2.Relations), t2)
+	f2, err := fbuild.BuildEnc(cloneRels(q2.Relations), t2)
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	// Q1 ⋈ Q2 on item and location (Example 2).
-	prod, err := fplan.Product(f1, f2)
+	prod, err := fplan.ProductEnc(f1, f2)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -434,10 +434,11 @@ func GrocerySmoke() (q1Size, q2Size, joinedSize int, err error) {
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	if err := plan.Plan.Execute(prod); err != nil {
+	joined, err := plan.Plan.ExecuteEnc(context.TODO(), prod)
+	if err != nil {
 		return 0, 0, 0, err
 	}
-	return f1.Size(), f2.Size(), prod.Size(), nil
+	return f1.Size(), f2.Size(), joined.Size(), nil
 }
 
 // VerifyGroceryJoin recomputes the Example 2 join relationally and checks
@@ -465,7 +466,7 @@ func VerifyGroceryJoin() error {
 	if err != nil {
 		return err
 	}
-	f1, err := fbuild.Build(cloneRels(q1.Relations), t1)
+	f1, err := fbuild.BuildEnc(cloneRels(q1.Relations), t1)
 	if err != nil {
 		return err
 	}
@@ -474,11 +475,11 @@ func VerifyGroceryJoin() error {
 	if err != nil {
 		return err
 	}
-	f2, err := fbuild.Build(cloneRels(q2.Relations), t2)
+	f2, err := fbuild.BuildEnc(cloneRels(q2.Relations), t2)
 	if err != nil {
 		return err
 	}
-	prod, err := fplan.Product(f1, f2)
+	prod, err := fplan.ProductEnc(f1, f2)
 	if err != nil {
 		return err
 	}
@@ -490,10 +491,11 @@ func VerifyGroceryJoin() error {
 	if err != nil {
 		return err
 	}
-	if err := plan.Plan.Execute(prod); err != nil {
+	joined, err := plan.Plan.ExecuteEnc(context.TODO(), prod)
+	if err != nil {
 		return err
 	}
-	got := prod.Relation("got").Project(want.Schema)
+	got := joined.Relation("got").Project(want.Schema)
 	if !got.Equal(want) {
 		return fmt.Errorf("bench: factorised grocery join differs from relational result (%d vs %d tuples)",
 			got.Cardinality(), want.Cardinality())
@@ -501,5 +503,6 @@ func VerifyGroceryJoin() error {
 	return nil
 }
 
-// ensure frep is linked even if only used via types in signatures.
-var _ = frep.FRep{}
+func ms(start time.Time) float64 {
+	return float64(time.Since(start).Microseconds()) / 1000
+}

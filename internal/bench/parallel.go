@@ -21,7 +21,7 @@ type Exp8Row struct {
 	Workload string
 	Scale    int
 	Workers  int
-	FRepSize int64 // singletons in the factorised result
+	RepSize  int64 // singletons in the factorised result
 	Tuples   int64 // tuples of the (never materialised) flat result
 	BuildMS  float64
 	AggMS    float64
@@ -90,7 +90,7 @@ func experiment8(q *core.Query, workload string, cfg Exp8Config, groupBy []relat
 			return nil, err
 		}
 		row.BuildMS = ms(start)
-		row.FRepSize = int64(enc.Size())
+		row.RepSize = int64(enc.Size())
 		row.Tuples = enc.Count()
 
 		start = time.Now()

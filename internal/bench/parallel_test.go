@@ -19,9 +19,9 @@ func TestExperiment8Parity(t *testing.T) {
 		t.Fatalf("retailer sweep has %d rows, want %d", len(rows), len(cfg.Workers))
 	}
 	for _, r := range rows {
-		if r.Tuples != rows[0].Tuples || r.FRepSize != rows[0].FRepSize {
+		if r.Tuples != rows[0].Tuples || r.RepSize != rows[0].RepSize {
 			t.Fatalf("worker count %d changed the result: %d tuples / %d size, want %d / %d",
-				r.Workers, r.Tuples, r.FRepSize, rows[0].Tuples, rows[0].FRepSize)
+				r.Workers, r.Tuples, r.RepSize, rows[0].Tuples, rows[0].RepSize)
 		}
 	}
 	crows, err := Experiment8Chain(rng, Exp8Config{Scale: 4, Workers: []int{1, 3}, MaxEnum: 1_000_000})

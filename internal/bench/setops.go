@@ -13,7 +13,7 @@ import (
 )
 
 // Exp14Row is one point of Experiment 14: native set algebra over the
-// encoded representations (the structural two-cursor merge of UnionEnc and
+// encoded representations (the structural two-cursor merge of SetUnionEnc and
 // friends) against the flat baseline that enumerates both legs and runs the
 // hash-based set operation over materialised tuples. The legs are two
 // overlapping range selections of the retailer join, so the merge exercises
@@ -21,16 +21,16 @@ import (
 // factorised result is enumerated and compared tuple-for-tuple against the
 // flat mirror — a failed parity check is a hard error, not a data point.
 type Exp14Row struct {
-	Op       string
-	Scale    int
-	TuplesA  int64   // flat tuples of leg A (oid below the upper cut)
-	TuplesB  int64   // flat tuples of leg B (oid above the lower cut)
-	Tuples   int64   // flat tuples of the set-operation result
-	FRepSize int64   // singletons in the factorised result
-	BuildMS  float64 // executing the two legs (shared by both sides)
-	FactMS   float64 // factorised structural merge
-	FlatMS   float64 // flat hash-based baseline over materialised legs
-	Speedup  float64 // FlatMS / FactMS
+	Op      string
+	Scale   int
+	TuplesA int64   // flat tuples of leg A (oid below the upper cut)
+	TuplesB int64   // flat tuples of leg B (oid above the lower cut)
+	Tuples  int64   // flat tuples of the set-operation result
+	RepSize int64   // singletons in the factorised result
+	BuildMS float64 // executing the two legs (shared by both sides)
+	FactMS  float64 // factorised structural merge
+	FlatMS  float64 // flat hash-based baseline over materialised legs
+	Speedup float64 // FlatMS / FactMS
 }
 
 // Exp14Config parameterises one Experiment 14 measurement.
@@ -95,7 +95,7 @@ func Experiment14Retailer(rng *rand.Rand, cfg Exp14Config) ([]Exp14Row, error) {
 		}
 		row.FactMS = ms(start)
 		row.Tuples = fres.Count()
-		row.FRepSize = int64(fres.Size())
+		row.RepSize = int64(fres.Size())
 
 		start = time.Now()
 		want, err := op.flat(relA, relB)

@@ -19,7 +19,7 @@ func TestExperiment14Parity(t *testing.T) {
 	}
 	byOp := map[string]Exp14Row{}
 	for _, r := range rows {
-		if r.Tuples < 0 || r.FRepSize <= 0 {
+		if r.Tuples < 0 || r.RepSize <= 0 {
 			t.Errorf("%s: implausible sizes: %+v", r.Op, r)
 		}
 		byOp[r.Op] = r

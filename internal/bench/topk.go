@@ -24,7 +24,7 @@ type Exp9Row struct {
 	Scale    int
 	K        int
 	Tuples   int64   // flat tuples of the join result
-	FRepSize int64   // singletons in the factorised result
+	RepSize  int64   // singletons in the factorised result
 	BuildMS  float64 // one prepared-statement Exec (build; shared by both legs)
 	TopkMS   float64 // engine ordered top-k retrieval
 	FlatMS   float64 // flat enumerate + sort + cut baseline
@@ -142,7 +142,7 @@ func experiment9(workload string, cfg Exp9Config, db *fdb.DB, join []fdb.Clause,
 		return row, err
 	}
 	row.Tuples = plain.Count()
-	row.FRepSize = int64(plain.Size())
+	row.RepSize = int64(plain.Size())
 
 	start = time.Now()
 	got := drain(ordered.Iter())

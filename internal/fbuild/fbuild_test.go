@@ -36,7 +36,7 @@ func TestGroceryQ1(t *testing.T) {
 		},
 	}
 	tr := buildTreeFor(t, q)
-	f, err := Build(q.Relations, tr)
+	f, err := BuildEnc(q.Relations, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,16 +68,22 @@ func TestGroceryQ1(t *testing.T) {
 // optimal f-tree must equal the reference nested-loop evaluation.
 func TestRandomJoinsAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 60; trial++ {
+	for trial := 0; trial < 100; trial++ {
 		r := 1 + rng.Intn(3)
 		a := r + rng.Intn(4)
 		k := rng.Intn(min(a-1, 3) + 1)
-		q, err := gen.RandomQuery(rng, r, a, 1+rng.Intn(8), k, gen.Uniform, 4)
+		n, m := 1+rng.Intn(8), 4
+		if trial >= 60 {
+			// Larger instances: unions wide enough for the leapfrog seeks
+			// to skip.
+			r, a, k, n, m = 3, 7, 2, 40, 8
+		}
+		q, err := gen.RandomQuery(rng, r, a, n, k, gen.Uniform, m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tr := buildTreeFor(t, q)
-		f, err := Build(cloneRels(q.Relations), tr)
+		f, err := BuildEnc(cloneRels(q.Relations), tr)
 		if err != nil {
 			t.Fatalf("trial %d: %v\ntree:\n%s", trial, err, tr)
 		}
@@ -107,7 +113,7 @@ func TestChainQueryFactorisationGap(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	q := gen.ChainQuery(rng, 4, 30, 3) // dense joins: values in [1,3]
 	tr := buildTreeFor(t, q)
-	f, err := Build(cloneRels(q.Relations), tr)
+	f, err := BuildEnc(cloneRels(q.Relations), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +142,7 @@ func TestPathConstraintViolationRejected(t *testing.T) {
 		relation.NewAttrSet("A", "B"), relation.NewAttrSet("C")})
 	s := relation.New("S", relation.Schema{"C"})
 	s.Append(7)
-	if _, err := Build([]*relation.Relation{r, s}, tr); err == nil {
+	if _, err := BuildEnc([]*relation.Relation{r, s}, tr); err == nil {
 		t.Fatal("path constraint violation accepted")
 	}
 }
@@ -146,7 +152,7 @@ func TestMissingAttributeRejected(t *testing.T) {
 	r.Append(1, 2)
 	tr := ftree.New([]*ftree.Node{ftree.NewNode("A")},
 		[]relation.AttrSet{relation.NewAttrSet("A", "Z")})
-	if _, err := Build([]*relation.Relation{r}, tr); err == nil {
+	if _, err := BuildEnc([]*relation.Relation{r}, tr); err == nil {
 		t.Fatal("missing attribute accepted")
 	}
 }
@@ -160,7 +166,7 @@ func TestEmptyJoinResult(t *testing.T) {
 	root := ftree.NewNode("A", "B")
 	tr := ftree.New([]*ftree.Node{root}, []relation.AttrSet{
 		relation.NewAttrSet("A"), relation.NewAttrSet("B")})
-	f, err := Build([]*relation.Relation{r, s}, tr)
+	f, err := BuildEnc([]*relation.Relation{r, s}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +185,7 @@ func TestWithinRelationEquality(t *testing.T) {
 	root := ftree.NewNode("A", "B").Add(ftree.NewNode("C"))
 	tr := ftree.New([]*ftree.Node{root},
 		[]relation.AttrSet{relation.NewAttrSet("A", "B", "C")})
-	f, err := Build([]*relation.Relation{r}, tr)
+	f, err := BuildEnc([]*relation.Relation{r}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,41 +211,7 @@ func min(a, b int) int {
 	return b
 }
 
-// TestBuildEncMatchesBuild: on random queries, the encoded build produces
-// exactly the encoding of the pointer build (same tree, same data, same
-// layout), and it validates.
-func TestBuildEncMatchesBuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for i := 0; i < 40; i++ {
-		q, err := gen.RandomQuery(rng, 3, 7, 40, 2, gen.Uniform, 8)
-		if err != nil {
-			continue
-		}
-		tr, _, err := opt.OptimalFTree(q.Classes(), q.Schemas(), opt.TreeSearchOptions{})
-		if err != nil {
-			continue
-		}
-		fr, err := Build(cloneRels(q.Relations), tr.Clone())
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc, err := BuildEnc(cloneRels(q.Relations), tr.Clone())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := enc.Validate(); err != nil {
-			t.Fatalf("encoded build invalid: %v", err)
-		}
-		if !enc.Equal(fr.Encode()) {
-			t.Fatalf("encoded build differs from encoded pointer build\ntree:\n%s", tr)
-		}
-		if !enc.Decode().Equal(fr) {
-			t.Fatalf("decoded encoded build differs from pointer build\ntree:\n%s", tr)
-		}
-	}
-}
-
-// TestBuildEncEmpty: the encoded build detects empty joins like Build.
+// TestBuildEncEmpty: a merged class of disjoint relations is an empty join.
 func TestBuildEncEmpty(t *testing.T) {
 	r := relation.New("R", relation.Schema{"A"})
 	r.Append(1)

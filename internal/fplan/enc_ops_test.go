@@ -2,6 +2,7 @@ package fplan
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/frep"
@@ -9,262 +10,177 @@ import (
 	"repro/internal/relation"
 )
 
-// encFixture builds the two-relation product fixture of endtoend_test and
-// returns the pointer form (encoded forms are derived per test).
-func encFixture(rng *rand.Rand) (*frep.FRep, error) {
-	deps := []relation.AttrSet{
-		relation.NewAttrSet("A", "B"),
-		relation.NewAttrSet("C", "D"),
+// rel builds a relation from literal rows.
+func rel(schema relation.Schema, rows ...[]relation.Value) *relation.Relation {
+	r := relation.New("R", schema)
+	for _, row := range rows {
+		r.Append(row...)
 	}
-	ra := relation.New("RA", relation.Schema{"A", "B"})
-	rc := relation.New("RC", relation.Schema{"C", "D"})
-	for i := 0; i < 4+rng.Intn(16); i++ {
-		ra.Append(relation.Value(rng.Intn(3)), relation.Value(rng.Intn(3)))
-	}
-	for i := 0; i < 4+rng.Intn(16); i++ {
-		rc.Append(relation.Value(rng.Intn(3)), relation.Value(rng.Intn(3)))
-	}
-	ra.Dedup()
-	rc.Dedup()
-	shadow := ra.Product(rc)
-	roots := []*ftree.Node{
-		ftree.NewNode("A").Add(ftree.NewNode("B")),
-		ftree.NewNode("C").Add(ftree.NewNode("D")),
-	}
-	return frep.FromRelation(ftree.New(roots, deps), shadow)
+	return r
 }
 
-// randomEncOp picks a random operator (the endtoend set plus push-up and
-// normalise); applicability is not guaranteed — error parity is part of
-// the property.
-func randomEncOp(rng *rand.Rand, f *frep.FRep) Op {
-	var attrs []relation.Attribute
-	for a := range f.Tree.Attrs() {
-		attrs = append(attrs, a)
-	}
-	if len(attrs) == 0 {
-		return nil
-	}
-	for i := 1; i < len(attrs); i++ {
-		for j := i; j > 0 && attrs[j] < attrs[j-1]; j-- {
-			attrs[j], attrs[j-1] = attrs[j-1], attrs[j]
-		}
-	}
-	pick := func() relation.Attribute { return attrs[rng.Intn(len(attrs))] }
-	switch rng.Intn(7) {
-	case 0:
-		a := pick()
-		n := f.Tree.NodeOf(a)
-		if len(n.Children) == 0 {
-			return nil
-		}
-		return Swap{A: a, B: n.Children[rng.Intn(len(n.Children))].Attrs[0]}
-	case 1:
-		return Merge{A: pick(), B: pick()}
-	case 2:
-		return Absorb{A: pick(), B: pick()}
-	case 3:
-		ops := []Cmp{Eq, Ne, Lt, Le, Gt, Ge}
-		return SelectConst{A: pick(), Op: ops[rng.Intn(len(ops))], C: relation.Value(rng.Intn(3))}
-	case 4:
-		return PushUp{B: pick()}
-	case 5:
-		// Predicate selection: parity (a code-order-free predicate, like the
-		// decoded-order string ranges SelectFn exists for).
-		return SelectFn{A: pick(), Keep: func(v relation.Value) bool { return v%2 == 0 }, Label: "even"}
-	default:
-		return Normalise{}
-	}
+// entriesOf returns the total number of entries of a's node.
+func entriesOf(e *frep.Enc, a relation.Attribute) int {
+	return e.NumEntries(e.NodeIndex(e.Tree.NodeOf(a)))
 }
 
-// TestApplyEncMatchesApplyRandom: random operator sequences applied to the
-// pointer and encoded forms in lockstep yield equal representations (and
-// equal error outcomes) at every step.
-func TestApplyEncMatchesApplyRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(321))
-	for trial := 0; trial < 80; trial++ {
-		f, err := encFixture(rng)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		enc := f.Clone().Encode()
-		for s := 0; s < 6; s++ {
-			op := randomEncOp(rng, f)
-			if op == nil {
-				continue
-			}
-			errP := op.Apply(f)
-			enc2, errE := ApplyEnc(op, enc)
-			if (errP == nil) != (errE == nil) {
-				t.Fatalf("trial %d step %d (%s): pointer err %v, encoded err %v", trial, s, op, errP, errE)
-			}
-			if errP != nil {
-				continue // applicability errors precede mutation on both sides
-			}
-			enc = enc2
-			if err := enc.Validate(); err != nil {
-				t.Fatalf("trial %d step %d (%s): encoded invalid: %v", trial, s, op, err)
-			}
-			if enc.Tree.Canonical() != f.Tree.Canonical() {
-				t.Fatalf("trial %d step %d (%s): trees diverged\nenc:\n%s\nptr:\n%s",
-					trial, s, op, enc.Tree, f.Tree)
-			}
-			if !enc.Equal(f.Encode()) {
-				t.Fatalf("trial %d step %d (%s): representations diverged\nenc: %s\nptr: %s\ntree:\n%s",
-					trial, s, op, enc, f, f.Tree)
-			}
-		}
+// TestSwapAbsorbEdgeShapes pins the restructuring operators on the shapes
+// their span arithmetic is most likely to get wrong. applyChecked verifies
+// validity, the tree contract and the flat semantics; check adds what is
+// specific to the shape.
+func TestSwapAbsorbEdgeShapes(t *testing.T) {
+	type row = []relation.Value
+	set := relation.NewAttrSet
+	node := ftree.NewNode
+	cases := []struct {
+		name  string
+		tree  *ftree.T
+		rel   *relation.Relation
+		op    Op
+		check func(t *testing.T, out *frep.Enc)
+	}{
+		{
+			name: "swap/single-entry A-union",
+			tree: chainTree([]relation.Attribute{"A", "B"}, []relation.AttrSet{set("A", "B")}),
+			rel:  rel(relation.Schema{"A", "B"}, row{1, 1}, row{1, 2}, row{1, 3}),
+			op:   Swap{A: "A", B: "B"},
+			check: func(t *testing.T, out *frep.Enc) {
+				if b, a := entriesOf(out, "B"), entriesOf(out, "A"); b != 3 || a != 3 {
+					t.Fatalf("want 3 B-entries over 3 one-entry A-unions, got %d and %d", b, a)
+				}
+			},
+		},
+		{
+			name: "swap/B value shared by every A-entry",
+			tree: chainTree([]relation.Attribute{"A", "B"}, []relation.AttrSet{set("A", "B")}),
+			rel:  rel(relation.Schema{"A", "B"}, row{1, 7}, row{2, 7}, row{3, 7}),
+			op:   Swap{A: "A", B: "B"},
+			check: func(t *testing.T, out *frep.Enc) {
+				if b, a := entriesOf(out, "B"), entriesOf(out, "A"); b != 1 || a != 3 {
+					t.Fatalf("want one B-entry over one 3-entry A-union, got %d and %d", b, a)
+				}
+			},
+		},
+		{
+			// Figure 3(b): of B's children, C depends on A and moves under it,
+			// D does not and stays with B — one copy per B value.
+			name: "swap/Indep and Dep both non-empty",
+			tree: ftree.New([]*ftree.Node{node("A").Add(node("B").Add(node("C"), node("D")))},
+				[]relation.AttrSet{set("A", "B", "C"), set("B", "D")}),
+			rel: rel(relation.Schema{"A", "B", "C", "D"},
+				row{1, 1, 5, 8}, row{1, 1, 5, 9}, row{1, 1, 6, 8}, row{1, 1, 6, 9},
+				row{2, 1, 7, 8}, row{2, 1, 7, 9}, row{2, 2, 5, 4}),
+			op: Swap{A: "A", B: "B"},
+			check: func(t *testing.T, out *frep.Enc) {
+				b := out.Tree.NodeOf("B")
+				if out.Tree.ParentOf(out.Tree.NodeOf("D")) != b || out.Tree.ParentOf(out.Tree.NodeOf("C")) != out.Tree.NodeOf("A") {
+					t.Fatalf("want D under B and C under A:\n%s", out.Tree)
+				}
+				if d := entriesOf(out, "D"); d != 3 {
+					t.Fatalf("want the D-unions {8,9} and {4} once per B value, got %d entries", d)
+				}
+			},
+		},
+		{
+			// The swapped union sits under entries of G whose other child X
+			// must be bulk-copied, once per G-entry.
+			name: "swap/under a grandparent with a sibling subtree",
+			tree: ftree.New([]*ftree.Node{node("G").Add(node("A").Add(node("B")), node("X").Add(node("Y")))},
+				[]relation.AttrSet{set("G", "A", "B"), set("G", "X", "Y")}),
+			rel: rel(relation.Schema{"G", "A", "B", "X", "Y"},
+				row{1, 1, 2, 5, 5}, row{1, 2, 2, 5, 5}, row{1, 2, 3, 5, 5},
+				row{1, 1, 2, 6, 1}, row{1, 2, 2, 6, 1}, row{1, 2, 3, 6, 1},
+				row{2, 4, 4, 7, 7}),
+			op: Swap{A: "A", B: "B"},
+			check: func(t *testing.T, out *frep.Enc) {
+				if x, y := entriesOf(out, "X"), entriesOf(out, "Y"); x != 3 || y != 3 {
+					t.Fatalf("sibling subtree not copied verbatim: %d X-entries, %d Y-entries", x, y)
+				}
+			},
+		},
+		{
+			name: "absorb/partial: a branch and a whole A-entry empty",
+			tree: chainTree([]relation.Attribute{"A", "B", "C"}, []relation.AttrSet{set("A", "B", "C")}),
+			rel:  rel(relation.Schema{"A", "B", "C"}, row{1, 1, 1}, row{1, 2, 2}, row{2, 1, 1}, row{3, 3, 3}),
+			op:   Absorb{A: "A", B: "C"},
+			check: func(t *testing.T, out *frep.Enc) {
+				if a, b := entriesOf(out, "A"), entriesOf(out, "B"); a != 2 || b != 2 {
+					t.Fatalf("want A∈{1,3} with one B each, got %d A-entries, %d B-entries", a, b)
+				}
+			},
+		},
+		{
+			name: "absorb/cascade reaches the root",
+			tree: chainTree([]relation.Attribute{"A", "B", "C"}, []relation.AttrSet{set("A", "B", "C")}),
+			rel:  rel(relation.Schema{"A", "B", "C"}, row{1, 1, 2}, row{1, 2, 3}, row{2, 1, 1}),
+			op:   Absorb{A: "A", B: "C"},
+			check: func(t *testing.T, out *frep.Enc) {
+				if !out.IsEmpty() {
+					t.Fatalf("want ∅, got %s", out)
+				}
+				if out.Tree.NodeOf("A") != out.Tree.NodeOf("C") {
+					t.Fatalf("empty result, but the tree was not restructured:\n%s", out.Tree)
+				}
+			},
+		},
+		{
+			// Two intermediate nodes between A and D, a side branch (E) that
+			// bulk-copies, and a child of D (F) that is spliced into C.
+			name: "absorb/chain of length 4 with splice",
+			tree: ftree.New([]*ftree.Node{node("A").Add(node("B").Add(node("C").Add(node("D").Add(node("F"))), node("E")))},
+				[]relation.AttrSet{set("A", "B", "C", "D", "F"), set("B", "E")}),
+			rel: rel(relation.Schema{"A", "B", "C", "D", "F", "E"},
+				row{1, 1, 1, 1, 9, 4}, row{1, 1, 1, 2, 9, 4}, row{1, 1, 2, 2, 8, 4},
+				row{1, 2, 1, 1, 7, 5}, row{1, 2, 1, 1, 7, 6},
+				row{2, 1, 1, 1, 9, 4}, row{2, 3, 3, 1, 4, 5}, row{2, 3, 3, 2, 6, 5}, row{2, 3, 3, 2, 5, 5}),
+			op: Absorb{A: "A", B: "D"},
+			check: func(t *testing.T, out *frep.Enc) {
+				if out.Tree.ParentOf(out.Tree.NodeOf("F")) != out.Tree.NodeOf("C") {
+					t.Fatalf("F not spliced under C:\n%s", out.Tree)
+				}
+			},
+		},
 	}
-}
-
-// TestProjectEncMatchesApply: projection onto random attribute subsets
-// agrees between the forms (leaf drops and swap-down bridges included).
-func TestProjectEncMatchesApply(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	all := []relation.Attribute{"A", "B", "C", "D"}
-	for trial := 0; trial < 60; trial++ {
-		f, err := encFixture(rng)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		enc := f.Clone().Encode()
-		var keep []relation.Attribute
-		for _, a := range all {
-			if rng.Intn(2) == 0 {
-				keep = append(keep, a)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			out := applyChecked(t, c.op, mustEnc(t, c.tree, c.rel))
+			if out == nil {
+				t.Fatalf("%s rejected", c.op)
 			}
-		}
-		if len(keep) == 0 {
-			keep = []relation.Attribute{all[rng.Intn(len(all))]}
-		}
-		op := Project{Attrs: keep}
-		errP := op.Apply(f)
-		enc2, errE := ApplyEnc(op, enc)
-		if (errP == nil) != (errE == nil) {
-			t.Fatalf("trial %d π%v: pointer err %v, encoded err %v", trial, keep, errP, errE)
-		}
-		if errP != nil {
-			continue
-		}
-		if err := enc2.Validate(); err != nil {
-			t.Fatalf("trial %d π%v: encoded invalid: %v", trial, keep, err)
-		}
-		if !enc2.Equal(f.Encode()) {
-			t.Fatalf("trial %d π%v: diverged\nenc: %s\nptr: %s", trial, keep, enc2, f)
-		}
+			c.check(t, out)
+		})
 	}
 }
 
-// TestLiftEncMatchesApply: the lift restructuring (a swap sequence through
-// the decode bridge) agrees with the pointer form.
-func TestLiftEncMatchesApply(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	all := []relation.Attribute{"A", "B", "C", "D"}
-	for trial := 0; trial < 40; trial++ {
-		f, err := encFixture(rng)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		enc := f.Clone().Encode()
-		lift := Lift{Attrs: []relation.Attribute{all[rng.Intn(len(all))]}}
-		errP := lift.Apply(f)
-		enc2, errE := ApplyEnc(lift, enc)
-		if (errP == nil) != (errE == nil) {
-			t.Fatalf("trial %d %s: pointer err %v, encoded err %v", trial, lift, errP, errE)
-		}
-		if errP != nil {
-			continue
-		}
-		if !enc2.Equal(f.Encode()) {
-			t.Fatalf("trial %d %s: diverged", trial, lift)
-		}
+// TestStrictPushUpCatchesUnequalCopies: with Strict on (the whole test
+// package), a push-up over data that does not have the independence its
+// tree claims fails instead of silently keeping the first copy.
+func TestStrictPushUpCatchesUnequalCopies(t *testing.T) {
+	attrs := []relation.Attribute{"A", "B"}
+	e := mustEnc(t, chainTree(attrs, []relation.AttrSet{relation.NewAttrSet("A", "B")}),
+		rel(relation.Schema{"A", "B"}, []relation.Value{1, 1}, []relation.Value{2, 2}))
+	// The same columns under a tree that declares B independent of A.
+	lying := e.ReTree(chainTree(attrs, []relation.AttrSet{relation.NewAttrSet("A"), relation.NewAttrSet("B")}))
+	_, err := ApplyEnc(PushUp{B: "B"}, lying)
+	if err == nil || !strings.Contains(err.Error(), "unequal copies") {
+		t.Fatalf("want the Strict equality check to fire, got %v", err)
 	}
 }
 
-// TestProductEncMatchesProduct: the encoded Cartesian product equals the
-// encoding of the pointer product.
-func TestProductEncMatchesProduct(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 30; trial++ {
-		f, err := encFixture(rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		re := relation.New("RE", relation.Schema{"E"})
-		for i := 0; i < 1+rng.Intn(6); i++ {
-			re.Append(relation.Value(rng.Intn(5)))
-		}
-		re.Dedup()
-		g, err := frep.FromRelation(
-			ftree.New([]*ftree.Node{ftree.NewNode("E")}, []relation.AttrSet{relation.NewAttrSet("E")}), re)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := Product(f, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ProductEnc(f.Clone().Encode(), g.Clone().Encode())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := got.Validate(); err != nil {
-			t.Fatalf("trial %d: product invalid: %v", trial, err)
-		}
-		if !got.Equal(want.Encode()) {
-			t.Fatalf("trial %d: product diverged", trial)
-		}
-		// Overlapping attributes must be rejected on both sides.
-		if _, err := ProductEnc(got, f.Clone().Encode()); err == nil {
-			t.Fatal("overlapping product accepted")
-		}
-	}
-}
-
-// TestSelectFnDirect pins the SelectFn surface: rendering, the unknown-
-// attribute error on both forms, and a decoded-order-style predicate
-// filtering the encoded form without marking anything constant.
+// TestSelectFnDirect pins the SelectFn surface: rendering, the
+// unknown-attribute error, and a decoded-order-style predicate filtering
+// without marking anything constant.
 func TestSelectFnDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	f, err := encFixture(rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := productFixture(t, rand.New(rand.NewSource(17)))
 	op := SelectFn{A: "B", Keep: func(v relation.Value) bool { return v != 1 }, Label: "!= 1 (decoded)"}
 	if got := op.String(); got != "σ[B != 1 (decoded)]" {
 		t.Errorf("String() = %q", got)
 	}
-	bad := SelectFn{A: "Z", Keep: op.Keep, Label: "x"}
-	if err := bad.ApplyTree(f.Tree.Clone()); err == nil {
-		t.Error("ApplyTree accepted unknown attribute")
+	if applyChecked(t, SelectFn{A: "Z", Keep: op.Keep, Label: "x"}, e) != nil {
+		t.Error("unknown attribute accepted")
 	}
-	if _, err := ApplyEnc(bad, f.Clone().Encode()); err == nil {
-		t.Error("ApplyEnc accepted unknown attribute")
-	}
-	enc, err := ApplyEnc(op, f.Clone().Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if enc.Tree.Canonical() != f.Tree.Canonical() {
-		t.Errorf("SelectFn changed the tree:\n%s\nwas:\n%s", enc.Tree, f.Tree)
-	}
-	it := frep.NewEncIterator(enc)
-	col := -1
-	for i, a := range enc.Schema() {
-		if a == "B" {
-			col = i
-		}
-	}
-	for {
-		tup, ok := it.Next()
-		if !ok {
-			break
-		}
-		if tup[col] == 1 {
-			t.Fatalf("tuple %v survived σ[B != 1]", tup)
-		}
+	out := applyChecked(t, op, e)
+	if out.Tree.Canonical() != e.Tree.Canonical() {
+		t.Errorf("SelectFn changed the tree:\n%s\nwas:\n%s", out.Tree, e.Tree)
 	}
 }

@@ -2,6 +2,7 @@ package fplan
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/frep"
@@ -9,131 +10,122 @@ import (
 	"repro/internal/relation"
 )
 
+// productFixture factorises a random R(A,B) × S(C,D) over the forest
+// A→B, C→D.
+func productFixture(t *testing.T, rng *rand.Rand) *frep.Enc {
+	t.Helper()
+	deps := []relation.AttrSet{
+		relation.NewAttrSet("A", "B"),
+		relation.NewAttrSet("C", "D"),
+	}
+	ra := relation.New("RA", relation.Schema{"A", "B"})
+	rc := relation.New("RC", relation.Schema{"C", "D"})
+	for i := 0; i < 4+rng.Intn(16); i++ {
+		ra.Append(relation.Value(rng.Intn(3)), relation.Value(rng.Intn(3)))
+	}
+	for i := 0; i < 4+rng.Intn(16); i++ {
+		rc.Append(relation.Value(rng.Intn(3)), relation.Value(rng.Intn(3)))
+	}
+	roots := []*ftree.Node{
+		ftree.NewNode("A").Add(ftree.NewNode("B")),
+		ftree.NewNode("C").Add(ftree.NewNode("D")),
+	}
+	return mustEnc(t, ftree.New(roots, deps), ra.Product(rc))
+}
+
 // TestRandomOperatorSequences is the strongest operator-level property
-// test: starting from a factorisation of a random relation over a chain
-// f-tree, apply a random sequence of valid operators and verify after every
-// step that (1) the structure stays valid, (2) the represented relation
-// matches a shadow relational computation, and (3) the order and
-// normalisation invariants hold where promised.
+// test: starting from a factorisation of a random product over a forest,
+// apply a random sequence of operators — applicable or not — and verify
+// after every step everything applyChecked checks: ApplyEnc and ApplyTree
+// agree on applicability and on the resulting tree, the structure stays
+// valid, the input is untouched, and the represented relation is the
+// operator's flat semantics on the previous one.
 func TestRandomOperatorSequences(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
-	for trial := 0; trial < 40; trial++ {
-		// Dependencies: one relation over a random subset structure. Use
-		// two relations {A,B} and {C,D} joined via the tree when merged.
-		deps := []relation.AttrSet{
-			relation.NewAttrSet("A", "B"),
-			relation.NewAttrSet("C", "D"),
-		}
-		ra := relation.New("RA", relation.Schema{"A", "B"})
-		rc := relation.New("RC", relation.Schema{"C", "D"})
-		for i := 0; i < 4+rng.Intn(16); i++ {
-			ra.Append(relation.Value(rng.Intn(3)), relation.Value(rng.Intn(3)))
-		}
-		for i := 0; i < 4+rng.Intn(16); i++ {
-			rc.Append(relation.Value(rng.Intn(3)), relation.Value(rng.Intn(3)))
-		}
-		ra.Dedup()
-		rc.Dedup()
-		shadow := ra.Product(rc)
-
-		roots := []*ftree.Node{
-			ftree.NewNode("A").Add(ftree.NewNode("B")),
-			ftree.NewNode("C").Add(ftree.NewNode("D")),
-		}
-		tr := ftree.New(roots, deps)
-		f, err := frep.FromRelation(tr, shadow)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-
-		steps := 1 + rng.Intn(4)
-		for s := 0; s < steps && !f.IsEmpty(); s++ {
-			op, expect := randomOp(rng, f, shadow)
+	applied := map[string]int{}
+	for trial := 0; trial < 200; trial++ {
+		e := productFixture(t, rng)
+		for s := 0; s < 6; s++ {
+			op := randomOp(rng, e.Tree)
 			if op == nil {
-				break
-			}
-			if err := op.Apply(f); err != nil {
-				t.Fatalf("trial %d step %d (%s): %v", trial, s, op, err)
-			}
-			shadow = expect
-			if err := f.Validate(); err != nil {
-				t.Fatalf("trial %d step %d (%s): invalid rep: %v", trial, s, op, err)
-			}
-			if err := f.Tree.Validate(); err != nil {
-				t.Fatalf("trial %d step %d (%s): invalid tree: %v", trial, s, op, err)
-			}
-			if f.IsEmpty() {
-				if shadow.Cardinality() != 0 {
-					t.Fatalf("trial %d step %d (%s): engine empty, shadow has %d",
-						trial, s, op, shadow.Cardinality())
-				}
 				continue
 			}
-			got := f.Relation("got")
-			want := shadow.Project(got.Schema)
-			if !got.Equal(want) {
-				t.Fatalf("trial %d step %d (%s): mismatch\ngot:\n%s\nwant:\n%s\ntree:\n%s",
-					trial, s, op, got, want, f.Tree)
+			if out := applyChecked(t, op, e); out != nil {
+				e = out
+				applied[string([]rune(op.String())[:1])]++
 			}
+		}
+	}
+	// Every operator kind must have been applicable at least once, or the
+	// property above says nothing about it. (A bare ψ never is: operators
+	// keep their output normalised. It runs inside η, α and σ_=, and on its
+	// own in TestNormalisePushesIndependentParts.)
+	for _, k := range []string{"χ", "μ", "α", "σ", "η", "π", "λ", "δ"} {
+		if applied[k] == 0 {
+			t.Errorf("operator %s never applied", k)
 		}
 	}
 }
 
-// randomOp picks a random applicable operator and computes the expected
-// shadow relation after it.
-func randomOp(rng *rand.Rand, f *frep.FRep, shadow *relation.Relation) (Op, *relation.Relation) {
-	var attrs []relation.Attribute
-	for a := range f.Tree.Attrs() {
-		attrs = append(attrs, a)
-	}
+// randomOp picks a random operator over t's visible attributes (every node
+// left by a projection still has one); applicability is not guaranteed —
+// agreeing with ApplyTree on rejection is part of the property.
+func randomOp(rng *rand.Rand, t *ftree.T) Op {
+	attrs := t.VisibleAttrs().Sorted()
 	if len(attrs) == 0 {
-		return nil, nil
+		return nil
 	}
-	// Deterministic order for reproducibility.
-	for i := 1; i < len(attrs); i++ {
-		for j := i; j > 0 && attrs[j] < attrs[j-1]; j-- {
-			attrs[j], attrs[j-1] = attrs[j-1], attrs[j]
+	pick := func() relation.Attribute { return attrs[rng.Intn(len(attrs))] }
+	subset := func() []relation.Attribute {
+		out := []relation.Attribute{pick()}
+		for _, a := range attrs {
+			if a != out[0] && rng.Intn(2) == 0 {
+				out = append(out, a)
+			}
 		}
+		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		return out
 	}
-	idx := func(a relation.Attribute) int { return shadow.Schema.Index(a) }
-	for tries := 0; tries < 30; tries++ {
-		switch rng.Intn(4) {
-		case 0: // swap a random parent-child pair
-			a := attrs[rng.Intn(len(attrs))]
-			n := f.Tree.NodeOf(a)
-			if len(n.Children) == 0 {
-				continue
-			}
-			c := n.Children[rng.Intn(len(n.Children))]
-			return Swap{A: a, B: c.Attrs[0]}, shadow
-		case 1: // merge two sibling classes (equality selection)
-			a := attrs[rng.Intn(len(attrs))]
-			b := attrs[rng.Intn(len(attrs))]
-			if f.Tree.NodeOf(a) == f.Tree.NodeOf(b) || !f.Tree.AreSiblings(a, b) {
-				continue
-			}
-			ia, ib := idx(a), idx(b)
-			want := shadow.Select(func(t relation.Tuple) bool { return t[ia] == t[ib] })
-			return Merge{A: a, B: b}, want
-		case 2: // absorb a descendant (equality selection)
-			a := attrs[rng.Intn(len(attrs))]
-			b := attrs[rng.Intn(len(attrs))]
-			na, nb := f.Tree.NodeOf(a), f.Tree.NodeOf(b)
-			if na == nb || !f.Tree.IsAncestor(na, nb) {
-				continue
-			}
-			ia, ib := idx(a), idx(b)
-			want := shadow.Select(func(t relation.Tuple) bool { return t[ia] == t[ib] })
-			return Absorb{A: a, B: b}, want
-		case 3: // selection with constant
-			a := attrs[rng.Intn(len(attrs))]
-			c := relation.Value(rng.Intn(3))
-			ops := []Cmp{Eq, Ne, Lt, Le, Gt, Ge}
-			op := ops[rng.Intn(len(ops))]
-			ia := idx(a)
-			want := shadow.Select(func(t relation.Tuple) bool { return op.eval(t[ia], c) })
-			return SelectConst{A: a, Op: op, C: c}, want
+	switch rng.Intn(10) {
+	case 0:
+		a := pick()
+		n := t.NodeOf(a)
+		if len(n.Children) == 0 {
+			return nil
 		}
+		return Swap{A: a, B: n.Children[rng.Intn(len(n.Children))].Attrs[0]}
+	case 1:
+		return Merge{A: pick(), B: pick()}
+	case 2, 3:
+		return Absorb{A: pick(), B: pick()}
+	case 4:
+		ops := []Cmp{Eq, Ne, Lt, Le, Gt, Ge}
+		return SelectConst{A: pick(), Op: ops[rng.Intn(len(ops))], C: relation.Value(rng.Intn(3))}
+	case 5:
+		return PushUp{B: pick()}
+	case 6:
+		// Predicate selection: parity (a code-order-free predicate, like the
+		// decoded-order string ranges SelectFn exists for).
+		return SelectFn{A: pick(), Keep: func(v relation.Value) bool { return v%2 == 0 }, Label: "even"}
+	case 7:
+		if rng.Intn(2) == 0 {
+			return Distinct{}
+		}
+		return Normalise{}
+	case 8:
+		if len(attrs) < 2 {
+			return nil
+		}
+		// Drop one attribute only, so sequences stay interesting.
+		drop := pick()
+		var keep []relation.Attribute
+		for _, a := range attrs {
+			if a != drop {
+				keep = append(keep, a)
+			}
+		}
+		return Project{Attrs: keep}
+	default:
+		return Lift{Attrs: subset()}
 	}
-	return nil, nil
 }

@@ -1,9 +1,12 @@
 package fplan
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
+	"repro/internal/fbuild"
 	"repro/internal/frep"
 	"repro/internal/ftree"
 	"repro/internal/relation"
@@ -43,33 +46,111 @@ func chainTree(attrs []relation.Attribute, deps []relation.AttrSet) *ftree.T {
 	return ftree.New([]*ftree.Node{root}, deps)
 }
 
-func mustFromRelation(t *testing.T, tr *ftree.T, r *relation.Relation) *frep.FRep {
+// leafPaths returns the attribute sets of tr's root-to-leaf paths.
+func leafPaths(tr *ftree.T) [][]relation.Attribute {
+	var out [][]relation.Attribute
+	var walk func(n *ftree.Node, path []relation.Attribute)
+	walk = func(n *ftree.Node, path []relation.Attribute) {
+		path = append(path[:len(path):len(path)], n.Attrs...)
+		if len(n.Children) == 0 {
+			out = append(out, path)
+		}
+		for _, c := range n.Children {
+			walk(c, path)
+		}
+	}
+	for _, r := range tr.Roots {
+		walk(r, nil)
+	}
+	return out
+}
+
+// mustEnc factorises r over tr: fbuild joins r's projections onto the
+// root-to-leaf paths of tr, which is r again exactly when r factorises over
+// tr — checked by tuple count.
+func mustEnc(t *testing.T, tr *ftree.T, r *relation.Relation) *frep.Enc {
 	t.Helper()
-	f, err := frep.FromRelation(tr, r)
+	var rels []*relation.Relation
+	for _, p := range leafPaths(tr) {
+		rels = append(rels, r.Project(p))
+	}
+	e, err := fbuild.BuildEnc(rels, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f
+	if want := r.Project(r.Schema).Cardinality(); e.Count() != int64(want) {
+		t.Fatalf("relation does not factorise over the tree (represented %d tuples, relation has %d):\n%s",
+			e.Count(), want, tr)
+	}
+	return e
 }
 
-func checkValid(t *testing.T, f *frep.FRep) {
+// flatSemantics is what op means on the flat relation: the restructuring
+// operators ψ, η, χ, λ, δ are the identity, μ and α select on attribute
+// equality, σ filters, π projects.
+func flatSemantics(op Op, in *relation.Relation) *relation.Relation {
+	col := in.Schema.Index
+	switch o := op.(type) {
+	case Merge:
+		a, b := col(o.A), col(o.B)
+		return in.Select(func(tp relation.Tuple) bool { return tp[a] == tp[b] })
+	case Absorb:
+		a, b := col(o.A), col(o.B)
+		return in.Select(func(tp relation.Tuple) bool { return tp[a] == tp[b] })
+	case SelectConst:
+		a := col(o.A)
+		return in.Select(func(tp relation.Tuple) bool { return o.Op.eval(tp[a], o.C) })
+	case SelectFn:
+		a := col(o.A)
+		return in.Select(func(tp relation.Tuple) bool { return o.Keep(tp[a]) })
+	case Project:
+		return in.Project(o.Attrs)
+	}
+	return in
+}
+
+// applyChecked runs op through ApplyEnc and checks what every operator owes
+// its caller: ApplyEnc and ApplyTree agree on applicability (nil is returned
+// for an inapplicable op), the output and its tree validate, the output
+// tree is what ApplyTree makes of the input tree, the input is untouched,
+// and the represented relation is op's flat semantics on the input's.
+func applyChecked(t *testing.T, op Op, in *frep.Enc) *frep.Enc {
 	t.Helper()
-	if err := f.Validate(); err != nil {
-		t.Fatalf("invalid representation: %v\ntree:\n%s", err, f.Tree)
+	wantTree := in.Tree.Clone()
+	treeErr := op.ApplyTree(wantTree)
+	inTree := in.Tree.Canonical()
+	inRel := in.Relation("in")
+	out, err := ApplyEnc(op, in)
+	if (err == nil) != (treeErr == nil) {
+		t.Fatalf("%s: ApplyEnc err %v, ApplyTree err %v\ntree:\n%s", op, err, treeErr, in.Tree)
 	}
-	if err := f.Tree.Validate(); err != nil {
-		t.Fatalf("invalid tree: %v\n%s", err, f.Tree)
+	if err != nil {
+		return nil
 	}
+	if err := out.Validate(); err != nil {
+		t.Fatalf("%s: invalid representation: %v\ntree:\n%s", op, err, out.Tree)
+	}
+	if err := out.Tree.Validate(); err != nil {
+		t.Fatalf("%s: invalid tree: %v\n%s", op, err, out.Tree)
+	}
+	if out.Tree.Canonical() != wantTree.Canonical() {
+		t.Fatalf("%s: tree/data divergence:\ndata tree:\n%s\nApplyTree:\n%s", op, out.Tree, wantTree)
+	}
+	if in.Tree.Canonical() != inTree || !in.Relation("in").Equal(inRel) {
+		t.Fatalf("%s: input mutated", op)
+	}
+	sameRelation(t, out, flatSemantics(op, inRel), op.String()+" differs from its flat semantics")
+	return out
 }
 
 // sameRelation compares the representation against a reference relation,
 // aligning schemas.
-func sameRelation(t *testing.T, f *frep.FRep, want *relation.Relation, msg string) {
+func sameRelation(t *testing.T, e *frep.Enc, want *relation.Relation, msg string) {
 	t.Helper()
-	got := f.Relation("got")
+	got := e.Relation("got")
 	w := want.Project(got.Schema)
 	if !got.Equal(w) {
-		t.Fatalf("%s:\ngot:\n%s\nwant:\n%s\ntree:\n%s", msg, got, w, f.Tree)
+		t.Fatalf("%s:\ngot:\n%s\nwant:\n%s\ntree:\n%s", msg, got, w, e.Tree)
 	}
 }
 
@@ -91,19 +172,17 @@ func TestSwapPreservesRelationRandom(t *testing.T) {
 		for i, p := range perm {
 			shuffled[i] = attrs[p]
 		}
-		tr := chainTree(shuffled, deps)
-		f := mustFromRelation(t, tr, r)
+		in := mustEnc(t, chainTree(shuffled, deps), r)
 		// Swap a random adjacent pair on the chain.
 		i := rng.Intn(len(shuffled) - 1)
 		a, b := shuffled[i], shuffled[i+1]
-		if err := (Swap{A: a, B: b}).Apply(f); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+		out := applyChecked(t, Swap{A: a, B: b}, in)
+		if out == nil {
+			t.Fatalf("trial %d: swap rejected", trial)
 		}
-		checkValid(t, f)
-		sameRelation(t, f, r, "swap changed the relation")
 		// The node of b must now be the parent of the node of a.
-		if f.Tree.ParentOf(f.Tree.NodeOf(a)) != f.Tree.NodeOf(b) {
-			t.Fatalf("trial %d: swap did not exchange the nodes:\n%s", trial, f.Tree)
+		if out.Tree.ParentOf(out.Tree.NodeOf(a)) != out.Tree.NodeOf(b) {
+			t.Fatalf("trial %d: swap did not exchange the nodes:\n%s", trial, out.Tree)
 		}
 	}
 }
@@ -112,23 +191,18 @@ func TestSwapPreservesRelationRandom(t *testing.T) {
 // regroups the factorisation over T1 into the one over T2.
 func TestSwapT1ToT2Grocery(t *testing.T) {
 	q1, rels := groceryQ1(t)
-	tr1 := groceryT1(rels)
-	f := mustFromRelation(t, tr1, q1)
-	if err := (Swap{A: "item", B: "location"}).Apply(f); err != nil {
-		t.Fatal(err)
-	}
-	checkValid(t, f)
+	out := applyChecked(t, Swap{A: "item", B: "location"}, mustEnc(t, groceryT1(rels), q1))
 	// The post-swap tree is T2 up to sibling order, and the data must be
 	// exactly the factorisation of Q1 over that tree.
-	if f.Tree.Canonical() != groceryT2(rels).Canonical() {
-		t.Fatalf("swap tree is not T2:\n%s", f.Tree)
+	if out.Tree.Canonical() != groceryT2(rels).Canonical() {
+		t.Fatalf("swap tree is not T2:\n%s", out.Tree)
 	}
-	want := mustFromRelation(t, f.Tree.Clone(), q1)
-	if !f.Equal(want) {
-		t.Fatalf("swap result differs from direct factorisation:\n%s\nvs\n%s", f, want)
+	want := mustEnc(t, out.Tree.Clone(), q1)
+	if !out.Equal(want) {
+		t.Fatalf("swap result differs from direct factorisation:\n%s\nvs\n%s", out, want)
 	}
-	if f.Size() != 22 {
-		t.Fatalf("size after swap = %d, want 22", f.Size())
+	if out.Size() != 22 {
+		t.Fatalf("size after swap = %d, want 22", out.Size())
 	}
 }
 
@@ -143,26 +217,20 @@ func TestNormalisePushesIndependentParts(t *testing.T) {
 		if r.Cardinality() == 0 || s.Cardinality() == 0 {
 			continue
 		}
-		full := r.Product(s)
 		tr := chainTree([]relation.Attribute{"A", "B", "C"},
 			[]relation.AttrSet{relation.NewAttrSet("A", "B"), relation.NewAttrSet("C")})
-		f := mustFromRelation(t, tr, full)
-		sizeBefore := f.Size()
-		if err := (Normalise{}).Apply(f); err != nil {
-			t.Fatal(err)
+		in := mustEnc(t, tr, r.Product(s))
+		out := applyChecked(t, Normalise{}, in)
+		if !out.Tree.IsNormalised() {
+			t.Fatalf("trial %d: tree not normalised:\n%s", trial, out.Tree)
 		}
-		checkValid(t, f)
-		if !f.Tree.IsNormalised() {
-			t.Fatalf("trial %d: tree not normalised:\n%s", trial, f.Tree)
-		}
-		if f.Size() > sizeBefore {
+		if out.Size() > in.Size() {
 			t.Fatalf("trial %d: normalisation grew the representation: %d -> %d",
-				trial, sizeBefore, f.Size())
+				trial, in.Size(), out.Size())
 		}
-		sameRelation(t, f, full, "normalisation changed the relation")
 		// C must now be a root.
-		if f.Tree.ParentOf(f.Tree.NodeOf("C")) != nil {
-			t.Fatalf("trial %d: C not pushed to root:\n%s", trial, f.Tree)
+		if out.Tree.ParentOf(out.Tree.NodeOf("C")) != nil {
+			t.Fatalf("trial %d: C not pushed to root:\n%s", trial, out.Tree)
 		}
 	}
 }
@@ -179,31 +247,16 @@ func TestMergeIsJoinRandom(t *testing.T) {
 		if r.Cardinality() == 0 || s.Cardinality() == 0 {
 			continue
 		}
-		fr := mustFromRelation(t,
-			chainTree([]relation.Attribute{"A", "B"}, nil), r)
-		fs := mustFromRelation(t,
-			chainTree([]relation.Attribute{"C", "D"}, nil), s)
-		// Rebuild with proper dep sets for the product.
-		prod, err := Product(fr, fs)
+		prod, err := ProductEnc(
+			mustEnc(t, chainTree([]relation.Attribute{"A", "B"}, []relation.AttrSet{relation.NewAttrSet("A", "B")}), r),
+			mustEnc(t, chainTree([]relation.Attribute{"C", "D"}, []relation.AttrSet{relation.NewAttrSet("C", "D")}), s))
 		if err != nil {
 			t.Fatal(err)
 		}
-		prod.Tree.Rels = []relation.AttrSet{
-			relation.NewAttrSet("A", "B"), relation.NewAttrSet("C", "D")}
-		prod.Tree.Deps = []relation.AttrSet{
-			relation.NewAttrSet("A", "B"), relation.NewAttrSet("C", "D")}
-		if err := (Merge{A: "A", B: "C"}).Apply(prod); err != nil {
-			t.Fatal(err)
+		sameRelation(t, prod, r.Product(s), "product wrong")
+		if applyChecked(t, Merge{A: "A", B: "C"}, prod) == nil {
+			t.Fatalf("trial %d: merge of two roots rejected", trial)
 		}
-		checkValid(t, prod)
-		want := r.Product(s).Select(func(tp relation.Tuple) bool { return tp[0] == tp[2] })
-		if prod.IsEmpty() {
-			if want.Cardinality() != 0 {
-				t.Fatalf("trial %d: merge produced empty, expected %d tuples", trial, want.Cardinality())
-			}
-			continue
-		}
-		sameRelation(t, prod, want, "merge != selection A=C")
 	}
 }
 
@@ -220,23 +273,10 @@ func TestAbsorbIsSelectionRandom(t *testing.T) {
 		if r.Cardinality() == 0 {
 			continue
 		}
-		tr := chainTree(attrs, deps)
-		f := mustFromRelation(t, tr, r)
-		if err := (Absorb{A: "A", B: "C"}).Apply(f); err != nil {
-			t.Fatal(err)
-		}
-		checkValid(t, f)
-		want := r.Select(func(tp relation.Tuple) bool { return tp[0] == tp[2] })
-		if f.IsEmpty() {
-			if want.Cardinality() != 0 {
-				t.Fatalf("trial %d: absorb emptied, expected %d tuples", trial, want.Cardinality())
-			}
-			continue
-		}
-		sameRelation(t, f, want, "absorb != selection A=C")
-		// A and C now share a node.
-		if f.Tree.NodeOf("A") != f.Tree.NodeOf("C") {
-			t.Fatalf("trial %d: A and C not merged:\n%s", trial, f.Tree)
+		out := applyChecked(t, Absorb{A: "A", B: "C"}, mustEnc(t, chainTree(attrs, deps), r))
+		// A and C now share a node, also when the selection emptied the data.
+		if out.Tree.NodeOf("A") != out.Tree.NodeOf("C") {
+			t.Fatalf("trial %d: A and C not merged:\n%s", trial, out.Tree)
 		}
 	}
 }
@@ -253,24 +293,10 @@ func TestSelectConstRandom(t *testing.T) {
 		if r.Cardinality() == 0 {
 			continue
 		}
-		tr := chainTree(attrs, deps)
-		f := mustFromRelation(t, tr, r)
-		target := attrs[rng.Intn(len(attrs))]
-		cmp := ops[rng.Intn(len(ops))]
-		c := relation.Value(rng.Intn(4))
-		if err := (SelectConst{A: target, Op: cmp, C: c}).Apply(f); err != nil {
-			t.Fatal(err)
+		op := SelectConst{A: attrs[rng.Intn(len(attrs))], Op: ops[rng.Intn(len(ops))], C: relation.Value(rng.Intn(4))}
+		if applyChecked(t, op, mustEnc(t, chainTree(attrs, deps), r)) == nil {
+			t.Fatalf("trial %d: %s rejected", trial, op)
 		}
-		checkValid(t, f)
-		col := r.Schema.Index(target)
-		want := r.Select(func(tp relation.Tuple) bool { return cmp.eval(tp[col], c) })
-		if f.IsEmpty() {
-			if want.Cardinality() != 0 {
-				t.Fatalf("trial %d: σ emptied, expected %d tuples", trial, want.Cardinality())
-			}
-			continue
-		}
-		sameRelation(t, f, want, "selection with constant wrong")
 	}
 }
 
@@ -283,16 +309,10 @@ func TestSelectConstEqMakesRoot(t *testing.T) {
 	r.Append(2, 6, 1)
 	tr := chainTree([]relation.Attribute{"A", "B", "C"},
 		[]relation.AttrSet{relation.NewAttrSet("A", "B", "C")})
-	f := mustFromRelation(t, tr, r)
-	if err := (SelectConst{A: "B", Op: Eq, C: 5}).Apply(f); err != nil {
-		t.Fatal(err)
+	out := applyChecked(t, SelectConst{A: "B", Op: Eq, C: 5}, mustEnc(t, tr, r))
+	if out.Tree.ParentOf(out.Tree.NodeOf("B")) != nil {
+		t.Fatalf("constant node B should be a root:\n%s", out.Tree)
 	}
-	checkValid(t, f)
-	if f.Tree.ParentOf(f.Tree.NodeOf("B")) != nil {
-		t.Fatalf("constant node B should be a root:\n%s", f.Tree)
-	}
-	want := r.Select(func(tp relation.Tuple) bool { return tp[1] == 5 })
-	sameRelation(t, f, want, "σ_eq wrong")
 }
 
 // --- projection ----------------------------------------------------------------
@@ -306,8 +326,6 @@ func TestProjectRandom(t *testing.T) {
 		if r.Cardinality() == 0 {
 			continue
 		}
-		tr := chainTree(attrs, deps)
-		f := mustFromRelation(t, tr, r)
 		// Keep a random non-empty subset.
 		var keep []relation.Attribute
 		for _, a := range attrs {
@@ -318,16 +336,11 @@ func TestProjectRandom(t *testing.T) {
 		if len(keep) == 0 {
 			keep = []relation.Attribute{attrs[rng.Intn(3)]}
 		}
-		if err := (Project{Attrs: keep}).Apply(f); err != nil {
-			t.Fatal(err)
-		}
-		checkValid(t, f)
-		want := r.Project(keep)
-		sameRelation(t, f, want, "projection wrong")
+		out := applyChecked(t, Project{Attrs: keep}, mustEnc(t, chainTree(attrs, deps), r))
 		// No all-hidden nodes may remain.
-		for a := range f.Tree.Attrs() {
-			if f.Tree.AllHidden(f.Tree.NodeOf(a)) {
-				t.Fatalf("trial %d: all-hidden node for %q survived:\n%s", trial, a, f.Tree)
+		for a := range out.Tree.Attrs() {
+			if out.Tree.AllHidden(out.Tree.NodeOf(a)) {
+				t.Fatalf("trial %d: all-hidden node for %q survived:\n%s", trial, a, out.Tree)
 			}
 		}
 	}
@@ -345,17 +358,11 @@ func TestProjectInducedDependence(t *testing.T) {
 	r.Append(2, 2, 2)
 	tr := chainTree([]relation.Attribute{"A", "B", "C"},
 		[]relation.AttrSet{relation.NewAttrSet("A", "B"), relation.NewAttrSet("B", "C")})
-	f := mustFromRelation(t, tr, r)
-	if err := (Project{Attrs: []relation.Attribute{"A", "C"}}).Apply(f); err != nil {
-		t.Fatal(err)
-	}
-	checkValid(t, f)
-	want := r.Project([]relation.Attribute{"A", "C"})
-	sameRelation(t, f, want, "projection with induced dependence wrong")
+	out := applyChecked(t, Project{Attrs: []relation.Attribute{"A", "C"}}, mustEnc(t, tr, r))
 	// A and C must still be on one path: a forest of {A} and {C} would
 	// represent the cartesian product {1,2}x{1,2}, which is wrong.
-	if len(f.Tree.Roots) != 1 {
-		t.Fatalf("A and C flattened into independent roots:\n%s", f.Tree)
+	if len(out.Tree.Roots) != 1 {
+		t.Fatalf("A and C flattened into independent roots:\n%s", out.Tree)
 	}
 }
 
@@ -365,21 +372,26 @@ func TestProductOperator(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	r := randRel(rng, "R", relation.Schema{"A", "B"}, 10, 3)
 	s := randRel(rng, "S", relation.Schema{"C"}, 4, 5)
-	fr := mustFromRelation(t, chainTree([]relation.Attribute{"A", "B"},
+	fr := mustEnc(t, chainTree([]relation.Attribute{"A", "B"},
 		[]relation.AttrSet{relation.NewAttrSet("A", "B")}), r)
-	fs := mustFromRelation(t, chainTree([]relation.Attribute{"C"},
+	fs := mustEnc(t, chainTree([]relation.Attribute{"C"},
 		[]relation.AttrSet{relation.NewAttrSet("C")}), s)
-	prod, err := Product(fr, fs)
+	prod, err := ProductEnc(fr, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkValid(t, prod)
+	if err := prod.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := prod.Tree.Validate(); err != nil {
+		t.Fatal(err)
+	}
 	if prod.Size() != fr.Size()+fs.Size() {
 		t.Fatalf("product size %d, want %d", prod.Size(), fr.Size()+fs.Size())
 	}
 	sameRelation(t, prod, r.Product(s), "product wrong")
 	// Overlapping schemas must be rejected.
-	if _, err := Product(fr, fr); err == nil {
+	if _, err := ProductEnc(fr, fr); err == nil {
 		t.Fatal("product over overlapping schemas accepted")
 	}
 }
@@ -388,9 +400,9 @@ func TestProductWithEmpty(t *testing.T) {
 	r := relation.New("R", relation.Schema{"A"})
 	r.Append(1)
 	e := relation.New("E", relation.Schema{"B"})
-	fr := mustFromRelation(t, chainTree([]relation.Attribute{"A"}, nil), r)
-	fe := mustFromRelation(t, chainTree([]relation.Attribute{"B"}, nil), e)
-	prod, err := Product(fr, fe)
+	fr := mustEnc(t, chainTree([]relation.Attribute{"A"}, nil), r)
+	fe := mustEnc(t, chainTree([]relation.Attribute{"B"}, nil), e)
+	prod, err := ProductEnc(fr, fe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,6 +449,27 @@ func TestPlanSimulateTreeExample11(t *testing.T) {
 	}
 	if p2.String() != "χ[E,F] ; μ[B,F]" {
 		t.Fatalf("plan rendering = %q", p2.String())
+	}
+}
+
+// TestExecuteEnc: a plan runs its operators in order on the encoding, and
+// polls the context before each one.
+func TestExecuteEnc(t *testing.T) {
+	q1, rels := groceryQ1(t)
+	in := mustEnc(t, groceryT1(rels), q1)
+	plan := Plan{Ops: []Op{Swap{A: "item", B: "location"}, SelectConst{A: "oid", Op: Ge, C: 0}}}
+	out, err := plan.ExecuteEnc(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := applyChecked(t, plan.Ops[1], applyChecked(t, plan.Ops[0], in))
+	if !out.Equal(want) {
+		t.Fatalf("plan result differs from applying its operators one by one:\n%s\nvs\n%s", out, want)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := plan.ExecuteEnc(ctx, in); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled context: got %v", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package fplan
 import (
 	"fmt"
 
-	"repro/internal/frep"
 	"repro/internal/ftree"
 	"repro/internal/relation"
 )
@@ -23,7 +22,7 @@ import (
 //
 // The query compiler applies Lift at Prepare time with ApplyTree only: the
 // build then produces the lifted layout directly and Exec never pays for
-// data movement. Apply supports lifting an already-built representation.
+// data movement. ApplyEnc lifts an already-built representation.
 type Lift struct {
 	Attrs []relation.Attribute
 }
@@ -84,22 +83,6 @@ func (o Lift) ApplyTree(t *ftree.T) error {
 			return nil
 		}
 		if err := t.Swap(a, b); err != nil {
-			return err
-		}
-	}
-}
-
-// Apply implements Op.
-func (o Lift) Apply(f *frep.FRep) error {
-	for {
-		a, b, ok, err := o.nextSwap(f.Tree)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		if err := (Swap{A: a, B: b}).Apply(f); err != nil {
 			return err
 		}
 	}

@@ -1,22 +1,42 @@
+// Package fplan implements the f-plan operators of Section 3 on factorised
+// data: push-up ψ and normalisation η, swap χ (the priority-queue algorithm
+// of Figure 4), Cartesian product ×, the selection operators merge μ, absorb
+// α and selection-with-constant σ, and projection π — plus f-plans
+// (sequences of operators) and their executor.
+//
+// Every operator maps an encoded representation (f-tree and columns
+// together) to a fresh one, in time quasilinear in the sizes of its input
+// and output (Proposition 2), preserving the order invariant, the path
+// constraint, and normalisation. This file declares the operators and their
+// schema-level transforms; enc_ops.go holds the data-level implementations.
 package fplan
 
 import (
-	"container/heap"
 	"fmt"
 
-	"repro/internal/frep"
 	"repro/internal/ftree"
 	"repro/internal/relation"
 )
 
+// Strict enables expensive internal consistency checks (copies factored out
+// by push-up must be equal). Tests switch it on; benchmarks leave it off.
+var Strict = false
+
 // Op is one f-plan operator. ApplyTree performs the schema-level transform
 // only (used by the optimisers to cost candidate plans without touching
-// data); Apply performs the full transform on a representation, keeping its
-// tree and data in sync.
+// data); ApplyEnc performs the full transform on a representation.
 type Op interface {
 	fmt.Stringer
 	ApplyTree(t *ftree.T) error
-	Apply(f *frep.FRep) error
+}
+
+// attrNode resolves the node labelled by a, or errors.
+func attrNode(t *ftree.T, a relation.Attribute) (*ftree.Node, error) {
+	n := t.NodeOf(a)
+	if n == nil {
+		return nil, fmt.Errorf("fplan: attribute %q not in f-tree", a)
+	}
+	return n, nil
 }
 
 // ---------------------------------------------------------------- push-up ψ
@@ -33,63 +53,6 @@ func (o PushUp) String() string { return fmt.Sprintf("ψ[%s]", o.B) }
 // ApplyTree implements Op.
 func (o PushUp) ApplyTree(t *ftree.T) error { return t.PushUp(o.B) }
 
-// Apply implements Op.
-func (o PushUp) Apply(f *frep.FRep) error {
-	nb, err := attrNode(f.Tree, o.B)
-	if err != nil {
-		return err
-	}
-	na := f.Tree.ParentOf(nb)
-	if na == nil {
-		return fmt.Errorf("fplan: push-up: node of %q is a root", o.B)
-	}
-	if f.Tree.SubtreeDependsOnNode(nb, na) {
-		return fmt.Errorf("fplan: push-up of %q violates the path constraint", o.B)
-	}
-	bi := childIndex(na, nb)
-	gp := f.Tree.ParentOf(na)
-	var checkErr error
-	rewriteProducts(f, gp, func(prod *[]*frep.Union) bool {
-		ai := -1
-		for i, n := range nodesOfProduct(f.Tree, gp) {
-			if n == na {
-				ai = i
-				break
-			}
-		}
-		ua := (*prod)[ai]
-		var bu *frep.Union
-		for ei := range ua.Entries {
-			e := &ua.Entries[ei]
-			cb := e.Children[bi]
-			if bu == nil {
-				bu = cb
-			} else if Strict && checkErr == nil && !unionDataEqual(bu, cb) {
-				checkErr = fmt.Errorf("fplan: push-up of %q factored out unequal copies", o.B)
-			}
-			e.Children = removeSlot(e.Children, bi)
-		}
-		if bu == nil {
-			bu = &frep.Union{} // empty relation at a root
-		}
-		*prod = append(*prod, bu)
-		return true
-	})
-	if checkErr != nil {
-		return checkErr
-	}
-	return f.Tree.PushUp(o.B)
-}
-
-// nodesOfProduct returns the tree nodes whose unions make up the products
-// of parent (parent == nil: the roots).
-func nodesOfProduct(t *ftree.T, parent *ftree.Node) []*ftree.Node {
-	if parent == nil {
-		return t.Roots
-	}
-	return parent.Children
-}
-
 // ------------------------------------------------------------ normalise η
 
 // Normalise is η: push-ups applied until no node can move (Definition 3).
@@ -101,22 +64,6 @@ func (Normalise) String() string { return "η" }
 func (Normalise) ApplyTree(t *ftree.T) error {
 	t.NormaliseSteps()
 	return nil
-}
-
-// Apply implements Op.
-func (Normalise) Apply(f *frep.FRep) error {
-	for {
-		// Find the next push-up on a scratch clone of the tree, then apply
-		// it for real (tree and data together).
-		probe := f.Tree.Clone()
-		steps := probe.NormaliseSteps()
-		if len(steps) == 0 {
-			return nil
-		}
-		if err := (PushUp{B: steps[0]}).Apply(f); err != nil {
-			return err
-		}
-	}
 }
 
 // ---------------------------------------------------------------- swap χ
@@ -133,106 +80,6 @@ func (o Swap) String() string { return fmt.Sprintf("χ[%s,%s]", o.A, o.B) }
 // ApplyTree implements Op.
 func (o Swap) ApplyTree(t *ftree.T) error { return t.Swap(o.A, o.B) }
 
-// Apply implements Op.
-func (o Swap) Apply(f *frep.FRep) error {
-	split, err := f.Tree.PlanSwap(o.A, o.B)
-	if err != nil {
-		return err
-	}
-	na, _ := attrNode(f.Tree, o.A)
-	nb, _ := attrNode(f.Tree, o.B)
-	bi := childIndex(na, nb)
-	gp := f.Tree.ParentOf(na)
-	rewriteProducts(f, gp, func(prod *[]*frep.Union) bool {
-		ai := -1
-		for i, n := range nodesOfProduct(f.Tree, gp) {
-			if n == na {
-				ai = i
-				break
-			}
-		}
-		(*prod)[ai] = swapUnion((*prod)[ai], bi, split)
-		return true
-	})
-	return f.Tree.Swap(o.A, o.B)
-}
-
-// swapItem is a priority-queue element: entry aIdx of the outer union,
-// positioned at bPos within its B-child union.
-type swapItem struct {
-	bVal relation.Value
-	aIdx int
-	bPos int
-}
-
-type swapHeap []swapItem
-
-func (h swapHeap) Len() int { return len(h) }
-func (h swapHeap) Less(i, j int) bool {
-	if h[i].bVal != h[j].bVal {
-		return h[i].bVal < h[j].bVal
-	}
-	return h[i].aIdx < h[j].aIdx
-}
-func (h swapHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *swapHeap) Push(x interface{}) { *h = append(*h, x.(swapItem)) }
-func (h *swapHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// swapUnion implements the algorithm of Figure 4 on a single union over A.
-// bi is the child slot of B; split partitions B's child slots into the
-// A-independent ones (stay with B) and the A-dependent ones (move under A).
-//
-// Output layout (must match ftree.Swap): the new B union's entries carry
-// children [independent B-children..., A-union]; each inner A entry carries
-// [A-children except B..., dependent B-children...].
-func swapUnion(ua *frep.Union, bi int, split ftree.SwapSplit) *frep.Union {
-	h := make(swapHeap, 0, len(ua.Entries))
-	for aIdx, e := range ua.Entries {
-		ub := e.Children[bi]
-		h = append(h, swapItem{bVal: ub.Entries[0].Val, aIdx: aIdx, bPos: 0})
-	}
-	heap.Init(&h)
-	out := &frep.Union{}
-	for len(h) > 0 {
-		bmin := h[0].bVal
-		var fb []*frep.Union
-		va := &frep.Union{}
-		for len(h) > 0 && h[0].bVal == bmin {
-			it := heap.Pop(&h).(swapItem)
-			ea := &ua.Entries[it.aIdx]
-			ub := ea.Children[bi]
-			eb := &ub.Entries[it.bPos]
-			if fb == nil {
-				fb = make([]*frep.Union, 0, len(split.Indep)+1)
-				for _, t := range split.Indep {
-					fb = append(fb, eb.Children[t])
-				}
-			}
-			children := make([]*frep.Union, 0, len(ea.Children)-1+len(split.Dep))
-			for j, c := range ea.Children {
-				if j != bi {
-					children = append(children, c)
-				}
-			}
-			for _, t := range split.Dep {
-				children = append(children, eb.Children[t])
-			}
-			va.Entries = append(va.Entries, frep.Entry{Val: ea.Val, Children: children})
-			if it.bPos+1 < len(ub.Entries) {
-				heap.Push(&h, swapItem{bVal: ub.Entries[it.bPos+1].Val, aIdx: it.aIdx, bPos: it.bPos + 1})
-			}
-		}
-		out.Entries = append(out.Entries, frep.Entry{Val: bmin, Children: append(fb, va)})
-	}
-	return out
-}
-
 // ---------------------------------------------------------------- merge μ
 
 // Merge is μ_{A,B} (Figure 3(c)): the sibling nodes of A and B are joined
@@ -246,57 +93,6 @@ func (o Merge) String() string { return fmt.Sprintf("μ[%s,%s]", o.A, o.B) }
 
 // ApplyTree implements Op.
 func (o Merge) ApplyTree(t *ftree.T) error { return t.Merge(o.A, o.B) }
-
-// Apply implements Op.
-func (o Merge) Apply(f *frep.FRep) error {
-	if !f.Tree.AreSiblings(o.A, o.B) {
-		return fmt.Errorf("fplan: merge: nodes of %q and %q are not siblings", o.A, o.B)
-	}
-	na, _ := attrNode(f.Tree, o.A)
-	nb, _ := attrNode(f.Tree, o.B)
-	parent := f.Tree.ParentOf(na)
-	nodes := nodesOfProduct(f.Tree, parent)
-	ai, bi := -1, -1
-	for i, n := range nodes {
-		if n == na {
-			ai = i
-		}
-		if n == nb {
-			bi = i
-		}
-	}
-	rewriteProducts(f, parent, func(prod *[]*frep.Union) bool {
-		merged := mergeUnions((*prod)[ai], (*prod)[bi])
-		(*prod)[ai] = merged
-		*prod = removeSlot(*prod, bi)
-		return len(merged.Entries) > 0
-	})
-	return f.Tree.Merge(o.A, o.B)
-}
-
-// mergeUnions sort-merge joins two unions on their values; joined entries
-// concatenate the children of both sides.
-func mergeUnions(ua, ub *frep.Union) *frep.Union {
-	out := &frep.Union{}
-	i, j := 0, 0
-	for i < len(ua.Entries) && j < len(ub.Entries) {
-		ea, eb := &ua.Entries[i], &ub.Entries[j]
-		switch {
-		case ea.Val < eb.Val:
-			i++
-		case ea.Val > eb.Val:
-			j++
-		default:
-			children := make([]*frep.Union, 0, len(ea.Children)+len(eb.Children))
-			children = append(children, ea.Children...)
-			children = append(children, eb.Children...)
-			out.Entries = append(out.Entries, frep.Entry{Val: ea.Val, Children: children})
-			i++
-			j++
-		}
-	}
-	return out
-}
 
 // ---------------------------------------------------------------- absorb α
 
@@ -316,102 +112,4 @@ func (o Absorb) ApplyTree(t *ftree.T) error {
 	}
 	t.NormaliseSteps()
 	return nil
-}
-
-// Apply implements Op.
-func (o Absorb) Apply(f *frep.FRep) error {
-	na, err := attrNode(f.Tree, o.A)
-	if err != nil {
-		return err
-	}
-	nb, err := attrNode(f.Tree, o.B)
-	if err != nil {
-		return err
-	}
-	if !f.Tree.IsAncestor(na, nb) {
-		return fmt.Errorf("fplan: absorb: node of %q is not an ancestor of node of %q", o.A, o.B)
-	}
-	// Slot chain from A down to B: slots[i] is the child index leading from
-	// the i-th node on the A→B path to the next one.
-	full := f.Tree.PathTo(nb)
-	var chain []*ftree.Node
-	for i, n := range full {
-		if n == na {
-			chain = full[i:]
-			break
-		}
-	}
-	slots := make([]int, len(chain)-1)
-	for i := 0; i+1 < len(chain); i++ {
-		slots[i] = childIndex(chain[i], chain[i+1])
-	}
-	// Step 1: under each A-entry with value a, restrict the B-unions to the
-	// single entry with value a; emptiness cascades up to the A-entry.
-	rewriteUnions(f, na, func(ua *frep.Union) bool {
-		out := ua.Entries[:0]
-		for i := range ua.Entries {
-			e := ua.Entries[i]
-			if restrictTo(e.Children[slots[0]], 1, chain, slots, e.Val) {
-				out = append(out, e)
-			}
-		}
-		ua.Entries = out
-		return len(out) > 0
-	})
-	if f.IsEmpty() {
-		f.Empty = true
-		// Still perform the structural change so the tree matches the plan.
-		return o.ApplyTree(f.Tree)
-	}
-	// Step 2: splice every B-union (now exactly one entry each) into its
-	// parent product, matching ftree.AbsorbSplice's layout.
-	p := f.Tree.ParentOf(nb)
-	bi := childIndex(p, nb)
-	rewriteProducts(f, p, func(prod *[]*frep.Union) bool {
-		bu := (*prod)[bi]
-		rest := append([]*frep.Union(nil), (*prod)[bi+1:]...)
-		np := append((*prod)[:bi:bi], bu.Entries[0].Children...)
-		*prod = append(np, rest...)
-		return true
-	})
-	if err := f.Tree.AbsorbSplice(o.A, o.B); err != nil {
-		return err
-	}
-	// Step 3: re-normalise tree and data together.
-	return Normalise{}.Apply(f)
-}
-
-// restrictTo walks u (the union of chain[depth]) down the A→B slot chain
-// and keeps only B-entries with value v (a binary search, since entries are
-// ordered). Unions that empty on the way kill their enclosing entries; it
-// returns false if u itself empties.
-func restrictTo(u *frep.Union, depth int, chain []*ftree.Node, slots []int, v relation.Value) bool {
-	if depth == len(chain)-1 {
-		// u is a union over B: keep the single entry with value v, if any.
-		lo, hi := 0, len(u.Entries)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if u.Entries[mid].Val < v {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < len(u.Entries) && u.Entries[lo].Val == v {
-			u.Entries = u.Entries[lo : lo+1]
-			return true
-		}
-		u.Entries = nil
-		return false
-	}
-	si := slots[depth]
-	out := u.Entries[:0]
-	for i := range u.Entries {
-		e := u.Entries[i]
-		if restrictTo(e.Children[si], depth+1, chain, slots, v) {
-			out = append(out, e)
-		}
-	}
-	u.Entries = out
-	return len(out) > 0
 }

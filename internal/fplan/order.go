@@ -228,9 +228,3 @@ func (Distinct) String() string { return "δ" }
 
 // ApplyTree implements Op: δ never changes the schema.
 func (Distinct) ApplyTree(t *ftree.T) error { return nil }
-
-// Apply implements Op.
-func (Distinct) Apply(f *frep.FRep) error {
-	f.Dedup()
-	return nil
-}

@@ -141,8 +141,8 @@ func TestReorderForOrderSkipsConstNodes(t *testing.T) {
 	}
 }
 
-// Distinct: identity on engine-built representations (both forms), real
-// dedup on duplicate-carrying ones, and a schema no-op.
+// Distinct: identity on engine-built representations (real dedup on
+// duplicate-carrying ones is frep's TestDedupEnc) and a schema no-op.
 func TestDistinctOp(t *testing.T) {
 	r := relation.New("R", relation.Schema{"A", "B"})
 	r.Append(1, 2)
@@ -150,29 +150,15 @@ func TestDistinctOp(t *testing.T) {
 	r.Append(2, 2)
 	tr := ftree.New([]*ftree.Node{ftree.NewNode("A").Add(ftree.NewNode("B"))},
 		[]relation.AttrSet{relation.NewAttrSet("A", "B")})
-	f, err := frep.FromRelation(tr, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := f.Encode()
-
-	out, err := ApplyEnc(Distinct{}, e)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := mustEnc(t, tr, r)
+	out := applyChecked(t, Distinct{}, e)
 	if !out.Equal(e) {
 		t.Fatal("Distinct changed an engine-built representation")
-	}
-	if err := (Distinct{}).Apply(f); err != nil {
-		t.Fatal(err)
-	}
-	if !f.Encode().Equal(e) {
-		t.Fatal("pointer-form Distinct changed an engine-built representation")
 	}
 
 	// Empty representations stay empty.
 	empty := frep.NewEmptyEnc(tr.Clone())
-	out, err = ApplyEnc(Distinct{}, empty)
+	out, err := ApplyEnc(Distinct{}, empty)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,24 +23,22 @@ func (p Plan) String() string {
 	return strings.Join(parts, " ; ")
 }
 
-// Execute applies every operator, in order, to f (tree and data together).
-func (p Plan) Execute(f *frep.FRep) error {
-	return p.ExecuteContext(context.Background(), f)
-}
-
-// ExecuteContext is Execute with cancellation checkpoints between
-// operators: before each operator runs, ctx is polled and its error
-// returned, so long operator pipelines can be abandoned mid-plan.
-func (p Plan) ExecuteContext(ctx context.Context, f *frep.FRep) error {
+// ExecuteEnc applies every operator, in order, to e and returns the final
+// representation (e itself is never mutated). Before each operator runs,
+// ctx is polled and its error returned, so long operator pipelines can be
+// abandoned mid-plan.
+func (p Plan) ExecuteEnc(ctx context.Context, e *frep.Enc) (*frep.Enc, error) {
 	for _, op := range p.Ops {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
-		if err := op.Apply(f); err != nil {
-			return err
+		next, err := ApplyEnc(op, e)
+		if err != nil {
+			return nil, err
 		}
+		e = next
 	}
-	return nil
+	return e, nil
 }
 
 // SimulateTree applies the plan's schema transforms to a clone of t and

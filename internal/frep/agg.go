@@ -29,6 +29,7 @@ package frep
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/ftree"
@@ -87,42 +88,8 @@ type AggRow struct {
 	Vals []int64
 }
 
-// Aggregate computes the given aggregates over the represented relation,
-// grouped by the groupBy attributes, without enumerating tuples. Rows come
-// back sorted by group key. An empty representation yields no rows (also
-// for global aggregates, where SQL would return one NULL-ish row).
-//
-// Counts saturate at math.MaxInt64; sums saturate at ±math.MaxInt64 — like
-// Count, exact for the paper's workloads and clamped beyond.
-func (f *FRep) Aggregate(groupBy []relation.Attribute, specs []AggSpec) ([]AggRow, error) {
-	ev, err := newAggEval(f.Tree, groupBy, specs)
-	if err != nil {
-		return nil, err
-	}
-	if f.IsEmpty() {
-		return nil, nil
-	}
-	// Subtrees without group attributes need no key bookkeeping: they fold
-	// into a single scalar partial (and, without aggregated attributes
-	// either, into a bare count). The group zone alone pays for maps.
-	scalar := ev.unit()
-	var cur map[string]*partial
-	for i, u := range f.Roots {
-		n := f.Tree.Roots[i]
-		if !ev.groupBelow[n] {
-			ev.crossScalar(scalar, ev.scalarUnion(u, n, 0))
-		} else if m := ev.union(u, n); cur == nil {
-			cur = m
-		} else {
-			cur = ev.cross(cur, m)
-		}
-	}
-	return ev.finishRows(cur, scalar), nil
-}
-
 // newAggEval validates the aggregation request against the tree and
-// prepares the shared evaluation context (used by both the pointer and the
-// encoded evaluator).
+// prepares the evaluation context.
 func newAggEval(t *ftree.T, groupBy []relation.Attribute, specs []AggSpec) (*aggEval, error) {
 	slot := make(map[relation.Attribute]int, len(groupBy))
 	for i, a := range groupBy {
@@ -297,32 +264,6 @@ func (ev *aggEval) unit() *partial {
 	return &partial{cnt: 1, st: make([]aggState, len(ev.specs))}
 }
 
-// scalarUnion aggregates a subtree containing no group attribute into a
-// single partial — no maps, no keys, no allocation (scratch accumulators
-// per depth). Subtrees without aggregated attributes either collapse
-// further, into the plain count walk. The returned partial lives in the
-// depth-d scratch slot; the caller must consume it before the slot is
-// reused (the next scalarUnion call at the same depth).
-func (ev *aggEval) scalarUnion(u *Union, n *ftree.Node, d int) *partial {
-	if !ev.specBelow[n] {
-		return ev.scratchAt(&ev.uscratch, d, countUnion(u, n))
-	}
-	total := ev.scratchAt(&ev.uscratch, d, 0)
-	for i := range u.Entries {
-		ev.add(total, ev.scalarEntry(&u.Entries[i], n, d))
-	}
-	return total
-}
-
-func (ev *aggEval) scalarEntry(e *Entry, n *ftree.Node, d int) *partial {
-	p := ev.scratchAt(&ev.escratch, d, 1)
-	for j, c := range e.Children {
-		ev.crossScalar(p, ev.scalarUnion(c, n.Children[j], d+1))
-	}
-	ev.applyNode(p, e.Val, n)
-	return p
-}
-
 // applyNode extends a partial by the entry's own value for every
 // aggregated attribute of the node. The attribute labels only this node,
 // so the corresponding spec state is untouched below and the updates are
@@ -377,47 +318,10 @@ func (ev *aggEval) mergeScalar(p, s *partial) {
 	p.cnt = satMul(p.cnt, s.cnt)
 }
 
-// union aggregates the relation represented by u over node n, keyed by the
-// group slots fixed inside the subtree.
-func (ev *aggEval) union(u *Union, n *ftree.Node) map[string]*partial {
-	out := make(map[string]*partial, 1)
-	for i := range u.Entries {
-		for k, p := range ev.entry(&u.Entries[i], n) {
-			if q, ok := out[k]; ok {
-				ev.add(q, p)
-			} else {
-				out[k] = p
-			}
-		}
-	}
-	return out
-}
-
-// entry aggregates one union entry of the group zone: the product of its
-// child unions (scalar for group-free children, keyed for the rest),
-// extended by the entry's own value for the node's group slots and
-// aggregated attributes.
-func (ev *aggEval) entry(e *Entry, n *ftree.Node) map[string]*partial {
-	scalar := ev.unit()
-	var cur map[string]*partial
-	for j, c := range e.Children {
-		cn := n.Children[j]
-		if !ev.groupBelow[cn] {
-			ev.crossScalar(scalar, ev.scalarUnion(c, cn, 0))
-		} else if m := ev.union(c, cn); cur == nil {
-			cur = m
-		} else {
-			cur = ev.cross(cur, m)
-		}
-	}
-	return ev.foldEntry(cur, scalar, e.Val, n)
-}
-
-// foldEntry finishes one group-zone entry (shared by the pointer and
-// encoded walkers): the top-level scalar merges into the keyed partials,
-// then the entry's own value extends every partial's group slots and
-// aggregate states, re-keying the map where the node is "hot" (touches a
-// key slot or a spec attribute).
+// foldEntry finishes one group-zone entry: the top-level scalar merges into
+// the keyed partials, then the entry's own value extends every partial's
+// group slots and aggregate states, re-keying the map where the node is
+// "hot" (touches a key slot or a spec attribute).
 func (ev *aggEval) foldEntry(cur map[string]*partial, scalar *partial, v relation.Value, n *ftree.Node) map[string]*partial {
 	if cur == nil {
 		scalar.key = make([]relation.Value, ev.nKey)
@@ -557,24 +461,38 @@ func (ev *aggEval) cross(m1, m2 map[string]*partial) map[string]*partial {
 	return out
 }
 
-// FlatSize returns Count() times the number of visible attributes — the
-// data-element count of the flat representation — saturating at
-// math.MaxInt64 like Count itself.
-func (f *FRep) FlatSize() int64 {
-	return satMul(f.Count(), int64(len(f.Schema())))
+// SatMul multiplies saturating at math.MaxInt64 — exported so the public
+// layer's size accounting clips the same way the representation measures do.
+func SatMul(a, b int64) int64 { return satMul(a, b) }
+
+// satMul and satAdd are the count arithmetic: non-negative operands,
+// saturating at math.MaxInt64.
+func satMul(a, b int64) int64 {
+	if a == 0 || b == 0 {
+		return 0
+	}
+	if a > math.MaxInt64/b {
+		return math.MaxInt64
+	}
+	return a * b
 }
 
-const minInt64 = -maxInt64 - 1
+func satAdd(a, b int64) int64 {
+	if a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
+}
 
 // satAddI adds signed values, saturating at ±math.MaxInt64 (sums may go
 // negative, unlike counts).
 func satAddI(a, b int64) int64 {
 	s := a + b
 	if a > 0 && b > 0 && s < 0 {
-		return maxInt64
+		return math.MaxInt64
 	}
 	if a < 0 && b < 0 && s >= 0 {
-		return minInt64
+		return math.MinInt64
 	}
 	return s
 }
@@ -584,7 +502,7 @@ func satMulI(a, b int64) int64 {
 	if a == 0 || b == 0 {
 		return 0
 	}
-	if a == minInt64 || b == minInt64 {
+	if a == math.MinInt64 || b == math.MinInt64 {
 		if a == 1 {
 			return b
 		}
@@ -592,16 +510,16 @@ func satMulI(a, b int64) int64 {
 			return a
 		}
 		if (a < 0) == (b < 0) {
-			return maxInt64
+			return math.MaxInt64
 		}
-		return minInt64
+		return math.MinInt64
 	}
 	r := a * b
 	if r/b != a {
 		if (a < 0) == (b < 0) {
-			return maxInt64
+			return math.MaxInt64
 		}
-		return minInt64
+		return math.MinInt64
 	}
 	return r
 }

@@ -12,7 +12,7 @@ import (
 
 // foldAgg is the reference implementation: enumerate the flat relation and
 // fold every aggregate tuple by tuple.
-func foldAgg(fr *FRep, groupBy []relation.Attribute, specs []AggSpec) []AggRow {
+func foldAgg(fr *Enc, groupBy []relation.Attribute, specs []AggSpec) []AggRow {
 	schema := fr.Schema()
 	pos := map[relation.Attribute]int{}
 	for i, a := range schema {
@@ -143,7 +143,7 @@ func TestQuickAggregateMatchesFold(t *testing.T) {
 	}
 	f := func(seed int64, mask uint8) bool {
 		r := quickRel(seed)
-		fr, err := FromRelation(quickTree(seed), r)
+		fr, err := fromRelation(quickTree(seed), r)
 		if err != nil {
 			return false
 		}
@@ -195,14 +195,14 @@ func TestQuickAggregateProductMatchesFold(t *testing.T) {
 			[]relation.AttrSet{relation.NewAttrSet("A", "B"), relation.NewAttrSet("C", "D")})
 		if prod.Cardinality() == 0 {
 			// Empty product: FromRelation yields the empty representation.
-			fr, err := FromRelation(tr, prod)
+			fr, err := fromRelation(tr, prod)
 			if err != nil {
 				return false
 			}
 			rows, err := fr.Aggregate(nil, specs)
 			return err == nil && len(rows) == 0
 		}
-		fr, err := FromRelation(tr, prod)
+		fr, err := fromRelation(tr, prod)
 		if err != nil {
 			return false
 		}

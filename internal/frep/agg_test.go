@@ -1,6 +1,7 @@
 package frep
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/ftree"
@@ -23,9 +24,9 @@ func pathTree(attrs ...relation.Attribute) *ftree.T {
 	return ftree.New([]*ftree.Node{root}, []relation.AttrSet{relation.NewAttrSet(attrs...)})
 }
 
-func mustFromRelation(t *testing.T, tr *ftree.T, r *relation.Relation) *FRep {
+func mustFromRelation(t *testing.T, tr *ftree.T, r *relation.Relation) *Enc {
 	t.Helper()
-	fr, err := FromRelation(tr, r)
+	fr, err := fromRelation(tr, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestAggregateProduct(t *testing.T) {
 }
 
 func TestAggregateEmpty(t *testing.T) {
-	fr := New(pathTree("A", "B", "C"))
+	fr := NewEmptyEnc(pathTree("A", "B", "C"))
 	rows, err := fr.Aggregate([]relation.Attribute{"A"}, []AggSpec{{Fn: AggCount}})
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +143,7 @@ func TestAggregateErrors(t *testing.T) {
 
 // hugeRep builds a representation of 2^64 tuples — four independent roots
 // with 2^16 values each — whose Count saturates at math.MaxInt64.
-func hugeRep() *FRep {
+func hugeRep() *Enc {
 	attrs := []relation.Attribute{"A", "B", "C", "D"}
 	var roots []*ftree.Node
 	var rels []relation.AttrSet
@@ -150,15 +151,14 @@ func hugeRep() *FRep {
 		roots = append(roots, ftree.NewNode(a))
 		rels = append(rels, relation.NewAttrSet(a))
 	}
-	fr := &FRep{Tree: ftree.New(roots, rels)}
-	for range attrs {
-		u := &Union{Entries: make([]Entry, 1<<16)}
-		for i := range u.Entries {
-			u.Entries[i] = Entry{Val: relation.Value(i + 1)}
+	b := NewEncBuilder(ftree.New(roots, rels))
+	for ri := range attrs {
+		for i := 1; i <= 1<<16; i++ {
+			b.Append(ri, relation.Value(i))
 		}
-		fr.Roots = append(fr.Roots, u)
+		b.CloseUnion(ri)
 	}
-	return fr
+	return b.Finish()
 }
 
 // Regression: FlatSize must saturate like Count, not wrap. Before the fix,
@@ -166,20 +166,20 @@ func hugeRep() *FRep {
 // math.MaxInt64.
 func TestFlatSizeSaturates(t *testing.T) {
 	fr := hugeRep()
-	if got := fr.Count(); got != maxInt64 {
-		t.Fatalf("Count: want saturation at %d, got %d", maxInt64, got)
+	if got := fr.Count(); got != math.MaxInt64 {
+		t.Fatalf("Count: want saturation at %d, got %d", math.MaxInt64, got)
 	}
-	if got := fr.FlatSize(); got != maxInt64 {
-		t.Fatalf("FlatSize: want saturation at %d, got %d", maxInt64, got)
+	if got := fr.FlatSize(); got != math.MaxInt64 {
+		t.Fatalf("FlatSize: want saturation at %d, got %d", math.MaxInt64, got)
 	}
 	rows, err := fr.Aggregate(nil, []AggSpec{{Fn: AggCount}, {Fn: AggSum, Attr: "A"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows[0].Vals[0] != maxInt64 {
+	if rows[0].Vals[0] != math.MaxInt64 {
 		t.Fatalf("Aggregate count: want saturation, got %d", rows[0].Vals[0])
 	}
-	if rows[0].Vals[1] != maxInt64 {
+	if rows[0].Vals[1] != math.MaxInt64 {
 		t.Fatalf("Aggregate sum: want saturation, got %d", rows[0].Vals[1])
 	}
 }
@@ -188,13 +188,13 @@ func TestSaturatingHelpers(t *testing.T) {
 	cases := []struct{ a, b, add, mul int64 }{
 		{2, 3, 5, 6},
 		{-2, 3, 1, -6},
-		{maxInt64, 1, maxInt64, maxInt64},
-		{maxInt64, maxInt64, maxInt64, maxInt64},
-		{minInt64, -1, minInt64, maxInt64}, // both saturate
-		{minInt64, 1, minInt64 + 1, minInt64},
-		{minInt64, minInt64, minInt64, maxInt64},
-		{maxInt64, minInt64, -1, minInt64},
-		{0, minInt64, minInt64, 0},
+		{math.MaxInt64, 1, math.MaxInt64, math.MaxInt64},
+		{math.MaxInt64, math.MaxInt64, math.MaxInt64, math.MaxInt64},
+		{math.MinInt64, -1, math.MinInt64, math.MaxInt64}, // both saturate
+		{math.MinInt64, 1, math.MinInt64 + 1, math.MinInt64},
+		{math.MinInt64, math.MinInt64, math.MinInt64, math.MaxInt64},
+		{math.MaxInt64, math.MinInt64, -1, math.MinInt64},
+		{0, math.MinInt64, math.MinInt64, 0},
 	}
 	for _, c := range cases {
 		if got := satAddI(c.a, c.b); got != c.add {

@@ -1,13 +1,24 @@
-// Arena-backed columnar f-representations. Enc stores the same factorised
-// data as FRep, but flat: one value column and one union-offset column per
-// f-tree node, all backed by a single arena, instead of a tree of *Union
-// pointers with per-entry child slices.
+// Package frep implements factorised representations (f-representations,
+// Definition 1 of the paper) stored structurally against their f-tree
+// (Definition 2). Each f-tree node corresponds, at every position in the
+// data, to a union: a value-sorted list of entries, each with one child
+// union per f-tree child. The top level holds one union per f-tree root
+// (their product).
 //
-// The layout exploits the structural regularity of f-representations: the
-// entries of a node, concatenated across all its unions in build order, are
-// globally numbered, and union k of a child node belongs to global entry k
-// of its parent (every parent entry has exactly one child union per child
-// node). One offset array per node therefore encodes the entire nesting:
+// The representation maintains two invariants from Section 3:
+//
+//   - order: the values of every union are strictly increasing;
+//   - reduction: every non-root union is non-empty (an empty union would
+//     annihilate its enclosing product, so the enclosing entry is removed
+//     instead; emptiness can therefore only surface at the roots).
+//
+// Enc stores the data flat: one value column and one union-offset column
+// per f-tree node, all backed by a single arena. The layout exploits the
+// structural regularity of f-representations: the entries of a node,
+// concatenated across all its unions in build order, are globally numbered,
+// and union k of a child node belongs to global entry k of its parent
+// (every parent entry has exactly one child union per child node). One
+// offset array per node therefore encodes the entire nesting:
 //
 //	node column:  Vals  = all entry values, unions back to back
 //	              Offs  = union boundaries: union u spans Vals[Offs[u]:Offs[u+1]]
@@ -23,6 +34,8 @@ package frep
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"repro/internal/ftree"
 	"repro/internal/relation"
@@ -342,72 +355,10 @@ func (b *EncBuilder) Finish() *Enc {
 	return e
 }
 
-// ---------------------------------------------------- encode / decode
-
-// Encode converts the pointer form to the columnar form. The resulting Enc
-// shares f's tree: the caller must not mutate f (or its tree) afterwards.
-func (f *FRep) Encode() *Enc {
-	if f.IsEmpty() {
-		return NewEmptyEnc(f.Tree)
-	}
-	b := NewEncBuilder(f.Tree)
-	var emit func(u *Union, ni int)
-	emit = func(u *Union, ni int) {
-		kid := b.ti.kids[ni]
-		for i := range u.Entries {
-			en := &u.Entries[i]
-			b.Append(ni, en.Val)
-			for k, c := range en.Children {
-				emit(c, kid[k])
-				b.CloseUnion(kid[k])
-			}
-		}
-	}
-	for i, u := range f.Roots {
-		ri := b.ti.idx[f.Tree.Roots[i]]
-		emit(u, ri)
-		b.CloseUnion(ri)
-	}
-	return b.Finish()
-}
-
-// Decode converts the columnar form back to the pointer form. The result
-// owns a cloned tree, so pointer-side operators may mutate it freely
-// without corrupting e.
-func (e *Enc) Decode() *FRep {
-	t := e.Tree.Clone()
-	if e.IsEmpty() {
-		return New(t)
-	}
-	fr := &FRep{Tree: t}
-	var build func(ni, u int) *Union
-	build = func(ni, u int) *Union {
-		lo, hi := e.UnionSpan(ni, u)
-		vals := e.Vals(ni)
-		kid := e.ti.kids[ni]
-		out := &Union{Entries: make([]Entry, 0, hi-lo)}
-		for j := lo; j < hi; j++ {
-			en := Entry{Val: vals[j]}
-			if len(kid) > 0 {
-				en.Children = make([]*Union, len(kid))
-				for k, ci := range kid {
-					en.Children[k] = build(ci, int(j))
-				}
-			}
-			out.Entries = append(out.Entries, en)
-		}
-		return out
-	}
-	for _, ri := range e.ti.roots {
-		fr.Roots = append(fr.Roots, build(ri, 0))
-	}
-	return fr
-}
-
 // ------------------------------------------------------------ measures
 
-// Count returns the number of represented tuples (saturating like
-// FRep.Count).
+// Count returns the number of tuples in the represented relation,
+// saturating at math.MaxInt64 on overflow.
 func (e *Enc) Count() int64 {
 	if e.IsEmpty() {
 		return 0
@@ -419,7 +370,8 @@ func (e *Enc) Count() int64 {
 	return total
 }
 
-// countSpan counts the tuples represented by entries [lo,hi) of node ni.
+// countSpan counts the tuples represented by entries [lo,hi) of node ni
+// (also the count-only fast path of the aggregation evaluator).
 func (e *Enc) countSpan(ni int, lo, hi int32) int64 {
 	kid := e.ti.kids[ni]
 	if len(kid) == 0 {
@@ -437,9 +389,11 @@ func (e *Enc) countSpan(ni int, lo, hi int32) int64 {
 	return total
 }
 
-// Size returns the number of singletons, |E|. Columnar it is a closed
-// form: every entry of every node contributes one singleton per visible
-// attribute of its class.
+// Size returns the number of singletons, the size measure |E| of the paper
+// — a closed form over the columns: every entry of every node contributes
+// one singleton per visible attribute of its class. Hidden attributes
+// contribute nothing (their singletons are the nullary ⟨⟩); constant
+// attributes still count (they hold a value).
 func (e *Enc) Size() int {
 	if e.IsEmpty() {
 		return 0
@@ -457,14 +411,27 @@ func (e *Enc) Size() int {
 	return total
 }
 
-// FlatSize returns Count() times the number of visible attributes,
-// saturating at math.MaxInt64.
+// FlatSize returns Count() times the number of visible attributes — the
+// data-element count of the flat representation — saturating at
+// math.MaxInt64 like Count itself.
 func (e *Enc) FlatSize() int64 {
 	return satMul(e.Count(), int64(len(e.Schema())))
 }
 
-// Schema returns the visible attributes in canonical enumeration order.
-func (e *Enc) Schema() relation.Schema { return treeSchema(e.Tree) }
+// Schema returns the visible attributes of the representation in canonical
+// enumeration order: depth-first over the f-tree, attributes within a node
+// in sorted order, roots left to right.
+func (e *Enc) Schema() relation.Schema {
+	var out relation.Schema
+	for _, n := range e.ti.nodes {
+		for _, a := range n.Attrs {
+			if !e.Tree.Hidden.Has(a) {
+				out = append(out, a)
+			}
+		}
+	}
+	return out
+}
 
 // Relation materialises the represented relation.
 func (e *Enc) Relation(name string) *relation.Relation {
@@ -476,15 +443,65 @@ func (e *Enc) Relation(name string) *relation.Relation {
 	return out
 }
 
-// String renders the representation in the paper's notation (via the
-// pointer form; display only).
-func (e *Enc) String() string { return e.Decode().String() }
+// String renders the representation in the paper's notation, e.g.
+// ⟨item:2⟩×(⟨oid:1⟩∪⟨oid:3⟩). Values print numerically; use StringDict for
+// dictionary-decoded output.
+func (e *Enc) String() string { return e.StringDict(nil) }
 
-// StringDict renders with values decoded through d.
-func (e *Enc) StringDict(d *relation.Dict) string { return e.Decode().StringDict(d) }
+// StringDict renders with values decoded through d (nil: numerically).
+func (e *Enc) StringDict(d *relation.Dict) string {
+	if e.IsEmpty() {
+		return "∅"
+	}
+	if len(e.ti.roots) == 0 {
+		return "⟨⟩"
+	}
+	var b strings.Builder
+	for i, ri := range e.ti.roots {
+		if i > 0 {
+			b.WriteString(" × ")
+		}
+		e.renderUnion(&b, ri, 0, d)
+	}
+	return b.String()
+}
+
+// renderUnion writes union u of node ni: its entries joined by ∪ (in
+// parentheses when there are several), each entry the product of the node's
+// singletons and its child unions.
+func (e *Enc) renderUnion(b *strings.Builder, ni, u int, d *relation.Dict) {
+	lo, hi := e.UnionSpan(ni, u)
+	if hi-lo > 1 {
+		b.WriteString("(")
+	}
+	for j := lo; j < hi; j++ {
+		if j > lo {
+			b.WriteString(" ∪ ")
+		}
+		v := e.Vals(ni)[j]
+		val := strconv.FormatInt(int64(v), 10)
+		if d != nil {
+			val = d.Decode(v)
+		}
+		for i, a := range e.ti.nodes[ni].Attrs {
+			if i > 0 {
+				b.WriteString("×")
+			}
+			fmt.Fprintf(b, "⟨%s:%s⟩", a, val)
+		}
+		for _, ci := range e.ti.kids[ni] {
+			b.WriteString("×")
+			e.renderUnion(b, ci, int(j), d)
+		}
+	}
+	if hi-lo > 1 {
+		b.WriteString(")")
+	}
+}
 
 // Equal reports structural equality over trees with equal canonical forms
-// and matching pre-order layouts (the columnar mirror of FRep.Equal).
+// and matching pre-order layouts. (For semantic equality of
+// differently-factorised data compare Relation() outputs.)
 func (e *Enc) Equal(o *Enc) bool {
 	if e.Tree.Canonical() != o.Tree.Canonical() {
 		return false

@@ -1,7 +1,6 @@
-// Aggregation over the encoded (columnar) representation: the same
-// algebraic evaluator as agg.go — unions add partials, products multiply
-// counts and cross-combine sums — but walking value columns and offset
-// spans with index arithmetic instead of chasing *Union pointers.
+// The aggregation walk: the algebraic evaluator of agg.go — unions add
+// partials, products multiply counts and cross-combine sums — driven over
+// value columns and offset spans with index arithmetic.
 package frep
 
 import (
@@ -9,9 +8,13 @@ import (
 )
 
 // Aggregate computes the given aggregates over the represented relation,
-// grouped by the groupBy attributes, in one pass over the columns. Rows
-// come back sorted by group key, identical to FRep.Aggregate on the
-// equivalent pointer form.
+// grouped by the groupBy attributes, in one pass over the columns — never
+// over the flattening. Rows come back sorted by group key. An empty
+// representation yields no rows (also for global aggregates, where SQL would
+// return one NULL-ish row).
+//
+// Counts saturate at math.MaxInt64; sums saturate at ±math.MaxInt64 — like
+// Count, exact for the paper's workloads and clamped beyond.
 func (e *Enc) Aggregate(groupBy []relation.Attribute, specs []AggSpec) ([]AggRow, error) {
 	ev, err := newAggEval(e.Tree, groupBy, specs)
 	if err != nil {
@@ -20,6 +23,9 @@ func (e *Enc) Aggregate(groupBy []relation.Attribute, specs []AggSpec) ([]AggRow
 	if e.IsEmpty() {
 		return nil, nil
 	}
+	// Subtrees without group attributes need no key bookkeeping: they fold
+	// into a single scalar partial (and, without aggregated attributes
+	// either, into a bare count). The group zone alone pays for maps.
 	scalar := ev.unit()
 	var cur map[string]*partial
 	for _, ri := range e.ti.roots {
@@ -37,8 +43,9 @@ func (e *Enc) Aggregate(groupBy []relation.Attribute, specs []AggSpec) ([]AggRow
 }
 
 // encScalarSpan aggregates entries [lo,hi) of node ni — a subtree holding
-// no group attribute — into a single partial, allocation-free via the
-// per-depth scratch slots (the columnar mirror of scalarUnion).
+// no group attribute — into a single partial: no maps, no keys, no
+// allocation. The returned partial lives in the depth-d scratch slot; the
+// caller must consume it before the next encScalarSpan call at that depth.
 func (ev *aggEval) encScalarSpan(e *Enc, ni int, lo, hi int32, d int) *partial {
 	n := e.ti.nodes[ni]
 	if !ev.specBelow[n] {
@@ -80,7 +87,7 @@ func (ev *aggEval) encSpan(e *Enc, ni int, lo, hi int32) map[string]*partial {
 
 // encEntry aggregates one group-zone entry: the product of its child
 // unions (scalar for group-free children, keyed for the rest), finished by
-// the shared foldEntry — the columnar mirror of aggEval.entry.
+// foldEntry.
 func (ev *aggEval) encEntry(e *Enc, ni int, j int32) map[string]*partial {
 	scalar := ev.unit()
 	var cur map[string]*partial

@@ -9,7 +9,8 @@ import (
 )
 
 // TestIteratorMatchesEnumerate: the pull-based iterator must produce
-// exactly the Enumerate sequence.
+// exactly the Enumerate sequence — the relation's tuples in lexicographic
+// order of the representation's schema.
 func TestIteratorMatchesEnumerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 30; trial++ {
@@ -20,16 +21,26 @@ func TestIteratorMatchesEnumerate(t *testing.T) {
 		r.Dedup()
 		tr := randomPathTree([]relation.Attribute{"A", "B", "C"}, rng,
 			[]relation.AttrSet{relation.NewAttrSet("A", "B", "C")})
-		f, err := FromRelation(tr, r)
+		f, err := fromRelation(tr, r)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sorted := r.Project(f.Schema())
+		sorted.Sort()
 		var want []relation.Tuple
 		f.Enumerate(func(tp relation.Tuple) bool {
 			want = append(want, tp.Clone())
 			return true
 		})
-		it := NewIterator(f)
+		if len(want) != len(sorted.Tuples) {
+			t.Fatalf("trial %d: Enumerate produced %d tuples, relation has %d", trial, len(want), len(sorted.Tuples))
+		}
+		for i := range want {
+			if want[i].Compare(sorted.Tuples[i]) != 0 {
+				t.Fatalf("trial %d: Enumerate tuple %d is %v, sorted relation has %v", trial, i, want[i], sorted.Tuples[i])
+			}
+		}
+		it := NewEncIterator(f)
 		if !it.Schema().Equal(f.Schema()) {
 			t.Fatal("iterator schema differs")
 		}
@@ -67,8 +78,8 @@ func TestIteratorMatchesEnumerate(t *testing.T) {
 func TestIteratorEmpty(t *testing.T) {
 	tr := ftree.New([]*ftree.Node{ftree.NewNode("A")},
 		[]relation.AttrSet{relation.NewAttrSet("A")})
-	f := New(tr)
-	it := NewIterator(f)
+	f := NewEmptyEnc(tr)
+	it := NewEncIterator(f)
 	if _, ok := it.Next(); ok {
 		t.Fatal("empty representation produced a tuple")
 	}
@@ -90,11 +101,11 @@ func TestIteratorForest(t *testing.T) {
 	forest := ftree.New(
 		[]*ftree.Node{ftree.NewNode("A"), ftree.NewNode("B")},
 		[]relation.AttrSet{relation.NewAttrSet("A"), relation.NewAttrSet("B")})
-	f, err := FromRelation(forest, ra.Product(rb))
+	f, err := fromRelation(forest, ra.Product(rb))
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := NewIterator(f)
+	it := NewEncIterator(f)
 	count := 0
 	var prev relation.Tuple
 	for {

@@ -1,7 +1,7 @@
 // Set algebra over encoded f-representations. UNION, EXCEPT and INTERSECT
 // walk the two operands' sorted unions simultaneously — the same two-cursor
 // discipline as the leapfrog build — and emit a merged encoding through
-// EncBuilder, never decoding to the pointer form.
+// EncBuilder, never through the flat tuples.
 //
 // The structural walk rests on how each operation interacts with the
 // product decomposition the f-tree imposes. INTERSECT distributes over
@@ -56,23 +56,23 @@ func (o setOp) String() string {
 // back to the path-tree rebuild.
 var errNonDecomposable = errors.New("frep: set operation does not decompose over this f-tree")
 
-// UnionEnc returns a ∪ b under set semantics: the sorted unions of the two
+// SetUnionEnc returns a ∪ b under set semantics: the sorted unions of the two
 // encodings are merged in one simultaneous walk when the f-trees align
 // (directly, or after a Reindex when only sibling order differs), falling
 // back to a path-tree rebuild otherwise. The operands must cover the same
 // visible attribute set; their column orders may differ (the result follows
 // a's tree on the structural path, a's schema order on the rebuild path).
-func UnionEnc(a, b *Enc) (*Enc, error) { return setOpEnc(opUnion, a, b) }
+func SetUnionEnc(a, b *Enc) (*Enc, error) { return setOpEnc(opUnion, a, b) }
 
-// UnionAllEnc returns a ⊎ b under bag semantics: no deduplication — a value
+// BagUnionEnc returns a ⊎ b under bag semantics: no deduplication — a value
 // present in both sides keeps both entries, as adjacent equal values in one
 // union. The result may therefore violate the strict-order invariant that
 // Validate checks for set-semantics encodings; enumeration, Count and
 // clipping all handle it, and DedupEnc restores the set form.
-func UnionAllEnc(a, b *Enc) (*Enc, error) { return setOpEnc(opUnionAll, a, b) }
+func BagUnionEnc(a, b *Enc) (*Enc, error) { return setOpEnc(opUnionAll, a, b) }
 
 // ExceptEnc returns a − b under set semantics. Alignment and fallback as
-// for UnionEnc.
+// for SetUnionEnc.
 func ExceptEnc(a, b *Enc) (*Enc, error) { return setOpEnc(opExcept, a, b) }
 
 // IntersectEnc returns a ∩ b under set semantics. Intersection distributes

@@ -30,11 +30,11 @@ func setOpEncOf(t *testing.T, rng *rand.Rand, rel *relation.Relation) *Enc {
 	attrs := append([]relation.Attribute(nil), rel.Schema...)
 	rng.Shuffle(len(attrs), func(i, j int) { attrs[i], attrs[j] = attrs[j], attrs[i] })
 	tr := randomPathTree(attrs, rng, []relation.AttrSet{relation.NewAttrSet(rel.Schema...)})
-	fr, err := FromRelation(tr, rel)
+	e, err := fromRelation(tr, rel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fr.Encode()
+	return e
 }
 
 // refRows computes the flat reference of op over two set relations, as rows
@@ -98,8 +98,8 @@ func TestSetOpsMatchFlatReference(t *testing.T) {
 	schema := relation.Schema{"A", "B", "C"}
 	ops := []setOp{opUnion, opUnionAll, opExcept, opIntersect}
 	apply := map[setOp]func(a, b *Enc) (*Enc, error){
-		opUnion:     UnionEnc,
-		opUnionAll:  UnionAllEnc,
+		opUnion:     SetUnionEnc,
+		opUnionAll:  BagUnionEnc,
 		opExcept:    ExceptEnc,
 		opIntersect: IntersectEnc,
 	}
@@ -143,15 +143,15 @@ func branchingPair(t *testing.T, a *relation.Relation, b *relation.Relation) (*E
 			[]relation.AttrSet{relation.NewAttrSet("A", "B"), relation.NewAttrSet("A", "C")},
 		)
 	}
-	fa, err := FromRelation(tree(), a)
+	fa, err := fromRelation(tree(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, err := FromRelation(tree(), b)
+	fb, err := fromRelation(tree(), b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fa.Encode(), fb.Encode()
+	return fa, fb
 }
 
 // joinRel materialises the A-join of B- and C-fragments: for every a, the
@@ -194,12 +194,12 @@ func TestSetOpsBranchingDecomposability(t *testing.T) {
 		other *relation.Relation
 		enc   *Enc
 	}{
-		{opUnion, UnionEnc, rb, eb},
-		{opUnion, UnionEnc, rc, ec},
+		{opUnion, SetUnionEnc, rb, eb},
+		{opUnion, SetUnionEnc, rc, ec},
 		{opExcept, ExceptEnc, rb, eb},
 		{opExcept, ExceptEnc, rc, ec},
 		{opIntersect, IntersectEnc, rc, ec},
-		{opUnionAll, UnionAllEnc, rc, ec},
+		{opUnionAll, BagUnionEnc, rc, ec},
 	} {
 		out, err := tc.apply(ea, tc.enc)
 		if err != nil {
@@ -222,15 +222,14 @@ func TestSetOpsForest(t *testing.T) {
 		relDE := setOpRel(rngB, relation.Schema{"D", "E"}, 1+rngB.Intn(6), 3)
 		ta := randomPathTree([]relation.Attribute{"A", "B"}, rngA, []relation.AttrSet{relation.NewAttrSet("A", "B")})
 		tb := randomPathTree([]relation.Attribute{"D", "E"}, rngB, []relation.AttrSet{relation.NewAttrSet("D", "E")})
-		fa, err := FromRelation(ta, relAB)
+		ea, err := fromRelation(ta, relAB)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fb, err := FromRelation(tb, relDE)
+		eb, err := fromRelation(tb, relDE)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ea, eb := fa.Encode(), fb.Encode()
 		prod := &ftree.T{
 			Roots:  append(append([]*ftree.Node{}, ea.Tree.Roots...), eb.Tree.Roots...),
 			Rels:   append(append([]relation.AttrSet{}, ea.Tree.Rels...), eb.Tree.Rels...),
@@ -252,7 +251,7 @@ func TestSetOpsForest(t *testing.T) {
 				op    setOp
 				apply func(a, b *Enc) (*Enc, error)
 			}{
-				{opUnion, UnionEnc}, {opUnionAll, UnionAllEnc}, {opExcept, ExceptEnc}, {opIntersect, IntersectEnc},
+				{opUnion, SetUnionEnc}, {opUnionAll, BagUnionEnc}, {opExcept, ExceptEnc}, {opIntersect, IntersectEnc},
 			} {
 				out, err := tc.apply(ea, eb)
 				if err != nil {
@@ -282,7 +281,7 @@ func TestSetOpsEdges(t *testing.T) {
 	ea := setOpEncOf(t, rng, ra)
 	rd := setOpRel(rng, relation.Schema{"A", "B", "D"}, 8, 3)
 	ed := setOpEncOf(t, rng, rd)
-	if _, err := UnionEnc(ea, ed); err == nil {
+	if _, err := SetUnionEnc(ea, ed); err == nil {
 		t.Fatal("schema mismatch: want error")
 	}
 	empty := NewEmptyEnc(ea.Tree.Clone())
@@ -291,12 +290,12 @@ func TestSetOpsEdges(t *testing.T) {
 		out  func() (*Enc, error)
 		want int64
 	}{
-		{"A∪∅", func() (*Enc, error) { return UnionEnc(ea, empty) }, ea.Count()},
-		{"∅∪A", func() (*Enc, error) { return UnionEnc(empty, ea) }, ea.Count()},
+		{"A∪∅", func() (*Enc, error) { return SetUnionEnc(ea, empty) }, ea.Count()},
+		{"∅∪A", func() (*Enc, error) { return SetUnionEnc(empty, ea) }, ea.Count()},
 		{"A−∅", func() (*Enc, error) { return ExceptEnc(ea, empty) }, ea.Count()},
 		{"∅−A", func() (*Enc, error) { return ExceptEnc(empty, ea) }, 0},
 		{"A∩∅", func() (*Enc, error) { return IntersectEnc(ea, empty) }, 0},
-		{"A⊎∅", func() (*Enc, error) { return UnionAllEnc(ea, empty) }, ea.Count()},
+		{"A⊎∅", func() (*Enc, error) { return BagUnionEnc(ea, empty) }, ea.Count()},
 	} {
 		out, err := tc.out()
 		if err != nil {
@@ -306,7 +305,7 @@ func TestSetOpsEdges(t *testing.T) {
 			t.Fatalf("%s: Count %d, want %d", tc.name, out.Count(), tc.want)
 		}
 	}
-	all, err := UnionAllEnc(ea, ea)
+	all, err := BagUnionEnc(ea, ea)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,66 +9,28 @@ import (
 	"repro/internal/relation"
 )
 
-// quickFRep builds a random factorised representation (or nil when the
-// random relation does not factorise over the random tree).
-func quickFRep(seed int64) *FRep {
-	fr, err := FromRelation(quickTree(seed), quickRel(seed))
+// quickEnc builds a random factorised representation.
+func quickEnc(seed int64) *Enc {
+	e, err := fromRelation(quickTree(seed), quickRel(seed))
 	if err != nil {
-		return nil
+		panic(err) // chains factorise everything
 	}
-	return fr
+	return e
 }
 
-// Property: Decode(Encode(f)) is structurally equal to f, and the encoded
-// form validates.
-func TestQuickEncodeDecodeRoundTrip(t *testing.T) {
+// Property: enumeration (push and pull) yields exactly the tuples of the
+// source relation, in lexicographic order of the representation's schema,
+// and the representation validates.
+func TestQuickEncEnumeration(t *testing.T) {
 	f := func(seed int64) bool {
-		fr := quickFRep(seed)
-		if fr == nil {
-			return true
-		}
-		e := fr.Encode()
+		e := quickEnc(seed)
 		if err := e.Validate(); err != nil {
 			t.Logf("validate: %v", err)
 			return false
 		}
-		return e.Decode().Equal(fr)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: the encoded measures agree with the pointer measures.
-func TestQuickEncMeasures(t *testing.T) {
-	f := func(seed int64) bool {
-		fr := quickFRep(seed)
-		if fr == nil {
-			return true
-		}
-		e := fr.Encode()
-		return e.Count() == fr.Count() && e.Size() == fr.Size() &&
-			e.FlatSize() == fr.FlatSize() && e.IsEmpty() == fr.IsEmpty()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: encoded enumeration (push and pull) yields exactly the pointer
-// enumeration, in the same order.
-func TestQuickEncEnumeration(t *testing.T) {
-	f := func(seed int64) bool {
-		fr := quickFRep(seed)
-		if fr == nil {
-			return true
-		}
-		e := fr.Encode()
-		var want []relation.Tuple
-		fr.Enumerate(func(tp relation.Tuple) bool {
-			want = append(want, tp.Clone())
-			return true
-		})
+		sorted := quickRel(seed).Project(e.Schema())
+		sorted.Sort()
+		want := sorted.Tuples
 		var got []relation.Tuple
 		e.Enumerate(func(tp relation.Tuple) bool {
 			got = append(got, tp.Clone())
@@ -108,55 +70,7 @@ func TestQuickEncEnumeration(t *testing.T) {
 	}
 }
 
-// Property: encoded aggregation agrees with pointer aggregation, grouped
-// and global.
-func TestQuickEncAggregate(t *testing.T) {
-	specs := []AggSpec{
-		{Fn: AggCount},
-		{Fn: AggSum, Attr: "B"},
-		{Fn: AggMin, Attr: "C"},
-		{Fn: AggMax, Attr: "B"},
-		{Fn: AggCountDistinct, Attr: "C"},
-	}
-	for _, groupBy := range [][]relation.Attribute{nil, {"A"}, {"A", "B"}} {
-		f := func(seed int64) bool {
-			fr := quickFRep(seed)
-			if fr == nil {
-				return true
-			}
-			e := fr.Encode()
-			want, err1 := fr.Aggregate(groupBy, specs)
-			got, err2 := e.Aggregate(groupBy, specs)
-			if (err1 == nil) != (err2 == nil) {
-				return false
-			}
-			if err1 != nil {
-				return true
-			}
-			if len(got) != len(want) {
-				return false
-			}
-			for i := range got {
-				for k := range got[i].Key {
-					if got[i].Key[k] != want[i].Key[k] {
-						return false
-					}
-				}
-				for k := range got[i].Vals {
-					if got[i].Vals[k] != want[i].Vals[k] {
-						return false
-					}
-				}
-			}
-			return true
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-			t.Fatalf("groupBy %v: %v", groupBy, err)
-		}
-	}
-}
-
-// The empty representation round-trips and behaves.
+// The empty representation behaves.
 func TestEncEmpty(t *testing.T) {
 	tr := ftree.New([]*ftree.Node{ftree.NewNode("A").Add(ftree.NewNode("B"))},
 		[]relation.AttrSet{relation.NewAttrSet("A", "B")})
@@ -166,13 +80,6 @@ func TestEncEmpty(t *testing.T) {
 	}
 	if err := e.Validate(); err != nil {
 		t.Fatal(err)
-	}
-	fr := e.Decode()
-	if !fr.IsEmpty() {
-		t.Fatal("decoded empty enc is not empty")
-	}
-	if !fr.Encode().Equal(e) {
-		t.Fatal("empty enc does not round-trip")
 	}
 	n := 0
 	e.Enumerate(func(relation.Tuple) bool { n++; return true })
@@ -191,11 +98,11 @@ func TestEncConcatProduct(t *testing.T) {
 		}
 		r.Dedup()
 		tr := ftree.New([]*ftree.Node{ftree.NewNode(attr)}, []relation.AttrSet{relation.NewAttrSet(attr)})
-		fr, err := FromRelation(tr, r)
+		e, err := fromRelation(tr, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fr.Encode()
+		return e
 	}
 	a, b := mk("X", 8), mk("Y", 5)
 	tree := &ftree.T{
@@ -216,11 +123,7 @@ func TestEncConcatProduct(t *testing.T) {
 
 // DropLeaf removes exactly one leaf column and keeps everything else.
 func TestEncDropLeaf(t *testing.T) {
-	fr := quickFRep(3)
-	for seed := int64(4); fr == nil; seed++ {
-		fr = quickFRep(seed)
-	}
-	e := fr.Encode()
+	e := quickEnc(3)
 	// Find a leaf node index.
 	leaf := -1
 	var leafNode *ftree.Node

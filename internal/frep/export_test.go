@@ -11,11 +11,7 @@ import (
 // identity — same validation, same enumeration — without copying the arena.
 func TestQuickExportAdoptRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
-		fr := quickFRep(seed)
-		if fr == nil {
-			return true
-		}
-		e := fr.Encode()
+		e := quickEnc(seed)
 		a, spans := e.Export()
 		got, err := AdoptEnc(e.Tree.Clone(), a, spans)
 		if err != nil {
@@ -45,13 +41,9 @@ func TestQuickExportAdoptRoundTrip(t *testing.T) {
 
 // Hostile exports must be rejected with an error, never a panic.
 func TestAdoptEncRejectsHostileSpans(t *testing.T) {
-	var e *Enc
-	for seed := int64(0); ; seed++ {
-		fr := quickFRep(seed)
-		if fr != nil && !fr.IsEmpty() {
-			e = fr.Encode()
-			break
-		}
+	e := quickEnc(0)
+	for seed := int64(1); e.IsEmpty(); seed++ {
+		e = quickEnc(seed)
 	}
 	a, spans := e.Export()
 	tree := e.Tree.Clone()

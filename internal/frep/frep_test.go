@@ -117,7 +117,7 @@ func TestExample1Sizes(t *testing.T) {
 	if q1.Cardinality() != 14 {
 		t.Fatalf("Q1 cardinality = %d, want 14", q1.Cardinality())
 	}
-	f1, err := FromRelation(t1(), q1)
+	f1, err := fromRelation(t1(), q1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestExample1Sizes(t *testing.T) {
 	if f1.Count() != 14 {
 		t.Fatalf("count over T1 = %d, want 14", f1.Count())
 	}
-	f2, err := FromRelation(t2(), q1)
+	f2, err := fromRelation(t2(), q1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestExample1Sizes(t *testing.T) {
 func TestExample1Q2OverT3(t *testing.T) {
 	g := newGrocery()
 	q2 := g.q2()
-	f3, err := FromRelation(t3(), q2)
+	f3, err := fromRelation(t3(), q2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,14 +171,14 @@ func TestExample3NonFactorisable(t *testing.T) {
 	forest := ftree.New(
 		[]*ftree.Node{ftree.NewNode("A"), ftree.NewNode("B")},
 		[]relation.AttrSet{relation.NewAttrSet("A"), relation.NewAttrSet("B")})
-	if _, err := FromRelation(forest, r); err == nil {
+	if _, err := fromRelation(forest, r); err == nil {
 		t.Fatal("non-factorisable relation accepted over independent roots")
 	}
 
 	chain := ftree.New(
 		[]*ftree.Node{ftree.NewNode("A").Add(ftree.NewNode("B"))},
 		[]relation.AttrSet{relation.NewAttrSet("A", "B")})
-	f, err := FromRelation(chain, r)
+	f, err := fromRelation(chain, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestEmptyRelation(t *testing.T) {
 	chain := ftree.New(
 		[]*ftree.Node{ftree.NewNode("A").Add(ftree.NewNode("B"))},
 		[]relation.AttrSet{relation.NewAttrSet("A", "B")})
-	f, err := FromRelation(chain, r)
+	f, err := fromRelation(chain, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestEmptyRelation(t *testing.T) {
 
 func TestEnumerationOrderAndCount(t *testing.T) {
 	g := newGrocery()
-	f, err := FromRelation(t1(), g.q1())
+	f, err := fromRelation(t1(), g.q1())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestEnumerationOrderAndCount(t *testing.T) {
 
 func TestEnumerateEarlyStop(t *testing.T) {
 	g := newGrocery()
-	f, err := FromRelation(t1(), g.q1())
+	f, err := fromRelation(t1(), g.q1())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,37 +253,49 @@ func TestEnumerateEarlyStop(t *testing.T) {
 	}
 }
 
-func TestCloneAndEqual(t *testing.T) {
+func TestEqual(t *testing.T) {
 	g := newGrocery()
-	f, err := FromRelation(t1(), g.q1())
+	q1 := g.q1()
+	f, err := fromRelation(t1(), q1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := f.Clone()
-	if !f.Equal(c) {
-		t.Fatal("clone not equal")
+	same, err := fromRelation(t1(), q1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	c.Roots[0].Entries[0].Val++
-	if f.Equal(c) {
-		t.Fatal("mutated clone still equal (shallow copy?)")
+	if !f.Equal(same) {
+		t.Fatal("two builds of the same relation over the same tree differ")
+	}
+	q1.Tuples = q1.Tuples[1:]
+	fewer, err := fromRelation(t1(), q1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Equal(fewer) {
+		t.Fatal("representations of different relations compare equal")
+	}
+	if other, err := fromRelation(t2(), g.q1()); err != nil || f.Equal(other) {
+		t.Fatalf("representations over different trees compare equal (err %v)", err)
 	}
 }
 
 func TestValidateCatchesOrderViolation(t *testing.T) {
 	g := newGrocery()
-	f, err := FromRelation(t1(), g.q1())
+	f, err := fromRelation(t1(), g.q1())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Swap two root entries to break ordering.
-	f.Roots[0].Entries[0], f.Roots[0].Entries[1] = f.Roots[0].Entries[1], f.Roots[0].Entries[0]
+	root := f.Vals(f.Roots()[0])
+	root[0], root[1] = root[1], root[0]
 	if err := f.Validate(); err == nil {
 		t.Fatal("order violation not detected")
 	}
 }
 
 func TestSchemaDFSOrder(t *testing.T) {
-	f := New(t1())
+	f := NewEmptyEnc(t1())
 	want := relation.Schema{"item", "oid", "location", "dispatcher"}
 	if !f.Schema().Equal(want) {
 		t.Fatalf("Schema() = %v, want %v", f.Schema(), want)
@@ -320,7 +332,7 @@ func TestRoundTripChainProperty(t *testing.T) {
 		}
 		r.Dedup()
 		tr := randomPathTree(attrs, rng, deps)
-		f, err := FromRelation(tr, r)
+		f, err := fromRelation(tr, r)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -357,7 +369,7 @@ func TestProductFactorisationProperty(t *testing.T) {
 		forest := ftree.New(
 			[]*ftree.Node{ftree.NewNode("A"), ftree.NewNode("B")},
 			[]relation.AttrSet{relation.NewAttrSet("A"), relation.NewAttrSet("B")})
-		f, err := FromRelation(forest, prod)
+		f, err := fromRelation(forest, prod)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -375,7 +387,7 @@ func TestFromRelationMissingAttr(t *testing.T) {
 	chain := ftree.New(
 		[]*ftree.Node{ftree.NewNode("A").Add(ftree.NewNode("B"))},
 		[]relation.AttrSet{relation.NewAttrSet("A", "B")})
-	if _, err := FromRelation(chain, r); err == nil {
+	if _, err := fromRelation(chain, r); err == nil {
 		t.Fatal("missing attribute accepted")
 	}
 }
@@ -387,7 +399,7 @@ func TestClassValueMismatch(t *testing.T) {
 	tr := ftree.New(
 		[]*ftree.Node{ftree.NewNode("A", "B")},
 		[]relation.AttrSet{relation.NewAttrSet("A", "B")})
-	if _, err := FromRelation(tr, r); err == nil {
+	if _, err := fromRelation(tr, r); err == nil {
 		t.Fatal("class value mismatch accepted")
 	}
 }
@@ -400,7 +412,7 @@ func TestSizeCountsClassAttrs(t *testing.T) {
 	tr := ftree.New(
 		[]*ftree.Node{ftree.NewNode("A", "B")},
 		[]relation.AttrSet{relation.NewAttrSet("A", "B")})
-	f, err := FromRelation(tr, r)
+	f, err := fromRelation(tr, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +428,7 @@ func TestStringRendering(t *testing.T) {
 	chain := ftree.New(
 		[]*ftree.Node{ftree.NewNode("A").Add(ftree.NewNode("B"))},
 		[]relation.AttrSet{relation.NewAttrSet("A", "B")})
-	f, err := FromRelation(chain, r)
+	f, err := fromRelation(chain, r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,13 +33,14 @@ func quickTree(seed int64) *ftree.T {
 func TestQuickCountMatchesEnumeration(t *testing.T) {
 	f := func(seed int64) bool {
 		r := quickRel(seed)
-		fr, err := FromRelation(quickTree(seed), r)
+		fr, err := fromRelation(quickTree(seed), r)
 		if err != nil {
 			return false
 		}
 		n := int64(0)
 		fr.Enumerate(func(relation.Tuple) bool { n++; return true })
-		return fr.Count() == n && n == int64(r.Cardinality())
+		return fr.Count() == n && n == int64(r.Cardinality()) &&
+			fr.FlatSize() == n*int64(len(r.Schema)) && fr.IsEmpty() == (n == 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -51,7 +52,7 @@ func TestQuickCountMatchesEnumeration(t *testing.T) {
 func TestQuickSizeBound(t *testing.T) {
 	f := func(seed int64) bool {
 		r := quickRel(seed)
-		fr, err := FromRelation(quickTree(seed), r)
+		fr, err := fromRelation(quickTree(seed), r)
 		if err != nil {
 			return false
 		}
@@ -66,33 +67,10 @@ func TestQuickSizeBound(t *testing.T) {
 	}
 }
 
-// Property: Clone is deep — mutating the clone never changes the original's
-// relation.
-func TestQuickCloneIsDeep(t *testing.T) {
-	f := func(seed int64) bool {
-		r := quickRel(seed)
-		if r.Cardinality() == 0 {
-			return true
-		}
-		fr, err := FromRelation(quickTree(seed), r)
-		if err != nil {
-			return false
-		}
-		before := fr.Size()
-		c := fr.Clone()
-		c.Roots[0].Entries = nil
-		c.Empty = true
-		return fr.Size() == before && !fr.IsEmpty()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Validate accepts everything FromRelation builds.
+// Property: Validate accepts everything fromRelation builds.
 func TestQuickFromRelationValidates(t *testing.T) {
 	f := func(seed int64) bool {
-		fr, err := FromRelation(quickTree(seed), quickRel(seed))
+		fr, err := fromRelation(quickTree(seed), quickRel(seed))
 		if err != nil {
 			return false
 		}

@@ -4,7 +4,10 @@
 // a projection or a group-by aggregation, and (for tuple results) random
 // OrderBy keys (mixed asc/desc, tree-compatible and incompatible),
 // Limit/Offset and Distinct — runs it through the public fdb surface at a
-// chosen execution parallelism, and checks the result against the flat
+// chosen execution parallelism (once as a single query and once split in
+// two results that are joined, filtered and projected after the fact, so
+// the f-plan operators restructure built representations), and checks the
+// result against the flat
 // internal/rdb oracle as an exact tuple *sequence*: the engine's
 // enumeration order is deterministic (ORDER BY keys first, remaining
 // columns ascending), so the oracle sorts its flat result with the same
@@ -337,6 +340,9 @@ func (c *Case) run(parallelism int, persist func(*fdb.DB, []fdb.Clause) (*fdb.DB
 		return nil // flat result past the cap: not this harness's business
 	}
 
+	if err := c.checkRestructured(db, flat, fail); err != nil {
+		return err
+	}
 	if len(c.aggs) > 0 {
 		return c.checkAgg(db, clauses, flat, fail)
 	}
@@ -462,6 +468,92 @@ func (c *Case) checkPlain(db Querier, clauses []fdb.Clause, flat *relation.Relat
 		want = flat.Project(c.project) // set semantics, like the engine
 	}
 	return c.comparePlain(res, want, fail)
+}
+
+// checkRestructured answers the case's join the long way round: the
+// relations are split in two halves, each half is queried on its own, the
+// two factorised results are joined on the equalities that cross the split,
+// the equalities and selections held back from the halves are applied with
+// Where on the joined result, and a ProjectTo follows. The outcome must be
+// the one-shot query's oracle result. This is the leg that reaches
+// Result.Join/Where/ProjectTo, hence plan-driven swaps, merges and absorbs
+// over built representations. It draws from its own random stream, so the
+// case derivation (and every recorded seed) is unchanged by it.
+func (c *Case) checkRestructured(db Querier, flat *relation.Relation, fail func(string, ...interface{}) error) error {
+	rng := rand.New(rand.NewSource(c.Seed ^ 0x5ca1ab1e))
+	cut := 1 + rng.Intn(len(c.rels)-1)
+	half := [2][]fdb.Clause{{fdb.From(c.names[:cut]...)}, {fdb.From(c.names[cut:]...)}}
+	side := map[relation.Attribute]int{}
+	var attrs []relation.Attribute
+	for i, rel := range c.rels {
+		for _, a := range rel.Schema {
+			if i >= cut {
+				side[a] = 1
+			}
+			attrs = append(attrs, a)
+		}
+	}
+	var cross, later []fdb.Clause
+	for _, e := range c.eqs {
+		cl := fdb.Eq(string(e.A), string(e.B))
+		switch {
+		case side[e.A] != side[e.B]:
+			cross = append(cross, cl)
+		case rng.Intn(3) == 0:
+			later = append(later, cl)
+		default:
+			half[side[e.A]] = append(half[side[e.A]], cl)
+		}
+	}
+	for i, cl := range c.selClauses(c.sels) {
+		if rng.Intn(3) == 0 {
+			later = append(later, cl)
+		} else {
+			half[side[c.sels[i].A]] = append(half[side[c.sels[i].A]], cl)
+		}
+	}
+	project := c.project
+	if project == nil && rng.Intn(2) == 0 {
+		for _, i := range rng.Perm(len(attrs))[:1+rng.Intn(len(attrs))] {
+			project = append(project, attrs[i])
+		}
+	}
+
+	left, err := db.Query(half[0]...)
+	if err != nil {
+		return fail("restructured: left half: %v", err)
+	}
+	right, err := db.Query(half[1]...)
+	if err != nil {
+		return fail("restructured: right half: %v", err)
+	}
+	res, err := left.Join(right, cross...)
+	if err != nil {
+		return fail("restructured: join: %v", err)
+	}
+	if len(later) > 0 {
+		if res, err = res.Where(later...); err != nil {
+			return fail("restructured: where: %v", err)
+		}
+	}
+	want := flat
+	if project != nil {
+		ps := make([]string, len(project))
+		for i, a := range project {
+			ps[i] = string(a)
+		}
+		if res, err = res.ProjectTo(ps...); err != nil {
+			return fail("restructured: project: %v", err)
+		}
+		want = flat.Project(project) // set semantics, like the engine
+	}
+	// Join, Where and ProjectTo results carry no retrieval clauses.
+	plain := *c
+	plain.orderBy, plain.offset, plain.limit = nil, 0, -1
+	if err := plain.comparePlain(res, want, fail); err != nil {
+		return fmt.Errorf("restructured (cut %d, %d cross, %d later, project %v): %w", cut, len(cross), len(later), project, err)
+	}
+	return nil
 }
 
 // comparePlain checks one tuple result against its flat reference relation

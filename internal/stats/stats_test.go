@@ -3,7 +3,7 @@ package stats
 import (
 	"testing"
 
-	"repro/internal/frep"
+	"repro/internal/fbuild"
 	"repro/internal/ftree"
 	"repro/internal/relation"
 )
@@ -63,7 +63,7 @@ func TestEstimateTracksActualOnProduct(t *testing.T) {
 	cat := Collect([]*relation.Relation{r, s})
 	rels := []relation.AttrSet{relation.NewAttrSet("A"), relation.NewAttrSet("B")}
 	forest := ftree.New([]*ftree.Node{ftree.NewNode("A"), ftree.NewNode("B")}, rels)
-	f, err := frep.FromRelation(forest, r.Product(s))
+	f, err := fbuild.BuildEnc([]*relation.Relation{r, s}, forest)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,18 +118,23 @@ func (c *conn) dispatch(f Frame) {
 	}
 }
 
-// execute handles one admitted request (its own goroutine).
+// execute handles one admitted request (its own goroutine). Reads and
+// writes are timed up to the point their reply is ready and the latency is
+// recorded before the reply is sent, so a client that has seen its reply
+// finds its own request in the next STATS.
 func (c *conn) execute(f Frame) {
 	start := time.Now()
 	switch f.Kind {
 	case VerbPrepare:
 		c.handlePrepare(f)
 	case VerbExec, VerbExecAgg:
-		c.handleExec(f, f.Kind == VerbExecAgg)
+		code, msg, body := c.handleExec(f, f.Kind == VerbExecAgg)
 		c.srv.m.reads.observe(time.Since(start).Nanoseconds())
+		c.reply(f.ID, code, msg, body)
 	case VerbInsert, VerbDelete, VerbUpsert:
-		c.handleWrite(f)
+		code, msg, body := c.handleWrite(f)
 		c.srv.m.writes.observe(time.Since(start).Nanoseconds())
+		c.reply(f.ID, code, msg, body)
 	}
 }
 
@@ -222,24 +227,22 @@ func (c *conn) stmtFor(req *ExecReq) (*fdb.Stmt, bool, *Error) {
 	return pst, entry.isAgg, nil
 }
 
-func (c *conn) handleExec(f Frame, agg bool) {
+// handleExec runs one EXEC or EXEC_AGG and returns its reply.
+func (c *conn) handleExec(f Frame, agg bool) (code byte, msg string, body []byte) {
 	req, err := DecodeExecReq(f.Body)
 	if err != nil {
-		c.reply(f.ID, CodeBadRequest, err.Error(), nil)
-		return
+		return CodeBadRequest, err.Error(), nil
 	}
 	st, isAgg, werr := c.stmtFor(req)
 	if werr != nil {
-		c.reply(f.ID, werr.Code, werr.Msg, nil)
-		return
+		return werr.Code, werr.Msg, nil
 	}
 	if agg != isAgg {
 		want, got := "EXEC", "EXEC_AGG"
 		if isAgg {
 			want, got = got, want
 		}
-		c.reply(f.ID, CodeQuery, fmt.Sprintf("statement %d needs %s, got %s", req.Handle, want, got), nil)
-		return
+		return CodeQuery, fmt.Sprintf("statement %d needs %s, got %s", req.Handle, want, got), nil
 	}
 	args := make([]fdb.NamedArg, len(req.Args))
 	for i, a := range req.Args {
@@ -248,41 +251,38 @@ func (c *conn) handleExec(f Frame, agg bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.srv.opts.ReqTimeout)
 	defer cancel()
 	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
-		c.execErr(f.ID, context.DeadlineExceeded)
-		return
+		return c.execErr(context.DeadlineExceeded)
 	}
 	var rows *Rows
 	if agg {
 		res, err := st.ExecAggContext(ctx, args...)
 		if err != nil {
-			c.execErr(f.ID, err)
-			return
+			return c.execErr(err)
 		}
 		rows = &Rows{Schema: res.Schema(), Rows: res.Rows(int(req.MaxRows))}
 	} else {
 		res, err := st.ExecContext(ctx, args...)
 		if err != nil {
-			c.execErr(f.ID, err)
-			return
+			return c.execErr(err)
 		}
 		rows = &Rows{Schema: res.Schema(), Rows: res.Rows(int(req.MaxRows))}
 	}
-	c.reply(f.ID, 0, "", EncodeRows(rows))
+	return 0, "", EncodeRows(rows)
 }
 
-func (c *conn) execErr(id uint32, err error) {
+// execErr is the error reply of a failed execution.
+func (c *conn) execErr(err error) (code byte, msg string, body []byte) {
 	if isTimeout(err) {
-		c.reply(id, CodeTimeout, fmt.Sprintf("request exceeded the %s execution budget", c.srv.opts.ReqTimeout), nil)
-		return
+		return CodeTimeout, fmt.Sprintf("request exceeded the %s execution budget", c.srv.opts.ReqTimeout), nil
 	}
-	c.reply(id, CodeQuery, err.Error(), nil)
+	return CodeQuery, err.Error(), nil
 }
 
-func (c *conn) handleWrite(f Frame) {
+// handleWrite runs one INSERT, DELETE or UPSERT and returns its reply.
+func (c *conn) handleWrite(f Frame) (code byte, msg string, body []byte) {
 	req, err := DecodeWriteReq(f.Body)
 	if err != nil {
-		c.reply(f.ID, CodeBadRequest, err.Error(), nil)
-		return
+		return CodeBadRequest, err.Error(), nil
 	}
 	rows := make([][]interface{}, len(req.Rows))
 	for i, r := range req.Rows {
@@ -302,10 +302,9 @@ func (c *conn) handleWrite(f Frame) {
 		err = db.UpsertBatch(req.Rel, int(req.KeyCols), rows)
 	}
 	if err != nil {
-		c.reply(f.ID, CodeQuery, err.Error(), nil)
-		return
+		return CodeQuery, err.Error(), nil
 	}
-	c.reply(f.ID, 0, "", EncodeWriteResp(&WriteResp{Ver: db.Version()}))
+	return 0, "", EncodeWriteResp(&WriteResp{Ver: db.Version()})
 }
 
 func (c *conn) handleSnapshot(f Frame) {

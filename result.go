@@ -1,6 +1,7 @@
 package fdb
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -14,10 +15,9 @@ import (
 )
 
 // Result is a factorised query result, carried end-to-end in the
-// arena-backed columnar encoding (frep.Enc): enumeration, counting and
-// aggregation never materialise the pointer form. Follow-up queries
-// (Where, Select, ProjectTo, Join) run directly on the encoded
-// representation, using the optimisers to pick cheap f-plans.
+// arena-backed columnar encoding (frep.Enc). Follow-up queries (Where,
+// Select, ProjectTo, Join) run directly on the encoded representation,
+// using the optimisers to pick cheap f-plans.
 type Result struct {
 	db  *DB
 	enc *frep.Enc
@@ -39,11 +39,6 @@ type Result struct {
 	// every retrieval call replays a fresh cursor over the shared slice.
 	sortOnce sync.Once
 	sortRows []relation.Tuple
-	// Lazily decoded pointer form for Rep(); results are otherwise
-	// immutable and shared freely across goroutines, so the decode is
-	// guarded.
-	repOnce sync.Once
-	rep     *frep.FRep
 	// Lazily computed bag flag: UnionAll leaves duplicate union entries in
 	// the encoding, and those entries' subtrees are not merged — retrieval
 	// over such a representation must sort.
@@ -175,9 +170,8 @@ func (r *Result) Schema() []string {
 func (r *Result) FTree() string { return r.enumEnc().Tree.String() }
 
 // String renders the factorised representation in the paper's notation,
-// decoding dictionary values (through the cached pointer form — rendering
-// is the one surface that wants the tree shape).
-func (r *Result) String() string { return r.Rep().StringDict(r.db.dict) }
+// decoding dictionary values.
+func (r *Result) String() string { return r.enc.StringDict(r.db.dict) }
 
 // Each enumerates the tuples as string-decoded rows until fn returns false,
 // honouring OrderBy, Offset and Limit. The row slice is reused between calls
@@ -212,14 +206,6 @@ func (r *Result) Rows(limit int) [][]string {
 // Enc exposes the underlying encoded representation (advanced use: direct
 // access to the internal packages).
 func (r *Result) Enc() *frep.Enc { return r.enc }
-
-// Rep exposes the pointer form of the representation (advanced use). It is
-// decoded from the encoded form on first call and cached (safe for
-// concurrent callers); mutating it does not affect the result.
-func (r *Result) Rep() *frep.FRep {
-	r.repOnce.Do(func() { r.rep = r.enc.Decode() })
-	return r.rep
-}
 
 // Iter returns a resumable iterator over the result's tuples (raw values;
 // use Each/Rows for dictionary-decoded output), honouring OrderBy, Offset
@@ -321,11 +307,8 @@ func (r *Result) Where(clauses ...Clause) (*Result, error) {
 			}
 			res = g
 		}
-		for _, op := range res.Plan.Ops {
-			enc, err = fplan.ApplyEnc(op, enc)
-			if err != nil {
-				return nil, err
-			}
+		if enc, err = res.Plan.ExecuteEnc(context.TODO(), enc); err != nil {
+			return nil, err
 		}
 	}
 	if s.project != nil {
@@ -366,18 +349,18 @@ func (r *Result) Join(other *Result, clauses ...Clause) (*Result, error) {
 // Union returns the set union of two factorised results over the same
 // visible attributes, computed natively on the encoded representations: a
 // simultaneous walk of both encodings' sorted unions emitting through the
-// arena builder, never through the flat tuples (see frep.UnionEnc for the
+// arena builder, never through the flat tuples (see frep.SetUnionEnc for the
 // alignment and decomposability rules). Both operands must come from the
 // same DB (shared dictionary); the result has set semantics.
 func (r *Result) Union(other *Result) (*Result, error) {
-	return r.setOp("Union", frep.UnionEnc, other)
+	return r.setOp("Union", frep.SetUnionEnc, other)
 }
 
 // UnionAll returns the bag union of two factorised results: every tuple of
 // both operands, duplicates preserved. The duplicates live as doubled
 // entries in the encoding — Distinct (or Union) restores set semantics.
 func (r *Result) UnionAll(other *Result) (*Result, error) {
-	return r.setOp("UnionAll", frep.UnionAllEnc, other)
+	return r.setOp("UnionAll", frep.BagUnionEnc, other)
 }
 
 // Except returns the set difference r − other over the same visible

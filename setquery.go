@@ -165,9 +165,9 @@ func (db *DB) evalSetExpr(e *SetExpr) (*frep.Enc, error) {
 	}
 	switch e.op {
 	case setUnion:
-		return frep.UnionEnc(l, r)
+		return frep.SetUnionEnc(l, r)
 	case setUnionAll:
-		return frep.UnionAllEnc(l, r)
+		return frep.BagUnionEnc(l, r)
 	case setExcept:
 		return frep.ExceptEnc(l, r)
 	case setIntersect:

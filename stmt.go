@@ -781,11 +781,10 @@ func mergeSortedDelta(old *relation.Relation, adds, dels []relation.Tuple, idx [
 }
 
 // buildContext binds parameters and builds the statement's factorised
-// result — straight into the arena-backed columnar encoding, never through
-// the pointer form: the shared evaluation path behind ExecContext and
-// ExecAggContext. Parameter-free statements memoise the pre-projection
-// encoding per input version (so a read-mostly workload re-executes from
-// the cached arena); parameterised ones filter and build per call.
+// result: the shared evaluation path behind ExecContext and ExecAggContext.
+// Parameter-free statements memoise the pre-projection encoding per input
+// version (so a read-mostly workload re-executes from the cached arena);
+// parameterised ones filter and build per call.
 func (st *Stmt) buildContext(ctx context.Context, args []NamedArg) (*frep.Enc, error) {
 	if st.snap != nil && st.snap.isClosed() {
 		return nil, errSnapshotClosed
