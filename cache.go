@@ -8,17 +8,14 @@ import (
 // defaultPlanCacheCap is the default number of compiled plans Query keeps.
 const defaultPlanCacheCap = 64
 
-// CacheStats is a snapshot of the plan cache and planner tier counters
-// (the latter are documented on DB.CacheStats).
+// CacheStats is a snapshot of the plan cache counters and the planner's one
+// counter (documented on DB.CacheStats).
 type CacheStats struct {
 	Hits    uint64
 	Misses  uint64
 	Entries int
 
-	GreedyPlans     uint64
-	Escalations     uint64
 	BudgetFallbacks uint64
-	Promotions      uint64
 }
 
 // planCache is an LRU map from canonical query fingerprint to compiled

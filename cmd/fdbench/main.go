@@ -13,7 +13,7 @@
 //	fdbench -exp 10           # write throughput: incremental delta merge vs full rebuild
 //	fdbench -exp 11           # network front-end: library vs wire vs pipelined wire
 //	fdbench -exp 12           # zero-copy snapshot cold open vs TSV parse + rebuild
-//	fdbench -exp 13           # greedy planning tier vs exhaustive search: compile latency + plan cost
+//	fdbench -exp 13           # greedy f-tree search vs exhaustive search: search latency + plan cost
 //	fdbench -exp 14           # native set algebra (UNION/EXCEPT/INTERSECT) vs flat hash baseline
 //	fdbench -exp 0            # everything (the EXPERIMENTS.md grids)
 //
@@ -440,7 +440,7 @@ func exp12(seed int64, runs int) {
 }
 
 func exp13(seed int64, runs int) {
-	fmt.Println("# Experiment 13: greedy statistics-free planning tier vs exhaustive branch-and-bound — cold compile latency and plan cost")
+	fmt.Println("# Experiment 13: greedy statistics-free f-tree search vs exhaustive branch-and-bound — cold search latency and plan cost")
 	fmt.Println("# workload scale result_tuples greedy_us exhaustive_us speedup greedy_cost optimal_cost cost_ratio")
 	rng := rand.New(rand.NewSource(seed))
 	run := func(sweep func(*rand.Rand, bench.Exp13Config) (bench.Exp13Row, error), scale int) {

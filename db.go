@@ -38,15 +38,11 @@ type DB struct {
 	// snaps counts open snapshots (diagnostics; see OpenSnapshots).
 	snaps atomic.Int64
 
-	// Planner tier policy (see planner.go): mode, exhaustive-search budget,
-	// auto-escalation cost threshold (float bits; 0 = default), promotion
-	// hit count, and the tier decision counters. All atomic: prepareSpec
-	// and the cache hit path never contend with the Set* knobs.
-	plannerMode      atomic.Int32
-	plannerBudget    atomic.Int64
-	plannerThreshold atomic.Uint64
-	plannerPromote   atomic.Int64
-	pstats           plannerCounters
+	// planBudget is the f-tree search's node budget (see planTree): the
+	// planBudget constant, a field only so tests can shrink it.
+	// budgetFallbacks counts the searches it cut short.
+	planBudget      int
+	budgetFallbacks atomic.Uint64
 
 	// adopted indexes the pre-built encodings a snapshot file carried, by
 	// plan fingerprint. Populated once by OpenSnapshotFile before the DB is
@@ -69,9 +65,10 @@ type adoptedEnc struct {
 // New returns an empty database.
 func New() *DB {
 	return &DB{
-		dict:   relation.NewDict(),
-		stores: map[string]*delta.Store{},
-		cache:  newPlanCache(defaultPlanCacheCap),
+		dict:       relation.NewDict(),
+		stores:     map[string]*delta.Store{},
+		cache:      newPlanCache(defaultPlanCacheCap),
+		planBudget: planBudget,
 	}
 }
 
@@ -332,7 +329,7 @@ func (db *DB) Query(clauses ...Clause) (*Result, error) {
 	if len(s.aggs) > 0 {
 		return nil, fmt.Errorf("fdb: query computes aggregates; use QueryAgg")
 	}
-	st, err := db.cachedStmt(s)
+	st, err := db.adhocStmt(s)
 	if err != nil {
 		return nil, err
 	}
@@ -354,49 +351,20 @@ func (db *DB) QueryAgg(clauses ...Clause) (*AggResult, error) {
 	if len(s.aggs) == 0 {
 		return nil, fmt.Errorf("fdb: QueryAgg needs at least one Agg clause")
 	}
-	st, err := db.cachedStmt(s)
+	st, err := db.adhocStmt(s)
 	if err != nil {
 		return nil, err
 	}
 	return st.ExecAgg()
 }
 
-// cachedStmt resolves a compiled statement for the spec through the plan
-// cache (compiling and inserting on miss), the shared path behind Query
-// and QueryAgg. Cached statements stay hot across writes: each execution
-// folds the pending deltas of its inputs into its snapshots, so the cache
-// key needs no data-version component.
-func (db *DB) cachedStmt(s *spec) (*Stmt, error) {
+// adhocStmt is cachedStmt for the execute-immediately surfaces (Query,
+// QueryAgg, QuerySet legs), which have nowhere to bind a parameter.
+func (db *DB) adhocStmt(s *spec) (*Stmt, error) {
 	if ps := s.params(); len(ps) > 0 {
 		return nil, fmt.Errorf("fdb: unbound parameter %q: use Prepare and Exec for parameterised queries", ps[0])
 	}
-	// Reject before the cache lookup: the fingerprint of an agg-free spec
-	// ignores groupBy, so this invalid shape would otherwise alias the
-	// cached plain query and succeed on a warm cache.
-	if len(s.groupBy) > 0 && len(s.aggs) == 0 {
-		return nil, fmt.Errorf("fdb: GroupBy needs at least one Agg clause")
-	}
-	if db.cache.capacity() <= 0 {
-		return db.prepareSpec(s, nil)
-	}
-	key, names, err := db.fingerprint(s)
-	if err != nil {
-		return nil, err
-	}
-	if st, ok := db.cache.get(key); ok {
-		db.maybePromote(st)
-		return st, nil
-	}
-	// The miss path resolves the relations a second time inside
-	// prepareSpec; that duplication is two map lookups and constant
-	// encodings, noise next to the clone+dedup+f-tree search it performs.
-	st, err := db.prepareSpec(s, nil)
-	if err != nil {
-		return nil, err
-	}
-	st.fp = key
-	db.cache.put(key, st, names)
-	return st, nil
+	return db.cachedStmt(s)
 }
 
 // PrepareCached is Prepare through the plan cache: the compiled statement
@@ -411,8 +379,17 @@ func (db *DB) PrepareCached(clauses ...Clause) (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Same pre-cache rejection as cachedStmt: an agg-free fingerprint
-	// ignores groupBy, so this invalid shape must not alias a cached plan.
+	return db.cachedStmt(s)
+}
+
+// cachedStmt resolves a compiled statement for the spec through the plan
+// cache (compiling and inserting on miss). Cached statements stay hot
+// across writes: each execution folds the pending deltas of its inputs into
+// its snapshots, so the cache key needs no data-version component.
+func (db *DB) cachedStmt(s *spec) (*Stmt, error) {
+	// Reject before the cache lookup: the fingerprint of an agg-free spec
+	// ignores groupBy, so this invalid shape would otherwise alias the
+	// cached plain query and succeed on a warm cache.
 	if len(s.groupBy) > 0 && len(s.aggs) == 0 {
 		return nil, fmt.Errorf("fdb: GroupBy needs at least one Agg clause")
 	}
@@ -424,9 +401,11 @@ func (db *DB) PrepareCached(clauses ...Clause) (*Stmt, error) {
 		return nil, err
 	}
 	if st, ok := db.cache.get(key); ok {
-		db.maybePromote(st)
 		return st, nil
 	}
+	// The miss path resolves the relations a second time inside
+	// prepareSpec; that duplication is two map lookups and constant
+	// encodings, noise next to the clone+dedup+f-tree search it performs.
 	st, err := db.prepareSpec(s, nil)
 	if err != nil {
 		return nil, err
@@ -460,23 +439,22 @@ func (db *DB) fingerprint(s *spec) (string, []string, error) {
 	db.mu.RUnlock()
 	var psels, ssels []string
 	for _, sel := range s.sels {
-		if p, ok := sel.val.(ParamValue); ok {
-			psels = append(psels, fmt.Sprintf("%s %d $%s", sel.attr, sel.op, p.name))
-			continue
-		}
-		// String constants fingerprint by string, not by dictionary code:
-		// encoding here would mint a code for every unseen constant a query
-		// merely compares against (and make the key depend on insertion
-		// history).
+		// String constants fingerprint by spelling whether or not they have
+		// a code: the key must not depend on insertion history (and a cache
+		// hit should not pay a dictionary lookup).
 		if str, ok := sel.val.(string); ok {
 			ssels = append(ssels, fmt.Sprintf("%s %d %q", sel.attr, sel.op, str))
 			continue
 		}
-		v, err := db.encode(sel.val)
+		class, v, err := db.classifySel(sel.op, sel.val)
 		if err != nil {
 			return "", nil, err
 		}
-		q.Selections = append(q.Selections, core.ConstSel{A: sel.attr, Op: sel.op, C: v})
+		if class == selParam {
+			psels = append(psels, fmt.Sprintf("%s %d $%s", sel.attr, sel.op, sel.val.(ParamValue).name))
+		} else {
+			q.Selections = append(q.Selections, core.ConstSel{A: sel.attr, Op: sel.op, C: v})
+		}
 	}
 	key := q.Fingerprint()
 	if len(psels) > 0 {
@@ -534,19 +512,13 @@ func (db *DB) fingerprint(s *spec) (string, []string, error) {
 	return key, names, nil
 }
 
-// CacheStats returns the plan cache counters — Hits and Misses count Query
-// lookups, Entries is the current size — and the planner tier counters:
-// GreedyPlans (statements carrying a greedy-planned tree), Escalations
-// (exhaustive searches attempted, whether by threshold, forced mode or
-// promotion), BudgetFallbacks (searches that blew their exploration budget
-// and kept the greedy tree) and Promotions (background re-optimisations
-// that swapped a cached statement's plan).
+// CacheStats returns the plan cache counters — Hits and Misses count
+// lookups, Entries is the current size — and BudgetFallbacks, the number of
+// f-tree searches that exhausted their exploration budget and kept the
+// greedy tree (see planTree).
 func (db *DB) CacheStats() CacheStats {
 	cs := db.cache.stats()
-	cs.GreedyPlans = db.pstats.greedy.Load()
-	cs.Escalations = db.pstats.escalations.Load()
-	cs.BudgetFallbacks = db.pstats.fallbacks.Load()
-	cs.Promotions = db.pstats.promotions.Load()
+	cs.BudgetFallbacks = db.budgetFallbacks.Load()
 	return cs
 }
 
@@ -602,10 +574,54 @@ func (db *DB) orderLess() frep.ValueLess {
 	}
 }
 
+// selClass is how a selection's right-hand side compiles.
+type selClass int
+
+const (
+	selConst   selClass = iota // a value code, permanent: bake it into the plan
+	selDynamic                 // a string that needs the dictionary per execution (stringSelPred)
+	selParam                   // a Param placeholder, bound per Exec
+)
+
+// classifySel is the one place that decides how a selection value compiles,
+// for every surface that takes one (Prepare, the plan-cache fingerprint,
+// Exec-time bindings, Result.Where). Integers are their own code. A string
+// is a constant only as an equality on an already-encoded string — codes
+// are permanent, so baking that is cache-safe; ranges (decoded order can
+// gain strings) and unseen strings (they may gain a code) stay dynamic.
+// Nothing here grows the dictionary: a query never mints a code for a
+// constant the database has only ever compared against.
+func (db *DB) classifySel(op fplan.Cmp, val interface{}) (selClass, relation.Value, error) {
+	switch x := val.(type) {
+	case ParamValue:
+		return selParam, 0, nil
+	case string:
+		if c, ok := db.dict.Lookup(x); ok && (op == fplan.Eq || op == fplan.Ne) {
+			return selConst, c, nil
+		}
+		return selDynamic, 0, nil
+	}
+	c, err := db.encode(val)
+	return selConst, c, err
+}
+
+// selPred compiles an execution-time selection value (a bound parameter or
+// a dynamic string constant) into a column predicate.
+func (db *DB) selPred(op fplan.Cmp, val interface{}) (func(relation.Value) bool, error) {
+	class, c, err := db.classifySel(op, val)
+	if err != nil {
+		return nil, err
+	}
+	if class == selConst {
+		return core.ConstSel{Op: op, C: c}.Match, nil
+	}
+	return db.stringSelPred(op, val.(string)), nil
+}
+
 // encode turns a Go value into an engine Value, assigning a fresh dictionary
 // code to an unseen string. It belongs on write paths only (Insert, Delete,
 // Upsert): read paths — query constants, parameter binds — must go through
-// Lookup/stringSelPred instead, so that comparing against a string the
+// classifySel instead, so that comparing against a string the
 // database has never stored cannot grow the dictionary. The dictionary is
 // internally synchronised, so encode is safe under either DB lock.
 func (db *DB) encode(v interface{}) (relation.Value, error) {

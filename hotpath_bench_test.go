@@ -118,11 +118,12 @@ func BenchmarkExecPrepared(b *testing.B) {
 	}
 }
 
-// prepareColdSetup builds the wide six-relation chain join the cold-compile
-// benchmarks plan: wide enough that the exhaustive search's exponential
-// blowup shows, small enough data that Prepare time is planning time.
-func prepareColdSetup(b *testing.B, mode fdb.PlannerMode) (*fdb.DB, []fdb.Clause) {
-	b.Helper()
+// BenchmarkPrepareCold tracks cold statement compilation — greedy incumbent
+// plus the budgeted, incumbent-bounded search — on a six-relation chain
+// join: wide enough that the search has real work, small enough data that
+// Prepare time is planning time. The ad-hoc query hot path, gated against
+// the committed baseline like exec.
+func BenchmarkPrepareCold(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	db := fdb.New()
 	db.SetParallelism(1)
@@ -139,7 +140,6 @@ func prepareColdSetup(b *testing.B, mode fdb.PlannerMode) (*fdb.DB, []fdb.Clause
 	for i := 1; i < 6; i++ {
 		clauses = append(clauses, fdb.Eq(fmt.Sprintf("R%d.B", i), fmt.Sprintf("R%d.A", i+1)))
 	}
-	db.SetPlannerMode(mode)
 	// Warm-up compile outside the timed loop: Prepare always re-plans (only
 	// PrepareCached consults the plan cache), so the planner search still
 	// runs cold every iteration — but the first Prepare also pays one-off
@@ -148,30 +148,6 @@ func prepareColdSetup(b *testing.B, mode fdb.PlannerMode) (*fdb.DB, []fdb.Clause
 	if _, err := db.Prepare(clauses...); err != nil {
 		b.Fatal(err)
 	}
-	return db, clauses
-}
-
-// BenchmarkPrepareColdGreedy tracks cold statement compilation through the
-// greedy statistics-free planning tier — the ad-hoc query hot path, gated
-// against the committed baseline like exec.
-func BenchmarkPrepareColdGreedy(b *testing.B) {
-	db, clauses := prepareColdSetup(b, fdb.PlannerGreedy)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, err := db.Prepare(clauses...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink = int64(st.Cost())
-	}
-}
-
-// BenchmarkPrepareColdExhaustive is the same compilation through the
-// exhaustive branch-and-bound search — recorded for the comparison, not
-// baseline-gated (its profile is the search's, not a serving hot path).
-func BenchmarkPrepareColdExhaustive(b *testing.B) {
-	db, clauses := prepareColdSetup(b, fdb.PlannerExhaustive)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

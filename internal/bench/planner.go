@@ -3,31 +3,32 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	fdb "repro"
 	"repro/internal/core"
+	"repro/internal/fbuild"
 	"repro/internal/frep"
+	"repro/internal/ftree"
 	"repro/internal/opt"
 	"repro/internal/relation"
 )
 
-// Exp13Row is one point of Experiment 13: cold planning latency through the
-// greedy statistics-free tier against the exhaustive branch-and-bound
-// search, on identical workloads. The timed legs call the two planners
-// directly on the workload's attribute classes (the way Experiments 1 and 2
-// time the optimiser), so data-dependent Prepare work — snapshotting,
-// sorting — doesn't mask the search. Before any timing is reported, both
-// tiers' plans are executed through the public API with the planner mode
-// forced, and their flat results compared (modulo tuple and column order —
-// the trees differ); the greedy tree's cost s(T) is reported next to the
-// exhaustive optimum and must stay within exp13MaxCostRatio of it.
+// Exp13Row is one point of Experiment 13: cold planning latency of the
+// greedy statistics-free f-tree search against the exhaustive
+// branch-and-bound search, on identical workloads. The timed legs call the
+// two searches directly on the workload's attribute classes (the way
+// Experiments 1 and 2 time the optimiser), so data-dependent Prepare work —
+// snapshotting, sorting — doesn't mask the search. Before any timing is
+// reported, both trees are built over the workload's data and their flat
+// results compared (modulo tuple and column order — the trees differ); the
+// greedy tree's cost s(T) is reported next to the exhaustive optimum and
+// must stay within exp13MaxCostRatio of it.
 type Exp13Row struct {
 	Workload     string
 	Scale        int
 	Tuples       int64   // flat tuples of the join result
-	GreedyUS     float64 // mean cold planning latency, greedy tier (µs)
+	GreedyUS     float64 // mean cold planning latency, greedy search (µs)
 	ExhaustiveUS float64 // mean cold planning latency, exhaustive search (µs)
 	Speedup      float64 // ExhaustiveUS / GreedyUS
 	GreedyCost   float64 // s(T) of the greedy tree
@@ -38,7 +39,7 @@ type Exp13Row struct {
 // Exp13Config parameterises one Experiment 13 measurement.
 type Exp13Config struct {
 	Scale int
-	Iters int // cold Prepare repetitions per tier (default 30)
+	Iters int // cold search repetitions per leg (default 30)
 }
 
 // exp13MaxCostRatio is the plan-quality bar the experiment enforces on its
@@ -52,7 +53,7 @@ func Experiment13Retailer(rng *rand.Rand, cfg Exp13Config) (Exp13Row, error) {
 	if scale <= 0 {
 		scale = 1
 	}
-	db, join := exp9Retailer(rng, scale)
+	db, _ := exp9Retailer(rng, scale)
 	q := &core.Query{
 		Relations: []*relation.Relation{
 			relation.New("Orders", relation.Schema{"Orders.oid", "Orders.item"}),
@@ -64,14 +65,14 @@ func Experiment13Retailer(rng *rand.Rand, cfg Exp13Config) (Exp13Row, error) {
 			{A: "Stock.location", B: "Disp.location"},
 		},
 	}
-	return experiment13("retailer", cfg, db, join, q)
+	return experiment13("retailer", cfg, db, q)
 }
 
 // Experiment13Chain: the length-n chain join of Example 6 — the regime
 // where the exhaustive search's exponential blowup shows while the greedy
-// tier stays polynomial.
+// search stays polynomial.
 func Experiment13Chain(rng *rand.Rand, cfg Exp13Config) (Exp13Row, error) {
-	db, join := exp13Chain(rng, cfg.Scale)
+	db := exp13Chain(rng, cfg.Scale)
 	q := &core.Query{}
 	for i := 1; i <= cfg.Scale; i++ {
 		name := fmt.Sprintf("R%d", i)
@@ -84,33 +85,28 @@ func Experiment13Chain(rng *rand.Rand, cfg Exp13Config) (Exp13Row, error) {
 			B: relation.Attribute(fmt.Sprintf("R%d.A", i+1)),
 		})
 	}
-	return experiment13("chain", cfg, db, join, q)
+	return experiment13("chain", cfg, db, q)
 }
 
-// exp13Chain is exp9Chain at planner scale: the same query shape over 30
-// tuples per relation, so the parity executions stay cheap.
-func exp13Chain(rng *rand.Rand, length int) (*fdb.DB, []fdb.Clause) {
+// exp13Chain is exp9Chain's data at planner scale: 30 tuples per relation,
+// so the parity builds stay cheap.
+func exp13Chain(rng *rand.Rand, length int) *fdb.DB {
 	db := fdb.New()
-	var from []string
 	for i := 1; i <= length; i++ {
 		name := fmt.Sprintf("R%d", i)
 		db.MustCreate(name, "A", "B")
 		for j := 0; j < 30; j++ {
 			db.MustInsert(name, rng.Intn(10)+1, rng.Intn(10)+1)
 		}
-		from = append(from, name)
 	}
-	clauses := []fdb.Clause{fdb.From(from...)}
-	for i := 1; i < length; i++ {
-		clauses = append(clauses, fdb.Eq(fmt.Sprintf("R%d.B", i), fmt.Sprintf("R%d.A", i+1)))
-	}
-	return db, clauses
+	return db
 }
 
-// experiment13 runs one measurement: parity-check the two tiers' plans on
-// the same query through the public API, enforce the cost-ratio bar, then
-// time the two planners directly on the query's attribute classes.
-func experiment13(workload string, cfg Exp13Config, db *fdb.DB, join []fdb.Clause, q *core.Query) (Exp13Row, error) {
+// experiment13 runs one measurement: search both trees for the query,
+// enforce the cost-ratio bar, parity-check the two trees' builds over the
+// database's relations, then time the two searches on the query's
+// attribute classes.
+func experiment13(workload string, cfg Exp13Config, db *fdb.DB, q *core.Query) (Exp13Row, error) {
 	iters := cfg.Iters
 	if iters <= 0 {
 		iters = 30
@@ -118,13 +114,15 @@ func experiment13(workload string, cfg Exp13Config, db *fdb.DB, join []fdb.Claus
 	row := Exp13Row{Workload: workload, Scale: cfg.Scale}
 
 	classes, schemas := q.Classes(), q.Schemas()
-	var err error
-	if _, row.GreedyCost, err = opt.GreedyFTree(classes, schemas); err != nil {
+	gtree, gcost, err := opt.GreedyFTree(classes, schemas)
+	if err != nil {
 		return row, err
 	}
-	if _, row.OptimalCost, err = opt.OptimalFTree(classes, schemas, opt.TreeSearchOptions{}); err != nil {
+	otree, ocost, err := opt.OptimalFTree(classes, schemas, opt.TreeSearchOptions{})
+	if err != nil {
 		return row, err
 	}
+	row.GreedyCost, row.OptimalCost = gcost, ocost
 	if row.OptimalCost > 0 {
 		row.CostRatio = row.GreedyCost / row.OptimalCost
 	}
@@ -133,32 +131,35 @@ func experiment13(workload string, cfg Exp13Config, db *fdb.DB, join []fdb.Claus
 			workload, cfg.Scale, row.GreedyCost, 100*exp13MaxCostRatio, row.OptimalCost)
 	}
 
-	// Parity precheck: both tiers must enumerate the same flat result
-	// through the public API with the planner mode forced.
-	db.SetPlannerMode(fdb.PlannerGreedy)
-	gst, err := db.Prepare(join...)
-	if err != nil {
-		return row, err
+	// Parity precheck: both trees must represent the same flat result.
+	var encs [2]*frep.Enc
+	for i, tree := range []*ftree.T{gtree, otree} {
+		rels := make([]*relation.Relation, len(q.Relations))
+		for j, shell := range q.Relations {
+			r, ok := db.Relation(shell.Name)
+			if !ok {
+				return row, fmt.Errorf("bench: exp13 %s/%d: relation %s missing", workload, cfg.Scale, shell.Name)
+			}
+			rels[j] = r.Clone() // SortFor sorts in place; db.Relation is read-only
+			rels[j].Dedup()
+		}
+		if err := fbuild.SortFor(rels, tree); err != nil {
+			return row, err
+		}
+		if encs[i], err = fbuild.BuildEnc(rels, tree); err != nil {
+			return row, err
+		}
 	}
-	db.SetPlannerMode(fdb.PlannerExhaustive)
-	est, err := db.Prepare(join...)
-	if err != nil {
-		return row, err
-	}
-	gres, err := gst.Exec()
-	if err != nil {
-		return row, err
-	}
-	eres, err := est.Exec()
-	if err != nil {
-		return row, err
-	}
-	row.Tuples = gres.Count()
-	if err := exp13Parity(workload, cfg.Scale, gres, eres); err != nil {
-		return row, err
+	// Equal compares as sets, modulo tuple order; the counts rule out
+	// duplicates and Project moves the columns into the greedy tree's order.
+	row.Tuples = encs[0].Count()
+	got, want := encs[0].Relation("greedy"), encs[1].Relation("exhaustive")
+	if encs[1].Count() != row.Tuples || !got.Equal(want.Project(got.Schema)) {
+		return row, fmt.Errorf("bench: exp13 %s/%d: greedy tree represents %d tuples, exhaustive %d, or the sets differ",
+			workload, cfg.Scale, row.Tuples, encs[1].Count())
 	}
 
-	// Timed legs: the planners alone, on the same classes the engine hands
+	// Timed legs: the searches alone, on the same classes the engine hands
 	// them at Prepare time.
 	start := time.Now()
 	for i := 0; i < iters; i++ {
@@ -178,34 +179,4 @@ func experiment13(workload string, cfg Exp13Config, db *fdb.DB, join []fdb.Claus
 		row.Speedup = row.ExhaustiveUS / row.GreedyUS
 	}
 	return row, nil
-}
-
-// exp13Parity compares two results of the same query planned through
-// different trees: the exhaustive result's tuples are projected into the
-// greedy result's column order, both sides sorted with the deterministic
-// tuple comparator, and every position must match.
-func exp13Parity(workload string, scale int, gres, eres *fdb.Result) error {
-	if gres.Count() != eres.Count() {
-		return fmt.Errorf("bench: exp13 %s/%d: greedy %d tuples, exhaustive %d",
-			workload, scale, gres.Count(), eres.Count())
-	}
-	var gSchema, eSchema relation.Schema
-	for _, a := range gres.Schema() {
-		gSchema = append(gSchema, relation.Attribute(a))
-	}
-	for _, a := range eres.Schema() {
-		eSchema = append(eSchema, relation.Attribute(a))
-	}
-	got := drain(gres.Iter())
-	want := project(drain(eres.Iter()), eSchema, gSchema)
-	cmp := frep.TupleCompare(gSchema, nil, nil)
-	sort.SliceStable(got, func(i, j int) bool { return cmp(got[i], got[j]) < 0 })
-	sort.SliceStable(want, func(i, j int) bool { return cmp(want[i], want[j]) < 0 })
-	for i := range got {
-		if got[i].Compare(want[i]) != 0 {
-			return fmt.Errorf("bench: exp13 %s/%d: results diverge at %d: greedy %v, exhaustive %v",
-				workload, scale, i, got[i], want[i])
-		}
-	}
-	return nil
 }

@@ -501,6 +501,12 @@ func (e *Enc) HasDupEntries() bool {
 // sets (HasDupEntries is false), and come back unchanged without a rebuild;
 // DISTINCT exists to make that guarantee explicit and to normalise
 // externally-built encodings.
+//
+// Union does not distribute over the child product: entries v×(A1×B1) and
+// v×(A2×B2) merge child by child only when they agree on all but at most
+// one child (the rule setMerger.collide applies to ∪). A duplicate group
+// that differs in two or more children is rebuilt flat over the path tree,
+// like a non-decomposable set operation.
 func DedupEnc(e *Enc) *Enc {
 	if !e.HasDupEntries() {
 		return e
@@ -512,10 +518,11 @@ func DedupEnc(e *Enc) *Enc {
 	// The clone shares e's pre-order shape, so source and destination node
 	// indexes coincide.
 	b := NewEncBuilder(nt)
-	var emit func(ni int, unions []int32)
-	emit = func(ni int, unions []int32) {
+	var emit func(ni int, unions []int32) bool
+	emit = func(ni int, unions []int32) bool {
 		offs := e.Offs(ni)
 		vals := e.Vals(ni)
+		kids := e.Kids(ni)
 		var idxs []int32
 		for _, u := range unions {
 			for j := offs[u]; j < offs[u+1]; j++ {
@@ -528,19 +535,50 @@ func DedupEnc(e *Enc) *Enc {
 			for h < len(idxs) && vals[idxs[h]] == vals[idxs[g]] {
 				h++
 			}
+			if !mergeable(e, kids, idxs[g:h]) {
+				return false
+			}
 			b.Append(ni, vals[idxs[g]])
-			for _, ci := range e.Kids(ni) {
-				emit(ci, idxs[g:h])
+			for _, ci := range kids {
+				if !emit(ci, idxs[g:h]) {
+					return false
+				}
 				b.CloseUnion(ci)
 			}
 			g = h
 		}
+		return true
 	}
 	for _, ri := range e.Roots() {
-		emit(ri, []int32{0})
+		if !emit(ri, []int32{0}) {
+			schema := e.Schema()
+			return encodeRows(chainTree(schema), dedupRows(rowsOf(e, schema)), false)
+		}
 		b.CloseUnion(ri)
 	}
 	return b.Finish()
+}
+
+// mergeable reports whether the same-valued entries group (entry indexes of
+// one node, whose children are kids) differ from one another in at most one
+// child fragment — the condition under which their union is the product of
+// the per-child unions.
+func mergeable(e *Enc, kids []int, group []int32) bool {
+	if len(group) < 2 || len(kids) < 2 {
+		return true
+	}
+	diff := -1
+	for _, other := range group[1:] {
+		for _, ci := range kids {
+			if ci != diff && !fragEqual(e, e, ci, int(group[0]), int(other)) {
+				if diff >= 0 {
+					return false
+				}
+				diff = ci
+			}
+		}
+	}
+	return true
 }
 
 // ---------------------------------------------------------------- reindex

@@ -210,6 +210,26 @@ func TestSetOpsBranchingDecomposability(t *testing.T) {
 			t.Fatalf("%s: got %v want %v", tc.op, got, want)
 		}
 	}
+	// Distinct over the bag union is the set union on both shapes: same-value
+	// entries that differ in both children must not merge child by child
+	// (that would represent the product of the per-child unions instead).
+	for _, tc := range []struct {
+		other *relation.Relation
+		enc   *Enc
+	}{{rb, eb}, {rc, ec}} {
+		bag, err := BagUnionEnc(ea, tc.enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dd := DedupEnc(bag)
+		if err := dd.Validate(); err != nil {
+			t.Fatalf("dedup(A⊎B) does not validate: %v", err)
+		}
+		schema := relation.Schema{"A", "B", "C"}
+		if got, want := gotRows(dd, schema), refRows(opUnion, ra, tc.other, schema); !tuplesEqual(got, want) {
+			t.Fatalf("dedup(A⊎B): got %v want %v", got, want)
+		}
+	}
 }
 
 // Forest operands (multi-root products) follow the same decomposition rules

@@ -409,10 +409,3 @@ func (t *T) String() string {
 	}
 	return b.String()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -25,8 +25,11 @@ import (
 
 	fdb "repro"
 	"repro/internal/core"
+	"repro/internal/fbuild"
 	"repro/internal/frep"
+	"repro/internal/ftree"
 	"repro/internal/gen"
+	"repro/internal/opt"
 	"repro/internal/rdb"
 	"repro/internal/relation"
 )
@@ -47,13 +50,7 @@ type Querier interface {
 // Case is one derived differential test case. All randomness comes from the
 // seed; two Cases with the same seed are identical.
 type Case struct {
-	Seed int64
-	// Mode forces a planning tier on the case's database (zero value is
-	// fdb.PlannerAuto). The oracle comparison is tier-blind, so running the
-	// same seed under PlannerGreedy and PlannerExhaustive is the
-	// greedy-vs-exhaustive differential: both tiers must reproduce the same
-	// exact tuple sequence.
-	Mode     fdb.PlannerMode
+	Seed     int64
 	rels     []*relation.Relation // qualified-schema inputs for the oracle
 	names    []string             // relation names, creation order
 	bare     map[string][]string  // relation name -> bare attribute names
@@ -239,18 +236,75 @@ func Check(seed int64, parallelism int) error {
 // Run executes the case at the given parallelism against a fresh database.
 func (c *Case) Run(parallelism int) error { return c.run(parallelism, nil) }
 
-// CheckPlanner derives the case for seed and runs it with the database
-// forced to the given planning tier. Checking a seed under both
-// fdb.PlannerGreedy and fdb.PlannerExhaustive proves the tiers agree: each
-// leg must match the flat oracle's exact tuple sequence, so any divergence
-// between the greedy and exhaustive trees surfaces as a failure in one leg.
-func CheckPlanner(seed int64, parallelism int, mode fdb.PlannerMode) error {
+// CheckTrees derives the case for seed and evaluates its join below the
+// query API, once over opt.GreedyFTree's tree and once over
+// opt.OptimalFTree's: the inputs are pre-filtered by the constant
+// selections, path-sorted and built with fbuild exactly as a statement
+// would, and each representation must enumerate the flat oracle's relation.
+// Any valid f-tree of a query represents the same result, so whichever tree
+// the planning policy picks — and it may pick either — is covered. Values
+// stay plain integers here (no dictionary below the API). Returns the
+// number of oracle-compared builds.
+func CheckTrees(seed int64) (int, error) {
 	c, err := NewCase(seed)
 	if err != nil {
-		return fmt.Errorf("fuzz: seed %d: generate: %v", seed, err)
+		return 0, fmt.Errorf("fuzz: seed %d: generate: %v", seed, err)
 	}
-	c.Mode = mode
-	return c.Run(parallelism)
+	c.strs = nil
+	fail := func(format string, args ...interface{}) error {
+		return fmt.Errorf("fuzz: seed %d (trees): %s", c.Seed, fmt.Sprintf(format, args...))
+	}
+	flat, err := c.oracleFlat(c.sels)
+	if err != nil {
+		return 0, fail("oracle: %v", err)
+	}
+	if flat == nil {
+		return 0, nil // flat result past the cap
+	}
+	q := &core.Query{Equalities: c.eqs}
+	for _, rel := range c.rels {
+		r := rel.Clone()
+		r.Dedup()
+		for _, s := range c.sels {
+			if col := r.Schema.Index(s.A); col >= 0 {
+				s := s
+				r = r.Filter(func(t relation.Tuple) bool { return s.Match(t[col]) })
+			}
+		}
+		q.Relations = append(q.Relations, r)
+	}
+	classes, schemas := q.Classes(), q.Schemas()
+	greedy, _, err := opt.GreedyFTree(classes, schemas)
+	if err != nil {
+		return 0, fail("greedy f-tree: %v", err)
+	}
+	optimal, _, err := opt.OptimalFTree(classes, schemas, opt.TreeSearchOptions{})
+	if err != nil {
+		return 0, fail("optimal f-tree: %v", err)
+	}
+	for _, leg := range []struct {
+		name string
+		tree *ftree.T
+	}{{"greedy", greedy}, {"optimal", optimal}} {
+		name, tree := leg.name, leg.tree
+		rels := make([]*relation.Relation, len(q.Relations))
+		for i, r := range q.Relations {
+			rels[i] = r.Clone() // SortFor sorts in place, per tree
+		}
+		if err := fbuild.SortFor(rels, tree); err != nil {
+			return 0, fail("%s tree: sort: %v", name, err)
+		}
+		enc, err := fbuild.BuildEnc(rels, tree)
+		if err != nil {
+			return 0, fail("%s tree: build: %v", name, err)
+		}
+		// Equal compares as sets; the cardinalities rule out duplicates.
+		got := enc.Relation(name)
+		if want := flat.Project(got.Schema); got.Cardinality() != want.Cardinality() || !got.Equal(want) {
+			return 0, fail("%s tree %s represents %d tuples that are not the oracle's %d", name, tree, got.Cardinality(), want.Cardinality())
+		}
+	}
+	return 2, nil
 }
 
 // CheckPersisted derives the case for seed and runs it through a snapshot
@@ -292,12 +346,11 @@ func CheckPersisted(seed int64, parallelism int, dir string) error {
 // of every query variant against the flat oracle.
 func (c *Case) run(parallelism int, persist func(*fdb.DB, []fdb.Clause) (*fdb.DB, error)) error {
 	fail := func(format string, args ...interface{}) error {
-		return fmt.Errorf("fuzz: seed %d (p=%d mode=%d): %s", c.Seed, parallelism, c.Mode, fmt.Sprintf(format, args...))
+		return fmt.Errorf("fuzz: seed %d (p=%d): %s", c.Seed, parallelism, fmt.Sprintf(format, args...))
 	}
 
 	db := fdb.New()
 	db.SetParallelism(parallelism)
-	db.SetPlannerMode(c.Mode)
 	for _, rel := range c.rels {
 		if err := db.Create(rel.Name, c.bare[rel.Name]...); err != nil {
 			return fail("create: %v", err)

@@ -3,8 +3,6 @@ package fuzz
 import (
 	"runtime"
 	"testing"
-
-	fdb "repro"
 )
 
 // parallelisms returns the worker counts every case runs at: the serial
@@ -41,31 +39,28 @@ func TestDifferential(t *testing.T) {
 	t.Logf("fuzz: %d queries checked (%d seeds × %d parallelism legs)", queries, seeds, len(ps))
 }
 
-// TestDifferentialPlanners is the greedy-vs-exhaustive planner differential:
-// every seed runs once forced to the polynomial greedy tier and once forced
-// to the exhaustive search, and both legs must reproduce the flat oracle's
-// exact tuple sequence — ≥1500 oracle-compared queries per full package run
-// (750 seeds × 2 tiers), zero divergence allowed. Failures reproduce with
-// fuzz.CheckPlanner(seed, 1, mode).
-func TestDifferentialPlanners(t *testing.T) {
+// TestDifferentialTrees is the greedy-vs-exhaustive f-tree differential,
+// below the query API: for every seed both searches' trees are built with
+// fbuild and each must represent the flat oracle's relation — ≥1500
+// oracle-compared builds per full package run (750 seeds × 2 trees), zero
+// divergence allowed. Failures reproduce with fuzz.CheckTrees(seed).
+func TestDifferentialTrees(t *testing.T) {
 	seeds := 750
 	if testing.Short() {
 		seeds = 60
 	}
-	modes := []fdb.PlannerMode{fdb.PlannerGreedy, fdb.PlannerExhaustive}
-	queries := 0
+	builds := 0
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		for _, mode := range modes {
-			if err := CheckPlanner(seed, 1, mode); err != nil {
-				t.Fatal(err)
-			}
-			queries++
+		n, err := CheckTrees(seed)
+		if err != nil {
+			t.Fatal(err)
 		}
+		builds += n
 	}
-	if !testing.Short() && queries < 1500 {
-		t.Fatalf("planner differential too small: %d oracle-compared queries < 1500", queries)
+	if !testing.Short() && builds < 1500 {
+		t.Fatalf("tree differential too small: %d oracle-compared builds < 1500", builds)
 	}
-	t.Logf("fuzz: %d planner-tier queries checked (%d seeds × %d tiers)", queries, seeds, len(modes))
+	t.Logf("fuzz: %d f-tree builds checked (%d seeds × 2 trees)", builds, seeds)
 }
 
 // TestCaseDeterminism: the same seed derives the same case — the property
@@ -142,7 +137,8 @@ func FuzzDifferential(f *testing.F) {
 	f.Add(int64(17), uint8(2))
 	f.Add(int64(15), uint8(1))
 	f.Add(int64(32), uint8(3))
-	f.Add(int64(58), uint8(1)) // regression: union-all bag under ordered retrieval
+	f.Add(int64(58), uint8(1))   // regression: union-all bag under ordered retrieval
+	f.Add(int64(2815), uint8(0)) // regression: Distinct over a union-all bag on a branching tree
 	f.Add(int64(319), uint8(1))
 	f.Add(int64(2), uint8(2))
 	f.Add(int64(4), uint8(1))

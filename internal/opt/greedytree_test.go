@@ -92,8 +92,75 @@ func TestGreedyCostWithinSlack(t *testing.T) {
 		if os > 0 && gs/os > worst {
 			worst = gs / os
 		}
+		checkBelow(t, trial, gs, os, func(o TreeSearchOptions) (*ftree.T, float64, error) {
+			return OptimalFTree(classes, rels, o)
+		})
 	}
 	t.Logf("worst greedy/optimal cost ratio: %.3f", worst)
+}
+
+// checkBelow: a search bounded by the greedy incumbent's cost gs must find
+// the optimum os exactly when that is strictly cheaper, and report
+// ErrNoCheaper (never a tree, never a tie) when the incumbent is optimal.
+func checkBelow(t *testing.T, trial int, gs, os float64, search func(TreeSearchOptions) (*ftree.T, float64, error)) {
+	t.Helper()
+	bt, bs, err := search(TreeSearchOptions{Below: gs - 1e-9})
+	if gs <= os+1e-9 {
+		if !errors.Is(err, ErrNoCheaper) {
+			t.Fatalf("trial %d: incumbent %v is optimal, bounded search = (%v, %v), want ErrNoCheaper", trial, gs, bs, err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("trial %d: bounded search below %v: %v (optimum %v)", trial, gs, err, os)
+	}
+	if math.Abs(bs-os) > 1e-9 || math.Abs(bt.S()-os) > 1e-6 {
+		t.Fatalf("trial %d: bounded search found s %v (tree s %v), optimum %v", trial, bs, bt.S(), os)
+	}
+}
+
+// TestBoundedSearchBeatsGreedy: the smallest known query (from the
+// random-schema corpus; the root package's skewDB) on which the greedy tree
+// is not optimal — s=2 against s=1 — so the incumbent-bounded search has
+// something to find, free and with a forced order chain.
+func TestBoundedSearchBeatsGreedy(t *testing.T) {
+	q := &core.Query{
+		Relations: []*relation.Relation{
+			relation.New("r1", relation.Schema{"r1.x3", "r1.x6", "r1.x8"}),
+			relation.New("r2", relation.Schema{"r2.x2", "r2.x7", "r2.x5"}),
+			relation.New("r3", relation.Schema{"r3.x1", "r3.x4", "r3.x9"}),
+		},
+		Equalities: []core.Equality{
+			{A: "r2.x5", B: "r3.x9"}, {A: "r3.x1", B: "r2.x7"}, {A: "r1.x6", B: "r1.x8"},
+			{A: "r3.x4", B: "r1.x3"}, {A: "r3.x4", B: "r1.x6"},
+		},
+	}
+	classes, rels := q.Classes(), q.Schemas()
+	_, gs, err := GreedyFTree(classes, rels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, os, err := OptimalFTree(classes, rels, TreeSearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gs <= os+1e-9 {
+		t.Fatalf("skew query lost its skew: greedy s %v, optimum %v", gs, os)
+	}
+	checkBelow(t, 0, gs, os, func(o TreeSearchOptions) (*ftree.T, float64, error) {
+		return OptimalFTree(classes, rels, o)
+	})
+	for c := range classes {
+		chain := []int{c}
+		_, cgs, gerr := GreedyFTreeOrdered(classes, rels, chain)
+		_, cos, oerr := OptimalFTreeOrdered(classes, rels, chain, TreeSearchOptions{})
+		if gerr != nil || oerr != nil {
+			continue // order-incompatible chain
+		}
+		checkBelow(t, c, cgs, cos, func(o TreeSearchOptions) (*ftree.T, float64, error) {
+			return OptimalFTreeOrdered(classes, rels, chain, o)
+		})
+	}
 }
 
 // preorderClasses returns the attribute sets of the first n nodes of the
@@ -165,6 +232,9 @@ func TestGreedyFTreeOrdered(t *testing.T) {
 			t.Fatalf("trial %d: greedy ordered s %v exceeds %v x optimum %v (chain %v)",
 				trial, gs, 1+slack, os, chain)
 		}
+		checkBelow(t, trial, gs, os, func(o TreeSearchOptions) (*ftree.T, float64, error) {
+			return OptimalFTreeOrdered(classes, rels, chain, o)
+		})
 	}
 	if compared < 30 {
 		t.Fatalf("only %d compatible chains compared; corpus too hostile", compared)

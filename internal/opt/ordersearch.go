@@ -13,7 +13,6 @@ package opt
 
 import (
 	"errors"
-	"math"
 
 	"repro/internal/ftree"
 	"repro/internal/relation"
@@ -72,7 +71,7 @@ func (ts *treeSearch) orderedForest(chain []int) (*ftree.T, float64, error) {
 		ci = next
 	}
 	for _, comp := range comps {
-		node, s, err := ts.solveComponent(comp, 0, math.Inf(1))
+		node, s, err := ts.solveBounded(comp, 0)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -101,6 +100,9 @@ func (ts *treeSearch) solveChain(comp uint64, pathBits uint64, chain []int, ci i
 	}
 	newPath := pathBits | bit
 	cost := ts.cover(newPath)
+	if cost >= ts.bound {
+		return nil, 0, 0, ErrNoCheaper
+	}
 	rest := comp &^ bit
 	subs := ts.components(rest)
 	next := ci + 1
@@ -142,7 +144,7 @@ func (ts *treeSearch) solveChain(comp uint64, pathBits uint64, chain []int, ci i
 		subs = append(subs[:chainSub], subs[chainSub+1:]...)
 	}
 	for _, sub := range subs {
-		node, s, err := ts.solveComponent(sub, newPath, math.Inf(1))
+		node, s, err := ts.solveBounded(sub, newPath)
 		if err != nil {
 			return nil, 0, 0, err
 		}

@@ -255,11 +255,7 @@ func (s *Server) Stats() *Stats {
 		CacheEntries:  cs.Entries,
 		OpenSnapshots: s.db.OpenSnapshots(),
 		Version:       s.db.Version(),
-
-		PlansGreedy:    cs.GreedyPlans,
-		PlanEscalated:  cs.Escalations,
-		PlanFallbacks:  cs.BudgetFallbacks,
-		PlanPromotions: cs.Promotions,
+		PlanFallbacks: cs.BudgetFallbacks,
 	}
 	if total := cs.Hits + cs.Misses; total > 0 {
 		st.CacheHitRate = float64(cs.Hits) / float64(total)

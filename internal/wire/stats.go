@@ -137,12 +137,7 @@ type Stats struct {
 	OpenSnapshots int     `json:"open_snapshots"`
 	Version       uint64  `json:"version"` // database write version
 
-	// Planner tier counters: plans served by the greedy heuristic,
-	// escalations to the exhaustive search, exhaustive searches that fell
-	// back to the greedy tree on budget exhaustion, and background plan
-	// promotions that swapped a hot greedy plan for a cheaper one.
-	PlansGreedy    uint64 `json:"plans_greedy"`
-	PlanEscalated  uint64 `json:"plan_escalated"`
-	PlanFallbacks  uint64 `json:"plan_fallbacks"`
-	PlanPromotions uint64 `json:"plan_promotions"`
+	// PlanFallbacks counts f-tree searches that exhausted their exploration
+	// budget and kept the greedy tree.
+	PlanFallbacks uint64 `json:"plan_fallbacks"`
 }

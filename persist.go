@@ -59,22 +59,15 @@ func persistableEnc(key string, st *Stmt, states map[string]*delta.State) (store
 	if st == nil || key == "" || len(st.psels) > 0 || st.snap != nil {
 		return store.Enc{}, false
 	}
-	p := st.plan.Load()
-	if p == nil {
-		return store.Enc{}, false
-	}
-	d := p.data.Load()
-	if d == nil || len(d.vers) != len(p.inputs) {
-		return store.Enc{}, false
-	}
+	d := st.data.Load()
 	d.mu.Lock()
 	enc := d.enc
 	d.mu.Unlock()
 	if enc == nil {
 		return store.Enc{}, false
 	}
-	inputs := make([]store.Input, len(p.inputs))
-	for i, in := range p.inputs {
+	inputs := make([]store.Input, len(st.inputs))
+	for i, in := range st.inputs {
 		s, ok := states[in.store.Name]
 		if !ok || s.Ver != d.vers[i] {
 			return store.Enc{}, false
@@ -148,23 +141,23 @@ func newFromStore(f *store.File) (*DB, error) {
 // — because the arena is wired to the stored tree's pre-order; any mismatch
 // means the plan must build normally. The returned enc is a view: its arena
 // stays in the snapshot file.
-func (st *Stmt) adoptSaved(p *stmtPlan, d *stmtData) *frep.Enc {
+func (st *Stmt) adoptSaved(d *stmtData) *frep.Enc {
 	if st.fp == "" || st.snap != nil || len(st.psels) > 0 {
 		return nil
 	}
 	ae := st.db.adopted[st.fp]
-	if ae == nil || len(ae.inputs) != len(p.inputs) || len(d.vers) != len(p.inputs) {
+	if ae == nil || len(ae.inputs) != len(st.inputs) || len(d.vers) != len(st.inputs) {
 		return nil
 	}
-	for i := range p.inputs {
-		if ae.inputs[i].Name != p.inputs[i].store.Name || ae.inputs[i].Ver != d.vers[i] {
+	for i := range st.inputs {
+		if ae.inputs[i].Name != st.inputs[i].store.Name || ae.inputs[i].Ver != d.vers[i] {
 			return nil
 		}
 	}
-	if !treesAdoptable(ae.enc.Tree, p.tree) {
+	if !treesAdoptable(ae.enc.Tree, st.tree) {
 		return nil
 	}
-	return ae.enc.ReTree(p.tree.Clone())
+	return ae.enc.ReTree(st.tree.Clone())
 }
 
 // treesAdoptable reports whether an encoding over tree a may be viewed over

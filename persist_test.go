@@ -105,7 +105,7 @@ func TestOpenedSnapshotAdoptsEnc(t *testing.T) {
 	}
 	adoptedOne := false
 	for _, ce := range db2.cache.entries() {
-		d := ce.stmt.plan.Load().data.Load()
+		d := ce.stmt.data.Load()
 		if d == nil {
 			continue
 		}

@@ -2,243 +2,51 @@ package fdb
 
 import (
 	"errors"
-	"math"
-	"sync/atomic"
 
 	"repro/internal/ftree"
 	"repro/internal/opt"
 	"repro/internal/relation"
 )
 
-// PlannerMode selects how statements pick their f-tree.
-type PlannerMode int32
+// planBudget caps the partial trees one f-tree search may explore before the
+// greedy tree stands. Sized by measurement (internal/opt on length-n chain
+// joins, incumbent-bounded search as planTree runs it, one core): a search
+// node costs one fractional-edge-cover LP per candidate root, so its price
+// grows with the query's width — ~13 µs at 6 relations, ~37 µs at 16, ~125 µs
+// at 24. Queries of up to 10 relations finish inside the budget (chain-6: 16
+// nodes, 0.2 ms; chain-10: 480 nodes, 5 ms); wider ones are cut off at 512
+// nodes, which bounds cold planning to ~19 ms at 16 relations and ~65 ms at
+// 24, next to 0.4 s and "minutes" for the unbudgeted search.
+const planBudget = 512
 
-const (
-	// PlannerAuto (the default) plans greedily and escalates to the
-	// exhaustive search only when the greedy cost exceeds the threshold;
-	// hot cached plans are re-optimised in the background (promotion).
-	PlannerAuto PlannerMode = iota
-	// PlannerGreedy always uses the polynomial greedy heuristic.
-	PlannerGreedy
-	// PlannerExhaustive always runs the branch-and-bound search, keeping
-	// the greedy tree only when the search blows its exploration budget.
-	PlannerExhaustive
-)
+// costEps separates "strictly cheaper" from cover-LP rounding noise.
+const costEps = 1e-9
 
-const (
-	// defaultPlannerThreshold is the greedy cost s(T) above which the auto
-	// tier escalates to exhaustive search. Typical OLTP-shaped joins cost
-	// at most 2 (one shared branch), where greedy is near-exact; costlier
-	// trees are wide enough that a better shape repays the search.
-	defaultPlannerThreshold = 2.5
-	// defaultPromoteAfter is the number of plan-cache hits after which a
-	// greedily planned statement is re-optimised in the background.
-	defaultPromoteAfter = 32
-)
-
-// plannerCounters tallies tier-policy decisions; exposed via CacheStats.
-type plannerCounters struct {
-	greedy      atomic.Uint64 // statements carrying a greedy-planned tree
-	escalations atomic.Uint64 // exhaustive searches attempted
-	fallbacks   atomic.Uint64 // budget blowups answered with the greedy tree
-	promotions  atomic.Uint64 // background re-optimisations that swapped a plan
-}
-
-// SetPlannerMode selects the planning tier for statements compiled from now
-// on (cached plans keep the tree they were compiled with). Safe to call
-// concurrently with running queries.
-func (db *DB) SetPlannerMode(m PlannerMode) { db.plannerMode.Store(int32(m)) }
-
-// PlannerMode returns the current planning tier.
-func (db *DB) PlannerMode() PlannerMode { return PlannerMode(db.plannerMode.Load()) }
-
-// SetPlannerBudget caps the number of partial trees one exhaustive search
-// may explore before it gives up and the greedy tree stands; n <= 0
-// restores the default (2e6). Exploration-budget exhaustion is never a
-// query error: it only pins the statement to its greedy plan.
-func (db *DB) SetPlannerBudget(n int) {
-	if n < 0 {
-		n = 0
+// planTree is the planning policy — the one function that decides a
+// statement's f-tree, for the free search (empty chain) and for the
+// order-constrained one (chain: the ORDER BY key classes forced to the
+// pre-order front) alike. The polynomial greedy tree is the incumbent; the
+// exhaustive search then runs under the node budget, pruned by the
+// incumbent's cost, and its tree is adopted only when strictly cheaper.
+// Ties keep the greedy tree: equal cost buys nothing, and a statement's
+// tree stays a function of the query alone rather than of which search
+// happened to finish. Budget exhaustion is counted and keeps the
+// incumbent — opt.ErrBudget never escapes; opt.ErrOrderIncompatible does
+// (the caller falls back to heap-sorted retrieval).
+func (db *DB) planTree(classes, schemas []relation.AttrSet, chain []int) (*ftree.T, float64, error) {
+	tr, cost, err := opt.GreedyFTreeOrdered(classes, schemas, chain)
+	if err != nil {
+		return nil, 0, err
 	}
-	db.plannerBudget.Store(int64(n))
-}
-
-// SetPlannerThreshold sets the greedy cost s(T) above which PlannerAuto
-// escalates to the exhaustive search; v <= 0 restores the default (2.5).
-func (db *DB) SetPlannerThreshold(v float64) {
-	if v <= 0 || math.IsNaN(v) {
-		v = 0
+	best, bestCost, err := opt.OptimalFTreeOrdered(classes, schemas, chain,
+		opt.TreeSearchOptions{Budget: db.planBudget, Below: cost - costEps})
+	switch {
+	case err == nil:
+		return best, bestCost, nil
+	case errors.Is(err, opt.ErrBudget):
+		db.budgetFallbacks.Add(1)
+	case !errors.Is(err, opt.ErrNoCheaper):
+		return nil, 0, err
 	}
-	db.plannerThreshold.Store(math.Float64bits(v))
-}
-
-// SetPlannerPromoteAfter sets the number of plan-cache hits after which a
-// greedily planned statement re-optimises in the background (default 32);
-// n < 0 disables promotion, n == 0 restores the default.
-func (db *DB) SetPlannerPromoteAfter(n int) {
-	if n < 0 {
-		n = -1
-	}
-	db.plannerPromote.Store(int64(n))
-}
-
-func (db *DB) plannerBudgetOpts() opt.TreeSearchOptions {
-	return opt.TreeSearchOptions{Budget: int(db.plannerBudget.Load())}
-}
-
-func (db *DB) plannerThresholdValue() float64 {
-	if bits := db.plannerThreshold.Load(); bits != 0 {
-		return math.Float64frombits(bits)
-	}
-	return defaultPlannerThreshold
-}
-
-func (db *DB) plannerPromoteAfter() int64 {
-	switch n := db.plannerPromote.Load(); {
-	case n < 0:
-		return 0 // disabled
-	case n == 0:
-		return defaultPromoteAfter
-	default:
-		return n
-	}
-}
-
-// planTree picks a statement's f-tree through the tier policy: greedy by
-// default, escalating to the budgeted exhaustive search when the greedy
-// cost crosses the threshold (or when forced by PlannerExhaustive), and
-// keeping the greedy tree whenever the search exhausts its budget. The
-// returned flag reports whether the chosen tree came from the greedy tier
-// (and is therefore a promotion candidate). opt.ErrBudget never escapes.
-func (db *DB) planTree(classes, schemas []relation.AttrSet) (*ftree.T, float64, bool, error) {
-	switch db.PlannerMode() {
-	case PlannerExhaustive:
-		db.pstats.escalations.Add(1)
-		tr, cost, err := opt.OptimalFTree(classes, schemas, db.plannerBudgetOpts())
-		if err == nil {
-			return tr, cost, false, nil
-		}
-		if !errors.Is(err, opt.ErrBudget) {
-			return nil, 0, false, err
-		}
-		db.pstats.fallbacks.Add(1)
-		tr, cost, err = opt.GreedyFTree(classes, schemas)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		db.pstats.greedy.Add(1)
-		return tr, cost, true, nil
-	case PlannerGreedy:
-		tr, cost, err := opt.GreedyFTree(classes, schemas)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		db.pstats.greedy.Add(1)
-		return tr, cost, true, nil
-	default:
-		tr, cost, err := opt.GreedyFTree(classes, schemas)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		if cost <= db.plannerThresholdValue()+1e-9 {
-			db.pstats.greedy.Add(1)
-			return tr, cost, true, nil
-		}
-		db.pstats.escalations.Add(1)
-		ot, ocost, oerr := opt.OptimalFTree(classes, schemas, db.plannerBudgetOpts())
-		if oerr == nil {
-			if ocost < cost-1e-9 {
-				return ot, ocost, false, nil
-			}
-			// The greedy tree already is optimal; keep it, but not as a
-			// promotion candidate — re-optimising cannot improve it.
-			return tr, cost, false, nil
-		}
-		if !errors.Is(oerr, opt.ErrBudget) {
-			return nil, 0, false, oerr
-		}
-		db.pstats.fallbacks.Add(1)
-		db.pstats.greedy.Add(1)
-		return tr, cost, true, nil
-	}
-}
-
-// planOrderedTree is planTree for the order-constrained search (the ORDER
-// BY key-class chain forced to the pre-order front). opt.ErrBudget never
-// escapes — the greedy-ordered tree stands in; opt.ErrOrderIncompatible
-// propagates to the caller, which falls back to heap-sorted retrieval.
-func (db *DB) planOrderedTree(classes, schemas []relation.AttrSet, chain []int) (*ftree.T, float64, bool, error) {
-	switch db.PlannerMode() {
-	case PlannerExhaustive:
-		db.pstats.escalations.Add(1)
-		tr, cost, err := opt.OptimalFTreeOrdered(classes, schemas, chain, db.plannerBudgetOpts())
-		if err == nil {
-			return tr, cost, false, nil
-		}
-		if !errors.Is(err, opt.ErrBudget) {
-			return nil, 0, false, err
-		}
-		db.pstats.fallbacks.Add(1)
-		tr, cost, err = opt.GreedyFTreeOrdered(classes, schemas, chain)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		db.pstats.greedy.Add(1)
-		return tr, cost, true, nil
-	case PlannerGreedy:
-		tr, cost, err := opt.GreedyFTreeOrdered(classes, schemas, chain)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		db.pstats.greedy.Add(1)
-		return tr, cost, true, nil
-	default:
-		tr, cost, err := opt.GreedyFTreeOrdered(classes, schemas, chain)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		if cost <= db.plannerThresholdValue()+1e-9 {
-			db.pstats.greedy.Add(1)
-			return tr, cost, true, nil
-		}
-		db.pstats.escalations.Add(1)
-		ot, ocost, oerr := opt.OptimalFTreeOrdered(classes, schemas, chain, db.plannerBudgetOpts())
-		if oerr == nil {
-			if ocost < cost-1e-9 {
-				return ot, ocost, false, nil
-			}
-			return tr, cost, false, nil
-		}
-		if !errors.Is(oerr, opt.ErrBudget) {
-			return nil, 0, false, oerr
-		}
-		db.pstats.fallbacks.Add(1)
-		db.pstats.greedy.Add(1)
-		return tr, cost, true, nil
-	}
-}
-
-// maybePromote is called on every plan-cache hit: once a greedily planned,
-// unpinned statement crosses the promotion threshold, one background
-// re-optimisation runs and — if the exhaustive search finds a strictly
-// cheaper tree — swaps the statement's whole plan atomically. In-flight
-// executions keep the plan they loaded; the swap reuses the incremental-
-// refresh machinery, so the promoted plan's snapshots stay current the
-// same way the original's did.
-func (db *DB) maybePromote(st *Stmt) {
-	if db.PlannerMode() != PlannerAuto {
-		return // forced tiers stay forced; only auto re-optimises behind the scenes
-	}
-	p := st.plan.Load()
-	if p == nil || !p.greedy || st.snap != nil {
-		return
-	}
-	n := db.plannerPromoteAfter()
-	if n == 0 || st.hits.Add(1) < uint64(n) {
-		return
-	}
-	if !st.promoting.CompareAndSwap(false, true) {
-		return
-	}
-	go st.promote()
+	return tr, cost, nil
 }

@@ -1,16 +1,21 @@
 package fdb
 
 import (
+	"errors"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
-	"time"
+
+	"repro/internal/core"
+	"repro/internal/opt"
+	"repro/internal/relation"
 )
 
 // skewDB builds a three-relation join whose greedy f-tree costs s=2 while
 // the exhaustive optimum costs s=1 — the smallest known instance (drawn
-// from the random-schema corpus) where the tiers genuinely disagree, so it
-// exercises escalation and promotion for real.
+// from the random-schema corpus) where the two searches genuinely disagree,
+// so the planning policy has a strictly cheaper tree to find.
 func skewDB(t *testing.T) *DB {
 	t.Helper()
 	db := New()
@@ -63,222 +68,240 @@ func sortedRows(t *testing.T, res *Result) []string {
 	return out
 }
 
-// TestPlannerTiersDisagreeOnCostAgreeOnRows: the two planning tiers pick
-// genuinely different trees on the skew query (cost 2 vs 1) and must still
-// produce identical rows.
-func TestPlannerTiersDisagreeOnCostAgreeOnRows(t *testing.T) {
+// skewTrees returns the skew query's attribute classes and relation schemas
+// — what prepareSpec hands planTree — for comparing against opt directly.
+func skewTrees(t *testing.T, db *DB) (classes, schemas []relation.AttrSet) {
+	t.Helper()
+	q := &core.Query{Equalities: []core.Equality{
+		{A: "r2.x5", B: "r3.x9"}, {A: "r3.x1", B: "r2.x7"}, {A: "r1.x6", B: "r1.x8"},
+		{A: "r3.x4", B: "r1.x3"}, {A: "r3.x4", B: "r1.x6"},
+	}}
+	for _, name := range []string{"r1", "r2", "r3"} {
+		r, ok := db.Relation(name)
+		if !ok {
+			t.Fatalf("relation %s missing", name)
+		}
+		q.Relations = append(q.Relations, r)
+	}
+	return q.Classes(), q.Schemas()
+}
+
+// TestPlanAdoptsStrictlyCheaperTree: the policy serves the optimum from the
+// very first Prepare — no warm-up, no cache hits — on every compile surface,
+// with the rows the greedy tree would have produced.
+func TestPlanAdoptsStrictlyCheaperTree(t *testing.T) {
 	db := skewDB(t)
-	db.SetPlannerMode(PlannerGreedy)
-	gst, err := db.Prepare(skewClauses()...)
+	classes, schemas := skewTrees(t, db)
+	_, gcost, err := opt.GreedyFTree(classes, schemas)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.SetPlannerMode(PlannerExhaustive)
-	est, err := db.Prepare(skewClauses()...)
+	if gcost != 2 {
+		t.Fatalf("skew query lost its skew: greedy cost %v, want 2", gcost)
+	}
+	st, err := db.Prepare(skewClauses()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gst.GreedyPlanned() || est.GreedyPlanned() {
-		t.Fatalf("GreedyPlanned: greedy=%v exhaustive=%v", gst.GreedyPlanned(), est.GreedyPlanned())
+	if st.Cost() != 1 {
+		t.Fatalf("first Prepare compiled s(T)=%v, want the optimum 1", st.Cost())
 	}
-	if gst.Cost() <= est.Cost() {
-		t.Fatalf("skew query lost its skew: greedy cost %v <= exhaustive %v", gst.Cost(), est.Cost())
+	cst, err := db.PrepareCached(skewClauses()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cst.Cost() != 1 {
+		t.Fatalf("first PrepareCached compiled s(T)=%v, want 1", cst.Cost())
+	}
+	res, err := st.Exec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := sortedRows(t, res)
+	if len(rows) == 0 {
+		t.Fatal("skew query returned no rows; the fixture is broken")
+	}
+	// The same query pinned to its greedy tree (a search that dies at once).
+	gdb := skewDB(t)
+	gdb.planBudget = 1
+	gst, err := gdb.Prepare(skewClauses()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gst.Cost() != gcost {
+		t.Fatalf("budget-starved Prepare compiled s(T)=%v, want the greedy %v", gst.Cost(), gcost)
 	}
 	gres, err := gst.Exec()
 	if err != nil {
 		t.Fatal(err)
 	}
-	eres, err := est.Exec()
-	if err != nil {
-		t.Fatal(err)
+	if got := sortedRows(t, gres); strings.Join(got, "\n") != strings.Join(rows, "\n") {
+		t.Fatalf("greedy and optimal trees disagree on rows:\ngreedy:\n%s\noptimal:\n%s",
+			strings.Join(got, "\n"), strings.Join(rows, "\n"))
 	}
-	grows, erows := sortedRows(t, gres), sortedRows(t, eres)
-	if len(grows) == 0 {
-		t.Fatal("skew query returned no rows; the fixture is broken")
-	}
-	if strings.Join(grows, "\n") != strings.Join(erows, "\n") {
-		t.Fatalf("planner tiers disagree on rows:\ngreedy:\n%s\nexhaustive:\n%s",
-			strings.Join(grows, "\n"), strings.Join(erows, "\n"))
-	}
-	cs := db.CacheStats()
-	if cs.GreedyPlans == 0 || cs.Escalations == 0 {
-		t.Fatalf("counters missed the tiers: %+v", cs)
+	if cs := db.CacheStats(); cs.BudgetFallbacks != 0 {
+		t.Fatalf("default budget fell back on a three-relation query: %+v", cs)
 	}
 }
 
-// TestBudgetExhaustionNeverErrors is the regression test for the
-// prepareSpec bug: a query wide enough to blow the exploration budget must
-// fall back to the greedy tree, never surface opt.ErrBudget.
+// TestPlanTiesKeepGreedyTree: when the search cannot get strictly below the
+// greedy cost the statement keeps the greedy tree itself, not an
+// equal-cost sibling — the property benchmark/'s frozen shadow check
+// (opt.GreedyFTree == Stmt.FTree()) relies on.
+func TestPlanTiesKeepGreedyTree(t *testing.T) {
+	db, clauses, classes, schemas := chainDB(t, 5)
+	gt, gcost, err := opt.GreedyFTree(classes, schemas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ocost, err := opt.OptimalFTree(classes, schemas, opt.TreeSearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gcost != ocost {
+		t.Fatalf("chain-5: greedy %v vs optimal %v, want a tie", gcost, ocost)
+	}
+	st, err := db.Prepare(clauses...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.FTree() != gt.String() {
+		t.Fatalf("tie did not keep the greedy tree:\ncompiled:\n%s\ngreedy:\n%s", st.FTree(), gt)
+	}
+	if cs := db.CacheStats(); cs.BudgetFallbacks != 0 {
+		t.Fatalf("chain-5 search blew the default budget: %+v", cs)
+	}
+}
+
+// chainDB builds the length-n chain join R1.B=R2.A, R2.B=R3.A, … over a few
+// tuples per relation, and its classes/schemas for opt.
+func chainDB(t *testing.T, n int) (*DB, []Clause, []relation.AttrSet, []relation.AttrSet) {
+	t.Helper()
+	db := New()
+	q := &core.Query{}
+	var from []string
+	for i := 1; i <= n; i++ {
+		name := fmt.Sprintf("R%d", i)
+		db.MustCreate(name, "A", "B")
+		for j := 1; j <= 3; j++ {
+			db.MustInsert(name, j, j%2+1)
+		}
+		from = append(from, name)
+		r, _ := db.Relation(name)
+		q.Relations = append(q.Relations, r)
+	}
+	clauses := []Clause{From(from...)}
+	for i := 1; i < n; i++ {
+		a, b := fmt.Sprintf("R%d.B", i), fmt.Sprintf("R%d.A", i+1)
+		clauses = append(clauses, Eq(a, b))
+		q.Equalities = append(q.Equalities, core.Equality{A: relation.Attribute(a), B: relation.Attribute(b)})
+	}
+	return db, clauses, q.Classes(), q.Schemas()
+}
+
+// TestWidePrepareStopsAtBudget: a 24-relation chain would take the
+// unbudgeted search minutes; Prepare must give up after planBudget nodes,
+// count the fallback and serve the greedy tree — never an error.
+func TestWidePrepareStopsAtBudget(t *testing.T) {
+	db, clauses, classes, schemas := chainDB(t, 24)
+	gt, gcost, err := opt.GreedyFTree(classes, schemas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The search planTree runs really does need more than the budget here.
+	if _, _, err := opt.OptimalFTree(classes, schemas,
+		opt.TreeSearchOptions{Budget: planBudget, Below: gcost - costEps}); !errors.Is(err, opt.ErrBudget) {
+		t.Fatalf("chain-24 search under planBudget = %v, want ErrBudget", err)
+	}
+	st, err := db.Prepare(clauses...)
+	if err != nil {
+		t.Fatalf("wide Prepare: %v", err)
+	}
+	if st.FTree() != gt.String() || st.Cost() != gcost {
+		t.Fatalf("budget fallback did not keep the greedy tree (cost %v vs %v)", st.Cost(), gcost)
+	}
+	if cs := db.CacheStats(); cs.BudgetFallbacks != 1 {
+		t.Fatalf("BudgetFallbacks = %d, want 1", cs.BudgetFallbacks)
+	}
+	if _, err := st.Exec(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBudgetExhaustionNeverErrors: with a budget every search blows at
+// once, no compile surface may surface opt.ErrBudget — for the free search
+// and for the order-constrained one — and results stay right and ordered.
 func TestBudgetExhaustionNeverErrors(t *testing.T) {
-	for _, mode := range []PlannerMode{PlannerAuto, PlannerExhaustive} {
-		db := skewDB(t)
-		db.SetPlannerMode(mode)
-		db.SetPlannerBudget(1)      // any search dies immediately
-		db.SetPlannerThreshold(0.5) // auto: every plan escalates
-		res, err := db.Query(skewClauses()...)
+	want, err := skewDB(t).Query(skewClauses()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows := strings.Join(sortedRows(t, want), "\n")
+
+	db := skewDB(t)
+	db.planBudget = 1
+	if _, err := db.Prepare(skewClauses()...); err != nil {
+		t.Fatalf("Prepare: budget exhaustion escaped: %v", err)
+	}
+	if _, err := db.PrepareCached(skewClauses(Cmp("r2.x2", GE, Param("n")))...); err != nil {
+		t.Fatalf("PrepareCached: budget exhaustion escaped: %v", err)
+	}
+	res, err := db.Query(skewClauses()...)
+	if err != nil {
+		t.Fatalf("Query: budget exhaustion escaped: %v", err)
+	}
+	if strings.Join(sortedRows(t, res), "\n") != wantRows {
+		t.Fatal("fallback plan changed the result")
+	}
+	free := db.CacheStats().BudgetFallbacks
+	if free != 3 {
+		t.Fatalf("BudgetFallbacks = %d after three free searches, want 3", free)
+	}
+
+	// Ordered: on the skew query no reordering of the free tree streams
+	// r2.x2, so prepareSpec runs the order-constrained search too.
+	for name, compile := range map[string]func(...Clause) (*Result, error){
+		"Query": db.Query,
+		"Prepare": func(cs ...Clause) (*Result, error) {
+			st, err := db.Prepare(cs...)
+			if err != nil {
+				return nil, err
+			}
+			return st.Exec()
+		},
+		"PrepareCached": func(cs ...Clause) (*Result, error) {
+			st, err := db.PrepareCached(append(cs, Limit(100))...)
+			if err != nil {
+				return nil, err
+			}
+			return st.Exec()
+		},
+	} {
+		before := db.CacheStats().BudgetFallbacks
+		res, err := compile(skewClauses(OrderBy("r2.x2"))...)
 		if err != nil {
-			t.Fatalf("mode %d: budget exhaustion escaped as a query error: %v", mode, err)
+			t.Fatalf("%s: ordered query under budget exhaustion: %v", name, err)
 		}
-		want := skewDB(t)
-		wres, err := want.Query(skewClauses()...)
-		if err != nil {
-			t.Fatal(err)
+		if got := db.CacheStats().BudgetFallbacks - before; got != 2 {
+			t.Fatalf("%s: %d fallbacks, want 2 (free and ordered search)", name, got)
 		}
-		if strings.Join(sortedRows(t, res), "\n") != strings.Join(sortedRows(t, wres), "\n") {
-			t.Fatalf("mode %d: fallback plan changed the result", mode)
+		rows := res.Rows(0)
+		if len(rows) == 0 {
+			t.Fatalf("%s: no rows", name)
 		}
-		cs := db.CacheStats()
-		if cs.BudgetFallbacks == 0 {
-			t.Fatalf("mode %d: fallback not counted: %+v", mode, cs)
+		col := -1
+		for i, a := range res.Schema() {
+			if a == "r2.x2" {
+				col = i
+			}
 		}
-		if cs.GreedyPlans == 0 {
-			t.Fatalf("mode %d: greedy fallback plan not counted: %+v", mode, cs)
+		if col < 0 {
+			t.Fatalf("%s: r2.x2 missing from schema %v", name, res.Schema())
 		}
-	}
-}
-
-// TestBudgetExhaustionOrderedFallsBack: same regression for the
-// order-constrained search (stmt.go used to discard its error wholesale).
-// The ordered query must succeed, stay correctly ordered, and count its
-// fallback.
-func TestBudgetExhaustionOrderedFallsBack(t *testing.T) {
-	db := skewDB(t)
-	db.SetPlannerMode(PlannerExhaustive)
-	db.SetPlannerBudget(1)
-	res, err := db.Query(skewClauses(OrderBy("r2.x2"))...)
-	if err != nil {
-		t.Fatalf("ordered query under budget exhaustion: %v", err)
-	}
-	rows := res.Rows(0)
-	if len(rows) == 0 {
-		t.Fatal("no rows")
-	}
-	col := -1
-	for i, a := range res.Schema() {
-		if a == "r2.x2" {
-			col = i
+		for i := 1; i < len(rows); i++ {
+			if rows[i-1][col] > rows[i][col] {
+				t.Fatalf("%s: rows out of order at %d: %v then %v", name, i, rows[i-1], rows[i])
+			}
 		}
-	}
-	if col < 0 {
-		t.Fatalf("r2.x2 missing from schema %v", res.Schema())
-	}
-	for i := 1; i < len(rows); i++ {
-		if rows[i-1][col] > rows[i][col] {
-			t.Fatalf("rows out of order at %d: %v then %v", i, rows[i-1], rows[i])
-		}
-	}
-	if cs := db.CacheStats(); cs.BudgetFallbacks == 0 {
-		t.Fatalf("ordered fallback not counted: %+v", cs)
-	}
-}
-
-// TestPlanPromotion: after enough plan-cache hits, the greedily planned
-// skew statement is re-optimised in the background and its plan swapped to
-// the strictly cheaper exhaustive tree — same rows, lower cost, counted.
-func TestPlanPromotion(t *testing.T) {
-	db := skewDB(t)
-	db.SetPlannerPromoteAfter(2)
-	before, err := db.Query(skewClauses()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRows := strings.Join(sortedRows(t, before), "\n")
-	// Two cache hits cross the threshold and launch the promotion.
-	for i := 0; i < 2; i++ {
-		if _, err := db.Query(skewClauses()...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for db.CacheStats().Promotions == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("promotion never landed: %+v", db.CacheStats())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	after, err := db.Query(skewClauses()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Join(sortedRows(t, after), "\n"); got != wantRows {
-		t.Fatalf("promotion changed the result:\nbefore:\n%s\nafter:\n%s", wantRows, got)
-	}
-	// The promoted plan is the exhaustive optimum (cost 1 on this query)
-	// and no longer a promotion candidate.
-	st, err := db.PrepareCached(skewClauses()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.GreedyPlanned() {
-		t.Fatal("promoted statement still marked greedy")
-	}
-	if st.Cost() >= 2 {
-		t.Fatalf("promoted cost %v, want the cheaper exhaustive tree", st.Cost())
-	}
-	if cs := db.CacheStats(); cs.Promotions != 1 {
-		t.Fatalf("promotions = %d, want 1: %+v", cs.Promotions, cs)
-	}
-}
-
-// TestPromotionSurvivesWrites: a promoted plan keeps refreshing its inputs
-// incrementally like any other — writes after the swap are visible.
-func TestPromotionSurvivesWrites(t *testing.T) {
-	db := skewDB(t)
-	db.SetPlannerPromoteAfter(1)
-	if _, err := db.Query(skewClauses()...); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Query(skewClauses()...); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for db.CacheStats().Promotions == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("promotion never landed: %+v", db.CacheStats())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	before, err := db.Query(skewClauses()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A fresh joining row through every relation.
-	db.MustInsert("r1", 3, 3, 3)
-	db.MustInsert("r2", 12, 9, 4)
-	db.MustInsert("r3", 9, 3, 4)
-	after, err := db.Query(skewClauses()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Count() != before.Count()+1 {
-		t.Fatalf("promoted statement missed the write: %d != %d+1", after.Count(), before.Count())
-	}
-}
-
-// TestPlannerKnobsClamp: out-of-range knob values restore defaults or
-// disable cleanly rather than wedging the planner.
-func TestPlannerKnobsClamp(t *testing.T) {
-	db := skewDB(t)
-	db.SetPlannerBudget(-5)
-	db.SetPlannerThreshold(-1)
-	db.SetPlannerPromoteAfter(-3) // disables promotion
-	if _, err := db.Query(skewClauses()...); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if _, err := db.Query(skewClauses()...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	time.Sleep(20 * time.Millisecond)
-	if cs := db.CacheStats(); cs.Promotions != 0 {
-		t.Fatalf("disabled promotion still fired: %+v", cs)
-	}
-	if got := db.PlannerMode(); got != PlannerAuto {
-		t.Fatalf("default mode = %v", got)
-	}
-	db.SetPlannerMode(PlannerExhaustive)
-	if got := db.PlannerMode(); got != PlannerExhaustive {
-		t.Fatalf("mode = %v after SetPlannerMode", got)
 	}
 }

@@ -256,34 +256,23 @@ func (r *Result) Where(clauses ...Clause) (*Result, error) {
 		return nil, err
 	}
 	enc := r.enc
-	// Constant selections first (cheapest, Section 4). String constants
-	// resolve through the read-only dictionary path: an equality on an
-	// already-encoded string compiles to a code selection, everything else —
-	// ranges (decoded lexicographic order) and equalities on unseen strings
-	// (empty or pass-through, never a fresh code) — runs as a predicate
-	// selection.
+	// Constant selections first (cheapest, Section 4): a code selection
+	// where classifySel can bake one, a dictionary-order predicate otherwise.
 	for _, sel := range s.sels {
-		if str, isStr := sel.val.(string); isStr {
-			var err error
-			if v, ok := r.db.dict.Lookup(str); ok && (sel.op == fplan.Eq || sel.op == fplan.Ne) {
-				enc, err = fplan.ApplyEnc(fplan.SelectConst{A: sel.attr, Op: sel.op, C: v}, enc)
-			} else {
-				enc, err = fplan.ApplyEnc(fplan.SelectFn{
-					A:     sel.attr,
-					Keep:  r.db.stringSelPred(sel.op, str),
-					Label: fmt.Sprintf("%s %q", sel.op, str),
-				}, enc)
-			}
-			if err != nil {
-				return nil, err
-			}
-			continue
-		}
-		v, err := r.db.encode(sel.val)
+		class, v, err := r.db.classifySel(sel.op, sel.val)
 		if err != nil {
 			return nil, err
 		}
-		enc, err = fplan.ApplyEnc(fplan.SelectConst{A: sel.attr, Op: sel.op, C: v}, enc)
+		if class == selConst {
+			enc, err = fplan.ApplyEnc(fplan.SelectConst{A: sel.attr, Op: sel.op, C: v}, enc)
+		} else {
+			str := sel.val.(string) // compileSpec rejects Param in Where
+			enc, err = fplan.ApplyEnc(fplan.SelectFn{
+				A:     sel.attr,
+				Keep:  r.db.stringSelPred(sel.op, str),
+				Label: fmt.Sprintf("%s %q", sel.op, str),
+			}, enc)
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -145,7 +145,7 @@ func (db *DB) evalSetExpr(e *SetExpr) (*frep.Enc, error) {
 		if len(s.orderBy) > 0 || s.limit >= 0 || s.offset > 0 || s.distinct {
 			return nil, fmt.Errorf("fdb: OrderBy/Limit/Offset/Distinct apply to the combined result; pass them to QuerySet, not a Sub leg")
 		}
-		st, err := db.cachedStmt(s)
+		st, err := db.adhocStmt(s)
 		if err != nil {
 			return nil, err
 		}

@@ -35,12 +35,24 @@ const mergeMaxFrac = 0.25
 // relations' current versions, folding any delta batches committed since
 // the last execution into its sorted snapshots (and, when the change is
 // small, directly into its cached encoded representation) — the compiled
-// plan never recompiles on the query path, though a hot cached statement
-// may be promoted: a background re-optimisation that swaps the whole plan
-// atomically (see maybePromote). A Stmt prepared from a Snapshot is
-// pinned: it keeps reading the snapshot's versions and fails loudly once
+// plan is immutable and never recompiles. A Stmt prepared from a Snapshot
+// is pinned: it keeps reading the snapshot's versions and fails loudly once
 // the snapshot is closed. Exec is safe for concurrent callers.
 type Stmt struct {
+	stmtPlan
+	fp   string    // plan-cache fingerprint; "" when not cached
+	snap *Snapshot // non-nil: pinned to this snapshot's versions
+
+	// data is the one mutable part: refresh publishes successor input
+	// versions atomically, refreshMu serialises that slow path.
+	data      atomic.Pointer[stmtData]
+	refreshMu sync.Mutex
+}
+
+// stmtPlan is a statement's compiled plan: everything Prepare decided,
+// immutable from then on, and shared by value with the statement's pinned
+// derivatives (see pin).
+type stmtPlan struct {
 	db       *DB
 	psels    []paramSel           // parameterised selections, bound at Exec
 	dsels    []dynSel             // string selections resolved per Exec
@@ -53,46 +65,11 @@ type Stmt struct {
 	limit    int                  // result cap; -1: none
 	distinct bool                 // explicit set-semantics normalisation
 	par      int                  // WithParallelism override; 0 = inherit from the DB
-	fp       string               // plan-cache fingerprint; "" when not cached
 
-	// classes and schemas are the query's attribute classes and relation
-	// schemas — data-independent, kept so a background promotion can rerun
-	// the f-tree search without recompiling the spec; ochain is the ORDER
-	// BY key-class chain of ordered statements.
-	classes []relation.AttrSet
-	schemas []relation.AttrSet
-	ochain  []int
-
-	snap *Snapshot // non-nil: pinned to this snapshot's versions
-
-	// plan is the statement's current compiled plan — f-tree, per-input
-	// sort permutations, input data. Promotion publishes successor plans
-	// atomically and each Exec loads the pointer once, so tree, inputs and
-	// data are always observed as one consistent triple. refreshMu
-	// serialises the (slow-path) data refresh.
-	plan      atomic.Pointer[stmtPlan]
-	refreshMu sync.Mutex
-
-	// hits counts plan-cache hits (the promotion trigger); promoting
-	// latches so at most one background re-optimisation runs per statement.
-	hits      atomic.Uint64
-	promoting atomic.Bool
-}
-
-// stmtPlan is one immutable compiled plan of a statement: its f-tree, the
-// per-input sort permutations derived from that tree, the cost model's
-// verdict, and the input data (behind its own atomic pointer: refresh
-// publishes new data within a plan, promotion publishes whole new plans).
-// greedy marks trees produced by the greedy tier — the candidates
-// background promotion re-optimises.
-type stmtPlan struct {
-	tree       *ftree.T
-	inputs     []stmtInput
-	cost       float64 // s(T) of the compiled f-tree
-	streamable bool    // the tree streams the statement's ORDER BY
-	greedy     bool
-
-	data atomic.Pointer[stmtData]
+	tree       *ftree.T    // the f-tree planTree chose
+	inputs     []stmtInput // per-input filters and path-sort permutations for that tree
+	cost       float64     // s(T) of the compiled f-tree
+	streamable bool        // the tree streams the statement's ORDER BY
 }
 
 // stmtInput is one compiled input relation: its backing store, the
@@ -206,12 +183,8 @@ func (db *DB) prepareSpec(s *spec, snap *Snapshot) (*Stmt, error) {
 		rels[i] = snapRelation(st)
 	}
 
-	// Split selections: integer constants (and equalities on already-encoded
-	// strings) are encoded and pre-filtered now; parameters become
-	// placeholders resolved per Exec; string ranges and equalities on unseen
-	// strings become dynamic selections, re-resolved against the dictionary
-	// per Exec — never minting a code for a constant the database has only
-	// ever compared against.
+	// Split selections by classifySel's verdict: constants are pre-filtered
+	// now, parameters and dynamic string selections resolve per Exec.
 	var consts []core.ConstSel
 	var psels []paramSel
 	var dsels []dynSel
@@ -225,31 +198,23 @@ func (db *DB) prepareSpec(s *spec, snap *Snapshot) (*Stmt, error) {
 		return -1, -1, fmt.Errorf("fdb: selection on unknown attribute %q", a)
 	}
 	for _, sel := range s.sels {
-		if p, isParam := sel.val.(ParamValue); isParam {
-			ri, ci, err := locate(sel.attr)
-			if err != nil {
-				return nil, err
-			}
-			psels = append(psels, paramSel{rel: ri, col: ci, op: sel.op, name: p.name})
-			continue
-		}
-		if str, isStr := sel.val.(string); isStr {
-			if v, ok := db.dict.Lookup(str); ok && (sel.op == fplan.Eq || sel.op == fplan.Ne) {
-				consts = append(consts, core.ConstSel{A: sel.attr, Op: sel.op, C: v})
-				continue
-			}
-			ri, ci, err := locate(sel.attr)
-			if err != nil {
-				return nil, err
-			}
-			dsels = append(dsels, dynSel{rel: ri, col: ci, op: sel.op, s: str})
-			continue
-		}
-		v, err := db.encode(sel.val)
+		class, v, err := db.classifySel(sel.op, sel.val)
 		if err != nil {
 			return nil, err
 		}
-		consts = append(consts, core.ConstSel{A: sel.attr, Op: sel.op, C: v})
+		if class == selConst {
+			consts = append(consts, core.ConstSel{A: sel.attr, Op: sel.op, C: v})
+			continue
+		}
+		ri, ci, err := locate(sel.attr)
+		if err != nil {
+			return nil, err
+		}
+		if class == selParam {
+			psels = append(psels, paramSel{rel: ri, col: ci, op: sel.op, name: sel.val.(ParamValue).name})
+		} else {
+			dsels = append(dsels, dynSel{rel: ri, col: ci, op: sel.op, s: sel.val.(string)})
+		}
 	}
 
 	q := &core.Query{Relations: rels, Equalities: s.eqs, Selections: consts, Projection: s.project}
@@ -334,10 +299,8 @@ func (db *DB) prepareSpec(s *spec, snap *Snapshot) (*Stmt, error) {
 			q.Relations[i] = r.Select(filters[i])
 		}
 	}
-	// Tiered planning: greedy by default, exhaustive when the cost model
-	// asks for it, never a budget error (see planTree).
 	classes, schemas := q.Classes(), q.Schemas()
-	tr, cost, greedy, err := db.planTree(classes, schemas)
+	tr, cost, err := db.planTree(classes, schemas, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -360,18 +323,16 @@ func (db *DB) prepareSpec(s *spec, snap *Snapshot) (*Stmt, error) {
 	// Otherwise the statement keeps the optimal tree and retrieval falls back
 	// to a bounded heap at Exec time.
 	streamable := false
-	var ochain []int
 	if len(s.orderBy) > 0 {
-		ochain = orderChain(q, s.orderBy)
 		// A successful reorder is verified against the order property it
 		// claims to establish.
 		streamable = fplan.ReorderForOrder(tr, s.orderBy) && fplan.OrderCompatible(tr, s.orderBy)
 		if !streamable {
-			ot, ocost, ogreedy, oerr := db.planOrderedTree(classes, schemas, ochain)
+			ot, ocost, oerr := db.planTree(classes, schemas, orderChain(classes, s.orderBy))
 			switch {
 			case oerr == nil:
 				if opt.PreferOrdered(cost, ocost, s.limit >= 0) && fplan.ReorderForOrder(ot, s.orderBy) {
-					tr, cost, greedy = ot, ocost, ogreedy
+					tr, cost = ot, ocost
 					streamable = true
 				}
 			case errors.Is(oerr, opt.ErrOrderIncompatible):
@@ -401,7 +362,7 @@ func (db *DB) prepareSpec(s *spec, snap *Snapshot) (*Stmt, error) {
 		inputs[i] = stmtInput{store: stores[i], filter: filters[i], sortIdx: idx, sortAttrs: attrs}
 		vers[i] = states[i].Ver
 	}
-	st := &Stmt{
+	st := &Stmt{snap: snap, stmtPlan: stmtPlan{
 		db:       db,
 		psels:    psels,
 		dsels:    dsels,
@@ -414,14 +375,13 @@ func (db *DB) prepareSpec(s *spec, snap *Snapshot) (*Stmt, error) {
 		limit:    s.limit,
 		distinct: s.distinct,
 		par:      s.par,
-		classes:  classes,
-		schemas:  schemas,
-		ochain:   ochain,
-		snap:     snap,
-	}
-	p := &stmtPlan{tree: tr, inputs: inputs, cost: cost, streamable: streamable, greedy: greedy}
-	p.data.Store(&stmtData{rels: q.Relations, vers: vers})
-	st.plan.Store(p)
+
+		tree:       tr,
+		inputs:     inputs,
+		cost:       cost,
+		streamable: streamable,
+	}}
+	st.data.Store(&stmtData{rels: q.Relations, vers: vers})
 	return st, nil
 }
 
@@ -440,42 +400,18 @@ func (st *Stmt) pin(snap *Snapshot) (*Stmt, error) {
 	if snap.isClosed() {
 		return nil, errSnapshotClosed
 	}
-	ns := &Stmt{
-		db:       st.db,
-		psels:    st.psels,
-		dsels:    st.dsels,
-		params:   st.params,
-		project:  st.project,
-		groupBy:  st.groupBy,
-		aggs:     st.aggs,
-		order:    st.order,
-		offset:   st.offset,
-		limit:    st.limit,
-		distinct: st.distinct,
-		par:      st.par,
-		classes:  st.classes,
-		schemas:  st.schemas,
-		ochain:   st.ochain,
-		snap:     snap,
-	}
-	// One plan load: the pinned statement shares whichever consistent
-	// (tree, inputs) pair is current — promotion of the source statement
-	// can race but never tear. greedy is cleared: a pinned statement is
-	// never cached, so it can never be promoted.
-	p := st.plan.Load()
-	np := &stmtPlan{tree: p.tree, inputs: p.inputs, cost: p.cost, streamable: p.streamable}
-	rels := make([]*relation.Relation, len(p.inputs))
-	vers := make([]uint64, len(p.inputs))
-	for i, in := range p.inputs {
+	ns := &Stmt{stmtPlan: st.stmtPlan, snap: snap}
+	rels := make([]*relation.Relation, len(st.inputs))
+	vers := make([]uint64, len(st.inputs))
+	for i, in := range st.inputs {
 		state, ok := snap.states[in.store.Name]
 		if !ok {
 			return nil, fmt.Errorf("fdb: relation %q created after the snapshot", in.store.Name)
 		}
-		rels[i] = p.resnapInput(i, state)
+		rels[i] = st.resnapInput(i, state)
 		vers[i] = state.Ver
 	}
-	np.data.Store(&stmtData{rels: rels, vers: vers})
-	ns.plan.Store(np)
+	ns.data.Store(&stmtData{rels: rels, vers: vers})
 	return ns, nil
 }
 
@@ -490,10 +426,9 @@ func snapRelation(st *delta.State) *relation.Relation {
 }
 
 // orderChain maps the ORDER BY keys to their attribute-class indices, in key
-// order with repeats dropped — the chain OptimalFTreeOrdered pins to the
+// order with repeats dropped — the chain the ordered search pins to the
 // front of the pre-order walk.
-func orderChain(q *core.Query, keys []frep.OrderKey) []int {
-	classes := q.Classes()
+func orderChain(classes []relation.AttrSet, keys []frep.OrderKey) []int {
 	var chain []int
 	seen := map[int]bool{}
 	for _, k := range keys {
@@ -533,24 +468,18 @@ func (st *Stmt) Aggregates() []string {
 	return out
 }
 
-// Cost returns the cost s(T) of the statement's compiled f-tree (the
-// promoted tree's cost once a background promotion has landed).
-func (st *Stmt) Cost() float64 { return st.plan.Load().cost }
-
-// GreedyPlanned reports whether the statement's current f-tree came from
-// the greedy planning tier (false once escalation or promotion has
-// replaced it with an exhaustively searched tree).
-func (st *Stmt) GreedyPlanned() bool { return st.plan.Load().greedy }
+// Cost returns the cost s(T) of the statement's compiled f-tree.
+func (st *Stmt) Cost() float64 { return st.cost }
 
 // OrderStreamable reports whether the compiled f-tree streams the
 // statement's ORDER BY structurally (no sort; Limit short-circuits). It is
 // trivially false without an OrderBy clause. A projection applied at Exec
 // time can still restructure the tree, in which case retrieval re-checks and
 // may fall back to the bounded-heap sort.
-func (st *Stmt) OrderStreamable() bool { return st.plan.Load().streamable }
+func (st *Stmt) OrderStreamable() bool { return st.streamable }
 
 // FTree renders the statement's compiled f-tree.
-func (st *Stmt) FTree() string { return st.plan.Load().tree.String() }
+func (st *Stmt) FTree() string { return st.tree.String() }
 
 // Exec runs the compiled statement with the given parameter bindings and
 // returns a fresh factorised result. Safe for concurrent callers.
@@ -613,9 +542,9 @@ func (st *Stmt) ExecAggContext(ctx context.Context, args ...NamedArg) (*AggResul
 }
 
 // current reports whether d reflects every input store's current version.
-func (p *stmtPlan) current(d *stmtData) bool {
-	for i := range p.inputs {
-		if p.inputs[i].store.State().Ver != d.vers[i] {
+func (st *Stmt) current(d *stmtData) bool {
+	for i := range st.inputs {
+		if st.inputs[i].store.State().Ver != d.vers[i] {
 			return false
 		}
 	}
@@ -629,40 +558,37 @@ func (p *stmtPlan) current(d *stmtData) bool {
 // linear merge (or re-snapshots wholesale when the history was compacted
 // away), and — for parameter-free statements with a small enough delta —
 // patches the cached encoded representation in place of the next rebuild.
-// Pinned (snapshot-bound) statements never refresh. refresh operates on
-// one plan: a promotion landing concurrently publishes its own fresh data
-// with the new plan, so refreshing the plan an execution already loaded is
-// always consistent.
-func (st *Stmt) refresh(p *stmtPlan) {
+// Pinned (snapshot-bound) statements never refresh.
+func (st *Stmt) refresh() {
 	if st.snap != nil {
 		return
 	}
-	d := p.data.Load()
-	if p.current(d) {
+	d := st.data.Load()
+	if st.current(d) {
 		return
 	}
 	st.refreshMu.Lock()
 	defer st.refreshMu.Unlock()
-	d = p.data.Load()
-	if p.current(d) {
+	d = st.data.Load()
+	if st.current(d) {
 		return
 	}
 	// A consistent cut: no writer commits between the state loads.
-	states := make([]*delta.State, len(p.inputs))
+	states := make([]*delta.State, len(st.inputs))
 	st.db.mu.RLock()
-	for i := range p.inputs {
-		states[i] = p.inputs[i].store.State()
+	for i := range st.inputs {
+		states[i] = st.inputs[i].store.State()
 	}
 	st.db.mu.RUnlock()
 
 	nd := &stmtData{
-		rels: make([]*relation.Relation, len(p.inputs)),
-		vers: make([]uint64, len(p.inputs)),
+		rels: make([]*relation.Relation, len(st.inputs)),
+		vers: make([]uint64, len(st.inputs)),
 	}
-	deltas := make([]fbuild.RelDelta, len(p.inputs))
+	deltas := make([]fbuild.RelDelta, len(st.inputs))
 	resnap := false
 	deltaTuples, totalTuples := 0, 0
-	for i, in := range p.inputs {
+	for i, in := range st.inputs {
 		nd.vers[i] = states[i].Ver
 		if states[i].Ver == d.vers[i] {
 			nd.rels[i] = d.rels[i]
@@ -673,7 +599,7 @@ func (st *Stmt) refresh(p *stmtPlan) {
 		if !ok {
 			// The history below our version was compacted away: rebuild
 			// this input from the new base (the plan stays compiled).
-			nd.rels[i] = p.resnapInput(i, states[i])
+			nd.rels[i] = st.resnapInput(i, states[i])
 			totalTuples += nd.rels[i].Cardinality()
 			resnap = true
 			continue
@@ -696,22 +622,22 @@ func (st *Stmt) refresh(p *stmtPlan) {
 		old := d.enc
 		d.mu.Unlock()
 		if old != nil {
-			if enc, ok, err := fbuild.MergeEnc(nd.rels, p.tree.Clone(), old, deltas); err == nil && ok {
+			if enc, ok, err := fbuild.MergeEnc(nd.rels, st.tree.Clone(), old, deltas); err == nil && ok {
 				nd.enc = enc
 			}
 		}
 	}
-	p.data.Store(nd)
+	st.data.Store(nd)
 }
 
 // resnapInput rebuilds input i's snapshot from a state: dedup, constant
 // pre-filter, path sort — the same pipeline Prepare ran.
-func (p *stmtPlan) resnapInput(i int, state *delta.State) *relation.Relation {
+func (st *Stmt) resnapInput(i int, state *delta.State) *relation.Relation {
 	r := snapRelation(state)
-	if f := p.inputs[i].filter; f != nil {
+	if f := st.inputs[i].filter; f != nil {
 		r = r.Filter(f)
 	}
-	r.SortBy(p.inputs[i].sortAttrs)
+	r.SortBy(st.inputs[i].sortAttrs)
 	return r
 }
 
@@ -820,14 +746,11 @@ func (st *Stmt) buildContext(ctx context.Context, args []NamedArg) (*frep.Enc, e
 		}
 	}
 
-	// One plan load per execution: tree, inputs and data stay mutually
-	// consistent even if a promotion swaps the statement's plan mid-flight.
-	p := st.plan.Load()
-	st.refresh(p)
-	d := p.data.Load()
+	st.refresh()
+	d := st.data.Load()
 
 	if len(st.psels) == 0 && len(st.dsels) == 0 {
-		fr, err := st.cachedEnc(ctx, p, d)
+		fr, err := st.cachedEnc(ctx, d)
 		if err != nil {
 			return nil, err
 		}
@@ -841,16 +764,9 @@ func (st *Stmt) buildContext(ctx context.Context, args []NamedArg) (*frep.Enc, e
 	// stay untouched.
 	byRel := map[int][]execSel{}
 	addSel := func(ri, col int, op fplan.Cmp, val interface{}) error {
-		var pred func(relation.Value) bool
-		if s, isStr := val.(string); isStr {
-			pred = st.db.stringSelPred(op, s)
-		} else {
-			v, err := st.db.encode(val)
-			if err != nil {
-				return err
-			}
-			cs := core.ConstSel{Op: op, C: v}
-			pred = cs.Match
+		pred, err := st.db.selPred(op, val)
+		if err != nil {
+			return err
 		}
 		byRel[ri] = append(byRel[ri], execSel{col: col, pred: pred})
 		return nil
@@ -880,7 +796,7 @@ func (st *Stmt) buildContext(ctx context.Context, args []NamedArg) (*frep.Enc, e
 	// Each Exec gets its own tree: the encoded representation owns it, and
 	// downstream operators derive fresh trees from it. The build is
 	// morsel-parallel when the execution's parallelism allows it.
-	fr, err := fbuild.BuildEncParallelContext(ctx, rels, p.tree.Clone(), st.parallelism())
+	fr, err := fbuild.BuildEncParallelContext(ctx, rels, st.tree.Clone(), st.parallelism())
 	if err != nil {
 		return nil, err
 	}
@@ -890,18 +806,18 @@ func (st *Stmt) buildContext(ctx context.Context, args []NamedArg) (*frep.Enc, e
 // cachedEnc returns d's memoised pre-projection encoding, building it on
 // first use. Encoded representations are immutable, so handing the same
 // *Enc to every Exec at this version is free sharing, not aliasing.
-func (st *Stmt) cachedEnc(ctx context.Context, p *stmtPlan, d *stmtData) (*frep.Enc, error) {
+func (st *Stmt) cachedEnc(ctx context.Context, d *stmtData) (*frep.Enc, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.enc == nil {
 		// A database opened from a snapshot file may hold a pre-built arena
 		// for exactly this plan at exactly these input versions; adopting it
 		// skips the build entirely (the arena stays in the mapped file).
-		if enc := st.adoptSaved(p, d); enc != nil {
+		if enc := st.adoptSaved(d); enc != nil {
 			d.enc = enc
 			return d.enc, nil
 		}
-		enc, err := fbuild.BuildEncParallelContext(ctx, d.rels, p.tree.Clone(), st.parallelism())
+		enc, err := fbuild.BuildEncParallelContext(ctx, d.rels, st.tree.Clone(), st.parallelism())
 		if err != nil {
 			return nil, err
 		}
@@ -920,102 +836,4 @@ func (st *Stmt) applyProject(ctx context.Context, fr *frep.Enc) (*frep.Enc, erro
 		return nil, err
 	}
 	return fplan.ApplyEnc(fplan.Project{Attrs: st.project}, fr)
-}
-
-// promote is the background half of plan promotion: rerun the budgeted
-// exhaustive search over the statement's (data-independent) classes and
-// schemas, and if it finds a strictly cheaper tree, assemble a complete new
-// plan — lifted for group-by, order-checked, inputs re-snapshotted and
-// path-sorted — and swap it in atomically. Every failure mode (budget
-// exhaustion, no improvement, a lost order property) simply keeps the
-// greedy plan; promotion can never break a working statement.
-func (st *Stmt) promote() {
-	db := st.db
-	old := st.plan.Load()
-	db.pstats.escalations.Add(1)
-	tr, cost, err := opt.OptimalFTree(st.classes, st.schemas, db.plannerBudgetOpts())
-	if err != nil {
-		if errors.Is(err, opt.ErrBudget) {
-			db.pstats.fallbacks.Add(1)
-		}
-		return
-	}
-	if len(st.groupBy) > 0 {
-		if err := (fplan.Lift{Attrs: st.groupBy}).ApplyTree(tr); err != nil {
-			return
-		}
-	}
-	streamable := false
-	if len(st.order) > 0 {
-		streamable = fplan.ReorderForOrder(tr, st.order) && fplan.OrderCompatible(tr, st.order)
-		if !streamable {
-			if ot, ocost, oerr := opt.OptimalFTreeOrdered(st.classes, st.schemas, st.ochain, db.plannerBudgetOpts()); oerr == nil &&
-				opt.PreferOrdered(cost, ocost, st.limit >= 0) && fplan.ReorderForOrder(ot, st.order) {
-				tr, cost = ot, ocost
-				streamable = true
-			}
-		}
-		// Never trade the order property away: a promoted plan that stopped
-		// streaming would silently re-introduce the heap sort.
-		if old.streamable && !streamable {
-			return
-		}
-	}
-	if cost >= old.cost-1e-9 {
-		return
-	}
-	np, err := st.assemblePlan(old, tr, cost, streamable)
-	if err != nil {
-		return
-	}
-	st.plan.Store(np)
-	db.pstats.promotions.Add(1)
-}
-
-// assemblePlan compiles the execution half of a plan around a chosen tree:
-// a consistent snapshot cut of the old plan's stores, the baked constant
-// pre-filters, the tree's path sort and per-input sort permutations — the
-// same pipeline prepareSpec runs, re-derived for the new tree.
-func (st *Stmt) assemblePlan(old *stmtPlan, tr *ftree.T, cost float64, streamable bool) (*stmtPlan, error) {
-	states := make([]*delta.State, len(old.inputs))
-	st.db.mu.RLock()
-	for i := range old.inputs {
-		states[i] = old.inputs[i].store.State()
-	}
-	st.db.mu.RUnlock()
-	rels := make([]*relation.Relation, len(old.inputs))
-	vers := make([]uint64, len(old.inputs))
-	for i, in := range old.inputs {
-		r := snapRelation(states[i])
-		if in.filter != nil {
-			r = r.Filter(in.filter)
-		}
-		rels[i] = r
-		vers[i] = states[i].Ver
-	}
-	if err := fbuild.SortFor(rels, tr); err != nil {
-		return nil, err
-	}
-	inputs := make([]stmtInput, len(old.inputs))
-	for i, in := range old.inputs {
-		idx, err := fbuild.SortIndex(rels[i], tr)
-		if err != nil {
-			return nil, err
-		}
-		attrs := make([]relation.Attribute, len(idx))
-		for j, c := range idx {
-			attrs[j] = rels[i].Schema[c]
-		}
-		inputs[i] = stmtInput{store: in.store, filter: in.filter, sortIdx: idx, sortAttrs: attrs}
-	}
-	p := &stmtPlan{tree: tr, inputs: inputs, cost: cost, streamable: streamable}
-	p.data.Store(&stmtData{rels: rels, vers: vers})
-	return p, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
