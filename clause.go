@@ -36,7 +36,6 @@ type spec struct {
 	limit    int // -1: no limit
 	offset   int
 	distinct bool
-	par      int // per-query parallelism override; 0 = inherit from the DB
 }
 
 // selSpec is one selection attr θ value; val is a Go constant (int, int64,
@@ -349,25 +348,3 @@ func (distinctClause) apply(s *spec) error {
 // it exists so queries can state the requirement and so externally-built
 // representations normalise.
 func Distinct() Clause { return distinctClause{} }
-
-type parClause int
-
-func (p parClause) apply(s *spec) error {
-	if s.mode == modeWhere {
-		return fmt.Errorf("fdb: WithParallelism is not allowed in Where/Join")
-	}
-	if p < 1 {
-		return fmt.Errorf("fdb: WithParallelism needs n >= 1, got %d", int(p))
-	}
-	if s.par != 0 {
-		return fmt.Errorf("fdb: WithParallelism given twice")
-	}
-	s.par = int(p)
-	return nil
-}
-
-// WithParallelism fixes the number of workers this query's execution
-// (factorisation build and aggregation) may use, overriding the database
-// default (SetParallelism, itself defaulting to runtime.GOMAXPROCS). n == 1
-// forces the serial code path; results are identical for every n.
-func WithParallelism(n int) Clause { return parClause(n) }

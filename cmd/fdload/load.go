@@ -40,7 +40,6 @@ type config struct {
 	scale    int
 	csvPath  string
 	jsonPath string
-	bench    bool
 	qps      int
 }
 
@@ -196,13 +195,6 @@ func runLoad(cfg config, out io.Writer) (*summary, error) {
 		}
 		if err := os.WriteFile(cfg.jsonPath, append(blob, '\n'), 0o644); err != nil {
 			return nil, err
-		}
-	}
-	if cfg.bench {
-		for _, c := range sum.Cells {
-			// go-bench format so the benchcmp gate parses it directly.
-			fmt.Fprintf(out, "BenchmarkFdloadP99/mix=%s/conns=%d \t 1 \t %.0f ns/op\n",
-				c.Mix, c.Conns, c.P99ms*1e6)
 		}
 	}
 	return sum, nil

@@ -8,11 +8,9 @@
 // any protocol error or divergence fails the run.
 //
 //	fdload -conns 1,4 -mixes read,mixed,snapshot -duration 3s \
-//	       -csv load.csv -json load.json -bench
+//	       -csv load.csv -json load.json
 //
 // With no -addr, fdload starts its own server in-process on a free port.
-// -bench additionally emits `BenchmarkFdloadP99/mix=<mix>/conns=<n>` lines
-// in go-bench format for the CI tail-latency gate.
 package main
 
 import (
@@ -35,7 +33,6 @@ func main() {
 	flag.IntVar(&cfg.scale, "scale", 1, "retailer workload scale")
 	flag.StringVar(&cfg.csvPath, "csv", "", "write per-cell results as CSV to this file")
 	flag.StringVar(&cfg.jsonPath, "json", "", "write the summary as JSON to this file")
-	flag.BoolVar(&cfg.bench, "bench", false, "emit go-bench p99 lines for the CI latency gate")
 	flag.IntVar(&cfg.qps, "qps", 0, "per-worker target ops/sec (0: unthrottled)")
 	flag.Parse()
 

@@ -464,12 +464,6 @@ func (db *DB) fingerprint(s *spec) (string, []string, error) {
 		sort.Strings(ssels)
 		key = key + "|ssels " + strings.Join(ssels, ",")
 	}
-	// A per-query parallelism override is carried on the compiled statement,
-	// so it is part of the plan identity (the tree itself is unaffected, but
-	// a cached plan must not leak one query's override into another).
-	if s.par > 0 {
-		key = fmt.Sprintf("%s|par %d", key, s.par)
-	}
 	// Ordering participates in planning (the tree is reordered/restructured
 	// so the keys stream) and limit/offset/distinct ride on the compiled
 	// statement, so all four are part of the plan identity.
@@ -529,9 +523,8 @@ func (db *DB) SetPlanCacheCapacity(n int) { db.cache.resize(n) }
 // SetParallelism sets the database-wide execution parallelism: the number
 // of workers query execution (factorisation build and aggregation) may use.
 // n == 1 forces the serial code path; n <= 0 restores the default
-// (runtime.GOMAXPROCS at execution time). Per-query WithParallelism clauses
-// override this setting. Safe to call concurrently with running queries —
-// each execution reads the value once when it starts.
+// (runtime.GOMAXPROCS at execution time). Safe to call concurrently with
+// running queries — each execution reads the value once when it starts.
 func (db *DB) SetParallelism(n int) {
 	if n < 0 {
 		n = 0

@@ -1,10 +1,9 @@
 package fdb_test
 
-// Tracked hot paths for the CI benchmark-regression gate (see
-// cmd/benchcmp and .github/workflows/ci.yml): build, exec and aggregate.
-// BenchmarkCalibrate pins a fixed CPU-bound workload whose time depends
-// only on the machine; benchcmp divides every tracked result by it, so the
-// committed BENCH_baseline.json stays portable across hardware.
+// Micro-benchmarks of the hot paths — build, exec, cold prepare, aggregate —
+// for profiling while working on one of them. They gate nothing: CI runs
+// them once so they cannot rot, and the repo benchmark (benchmark/) is what
+// a change is judged by.
 
 import (
 	"fmt"
@@ -22,32 +21,19 @@ import (
 
 var benchSink int64
 
-// BenchmarkCalibrate is the normalisation yardstick: a fixed integer loop,
-// no allocation, no data dependence. It is excluded from regression
-// tracking itself.
-func BenchmarkCalibrate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var s int64
-		for j := int64(0); j < 30_000_000; j++ {
-			s += j*j ^ (j >> 3)
-		}
-		benchSink = s
-	}
-}
-
 func retailerAggSetup(b *testing.B) (*frep.Enc, []relation.Attribute, []frep.AggSpec) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
 	q := bench.RetailerQuery(rng, 2)
-	groupBy := []relation.Attribute{"s_location"}
+	groupBy := []relation.Attribute{"Stock.location"}
 	fr, err := bench.BuildRep(q, groupBy)
 	if err != nil {
 		b.Fatal(err)
 	}
 	specs := []frep.AggSpec{
 		{Fn: frep.AggCount},
-		{Fn: frep.AggSum, Attr: "o_oid"},
-		{Fn: frep.AggCountDistinct, Attr: "o_item"},
+		{Fn: frep.AggSum, Attr: "Orders.oid"},
+		{Fn: frep.AggCountDistinct, Attr: "Orders.item"},
 	}
 	return fr, groupBy, specs
 }
@@ -58,7 +44,7 @@ func retailerAggSetup(b *testing.B) (*frep.Enc, []relation.Attribute, []frep.Agg
 func BenchmarkBuildRetailer(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	q := bench.RetailerQuery(rng, 2)
-	groupBy := []relation.Attribute{"s_location"}
+	groupBy := []relation.Attribute{"Stock.location"}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -87,9 +73,8 @@ func BenchmarkExecPrepared(b *testing.B) {
 	for i := 0; i < 200; i++ {
 		db.MustInsert("Disp", i%120, rng.Intn(40))
 	}
-	// This benchmark regression-tracks the serial per-exec path against the
-	// committed baseline; the morsel-parallel path (whose profile depends on
-	// the runner's core count) is measured by BenchmarkBuildParallelRetailer
+	// The serial per-exec path; the morsel-parallel path (whose profile
+	// depends on the core count) is measured by BenchmarkBuildParallelRetailer
 	// and BenchmarkAggregateParallelRetailer instead.
 	db.SetParallelism(1)
 	st, err := db.Prepare(
@@ -102,8 +87,7 @@ func BenchmarkExecPrepared(b *testing.B) {
 	}
 	// Warm-up exec outside the timed loop: the first Exec pays one-off lazy
 	// work (dictionary decode tables, snapshot touch-in), which used to make
-	// the recorded ns/op bimodal across hosts. The baseline entry is
-	// recorded against the warmed steady state.
+	// the recorded ns/op bimodal across hosts.
 	if _, err := st.Exec(fdb.Arg("n", 20)); err != nil {
 		b.Fatal(err)
 	}
@@ -121,8 +105,7 @@ func BenchmarkExecPrepared(b *testing.B) {
 // BenchmarkPrepareCold tracks cold statement compilation — greedy incumbent
 // plus the budgeted, incumbent-bounded search — on a six-relation chain
 // join: wide enough that the search has real work, small enough data that
-// Prepare time is planning time. The ad-hoc query hot path, gated against
-// the committed baseline like exec.
+// Prepare time is planning time: the ad-hoc query hot path.
 func BenchmarkPrepareCold(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	db := fdb.New()
@@ -192,7 +175,7 @@ func parallelBuildSetup(b *testing.B) ([]*relation.Relation, *ftree.T) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
 	q := bench.RetailerQuery(rng, 2)
-	fr, err := bench.BuildRep(q, []relation.Attribute{"s_location"})
+	fr, err := bench.BuildRep(q, []relation.Attribute{"Stock.location"})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -16,25 +17,126 @@ import (
 	"repro/internal/relation"
 )
 
-// Exp6Row is one point of Experiment 6: factorised single-pass aggregation
-// versus enumerate-then-fold over the same factorised result.
-type Exp6Row struct {
-	Workload    string // "retailer" or "chain"
-	Scale       int    // retailer scale factor / chain length
-	RepSize     int64  // singletons in the factorised result
-	Tuples      int64  // tuples of the (never materialised) flat result
-	Groups      int
-	FactMS      float64 // one pass over the representation
-	FoldMS      float64 // enumerate the flat result, fold per tuple
-	FoldSkipped bool    // flat result too large to enumerate
-	Speedup     float64 // FoldMS / FactMS (0 when skipped)
+// aggWorkload is one grouped-aggregation workload of Experiments 6 and 8.
+type aggWorkload struct {
+	name    string
+	scale   int // retailer scale factor / chain length
+	query   func(*rand.Rand) *core.Query
+	groupBy []relation.Attribute
+	specs   []frep.AggSpec
+}
+
+// RetailerQuery is gen.Retailer under set semantics, for building below
+// the API (a database establishes them itself).
+func RetailerQuery(rng *rand.Rand, scale int) *core.Query {
+	q := gen.Retailer(rng, scale)
+	for _, r := range q.Relations {
+		r.Dedup()
+	}
+	return q
+}
+
+// aggWorkloads lists the two workloads over their sweeps: the retailer join
+// (per-location order count, oid sum and distinct items) and the chain
+// query of Example 6, whose flat result grows exponentially with the
+// length, so enumerate-then-fold falls off a cliff the factorised pass
+// never sees (100 tuples per relation, values from [1,20]; per-R1.A count
+// and sum of the far endpoint).
+func aggWorkloads(cfg Config, retailer, chain []int) []aggWorkload {
+	var out []aggWorkload
+	for _, scale := range trim(cfg, retailer) {
+		out = append(out, aggWorkload{
+			name: "retailer", scale: scale,
+			query:   func(rng *rand.Rand) *core.Query { return RetailerQuery(rng, scale) },
+			groupBy: []relation.Attribute{"Stock.location"},
+			specs: []frep.AggSpec{
+				{Fn: frep.AggCount},
+				{Fn: frep.AggSum, Attr: "Orders.oid"},
+				{Fn: frep.AggCountDistinct, Attr: "Orders.item"},
+			},
+		})
+	}
+	for _, n := range trim(cfg, chain) {
+		out = append(out, aggWorkload{
+			name: "chain", scale: n,
+			query:   func(rng *rand.Rand) *core.Query { return gen.ChainQuery(rng, n, 100, 20) },
+			groupBy: []relation.Attribute{"R1.A"},
+			specs: []frep.AggSpec{
+				{Fn: frep.AggCount},
+				{Fn: frep.AggSum, Attr: relation.Attribute(fmt.Sprintf("R%d.B", n))},
+			},
+		})
+	}
+	return out
+}
+
+// aggregation is Experiment 6: factorised single-pass aggregation versus
+// enumerate-then-fold over the same factorised result — optimal f-tree,
+// lift of the group-by attributes (as the query compiler does at Prepare
+// time), one build, then both strategies, which must agree exactly. The
+// fold leg is skipped above maxFold flat tuples.
+func aggregation(cfg Config, retailer, chain []int, maxFold int64) (Table, error) {
+	t := Table{Header: []string{
+		"Experiment 6: grouped aggregation on the factorised result — single pass vs enumerate-then-fold",
+		"workload scale frep_size flat_tuples groups fact_ms fold_ms speedup fold_skipped",
+	}}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	for _, w := range aggWorkloads(cfg, retailer, chain) {
+		// frep_size flat_tuples groups fact_ms fold_ms fold_skipped
+		m, err := mean(cfg.Runs, func() ([][]float64, error) { return one(aggregationPoint(w, w.query(rng), maxFold)) })
+		if err != nil {
+			return t, err
+		}
+		r := m[0]
+		skipped := r[5] > 0
+		speedup := 0.0
+		if !skipped {
+			speedup = ratio(r[4], r[3])
+		}
+		t.add("%s %d %d %d %d %.3f %.3f %.1f %v", w.name, w.scale,
+			int64(r[0]), int64(r[1]), int(r[2]), r[3], r[4], speedup, skipped)
+	}
+	return t, nil
+}
+
+// aggregationPoint runs one Experiment 6 measurement.
+func aggregationPoint(w aggWorkload, q *core.Query, maxFold int64) ([]float64, error) {
+	fr, err := BuildRep(q, w.groupBy)
+	if err != nil {
+		return nil, err
+	}
+	tuples := fr.Count()
+	start := time.Now()
+	fact, err := fr.Aggregate(w.groupBy, w.specs)
+	if err != nil {
+		return nil, err
+	}
+	factMS := ms(start)
+	row := []float64{float64(fr.Size()), float64(tuples), float64(len(fact)), factMS, 0, 0}
+	if tuples > maxFold {
+		row[5] = 1
+		return row, nil
+	}
+	start = time.Now()
+	fold := FoldAggregate(fr, w.groupBy, w.specs)
+	row[4] = ms(start)
+	if len(fact) != len(fold) {
+		return nil, fmt.Errorf("bench: exp6 %s/%d: aggregation mismatch: %d vs %d groups", w.name, w.scale, len(fact), len(fold))
+	}
+	for i := range fact {
+		if !slices.Equal(fact[i].Key, fold[i].Key) || !slices.Equal(fact[i].Vals, fold[i].Vals) {
+			return nil, fmt.Errorf("bench: exp6 %s/%d: aggregation mismatch at row %d: %v %v vs %v %v",
+				w.name, w.scale, i, fact[i].Key, fact[i].Vals, fold[i].Key, fold[i].Vals)
+		}
+	}
+	return row, nil
 }
 
 // FoldAggregate is the enumerate-then-fold baseline: it enumerates the
 // flat relation tuple by tuple (over the encoded representation's
 // constant-delay iterator) and folds every aggregate — what a consumer
 // without factorised aggregation is forced to do. Exact (no saturation);
-// used as the reference by Experiment 6 and the aggregate benchmarks.
+// the reference of Experiment 6 and the aggregate benchmarks.
 func FoldAggregate(fr *frep.Enc, groupBy []relation.Attribute, specs []frep.AggSpec) []frep.AggRow {
 	schema := fr.Schema()
 	pos := map[relation.Attribute]int{}
@@ -139,73 +241,6 @@ func aggKeyLess(a, b []relation.Value) bool {
 	return false
 }
 
-// Exp6Config parameterises one Experiment 6 measurement.
-type Exp6Config struct {
-	Scale   int   // retailer scale factor / chain length
-	MaxFold int64 // skip the fold leg above this many flat tuples
-}
-
-// RetailerQuery builds the scaled retailer workload: Orders ⋈item Stock
-// ⋈location Disp with heavy many-to-many links, the analytics shape of the
-// examples. Result tuples grow cubically with the scale while the
-// factorised size stays quasi-linear.
-func RetailerQuery(rng *rand.Rand, scale int) *core.Query {
-	const (
-		items     = 50
-		locations = 40
-	)
-	orders := relation.New("Orders", relation.Schema{"o_oid", "o_item"})
-	for i := 0; i < 500*scale; i++ {
-		orders.Append(relation.Value(i+1), relation.Value(rng.Intn(items)+1))
-	}
-	orders.Dedup()
-	stock := relation.New("Stock", relation.Schema{"s_location", "s_item"})
-	for i := 0; i < 200*scale; i++ {
-		stock.Append(relation.Value(rng.Intn(locations)+1), relation.Value(rng.Intn(items)+1))
-	}
-	stock.Dedup()
-	disp := relation.New("Disp", relation.Schema{"d_dispatcher", "d_location"})
-	for i := 0; i < 100*scale; i++ {
-		disp.Append(relation.Value(rng.Intn(120)+1), relation.Value(rng.Intn(locations)+1))
-	}
-	disp.Dedup()
-	return &core.Query{
-		Relations: []*relation.Relation{orders, stock, disp},
-		Equalities: []core.Equality{
-			{A: "o_item", B: "s_item"},
-			{A: "s_location", B: "d_location"},
-		},
-	}
-}
-
-// Experiment6Retailer measures grouped aggregation (per-location order
-// count, oid sum and distinct items) on the retailer join.
-func Experiment6Retailer(rng *rand.Rand, cfg Exp6Config) (Exp6Row, error) {
-	q := RetailerQuery(rng, cfg.Scale)
-	groupBy := []relation.Attribute{"s_location"}
-	specs := []frep.AggSpec{
-		{Fn: frep.AggCount},
-		{Fn: frep.AggSum, Attr: "o_oid"},
-		{Fn: frep.AggCountDistinct, Attr: "o_item"},
-	}
-	return experiment6(q, "retailer", cfg, groupBy, specs)
-}
-
-// Experiment6Chain measures grouped aggregation on the chain query of
-// Example 6 (length = cfg.Scale): the flat result grows exponentially with
-// the chain length, so enumerate-then-fold falls off a cliff the
-// factorised pass never sees.
-func Experiment6Chain(rng *rand.Rand, cfg Exp6Config) (Exp6Row, error) {
-	n := cfg.Scale
-	q := gen.ChainQuery(rng, n, 100, 20)
-	groupBy := []relation.Attribute{"A1"}
-	specs := []frep.AggSpec{
-		{Fn: frep.AggCount},
-		{Fn: frep.AggSum, Attr: relation.Attribute(fmt.Sprintf("B%d", n))},
-	}
-	return experiment6(q, "chain", cfg, groupBy, specs)
-}
-
 // BuildRep compiles q (optimal f-tree search, then the Prepare-time lift
 // of the group-by attributes above everything else) and builds its
 // factorised representation in the arena-backed encoding — the engine's
@@ -232,55 +267,4 @@ func liftedTree(q *core.Query, groupBy []relation.Attribute) (*ftree.T, error) {
 		}
 	}
 	return tr, nil
-}
-
-// experiment6 runs one measurement: optimal f-tree, lift of the group-by
-// attributes (as the query compiler does at Prepare time), one build, then
-// both aggregation strategies over the same representation.
-func experiment6(q *core.Query, workload string, cfg Exp6Config, groupBy []relation.Attribute, specs []frep.AggSpec) (Exp6Row, error) {
-	row := Exp6Row{Workload: workload, Scale: cfg.Scale}
-	fr, err := BuildRep(q, groupBy)
-	if err != nil {
-		return row, err
-	}
-	row.RepSize = int64(fr.Size())
-	row.Tuples = fr.Count()
-
-	start := time.Now()
-	fact, err := fr.Aggregate(groupBy, specs)
-	if err != nil {
-		return row, err
-	}
-	row.FactMS = float64(time.Since(start).Microseconds()) / 1000
-	row.Groups = len(fact)
-
-	if cfg.MaxFold > 0 && row.Tuples > cfg.MaxFold {
-		row.FoldSkipped = true
-		return row, nil
-	}
-	start = time.Now()
-	fold := FoldAggregate(fr, groupBy, specs)
-	row.FoldMS = float64(time.Since(start).Microseconds()) / 1000
-	if row.FactMS > 0 {
-		row.Speedup = row.FoldMS / row.FactMS
-	}
-	// Sanity: both strategies must agree exactly.
-	if len(fact) != len(fold) {
-		return row, fmt.Errorf("bench: aggregation mismatch: %d vs %d groups", len(fact), len(fold))
-	}
-	for i := range fact {
-		for j := range fact[i].Key {
-			if fact[i].Key[j] != fold[i].Key[j] {
-				return row, fmt.Errorf("bench: aggregation key mismatch at row %d: %v vs %v",
-					i, fact[i].Key, fold[i].Key)
-			}
-		}
-		for j := range fact[i].Vals {
-			if fact[i].Vals[j] != fold[i].Vals[j] {
-				return row, fmt.Errorf("bench: aggregation mismatch in group %v: %v vs %v",
-					fact[i].Key, fact[i].Vals, fold[i].Vals)
-			}
-		}
-	}
-	return row, nil
 }

@@ -1,107 +1,212 @@
 package bench
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
+	fdb "repro"
+	"repro/internal/core"
+	"repro/internal/fplan"
+	"repro/internal/frep"
 	"repro/internal/gen"
+	"repro/internal/opt"
 )
 
-func TestGrocerySmoke(t *testing.T) {
-	q1, q2, joined, err := GrocerySmoke()
+// smoke is the configuration the table-driven tests run under: one run of
+// the first point of every sweep, flat baselines on a short leash.
+var smoke = Config{Seed: 1, Runs: 1, Timeout: 100 * time.Millisecond, smoke: true}
+
+// TestExperiments runs every entry of the table at its smoke grid. The
+// parity prechecks and bars inside the experiments are the assertions; here
+// the table's shape is checked on top: column names, at least one row, rows
+// equally wide.
+func TestExperiments(t *testing.T) {
+	for _, e := range Experiments {
+		t.Run(fmt.Sprintf("%d/%s", e.ID, e.Title), func(t *testing.T) {
+			tab, err := e.Run(smoke)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(tab.Header) == 0 || len(tab.Rows) == 0 {
+				t.Fatalf("empty table: %d header lines, %d rows", len(tab.Header), len(tab.Rows))
+			}
+			for _, row := range tab.Rows {
+				if len(row) == 0 || len(row) != len(tab.Rows[0]) {
+					t.Fatalf("ragged table: row %v beside row %v", row, tab.Rows[0])
+				}
+			}
+		})
+	}
+}
+
+// TestMissedBarFailsRun injects bars no engine can meet: the experiments
+// must come back with an error (which fdbench turns into a non-zero exit),
+// not with a table.
+func TestMissedBarFailsRun(t *testing.T) {
+	if _, err := treeSearch(smoke, []int{1}, []int{4}, 1, 0.5); err == nil {
+		t.Error("experiment 13 passed a cost-ratio bar below 1")
+	}
+	// The speedup bar applies from scale 4 on.
+	if _, err := setAlgebra(smoke, []int{4}, 1e9); err == nil {
+		t.Error("experiment 14 passed a 1e9x speedup bar")
+	}
+}
+
+// TestFoldCap: above the cap the fold leg must be skipped, not enumerated
+// forever, and the factorised leg still reports.
+func TestFoldCap(t *testing.T) {
+	tab, err := aggregation(smoke, nil, []int{6}, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q1 <= 0 || q2 <= 0 || joined <= 0 {
-		t.Fatalf("degenerate sizes: %d %d %d", q1, q2, joined)
+	row := tab.Rows[0]
+	if row[len(row)-1] != "true" || row[4] == "0" {
+		t.Fatalf("fold should have been skipped with groups reported: %v", row)
 	}
 }
 
-func TestVerifyGroceryJoin(t *testing.T) {
-	if err := VerifyGroceryJoin(); err != nil {
-		t.Fatal(err)
+// TestGroceryJoin runs the paper's running example end to end below the API
+// (Examples 1 and 2): Q1 and Q2 factorised, their product joined on item and
+// location by a full-search f-plan, and the result compared with the flat
+// evaluation of the five-way join.
+func TestGroceryJoin(t *testing.T) {
+	rels, _ := gen.Grocery()
+	full := &core.Query{
+		Relations: rels,
+		Equalities: []core.Equality{
+			{A: "o_item", B: "s_item"},
+			{A: "s_location", B: "d_location"},
+			{A: "p_supplier", B: "v_supplier"},
+			{A: "o_item", B: "p_item"},
+			{A: "s_location", B: "v_location"},
+		},
 	}
-}
-
-func TestExperiment1Small(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	rows := Experiment1(rng, []int{1, 2, 3}, []int{1, 2}, 9, 2)
-	if len(rows) == 0 {
-		t.Fatal("no rows")
-	}
-	for _, r := range rows {
-		if r.Runs == 0 {
-			t.Fatalf("row %+v has no successful runs", r)
-		}
-		if r.AvgS < 1 {
-			t.Fatalf("row %+v has cost below 1", r)
-		}
-	}
-}
-
-func TestExperiment2Small(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	rows := Experiment2(rng, 3, 8, []int{1}, []int{1, 2}, 2)
-	if len(rows) == 0 {
-		t.Fatal("no rows")
-	}
-	for _, r := range rows {
-		if r.Runs == 0 {
-			continue
-		}
-		if r.FullPlanCost > r.GreedyPlanCost+1e-9 {
-			t.Fatalf("full search worse than greedy: %+v", r)
-		}
-	}
-}
-
-func TestExperiment3Point(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	row, err := Experiment3Point(rng, Exp3Config{
-		Relations: 3, Attributes: 9, N: 50, K: 2, M: 20, Dist: gen.Uniform,
-	})
+	want, err := full.EvaluateFlat()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row.FDBSize < 0 || row.FlatSize < 0 {
-		t.Fatalf("bad row: %+v", row)
+	build := func(q *core.Query) *frep.Enc {
+		fr, err := BuildRep(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fr
 	}
-	// The factorised result can never have more singletons than the flat
-	// result has data elements.
-	if row.FlatSize > 0 && row.FDBSize > row.FlatSize {
-		t.Fatalf("factorised size %d exceeds flat size %d", row.FDBSize, row.FlatSize)
-	}
-}
-
-func TestExperiment4Point(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	row, err := Experiment4Point(rng, Exp4Config{
-		Relations: 3, Attributes: 9, N: 40, K: 2, L: 1, M: 10,
-		Dist: gen.Uniform, MaxFlat: 1_000_000,
-	})
+	f1 := build(&core.Query{Relations: rels[:3], Equalities: full.Equalities[:2]})
+	f2 := build(&core.Query{Relations: rels[3:], Equalities: full.Equalities[2:3]})
+	prod, err := fplan.ProductEnc(f1, f2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row.RDBSkipped {
-		t.Fatal("flat input unexpectedly large")
-	}
-	if !row.EmptyResult && row.FDBSize == 0 {
-		t.Fatal("non-empty result with zero size")
-	}
-}
-
-func TestPreparedVsAdhoc(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	cfg := Exp5Config{Orders: 400, Stock: 200, Disps: 100, Items: 20, Locations: 15, Execs: 20}
-	row, err := PreparedVsAdhoc(rng, cfg)
+	plan, err := opt.ExhaustivePlan(prod.Tree, []opt.Condition{
+		{A: "o_item", B: "p_item"},
+		{A: "s_location", B: "v_location"},
+	}, opt.PlanSearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row.PreparedNS <= 0 || row.AdhocNS <= 0 {
-		t.Fatalf("degenerate timings: %+v", row)
+	joined, err := plan.Plan.ExecuteEnc(context.Background(), prod)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The repeated identical query must be served from the plan cache.
-	if row.CacheHits < uint64(cfg.Execs-1) {
-		t.Fatalf("plan cache hits = %d, want >= %d", row.CacheHits, cfg.Execs-1)
+	if f1.Size() == 0 || f2.Size() == 0 || joined.Size() == 0 {
+		t.Fatalf("degenerate sizes: %d %d %d", f1.Size(), f2.Size(), joined.Size())
+	}
+	if got := joined.Relation("got").Project(want.Schema); !got.Equal(want) {
+		t.Fatalf("factorised grocery join differs from relational result (%d vs %d tuples)",
+			got.Cardinality(), want.Cardinality())
+	}
+}
+
+// retailerDB is the scaled retailer workload behind the micro-benchmarks.
+func retailerDB(b *testing.B, rng *rand.Rand, scale int) (*fdb.DB, []fdb.Clause) {
+	b.Helper()
+	db, join, err := openDB(gen.Retailer(rng, scale))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return db, join
+}
+
+// BenchmarkTopKRetailer times the full ordered top-k query path — prepared
+// Exec (build) plus streaming retrieval of the first K tuples — on the
+// scale-2 retailer join.
+func BenchmarkTopKRetailer(b *testing.B) {
+	db, join := retailerDB(b, rand.New(rand.NewSource(1)), 2)
+	st, err := db.Prepare(with(join, fdb.OrderBy(fdb.Desc("Orders.item"), "Orders.oid"), fdb.Limit(10))...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !st.OrderStreamable() {
+		b.Fatal("top-k leg must stream")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := st.Exec()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n := len(drain(res.Iter())); n != 10 {
+			b.Fatalf("retrieved %d tuples, want 10", n)
+		}
+	}
+}
+
+// BenchmarkInsertBatch measures committing a 100-row batch into the delta
+// store (one version bump, no statement refresh).
+func BenchmarkInsertBatch(b *testing.B) {
+	rng := rand.New(rand.NewSource(10))
+	db, _ := retailerDB(b, rng, 4)
+	next := 500*4 + 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch := make([][]interface{}, 100)
+		for j := range batch {
+			batch[j] = []interface{}{next, rng.Intn(gen.RetailerItems) + 1}
+			next++
+		}
+		if err := db.InsertBatch("Orders", batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMergeDelta measures the incremental statement refresh after a
+// small batch insert: sorted delta merge into the pinned inputs plus the
+// arena-level enc merge, against a warm prepared statement.
+func BenchmarkMergeDelta(b *testing.B) {
+	rng := rand.New(rand.NewSource(10))
+	db, join := retailerDB(b, rng, 4)
+	st, err := db.Prepare(join...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := st.Exec(); err != nil {
+		b.Fatal(err)
+	}
+	next := 500*4 + 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		batch := make([][]interface{}, 20)
+		for j := range batch {
+			batch[j] = []interface{}{next, rng.Intn(gen.RetailerItems) + 1}
+			next++
+		}
+		if err := db.InsertBatch("Orders", batch); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		res, err := st.Exec()
+		if err != nil {
+			b.Fatal(err)
+		}
+		res.Count()
 	}
 }

@@ -3,71 +3,53 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/fbuild"
 	"repro/internal/frep"
-	"repro/internal/gen"
 	"repro/internal/relation"
 )
 
-// Exp8Row is one point of Experiment 8: the morsel-parallel execution paths
-// (build, aggregation, enumeration) at one worker count. Speedups are left
-// to the consumer (cmd/fdbench computes them from times averaged across
-// runs, where single-row ratios would only add noise).
-type Exp8Row struct {
-	Workload string
-	Scale    int
-	Workers  int
-	RepSize  int64 // singletons in the factorised result
-	Tuples   int64 // tuples of the (never materialised) flat result
-	BuildMS  float64
-	AggMS    float64
-	EnumMS   float64
-}
-
-// Exp8Config parameterises one Experiment 8 sweep.
-type Exp8Config struct {
-	Scale   int
-	Workers []int // worker counts to sweep; the first should be 1
-	MaxEnum int64 // skip the enumeration legs above this many flat tuples (0: never)
-}
-
-// Experiment8Retailer sweeps worker counts on the scaled retailer workload:
-// heavy many-to-many joins, grouped aggregation per location.
-func Experiment8Retailer(rng *rand.Rand, cfg Exp8Config) ([]Exp8Row, error) {
-	q := RetailerQuery(rng, cfg.Scale)
-	groupBy := []relation.Attribute{"s_location"}
-	specs := []frep.AggSpec{
-		{Fn: frep.AggCount},
-		{Fn: frep.AggSum, Attr: "o_oid"},
-		{Fn: frep.AggCountDistinct, Attr: "o_item"},
+// parallelSweep is Experiment 8: the morsel-parallel execution paths (build,
+// grouped aggregation, sharded enumeration) at each worker count, on the
+// workloads of Experiment 6. Speedups are relative to the first worker
+// count, computed from times averaged across runs (single-run ratios would
+// only add noise). Every leg is cross-checked against the first, so a pass
+// is the parallel-vs-serial parity proof. Enumeration is skipped above
+// maxEnum flat tuples.
+func parallelSweep(cfg Config, retailer, chain, workers []int, maxEnum int64) (Table, error) {
+	t := Table{Header: []string{
+		"Experiment 8: morsel-parallel execution — speedup vs worker count (same inputs, same lifted f-tree)",
+		fmt.Sprintf("gomaxprocs=%d; speedups are relative to the %d-worker leg of each configuration", runtime.GOMAXPROCS(0), workers[0]),
+		"workload scale workers frep_size flat_tuples build_ms build_x agg_ms agg_x enum_ms enum_x",
+	}}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	for _, w := range aggWorkloads(cfg, retailer, chain) {
+		// Per worker count: frep_size flat_tuples build_ms agg_ms enum_ms
+		m, err := mean(cfg.Runs, func() ([][]float64, error) {
+			return parallelPoint(w, w.query(rng), workers, maxEnum)
+		})
+		if err != nil {
+			return t, err
+		}
+		base := m[0]
+		for i, r := range m {
+			t.add("%s %d %d %d %d %.3f %.2f %.3f %.2f %.3f %.2f", w.name, w.scale, workers[i],
+				int64(r[0]), int64(r[1]), r[2], ratio(base[2], r[2]), r[3], ratio(base[3], r[3]), r[4], ratio(base[4], r[4]))
+		}
 	}
-	return experiment8(q, "retailer", cfg, groupBy, specs)
+	return t, nil
 }
 
-// Experiment8Chain sweeps worker counts on the chain query of Example 6
-// (length = cfg.Scale): tiny input, astronomically large flat result, so
-// aggregation and enumeration dominate.
-func Experiment8Chain(rng *rand.Rand, cfg Exp8Config) ([]Exp8Row, error) {
-	n := cfg.Scale
-	q := gen.ChainQuery(rng, n, 100, 20)
-	groupBy := []relation.Attribute{"A1"}
-	specs := []frep.AggSpec{
-		{Fn: frep.AggCount},
-		{Fn: frep.AggSum, Attr: relation.Attribute(fmt.Sprintf("B%d", n))},
-	}
-	return experiment8(q, "chain", cfg, groupBy, specs)
-}
-
-// experiment8 runs one sweep: a shared lifted f-tree and pre-sorted inputs
+// parallelPoint runs one sweep: a shared lifted f-tree and pre-sorted inputs
 // (the prepared-statement situation), then per worker count one parallel
-// build, one parallel grouped aggregation and one sharded enumeration, each
-// cross-checked against the 1-worker leg.
-func experiment8(q *core.Query, workload string, cfg Exp8Config, groupBy []relation.Attribute, specs []frep.AggSpec) ([]Exp8Row, error) {
-	tr, err := liftedTree(q, groupBy)
+// build, one parallel grouped aggregation and one sharded enumeration.
+func parallelPoint(w aggWorkload, q *core.Query, workers []int, maxEnum int64) ([][]float64, error) {
+	tr, err := liftedTree(q, w.groupBy)
 	if err != nil {
 		return nil, err
 	}
@@ -77,62 +59,56 @@ func experiment8(q *core.Query, workload string, cfg Exp8Config, groupBy []relat
 	if err := fbuild.SortFor(rels, tr); err != nil {
 		return nil, err
 	}
+	fail := func(format string, args ...interface{}) ([][]float64, error) {
+		return nil, fmt.Errorf("bench: exp8 %s/%d: %s", w.name, w.scale, fmt.Sprintf(format, args...))
+	}
 
-	var out []Exp8Row
-	var serial *frep.Enc
-	var serialRows []frep.AggRow
-	for _, w := range cfg.Workers {
-		row := Exp8Row{Workload: workload, Scale: cfg.Scale, Workers: w}
-
+	var out [][]float64
+	var first *frep.Enc
+	var firstRows []frep.AggRow
+	for _, p := range workers {
 		start := time.Now()
-		enc, err := fbuild.BuildEncParallel(rels, tr.Clone(), w)
+		enc, err := fbuild.BuildEncParallel(rels, tr.Clone(), p)
 		if err != nil {
 			return nil, err
 		}
-		row.BuildMS = ms(start)
-		row.RepSize = int64(enc.Size())
-		row.Tuples = enc.Count()
+		buildMS := ms(start)
+		tuples := enc.Count()
+		row := []float64{float64(enc.Size()), float64(tuples), buildMS, 0, 0}
 
 		start = time.Now()
-		rows, err := enc.AggregateParallel(groupBy, specs, w)
+		rows, err := enc.AggregateParallel(w.groupBy, w.specs, p)
 		if err != nil {
 			return nil, err
 		}
-		row.AggMS = ms(start)
+		row[3] = ms(start)
 
-		enumerate := cfg.MaxEnum == 0 || row.Tuples <= cfg.MaxEnum
-		if enumerate {
+		if tuples <= maxEnum {
 			start = time.Now()
 			var n atomic.Int64
-			enc.EnumerateParallel(w, func(int, relation.Tuple) bool {
+			enc.EnumerateParallel(p, func(int, relation.Tuple) bool {
 				n.Add(1)
 				return true
 			})
-			row.EnumMS = ms(start)
-			if n.Load() != row.Tuples {
-				return nil, fmt.Errorf("bench: exp8 %s/%d (w=%d): enumerated %d tuples, Count says %d",
-					workload, cfg.Scale, w, n.Load(), row.Tuples)
+			row[4] = ms(start)
+			if n.Load() != tuples {
+				return fail("w=%d: enumerated %d tuples, Count says %d", p, n.Load(), tuples)
 			}
 		}
 
-		if serial == nil {
-			serial, serialRows = enc, rows
+		if first == nil {
+			first, firstRows = enc, rows
 		} else {
 			// Every leg must agree with the first bit for bit.
-			if !enc.Equal(serial) {
-				return nil, fmt.Errorf("bench: exp8 %s/%d: %d-worker build differs from %d-worker build",
-					workload, cfg.Scale, w, cfg.Workers[0])
+			if !enc.Equal(first) {
+				return fail("%d-worker build differs from %d-worker build", p, workers[0])
 			}
-			if len(rows) != len(serialRows) {
-				return nil, fmt.Errorf("bench: exp8 %s/%d: %d-worker aggregation has %d groups, want %d",
-					workload, cfg.Scale, w, len(rows), len(serialRows))
+			if len(rows) != len(firstRows) {
+				return fail("%d-worker aggregation has %d groups, want %d", p, len(rows), len(firstRows))
 			}
 			for i := range rows {
-				for j := range rows[i].Vals {
-					if rows[i].Vals[j] != serialRows[i].Vals[j] {
-						return nil, fmt.Errorf("bench: exp8 %s/%d: %d-worker aggregation differs in group %v",
-							workload, cfg.Scale, w, rows[i].Key)
-					}
+				if !slices.Equal(rows[i].Vals, firstRows[i].Vals) {
+					return fail("%d-worker aggregation differs in group %v", p, rows[i].Key)
 				}
 			}
 		}

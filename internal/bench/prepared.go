@@ -6,119 +6,77 @@ import (
 	"time"
 
 	fdb "repro"
+	"repro/internal/gen"
 )
 
-// Exp5Row is one point of the prepared-vs-ad-hoc amortisation experiment:
-// the same parameterised select-project-join executed Execs times with
-// distinct constants, once as cold db.Query calls (every call re-compiles:
-// clause validation, input clone+dedup, f-tree search, input sorting) and
-// once as stmt.Exec on a statement prepared once.
-type Exp5Row struct {
-	Execs       int
-	AdhocNS     float64 // avg ns per cold db.Query
-	PreparedNS  float64 // avg ns per stmt.Exec
-	Speedup     float64 // AdhocNS / PreparedNS
-	CacheHits   uint64  // plan-cache hits from the repeated-identical leg
-	CacheMisses uint64
-}
-
-// Exp5Config parameterises PreparedVsAdhoc.
-type Exp5Config struct {
-	Orders    int // tuples in Orders
-	Stock     int // tuples in Stock
-	Disps     int // tuples in Disp
-	Items     int // distinct item values
-	Locations int
-	Execs     int // executions per leg
-}
-
-// DefaultExp5Config is the grid used by cmd/fdbench and the Go benchmarks.
-func DefaultExp5Config() Exp5Config {
-	return Exp5Config{Orders: 2000, Stock: 800, Disps: 300, Items: 50, Locations: 40, Execs: 100}
-}
-
-// exp5DB builds the retailer-style workload through the public API.
-func exp5DB(rng *rand.Rand, cfg Exp5Config) *fdb.DB {
-	db := fdb.New()
-	db.MustCreate("Orders", "oid", "item")
-	for i := 0; i < cfg.Orders; i++ {
-		db.MustInsert("Orders", i, rng.Intn(cfg.Items))
-	}
-	db.MustCreate("Stock", "location", "item")
-	for i := 0; i < cfg.Stock; i++ {
-		db.MustInsert("Stock", rng.Intn(cfg.Locations), rng.Intn(cfg.Items))
-	}
-	db.MustCreate("Disp", "dispatcher", "location")
-	for i := 0; i < cfg.Disps; i++ {
-		db.MustInsert("Disp", i%120, rng.Intn(cfg.Locations))
-	}
-	return db
-}
-
-// PreparedVsAdhoc measures the amortisation win of the prepared-statement
-// API. Both legs answer the same queries — the retailer join restricted to
-// one item value per execution — so the only difference is where the
-// compile cost is paid. The plan cache is disabled for the ad-hoc leg so
-// every call compiles cold even when the constants wrap around the item
-// domain. A third leg (cache re-enabled) repeats one identical db.Query to
-// surface the plan-cache hit counters.
-func PreparedVsAdhoc(rng *rand.Rand, cfg Exp5Config) (Exp5Row, error) {
-	row := Exp5Row{Execs: cfg.Execs}
-	db := exp5DB(rng, cfg)
-	join := []fdb.Clause{
-		fdb.From("Orders", "Stock", "Disp"),
-		fdb.Eq("Orders.item", "Stock.item"),
-		fdb.Eq("Stock.location", "Disp.location"),
-	}
-
-	// Ad-hoc leg: a fresh constant every call, compiled from scratch.
-	db.SetPlanCacheCapacity(0)
-	start := time.Now()
-	var adhocTuples int64
-	for i := 0; i < cfg.Execs; i++ {
-		res, err := db.Query(append(join[:3:3],
-			fdb.Cmp("Orders.item", fdb.EQ, i%cfg.Items))...)
+// preparedVsAdhoc is Experiment 5, the prepared-statement amortisation: the
+// retailer join restricted to one item value per execution, run execs times
+// with distinct constants — once as cold db.Query calls (every call
+// re-compiles: clause validation, input clone+dedup, f-tree search, input
+// sorting) and once as stmt.Exec on a statement prepared once. Both legs
+// answer the same queries, so the only difference is where the compile cost
+// is paid, and their tuple totals must agree. The plan cache is disabled
+// for the ad-hoc leg so every call compiles cold even when the constants
+// wrap around the item domain. A third leg (cache re-enabled) repeats one
+// identical db.Query, which must be served from the plan cache. One row
+// per run.
+func preparedVsAdhoc(cfg Config, scale, execs int) (Table, error) {
+	t := Table{Header: []string{
+		"Experiment 5: prepared statements (Prepare once, Exec per constant) vs cold ad-hoc Query",
+		"execs adhoc_ms_per_exec prepared_ms_per_exec speedup cache_hits cache_misses",
+	}}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	for i := 0; i < cfg.Runs; i++ {
+		db, join, err := openDB(gen.Retailer(rng, scale))
 		if err != nil {
-			return row, err
+			return t, err
 		}
-		adhocTuples += res.Count()
-	}
-	row.AdhocNS = float64(time.Since(start).Nanoseconds()) / float64(cfg.Execs)
+		item := func(i int) int { return i%gen.RetailerItems + 1 }
 
-	// Prepared leg: compile once, bind per execution.
-	stmt, err := db.Prepare(append(join[:3:3],
-		fdb.Cmp("Orders.item", fdb.EQ, fdb.Param("item")))...)
-	if err != nil {
-		return row, err
-	}
-	start = time.Now()
-	var preparedTuples int64
-	for i := 0; i < cfg.Execs; i++ {
-		res, err := stmt.Exec(fdb.Arg("item", i%cfg.Items))
+		db.SetPlanCacheCapacity(0)
+		start := time.Now()
+		var adhocTuples int64
+		for i := 0; i < execs; i++ {
+			res, err := db.Query(with(join, fdb.Cmp("Orders.item", fdb.EQ, item(i)))...)
+			if err != nil {
+				return t, err
+			}
+			adhocTuples += res.Count()
+		}
+		adhocMS := ms(start) / float64(execs)
+
+		stmt, err := db.Prepare(with(join, fdb.Cmp("Orders.item", fdb.EQ, fdb.Param("item")))...)
 		if err != nil {
-			return row, err
+			return t, err
 		}
-		preparedTuples += res.Count()
-	}
-	row.PreparedNS = float64(time.Since(start).Nanoseconds()) / float64(cfg.Execs)
-	if row.PreparedNS > 0 {
-		row.Speedup = row.AdhocNS / row.PreparedNS
-	}
-	if adhocTuples != preparedTuples {
-		return row, fmt.Errorf("bench: prepared and ad-hoc legs disagree: %d vs %d tuples",
-			preparedTuples, adhocTuples)
-	}
+		start = time.Now()
+		var preparedTuples int64
+		for i := 0; i < execs; i++ {
+			res, err := stmt.Exec(fdb.Arg("item", item(i)))
+			if err != nil {
+				return t, err
+			}
+			preparedTuples += res.Count()
+		}
+		preparedMS := ms(start) / float64(execs)
+		if adhocTuples != preparedTuples {
+			return t, fmt.Errorf("bench: exp5: prepared and ad-hoc legs disagree: %d vs %d tuples",
+				preparedTuples, adhocTuples)
+		}
 
-	// Cache leg: the same ad-hoc query repeated hits the plan cache.
-	db.SetPlanCacheCapacity(64)
-	before := db.CacheStats()
-	for i := 0; i < cfg.Execs; i++ {
-		if _, err := db.Query(join...); err != nil {
-			return row, err
+		db.SetPlanCacheCapacity(64)
+		before := db.CacheStats()
+		for i := 0; i < execs; i++ {
+			if _, err := db.Query(join...); err != nil {
+				return t, err
+			}
 		}
+		after := db.CacheStats()
+		hits, misses := after.Hits-before.Hits, after.Misses-before.Misses
+		if hits+1 < uint64(execs) {
+			return t, fmt.Errorf("bench: exp5: %d plan-cache hits over %d identical queries", hits, execs)
+		}
+		t.add("%d %.3f %.3f %.2f %d %d", execs, adhocMS, preparedMS, ratio(adhocMS, preparedMS), hits, misses)
 	}
-	after := db.CacheStats()
-	row.CacheHits = after.Hits - before.Hits
-	row.CacheMisses = after.Misses - before.Misses
-	return row, nil
+	return t, nil
 }

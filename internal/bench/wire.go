@@ -5,62 +5,45 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	fdb "repro"
 	"repro/internal/wire"
 )
 
-// Exp11Row is one point of Experiment 11: the cost of the network front-end
-// over direct library execution. All three legs run the same parameterised
-// point query against the same seeded retailer database — through the
-// library API, through one synchronous wire round trip per request, and
-// through the wire with eight requests pipelined — and every wire response
-// is checked byte for byte against the library result before timings are
+// pipelineDepth is the number of requests in flight in the pipelined leg.
+const pipelineDepth = 8
+
+// wireOverhead is Experiment 11: the cost of the network front-end over
+// direct library execution. All three legs run the same parameterised point
+// query against the same seeded retailer database — through the library
+// API, through one synchronous wire round trip per request, and through the
+// wire with pipelineDepth requests in flight — and every wire response is
+// checked byte for byte against the library result before timings are
 // reported, so the overhead measured is protocol + scheduling, never a
 // different answer.
-type Exp11Row struct {
-	Mode    string // "library", "wire", "wire_pipelined"
-	Ops     int
-	NsPerOp float64
-	P99Ns   float64
-}
-
-// Exp11Config parameterises Experiment 11.
-type Exp11Config struct {
-	Scale int // retailer workload scale (default 1)
-	Ops   int // operations per leg (default 400)
-}
-
-const exp11Depth = 8 // pipeline depth of the third leg
-
-// Experiment11Wire measures library vs wire vs pipelined-wire per-request
-// latency on identical work.
-func Experiment11Wire(seed int64, cfg Exp11Config) ([]Exp11Row, error) {
-	if cfg.Scale < 1 {
-		cfg.Scale = 1
-	}
-	if cfg.Ops < 1 {
-		cfg.Ops = 400
-	}
+func wireOverhead(cfg Config, scale, ops int) (Table, error) {
+	t := Table{Header: []string{
+		"Experiment 11: network front-end overhead — library vs wire vs pipelined wire",
+		"mode ops ns_per_op p99_ns",
+	}}
 	db := fdb.New()
-	if err := wire.SeedRetailer(db, seed, cfg.Scale); err != nil {
-		return nil, err
+	if err := wire.SeedRetailer(db, cfg.Seed, scale); err != nil {
+		return t, err
 	}
 	srv := wire.NewServer(db, wire.Options{})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
-		return nil, err
+		return t, err
 	}
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		_ = srv.Shutdown(ctx)
+		_ = srv.Shutdown(ctx) // the measurements are already taken
 	}()
 	cl, err := wire.Dial(addr.String())
 	if err != nil {
-		return nil, err
+		return t, err
 	}
 	defer cl.Close()
 
@@ -68,17 +51,16 @@ func Experiment11Wire(seed int64, cfg Exp11Config) ([]Exp11Row, error) {
 	q := wire.RetailerQueries()[0]
 	clauses, err := q.Spec.Clauses()
 	if err != nil {
-		return nil, err
+		return t, err
 	}
 	st, err := db.PrepareCached(clauses...)
 	if err != nil {
-		return nil, err
+		return t, err
 	}
 	rs, err := cl.Prepare(&q.Spec)
 	if err != nil {
-		return nil, err
+		return t, err
 	}
-
 	libRows := func(args []wire.Arg) ([]byte, error) {
 		fargs := make([]fdb.NamedArg, len(args))
 		for i, a := range args {
@@ -92,103 +74,85 @@ func Experiment11Wire(seed int64, cfg Exp11Config) ([]Exp11Row, error) {
 	}
 
 	// Parity check before any timing: every distinct binding must agree.
-	parity := rand.New(rand.NewSource(seed))
+	parity := rand.New(rand.NewSource(cfg.Seed))
 	for i := 0; i < 25; i++ {
 		args := q.Args(parity)
 		got, err := rs.Exec(0, 0, args...)
 		if err != nil {
-			return nil, fmt.Errorf("parity exec: %v", err)
+			return t, fmt.Errorf("bench: exp11: parity exec: %v", err)
 		}
 		want, err := libRows(args)
 		if err != nil {
-			return nil, err
+			return t, err
 		}
 		if !bytes.Equal(wire.EncodeRows(got), want) {
-			return nil, fmt.Errorf("wire leg diverges from library on %v", args)
+			return t, fmt.Errorf("bench: exp11: wire leg diverges from library on %v", args)
 		}
 	}
 
-	percentile := func(lat []int64, p float64) float64 {
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		return float64(lat[int(p*float64(len(lat)-1))])
+	// Every leg issues the same argument sequence.
+	nsSince := func(t0 time.Time) float64 { return float64(time.Since(t0).Nanoseconds()) }
+	record := func(mode string, start time.Time, lat []float64) {
+		t.add("%s %d %.0f %.0f", mode, ops, nsSince(start)/float64(ops), percentile(lat, 0.99))
 	}
-	rows := make([]Exp11Row, 0, 3)
 
-	// Leg 1: direct library execution (prepare amortised, render included).
-	rng := rand.New(rand.NewSource(seed + 1))
-	lat := make([]int64, 0, cfg.Ops)
-	start := time.Now()
-	for i := 0; i < cfg.Ops; i++ {
-		args := q.Args(rng)
-		t0 := time.Now()
-		if _, err := libRows(args); err != nil {
-			return nil, err
+	// Legs 1 and 2: direct library execution (prepare amortised, render
+	// included), then one synchronous wire round trip per request.
+	for _, leg := range []struct {
+		mode string
+		exec func([]wire.Arg) error
+	}{
+		{"library", func(args []wire.Arg) error { _, err := libRows(args); return err }},
+		{"wire", func(args []wire.Arg) error { _, err := rs.Exec(0, 0, args...); return err }},
+	} {
+		rng := rand.New(rand.NewSource(cfg.Seed + 1))
+		lat := make([]float64, 0, ops)
+		start := time.Now()
+		for i := 0; i < ops; i++ {
+			args := q.Args(rng)
+			t0 := time.Now()
+			if err := leg.exec(args); err != nil {
+				return t, err
+			}
+			lat = append(lat, nsSince(t0))
 		}
-		lat = append(lat, time.Since(t0).Nanoseconds())
+		record(leg.mode, start, lat)
 	}
-	rows = append(rows, Exp11Row{
-		Mode: "library", Ops: cfg.Ops,
-		NsPerOp: float64(time.Since(start).Nanoseconds()) / float64(cfg.Ops),
-		P99Ns:   percentile(lat, 0.99),
-	})
 
-	// Leg 2: one synchronous wire round trip per request.
-	rng = rand.New(rand.NewSource(seed + 1))
-	lat = lat[:0]
-	start = time.Now()
-	for i := 0; i < cfg.Ops; i++ {
-		args := q.Args(rng)
-		t0 := time.Now()
-		if _, err := rs.Exec(0, 0, args...); err != nil {
-			return nil, err
-		}
-		lat = append(lat, time.Since(t0).Nanoseconds())
-	}
-	rows = append(rows, Exp11Row{
-		Mode: "wire", Ops: cfg.Ops,
-		NsPerOp: float64(time.Since(start).Nanoseconds()) / float64(cfg.Ops),
-		P99Ns:   percentile(lat, 0.99),
-	})
-
-	// Leg 3: the same requests with exp11Depth in flight; per-op latency is
-	// issue-to-completion, throughput is what pipelining buys.
-	rng = rand.New(rand.NewSource(seed + 1))
-	lat = lat[:0]
+	// Leg 3: the same requests with pipelineDepth in flight; per-op latency
+	// is issue-to-completion, throughput is what pipelining buys.
+	rng := rand.New(rand.NewSource(cfg.Seed + 1))
+	lat := make([]float64, 0, ops)
 	type inflight struct {
 		p  *wire.Pending
 		t0 time.Time
 	}
 	var window []inflight
-	drain := func(n int) error {
+	drainTo := func(n int) error {
 		for len(window) > n {
 			head := window[0]
 			window = window[1:]
 			if _, err := wire.WaitRows(head.p); err != nil {
 				return err
 			}
-			lat = append(lat, time.Since(head.t0).Nanoseconds())
+			lat = append(lat, nsSince(head.t0))
 		}
 		return nil
 	}
-	start = time.Now()
-	for i := 0; i < cfg.Ops; i++ {
-		args := q.Args(rng)
-		p, err := rs.Start(0, 0, args...)
+	start := time.Now()
+	for i := 0; i < ops; i++ {
+		p, err := rs.Start(0, 0, q.Args(rng)...)
 		if err != nil {
-			return nil, err
+			return t, err
 		}
 		window = append(window, inflight{p: p, t0: time.Now()})
-		if err := drain(exp11Depth - 1); err != nil {
-			return nil, err
+		if err := drainTo(pipelineDepth - 1); err != nil {
+			return t, err
 		}
 	}
-	if err := drain(0); err != nil {
-		return nil, err
+	if err := drainTo(0); err != nil {
+		return t, err
 	}
-	rows = append(rows, Exp11Row{
-		Mode: "wire_pipelined", Ops: cfg.Ops,
-		NsPerOp: float64(time.Since(start).Nanoseconds()) / float64(cfg.Ops),
-		P99Ns:   percentile(lat, 0.99),
-	})
-	return rows, nil
+	record("wire_pipelined", start, lat)
+	return t, nil
 }

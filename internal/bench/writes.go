@@ -4,168 +4,173 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"time"
+
+	fdb "repro"
+	"repro/internal/gen"
 )
 
-// Exp10Row is one point of Experiment 10: write throughput of the mutation
-// subsystem. A prepared join statement holds a warm encoded representation;
-// a delta batch of the given fraction is committed through InsertBatch and
-// the statement's next execution folds it in incrementally (sorted snapshot
-// merge + arena-level enc merge). The rebuild leg answers the same
-// post-delta data with a fresh statement — snapshot, dedup, path sort and
-// the full morsel-parallel build — which is exactly the compaction
-// fallback. Both legs must agree on the result count before timings are
-// reported.
-type Exp10Row struct {
-	Workload  string
-	Scale     int
-	Frac      float64 // delta size as a fraction of the mutated relation
-	BaseRows  int     // tuples in the mutated relation before the delta
-	DeltaRows int
-	Tuples    int64   // result tuples after the delta
-	InsertMS  float64 // committing the delta batch (one version bump)
-	MergeMS   float64 // incremental refresh: delta merge + enc patch + count
-	RebuildMS float64 // fresh prepare + full parallel build + count
-	Speedup   float64 // RebuildMS / (InsertMS + MergeMS)
+// refreshStatement is one statement shape of Experiment 10. In the plain
+// retailer join Orders is anchored at the root class (item), so a delta on
+// it merges into the cached encoding value by value; ordered by dispatcher
+// the tree roots at Disp.dispatcher and Orders sits two levels down, where
+// no merge applies and the refresh leaves the rebuild to Exec — the row
+// that keeps that case visible.
+type refreshStatement struct {
+	name     string
+	extra    []fdb.Clause
+	anchored bool
 }
 
-// Exp10Mixed summarises the read-mostly mixed workload leg: per-operation
-// latency percentiles with ~10% writes interleaved into cached reads, and
-// the plan-cache hit rate across the run (writes never evict, so a
-// read-mostly workload must stay far above 90%).
-type Exp10Mixed struct {
-	Ops          int
-	Writes       int
-	ReadP50MS    float64
-	ReadP99MS    float64
-	WriteP50MS   float64
-	CacheHitRate float64
+var refreshStatements = []refreshStatement{
+	{"retailer", nil, true},
+	{"retailer_by_dispatcher", []fdb.Clause{fdb.OrderBy("Disp.dispatcher")}, false},
 }
 
-// Exp10Config parameterises Experiment 10.
-type Exp10Config struct {
-	Scale int
-	Fracs []float64 // delta fractions to sweep (default 0.01, 0.05, 0.10, 0.25)
-	Ops   int       // mixed-workload operations (default 300)
-}
-
-// Experiment10Writes sweeps the delta fractions: one batch insert into the
-// retailer join's Orders relation per fraction, incremental merge vs full
-// rebuild on identical post-delta data.
-func Experiment10Writes(rng *rand.Rand, cfg Exp10Config) ([]Exp10Row, error) {
-	fracs := cfg.Fracs
-	if len(fracs) == 0 {
-		fracs = []float64{0.01, 0.05, 0.10, 0.25}
+// writeRefresh is Experiment 10's write leg. A prepared statement holds a
+// warm encoded representation; a delta batch of the given fraction of
+// Orders is committed through InsertBatch and the statement's next
+// execution folds it in (sorted snapshot merge + arena-level enc merge).
+// The rebuild leg is what the merge replaces, no more: the same statement
+// prepared before the write but never executed, so its refresh merges the
+// same snapshots, finds no encoding to patch, and Exec runs the full
+// morsel-parallel build. Both legs must agree on the result count.
+func writeRefresh(cfg Config, scales []int, fracs []float64) (Table, error) {
+	t := Table{Header: []string{
+		"Experiment 10: write throughput — batch insert + incremental statement refresh vs full rebuild",
+		"workload scale frac base_rows delta_rows result_tuples insert_ms merge_ms rebuild_ms speedup",
+	}}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	fracs = trim(cfg, fracs)
+	for _, scale := range trim(cfg, scales) {
+		// Per (statement, fraction): base_rows delta_rows result_tuples insert_ms merge_ms rebuild_ms
+		m, err := mean(cfg.Runs, func() ([][]float64, error) { return writeRefreshPoint(rng, scale, fracs) })
+		if err != nil {
+			return t, err
+		}
+		for i, r := range m {
+			t.add("%s %d %.2f %d %d %d %.3f %.3f %.3f %.1f", refreshStatements[i/len(fracs)].name, scale, fracs[i%len(fracs)],
+				int(r[0]), int(r[1]), int64(r[2]), r[3], r[4], r[5], ratio(r[5], r[3]+r[4]))
+		}
 	}
-	rows := make([]Exp10Row, 0, len(fracs))
-	for _, frac := range fracs {
-		db, join := exp9Retailer(rng, cfg.Scale)
-		base := 500 * cfg.Scale
-		st, err := db.Prepare(join...)
-		if err != nil {
-			return rows, err
-		}
-		warm, err := st.Exec()
-		if err != nil {
-			return rows, err
-		}
-		warm.Count() // force the cached pre-projection build
+	return t, nil
+}
 
-		n := int(float64(base) * frac)
-		if n < 1 {
-			n = 1
+// writeRefreshPoint measures every statement shape at every fraction, one
+// fresh database and one batch per fraction; rows are statement-major.
+func writeRefreshPoint(rng *rand.Rand, scale int, fracs []float64) ([][]float64, error) {
+	out := make([][]float64, len(refreshStatements)*len(fracs))
+	for fi, frac := range fracs {
+		db, join, err := openDB(gen.Retailer(rng, scale))
+		if err != nil {
+			return nil, err
 		}
-		batch := make([][]interface{}, n)
+		warm := make([]*fdb.Stmt, len(refreshStatements))
+		cold := make([]*fdb.Stmt, len(refreshStatements))
+		for si, s := range refreshStatements {
+			clauses := with(join, s.extra...)
+			if warm[si], err = db.Prepare(clauses...); err != nil {
+				return nil, err
+			}
+			root, _, _ := strings.Cut(warm[si].FTree(), "\n")
+			if strings.Contains(root, "Orders.") != s.anchored {
+				return nil, fmt.Errorf("bench: exp10 %s: f-tree roots at %q, want Orders anchored there = %v (the row depends on it)",
+					s.name, root, s.anchored)
+			}
+			res, err := warm[si].Exec()
+			if err != nil {
+				return nil, err
+			}
+			res.Count() // force the cached pre-projection build
+			if cold[si], err = db.Prepare(clauses...); err != nil {
+				return nil, err
+			}
+		}
+
+		base := 500 * scale
+		batch := make([][]interface{}, max(int(float64(base)*frac), 1))
 		for i := range batch {
-			batch[i] = []interface{}{base + i + 1, rng.Intn(50) + 1}
+			batch[i] = []interface{}{base + i + 1, rng.Intn(gen.RetailerItems) + 1}
 		}
-		row := Exp10Row{Workload: "retailer", Scale: cfg.Scale, Frac: frac, BaseRows: base, DeltaRows: n}
-
 		start := time.Now()
 		if err := db.InsertBatch("Orders", batch); err != nil {
-			return rows, err
+			return nil, err
 		}
-		row.InsertMS = ms(start)
+		insertMS := ms(start)
 
-		start = time.Now()
-		merged, err := st.Exec()
-		if err != nil {
-			return rows, err
+		for si, s := range refreshStatements {
+			var tuples [2]int64
+			var legMS [2]float64
+			for leg, st := range []*fdb.Stmt{warm[si], cold[si]} {
+				start = time.Now()
+				res, err := st.Exec()
+				if err != nil {
+					return nil, err
+				}
+				tuples[leg] = res.Count()
+				legMS[leg] = ms(start)
+			}
+			if tuples[0] != tuples[1] {
+				return nil, fmt.Errorf("bench: exp10 %s frac %.2f: merged count %d != rebuilt count %d",
+					s.name, frac, tuples[0], tuples[1])
+			}
+			out[si*len(fracs)+fi] = []float64{float64(base), float64(len(batch)), float64(tuples[0]), insertMS, legMS[0], legMS[1]}
 		}
-		row.Tuples = merged.Count()
-		row.MergeMS = ms(start)
-
-		start = time.Now()
-		fresh, err := db.Prepare(join...)
-		if err != nil {
-			return rows, err
-		}
-		rebuilt, err := fresh.Exec()
-		if err != nil {
-			return rows, err
-		}
-		rebuiltCount := rebuilt.Count()
-		row.RebuildMS = ms(start)
-
-		if row.Tuples != rebuiltCount {
-			return rows, fmt.Errorf("bench: exp10 frac %.2f: merged count %d != rebuilt count %d",
-				frac, row.Tuples, rebuiltCount)
-		}
-		if inc := row.InsertMS + row.MergeMS; inc > 0 {
-			row.Speedup = row.RebuildMS / inc
-		}
-		rows = append(rows, row)
 	}
-	return rows, nil
+	return out, nil
 }
 
-// Experiment10Mixed interleaves cached reads with ~10% batch writes and
-// reports per-operation latency percentiles and the plan-cache hit rate.
-func Experiment10Mixed(rng *rand.Rand, cfg Exp10Config) (Exp10Mixed, error) {
-	ops := cfg.Ops
-	if ops <= 0 {
-		ops = 300
-	}
-	db, join := exp9Retailer(rng, cfg.Scale)
-	if _, err := db.Query(join...); err != nil { // populate the plan cache
-		return Exp10Mixed{}, err
-	}
-	var reads, writes []float64
-	next := 500*cfg.Scale + 1
-	for i := 0; i < ops; i++ {
-		if i%10 == 9 {
-			batch := make([][]interface{}, 5)
-			for j := range batch {
-				batch[j] = []interface{}{next, rng.Intn(50) + 1}
-				next++
+// mixedReadWrite is Experiment 10's read-mostly leg: per-operation latency
+// percentiles with ~10% batch writes interleaved into cached reads, and the
+// plan-cache hit rate across the run — writes never evict, so the rate must
+// stay above 90%.
+func mixedReadWrite(cfg Config, scales []int, ops int) (Table, error) {
+	t := Table{Header: []string{
+		"mixed read/write (90/10): ops writes read_p50_ms read_p99_ms write_p50_ms cache_hit_rate",
+	}}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	for _, scale := range trim(cfg, scales) {
+		db, join, err := openDB(gen.Retailer(rng, scale))
+		if err != nil {
+			return t, err
+		}
+		if _, err := db.Query(join...); err != nil { // populate the plan cache
+			return t, err
+		}
+		var reads, writes []float64
+		next := 500*scale + 1
+		for i := 0; i < ops; i++ {
+			if i%10 == 9 {
+				batch := make([][]interface{}, 5)
+				for j := range batch {
+					batch[j] = []interface{}{next, rng.Intn(gen.RetailerItems) + 1}
+					next++
+				}
+				start := time.Now()
+				if err := db.InsertBatch("Orders", batch); err != nil {
+					return t, err
+				}
+				writes = append(writes, ms(start))
+				continue
 			}
 			start := time.Now()
-			if err := db.InsertBatch("Orders", batch); err != nil {
-				return Exp10Mixed{}, err
+			res, err := db.Query(join...)
+			if err != nil {
+				return t, err
 			}
-			writes = append(writes, ms(start))
-			continue
+			res.Count()
+			reads = append(reads, ms(start))
 		}
-		start := time.Now()
-		res, err := db.Query(join...)
-		if err != nil {
-			return Exp10Mixed{}, err
+		s := db.CacheStats()
+		hitRate := ratio(float64(s.Hits), float64(s.Hits+s.Misses))
+		if hitRate <= 0.9 {
+			return t, fmt.Errorf("bench: exp10 mixed/%d: read-mostly cache hit rate %.3f <= 0.9", scale, hitRate)
 		}
-		res.Count()
-		reads = append(reads, ms(start))
+		t.add("retailer %d %d %d %.3f %.3f %.3f %.3f", scale, ops, len(writes),
+			percentile(reads, 0.50), percentile(reads, 0.99), percentile(writes, 0.50), hitRate)
 	}
-	s := db.CacheStats()
-	row := Exp10Mixed{
-		Ops:        ops,
-		Writes:     len(writes),
-		ReadP50MS:  percentile(reads, 0.50),
-		ReadP99MS:  percentile(reads, 0.99),
-		WriteP50MS: percentile(writes, 0.50),
-	}
-	if total := s.Hits + s.Misses; total > 0 {
-		row.CacheHitRate = float64(s.Hits) / float64(total)
-	}
-	return row, nil
+	return t, nil
 }
 
 // percentile returns the p-quantile (nearest-rank) of the samples.
@@ -175,6 +180,5 @@ func percentile(samples []float64, p float64) float64 {
 	}
 	s := append([]float64(nil), samples...)
 	sort.Float64s(s)
-	i := int(p * float64(len(s)-1))
-	return s[i]
+	return s[int(p*float64(len(s)-1))]
 }

@@ -8,7 +8,8 @@
 // one value — the same narrowing the morsel-parallel build applies per
 // value range. Roots no delta can reach copy wholesale; a delta on a
 // relation that is dormant at its root (no root-class attribute) can affect
-// every entry, so that root rebuilds in full.
+// every entry, so the merge declines and the caller rebuilds — with the
+// morsel-parallel build, which a rebuild in here would not be.
 package fbuild
 
 import (
@@ -39,8 +40,9 @@ func (d RelDelta) empty() bool { return len(d.Adds) == 0 && len(d.Dels) == 0 }
 // pre-order shape as old.Tree (a fresh clone of the statement tree), and
 // deltas[i] describes how rels[i] differs from the snapshot old was built
 // from. The second return is false when the merge is structurally
-// inapplicable (old empty or shape mismatch) — the caller should fall back
-// to a full build; the cost threshold for that fallback is the caller's.
+// inapplicable (old empty, shape mismatch, or a changed relation not
+// anchored at its root) — the caller should fall back to a full build; the
+// cost threshold for that fallback is the caller's.
 func MergeEnc(rels []*relation.Relation, t *ftree.T, old *frep.Enc, deltas []RelDelta) (*frep.Enc, bool, error) {
 	return MergeEncContext(context.Background(), rels, t, old, deltas)
 }
@@ -59,10 +61,16 @@ func MergeEncContext(ctx context.Context, rels []*relation.Relation, t *ftree.T,
 		return nil, false, nil
 	}
 	states := make([]*relState, 0, len(rels))
-	for _, r := range rels {
+	for i, r := range rels {
 		st, err := b.newState(r)
 		if err != nil {
 			return nil, false, err
+		}
+		// A changed relation dormant at its root (first class below it)
+		// joins under every root value, so the incremental walk has no
+		// touched set: decline before copying anything.
+		if !deltas[i].empty() && len(st.nodes) > 0 && t.ParentOf(st.nodes[0]) != nil {
+			return nil, false, nil
 		}
 		states = append(states, st)
 	}
@@ -72,7 +80,6 @@ func MergeEncContext(ctx context.Context, rels []*relation.Relation, t *ftree.T,
 		ri := b.eb.Idx(root)
 		oldRi := old.Roots()[k]
 		var mine []*relState
-		anchored := true // every changed relation has root as its first class
 		changed := false
 		var touched []relation.Value
 		for i, st := range states {
@@ -84,11 +91,7 @@ func MergeEncContext(ctx context.Context, rels []*relation.Relation, t *ftree.T,
 				continue
 			}
 			changed = true
-			if st.nodes[0] != root {
-				anchored = false
-				continue
-			}
-			cols := st.cols[0]
+			cols := st.cols[0] // root's class: changed relations are anchored
 			for _, lists := range [][]relation.Tuple{deltas[i].Adds, deltas[i].Dels} {
 				for _, tp := range lists {
 					for _, c := range cols {
@@ -104,11 +107,6 @@ func MergeEncContext(ctx context.Context, rels []*relation.Relation, t *ftree.T,
 			// subtree (a root has exactly one union).
 			b.eb.CopyUnions(old, oldRi, ri, 0, 1)
 			n = old.NumEntries(oldRi)
-		case !anchored:
-			// A dormant relation changed: its tuples join under every root
-			// value, so the incremental walk has no touched set — rebuild.
-			n = b.buildUnionEnc(root, ri, mine, 0)
-			b.eb.CloseUnion(ri)
 		default:
 			sort.Slice(touched, func(i, j int) bool { return touched[i] < touched[j] })
 			touched = dedupValues(touched)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/ftree"
 	"repro/internal/gen"
 	"repro/internal/opt"
 	"repro/internal/relation"
@@ -84,10 +85,19 @@ func TestMergeEncMatchesRebuild(t *testing.T) {
 			t.Fatalf("trial %d: merge: %v", trial, err)
 		}
 		if !ok {
-			if !old.IsEmpty() {
-				t.Fatalf("trial %d: merge refused a non-empty base", trial)
+			// The caller would rebuild, and want is that rebuild. A refusal is
+			// legitimate for an empty base or a changed relation dormant at
+			// its root; anything else is a merge that should have happened.
+			if !old.IsEmpty() && !dormantDelta(tr, final, deltas) {
+				t.Fatalf("trial %d: merge refused a non-empty base with every delta anchored\ntree:\n%s", trial, tr)
 			}
-			continue // empty base: the caller would rebuild; nothing to compare
+			if err := want.Validate(); err != nil {
+				t.Fatalf("trial %d: rebuilt enc invalid: %v", trial, err)
+			}
+			continue
+		}
+		if dormantDelta(tr, final, deltas) {
+			t.Fatalf("trial %d: merge accepted a delta on a relation dormant at its root\ntree:\n%s", trial, tr)
 		}
 		merged++
 		if err := got.Validate(); err != nil {
@@ -100,6 +110,26 @@ func TestMergeEncMatchesRebuild(t *testing.T) {
 	if merged == 0 {
 		t.Fatal("no trial exercised the merge path")
 	}
+}
+
+// dormantDelta reports whether some changed relation has no attribute in a
+// root class of tr — the case MergeEnc leaves to the caller's full build.
+func dormantDelta(tr *ftree.T, rels []*relation.Relation, deltas []RelDelta) bool {
+	for i, r := range rels {
+		if deltas[i].empty() {
+			continue
+		}
+		anchored := false
+		for _, a := range r.Schema {
+			if n := tr.NodeOf(a); n != nil && tr.ParentOf(n) == nil {
+				anchored = true
+			}
+		}
+		if !anchored {
+			return true
+		}
+	}
+	return false
 }
 
 // TestMergeEncNoDelta: an all-empty delta set degenerates to whole-root

@@ -2,7 +2,8 @@
 // evaluation (Section 5): random schemas of R relations over A attributes,
 // relations with values drawn uniformly or Zipf-distributed from [1, M],
 // random conjunctions of K non-redundant equalities, the chain queries of
-// Example 6, and the grocery retailer database of Figure 1.
+// Example 6, the scaled retailer workload, and the grocery retailer
+// database of Figure 1.
 package gen
 
 import (
@@ -201,18 +202,19 @@ func RandomQuery(rng *rand.Rand, r, a, n, k int, dist Distribution, m int) (*cor
 	}, nil
 }
 
-// ChainQuery builds the query of Example 6: relations R1(A1,B1), …,
-// Rn(An,Bn) with the chain of equalities Bi = Ai+1, each with tuples drawn
-// from [1, m]. The flat result can reach |D|^Θ(n) tuples while s(Qn) =
-// Θ(log n).
+// ChainQuery builds the query of Example 6: relations R1(A,B), …, Rn(A,B)
+// with the chain of equalities Ri.B = Ri+1.A, each with tuples drawn from
+// [1, m]. The flat result can reach |D|^Θ(n) tuples while s(Qn) = Θ(log n).
+// Attributes are named the way a database qualifies them ("R1.A"), so the
+// same query runs below the API and, loaded into a database, through it.
 func ChainQuery(rng *rand.Rand, n, tuples, m int) *core.Query {
 	q := &core.Query{}
 	sm := NewSampler(rng, Uniform, m)
+	attr := func(i int, col string) relation.Attribute {
+		return relation.Attribute(fmt.Sprintf("R%d.%s", i, col))
+	}
 	for i := 1; i <= n; i++ {
-		r := relation.New(fmt.Sprintf("R%d", i), relation.Schema{
-			relation.Attribute(fmt.Sprintf("A%d", i)),
-			relation.Attribute(fmt.Sprintf("B%d", i)),
-		})
+		r := relation.New(fmt.Sprintf("R%d", i), relation.Schema{attr(i, "A"), attr(i, "B")})
 		for j := 0; j < tuples; j++ {
 			r.Append(sm.Draw(rng), sm.Draw(rng))
 		}
@@ -220,12 +222,49 @@ func ChainQuery(rng *rand.Rand, n, tuples, m int) *core.Query {
 		q.Relations = append(q.Relations, r)
 	}
 	for i := 1; i < n; i++ {
-		q.Equalities = append(q.Equalities, core.Equality{
-			A: relation.Attribute(fmt.Sprintf("B%d", i)),
-			B: relation.Attribute(fmt.Sprintf("A%d", i+1)),
-		})
+		q.Equalities = append(q.Equalities, core.Equality{A: attr(i, "B"), B: attr(i+1, "A")})
 	}
 	return q
+}
+
+// RetailerItems is the item domain [1, RetailerItems] of the retailer
+// workload, for callers that bind item parameters or insert further orders.
+const RetailerItems = 50
+
+// Retailer builds the scaled retailer workload, the shape of the paper's
+// dispatching example: Orders(oid, item) ⋈item Stock(location, item)
+// ⋈location Disp(dispatcher, location) with heavy many-to-many links —
+// result tuples grow cubically with the scale while the factorised size
+// stays quasi-linear. Attributes are qualified like ChainQuery's. Tuples
+// stay in generation order, duplicates included: a database loaded from
+// them sees the insert sequence the seed fixes, and set semantics are the
+// consumer's to establish (the database dedups; below the API, call Dedup).
+func Retailer(rng *rand.Rand, scale int) *core.Query {
+	const (
+		items       = RetailerItems
+		locations   = 40
+		dispatchers = 120
+	)
+	draw := func(n int) relation.Value { return relation.Value(rng.Intn(n) + 1) }
+	orders := relation.New("Orders", relation.Schema{"Orders.oid", "Orders.item"})
+	for i := 0; i < 500*scale; i++ {
+		orders.Append(relation.Value(i+1), draw(items))
+	}
+	stock := relation.New("Stock", relation.Schema{"Stock.location", "Stock.item"})
+	for i := 0; i < 200*scale; i++ {
+		stock.Append(draw(locations), draw(items))
+	}
+	disp := relation.New("Disp", relation.Schema{"Disp.dispatcher", "Disp.location"})
+	for i := 0; i < 100*scale; i++ {
+		disp.Append(draw(dispatchers), draw(locations))
+	}
+	return &core.Query{
+		Relations: []*relation.Relation{orders, stock, disp},
+		Equalities: []core.Equality{
+			{A: "Orders.item", B: "Stock.item"},
+			{A: "Stock.location", B: "Disp.location"},
+		},
+	}
 }
 
 // Grocery returns the example database of Figure 1 together with its

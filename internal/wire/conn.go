@@ -139,8 +139,15 @@ func (c *conn) execute(f Frame) {
 }
 
 // reply sends one response frame: RespOK with body when code is zero,
-// RespErr otherwise. All request accounting funnels through here.
+// RespErr otherwise. A body the frame limit cannot carry is answered with
+// a typed error instead — the connection stays usable, and the client
+// learns which knob to turn. All request accounting funnels through here.
 func (c *conn) reply(id uint32, code byte, msg string, body []byte) {
+	if n := frameHeader + len(body); code == 0 && n > c.srv.opts.MaxFrame {
+		code = CodeQuery
+		msg = fmt.Sprintf("result too large: the %d-byte reply exceeds the server's %d-byte frame limit (MaxFrame); lower MaxRows or narrow the query",
+			n, c.srv.opts.MaxFrame)
+	}
 	f := Frame{Kind: RespOK, ID: id, Body: body}
 	if code != 0 {
 		f.Kind = RespErr

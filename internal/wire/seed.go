@@ -2,43 +2,50 @@ package wire
 
 import (
 	"math/rand"
+	"strings"
 
 	fdb "repro"
+	"repro/internal/gen"
+	"repro/internal/relation"
 )
 
-// SeedRetailer loads the deterministic retailer workload (the shape of the
-// paper's dispatching example, scaled): Orders(oid, item), Stock(location,
-// item), Disp(dispatcher, location). The server preloads it and the load
-// harness rebuilds it in-process from the same seed, so every wire response
-// can be checked byte for byte against library execution.
+// Seed creates rels in db and inserts their tuples in order, one batch per
+// relation. Attributes must be named the way the database qualifies them
+// ("Orders.oid" in relation Orders), as internal/gen names them.
+func Seed(db *fdb.DB, rels []*relation.Relation) error {
+	for _, r := range rels {
+		attrs := make([]string, len(r.Schema))
+		for i, a := range r.Schema {
+			attrs[i] = strings.TrimPrefix(string(a), r.Name+".")
+		}
+		if err := db.Create(r.Name, attrs...); err != nil {
+			return err
+		}
+		rows := make([][]interface{}, len(r.Tuples))
+		for i, t := range r.Tuples {
+			row := make([]interface{}, len(t))
+			for j, v := range t {
+				row[j] = v
+			}
+			rows[i] = row
+		}
+		if err := db.InsertBatch(r.Name, rows); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// SeedRetailer loads the deterministic retailer workload (gen.Retailer):
+// Orders(oid, item), Stock(location, item), Disp(dispatcher, location). The
+// server preloads it and the load harness rebuilds it in-process from the
+// same seed, so every wire response can be checked byte for byte against
+// library execution.
 func SeedRetailer(db *fdb.DB, seed int64, scale int) error {
 	if scale < 1 {
 		scale = 1
 	}
-	rng := rand.New(rand.NewSource(seed))
-	load := func(name string, attrs []string, n int, row func(i int) []interface{}) error {
-		if err := db.Create(name, attrs...); err != nil {
-			return err
-		}
-		rows := make([][]interface{}, n)
-		for i := 0; i < n; i++ {
-			rows[i] = row(i)
-		}
-		return db.InsertBatch(name, rows)
-	}
-	if err := load("Orders", []string{"oid", "item"}, 500*scale, func(i int) []interface{} {
-		return []interface{}{int64(i + 1), int64(rng.Intn(50) + 1)}
-	}); err != nil {
-		return err
-	}
-	if err := load("Stock", []string{"location", "item"}, 200*scale, func(i int) []interface{} {
-		return []interface{}{int64(rng.Intn(40) + 1), int64(rng.Intn(50) + 1)}
-	}); err != nil {
-		return err
-	}
-	return load("Disp", []string{"dispatcher", "location"}, 100*scale, func(i int) []interface{} {
-		return []interface{}{int64(rng.Intn(120) + 1), int64(rng.Intn(40) + 1)}
-	})
+	return Seed(db, gen.Retailer(rand.New(rand.NewSource(seed)), scale).Relations)
 }
 
 // retailerJoin is the three-way join every retailer load query starts from.

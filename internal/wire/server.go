@@ -28,7 +28,9 @@ type Options struct {
 	// ReqTimeout bounds one request's execution; an expired request is
 	// answered with CodeTimeout. Default 10s.
 	ReqTimeout time.Duration
-	// MaxFrame caps one frame's payload. Default MaxFrame (16 MiB).
+	// MaxFrame caps one frame's payload: larger requests are refused, larger
+	// results answered with a typed error. Default and ceiling MaxFrame
+	// (16 MiB), the limit clients read with.
 	MaxFrame int
 }
 
@@ -45,7 +47,7 @@ func (o Options) withDefaults() Options {
 	if o.ReqTimeout <= 0 {
 		o.ReqTimeout = 10 * time.Second
 	}
-	if o.MaxFrame <= 0 {
+	if o.MaxFrame <= 0 || o.MaxFrame > MaxFrame {
 		o.MaxFrame = MaxFrame
 	}
 	return o

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -476,6 +477,36 @@ func TestErrorPaths(t *testing.T) {
 	// The connection survived all of it.
 	if err := cl.Ping(); err != nil {
 		t.Fatalf("connection died on error paths: %v", err)
+	}
+}
+
+// TestResultTooLarge: a result the frame limit cannot carry is answered
+// with a typed error naming the sizes and the knob, and the connection
+// serves the next request — the same statement under a row cap.
+func TestResultTooLarge(t *testing.T) {
+	const limit = 4096
+	_, _, addr := newTestServer(t, Options{MaxFrame: limit})
+	cl := dialTest(t, addr)
+	join := retailerJoin()
+	rs, err := cl.Prepare(&join)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = rs.Exec(0, 0)
+	if asCode(err) != CodeQuery {
+		t.Fatalf("oversize result: want CodeQuery, got %v", err)
+	}
+	for _, want := range []string{"result too large", fmt.Sprint(limit), "MaxRows"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	rows, err := rs.Exec(0, 10)
+	if err != nil {
+		t.Fatalf("capped exec on the same connection: %v", err)
+	}
+	if len(rows.Rows) != 10 {
+		t.Fatalf("capped exec returned %d rows, want 10", len(rows.Rows))
 	}
 }
 

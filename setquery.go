@@ -96,7 +96,7 @@ func (db *DB) QuerySet(e *SetExpr, clauses ...Clause) (*Result, error) {
 		return nil, err
 	}
 	if len(s.from) > 0 || len(s.eqs) > 0 || len(s.sels) > 0 || s.project != nil ||
-		len(s.aggs) > 0 || len(s.groupBy) > 0 || s.par != 0 {
+		len(s.aggs) > 0 || len(s.groupBy) > 0 {
 		return nil, fmt.Errorf("fdb: QuerySet trailing clauses may only be OrderBy, Limit, Offset or Distinct; query clauses belong in the Sub legs")
 	}
 	enc, err := db.evalSetExpr(e)

@@ -64,7 +64,6 @@ type stmtPlan struct {
 	offset   int                  // tuples to skip
 	limit    int                  // result cap; -1: none
 	distinct bool                 // explicit set-semantics normalisation
-	par      int                  // WithParallelism override; 0 = inherit from the DB
 
 	tree       *ftree.T    // the f-tree planTree chose
 	inputs     []stmtInput // per-input filters and path-sort permutations for that tree
@@ -374,7 +373,6 @@ func (db *DB) prepareSpec(s *spec, snap *Snapshot) (*Stmt, error) {
 		offset:   s.offset,
 		limit:    s.limit,
 		distinct: s.distinct,
-		par:      s.par,
 
 		tree:       tr,
 		inputs:     inputs,
@@ -443,15 +441,6 @@ func orderChain(classes []relation.AttrSet, keys []frep.OrderKey) []int {
 		}
 	}
 	return chain
-}
-
-// parallelism resolves the worker count for one execution: the statement's
-// WithParallelism override if present, else the database-wide setting.
-func (st *Stmt) parallelism() int {
-	if st.par > 0 {
-		return st.par
-	}
-	return st.db.Parallelism()
 }
 
 // Params lists the statement's parameter names in declaration order.
@@ -534,7 +523,7 @@ func (st *Stmt) ExecAggContext(ctx context.Context, args ...NamedArg) (*AggResul
 	if err != nil {
 		return nil, err
 	}
-	rows, err := fr.AggregateParallel(st.groupBy, st.aggs, st.parallelism())
+	rows, err := fr.AggregateParallel(st.groupBy, st.aggs, st.db.Parallelism())
 	if err != nil {
 		return nil, err
 	}
@@ -796,7 +785,7 @@ func (st *Stmt) buildContext(ctx context.Context, args []NamedArg) (*frep.Enc, e
 	// Each Exec gets its own tree: the encoded representation owns it, and
 	// downstream operators derive fresh trees from it. The build is
 	// morsel-parallel when the execution's parallelism allows it.
-	fr, err := fbuild.BuildEncParallelContext(ctx, rels, st.tree.Clone(), st.parallelism())
+	fr, err := fbuild.BuildEncParallelContext(ctx, rels, st.tree.Clone(), st.db.Parallelism())
 	if err != nil {
 		return nil, err
 	}
@@ -817,7 +806,7 @@ func (st *Stmt) cachedEnc(ctx context.Context, d *stmtData) (*frep.Enc, error) {
 			d.enc = enc
 			return d.enc, nil
 		}
-		enc, err := fbuild.BuildEncParallelContext(ctx, d.rels, st.tree.Clone(), st.parallelism())
+		enc, err := fbuild.BuildEncParallelContext(ctx, d.rels, st.tree.Clone(), st.db.Parallelism())
 		if err != nil {
 			return nil, err
 		}
