@@ -109,7 +109,7 @@ func BenchmarkEnumerationDelay(b *testing.B) {
 			b.ReportAllocs()
 			var tuples int64
 			for i := 0; i < b.N; i++ {
-				it := frep.NewEncIterator(enc)
+				it := frep.NewEncIterator(enc, nil)
 				for {
 					if _, ok := it.Next(); !ok {
 						break

@@ -11,6 +11,12 @@
 //	    [-orderby Disp.dispatcher,-Orders.oid] [-limit 5] [-offset 2] [-distinct] \
 //	    [-groupby Store.location -agg count -agg 'sum(Orders.oid)']
 //
+// The query flags and the REPL's query verbs are one grammar: the flags are
+// turned into the REPL's token list (from … eq … where … project … orderby …
+// distinct offset … limit … groupby … agg …) and parsed by the same
+// parseQuery, and every surface that runs a statement — the flags, exec,
+// query, squery — prepares it and ends in the same execAndReport.
+//
 // With -agg (and optionally -groupby), the query aggregates in one pass
 // over the factorised result and prints one row per group.
 //
@@ -145,56 +151,45 @@ func run(argv []string, in io.Reader, out io.Writer) error {
 		}
 		return fmt.Errorf("missing -from")
 	}
-	var clauses []fdb.Clause
-	clauses = append(clauses, fdb.From(strings.Split(*from, ",")...))
-	for _, e := range eqs {
-		parts := strings.SplitN(e, "=", 2)
-		if len(parts) != 2 {
-			return fmt.Errorf("bad -eq %q", e)
+	// The flags spell the REPL's query grammar: one token list, one parser.
+	tokens := []string{"from", *from}
+	add := func(word string, vals ...string) {
+		for _, v := range vals {
+			tokens = append(tokens, word, v)
 		}
-		clauses = append(clauses, fdb.Eq(parts[0], parts[1]))
 	}
-	for _, w := range wheres {
-		c, err := parseWhere(w)
-		if err != nil {
-			return err
-		}
-		clauses = append(clauses, c)
-	}
+	add("eq", eqs...)
+	add("where", wheres...)
 	if *project != "" {
-		clauses = append(clauses, fdb.Project(strings.Split(*project, ",")...))
+		add("project", *project)
 	}
 	if *orderBy != "" {
-		clauses = append(clauses, parseOrderBy(*orderBy))
+		add("orderby", *orderBy)
 	}
 	if *distinct {
-		clauses = append(clauses, fdb.Distinct())
+		tokens = append(tokens, "distinct")
 	}
 	if *offset > 0 {
-		clauses = append(clauses, fdb.Offset(*offset))
+		add("offset", strconv.Itoa(*offset))
 	}
 	if *limit >= 0 {
-		clauses = append(clauses, fdb.Limit(*limit))
+		add("limit", strconv.Itoa(*limit))
 	}
 	if *groupBy != "" {
-		clauses = append(clauses, fdb.GroupBy(strings.Split(*groupBy, ",")...))
+		add("groupby", *groupBy)
 	}
-	for _, a := range aggs {
-		c, err := parseAgg(a)
-		if err != nil {
-			return err
-		}
-		clauses = append(clauses, c)
+	add("agg", aggs...)
+	clauses, err := parseQuery(tokens)
+	if err != nil {
+		return err
 	}
 	// With -save the statement goes through the plan cache so its memoised
 	// encoding rides along in the snapshot file.
-	var stmt *fdb.Stmt
-	var err error
+	prepare := db.Prepare
 	if *savePath != "" {
-		stmt, err = db.PrepareCached(clauses...)
-	} else {
-		stmt, err = db.Prepare(clauses...)
+		prepare = db.PrepareCached
 	}
+	stmt, err := prepare(clauses...)
 	if err != nil {
 		return err
 	}
@@ -202,18 +197,8 @@ func run(argv []string, in io.Reader, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if len(stmt.Aggregates()) > 0 {
-		ar, err := stmt.ExecAgg(args...)
-		if err != nil {
-			return err
-		}
-		reportAgg(out, ar, *rows)
-	} else {
-		res, err := stmt.Exec(args...)
-		if err != nil {
-			return err
-		}
-		report(out, res, *rows)
+	if err := execAndReport(out, stmt, args, *rows); err != nil {
+		return err
 	}
 	if *savePath != "" {
 		return saveSnapshot(db, *savePath, out)
@@ -372,6 +357,27 @@ func parseArgs(tokens []string) ([]fdb.NamedArg, error) {
 	return args, nil
 }
 
+// execAndReport runs a compiled statement and prints its result: one row per
+// group for a statement that aggregates, the factorisation and its rows
+// otherwise. Every query surface — flags, exec, query, squery — ends here.
+func execAndReport(out io.Writer, stmt *fdb.Stmt, args []fdb.NamedArg, rows int) error {
+	if len(stmt.Aggregates()) > 0 {
+		ar, err := stmt.ExecAgg(args...)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "groups: %d\n", ar.Len())
+		fmt.Fprint(out, ar.Table(rows))
+		return nil
+	}
+	res, err := stmt.Exec(args...)
+	if err != nil {
+		return err
+	}
+	report(out, res, rows)
+	return nil
+}
+
 func report(out io.Writer, res *fdb.Result, rows int) {
 	fmt.Fprintln(out, "f-tree:")
 	fmt.Fprint(out, res.FTree())
@@ -384,11 +390,6 @@ func report(out io.Writer, res *fdb.Result, rows int) {
 	fmt.Fprintln(out, " ", res)
 	fmt.Fprintln(out, "rows:")
 	fmt.Fprint(out, res.Table(rows))
-}
-
-func reportAgg(out io.Writer, ar *fdb.AggResult, rows int) {
-	fmt.Fprintf(out, "groups: %d\n", ar.Len())
-	fmt.Fprint(out, ar.Table(rows))
 }
 
 // ------------------------------------------------------------------- REPL
@@ -517,7 +518,7 @@ func replPrepare(db *fdb.DB, stmts map[string]*fdb.Stmt, rest []string, out io.W
 	if len(rest) < 2 {
 		return fmt.Errorf("usage: prepare <name> <query>")
 	}
-	clauses, _, err := parseQuery(rest[1:])
+	clauses, err := parseQuery(rest[1:])
 	if err != nil {
 		return err
 	}
@@ -546,20 +547,7 @@ func replExec(stmts map[string]*fdb.Stmt, rest []string, rows int, out io.Writer
 	if err != nil {
 		return err
 	}
-	if len(stmt.Aggregates()) > 0 {
-		ar, err := stmt.ExecAgg(args...)
-		if err != nil {
-			return err
-		}
-		reportAgg(out, ar, rows)
-		return nil
-	}
-	res, err := stmt.Exec(args...)
-	if err != nil {
-		return err
-	}
-	report(out, res, rows)
-	return nil
+	return execAndReport(out, stmt, args, rows)
 }
 
 // replWrite handles the insert/delete/upsert verbs. Writes commit
@@ -618,24 +606,15 @@ func replSnapQuery(snaps map[string]*fdb.Snapshot, rest []string, rows int, out 
 	if !ok {
 		return fmt.Errorf("no snapshot %q", rest[0])
 	}
-	clauses, hasAgg, err := parseQuery(rest[1:])
+	clauses, err := parseQuery(rest[1:])
 	if err != nil {
 		return err
 	}
-	if hasAgg {
-		ar, err := snap.QueryAgg(clauses...)
-		if err != nil {
-			return err
-		}
-		reportAgg(out, ar, rows)
-		return nil
-	}
-	res, err := snap.Query(clauses...)
+	stmt, err := snap.Prepare(clauses...)
 	if err != nil {
 		return err
 	}
-	report(out, res, rows)
-	return nil
+	return execAndReport(out, stmt, nil, rows)
 }
 
 func replRelease(snaps map[string]*fdb.Snapshot, rest []string, out io.Writer) error {
@@ -681,120 +660,81 @@ func replOpen(rest []string, out io.Writer) (*fdb.DB, error) {
 	return db, nil
 }
 
+// replQuery compiles through the plan cache, so a later save carries the
+// query's encoding along.
 func replQuery(db *fdb.DB, rest []string, rows int, out io.Writer) error {
-	clauses, hasAgg, err := parseQuery(rest)
+	clauses, err := parseQuery(rest)
 	if err != nil {
 		return err
 	}
-	if hasAgg {
-		ar, err := db.QueryAgg(clauses...)
-		if err != nil {
-			return err
-		}
-		reportAgg(out, ar, rows)
-		return nil
-	}
-	res, err := db.Query(clauses...)
+	stmt, err := db.PrepareCached(clauses...)
 	if err != nil {
 		return err
 	}
-	report(out, res, rows)
-	return nil
+	return execAndReport(out, stmt, nil, rows)
 }
 
-// parseQuery parses the REPL query grammar: from R1,R2 eq A=B ... where
-// ATTR<op>VAL ... project A,B orderby A,-B limit N offset N distinct
-// groupby A,B agg count|sum(A)|... It also reports whether the query
-// aggregates (and so runs through QueryAgg/ExecAgg rather than Query/Exec).
-func parseQuery(tokens []string) ([]fdb.Clause, bool, error) {
+// queryWords is the query grammar's vocabulary: every word but distinct
+// takes one argument, named here for the "needs" error.
+var queryWords = map[string]struct {
+	needs string
+	parse func(arg string) (fdb.Clause, error)
+}{
+	"from":    {"a relation list", func(a string) (fdb.Clause, error) { return fdb.From(strings.Split(a, ",")...), nil }},
+	"eq":      {"A=B", parseEq},
+	"where":   {"a condition", parseWhere},
+	"project": {"an attribute list", func(a string) (fdb.Clause, error) { return fdb.Project(strings.Split(a, ",")...), nil }},
+	"orderby": {"a key list (e.g. A,-B)", func(a string) (fdb.Clause, error) { return parseOrderBy(a), nil }},
+	"limit":   {"a count", parseCount("limit", fdb.Limit)},
+	"offset":  {"a count", parseCount("offset", fdb.Offset)},
+	"groupby": {"an attribute list", func(a string) (fdb.Clause, error) { return fdb.GroupBy(strings.Split(a, ",")...), nil }},
+	"agg":     {"a function (count, sum(A), min(A), max(A), distinct(A))", parseAgg},
+}
+
+// parseQuery parses the query grammar shared by the flags and the REPL:
+// from R1,R2 eq A=B ... where ATTR<op>VAL ... project A,B orderby A,-B
+// limit N offset N distinct groupby A,B agg count|sum(A)|...
+func parseQuery(tokens []string) ([]fdb.Clause, error) {
 	var clauses []fdb.Clause
-	hasAgg := false
-	i := 0
-	for i < len(tokens) {
-		switch tokens[i] {
-		case "from":
-			if i+1 >= len(tokens) {
-				return nil, false, fmt.Errorf("from needs a relation list")
-			}
-			clauses = append(clauses, fdb.From(strings.Split(tokens[i+1], ",")...))
-			i += 2
-		case "eq":
-			if i+1 >= len(tokens) {
-				return nil, false, fmt.Errorf("eq needs A=B")
-			}
-			parts := strings.SplitN(tokens[i+1], "=", 2)
-			if len(parts) != 2 {
-				return nil, false, fmt.Errorf("bad eq %q", tokens[i+1])
-			}
-			clauses = append(clauses, fdb.Eq(parts[0], parts[1]))
-			i += 2
-		case "where":
-			if i+1 >= len(tokens) {
-				return nil, false, fmt.Errorf("where needs a condition")
-			}
-			c, err := parseWhere(tokens[i+1])
-			if err != nil {
-				return nil, false, err
-			}
-			clauses = append(clauses, c)
-			i += 2
-		case "project":
-			if i+1 >= len(tokens) {
-				return nil, false, fmt.Errorf("project needs an attribute list")
-			}
-			clauses = append(clauses, fdb.Project(strings.Split(tokens[i+1], ",")...))
-			i += 2
-		case "orderby":
-			if i+1 >= len(tokens) {
-				return nil, false, fmt.Errorf("orderby needs a key list (e.g. A,-B)")
-			}
-			clauses = append(clauses, parseOrderBy(tokens[i+1]))
-			i += 2
-		case "limit":
-			if i+1 >= len(tokens) {
-				return nil, false, fmt.Errorf("limit needs a count")
-			}
-			n, err := strconv.Atoi(tokens[i+1])
-			if err != nil {
-				return nil, false, fmt.Errorf("bad limit %q", tokens[i+1])
-			}
-			clauses = append(clauses, fdb.Limit(n))
-			i += 2
-		case "offset":
-			if i+1 >= len(tokens) {
-				return nil, false, fmt.Errorf("offset needs a count")
-			}
-			n, err := strconv.Atoi(tokens[i+1])
-			if err != nil {
-				return nil, false, fmt.Errorf("bad offset %q", tokens[i+1])
-			}
-			clauses = append(clauses, fdb.Offset(n))
-			i += 2
-		case "distinct":
+	for i := 0; i < len(tokens); i++ {
+		if tokens[i] == "distinct" {
 			clauses = append(clauses, fdb.Distinct())
-			i++
-		case "groupby":
-			if i+1 >= len(tokens) {
-				return nil, false, fmt.Errorf("groupby needs an attribute list")
-			}
-			clauses = append(clauses, fdb.GroupBy(strings.Split(tokens[i+1], ",")...))
-			i += 2
-		case "agg":
-			if i+1 >= len(tokens) {
-				return nil, false, fmt.Errorf("agg needs a function (count, sum(A), min(A), max(A), distinct(A))")
-			}
-			c, err := parseAgg(tokens[i+1])
-			if err != nil {
-				return nil, false, err
-			}
-			clauses = append(clauses, c)
-			hasAgg = true
-			i += 2
-		default:
-			return nil, false, fmt.Errorf("unexpected token %q", tokens[i])
+			continue
 		}
+		w, ok := queryWords[tokens[i]]
+		if !ok {
+			return nil, fmt.Errorf("unexpected token %q", tokens[i])
+		}
+		if i+1 >= len(tokens) {
+			return nil, fmt.Errorf("%s needs %s", tokens[i], w.needs)
+		}
+		i++
+		c, err := w.parse(tokens[i])
+		if err != nil {
+			return nil, err
+		}
+		clauses = append(clauses, c)
 	}
-	return clauses, hasAgg, nil
+	return clauses, nil
+}
+
+func parseEq(arg string) (fdb.Clause, error) {
+	parts := strings.SplitN(arg, "=", 2)
+	if len(parts) != 2 {
+		return nil, fmt.Errorf("bad eq %q", arg)
+	}
+	return fdb.Eq(parts[0], parts[1]), nil
+}
+
+// parseCount parses the argument of limit and offset.
+func parseCount(word string, clause func(int) fdb.Clause) func(string) (fdb.Clause, error) {
+	return func(arg string) (fdb.Clause, error) {
+		n, err := strconv.Atoi(arg)
+		if err != nil {
+			return nil, fmt.Errorf("bad %s %q", word, arg)
+		}
+		return clause(n), nil
+	}
 }
 
 // demo runs Q1 of the paper on the grocery database of Figure 1, then shows

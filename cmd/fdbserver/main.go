@@ -44,12 +44,7 @@ func warmReadPool(db *fdb.DB) error {
 		if len(st.Params()) > 0 {
 			continue // parameterised plans cannot ride the snapshot
 		}
-		if len(q.Spec.Aggs) > 0 {
-			_, err = st.ExecAgg()
-		} else {
-			_, err = st.Exec()
-		}
-		if err != nil {
+		if _, err := wire.ExecRows(context.Background(), st, nil, 1); err != nil {
 			return err
 		}
 	}

@@ -102,24 +102,9 @@ func newReference(seed int64, scale int) (*reference, error) {
 
 // encoded returns the wire encoding of query qi's library-side result.
 func (r *reference) encoded(qi int, args []wire.Arg) ([]byte, error) {
-	fargs := make([]fdb.NamedArg, len(args))
-	for i, a := range args {
-		fargs[i] = fdb.Arg(a.Name, a.Val.Native())
-	}
-	st, q := r.stmts[qi], r.queries[qi]
-	var rows *wire.Rows
-	if q.Spec.IsAgg() {
-		res, err := st.ExecAgg(fargs...)
-		if err != nil {
-			return nil, err
-		}
-		rows = &wire.Rows{Schema: res.Schema(), Rows: res.Rows(0)}
-	} else {
-		res, err := st.Exec(fargs...)
-		if err != nil {
-			return nil, err
-		}
-		rows = &wire.Rows{Schema: res.Schema(), Rows: res.Rows(0)}
+	rows, err := wire.ExecRows(context.Background(), r.stmts[qi], args, 0)
+	if err != nil {
+		return nil, err
 	}
 	return wire.EncodeRows(rows), nil
 }

@@ -58,7 +58,7 @@ var Experiments = []Experiment{
 	{2, "Figures 6+9: full-search vs greedy f-plan optimiser", func(c Config) (Table, error) {
 		return planSearch(c, 4, 10, seq(1, 8), seq(1, 6))
 	}},
-	{3, "Figure 7: evaluation on flat data, FDB vs RDB vs Volcano", func(c Config) (Table, error) {
+	{3, "Figure 7: evaluation on flat data, FDB vs RDB", func(c Config) (Table, error) {
 		return flatEval(c, []int{300, 900, 2700}, seq(2, 4))
 	}},
 	{3, "Figure 7 (right): the combinatorial dataset", func(c Config) (Table, error) {

@@ -14,7 +14,6 @@ import (
 	"repro/internal/opt"
 	"repro/internal/rdb"
 	"repro/internal/relation"
-	"repro/internal/volcano"
 )
 
 // maxBaselineTuples is the hard cap on what the flat baselines of
@@ -175,9 +174,10 @@ func planSearch(cfg Config, r, a int, ks, ls []int) (Table, error) {
 }
 
 // flatEvalCells measures one query of Experiment 3 and returns its cells
-// (fdb_size … volcano_timeout): FDB optimises and builds the factorised
-// result; RDB and the Volcano stand-in for SQLite/PostgreSQL evaluate flat,
-// count-only like the paper's no-result-writing runs, under the budget.
+// (fdb_size … rdb_timeout): FDB optimises and builds the factorised result;
+// RDB — the flat oracle every fuzzer compares against, standing in for the
+// paper's relational engines — evaluates flat, count-only like the paper's
+// no-result-writing runs, under the budget.
 func flatEvalCells(q *core.Query, timeout time.Duration) (string, error) {
 	start := time.Now()
 	tr, _, err := opt.OptimalFTree(q.Classes(), q.Schemas(), opt.TreeSearchOptions{})
@@ -199,13 +199,8 @@ func flatEvalCells(q *core.Query, timeout time.Duration) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	vres, err := volcano.Evaluate(q, volcano.Options{Timeout: timeout, MaxTuples: maxBaselineTuples})
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%d %d %.3f %.3f %.3f %v %v", fdbSize, flatSize, fdbMS,
-		float64(rres.Duration.Microseconds())/1000, float64(vres.Duration.Microseconds())/1000,
-		rres.TimedOut, vres.TimedOut), nil
+	return fmt.Sprintf("%d %d %.3f %.3f %v", fdbSize, flatSize, fdbMS,
+		float64(rres.Duration.Microseconds())/1000, rres.TimedOut), nil
 }
 
 // flatEval is Experiment 3 (Figure 7): query evaluation on flat data, 3
@@ -213,7 +208,7 @@ func flatEvalCells(q *core.Query, timeout time.Duration) (string, error) {
 func flatEval(cfg Config, ns, ks []int) (Table, error) {
 	t := Table{Header: []string{
 		"Experiment 3 (Figure 7): 3 ternary relations, values [1,100]",
-		"dist N K fdb_size flat_size fdb_ms rdb_ms volcano_ms rdb_timeout volcano_timeout",
+		"dist N K fdb_size flat_size fdb_ms rdb_ms rdb_timeout",
 	}}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for _, dist := range []gen.Distribution{gen.Uniform, gen.Zipf} {
@@ -239,7 +234,7 @@ func flatEval(cfg Config, ns, ks []int) (Table, error) {
 func combinatorialEval(cfg Config, ks []int) (Table, error) {
 	t := Table{Header: []string{
 		"Experiment 3 (Figure 7, right): combinatorial dataset, R=4, A=10, values [1,20]",
-		"K fdb_size flat_size fdb_ms rdb_ms volcano_ms rdb_timeout volcano_timeout",
+		"K fdb_size flat_size fdb_ms rdb_ms rdb_timeout",
 	}}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for _, k := range trim(cfg, ks) {

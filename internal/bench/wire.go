@@ -62,15 +62,11 @@ func wireOverhead(cfg Config, scale, ops int) (Table, error) {
 		return t, err
 	}
 	libRows := func(args []wire.Arg) ([]byte, error) {
-		fargs := make([]fdb.NamedArg, len(args))
-		for i, a := range args {
-			fargs[i] = fdb.Arg(a.Name, a.Val.Native())
-		}
-		res, err := st.Exec(fargs...)
+		rows, err := wire.ExecRows(context.Background(), st, args, 0)
 		if err != nil {
 			return nil, err
 		}
-		return wire.EncodeRows(&wire.Rows{Schema: res.Schema(), Rows: res.Rows(0)}), nil
+		return wire.EncodeRows(rows), nil
 	}
 
 	// Parity check before any timing: every distinct binding must agree.

@@ -194,8 +194,8 @@ func (q *Query) Classes() []relation.AttrSet {
 
 // EvaluateFlat computes the query result by nested-loop product, selection
 // and projection — the reference semantics used as ground truth in tests
-// and by the size accounting of the experiments. Use the engines in
-// internal/rdb or internal/volcano for realistic flat evaluation.
+// and by the size accounting of the experiments. Use internal/rdb for
+// realistic flat evaluation.
 func (q *Query) EvaluateFlat() (*relation.Relation, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err

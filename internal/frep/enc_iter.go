@@ -34,7 +34,7 @@ func (e *Enc) Enumerate(yield func(relation.Tuple) bool) {
 	if e.IsEmpty() {
 		return
 	}
-	it := NewEncIterator(e)
+	it := NewEncIterator(e, nil)
 	for {
 		t, ok := it.Next()
 		if !ok {
@@ -48,57 +48,86 @@ func (e *Enc) Enumerate(yield func(relation.Tuple) bool) {
 
 // EncIterator enumerates the tuples of an encoded representation with
 // constant delay, as a resumable cursor: per node one absolute entry index
-// plus the bounds of its current union — an odometer over flat arrays. The
-// iterator is only valid while e is alive (Encs are immutable, so there is
-// no invalidation-by-mutation hazard).
+// plus the bounds of its current union — an odometer over flat arrays. It is
+// the only odometer: without an order plan every union is walked in stored
+// order (lexicographic over Schema()); with one (see ResolveOrder) the
+// plan's covered prefix nodes walk their unions by direction and decoded-order
+// permutation, which is ORDER BY retrieval with no sort. The iterator is only
+// valid while e is alive (Encs are immutable, so there is no
+// invalidation-by-mutation hazard).
 type EncIterator struct {
 	e      *Enc
+	ord    *EncOrder // nil: stored order
+	prefix int       // ord.Prefix; 0 without an order plan
 	schema relation.Schema
 	fills  [][]int
 	cur    []int32 // per node: current entry (absolute index into Vals)
-	lo, hi []int32 // per node: current union span
-	// rlo, rhi restrict the first pre-order node's (first root's) union to
-	// entries [rlo, rhi) — the sharding hook for parallel enumeration. A
-	// full iterator spans the whole union.
-	rlo, rhi int32
-	buf      relation.Tuple
-	done     bool
-	fresh    bool
+	hi     []int32 // per node: end of its current union
+	// per covered prefix node: start of its current union and the walk
+	// position within it (stored-order nodes need neither: cur is both).
+	lo, pos []int32
+	// offs holds each node's union-offset column. The first pre-order node
+	// (the first root) gets a private two-entry table instead, restricting
+	// its one union to the iterator's range — the sharding hook for
+	// parallel enumeration. A full iterator spans the whole union.
+	offs    [][]int32
+	buf     relation.Tuple
+	done    bool
+	fresh   bool
+	visited int64
 }
 
-// NewEncIterator prepares an iterator over e. Preparation is linear in the
-// number of f-tree nodes; each Next is amortised constant delay.
-func NewEncIterator(e *Enc) *EncIterator {
-	return NewEncIteratorRange(e, 0, int32(e.NumEntries(0)))
+// NewEncIterator prepares an iterator over all of e, in stored order when
+// ord is nil and in the order ord was resolved for (against this same Enc)
+// otherwise. Preparation is linear in the number of f-tree nodes; each Next
+// is amortised constant delay.
+func NewEncIterator(e *Enc, ord *EncOrder) *EncIterator {
+	return NewEncIteratorRange(e, ord, 0, int32(e.NumEntries(0)))
 }
 
 // NewEncIteratorRange prepares an iterator over the tuples whose first-root
-// entry lies in [lo, hi) — a contiguous slice of the enumeration order,
-// since the first root is the most significant digit of the odometer.
-// Concatenating the ranges [0,a), [a,b), …, [z,N) reproduces the full
-// enumeration exactly; disjoint ranges can be walked concurrently (the
-// iterators share only the immutable e).
-func NewEncIteratorRange(e *Enc, lo, hi int32) *EncIterator {
+// entry lies at walk positions [lo, hi) — a contiguous slice of the
+// enumeration order, since the first root is the most significant digit of
+// the odometer. Concatenating the ranges [0,a), [a,b), …, [z,N) reproduces
+// the full enumeration exactly; disjoint ranges can be walked concurrently
+// (the iterators share only the immutable e).
+func NewEncIteratorRange(e *Enc, ord *EncOrder, lo, hi int32) *EncIterator {
 	if lo < 0 {
 		lo = 0
 	}
-	if n := int32(e.NumEntries(0)); hi > n {
+	n := int32(e.NumEntries(0))
+	if hi > n {
 		hi = n
 	}
-	it := &EncIterator{e: e, schema: e.Schema(), rlo: lo, rhi: hi}
+	it := &EncIterator{e: e, ord: ord, schema: e.Schema()}
+	if ord != nil {
+		it.prefix = ord.Prefix
+		it.lo = make([]int32, ord.Prefix)
+		it.pos = make([]int32, ord.Prefix)
+		if ord.Prefix > 0 && ord.desc[0] {
+			// A descending root walks its span backwards: mirror the
+			// range so it still counts walk positions.
+			lo, hi = n-hi, n-lo
+		}
+	}
 	it.fills = encFillTable(e, it.schema)
 	it.buf = make(relation.Tuple, len(it.schema))
-	n := len(e.ti.nodes)
-	it.cur = make([]int32, n)
-	it.lo = make([]int32, n)
-	it.hi = make([]int32, n)
+	nodes := len(e.ti.nodes)
+	it.cur = make([]int32, nodes)
+	it.hi = make([]int32, nodes)
+	it.offs = make([][]int32, nodes)
+	for ni := range it.offs {
+		it.offs[ni] = e.Offs(ni)
+	}
+	it.offs[0] = []int32{lo, hi}
 	it.Reset()
 	return it
 }
 
 // Reset rewinds the iterator to the first tuple of its range.
 func (it *EncIterator) Reset() {
-	it.done = it.e.IsEmpty() || it.rlo >= it.rhi
+	it.visited = 0
+	it.done = it.e.IsEmpty() || it.offs[0][0] >= it.offs[0][1]
 	it.fresh = !it.done
 	if it.done {
 		return
@@ -106,22 +135,46 @@ func (it *EncIterator) Reset() {
 	it.reseat(0)
 }
 
+// span returns the union node ni currently walks: union 0 for roots, else
+// the one under its parent's current entry (pre-order guarantees the parent
+// is already seated).
+func (it *EncIterator) span(ni int) (lo, hi int32) {
+	u := 0
+	if p := it.e.ti.par[ni]; p >= 0 {
+		u = int(it.cur[p])
+	}
+	o := it.offs[ni]
+	return o[u], o[u+1]
+}
+
+// entryAt maps a walk position of covered prefix node ni to its absolute
+// entry index: backwards for a descending key, through the decoded-order
+// permutation when the plan built one.
+func (it *EncIterator) entryAt(ni int, pos int32) int32 {
+	j := it.lo[ni] + pos
+	if it.ord.desc[ni] {
+		j = it.hi[ni] - 1 - pos
+	}
+	if p := it.ord.perms[ni]; p != nil {
+		return p[j]
+	}
+	return j
+}
+
 // reseat recomputes union spans and first-entry cursors for nodes [from, n)
-// in pre-order: a node's union is 0 for roots, else its parent's current
-// entry (pre-order guarantees the parent is already seated). Node 0 — the
-// first root — is clamped to the iterator's range.
+// in pre-order. The covered prefix comes first in pre-order, so the
+// order-plan test is one comparison per call, not one per node.
 func (it *EncIterator) reseat(from int) {
-	e := it.e
-	for ni := from; ni < len(e.ti.nodes); ni++ {
-		u := 0
-		if p := e.ti.par[ni]; p >= 0 {
-			u = int(it.cur[p])
-		}
-		lo, hi := e.UnionSpan(ni, u)
-		if ni == 0 {
-			lo, hi = it.rlo, it.rhi
-		}
-		it.lo[ni], it.hi[ni], it.cur[ni] = lo, hi, lo
+	n := len(it.cur)
+	it.visited += int64(n - from)
+	ni := from
+	for ; ni < it.prefix; ni++ {
+		it.lo[ni], it.hi[ni] = it.span(ni)
+		it.pos[ni] = 0
+		it.cur[ni] = it.entryAt(ni, 0)
+	}
+	for ; ni < n; ni++ {
+		it.cur[ni], it.hi[ni] = it.span(ni)
 	}
 }
 
@@ -136,19 +189,30 @@ func (it *EncIterator) Next() (t relation.Tuple, ok bool) {
 		it.fresh = false
 	} else {
 		// Odometer: advance the deepest-rightmost node with entries left,
-		// reseat everything after it.
+		// reseat everything after it. Nodes past the order prefix step
+		// through stored entries; a prefix node steps its walk position.
 		i := len(it.cur) - 1
-		for ; i >= 0; i-- {
+		for ; i >= it.prefix; i-- {
 			if it.cur[i]+1 < it.hi[i] {
 				it.cur[i]++
-				it.reseat(i + 1)
 				break
 			}
 		}
-		if i < 0 {
-			it.done = true
-			return nil, false
+		if i < it.prefix {
+			for ; i >= 0; i-- {
+				if it.pos[i]+1 < it.hi[i]-it.lo[i] {
+					it.pos[i]++
+					it.cur[i] = it.entryAt(i, it.pos[i])
+					break
+				}
+			}
+			if i < 0 {
+				it.done = true
+				return nil, false
+			}
 		}
+		it.visited++
+		it.reseat(i + 1)
 		from = i
 	}
 	for ni := from; ni < len(it.cur); ni++ {
@@ -162,6 +226,11 @@ func (it *EncIterator) Next() (t relation.Tuple, ok bool) {
 
 // Schema returns the attribute order of the tuples produced by Next.
 func (it *EncIterator) Schema() relation.Schema { return it.schema }
+
+// Visited returns the number of entry seatings since the last Reset — the
+// work measure behind the O(n) top-k guarantee: Limit(n) retrieval touches
+// O(n) of the encoding.
+func (it *EncIterator) Visited() int64 { return it.visited }
 
 // EnumerateShards splits the enumeration into n resumable iterators over
 // contiguous ranges of the first root's union, in enumeration order:
@@ -179,7 +248,7 @@ func (e *Enc) EnumerateShards(n int) []*EncIterator {
 	}
 	out := make([]*EncIterator, n)
 	for i := range out {
-		out[i] = NewEncIteratorRange(e, chunkBound(total, i, n), chunkBound(total, i+1, n))
+		out[i] = NewEncIteratorRange(e, nil, chunkBound(total, i, n), chunkBound(total, i+1, n))
 	}
 	return out
 }

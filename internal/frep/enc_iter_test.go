@@ -40,7 +40,7 @@ func TestIteratorMatchesEnumerate(t *testing.T) {
 				t.Fatalf("trial %d: Enumerate tuple %d is %v, sorted relation has %v", trial, i, want[i], sorted.Tuples[i])
 			}
 		}
-		it := NewEncIterator(f)
+		it := NewEncIterator(f, nil)
 		if !it.Schema().Equal(f.Schema()) {
 			t.Fatal("iterator schema differs")
 		}
@@ -79,7 +79,7 @@ func TestIteratorEmpty(t *testing.T) {
 	tr := ftree.New([]*ftree.Node{ftree.NewNode("A")},
 		[]relation.AttrSet{relation.NewAttrSet("A")})
 	f := NewEmptyEnc(tr)
-	it := NewEncIterator(f)
+	it := NewEncIterator(f, nil)
 	if _, ok := it.Next(); ok {
 		t.Fatal("empty representation produced a tuple")
 	}
@@ -105,7 +105,7 @@ func TestIteratorForest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := NewEncIterator(f)
+	it := NewEncIterator(f, nil)
 	count := 0
 	var prev relation.Tuple
 	for {

@@ -8,14 +8,14 @@
 //
 //   - per-node sort permutations: dictionary codes are insertion-ordered, so
 //     decoded (e.g. lexicographic string) order is a per-union permutation of
-//     the stored order. The permutations are built once per column and the
-//     ordered iterator walks unions through them;
+//     the stored order. The permutations are built once per column and
+//     EncIterator walks the plan's unions through them;
 //   - per-node direction: descending keys walk their union (or permutation)
 //     backwards, which reverses exactly that digit of the odometer.
 //
 // When the requested order is incompatible with the f-tree even after
-// restructuring, SortedIter falls back to a bounded size-(offset+limit) heap
-// (or a full sort when no limit is given) over the enumeration.
+// restructuring, SortedRows falls back to a bounded size-k heap (or a full
+// sort when no limit is given) over the enumeration.
 package frep
 
 import (
@@ -41,13 +41,13 @@ func (k OrderKey) String() string {
 
 // ValueLess is a strict weak order on engine values. A nil ValueLess means
 // native int64 order — the order unions are stored in. A non-nil comparator
-// (e.g. dictionary-decoded lexicographic order) makes the ordered iterator
-// build sort permutations for the key columns.
+// (e.g. dictionary-decoded lexicographic order) makes ResolveOrder build sort
+// permutations for the key columns.
 type ValueLess func(a, b relation.Value) bool
 
-// TupleIter is a resumable iterator over result tuples. EncIterator,
-// OrderedEncIterator and the sort-fallback iterator all implement it; the
-// tuple returned by Next may be reused between calls — clone to retain.
+// TupleIter is a resumable iterator over result tuples. EncIterator, the
+// sort-fallback replay and Clip all implement it; the tuple returned by Next
+// may be reused between calls — clone to retain.
 type TupleIter interface {
 	Next() (relation.Tuple, bool)
 	Schema() relation.Schema
@@ -79,7 +79,7 @@ func (e *Enc) allConst(ni int) bool {
 // ResolveOrder matches the ORDER BY keys against e's pre-order node sequence
 // and returns the order plan, or ok == false when the requested order is not
 // a structural property of this encoding (the caller may retry after sibling
-// reordering, or fall back to SortedIter). Keys on constant nodes impose
+// reordering, or fall back to SortedRows). Keys on constant nodes impose
 // nothing and are skipped, as are keys whose node an earlier key already
 // pinned (their digits are tie-free).
 func ResolveOrder(e *Enc, keys []OrderKey, less ValueLess) (*EncOrder, bool) {
@@ -117,150 +117,46 @@ func (e *Enc) sortPerm(ni int, less ValueLess) []int32 {
 	if less == nil {
 		return nil
 	}
-	vals := e.Vals(ni)
-	offs := e.Offs(ni)
-	perm := make([]int32, len(vals))
-	identity := true
+	vals, offs := e.Vals(ni), e.Offs(ni)
+	// A column has one union per parent entry, so nothing here may allocate
+	// per union: the permutation, and the one sorter re-pointed at each span,
+	// come into being at the first union stored out of order.
+	var by *permSorter
 	for u := 0; u+1 < len(offs); u++ {
 		lo, hi := offs[u], offs[u+1]
-		for j := lo; j < hi; j++ {
-			perm[j] = j
+		sorted := true
+		for j := lo + 1; j < hi && sorted; j++ {
+			sorted = !less(vals[j], vals[j-1])
 		}
-		s := perm[lo:hi]
-		sort.SliceStable(s, func(a, b int) bool { return less(vals[s[a]], vals[s[b]]) })
-		if identity {
-			for j := lo; j < hi; j++ {
-				if perm[j] != j {
-					identity = false
-					break
-				}
+		if sorted {
+			continue
+		}
+		if by == nil {
+			by = &permSorter{perm: make([]int32, len(vals)), vals: vals, less: less}
+			for j := range by.perm {
+				by.perm[j] = int32(j)
 			}
 		}
+		by.s = by.perm[lo:hi]
+		sort.Stable(by)
 	}
-	if identity {
+	if by == nil {
 		return nil
 	}
-	return perm
+	return by.perm
 }
 
-// OrderedEncIterator enumerates an encoded representation in ORDER BY order
-// when the order is structural (see ResolveOrder): the same constant-delay
-// odometer as EncIterator, except that the covered prefix nodes walk their
-// unions by direction and permutation. Visited counts the entries seated, so
-// tests can verify that Limit(n) retrieval touches O(n) of the encoding.
-type OrderedEncIterator struct {
-	e       *Enc
-	ord     *EncOrder
-	schema  relation.Schema
-	fills   [][]int
-	pos     []int32 // per node: position within the current union walk
-	abs     []int32 // per node: absolute entry index (value + child-union id)
-	lo, hi  []int32 // per node: current union span
-	buf     relation.Tuple
-	done    bool
-	fresh   bool
-	visited int64
+// permSorter stably sorts one union's span s of the identity-initialised
+// permutation by the values the indices point at.
+type permSorter struct {
+	perm, s []int32
+	vals    []relation.Value
+	less    ValueLess
 }
 
-// NewOrderedEncIterator prepares an ordered iterator over e for a plan
-// resolved by ResolveOrder against the same Enc.
-func NewOrderedEncIterator(e *Enc, ord *EncOrder) *OrderedEncIterator {
-	it := &OrderedEncIterator{e: e, ord: ord, schema: e.Schema()}
-	it.fills = encFillTable(e, it.schema)
-	it.buf = make(relation.Tuple, len(it.schema))
-	n := len(e.ti.nodes)
-	it.pos = make([]int32, n)
-	it.abs = make([]int32, n)
-	it.lo = make([]int32, n)
-	it.hi = make([]int32, n)
-	it.Reset()
-	return it
-}
-
-// entryAt maps a walk position to the absolute entry index of node ni.
-func (it *OrderedEncIterator) entryAt(ni int, pos int32) int32 {
-	lo, hi := it.lo[ni], it.hi[ni]
-	if ni >= it.ord.Prefix {
-		return lo + pos
-	}
-	j := lo + pos
-	if it.ord.desc[ni] {
-		j = hi - 1 - pos
-	}
-	if p := it.ord.perms[ni]; p != nil {
-		return p[j]
-	}
-	return j
-}
-
-// Reset rewinds the iterator to the first tuple.
-func (it *OrderedEncIterator) Reset() {
-	it.visited = 0
-	it.done = it.e.IsEmpty()
-	it.fresh = !it.done
-	if it.done {
-		return
-	}
-	it.reseat(0)
-}
-
-// reseat recomputes union spans and first-position cursors for nodes
-// [from, n) in pre-order, following each parent's current absolute entry.
-func (it *OrderedEncIterator) reseat(from int) {
-	e := it.e
-	for ni := from; ni < len(e.ti.nodes); ni++ {
-		u := 0
-		if p := e.ti.par[ni]; p >= 0 {
-			u = int(it.abs[p])
-		}
-		it.lo[ni], it.hi[ni] = e.UnionSpan(ni, u)
-		it.pos[ni] = 0
-		it.abs[ni] = it.entryAt(ni, 0)
-		it.visited++
-	}
-}
-
-// Next returns the next tuple in key order, or ok == false when exhausted.
-// The returned slice is reused across calls; clone it to retain.
-func (it *OrderedEncIterator) Next() (t relation.Tuple, ok bool) {
-	if it.done {
-		return nil, false
-	}
-	from := 0
-	if it.fresh {
-		it.fresh = false
-	} else {
-		i := len(it.pos) - 1
-		for ; i >= 0; i-- {
-			if it.pos[i]+1 < it.hi[i]-it.lo[i] {
-				it.pos[i]++
-				it.abs[i] = it.entryAt(i, it.pos[i])
-				it.visited++
-				it.reseat(i + 1)
-				break
-			}
-		}
-		if i < 0 {
-			it.done = true
-			return nil, false
-		}
-		from = i
-	}
-	for ni := from; ni < len(it.pos); ni++ {
-		v := it.e.Vals(ni)[it.abs[ni]]
-		for _, p := range it.fills[ni] {
-			it.buf[p] = v
-		}
-	}
-	return it.buf, true
-}
-
-// Schema returns the attribute order of the tuples produced by Next.
-func (it *OrderedEncIterator) Schema() relation.Schema { return it.schema }
-
-// Visited returns the number of entry seatings since the last Reset — the
-// work measure behind the O(n) top-k guarantee.
-func (it *OrderedEncIterator) Visited() int64 { return it.visited }
+func (p *permSorter) Len() int           { return len(p.s) }
+func (p *permSorter) Less(a, b int) bool { return p.less(p.vals[p.s[a]], p.vals[p.s[b]]) }
+func (p *permSorter) Swap(a, b int)      { p.s[a], p.s[b] = p.s[b], p.s[a] }
 
 // --------------------------------------------------------- offset / limit
 
@@ -392,25 +288,19 @@ func ReplayIter(schema relation.Schema, rows []relation.Tuple) TupleIter {
 	return &sortedIter{schema: schema, rows: rows}
 }
 
-// SortedIter is the fallback for orders incompatible with the f-tree:
-// ReplayIter over SortedRows.
-func SortedIter(e *Enc, keys []OrderKey, less ValueLess, offset, limit int) TupleIter {
-	return ReplayIter(e.Schema(), SortedRows(e, keys, less, offset, limit))
-}
-
-// SortedRows materialises the ordered, clipped fallback sequence: it
-// enumerates e once and sorts. With a limit it keeps a bounded max-heap of
-// the best offset+limit tuples (O(N log k) time, O(k) memory — the top-k
-// never materialises the flat result); without one it sorts everything.
-func SortedRows(e *Enc, keys []OrderKey, less ValueLess, offset, limit int) []relation.Tuple {
-	schema := e.Schema()
-	cmp := TupleCompare(schema, keys, less)
+// SortedRows is the fallback for orders incompatible with the f-tree: it
+// enumerates e once and returns the first k tuples under TupleCompare (k < 0:
+// all of them), sorted. With a bound it keeps a max-heap of the best k
+// tuples (O(N log k) time, O(k) memory — the top-k never materialises the
+// flat result); without one it sorts everything. Callers clip an OFFSET off
+// the front (Clip over ReplayIter) and so ask for offset+limit rows.
+func SortedRows(e *Enc, keys []OrderKey, less ValueLess, k int) []relation.Tuple {
+	cmp := TupleCompare(e.Schema(), keys, less)
 	var rows []relation.Tuple
-	if limit >= 0 {
-		k := offset + limit
-		if k <= 0 {
-			return nil
-		}
+	switch {
+	case k == 0:
+		return nil
+	case k > 0:
 		heap := make([]relation.Tuple, 0, k)
 		// Max-heap under cmp: the root is the worst of the best k so far.
 		siftUp := func(i int) {
@@ -450,23 +340,13 @@ func SortedRows(e *Enc, keys []OrderKey, less ValueLess, offset, limit int) []re
 			return true
 		})
 		rows = heap
-	} else {
+	default:
 		e.Enumerate(func(t relation.Tuple) bool {
 			rows = append(rows, t.Clone())
 			return true
 		})
 	}
 	sort.SliceStable(rows, func(i, j int) bool { return cmp(rows[i], rows[j]) < 0 })
-	if offset > 0 {
-		if offset >= len(rows) {
-			rows = nil
-		} else {
-			rows = rows[offset:]
-		}
-	}
-	if limit >= 0 && len(rows) > limit {
-		rows = rows[:limit]
-	}
 	return rows
 }
 

@@ -121,18 +121,55 @@ func TestOrderedEnumerationIsSortedPermutation(t *testing.T) {
 		if !ok {
 			t.Fatalf("seed %d: prefix keys %v did not resolve", seed, keys)
 		}
-		got := collect(NewOrderedEncIterator(e, ord))
+		got := collect(NewEncIterator(e, ord))
 		want := refSorted(e, keys, less)
 		if !tuplesEqual(got, want) {
 			t.Fatalf("seed %d: ordered enumeration diverges for keys %v (less=%v)\ngot  %v\nwant %v",
 				seed, keys, less != nil, got, want)
 		}
+		// The root range slices the ordered walk too: ranges over walk
+		// positions concatenate to the full ordered enumeration.
+		n := int32(e.NumEntries(0))
+		cut := int32(rng.Intn(int(n) + 1))
+		parts := append(collect(NewEncIteratorRange(e, ord, 0, cut)), collect(NewEncIteratorRange(e, ord, cut, n))...)
+		if !tuplesEqual(parts, want) {
+			t.Fatalf("seed %d: ordered ranges [0,%d)+[%d,%d) do not concatenate to the ordered enumeration", seed, cut, cut, n)
+		}
 	}
 }
 
-// Property: keys that do not resolve structurally are answered by SortedIter
+// Resolving a decoded order allocates per key column, never per union: a
+// column has one union per parent entry, so per-union garbage grows with the
+// representation and shows up as GC-driven latency spread in every ordered
+// retrieval.
+func TestResolveOrderAllocatesPerColumn(t *testing.T) {
+	rel := relation.New("R", relation.Schema{"A", "B"})
+	for a := 0; a < 200; a++ {
+		for b := 0; b < 4; b++ {
+			rel.Append(relation.Value(a), relation.Value(b))
+		}
+	}
+	tr := ftree.New([]*ftree.Node{{Attrs: []relation.Attribute{"A"}, Children: []*ftree.Node{{Attrs: []relation.Attribute{"B"}}}}},
+		[]relation.AttrSet{relation.NewAttrSet("A", "B")})
+	e, err := fromRelation(tr, rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []OrderKey{{Attr: "A"}, {Attr: "B", Desc: true}}
+	allocs := testing.AllocsPerRun(10, func() {
+		if ord, ok := ResolveOrder(e, keys, zigzagLess); !ok || ord.perms[1] == nil {
+			t.Fatal("keys did not resolve to a permuted plan")
+		}
+	})
+	if allocs > 16 {
+		t.Fatalf("ResolveOrder over 201 unions made %.0f allocations; want a handful per key column", allocs)
+	}
+}
+
+// Property: keys that do not resolve structurally are answered by SortedRows
 // with the same sorted-sequence semantics, including offset/limit clipping
-// through the bounded heap.
+// through the bounded heap (the heap keeps offset+limit rows, Clip drops the
+// offset — the composition Result.Iter uses).
 func TestSortedFallbackMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 120; seed++ {
 		rng := rand.New(rand.NewSource(seed * 131))
@@ -157,7 +194,11 @@ func TestSortedFallbackMatchesReference(t *testing.T) {
 		if limit >= 0 && len(want) > limit {
 			want = want[:limit]
 		}
-		got := collect(SortedIter(e, keys, nil, offset, limit))
+		k := -1
+		if limit >= 0 {
+			k = offset + limit
+		}
+		got := collect(Clip(ReplayIter(e.Schema(), SortedRows(e, keys, nil, k)), offset, limit))
 		if !tuplesEqual(got, want) {
 			t.Fatalf("seed %d: fallback diverges for keys %v offset %d limit %d", seed, keys, offset, limit)
 		}
@@ -176,9 +217,9 @@ func TestLimitIsPrefixOfOrderedStream(t *testing.T) {
 		if !ok {
 			t.Fatalf("seed %d: root key did not resolve", seed)
 		}
-		full := collect(NewOrderedEncIterator(e, ord))
+		full := collect(NewEncIterator(e, ord))
 		n := rng.Intn(len(full) + 2)
-		it := Clip(NewOrderedEncIterator(e, ord), 0, n)
+		it := Clip(NewEncIterator(e, ord), 0, n)
 		got := collect(it)
 		want := full
 		if len(want) > n {
@@ -194,8 +235,9 @@ func TestLimitIsPrefixOfOrderedStream(t *testing.T) {
 	}
 }
 
-// Ordered top-k short-circuits: with Limit(n), retrieval visits O(n)
-// entries of the encoding, not the whole representation.
+// Top-k short-circuits: with Limit(n), retrieval visits O(n) entries of the
+// encoding, not the whole representation — in stored order (no plan) and
+// under an order plan alike.
 func TestOrderedLimitShortCircuits(t *testing.T) {
 	r := relation.New("R", relation.Schema{"A", "B", "C"})
 	for a := 0; a < 1000; a++ {
@@ -213,12 +255,16 @@ func TestOrderedLimitShortCircuits(t *testing.T) {
 	if e.NumEntries(0) != 1000 {
 		t.Fatalf("root has %d entries, want 1000", e.NumEntries(0))
 	}
+	plans := map[string]*EncOrder{"stored": nil}
 	for _, desc := range []bool{false, true} {
 		ord, ok := ResolveOrder(e, []OrderKey{{Attr: "A", Desc: desc}}, nil)
 		if !ok {
 			t.Fatal("root key did not resolve")
 		}
-		it := NewOrderedEncIterator(e, ord)
+		plans[OrderKey{Attr: "A", Desc: desc}.String()] = ord
+	}
+	for desc, ord := range plans {
+		it := NewEncIterator(e, ord)
 		clipped := Clip(it, 0, 5)
 		n := 0
 		for {
@@ -228,12 +274,12 @@ func TestOrderedLimitShortCircuits(t *testing.T) {
 			n++
 		}
 		if n != 5 {
-			t.Fatalf("desc=%v: got %d tuples, want 5", desc, n)
+			t.Fatalf("%s: got %d tuples, want 5", desc, n)
 		}
 		// 5 tuples over a depth-3 tree: a handful of seatings per Next, not
 		// one per root entry.
 		if v := it.Visited(); v > 64 {
-			t.Fatalf("desc=%v: top-5 visited %d entries (want O(5), representation has %d root entries)",
+			t.Fatalf("%s: top-5 visited %d entries (want O(5), representation has %d root entries)",
 				desc, v, e.NumEntries(0))
 		}
 	}
@@ -315,7 +361,7 @@ func TestReindexReordersEnumeration(t *testing.T) {
 		if re.Count() != e.Count() {
 			t.Fatalf("seed %d: reindex changed Count", seed)
 		}
-		got := collect(NewEncIterator(re))
+		got := collect(NewEncIterator(re, nil))
 		want := refSorted(re, nil, nil)
 		if !tuplesEqual(got, want) {
 			t.Fatalf("seed %d: reindexed enumeration is not schema-lexicographic", seed)
@@ -346,7 +392,7 @@ func TestOrderedIterationWithConcurrentShards(t *testing.T) {
 			}
 		}(i, sh)
 	}
-	got := collect(NewOrderedEncIterator(e, ord))
+	got := collect(NewEncIterator(e, ord))
 	wg.Wait()
 	var total int64
 	for _, c := range counts {

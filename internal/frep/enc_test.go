@@ -45,7 +45,7 @@ func TestQuickEncEnumeration(t *testing.T) {
 			}
 		}
 		// Pull-based, twice (Reset in between).
-		it := NewEncIterator(e)
+		it := NewEncIterator(e, nil)
 		for pass := 0; pass < 2; pass++ {
 			i := 0
 			for {

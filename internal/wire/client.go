@@ -186,18 +186,10 @@ func (cl *Client) Prepare(sp *Spec) (*RemoteStmt, error) {
 	return &RemoteStmt{cl: cl, Handle: pr.Handle, Params: pr.Params, IsAgg: pr.IsAgg}, nil
 }
 
-// execVerb picks the execution verb matching the statement's shape.
-func (rs *RemoteStmt) execVerb() byte {
-	if rs.IsAgg {
-		return VerbExecAgg
-	}
-	return VerbExec
-}
-
 // Start issues an execution without waiting: the pipelining form of Exec.
 // snap 0 reads live data; maxRows 0 returns all rows.
 func (rs *RemoteStmt) Start(snap, maxRows uint32, args ...Arg) (*Pending, error) {
-	return rs.cl.Send(rs.execVerb(), EncodeExecReq(&ExecReq{Handle: rs.Handle, Snap: snap, MaxRows: maxRows, Args: args}))
+	return rs.cl.Send(VerbExec, EncodeExecReq(&ExecReq{Handle: rs.Handle, Snap: snap, MaxRows: maxRows, Args: args}))
 }
 
 // Exec runs the statement and decodes its rows.

@@ -12,14 +12,6 @@ import (
 	fdb "repro"
 )
 
-// stmtEntry is one prepared statement handle owned by a connection. The
-// *fdb.Stmt itself may be shared with other connections through the plan
-// cache; the handle and its snapshot-pinned variants are connection-local.
-type stmtEntry struct {
-	st    *fdb.Stmt
-	isAgg bool
-}
-
 // conn serves one client connection: a read loop that decodes frames and
 // dispatches them, cheap verbs handled inline, execution verbs admitted
 // onto the server's shared slots and run in their own goroutines so that
@@ -34,7 +26,7 @@ type conn struct {
 	wmu sync.Mutex
 
 	mu     sync.Mutex
-	stmts  map[uint32]*stmtEntry
+	stmts  map[uint32]*fdb.Stmt // handle -> statement (possibly shared through the plan cache; the handle is connection-local)
 	snaps  map[uint32]*fdb.Snapshot
 	pinned map[uint64]*fdb.Stmt // (snap id << 32 | handle) -> pinned statement
 	nextID uint32               // handle and snapshot id allocator (shared; ids only need uniqueness)
@@ -50,7 +42,7 @@ func newConn(s *Server, c net.Conn) *conn {
 		c:      c,
 		br:     bufio.NewReaderSize(c, 64<<10),
 		bw:     bufio.NewWriterSize(c, 64<<10),
-		stmts:  map[uint32]*stmtEntry{},
+		stmts:  map[uint32]*fdb.Stmt{},
 		snaps:  map[uint32]*fdb.Snapshot{},
 		pinned: map[uint64]*fdb.Stmt{},
 		done:   make(chan struct{}),
@@ -76,7 +68,9 @@ func (c *conn) serve() {
 // must stay responsive under execution load; everything else admits onto
 // the shared execution slots and runs in its own goroutine, which is what
 // makes pipelining real: the read loop is already decoding the next frame
-// while this request executes.
+// while this request executes. A panic in that goroutine is contained to
+// its request: the client gets CodeInternal on the request's id, the
+// connection and every other tenant keep being served.
 func (c *conn) dispatch(f Frame) {
 	if c.srv.draining.Load() {
 		c.reply(f.ID, CodeDraining, "server draining", nil)
@@ -98,7 +92,7 @@ func (c *conn) dispatch(f Frame) {
 		c.handleSnapshot(f)
 	case VerbRelease:
 		c.releaseSnap(f)
-	case VerbPrepare, VerbExec, VerbExecAgg, VerbInsert, VerbDelete, VerbUpsert:
+	case VerbPrepare, VerbExec, VerbInsert, VerbDelete, VerbUpsert:
 		release, aerr := c.srv.admit(c)
 		if aerr != nil {
 			c.reply(f.ID, aerr.Code, aerr.Msg, nil)
@@ -108,6 +102,12 @@ func (c *conn) dispatch(f Frame) {
 		go func() {
 			defer c.reqWG.Done()
 			defer release()
+			defer func() {
+				if p := recover(); p != nil {
+					c.srv.m.panics.Add(1)
+					c.reply(f.ID, CodeInternal, fmt.Sprintf("internal error: %v", p), nil)
+				}
+			}()
 			if h := c.srv.hook; h != nil {
 				h(f.Kind, f.ID)
 			}
@@ -127,8 +127,8 @@ func (c *conn) execute(f Frame) {
 	switch f.Kind {
 	case VerbPrepare:
 		c.handlePrepare(f)
-	case VerbExec, VerbExecAgg:
-		code, msg, body := c.handleExec(f, f.Kind == VerbExecAgg)
+	case VerbExec:
+		code, msg, body := c.handleExec(f)
 		c.srv.m.reads.observe(time.Since(start).Nanoseconds())
 		c.reply(f.ID, code, msg, body)
 	case VerbInsert, VerbDelete, VerbUpsert:
@@ -189,7 +189,7 @@ func (c *conn) handlePrepare(f Frame) {
 	c.mu.Lock()
 	c.nextID++
 	h := c.nextID
-	c.stmts[h] = &stmtEntry{st: st, isAgg: sp.IsAgg()}
+	c.stmts[h] = st
 	c.mu.Unlock()
 	c.reply(f.ID, 0, "", EncodePrepareResp(&PrepareResp{Handle: h, Params: st.Params(), IsAgg: sp.IsAgg()}))
 }
@@ -198,31 +198,31 @@ func (c *conn) handlePrepare(f Frame) {
 // statement, or — under a pinned snapshot — a snapshot-bound variant,
 // created on first use per (snapshot, handle) and cached so repeated
 // executions pay the input re-snapshot once.
-func (c *conn) stmtFor(req *ExecReq) (*fdb.Stmt, bool, *Error) {
+func (c *conn) stmtFor(req *ExecReq) (*fdb.Stmt, *Error) {
 	c.mu.Lock()
-	entry, ok := c.stmts[req.Handle]
+	live, ok := c.stmts[req.Handle]
 	if !ok {
 		c.mu.Unlock()
-		return nil, false, &Error{Code: CodeUnknown, Msg: fmt.Sprintf("unknown statement handle %d", req.Handle)}
+		return nil, &Error{Code: CodeUnknown, Msg: fmt.Sprintf("unknown statement handle %d", req.Handle)}
 	}
 	if req.Snap == 0 {
 		c.mu.Unlock()
-		return entry.st, entry.isAgg, nil
+		return live, nil
 	}
 	snap, ok := c.snaps[req.Snap]
 	if !ok {
 		c.mu.Unlock()
-		return nil, false, &Error{Code: CodeUnknown, Msg: fmt.Sprintf("unknown snapshot %d", req.Snap)}
+		return nil, &Error{Code: CodeUnknown, Msg: fmt.Sprintf("unknown snapshot %d", req.Snap)}
 	}
 	key := uint64(req.Snap)<<32 | uint64(req.Handle)
 	if st, ok := c.pinned[key]; ok {
 		c.mu.Unlock()
-		return st, entry.isAgg, nil
+		return st, nil
 	}
 	c.mu.Unlock()
-	pst, err := snap.Bind(entry.st)
+	pst, err := snap.Bind(live)
 	if err != nil {
-		return nil, false, &Error{Code: CodeQuery, Msg: err.Error()}
+		return nil, &Error{Code: CodeQuery, Msg: err.Error()}
 	}
 	c.mu.Lock()
 	if prev, ok := c.pinned[key]; ok {
@@ -231,48 +231,27 @@ func (c *conn) stmtFor(req *ExecReq) (*fdb.Stmt, bool, *Error) {
 		c.pinned[key] = pst
 	}
 	c.mu.Unlock()
-	return pst, entry.isAgg, nil
+	return pst, nil
 }
 
-// handleExec runs one EXEC or EXEC_AGG and returns its reply.
-func (c *conn) handleExec(f Frame, agg bool) (code byte, msg string, body []byte) {
+// handleExec runs one EXEC and returns its reply.
+func (c *conn) handleExec(f Frame) (code byte, msg string, body []byte) {
 	req, err := DecodeExecReq(f.Body)
 	if err != nil {
 		return CodeBadRequest, err.Error(), nil
 	}
-	st, isAgg, werr := c.stmtFor(req)
+	st, werr := c.stmtFor(req)
 	if werr != nil {
 		return werr.Code, werr.Msg, nil
-	}
-	if agg != isAgg {
-		want, got := "EXEC", "EXEC_AGG"
-		if isAgg {
-			want, got = got, want
-		}
-		return CodeQuery, fmt.Sprintf("statement %d needs %s, got %s", req.Handle, want, got), nil
-	}
-	args := make([]fdb.NamedArg, len(req.Args))
-	for i, a := range req.Args {
-		args[i] = fdb.Arg(a.Name, a.Val.Native())
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), c.srv.opts.ReqTimeout)
 	defer cancel()
 	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
 		return c.execErr(context.DeadlineExceeded)
 	}
-	var rows *Rows
-	if agg {
-		res, err := st.ExecAggContext(ctx, args...)
-		if err != nil {
-			return c.execErr(err)
-		}
-		rows = &Rows{Schema: res.Schema(), Rows: res.Rows(int(req.MaxRows))}
-	} else {
-		res, err := st.ExecContext(ctx, args...)
-		if err != nil {
-			return c.execErr(err)
-		}
-		rows = &Rows{Schema: res.Schema(), Rows: res.Rows(int(req.MaxRows))}
+	rows, err := ExecRows(ctx, st, req.Args, int(req.MaxRows))
+	if err != nil {
+		return c.execErr(err)
 	}
 	return 0, "", EncodeRows(rows)
 }
@@ -390,7 +369,7 @@ func (c *conn) close() {
 		}
 		c.snaps = map[uint32]*fdb.Snapshot{}
 		c.pinned = map[uint64]*fdb.Stmt{}
-		c.stmts = map[uint32]*stmtEntry{}
+		c.stmts = map[uint32]*fdb.Stmt{}
 		c.mu.Unlock()
 		for _, s := range snaps {
 			s.Close()

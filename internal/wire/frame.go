@@ -34,8 +34,7 @@ const frameHeader = 1 + 4
 const (
 	VerbPing      = byte(0x01) // liveness probe; empty body
 	VerbPrepare   = byte(0x02) // compile a query spec, return a statement handle
-	VerbExec      = byte(0x03) // run a prepared tuple statement
-	VerbExecAgg   = byte(0x04) // run a prepared aggregate statement
+	VerbExec      = byte(0x03) // run a prepared statement (tuple or aggregate: the handle knows)
 	VerbCloseStmt = byte(0x05) // drop a statement handle
 	VerbSnapshot  = byte(0x06) // pin a snapshot for this connection
 	VerbRelease   = byte(0x07) // release a pinned snapshot

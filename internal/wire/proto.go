@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 
@@ -16,6 +17,7 @@ const (
 	CodeTimeout    = byte(4) // per-request timeout exceeded
 	CodeDraining   = byte(5) // server shutting down; no new requests
 	CodeUnknown    = byte(6) // stale statement or snapshot handle
+	CodeInternal   = byte(7) // the request's goroutine panicked; the panic was contained
 )
 
 // Error is a server-reported protocol error.
@@ -443,7 +445,7 @@ func DecodeSpec(b []byte) (*Spec, error) {
 type PrepareResp struct {
 	Handle uint32
 	Params []string // parameter names, declaration order
-	IsAgg  bool     // true: execute with VerbExecAgg
+	IsAgg  bool     // true: the rows are aggregate rows (group keys, then values)
 }
 
 // EncodePrepareResp serialises a prepare response.
@@ -465,7 +467,7 @@ func DecodePrepareResp(b []byte) (*PrepareResp, error) {
 	return p, nil
 }
 
-// ExecReq is the body of VerbExec and VerbExecAgg: the statement handle, an
+// ExecReq is the body of VerbExec: the statement handle, an
 // optional pinned snapshot (0 = live data), a row cap (0 = all rows) and
 // the parameter bindings.
 type ExecReq struct {
@@ -503,13 +505,40 @@ func DecodeExecReq(b []byte) (*ExecReq, error) {
 	return e, nil
 }
 
-// Rows is the response body of VerbExec and VerbExecAgg: the result schema
-// and the dictionary-decoded rows, rendered exactly as the library API's
-// Rows surface renders them (the differential harness compares the two
-// byte for byte).
+// Rows is the response body of VerbExec: the result schema and the
+// dictionary-decoded rows, rendered exactly as the library API's Rows
+// surface renders them (the differential harness compares the two byte for
+// byte).
 type Rows struct {
 	Schema []string
 	Rows   [][]string
+}
+
+// ExecRows runs a prepared statement with the given bindings and renders up
+// to maxRows of its rows (0: all) in reply form. Whether the statement
+// computes aggregates or tuples is the statement's own property, so this is
+// the one place that picks between ExecAgg and Exec: the server's EXEC
+// handler and every library-side reference a reply is compared with go
+// through here.
+func ExecRows(ctx context.Context, st *fdb.Stmt, args []Arg, maxRows int) (*Rows, error) {
+	named := make([]fdb.NamedArg, len(args))
+	for i, a := range args {
+		named[i] = fdb.Arg(a.Name, a.Val.Native())
+	}
+	var res interface {
+		Schema() []string
+		Rows(limit int) [][]string
+	}
+	var err error
+	if len(st.Aggregates()) > 0 {
+		res, err = st.ExecAggContext(ctx, named...)
+	} else {
+		res, err = st.ExecContext(ctx, named...)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &Rows{Schema: res.Schema(), Rows: res.Rows(maxRows)}, nil
 }
 
 // EncodeRows serialises a result.

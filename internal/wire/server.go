@@ -248,6 +248,7 @@ func (s *Server) Stats() *Stats {
 		Errors:        s.m.errors.Load(),
 		Shed:          s.m.shed.Load(),
 		Timeouts:      s.m.timeouts.Load(),
+		Panics:        s.m.panics.Load(),
 		Inflight:      s.m.inflight.Load(),
 		Queued:        s.m.queued.Load(),
 		QPS1:          s.m.window.rate(now, 1),

@@ -323,7 +323,7 @@ func TestAdmissionControl(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan struct{}, 16)
 	s.hook = func(verb byte, id uint32) {
-		if verb == VerbExec || verb == VerbExecAgg {
+		if verb == VerbExec {
 			started <- struct{}{}
 			<-gate
 		}
@@ -435,7 +435,7 @@ func TestRequestTimeout(t *testing.T) {
 // TestErrorPaths: stale handles, verb mismatch and unknown verbs all fail
 // loudly with the right code, and none of them kill the connection.
 func TestErrorPaths(t *testing.T) {
-	_, _, addr := newTestServer(t, Options{})
+	_, db, addr := newTestServer(t, Options{})
 	cl := dialTest(t, addr)
 	q := RetailerQueries()[5] // aggregate
 	rs, err := cl.Prepare(&q.Spec)
@@ -446,9 +446,23 @@ func TestErrorPaths(t *testing.T) {
 	if _, err := cl.do(VerbExec, EncodeExecReq(&ExecReq{Handle: 999})); asCode(err) != CodeUnknown {
 		t.Fatalf("unknown handle: want CodeUnknown, got %v", err)
 	}
-	// Aggregate statement driven through the tuple verb.
-	if _, err := cl.do(VerbExec, EncodeExecReq(&ExecReq{Handle: rs.Handle})); asCode(err) != CodeQuery {
-		t.Fatalf("verb mismatch: want CodeQuery, got %v", err)
+	// There is one EXEC verb: on an aggregate handle it answers the
+	// aggregate rows, the handle knows its shape.
+	body, err := cl.do(VerbExec, EncodeExecReq(&ExecReq{Handle: rs.Handle}))
+	if err != nil {
+		t.Fatalf("EXEC on an aggregate handle: %v", err)
+	}
+	got, err := DecodeRows(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameRows(got, libRows(t, db, &q.Spec, nil)); err != nil {
+		t.Fatalf("EXEC on an aggregate handle diverges from ExecAgg: %v", err)
+	}
+	// The retired EXEC_AGG byte is an unknown verb like any other.
+	if _, err := cl.do(0x04, EncodeExecReq(&ExecReq{Handle: rs.Handle})); asCode(err) != CodeBadRequest ||
+		!strings.Contains(err.Error(), "unknown verb") {
+		t.Fatalf("retired verb 0x04: want CodeBadRequest \"unknown verb\", got %v", err)
 	}
 	// Unknown snapshot id.
 	if _, err := rs.Exec(888, 0); asCode(err) != CodeUnknown {
@@ -507,6 +521,47 @@ func TestResultTooLarge(t *testing.T) {
 	}
 	if len(rows.Rows) != 10 {
 		t.Fatalf("capped exec returned %d rows, want 10", len(rows.Rows))
+	}
+}
+
+// TestPanicContained: a panic in one request's goroutine is answered with
+// CodeInternal on that request's id and counted; the same connection, other
+// connections and the server keep serving, and the panicking request gave
+// its execution slot back (there is only one).
+func TestPanicContained(t *testing.T) {
+	s, db, addr := newTestServer(t, Options{MaxInflight: 1})
+	var boom uint32 = 2 // request id of the first exec (id 1 is the Prepare)
+	s.hook = func(verb byte, id uint32) {
+		if verb == VerbExec && id == boom {
+			panic("injected fault")
+		}
+	}
+	cl, other := dialTest(t, addr), dialTest(t, addr)
+	q := RetailerQueries()[5]
+	rs, err := cl.Prepare(&q.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = rs.Exec(0, 0)
+	if asCode(err) != CodeInternal || !strings.Contains(err.Error(), "injected fault") {
+		t.Fatalf("panicking request: want CodeInternal naming the panic, got %v", err)
+	}
+	got, err := rs.Exec(0, 0)
+	if err != nil {
+		t.Fatalf("next request on the same connection: %v", err)
+	}
+	if err := sameRows(got, libRows(t, db, &q.Spec, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if err := other.Ping(); err != nil {
+		t.Fatalf("other connection died with the panic: %v", err)
+	}
+	st, err := other.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Panics != 1 {
+		t.Fatalf("stats after a contained panic: panics %d, want 1", st.Panics)
 	}
 }
 

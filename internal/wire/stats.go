@@ -98,10 +98,11 @@ type metrics struct {
 	errors   atomic.Int64 // requests answered with RespErr (any code)
 	shed     atomic.Int64 // requests shed by the admission queue
 	timeouts atomic.Int64 // requests failed by the per-request timeout
+	panics   atomic.Int64 // request goroutines whose panic was contained
 	inflight atomic.Int64 // requests currently executing
 	queued   atomic.Int64 // requests waiting in the admission queue
 
-	reads  latRing // Exec/ExecAgg latencies
+	reads  latRing // Exec latencies
 	writes latRing // Insert/Delete/Upsert latencies
 	window qpsWindow
 }
@@ -119,6 +120,7 @@ type Stats struct {
 	Errors   int64 `json:"errors"`
 	Shed     int64 `json:"shed"`
 	Timeouts int64 `json:"timeouts"`
+	Panics   int64 `json:"panics"`
 	Inflight int64 `json:"inflight"`
 	Queued   int64 `json:"queued"`
 

@@ -51,12 +51,12 @@ func (db *DB) SaveSnapshot(path string) error {
 }
 
 // persistableEnc decides whether a cached statement's memoised encoding can
-// ride along in the snapshot: the statement must be parameter-free and
+// ride along in the snapshot: the statement must memoise one and be
 // unpinned, the encoding built, and every input version equal to the
 // version the snapshot is cutting — otherwise the enc describes data the
 // file does not contain.
 func persistableEnc(key string, st *Stmt, states map[string]*delta.State) (store.Enc, bool) {
-	if st == nil || key == "" || len(st.psels) > 0 || st.snap != nil {
+	if st == nil || key == "" || !st.memoises() || st.snap != nil {
 		return store.Enc{}, false
 	}
 	d := st.data.Load()
@@ -142,7 +142,7 @@ func newFromStore(f *store.File) (*DB, error) {
 // means the plan must build normally. The returned enc is a view: its arena
 // stays in the snapshot file.
 func (st *Stmt) adoptSaved(d *stmtData) *frep.Enc {
-	if st.fp == "" || st.snap != nil || len(st.psels) > 0 {
+	if st.fp == "" || st.snap != nil || !st.memoises() {
 		return nil
 	}
 	ae := st.db.adopted[st.fp]

@@ -3,7 +3,6 @@ package fdb
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -21,29 +20,35 @@ import (
 type Result struct {
 	db  *DB
 	enc *frep.Enc
-	// Ordered retrieval state (OrderBy/Offset/Limit clauses): enumeration
-	// surfaces stream through an order-aware iterator; the representation
-	// itself stays factorised and unsorted.
+	// Retrieval clauses (OrderBy/Offset/Limit): the representation itself
+	// stays factorised and unsorted, only the way out of it changes.
 	order  []frep.OrderKey
 	offset int
 	limit  int // -1: no limit
 	less   frep.ValueLess
-	// Lazily resolved order plan: the enc actually enumerated (possibly a
-	// sibling-reordered view sharing the arena) and its streaming plan (nil:
-	// bounded-heap sort fallback).
-	ordOnce   sync.Once
-	ordEnc    *frep.Enc
-	ordPlan   *frep.EncOrder
-	ordStream bool
-	// Lazily materialised sort-fallback rows: the sort runs once per result,
-	// every retrieval call replays a fresh cursor over the shared slice.
-	sortOnce sync.Once
-	sortRows []relation.Tuple
-	// Lazily computed bag flag: UnionAll leaves duplicate union entries in
-	// the encoding, and those entries' subtrees are not merged — retrieval
-	// over such a representation must sort.
-	bagOnce sync.Once
-	bag     bool
+	// How the tuples leave: resolved on the first retrieval call, immutable
+	// from then on, read by every enumeration surface.
+	once sync.Once
+	out  retrieval
+}
+
+// retrieval is the one resolved way a result's tuples leave the engine: the
+// encoding to walk and its order plan when the (ordered) enumeration streams
+// off the structure, the sorted rows when it cannot. Offset and Limit clip
+// whichever cursor it hands out.
+type retrieval struct {
+	enc      *frep.Enc        // encoding walked; a sibling-reordered view of Result.enc when the order needed one
+	plan     *frep.EncOrder   // nil: stored order
+	streamed bool             // false: rows holds the answer, sorted once
+	rows     []relation.Tuple // sort fallback: the first offset+limit tuples in retrieval order
+}
+
+// cursor returns a fresh, unclipped iterator over the retrieval.
+func (rt *retrieval) cursor() frep.TupleIter {
+	if !rt.streamed {
+		return frep.ReplayIter(rt.enc.Schema(), rt.rows)
+	}
+	return frep.NewEncIterator(rt.enc, rt.plan)
 }
 
 // newResult wraps an encoded representation in an (unordered, unlimited)
@@ -57,46 +62,53 @@ func newResult(db *DB, enc *frep.Enc) *Result {
 // machinery.
 func (r *Result) ordered() bool { return len(r.order) > 0 || r.offset > 0 || r.limit >= 0 }
 
-// isBag reports (once, cached) whether the encoding carries duplicate union
-// entries — the UnionAll representation. Bag enumeration cannot stream off
-// the structure: two equal adjacent entries hold separate subtrees whose
-// tuple sequences would need merging, so retrieval sorts instead.
-func (r *Result) isBag() bool {
-	r.bagOnce.Do(func() { r.bag = r.enc.HasDupEntries() })
-	return r.bag
-}
-
-// resolveOrder decides, once, how the ORDER BY streams: directly off the
-// encoding when the keys already label the pre-order prefix; off a
-// sibling-reordered view (Reindex shares the arena) when only the child
-// order is in the way; otherwise the bounded-heap sort fallback.
-func (r *Result) resolveOrder() {
-	r.ordOnce.Do(func() {
-		r.ordEnc = r.enc
-		if r.isBag() {
-			// A bag representation (UnionAll) carries duplicate union
-			// entries whose subtrees differ; streaming would emit each
-			// subtree in order but not the merge of the two, so every
-			// retrieval sorts (canonical schema order when no keys).
-			return
+// retrieval decides, once, how the tuples leave. Without keys, and with keys
+// that label the pre-order prefix (directly, or after the sibling reordering
+// of streamPlan), enumeration streams off the encoding. Otherwise it sorts:
+// an order the tree cannot stream goes through the bounded heap, and so does
+// every retrieval over a bag — UnionAll leaves duplicate union entries whose
+// subtrees differ; streaming would emit each subtree in order but not the
+// merge of the two (canonical schema order when there are no keys).
+func (r *Result) retrieval() *retrieval {
+	r.once.Do(func() {
+		rt := &r.out
+		rt.enc = r.enc
+		switch {
+		case r.enc.HasDupEntries():
+			// a bag: sorted below, whatever the keys
+		case len(r.order) == 0:
+			rt.streamed = true
+		default:
+			rt.enc, rt.plan, rt.streamed = streamPlan(r.enc, r.order, r.less)
 		}
-		if len(r.order) == 0 {
-			r.ordStream = true // enumeration order, just clipped
-			return
-		}
-		if p, ok := frep.ResolveOrder(r.enc, r.order, r.less); ok {
-			r.ordPlan, r.ordStream = p, true
-			return
-		}
-		t := r.enc.Tree.Clone()
-		if fplan.ReorderForOrder(t, r.order) {
-			if e2, err := r.enc.Reindex(t); err == nil {
-				if p, ok := frep.ResolveOrder(e2, r.order, r.less); ok {
-					r.ordEnc, r.ordPlan, r.ordStream = e2, p, true
-				}
+		if !rt.streamed {
+			k := -1
+			if r.limit >= 0 {
+				k = r.offset + r.limit
 			}
+			rt.rows = frep.SortedRows(r.enc, r.order, r.less, k)
 		}
 	})
+	return &r.out
+}
+
+// streamPlan finds the encoding and order plan that stream keys
+// structurally: e itself when the keys already label its pre-order prefix, a
+// sibling-reordered view (Reindex shares the arena) when only the child
+// order is in the way. ok == false: no such view, the caller sorts.
+func streamPlan(e *frep.Enc, keys []frep.OrderKey, less frep.ValueLess) (*frep.Enc, *frep.EncOrder, bool) {
+	if p, ok := frep.ResolveOrder(e, keys, less); ok {
+		return e, p, true
+	}
+	t := e.Tree.Clone()
+	if fplan.ReorderForOrder(t, keys) {
+		if e2, err := e.Reindex(t); err == nil {
+			if p, ok := frep.ResolveOrder(e2, keys, less); ok {
+				return e2, p, true
+			}
+		}
+	}
+	return e, nil, false
 }
 
 // OrderStreamed reports whether this result's ordered retrieval streams
@@ -104,24 +116,7 @@ func (r *Result) resolveOrder() {
 // unordered results and for the bounded-heap fallback. Unlike the
 // plan-time Stmt.OrderStreamable, this is the exec-time truth: it accounts
 // for any restructuring the projection applied.
-func (r *Result) OrderStreamed() bool {
-	if len(r.order) == 0 {
-		return false
-	}
-	r.resolveOrder()
-	return r.ordStream
-}
-
-// enumEnc returns the encoding enumeration runs over (the sibling-reordered
-// view when ordering required one; schema accessors follow it so rows and
-// column names always agree).
-func (r *Result) enumEnc() *frep.Enc {
-	if !r.ordered() {
-		return r.enc
-	}
-	r.resolveOrder()
-	return r.ordEnc
-}
+func (r *Result) OrderStreamed() bool { return len(r.order) > 0 && r.retrieval().streamed }
 
 // Size returns the number of singletons (the paper's |E|).
 func (r *Result) Size() int { return r.enc.Size() }
@@ -158,7 +153,7 @@ func (r *Result) FlatSize() int64 { return frep.SatMul(r.Count(), int64(len(r.en
 
 // Schema lists the result attributes in enumeration order.
 func (r *Result) Schema() []string {
-	sch := r.enumEnc().Schema()
+	sch := r.retrieval().enc.Schema()
 	out := make([]string, len(sch))
 	for i, a := range sch {
 		out[i] = string(a)
@@ -167,7 +162,7 @@ func (r *Result) Schema() []string {
 }
 
 // FTree renders the result's factorisation tree.
-func (r *Result) FTree() string { return r.enumEnc().Tree.String() }
+func (r *Result) FTree() string { return r.retrieval().enc.Tree.String() }
 
 // String renders the factorised representation in the paper's notation,
 // decoding dictionary values.
@@ -212,36 +207,10 @@ func (r *Result) Enc() *frep.Enc { return r.enc }
 // and Limit. Unordered results and order-compatible OrderBys walk the
 // encoded columns directly with constant delay and no per-tuple allocation
 // (with a Limit, retrieval visits O(offset+limit) entries and stops);
-// incompatible orders materialise through a bounded heap.
+// incompatible orders and bags replay rows sorted once per result.
 func (r *Result) Iter() frep.TupleIter {
-	if !r.ordered() && !r.isBag() {
-		return frep.NewEncIterator(r.enc)
-	}
-	r.resolveOrder()
-	if !r.ordStream {
-		r.sortOnce.Do(func() {
-			r.sortRows = frep.SortedRows(r.enc, r.order, r.less, r.offset, r.limit)
-		})
-		return frep.ReplayIter(r.enc.Schema(), r.sortRows)
-	}
-	var inner frep.TupleIter
-	if r.ordPlan != nil {
-		inner = frep.NewOrderedEncIterator(r.ordEnc, r.ordPlan)
-	} else {
-		inner = frep.NewEncIterator(r.ordEnc)
-	}
-	return frep.Clip(inner, r.offset, r.limit)
+	return frep.Clip(r.retrieval().cursor(), r.offset, r.limit)
 }
-
-// IterShards splits the enumeration into n independent iterators over
-// contiguous slices of the enumeration order (the root union is
-// partitioned; draining shard 0, then 1, … reproduces the unordered Iter
-// exactly). Results are immutable, so the shards may be drained by n
-// concurrent goroutines — the parallel counterpart of Iter for consumers
-// that want to scan large results with all cores. Shards ignore OrderBy,
-// Offset and Limit: they partition the representation, not the ordered
-// stream.
-func (r *Result) IterShards(n int) []*frep.EncIterator { return r.enc.EnumerateShards(n) }
 
 // Where applies equality conditions to the factorised result: the engine
 // searches for an optimal f-plan (restructuring + merge/absorb operators)
@@ -401,25 +370,20 @@ func (r *Result) ProjectTo(attrs ...string) (*Result, error) {
 	return newResult(r.db, enc), nil
 }
 
-// Table renders the enumerated result (up to limit rows) as an aligned
+// Table renders the enumerated result (up to limit rows) as a tab-separated
 // table for display.
-func (r *Result) Table(limit int) string {
+func (r *Result) Table(limit int) string { return tabTable(r.Schema(), r.Rows(limit)) }
+
+// tabTable joins a header and rows into tab-separated lines.
+func tabTable(schema []string, rows [][]string) string {
 	var b strings.Builder
-	b.WriteString(strings.Join(r.Schema(), "\t"))
+	b.WriteString(strings.Join(schema, "\t"))
 	b.WriteByte('\n')
-	for _, row := range r.Rows(limit) {
+	for _, row := range rows {
 		b.WriteString(strings.Join(row, "\t"))
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// SortedSchema returns the schema sorted alphabetically (stable rendering
-// helper for tests).
-func (r *Result) SortedSchema() []string {
-	s := r.Schema()
-	sort.Strings(s)
-	return s
 }
 
 // AggResult is the result of an aggregation query (QueryAgg or
@@ -517,13 +481,4 @@ func (r *AggResult) Rows(limit int) [][]string {
 }
 
 // Table renders the result (up to limit rows) as a tab-separated table.
-func (r *AggResult) Table(limit int) string {
-	var b strings.Builder
-	b.WriteString(strings.Join(r.Schema(), "\t"))
-	b.WriteByte('\n')
-	for _, row := range r.Rows(limit) {
-		b.WriteString(strings.Join(row, "\t"))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
+func (r *AggResult) Table(limit int) string { return tabTable(r.Schema(), r.Rows(limit)) }

@@ -54,8 +54,7 @@ type Stmt struct {
 // derivatives (see pin).
 type stmtPlan struct {
 	db       *DB
-	psels    []paramSel           // parameterised selections, bound at Exec
-	dsels    []dynSel             // string selections resolved per Exec
+	lsels    []lateSel            // selections whose value resolves per Exec
 	params   []string             // distinct parameter names, declaration order
 	project  []relation.Attribute // nil: keep all attributes
 	groupBy  []relation.Attribute // aggregation statements: group-by attributes
@@ -83,7 +82,7 @@ type stmtInput struct {
 
 // stmtData is one immutable version of a statement's inputs: the deduped,
 // pre-filtered, path-sorted snapshots and the store version each reflects.
-// The encoded representation of a parameter-free statement is memoised here
+// The encoded representation of a statement that memoises one is kept here
 // (built on first use, or inherited from the previous version via the
 // incremental merge); reads and writes of enc go through mu.
 type stmtData struct {
@@ -94,30 +93,30 @@ type stmtData struct {
 	enc *frep.Enc // cached pre-projection build; nil until needed
 }
 
-// paramSel is one compiled parameterised selection: column col of input
-// relation rel compared against the value bound to the named parameter.
-type paramSel struct {
-	rel  int
-	col  int
-	op   fplan.Cmp
-	name string
-}
-
-// dynSel is one compiled string selection that must be re-resolved against
-// the dictionary on every execution: a range comparison (decoded order can
-// gain strings between Execs) or an equality whose constant had no code at
-// prepare time (it may gain one). Equalities on already-encoded strings
-// compile to constant code selections instead — codes are permanent, so
-// baking them is cache-safe.
-type dynSel struct {
+// lateSel is one compiled selection whose value is only known at execution
+// time: column col of input relation rel compared against val. A ParamValue
+// stands for the execution's binding of that parameter. A string is a
+// constant that must be re-resolved against the dictionary on every
+// execution: a range comparison (decoded order can gain strings between
+// Execs) or an equality whose constant had no code at prepare time (it may
+// gain one). Equalities on already-encoded strings compile to constant code
+// selections instead — codes are permanent, so baking them is cache-safe.
+type lateSel struct {
 	rel int
 	col int
 	op  fplan.Cmp
-	s   string
+	val interface{}
 }
 
-// execSel is one per-execution column filter: a resolved parameter binding
-// or dynamic string selection.
+// memoises reports whether every execution at one input version yields the
+// same pre-projection encoding — nothing is selected at execution time — so
+// that the encoding is built once per version, patched by refresh, carried
+// by SaveSnapshot and adopted from a snapshot file. Statements with late
+// selections filter and build per call.
+func (p *stmtPlan) memoises() bool { return len(p.lsels) == 0 }
+
+// execSel is one per-execution column filter: a late selection resolved
+// for this execution.
 type execSel struct {
 	col  int
 	pred func(relation.Value) bool
@@ -185,8 +184,7 @@ func (db *DB) prepareSpec(s *spec, snap *Snapshot) (*Stmt, error) {
 	// Split selections by classifySel's verdict: constants are pre-filtered
 	// now, parameters and dynamic string selections resolve per Exec.
 	var consts []core.ConstSel
-	var psels []paramSel
-	var dsels []dynSel
+	var lsels []lateSel
 	params := s.params()
 	locate := func(a relation.Attribute) (int, int, error) {
 		for i, r := range rels {
@@ -209,11 +207,7 @@ func (db *DB) prepareSpec(s *spec, snap *Snapshot) (*Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		if class == selParam {
-			psels = append(psels, paramSel{rel: ri, col: ci, op: sel.op, name: sel.val.(ParamValue).name})
-		} else {
-			dsels = append(dsels, dynSel{rel: ri, col: ci, op: sel.op, s: sel.val.(string)})
-		}
+		lsels = append(lsels, lateSel{rel: ri, col: ci, op: sel.op, val: sel.val})
 	}
 
 	q := &core.Query{Relations: rels, Equalities: s.eqs, Selections: consts, Projection: s.project}
@@ -363,8 +357,7 @@ func (db *DB) prepareSpec(s *spec, snap *Snapshot) (*Stmt, error) {
 	}
 	st := &Stmt{snap: snap, stmtPlan: stmtPlan{
 		db:       db,
-		psels:    psels,
-		dsels:    dsels,
+		lsels:    lsels,
 		params:   params,
 		project:  s.project,
 		groupBy:  s.groupBy,
@@ -545,7 +538,7 @@ func (st *Stmt) current(d *stmtData) bool {
 // the slow path captures a consistent cut under the database read lock,
 // folds each changed relation's net delta into its sorted snapshot with a
 // linear merge (or re-snapshots wholesale when the history was compacted
-// away), and — for parameter-free statements with a small enough delta —
+// away), and — for memoising statements with a small enough delta —
 // patches the cached encoded representation in place of the next rebuild.
 // Pinned (snapshot-bound) statements never refresh.
 func (st *Stmt) refresh() {
@@ -602,10 +595,10 @@ func (st *Stmt) refresh() {
 		totalTuples += nd.rels[i].Cardinality()
 	}
 	// Incremental maintenance of the cached representation: worth it only
-	// for statements with no per-Exec selections (others build per Exec
-	// anyway), with an encoding to patch, no wholesale re-snapshot, and a
-	// delta small enough that patching beats the morsel-parallel rebuild.
-	if len(st.psels) == 0 && len(st.dsels) == 0 && !resnap && deltaTuples > 0 &&
+	// for statements that memoise one (others build per Exec anyway), with
+	// an encoding to patch, no wholesale re-snapshot, and a delta small
+	// enough that patching beats the morsel-parallel rebuild.
+	if st.memoises() && !resnap && deltaTuples > 0 &&
 		float64(deltaTuples) <= mergeMaxFrac*float64(max(totalTuples, 1)) {
 		d.mu.Lock()
 		old := d.enc
@@ -738,7 +731,7 @@ func (st *Stmt) buildContext(ctx context.Context, args []NamedArg) (*frep.Enc, e
 	st.refresh()
 	d := st.data.Load()
 
-	if len(st.psels) == 0 && len(st.dsels) == 0 {
+	if st.memoises() {
 		fr, err := st.cachedEnc(ctx, d)
 		if err != nil {
 			return nil, err
@@ -752,23 +745,16 @@ func (st *Stmt) buildContext(ctx context.Context, args []NamedArg) (*frep.Enc, e
 	// order, so the filtered inputs stay sorted and the shared snapshots
 	// stay untouched.
 	byRel := map[int][]execSel{}
-	addSel := func(ri, col int, op fplan.Cmp, val interface{}) error {
-		pred, err := st.db.selPred(op, val)
+	for _, ls := range st.lsels {
+		val := ls.val
+		if p, ok := val.(ParamValue); ok {
+			val = bound[p.name]
+		}
+		pred, err := st.db.selPred(ls.op, val)
 		if err != nil {
-			return err
-		}
-		byRel[ri] = append(byRel[ri], execSel{col: col, pred: pred})
-		return nil
-	}
-	for _, ps := range st.psels {
-		if err := addSel(ps.rel, ps.col, ps.op, bound[ps.name]); err != nil {
 			return nil, err
 		}
-	}
-	for _, ds := range st.dsels {
-		if err := addSel(ds.rel, ds.col, ds.op, ds.s); err != nil {
-			return nil, err
-		}
+		byRel[ls.rel] = append(byRel[ls.rel], execSel{col: ls.col, pred: pred})
 	}
 	rels := append([]*relation.Relation(nil), d.rels...)
 	for ri, sels := range byRel {
