@@ -25,17 +25,24 @@ const (
 
 // spec is the compiled clause list, before binding to a database.
 type spec struct {
-	mode     specMode
-	from     []string
-	eqs      []core.Equality
-	sels     []selSpec
-	project  []relation.Attribute
-	groupBy  []relation.Attribute
-	aggs     []frep.AggSpec
-	orderBy  []frep.OrderKey
-	limit    int // -1: no limit
-	offset   int
-	distinct bool
+	mode    specMode
+	from    []string
+	eqs     []core.Equality
+	sels    []selSpec
+	project []relation.Attribute
+	groupBy []relation.Attribute
+	aggs    []frep.AggSpec
+	outClauses
+}
+
+// outClauses are the clauses that shape how a finished result leaves the
+// engine; a spec collects them, a compiled statement carries them, and
+// DB.dress applies them (Stmt.Exec and QuerySet alike).
+type outClauses struct {
+	order    []frep.OrderKey // ORDER BY keys; empty: enumeration order
+	offset   int             // tuples to skip
+	limit    int             // result cap; -1: none
+	distinct bool            // explicit set-semantics normalisation
 }
 
 // selSpec is one selection attr θ value; val is a Go constant (int, int64,
@@ -49,7 +56,7 @@ type selSpec struct {
 // compileSpec runs every clause through its apply method — the single,
 // honest compilation path. Nil clauses are rejected rather than ignored.
 func compileSpec(mode specMode, clauses []Clause) (*spec, error) {
-	s := &spec{mode: mode, limit: -1}
+	s := &spec{mode: mode, outClauses: outClauses{limit: -1}}
 	for _, c := range clauses {
 		if c == nil {
 			return nil, fmt.Errorf("fdb: nil clause")
@@ -252,7 +259,7 @@ func (o orderByClause) apply(s *spec) error {
 	if len(o) == 0 {
 		return fmt.Errorf("fdb: OrderBy needs at least one key")
 	}
-	if len(s.orderBy) > 0 {
+	if len(s.order) > 0 {
 		return fmt.Errorf("fdb: OrderBy given twice")
 	}
 	for _, k := range o {
@@ -261,12 +268,12 @@ func (o orderByClause) apply(s *spec) error {
 			if x == "" {
 				return fmt.Errorf("fdb: OrderBy needs non-empty attribute names")
 			}
-			s.orderBy = append(s.orderBy, frep.OrderKey{Attr: relation.Attribute(x)})
+			s.order = append(s.order, frep.OrderKey{Attr: relation.Attribute(x)})
 		case Key:
 			if x.Attr == "" {
 				return fmt.Errorf("fdb: OrderBy needs non-empty attribute names")
 			}
-			s.orderBy = append(s.orderBy, frep.OrderKey{Attr: relation.Attribute(x.Attr), Desc: x.Desc})
+			s.order = append(s.order, frep.OrderKey{Attr: relation.Attribute(x.Attr), Desc: x.Desc})
 		default:
 			return fmt.Errorf("fdb: OrderBy key must be a string or fdb.Key (Asc/Desc), got %T", k)
 		}

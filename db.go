@@ -3,7 +3,6 @@ package fdb
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -224,7 +223,7 @@ func (db *DB) mutate(name string, addRows, delRows [][]interface{}, upsertKey in
 // base at the current version. Open snapshots and running statements keep
 // their pinned versions (their arenas stay alive for as long as they are
 // referenced); statements whose held version predates the new base
-// re-snapshot on their next Exec instead of merging.
+// load the new base on their next Exec instead of merging.
 func (db *DB) Compact(name string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -316,20 +315,17 @@ func (db *DB) Dict() *relation.Dict { return db.dict }
 // Query is a thin wrapper over the prepared-statement machinery: the
 // compiled plan is looked up in (and inserted into) an internal LRU cache
 // keyed by the query's canonical fingerprint, so repeating the same query
-// skips clause validation, input dedup, f-tree search and input sorting.
-// Writes do not evict cached plans — a cached statement refreshes its data
-// incrementally from the relations' delta chains per execution.
-// CacheStats exposes the hit counters. Queries with Param placeholders are
-// rejected — use Prepare and Exec to bind them.
+// skips the f-tree search, and the cached statement's loaded inputs skip
+// the dedup and sort. Writes do not evict cached plans — a cached statement
+// refreshes its data incrementally from the relations' delta chains per
+// execution. CacheStats exposes the hit counters. Queries with Param
+// placeholders are rejected — use Prepare and Exec to bind them.
 func (db *DB) Query(clauses ...Clause) (*Result, error) {
-	s, err := compileSpec(modeQuery, clauses)
+	s, err := adhocSpec(clauses, false)
 	if err != nil {
 		return nil, err
 	}
-	if len(s.aggs) > 0 {
-		return nil, fmt.Errorf("fdb: query computes aggregates; use QueryAgg")
-	}
-	st, err := db.adhocStmt(s)
+	st, err := db.cachedStmt(s)
 	if err != nil {
 		return nil, err
 	}
@@ -344,27 +340,41 @@ func (db *DB) Query(clauses ...Clause) (*Result, error) {
 // ones), then the aggregates are evaluated in a single pass over the
 // factorised result, never over its flattening.
 func (db *DB) QueryAgg(clauses ...Clause) (*AggResult, error) {
-	s, err := compileSpec(modeQuery, clauses)
+	s, err := adhocSpec(clauses, true)
 	if err != nil {
 		return nil, err
 	}
-	if len(s.aggs) == 0 {
-		return nil, fmt.Errorf("fdb: QueryAgg needs at least one Agg clause")
-	}
-	st, err := db.adhocStmt(s)
+	st, err := db.cachedStmt(s)
 	if err != nil {
 		return nil, err
 	}
 	return st.ExecAgg()
 }
 
-// adhocStmt is cachedStmt for the execute-immediately surfaces (Query,
-// QueryAgg, QuerySet legs), which have nowhere to bind a parameter.
-func (db *DB) adhocStmt(s *spec) (*Stmt, error) {
-	if ps := s.params(); len(ps) > 0 {
-		return nil, fmt.Errorf("fdb: unbound parameter %q: use Prepare and Exec for parameterised queries", ps[0])
+// adhocSpec compiles the clauses of an execute-immediately call — Query or
+// QueryAgg (agg), on the database or on a snapshot: the query's shape must
+// be the one the call returns, and there is nowhere to bind a parameter.
+func adhocSpec(clauses []Clause, agg bool) (*spec, error) {
+	s, err := compileSpec(modeQuery, clauses)
+	if err != nil {
+		return nil, err
 	}
-	return db.cachedStmt(s)
+	switch {
+	case agg && len(s.aggs) == 0:
+		return nil, fmt.Errorf("fdb: QueryAgg needs at least one Agg clause")
+	case !agg && len(s.aggs) > 0:
+		return nil, fmt.Errorf("fdb: query computes aggregates; use QueryAgg")
+	}
+	return s, s.noParams()
+}
+
+// noParams rejects placeholders on the surfaces that execute immediately
+// (adhocSpec, QuerySet legs).
+func (s *spec) noParams() error {
+	if ps := s.params(); len(ps) > 0 {
+		return fmt.Errorf("fdb: unbound parameter %q: use Prepare and Exec for parameterised queries", ps[0])
+	}
+	return nil
 }
 
 // PrepareCached is Prepare through the plan cache: the compiled statement
@@ -383,127 +393,29 @@ func (db *DB) PrepareCached(clauses ...Clause) (*Stmt, error) {
 }
 
 // cachedStmt resolves a compiled statement for the spec through the plan
-// cache (compiling and inserting on miss). Cached statements stay hot
-// across writes: each execution folds the pending deltas of its inputs into
-// its snapshots, so the cache key needs no data-version component.
+// cache: bind, look the bound spec's fingerprint up, plan and insert on a
+// miss. Cached statements stay hot across writes: each execution folds the
+// pending deltas of its inputs into its snapshots, so the cache key needs no
+// data-version component.
 func (db *DB) cachedStmt(s *spec) (*Stmt, error) {
-	// Reject before the cache lookup: the fingerprint of an agg-free spec
-	// ignores groupBy, so this invalid shape would otherwise alias the
-	// cached plain query and succeed on a warm cache.
-	if len(s.groupBy) > 0 && len(s.aggs) == 0 {
-		return nil, fmt.Errorf("fdb: GroupBy needs at least one Agg clause")
-	}
-	if db.cache.capacity() <= 0 {
-		return db.prepareSpec(s, nil)
-	}
-	key, names, err := db.fingerprint(s)
+	b, err := db.bind(s)
 	if err != nil {
 		return nil, err
 	}
+	if db.cache.capacity() <= 0 {
+		return db.plan(b)
+	}
+	key := b.fingerprint()
 	if st, ok := db.cache.get(key); ok {
 		return st, nil
 	}
-	// The miss path resolves the relations a second time inside
-	// prepareSpec; that duplication is two map lookups and constant
-	// encodings, noise next to the clone+dedup+f-tree search it performs.
-	st, err := db.prepareSpec(s, nil)
+	st, err := db.plan(b)
 	if err != nil {
 		return nil, err
 	}
 	st.fp = key
-	db.cache.put(key, st, names)
+	db.cache.put(key, st, s.from)
 	return st, nil
-}
-
-// fingerprint canonically fingerprints the query spec against the current
-// catalogue and returns the referenced relation names (for schema-level
-// invalidation). Data versions are not part of the key: cached statements
-// self-refresh from the delta chains. Parameterised selections fingerprint
-// by attribute, operator and placeholder name — the bound values are
-// per-Exec and never part of the plan identity.
-func (db *DB) fingerprint(s *spec) (string, []string, error) {
-	db.mu.RLock()
-	q := &core.Query{Equalities: s.eqs, Projection: s.project}
-	names := make([]string, 0, len(s.from))
-	for _, name := range s.from {
-		st, ok := db.stores[name]
-		if !ok {
-			db.mu.RUnlock()
-			return "", nil, fmt.Errorf("fdb: unknown relation %q", name)
-		}
-		// The fingerprint reads only names and schemas; a data-free shell
-		// avoids touching (or pinning) any version's tuples.
-		q.Relations = append(q.Relations, relation.New(st.Name, st.Schema))
-		names = append(names, name)
-	}
-	db.mu.RUnlock()
-	var psels, ssels []string
-	for _, sel := range s.sels {
-		// String constants fingerprint by spelling whether or not they have
-		// a code: the key must not depend on insertion history (and a cache
-		// hit should not pay a dictionary lookup).
-		if str, ok := sel.val.(string); ok {
-			ssels = append(ssels, fmt.Sprintf("%s %d %q", sel.attr, sel.op, str))
-			continue
-		}
-		class, v, err := db.classifySel(sel.op, sel.val)
-		if err != nil {
-			return "", nil, err
-		}
-		if class == selParam {
-			psels = append(psels, fmt.Sprintf("%s %d $%s", sel.attr, sel.op, sel.val.(ParamValue).name))
-		} else {
-			q.Selections = append(q.Selections, core.ConstSel{A: sel.attr, Op: sel.op, C: v})
-		}
-	}
-	key := q.Fingerprint()
-	if len(psels) > 0 {
-		key = key + "|psels " + strings.Join(psels, ",")
-	}
-	if len(ssels) > 0 {
-		sort.Strings(ssels)
-		key = key + "|ssels " + strings.Join(ssels, ",")
-	}
-	// Ordering participates in planning (the tree is reordered/restructured
-	// so the keys stream) and limit/offset/distinct ride on the compiled
-	// statement, so all four are part of the plan identity.
-	if len(s.orderBy) > 0 {
-		var b strings.Builder
-		b.WriteString(key)
-		b.WriteString("|order")
-		for _, k := range s.orderBy {
-			b.WriteByte(' ')
-			b.WriteString(k.String())
-		}
-		key = b.String()
-	}
-	if s.offset > 0 {
-		key = fmt.Sprintf("%s|off %d", key, s.offset)
-	}
-	if s.limit >= 0 {
-		key = fmt.Sprintf("%s|lim %d", key, s.limit)
-	}
-	if s.distinct {
-		key += "|distinct"
-	}
-	// Aggregation restructures the compiled tree (group attributes lifted),
-	// so grouping and aggregate list are part of the plan identity.
-	if len(s.aggs) > 0 {
-		var b strings.Builder
-		b.WriteString(key)
-		b.WriteString("|groupby")
-		for _, a := range s.groupBy {
-			b.WriteByte(' ')
-			b.WriteString(string(a))
-		}
-		b.WriteString("|aggs")
-		for _, sp := range s.aggs {
-			b.WriteByte(' ')
-			b.WriteString(sp.Label())
-		}
-		key = b.String()
-	}
-	return key, names, nil
 }
 
 // CacheStats returns the plan cache counters — Hits and Misses count
@@ -577,8 +489,7 @@ const (
 )
 
 // classifySel is the one place that decides how a selection value compiles,
-// for every surface that takes one (Prepare, the plan-cache fingerprint,
-// Exec-time bindings, Result.Where). Integers are their own code. A string
+// for every surface that takes one (bind, Exec-time bindings, Result.Where). Integers are their own code. A string
 // is a constant only as an equality on an already-encoded string — codes
 // are permanent, so baking that is cache-safe; ranges (decoded order can
 // gain strings) and unseen strings (they may gain a code) stay dynamic.

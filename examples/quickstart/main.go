@@ -71,8 +71,8 @@ func main() {
 	fmt.Print(joined.Table(6))
 
 	// Prepared statements: compile Q1 with a parameterised item selection
-	// once, then execute it per constant — the f-tree search, input dedup
-	// and sorting are all paid at Prepare time.
+	// once, then execute it per constant — the f-tree search is paid at
+	// Prepare time, the input dedup and sorting by the first Exec.
 	stmt, err := db.Prepare(
 		fdb.From("Orders", "Store", "Disp"),
 		fdb.Eq("Orders.item", "Store.item"),

@@ -24,8 +24,9 @@
 //	res, err = stmt.Exec(fdb.Arg("item", "Cheese"))  // same plan, new constant
 //
 // Exec is safe for concurrent callers; ExecContext adds cancellation for
-// long factorisation builds. A Stmt snapshots its input relations at
-// Prepare time.
+// long factorisation builds. Prepare reads the query and the schemas only;
+// a Stmt loads its input relations on its first Exec and follows their
+// writes from then on.
 //
 // Ad-hoc queries still work — and get plan reuse for free through an
 // internal LRU plan cache keyed by the query's canonical fingerprint

@@ -49,8 +49,8 @@ func (EstimateCost) Combine(planCost, treeCost float64) float64 {
 
 // GreedyPlanWithCost is GreedyPlan parameterised by a cost model: per
 // condition it still evaluates the three restructuring scenarios of
-// Section 4.3, but scores each scenario with the supplied model. With
-// SCost{} it behaves exactly like GreedyPlan.
+// Section 4.3, but scores each scenario with the supplied model. GreedyPlan
+// is this function under SCost{}.
 func GreedyPlanWithCost(t0 *ftree.T, conds []Condition, model CostModel) (PlanResult, error) {
 	cur := t0.Clone()
 	var all fplanOps
@@ -93,7 +93,9 @@ func GreedyPlanWithCost(t0 *ftree.T, conds []Condition, model CostModel) (PlanRe
 	}, nil
 }
 
-// bestScenarioWithCost mirrors bestScenario under an arbitrary cost model.
+// bestScenarioWithCost returns the cheapest applicable scenario for one
+// condition under the cost model, including the closing selection operator;
+// ties prefer fewer operators.
 func bestScenarioWithCost(t *ftree.T, c Condition, model CostModel) (fplanOps, float64, error) {
 	cands := scenarioCandidates(t, c)
 	if len(cands) == 0 {

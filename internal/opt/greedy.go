@@ -2,7 +2,6 @@ package opt
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/fplan"
 	"repro/internal/ftree"
@@ -14,49 +13,10 @@ import (
 // up until it is an ancestor of B (then absorb), the converse, or bring
 // both up until they are siblings (then merge) — applies the cheapest
 // condition first, and repeats on the resulting tree. Runs in polynomial
-// time in the size of the input f-tree.
+// time in the size of the input f-tree. Scenarios are scored by the
+// asymptotic cost s(T); GreedyPlanWithCost takes the measure as a parameter.
 func GreedyPlan(t0 *ftree.T, conds []Condition) (PlanResult, error) {
-	cur := t0.Clone()
-	var all []fplan.Op
-	cost := cur.S()
-	explored := 0
-	for {
-		rem := pending(cur, conds)
-		if len(rem) == 0 {
-			break
-		}
-		bestCost := math.Inf(1)
-		var bestOps []fplan.Op
-		for _, c := range rem {
-			ops, s, err := bestScenario(cur, c)
-			if err != nil {
-				return PlanResult{}, err
-			}
-			explored++
-			if s < bestCost || (s == bestCost && len(ops) < len(bestOps)) {
-				bestCost, bestOps = s, ops
-			}
-		}
-		if bestOps == nil {
-			return PlanResult{}, fmt.Errorf("opt: greedy found no scenario for %v", rem)
-		}
-		for _, op := range bestOps {
-			if err := op.ApplyTree(cur); err != nil {
-				return PlanResult{}, fmt.Errorf("opt: greedy applying %s: %w", op, err)
-			}
-			if s := cur.S(); s > cost {
-				cost = s
-			}
-		}
-		all = append(all, bestOps...)
-	}
-	return PlanResult{
-		Plan:     fplan.Plan{Ops: all},
-		Cost:     cost,
-		FinalS:   cur.S(),
-		Final:    cur,
-		Explored: explored,
-	}, nil
+	return GreedyPlanWithCost(t0, conds, SCost{})
 }
 
 // fplanOps is a scenario: a list of operators ending in a merge/absorb.
@@ -85,27 +45,6 @@ func scenarioCandidates(t *ftree.T, c Condition) []fplanOps {
 		cands = append(cands, append(ops, fplan.Merge{A: c.A, B: c.B}))
 	}
 	return cands
-}
-
-// bestScenario returns the cheapest scenario under the asymptotic cost,
-// including the closing selection operator; ties prefer fewer operators.
-func bestScenario(t *ftree.T, c Condition) ([]fplan.Op, float64, error) {
-	cands := scenarioCandidates(t, c)
-	if len(cands) == 0 {
-		return nil, 0, errNoScenario([]Condition{c})
-	}
-	bestS := math.Inf(1)
-	var best []fplan.Op
-	for _, cd := range cands {
-		s, err := (fplan.Plan{Ops: cd}).CostS(t)
-		if err != nil {
-			return nil, 0, err
-		}
-		if s < bestS || (s == bestS && len(cd) < len(best)) {
-			bestS, best = s, cd
-		}
-	}
-	return best, bestS, nil
 }
 
 // promoteToAncestor swaps node a upward until it is an ancestor of node b

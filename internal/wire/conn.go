@@ -197,7 +197,7 @@ func (c *conn) handlePrepare(f Frame) {
 // stmtFor resolves the statement a request executes: the live cached
 // statement, or — under a pinned snapshot — a snapshot-bound variant,
 // created on first use per (snapshot, handle) and cached so repeated
-// executions pay the input re-snapshot once.
+// executions pay the input load once.
 func (c *conn) stmtFor(req *ExecReq) (*fdb.Stmt, *Error) {
 	c.mu.Lock()
 	live, ok := c.stmts[req.Handle]

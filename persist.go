@@ -52,14 +52,17 @@ func (db *DB) SaveSnapshot(path string) error {
 
 // persistableEnc decides whether a cached statement's memoised encoding can
 // ride along in the snapshot: the statement must memoise one and be
-// unpinned, the encoding built, and every input version equal to the
-// version the snapshot is cutting — otherwise the enc describes data the
-// file does not contain.
+// unpinned, its data loaded and the encoding built, and every input version
+// equal to the version the snapshot is cutting — otherwise the enc describes
+// data the file does not contain.
 func persistableEnc(key string, st *Stmt, states map[string]*delta.State) (store.Enc, bool) {
 	if st == nil || key == "" || !st.memoises() || st.snap != nil {
 		return store.Enc{}, false
 	}
 	d := st.data.Load()
+	if d == nil {
+		return store.Enc{}, false // prepared, never executed
+	}
 	d.mu.Lock()
 	enc := d.enc
 	d.mu.Unlock()
@@ -87,6 +90,13 @@ func persistableEnc(key string, st *Stmt, states map[string]*delta.State) (store
 // the returned database; the database is fully writable — the first
 // mutation simply layers delta batches over the mapped base like any other
 // bulk-loaded relation.
+//
+// The mapped file is the database's storage, so it must not change while
+// the database lives. Replace a served snapshot by rename — what
+// SaveSnapshot does (temp file + rename; it never truncates or rewrites a
+// file in place), which leaves the old mapping intact. Truncating or
+// overwriting the file in place is unsupported: the checksums are not
+// re-read, and a page past the new end of file faults the process (SIGBUS).
 func OpenSnapshotFile(path string) (*DB, error) {
 	f, err := store.Open(path)
 	if err != nil {

@@ -59,6 +59,12 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	db, join, agg := persistFixture(t)
 	wantJoin := queryTable(t, db, join)
 	wantAgg := aggTable(t, db, agg)
+	// A cached statement that was never executed holds no data: the save
+	// must skip it, not trip over it.
+	cold := []Clause{From("Orders"), Cmp("Orders.oid", LE, 5)}
+	if _, err := db.PrepareCached(cold...); err != nil {
+		t.Fatal(err)
+	}
 
 	path := filepath.Join(t.TempDir(), "snap.fdb")
 	if err := db.SaveSnapshot(path); err != nil {
@@ -67,6 +73,9 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	db2, err := OpenSnapshotFile(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got, want := queryTable(t, db2, cold), queryTable(t, db, cold); got != want {
+		t.Fatalf("never-executed statement's query diverges after reopen:\n%s\nwant:\n%s", got, want)
 	}
 	if db2.Version() != db.Version() {
 		t.Fatalf("opened version %d, want %d", db2.Version(), db.Version())

@@ -69,7 +69,7 @@ func sortedRows(t *testing.T, res *Result) []string {
 }
 
 // skewTrees returns the skew query's attribute classes and relation schemas
-// — what prepareSpec hands planTree — for comparing against opt directly.
+// — what DB.plan hands planTree — for comparing against opt directly.
 func skewTrees(t *testing.T, db *DB) (classes, schemas []relation.AttrSet) {
 	t.Helper()
 	q := &core.Query{Equalities: []core.Equality{
@@ -259,7 +259,7 @@ func TestBudgetExhaustionNeverErrors(t *testing.T) {
 	}
 
 	// Ordered: on the skew query no reordering of the free tree streams
-	// r2.x2, so prepareSpec runs the order-constrained search too.
+	// r2.x2, so DB.plan runs the order-constrained search too.
 	for name, compile := range map[string]func(...Clause) (*Result, error){
 		"Query": db.Query,
 		"Prepare": func(cs ...Clause) (*Result, error) {

@@ -2,6 +2,7 @@ package fdb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/fplan"
 	"repro/internal/frep"
+	"repro/internal/ftree"
 	"repro/internal/opt"
 	"repro/internal/relation"
 )
@@ -56,6 +58,26 @@ func (rt *retrieval) cursor() frep.TupleIter {
 // through here rather than a bare literal.
 func newResult(db *DB, enc *frep.Enc) *Result {
 	return &Result{db: db, enc: enc, limit: -1}
+}
+
+// dress wraps a finished encoding in the result its retrieval clauses
+// describe: Distinct normalises the representation, OrderBy/Offset/Limit set
+// how the tuples leave it.
+func (db *DB) dress(enc *frep.Enc, out outClauses) (*Result, error) {
+	if out.distinct {
+		// Projection already yields set semantics; δ normalises and makes the
+		// guarantee explicit (a no-op pass on every engine-built rep).
+		var err error
+		if enc, err = fplan.ApplyEnc(fplan.Distinct{}, enc); err != nil {
+			return nil, err
+		}
+	}
+	res := newResult(db, enc)
+	res.order, res.offset, res.limit = out.order, out.offset, out.limit
+	if res.ordered() {
+		res.less = db.orderLess()
+	}
+	return res, nil
 }
 
 // ordered reports whether retrieval goes through the order/offset/limit
@@ -257,13 +279,8 @@ func (r *Result) Where(clauses ...Clause) (*Result, error) {
 	}
 	if len(conds) > 0 {
 		res, err := opt.ExhaustivePlan(enc.Tree, conds, opt.PlanSearchOptions{})
-		if err != nil {
-			// Fall back to the greedy heuristic on large instances.
-			g, gerr := opt.GreedyPlan(enc.Tree, conds)
-			if gerr != nil {
-				return nil, err
-			}
-			res = g
+		if res, err = searchedOrGreedy(enc.Tree, conds, res, err); err != nil {
+			return nil, err
 		}
 		if enc, err = res.Plan.ExecuteEnc(context.TODO(), enc); err != nil {
 			return nil, err
@@ -276,6 +293,16 @@ func (r *Result) Where(clauses ...Clause) (*Result, error) {
 		}
 	}
 	return newResult(r.db, enc), nil
+}
+
+// searchedOrGreedy is Where's f-plan policy, given the search's outcome: the
+// searched plan when the search finished, the greedy heuristic's when it ran
+// out of budget (large instances), and any other search error as it is.
+func searchedOrGreedy(t *ftree.T, conds []opt.Condition, res opt.PlanResult, err error) (opt.PlanResult, error) {
+	if errors.Is(err, opt.ErrBudget) {
+		return opt.GreedyPlan(t, conds)
+	}
+	return res, err
 }
 
 // Join combines two factorised results over disjoint attributes and applies

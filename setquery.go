@@ -3,9 +3,7 @@ package fdb
 import (
 	"fmt"
 
-	"repro/internal/fplan"
 	"repro/internal/frep"
-	"repro/internal/relation"
 )
 
 // SetExpr is a set-algebra query expression: a leaf select-project-join
@@ -103,29 +101,10 @@ func (db *DB) QuerySet(e *SetExpr, clauses ...Clause) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.distinct {
-		enc, err = fplan.ApplyEnc(fplan.Distinct{}, enc)
-		if err != nil {
-			return nil, err
-		}
+	if err := checkOrderKeys(s.order, enc.Schema()); err != nil {
+		return nil, err
 	}
-	if len(s.orderBy) > 0 {
-		sch := enc.Schema()
-		out := relation.NewAttrSet(sch...)
-		for _, k := range s.orderBy {
-			if !out.Has(k.Attr) {
-				return nil, fmt.Errorf("fdb: order-by attribute %q not in the result", k.Attr)
-			}
-		}
-	}
-	res := newResult(db, enc)
-	if len(s.orderBy) > 0 || s.offset > 0 || s.limit >= 0 {
-		res.order = s.orderBy
-		res.offset = s.offset
-		res.limit = s.limit
-		res.less = db.orderLess()
-	}
-	return res, nil
+	return db.dress(enc, s.outClauses)
 }
 
 // evalSetExpr evaluates the expression tree bottom-up: leaves through the
@@ -142,10 +121,13 @@ func (db *DB) evalSetExpr(e *SetExpr) (*frep.Enc, error) {
 		if len(s.aggs) > 0 || len(s.groupBy) > 0 {
 			return nil, fmt.Errorf("fdb: aggregates are not allowed in a Sub leg")
 		}
-		if len(s.orderBy) > 0 || s.limit >= 0 || s.offset > 0 || s.distinct {
+		if len(s.order) > 0 || s.limit >= 0 || s.offset > 0 || s.distinct {
 			return nil, fmt.Errorf("fdb: OrderBy/Limit/Offset/Distinct apply to the combined result; pass them to QuerySet, not a Sub leg")
 		}
-		st, err := db.adhocStmt(s)
+		if err := s.noParams(); err != nil {
+			return nil, err
+		}
+		st, err := db.cachedStmt(s)
 		if err != nil {
 			return nil, err
 		}

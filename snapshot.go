@@ -59,22 +59,33 @@ func (s *Snapshot) isClosed() bool { return s.closed.Load() }
 
 // Prepare compiles a statement pinned to the snapshot's versions: every
 // Exec reads the pinned data, never refreshing, and errors once the
-// snapshot is closed.
+// snapshot is closed. The plan comes from the database plan cache, so any
+// number of snapshots preparing one query shape share one f-tree search.
 func (s *Snapshot) Prepare(clauses ...Clause) (*Stmt, error) {
 	sp, err := compileSpec(modeQuery, clauses)
 	if err != nil {
 		return nil, err
 	}
-	return s.db.prepareSpec(sp, s)
+	return s.pinned(sp)
+}
+
+// pinned resolves the spec through the database plan cache and pins the
+// shared plan to the snapshot.
+func (s *Snapshot) pinned(sp *spec) (*Stmt, error) {
+	st, err := s.db.cachedStmt(sp)
+	if err != nil {
+		return nil, err
+	}
+	return st.pin(s)
 }
 
 // Bind pins an already-compiled live statement to the snapshot, sharing
-// its compiled plan (the expensive part of Prepare) and re-snapshotting
-// only the inputs at the pinned versions. Together with DB.PrepareCached
-// this gives the many-connection server one plan per query shape across
-// all live and snapshot-pinned executions. The bound statement reads the
-// pinned data forever (never refreshing) and errors after Close; the
-// receiver statement is unaffected.
+// its compiled plan; the bound statement's first Exec loads its inputs at
+// the pinned versions. Together with DB.PrepareCached this gives the
+// many-connection server one plan per query shape across all live and
+// snapshot-pinned executions. The bound statement reads the pinned data
+// forever (never refreshing) and errors after Close; the receiver statement
+// is unaffected.
 func (s *Snapshot) Bind(st *Stmt) (*Stmt, error) {
 	if st == nil {
 		return nil, fmt.Errorf("fdb: Bind of a nil statement")
@@ -85,18 +96,13 @@ func (s *Snapshot) Bind(st *Stmt) (*Stmt, error) {
 	return st.pin(s)
 }
 
-// Query runs a select-project-join query against the snapshot. Pinned
-// plans bypass the database plan cache (cache entries track the live
-// versions).
+// Query runs a select-project-join query against the snapshot.
 func (s *Snapshot) Query(clauses ...Clause) (*Result, error) {
-	sp, err := compileSpec(modeQuery, clauses)
+	sp, err := adhocSpec(clauses, false)
 	if err != nil {
 		return nil, err
 	}
-	if len(sp.aggs) > 0 {
-		return nil, fmt.Errorf("fdb: query computes aggregates; use QueryAgg")
-	}
-	st, err := s.db.prepareSpec(sp, s)
+	st, err := s.pinned(sp)
 	if err != nil {
 		return nil, err
 	}
@@ -105,14 +111,11 @@ func (s *Snapshot) Query(clauses ...Clause) (*Result, error) {
 
 // QueryAgg runs an aggregation query against the snapshot.
 func (s *Snapshot) QueryAgg(clauses ...Clause) (*AggResult, error) {
-	sp, err := compileSpec(modeQuery, clauses)
+	sp, err := adhocSpec(clauses, true)
 	if err != nil {
 		return nil, err
 	}
-	if len(sp.aggs) == 0 {
-		return nil, fmt.Errorf("fdb: QueryAgg needs at least one Agg clause")
-	}
-	st, err := s.db.prepareSpec(sp, s)
+	st, err := s.pinned(sp)
 	if err != nil {
 		return nil, err
 	}

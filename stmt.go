@@ -2,19 +2,16 @@ package fdb
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/delta"
 	"repro/internal/fbuild"
 	"repro/internal/fplan"
 	"repro/internal/frep"
 	"repro/internal/ftree"
-	"repro/internal/opt"
 	"repro/internal/relation"
 )
 
@@ -26,43 +23,45 @@ import (
 const mergeMaxFrac = 0.25
 
 // Stmt is a compiled, reusable select-project-join statement. Prepare pays
-// the expensive part of query evaluation once — clause validation, optimal
-// f-tree search, input snapshot (dedup + constant pre-filtering + path
-// sort) — so that each Exec only binds parameters and builds the
-// factorised result.
+// the data-independent part of query evaluation once — clause validation,
+// f-tree search, the per-input filters and path-sort permutations — and
+// reads no tuple; each Exec binds parameters, brings the inputs up to date
+// and builds the factorised result.
 //
 // A Stmt prepared from the database follows it: each Exec reads the
-// relations' current versions, folding any delta batches committed since
-// the last execution into its sorted snapshots (and, when the change is
-// small, directly into its cached encoded representation) — the compiled
+// relations' current versions, loading the inputs (dedup + constant
+// pre-filter + path sort) on first use and folding any delta batches
+// committed since into its sorted snapshots afterwards (and, when the change
+// is small, directly into its cached encoded representation) — the compiled
 // plan is immutable and never recompiles. A Stmt prepared from a Snapshot
-// is pinned: it keeps reading the snapshot's versions and fails loudly once
-// the snapshot is closed. Exec is safe for concurrent callers.
+// is pinned: it reads the snapshot's versions and fails loudly once the
+// snapshot is closed. Exec is safe for concurrent callers.
+//
+// Who may touch what: the embedded plan is written by DB.plan and by nobody
+// after it; fp is set by cachedStmt before the statement is shared; data is
+// published by refresh alone, under refreshMu, and read with one atomic load.
 type Stmt struct {
 	stmtPlan
 	fp   string    // plan-cache fingerprint; "" when not cached
 	snap *Snapshot // non-nil: pinned to this snapshot's versions
 
-	// data is the one mutable part: refresh publishes successor input
-	// versions atomically, refreshMu serialises that slow path.
+	// data is the one mutable part, nil until the first execution loads it.
 	data      atomic.Pointer[stmtData]
 	refreshMu sync.Mutex
 }
 
-// stmtPlan is a statement's compiled plan: everything Prepare decided,
-// immutable from then on, and shared by value with the statement's pinned
-// derivatives (see pin).
+// stmtPlan is a statement's compiled plan: everything DB.plan decided from
+// the query and the schemas, immutable from then on — it holds no tuple and
+// no version — and shared by value with the statement's pinned derivatives
+// (see pin).
 type stmtPlan struct {
-	db       *DB
-	lsels    []lateSel            // selections whose value resolves per Exec
-	params   []string             // distinct parameter names, declaration order
-	project  []relation.Attribute // nil: keep all attributes
-	groupBy  []relation.Attribute // aggregation statements: group-by attributes
-	aggs     []frep.AggSpec       // aggregation statements: aggregates to compute
-	order    []frep.OrderKey      // ORDER BY keys; empty: enumeration order
-	offset   int                  // tuples to skip
-	limit    int                  // result cap; -1: none
-	distinct bool                 // explicit set-semantics normalisation
+	db      *DB
+	lsels   []boundSel           // late selections (class != selConst): resolved per Exec
+	params  []string             // distinct parameter names, declaration order
+	project []relation.Attribute // nil: keep all attributes
+	groupBy []relation.Attribute // aggregation statements: group-by attributes
+	aggs    []frep.AggSpec       // aggregation statements: aggregates to compute
+	outClauses
 
 	tree       *ftree.T    // the f-tree planTree chose
 	inputs     []stmtInput // per-input filters and path-sort permutations for that tree
@@ -82,7 +81,8 @@ type stmtInput struct {
 
 // stmtData is one immutable version of a statement's inputs: the deduped,
 // pre-filtered, path-sorted snapshots and the store version each reflects.
-// The encoded representation of a statement that memoises one is kept here
+// Only refresh creates one, and it never changes after it is published. The
+// encoded representation of a statement that memoises one is kept here
 // (built on first use, or inherited from the previous version via the
 // incremental merge); reads and writes of enc go through mu.
 type stmtData struct {
@@ -91,21 +91,6 @@ type stmtData struct {
 
 	mu  sync.Mutex
 	enc *frep.Enc // cached pre-projection build; nil until needed
-}
-
-// lateSel is one compiled selection whose value is only known at execution
-// time: column col of input relation rel compared against val. A ParamValue
-// stands for the execution's binding of that parameter. A string is a
-// constant that must be re-resolved against the dictionary on every
-// execution: a range comparison (decoded order can gain strings between
-// Execs) or an equality whose constant had no code at prepare time (it may
-// gain one). Equalities on already-encoded strings compile to constant code
-// selections instead — codes are permanent, so baking them is cache-safe.
-type lateSel struct {
-	rel int
-	col int
-	op  fplan.Cmp
-	val interface{}
 }
 
 // memoises reports whether every execution at one input version yields the
@@ -133,257 +118,27 @@ func Arg(name string, value interface{}) NamedArg { return NamedArg{Name: name, 
 
 // Prepare compiles a select-project-join query into a reusable statement.
 // Selections whose value is a Param placeholder are compiled into the plan
-// and bound per Exec; all other clauses are fixed at Prepare time.
+// and bound per Exec; all other clauses are fixed at Prepare time. Prepare
+// reads the query and the schemas only; the statement's first execution
+// loads its inputs.
 func (db *DB) Prepare(clauses ...Clause) (*Stmt, error) {
 	s, err := compileSpec(modeQuery, clauses)
 	if err != nil {
 		return nil, err
 	}
-	return db.prepareSpec(s, nil)
-}
-
-// prepareSpec is the shared compile path behind Prepare, Query and the
-// snapshot query surface. With a non-nil snap the statement reads the
-// snapshot's pinned states and never refreshes.
-func (db *DB) prepareSpec(s *spec, snap *Snapshot) (*Stmt, error) {
-	if len(s.from) == 0 {
-		return nil, fmt.Errorf("fdb: query needs From(...)")
-	}
-	// Resolve the stores and capture one consistent version per input.
-	// States are immutable: everything after the capture runs lock-free.
-	stores := make([]*delta.Store, len(s.from))
-	states := make([]*delta.State, len(s.from))
-	db.mu.RLock()
-	for i, name := range s.from {
-		st, ok := db.stores[name]
-		if !ok {
-			db.mu.RUnlock()
-			return nil, fmt.Errorf("fdb: unknown relation %q", name)
-		}
-		stores[i] = st
-		states[i] = st.State()
-	}
-	db.mu.RUnlock()
-	if snap != nil {
-		if snap.isClosed() {
-			return nil, errSnapshotClosed
-		}
-		for i, name := range s.from {
-			st, ok := snap.states[name]
-			if !ok {
-				return nil, fmt.Errorf("fdb: relation %q created after the snapshot", name)
-			}
-			states[i] = st
-		}
-	}
-	rels := make([]*relation.Relation, len(s.from))
-	for i, st := range states {
-		rels[i] = snapRelation(st)
-	}
-
-	// Split selections by classifySel's verdict: constants are pre-filtered
-	// now, parameters and dynamic string selections resolve per Exec.
-	var consts []core.ConstSel
-	var lsels []lateSel
-	params := s.params()
-	locate := func(a relation.Attribute) (int, int, error) {
-		for i, r := range rels {
-			if j := r.Schema.Index(a); j >= 0 {
-				return i, j, nil
-			}
-		}
-		return -1, -1, fmt.Errorf("fdb: selection on unknown attribute %q", a)
-	}
-	for _, sel := range s.sels {
-		class, v, err := db.classifySel(sel.op, sel.val)
-		if err != nil {
-			return nil, err
-		}
-		if class == selConst {
-			consts = append(consts, core.ConstSel{A: sel.attr, Op: sel.op, C: v})
-			continue
-		}
-		ri, ci, err := locate(sel.attr)
-		if err != nil {
-			return nil, err
-		}
-		lsels = append(lsels, lateSel{rel: ri, col: ci, op: sel.op, val: sel.val})
-	}
-
-	q := &core.Query{Relations: rels, Equalities: s.eqs, Selections: consts, Projection: s.project}
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	if len(s.groupBy) > 0 && len(s.aggs) == 0 {
-		return nil, fmt.Errorf("fdb: GroupBy needs at least one Agg clause")
-	}
-	if len(s.aggs) > 0 && (len(s.orderBy) > 0 || s.limit >= 0 || s.offset > 0 || s.distinct) {
-		return nil, fmt.Errorf("fdb: OrderBy/Limit/Offset/Distinct apply to tuple results; aggregate rows are already sorted by group key")
-	}
-	if len(s.orderBy) > 0 {
-		out := relation.AttrSet{}
-		if s.project != nil {
-			for _, a := range s.project {
-				out.Add(a)
-			}
-		} else {
-			for _, r := range rels {
-				for _, a := range r.Schema {
-					out.Add(a)
-				}
-			}
-		}
-		for _, k := range s.orderBy {
-			if !out.Has(k.Attr) {
-				return nil, fmt.Errorf("fdb: order-by attribute %q not in the result", k.Attr)
-			}
-		}
-	}
-	if len(s.aggs) > 0 {
-		if s.project != nil {
-			return nil, fmt.Errorf("fdb: Project cannot be combined with aggregates (GroupBy defines the output columns)")
-		}
-		all := relation.AttrSet{}
-		for _, r := range rels {
-			for _, a := range r.Schema {
-				all.Add(a)
-			}
-		}
-		seen := relation.AttrSet{}
-		for _, a := range s.groupBy {
-			if seen.Has(a) {
-				return nil, fmt.Errorf("fdb: duplicate group-by attribute %q", a)
-			}
-			seen.Add(a)
-			if !all.Has(a) {
-				return nil, fmt.Errorf("fdb: group-by attribute %q not in any input relation", a)
-			}
-		}
-		for _, sp := range s.aggs {
-			if sp.Fn != frep.AggCount && !all.Has(sp.Attr) {
-				return nil, fmt.Errorf("fdb: aggregate attribute %q not in any input relation", sp.Attr)
-			}
-		}
-	}
-	// Constant selections are cheapest first (Section 4): filter inputs now
-	// and keep each input's compiled filter for refresh-time delta
-	// filtering.
-	filters := make([]func(relation.Tuple) bool, len(rels))
-	for i, r := range q.Relations {
-		var mine []core.ConstSel
-		for _, c := range q.Selections {
-			if r.Schema.Contains(c.A) {
-				mine = append(mine, c)
-			}
-		}
-		if len(mine) > 0 {
-			cols := make([]int, len(mine))
-			for j, c := range mine {
-				cols[j] = r.Schema.Index(c.A)
-			}
-			filters[i] = func(t relation.Tuple) bool {
-				for j, c := range mine {
-					if !c.Match(t[cols[j]]) {
-						return false
-					}
-				}
-				return true
-			}
-			q.Relations[i] = r.Select(filters[i])
-		}
-	}
-	classes, schemas := q.Classes(), q.Schemas()
-	tr, cost, err := db.planTree(classes, schemas, nil)
+	b, err := db.bind(s)
 	if err != nil {
 		return nil, err
 	}
-	// Grouped aggregation: restructure the optimal tree once, at compile
-	// time, so the group-by attributes label nodes above every aggregated
-	// one. Exec-time builds then produce the lifted layout directly and the
-	// aggregation pass is linear in the representation size — no data
-	// movement per Exec.
-	if len(s.groupBy) > 0 {
-		if err := (fplan.Lift{Attrs: s.groupBy}).ApplyTree(tr); err != nil {
-			return nil, err
-		}
-	}
-	// Order-aware planning: sibling and root order are semantically free, so
-	// first try to reorder the optimal tree until the ORDER BY keys label the
-	// front of its pre-order walk (streaming order, no sort). If the shape
-	// itself is in the way, search for the cheapest order-compatible tree and
-	// take it when the cost model approves — equal cost always, half a cover
-	// unit of slack when a Limit makes top-k short-circuiting worth it.
-	// Otherwise the statement keeps the optimal tree and retrieval falls back
-	// to a bounded heap at Exec time.
-	streamable := false
-	if len(s.orderBy) > 0 {
-		// A successful reorder is verified against the order property it
-		// claims to establish.
-		streamable = fplan.ReorderForOrder(tr, s.orderBy) && fplan.OrderCompatible(tr, s.orderBy)
-		if !streamable {
-			ot, ocost, oerr := db.planTree(classes, schemas, orderChain(classes, s.orderBy))
-			switch {
-			case oerr == nil:
-				if opt.PreferOrdered(cost, ocost, s.limit >= 0) && fplan.ReorderForOrder(ot, s.orderBy) {
-					tr, cost = ot, ocost
-					streamable = true
-				}
-			case errors.Is(oerr, opt.ErrOrderIncompatible):
-				// No f-tree of this query streams the requested order;
-				// retrieval falls back to the bounded heap at Exec time.
-			default:
-				return nil, oerr
-			}
-		}
-	}
-	// Sort every snapshot in its f-tree path order once; Exec-time builds
-	// then see pre-sorted inputs and never mutate the shared snapshots.
-	if err := fbuild.SortFor(q.Relations, tr); err != nil {
-		return nil, err
-	}
-	inputs := make([]stmtInput, len(s.from))
-	vers := make([]uint64, len(s.from))
-	for i := range s.from {
-		idx, err := fbuild.SortIndex(q.Relations[i], tr)
-		if err != nil {
-			return nil, err
-		}
-		attrs := make([]relation.Attribute, len(idx))
-		for j, c := range idx {
-			attrs[j] = q.Relations[i].Schema[c]
-		}
-		inputs[i] = stmtInput{store: stores[i], filter: filters[i], sortIdx: idx, sortAttrs: attrs}
-		vers[i] = states[i].Ver
-	}
-	st := &Stmt{snap: snap, stmtPlan: stmtPlan{
-		db:       db,
-		lsels:    lsels,
-		params:   params,
-		project:  s.project,
-		groupBy:  s.groupBy,
-		aggs:     s.aggs,
-		order:    s.orderBy,
-		offset:   s.offset,
-		limit:    s.limit,
-		distinct: s.distinct,
-
-		tree:       tr,
-		inputs:     inputs,
-		cost:       cost,
-		streamable: streamable,
-	}}
-	st.data.Store(&stmtData{rels: q.Relations, vers: vers})
-	return st, nil
+	return db.plan(b)
 }
 
 // pin derives a statement bound to the snapshot's pinned versions from an
-// already-compiled live statement, sharing the compiled plan — f-tree,
-// parameter slots, baked filters and sort permutations — and paying only
-// the input re-snapshot (dedup, constant pre-filter, path sort). This is
-// the server front-end's path for executing a cached statement under a
-// per-connection snapshot: clause validation and f-tree search are never
-// repeated per (statement, snapshot) pair. The pinned statement never
-// refreshes and fails loudly once the snapshot is closed.
+// already-compiled live statement: a copy of the plan — f-tree, parameter
+// slots, baked filters and sort permutations are shared — whose data is
+// loaded, once, from the snapshot's states by its first execution. Clause
+// validation and f-tree search are never repeated per (statement, snapshot)
+// pair. The pinned statement fails loudly once the snapshot is closed.
 func (st *Stmt) pin(snap *Snapshot) (*Stmt, error) {
 	if st.snap != nil {
 		return nil, fmt.Errorf("fdb: statement is already pinned to a snapshot")
@@ -391,49 +146,12 @@ func (st *Stmt) pin(snap *Snapshot) (*Stmt, error) {
 	if snap.isClosed() {
 		return nil, errSnapshotClosed
 	}
-	ns := &Stmt{stmtPlan: st.stmtPlan, snap: snap}
-	rels := make([]*relation.Relation, len(st.inputs))
-	vers := make([]uint64, len(st.inputs))
-	for i, in := range st.inputs {
-		state, ok := snap.states[in.store.Name]
-		if !ok {
+	for _, in := range st.inputs {
+		if _, ok := snap.states[in.store.Name]; !ok {
 			return nil, fmt.Errorf("fdb: relation %q created after the snapshot", in.store.Name)
 		}
-		rels[i] = st.resnapInput(i, state)
-		vers[i] = state.Ver
 	}
-	ns.data.Store(&stmtData{rels: rels, vers: vers})
-	return ns, nil
-}
-
-// snapRelation derives a private, mutable snapshot of a state's live
-// relation: a fresh tuple-slice header over shared (read-only) tuples.
-func snapRelation(st *delta.State) *relation.Relation {
-	live := st.Live()
-	r := relation.New(live.Name, live.Schema)
-	r.Tuples = append(make([]relation.Tuple, 0, len(live.Tuples)), live.Tuples...)
-	r.Dedup()
-	return r
-}
-
-// orderChain maps the ORDER BY keys to their attribute-class indices, in key
-// order with repeats dropped — the chain the ordered search pins to the
-// front of the pre-order walk.
-func orderChain(classes []relation.AttrSet, keys []frep.OrderKey) []int {
-	var chain []int
-	seen := map[int]bool{}
-	for _, k := range keys {
-		for i, c := range classes {
-			if c.Has(k.Attr) {
-				if !seen[i] {
-					seen[i] = true
-					chain = append(chain, i)
-				}
-				break
-			}
-		}
-	}
-	return chain
+	return &Stmt{stmtPlan: st.stmtPlan, snap: snap}, nil
 }
 
 // Params lists the statement's parameter names in declaration order.
@@ -480,22 +198,7 @@ func (st *Stmt) ExecContext(ctx context.Context, args ...NamedArg) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	if st.distinct {
-		// Projection already yields set semantics; δ normalises and makes the
-		// guarantee explicit (a no-op pass on every engine-built rep).
-		fr, err = fplan.ApplyEnc(fplan.Distinct{}, fr)
-		if err != nil {
-			return nil, err
-		}
-	}
-	res := newResult(st.db, fr)
-	if len(st.order) > 0 || st.offset > 0 || st.limit >= 0 {
-		res.order = st.order
-		res.offset = st.offset
-		res.limit = st.limit
-		res.less = st.db.orderLess()
-	}
-	return res, nil
+	return st.db.dress(fr, st.outClauses)
 }
 
 // ExecAgg runs a compiled aggregation statement (one with Agg clauses,
@@ -523,8 +226,16 @@ func (st *Stmt) ExecAggContext(ctx context.Context, args ...NamedArg) (*AggResul
 	return &AggResult{db: st.db, groupBy: st.groupBy, specs: st.aggs, rows: rows}, nil
 }
 
-// current reports whether d reflects every input store's current version.
+// current reports whether d is what the statement should execute over: any
+// loaded data for a pinned statement, the data reflecting every input
+// store's current version for a live one.
 func (st *Stmt) current(d *stmtData) bool {
+	if d == nil {
+		return false
+	}
+	if st.snap != nil {
+		return true
+	}
 	for i := range st.inputs {
 		if st.inputs[i].store.State().Ver != d.vers[i] {
 			return false
@@ -533,57 +244,69 @@ func (st *Stmt) current(d *stmtData) bool {
 	return true
 }
 
-// refresh brings the statement's input snapshots up to the relations'
-// current versions. The fast path is len(inputs) atomic loads; behind them,
-// the slow path captures a consistent cut under the database read lock,
-// folds each changed relation's net delta into its sorted snapshot with a
-// linear merge (or re-snapshots wholesale when the history was compacted
-// away), and — for memoising statements with a small enough delta —
-// patches the cached encoded representation in place of the next rebuild.
-// Pinned (snapshot-bound) statements never refresh.
-func (st *Stmt) refresh() {
-	if st.snap != nil {
-		return
-	}
+// refresh is stage three of the lifecycle and the only place a statement's
+// data arrives: it returns the input snapshots at the relations' current
+// versions (a pinned statement: at its snapshot's). The fast path is
+// len(inputs) atomic loads; behind them, the slow path captures a consistent
+// cut and brings every changed input up to it. An input with nothing to
+// carry forward — no data yet, or a history compacted away beneath the held
+// version — is loaded wholesale; otherwise its net delta is folded into the
+// sorted snapshot with a linear merge, and for memoising statements with a
+// small enough delta the cached encoded representation is patched in place
+// of the next rebuild. A cancelled ctx aborts between inputs and publishes
+// nothing.
+func (st *Stmt) refresh(ctx context.Context) (*stmtData, error) {
 	d := st.data.Load()
 	if st.current(d) {
-		return
+		return d, nil
 	}
 	st.refreshMu.Lock()
 	defer st.refreshMu.Unlock()
 	d = st.data.Load()
 	if st.current(d) {
-		return
+		return d, nil
 	}
-	// A consistent cut: no writer commits between the state loads.
+	// A consistent cut: the snapshot's, or one no writer commits into
+	// between the state loads.
 	states := make([]*delta.State, len(st.inputs))
-	st.db.mu.RLock()
-	for i := range st.inputs {
-		states[i] = st.inputs[i].store.State()
+	if st.snap != nil {
+		for i, in := range st.inputs {
+			states[i] = st.snap.states[in.store.Name]
+		}
+	} else {
+		st.db.mu.RLock()
+		for i, in := range st.inputs {
+			states[i] = in.store.State()
+		}
+		st.db.mu.RUnlock()
 	}
-	st.db.mu.RUnlock()
 
 	nd := &stmtData{
 		rels: make([]*relation.Relation, len(st.inputs)),
 		vers: make([]uint64, len(st.inputs)),
 	}
 	deltas := make([]fbuild.RelDelta, len(st.inputs))
-	resnap := false
+	loaded := false
 	deltaTuples, totalTuples := 0, 0
 	for i, in := range st.inputs {
 		nd.vers[i] = states[i].Ver
-		if states[i].Ver == d.vers[i] {
+		if d != nil && states[i].Ver == d.vers[i] {
 			nd.rels[i] = d.rels[i]
 			totalTuples += d.rels[i].Cardinality()
 			continue
 		}
-		adds, dels, ok := states[i].NetSince(d.vers[i])
+		var adds, dels []relation.Tuple
+		ok := false
+		if d != nil {
+			adds, dels, ok = states[i].NetSince(d.vers[i])
+		}
 		if !ok {
-			// The history below our version was compacted away: rebuild
-			// this input from the new base (the plan stays compiled).
-			nd.rels[i] = st.resnapInput(i, states[i])
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			nd.rels[i] = st.load(i, states[i])
 			totalTuples += nd.rels[i].Cardinality()
-			resnap = true
+			loaded = true
 			continue
 		}
 		if in.filter != nil {
@@ -596,9 +319,9 @@ func (st *Stmt) refresh() {
 	}
 	// Incremental maintenance of the cached representation: worth it only
 	// for statements that memoise one (others build per Exec anyway), with
-	// an encoding to patch, no wholesale re-snapshot, and a delta small
-	// enough that patching beats the morsel-parallel rebuild.
-	if st.memoises() && !resnap && deltaTuples > 0 &&
+	// an encoding to patch, no wholesale load, and a delta small enough that
+	// patching beats the morsel-parallel rebuild.
+	if st.memoises() && !loaded && deltaTuples > 0 &&
 		float64(deltaTuples) <= mergeMaxFrac*float64(max(totalTuples, 1)) {
 		d.mu.Lock()
 		old := d.enc
@@ -610,12 +333,17 @@ func (st *Stmt) refresh() {
 		}
 	}
 	st.data.Store(nd)
+	return nd, nil
 }
 
-// resnapInput rebuilds input i's snapshot from a state: dedup, constant
-// pre-filter, path sort — the same pipeline Prepare ran.
-func (st *Stmt) resnapInput(i int, state *delta.State) *relation.Relation {
-	r := snapRelation(state)
+// load derives input i's snapshot from a state: a private tuple-slice header
+// over the state's shared (read-only) tuples, deduped, pre-filtered by the
+// baked constant selections and sorted in the input's f-tree path order.
+func (st *Stmt) load(i int, state *delta.State) *relation.Relation {
+	live := state.Live()
+	r := relation.New(live.Name, live.Schema)
+	r.Tuples = append(make([]relation.Tuple, 0, len(live.Tuples)), live.Tuples...)
+	r.Dedup()
 	if f := st.inputs[i].filter; f != nil {
 		r = r.Filter(f)
 	}
@@ -728,8 +456,10 @@ func (st *Stmt) buildContext(ctx context.Context, args []NamedArg) (*frep.Enc, e
 		}
 	}
 
-	st.refresh()
-	d := st.data.Load()
+	d, err := st.refresh(ctx)
+	if err != nil {
+		return nil, err
+	}
 
 	if st.memoises() {
 		fr, err := st.cachedEnc(ctx, d)
