@@ -3,6 +3,8 @@ package fdb
 import (
 	"container/list"
 	"sync"
+
+	"repro/internal/opt"
 )
 
 // defaultPlanCacheCap is the default number of compiled plans Query keeps.
@@ -19,7 +21,8 @@ type CacheStats struct {
 }
 
 // planCache is an LRU map from canonical query fingerprint to compiled
-// statement. Entries survive data writes: cached statements refresh their
+// statement, and from (f-tree, conditions) key to the f-plan Result.Where
+// runs. Entries survive data writes: cached statements refresh their
 // snapshots incrementally from the relations' delta chains, so invalidation
 // is reserved for schema-level changes (a relation name reappearing in the
 // catalogue), keyed by the relation names each plan reads.
@@ -31,10 +34,12 @@ type planCache struct {
 	hits, misses uint64
 }
 
+// cacheEntry holds exactly one of stmt and fplan.
 type cacheEntry struct {
 	key   string
 	stmt  *Stmt
-	names map[string]bool // relations the plan reads
+	fplan *opt.PlanResult // immutable, shared by every Where that hits it
+	names map[string]bool // relations the plan reads; none for an f-plan
 }
 
 func newPlanCache(cap int) *planCache {
@@ -47,34 +52,34 @@ func (c *planCache) capacity() int {
 	return c.cap
 }
 
-func (c *planCache) get(key string) (*Stmt, bool) {
+func (c *planCache) get(key string) (cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
 		c.ll.MoveToFront(el)
 		c.hits++
-		return el.Value.(*cacheEntry).stmt, true
+		return *el.Value.(*cacheEntry), true
 	}
 	c.misses++
-	return nil, false
+	return cacheEntry{}, false
 }
 
-func (c *planCache) put(key string, stmt *Stmt, names []string) {
+func (c *planCache) put(ce cacheEntry, names ...string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.cap <= 0 {
 		return
 	}
-	set := make(map[string]bool, len(names))
+	ce.names = make(map[string]bool, len(names))
 	for _, n := range names {
-		set[n] = true
+		ce.names[n] = true
 	}
-	if el, ok := c.byKey[key]; ok {
-		el.Value = &cacheEntry{key: key, stmt: stmt, names: set}
+	if el, ok := c.byKey[ce.key]; ok {
+		el.Value = &ce
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, stmt: stmt, names: set})
+	c.byKey[ce.key] = c.ll.PushFront(&ce)
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
@@ -82,8 +87,8 @@ func (c *planCache) put(key string, stmt *Stmt, names []string) {
 	}
 }
 
-// entries returns a copy of the cache's (key, statement) pairs, MRU first.
-// SaveSnapshot walks it to find memoised encodings worth persisting.
+// entries returns a copy of the cache's entries, MRU first. SaveSnapshot
+// walks it to find memoised encodings worth persisting.
 func (c *planCache) entries() []cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()

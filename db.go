@@ -39,7 +39,7 @@ type DB struct {
 
 	// planBudget is the f-tree search's node budget (see planTree): the
 	// planBudget constant, a field only so tests can shrink it.
-	// budgetFallbacks counts the searches it cut short.
+	// budgetFallbacks counts the searches it and fplanBudget cut short.
 	planBudget      int
 	budgetFallbacks atomic.Uint64
 
@@ -406,22 +406,23 @@ func (db *DB) cachedStmt(s *spec) (*Stmt, error) {
 		return db.plan(b)
 	}
 	key := b.fingerprint()
-	if st, ok := db.cache.get(key); ok {
-		return st, nil
+	if ce, ok := db.cache.get(key); ok {
+		return ce.stmt, nil
 	}
 	st, err := db.plan(b)
 	if err != nil {
 		return nil, err
 	}
 	st.fp = key
-	db.cache.put(key, st, s.from)
+	db.cache.put(cacheEntry{key: key, stmt: st}, s.from...)
 	return st, nil
 }
 
 // CacheStats returns the plan cache counters — Hits and Misses count
-// lookups, Entries is the current size — and BudgetFallbacks, the number of
-// f-tree searches that exhausted their exploration budget and kept the
-// greedy tree (see planTree).
+// lookups, statements and Where/Join f-plans alike, Entries is the current
+// size — and BudgetFallbacks, the number of searches that exhausted their
+// exploration budget: f-tree searches that kept the greedy tree (see
+// planTree) and f-plan searches that kept the greedy plan (see planConds).
 func (db *DB) CacheStats() CacheStats {
 	cs := db.cache.stats()
 	cs.BudgetFallbacks = db.budgetFallbacks.Load()

@@ -46,6 +46,16 @@ func q1(t *testing.T, db *DB) *Result {
 	return res
 }
 
+// q2 is Example 2's Q2 = Produce ⋈ Serve.
+func q2(t *testing.T, db *DB) *Result {
+	t.Helper()
+	res, err := db.Query(From("Produce", "Serve"), Eq("Produce.supplier", "Serve.supplier"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestQ1ThroughPublicAPI(t *testing.T) {
 	db := grocery(t)
 	res := q1(t, db)

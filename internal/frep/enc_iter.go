@@ -1,6 +1,7 @@
 package frep
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -52,8 +53,8 @@ func (e *Enc) Enumerate(yield func(relation.Tuple) bool) {
 // the only odometer: without an order plan every union is walked in stored
 // order (lexicographic over Schema()); with one (see ResolveOrder) the
 // plan's covered prefix nodes walk their unions by direction and decoded-order
-// permutation, which is ORDER BY retrieval with no sort. The iterator is only
-// valid while e is alive (Encs are immutable, so there is no
+// permutation, which is ORDER BY retrieval with no sort of the output. The
+// iterator is only valid while e is alive (Encs are immutable, so there is no
 // invalidation-by-mutation hazard).
 type EncIterator struct {
 	e      *Enc
@@ -66,6 +67,9 @@ type EncIterator struct {
 	// per covered prefix node: start of its current union and the walk
 	// position within it (stored-order nodes need neither: cur is both).
 	lo, pos []int32
+	// per covered prefix node: the current union's entries in key order,
+	// by walk position; empty while stored order already is key order.
+	perm [][]int32
 	// offs holds each node's union-offset column. The first pre-order node
 	// (the first root) gets a private two-entry table instead, restricting
 	// its one union to the iterator's range — the sharding hook for
@@ -100,21 +104,30 @@ func NewEncIteratorRange(e *Enc, ord *EncOrder, lo, hi int32) *EncIterator {
 		hi = n
 	}
 	it := &EncIterator{e: e, ord: ord, schema: e.Schema()}
+	nodes := len(e.ti.nodes)
+	it.cur = make([]int32, nodes)
+	it.hi = make([]int32, nodes)
 	if ord != nil {
 		it.prefix = ord.Prefix
 		it.lo = make([]int32, ord.Prefix)
 		it.pos = make([]int32, ord.Prefix)
+		it.perm = make([][]int32, ord.Prefix)
 		if ord.Prefix > 0 && ord.desc[0] {
 			// A descending root walks its span backwards: mirror the
 			// range so it still counts walk positions.
 			lo, hi = n-hi, n-lo
 		}
+		if ord.Prefix > 0 && lo < hi {
+			// The first root is one union: sort it once, whole, so the range
+			// is a slice of its key order, and seat it for good.
+			it.lo[0], it.hi[0] = lo, hi
+			if p := it.keyOrder(0, 0, n); len(p) > 0 {
+				it.perm[0] = p[lo:hi]
+			}
+		}
 	}
 	it.fills = encFillTable(e, it.schema)
 	it.buf = make(relation.Tuple, len(it.schema))
-	nodes := len(e.ti.nodes)
-	it.cur = make([]int32, nodes)
-	it.hi = make([]int32, nodes)
 	it.offs = make([][]int32, nodes)
 	for ni := range it.offs {
 		it.offs[ni] = e.Offs(ni)
@@ -148,28 +161,58 @@ func (it *EncIterator) span(ni int) (lo, hi int32) {
 }
 
 // entryAt maps a walk position of covered prefix node ni to its absolute
-// entry index: backwards for a descending key, through the decoded-order
-// permutation when the plan built one.
+// entry index: backwards for a descending key, through the union's
+// decoded-order permutation when it has one.
 func (it *EncIterator) entryAt(ni int, pos int32) int32 {
-	j := it.lo[ni] + pos
 	if it.ord.desc[ni] {
-		j = it.hi[ni] - 1 - pos
+		pos = it.hi[ni] - it.lo[ni] - 1 - pos
 	}
-	if p := it.ord.perms[ni]; p != nil {
-		return p[j]
+	if p := it.perm[ni]; len(p) > 0 {
+		return p[pos]
 	}
-	return j
+	return it.lo[ni] + pos
+}
+
+// keyOrder returns the entries of node ni's union [lo, hi) stably sorted by
+// the comparator, in the node's reused buffer — empty when stored order
+// already is key order (no comparator, or no inversion between neighbours).
+func (it *EncIterator) keyOrder(ni int, lo, hi int32) []int32 {
+	less, vals, p := it.ord.less, it.e.Vals(ni), it.perm[ni][:0]
+	j := lo + 1
+	for less != nil && j < hi && !less(vals[j], vals[j-1]) {
+		j++
+	}
+	if less == nil || j >= hi {
+		return p
+	}
+	for k := lo; k < hi; k++ {
+		p = append(p, k)
+	}
+	slices.SortStableFunc(p, func(a, b int32) int {
+		switch {
+		case less(vals[a], vals[b]):
+			return -1
+		case less(vals[b], vals[a]):
+			return 1
+		}
+		return 0
+	})
+	return p
 }
 
 // reseat recomputes union spans and first-entry cursors for nodes [from, n)
 // in pre-order. The covered prefix comes first in pre-order, so the
-// order-plan test is one comparison per call, not one per node.
+// order-plan test is one comparison per call, not one per node. A covered
+// node re-sorts only when its union changed, not when a sibling moved.
 func (it *EncIterator) reseat(from int) {
 	n := len(it.cur)
 	it.visited += int64(n - from)
 	ni := from
 	for ; ni < it.prefix; ni++ {
-		it.lo[ni], it.hi[ni] = it.span(ni)
+		if lo, hi := it.span(ni); lo != it.lo[ni] || hi != it.hi[ni] {
+			it.lo[ni], it.hi[ni] = lo, hi
+			it.perm[ni] = it.keyOrder(ni, lo, hi)
+		}
 		it.pos[ni] = 0
 		it.cur[ni] = it.entryAt(ni, 0)
 	}

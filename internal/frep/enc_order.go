@@ -6,10 +6,11 @@
 // top-k over the compressed form). Two refinements keep this structural path
 // available beyond native value order:
 //
-//   - per-node sort permutations: dictionary codes are insertion-ordered, so
+//   - per-union sort permutations: dictionary codes are insertion-ordered, so
 //     decoded (e.g. lexicographic string) order is a per-union permutation of
-//     the stored order. The permutations are built once per column and
-//     EncIterator walks the plan's unions through them;
+//     the stored order. EncIterator sorts a union's entries when it first
+//     seats that union, so a LIMIT pays for the unions it reads, not for the
+//     column;
 //   - per-node direction: descending keys walk their union (or permutation)
 //     backwards, which reverses exactly that digit of the odometer.
 //
@@ -41,8 +42,8 @@ func (k OrderKey) String() string {
 
 // ValueLess is a strict weak order on engine values. A nil ValueLess means
 // native int64 order — the order unions are stored in. A non-nil comparator
-// (e.g. dictionary-decoded lexicographic order) makes ResolveOrder build sort
-// permutations for the key columns.
+// (e.g. dictionary-decoded lexicographic order) makes EncIterator sort the
+// key unions it seats.
 type ValueLess func(a, b relation.Value) bool
 
 // TupleIter is a resumable iterator over result tuples. EncIterator, the
@@ -56,12 +57,13 @@ type TupleIter interface {
 
 // EncOrder is a resolved order plan for one Enc: the ORDER BY keys were
 // matched against the pre-order node sequence, so the first Prefix nodes
-// stream in key order (per-node direction, optionally through a decoded-order
-// permutation) and every deeper node streams natively.
+// stream in key order (per-node direction, under less) and every deeper node
+// streams natively. It holds no data-sized state: the iterator puts each
+// covered union in key order as it seats it.
 type EncOrder struct {
 	Prefix int
 	desc   []bool    // per covered node
-	perms  [][]int32 // per covered node; nil = stored order is key order
+	less   ValueLess // nil: stored order is key order
 }
 
 // allConst reports whether every attribute of node ni is bound to a constant:
@@ -83,10 +85,9 @@ func (e *Enc) allConst(ni int) bool {
 // nothing and are skipped, as are keys whose node an earlier key already
 // pinned (their digits are tie-free).
 func ResolveOrder(e *Enc, keys []OrderKey, less ValueLess) (*EncOrder, bool) {
-	ord := &EncOrder{}
-	cover := func(desc bool, perm []int32) {
+	ord := &EncOrder{less: less}
+	cover := func(desc bool) {
 		ord.desc = append(ord.desc, desc)
-		ord.perms = append(ord.perms, perm)
 		ord.Prefix++
 	}
 	for _, k := range keys {
@@ -99,64 +100,15 @@ func ResolveOrder(e *Enc, keys []OrderKey, less ValueLess) (*EncOrder, bool) {
 			continue
 		}
 		for ord.Prefix < ni && e.allConst(ord.Prefix) {
-			cover(false, nil)
+			cover(false)
 		}
 		if ord.Prefix != ni {
 			return nil, false
 		}
-		cover(k.Desc, e.sortPerm(ni, less))
+		cover(k.Desc)
 	}
 	return ord, true
 }
-
-// sortPerm builds the decoded-order permutation of node ni's entry column:
-// within every union, walking the permuted indices yields ascending order
-// under less. A nil return means the stored order already is the requested
-// order (always the case for native value order).
-func (e *Enc) sortPerm(ni int, less ValueLess) []int32 {
-	if less == nil {
-		return nil
-	}
-	vals, offs := e.Vals(ni), e.Offs(ni)
-	// A column has one union per parent entry, so nothing here may allocate
-	// per union: the permutation, and the one sorter re-pointed at each span,
-	// come into being at the first union stored out of order.
-	var by *permSorter
-	for u := 0; u+1 < len(offs); u++ {
-		lo, hi := offs[u], offs[u+1]
-		sorted := true
-		for j := lo + 1; j < hi && sorted; j++ {
-			sorted = !less(vals[j], vals[j-1])
-		}
-		if sorted {
-			continue
-		}
-		if by == nil {
-			by = &permSorter{perm: make([]int32, len(vals)), vals: vals, less: less}
-			for j := range by.perm {
-				by.perm[j] = int32(j)
-			}
-		}
-		by.s = by.perm[lo:hi]
-		sort.Stable(by)
-	}
-	if by == nil {
-		return nil
-	}
-	return by.perm
-}
-
-// permSorter stably sorts one union's span s of the identity-initialised
-// permutation by the values the indices point at.
-type permSorter struct {
-	perm, s []int32
-	vals    []relation.Value
-	less    ValueLess
-}
-
-func (p *permSorter) Len() int           { return len(p.s) }
-func (p *permSorter) Less(a, b int) bool { return p.less(p.vals[p.s[a]], p.vals[p.s[b]]) }
-func (p *permSorter) Swap(a, b int)      { p.s[a], p.s[b] = p.s[b], p.s[a] }
 
 // --------------------------------------------------------- offset / limit
 

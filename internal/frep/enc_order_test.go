@@ -138,31 +138,103 @@ func TestOrderedEnumerationIsSortedPermutation(t *testing.T) {
 	}
 }
 
-// Resolving a decoded order allocates per key column, never per union: a
-// column has one union per parent entry, so per-union garbage grows with the
-// representation and shows up as GC-driven latency spread in every ordered
-// retrieval.
-func TestResolveOrderAllocatesPerColumn(t *testing.T) {
-	rel := relation.New("R", relation.Schema{"A", "B"})
-	for a := 0; a < 200; a++ {
-		for b := 0; b < 4; b++ {
-			rel.Append(relation.Value(a), relation.Value(b))
+// strBase is where the "strings" of scrambledLess begin.
+const strBase = 1000
+
+// scrambledLess stands in for decoded dictionary order: values from strBase
+// up rank by a fixed scramble of their code and after every smaller value,
+// which keep native order. It counts in *n the calls that compare two values
+// from counted up.
+func scrambledLess(counted relation.Value, n *int) ValueLess {
+	scramble := func(v relation.Value) relation.Value { return v * 7919 % 10007 }
+	return func(a, b relation.Value) bool {
+		if a >= counted && b >= counted {
+			*n++
 		}
-	}
-	tr := ftree.New([]*ftree.Node{{Attrs: []relation.Attribute{"A"}, Children: []*ftree.Node{{Attrs: []relation.Attribute{"B"}}}}},
-		[]relation.AttrSet{relation.NewAttrSet("A", "B")})
-	e, err := fromRelation(tr, rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := []OrderKey{{Attr: "A"}, {Attr: "B", Desc: true}}
-	allocs := testing.AllocsPerRun(10, func() {
-		if ord, ok := ResolveOrder(e, keys, zigzagLess); !ok || ord.perms[1] == nil {
-			t.Fatal("keys did not resolve to a permuted plan")
+		switch sa, sb := a >= strBase, b >= strBase; {
+		case sa != sb:
+			return sb
+		case !sa:
+			return a < b
 		}
-	})
-	if allocs > 16 {
-		t.Fatalf("ResolveOrder over 201 unions made %.0f allocations; want a handful per key column", allocs)
+		return scramble(a) < scramble(b)
+	}
+}
+
+// stringKeyEnc hand-builds A → B: u root entries -u..-1, each over the same
+// width-entry union of strings from strBase, stored in code order. With
+// second, a second root C holds width strings from 2*strBase.
+func stringKeyEnc(u, width int, second bool) *Enc {
+	roots := []*ftree.Node{ftree.NewNode("A").Add(ftree.NewNode("B"))}
+	rels := []relation.AttrSet{relation.NewAttrSet("A", "B")}
+	if second {
+		roots = append(roots, ftree.NewNode("C"))
+		rels = append(rels, relation.NewAttrSet("C"))
+	}
+	b := NewEncBuilder(ftree.New(roots, rels))
+	ai, bi := b.Roots()[0], b.Kids(b.Roots()[0])[0]
+	for a := -u; a < 0; a++ {
+		b.Append(ai, relation.Value(a))
+		for j := 0; j < width; j++ {
+			b.Append(bi, relation.Value(strBase+j))
+		}
+		b.CloseUnion(bi)
+	}
+	b.CloseUnion(ai)
+	if second {
+		ci := b.Roots()[1]
+		for j := 0; j < width; j++ {
+			b.Append(ci, relation.Value(2*strBase+j))
+		}
+		b.CloseUnion(ci)
+	}
+	return b.Finish()
+}
+
+// Ordered retrieval puts a union in decoded order when the odometer seats it,
+// not up front: Limit(k) over U ≫ k unions of a scrambled string key does sort
+// work independent of U, in both directions — and so it does not pay for
+// unions it never reads. A full drain sorts each union once: reseating a
+// later root whose union did not change re-sorts nothing.
+func TestOrderedLimitSortsOnlyVisitedUnions(t *testing.T) {
+	for _, desc := range []bool{false, true} {
+		keys := []OrderKey{{Attr: "A", Desc: desc}, {Attr: "B", Desc: desc}}
+		limited := func(u int) int {
+			n := 0
+			e := stringKeyEnc(u, 8, false)
+			ord, ok := ResolveOrder(e, keys, scrambledLess(strBase, &n))
+			if !ok {
+				t.Fatal("keys did not resolve")
+			}
+			got := collect(Clip(NewEncIterator(e, ord), 0, 20))
+			if want := refSorted(e, keys, scrambledLess(strBase, new(int)))[:20]; !tuplesEqual(got, want) {
+				t.Fatalf("desc=%v U=%d: Limit(20) is not the ordered prefix", desc, u)
+			}
+			return n
+		}
+		small, large := limited(64), limited(4096)
+		if small == 0 || small != large {
+			t.Fatalf("desc=%v: Limit(20) made %d string comparisons over 64 unions, %d over 4096; want the same nonzero count",
+				desc, small, large)
+		}
+
+		keys = append(keys, OrderKey{Attr: "C", Desc: desc})
+		drained := func(u int) int {
+			n := 0
+			e := stringKeyEnc(u, 8, true)
+			ord, ok := ResolveOrder(e, keys, scrambledLess(2*strBase, &n))
+			if !ok {
+				t.Fatal("keys did not resolve")
+			}
+			if got := collect(NewEncIterator(e, ord)); !tuplesEqual(got, refSorted(e, keys, scrambledLess(strBase, new(int)))) {
+				t.Fatalf("desc=%v U=%d: full ordered drain diverges from the reference", desc, u)
+			}
+			return n
+		}
+		if small, large := drained(2), drained(64); small == 0 || small != large {
+			t.Fatalf("desc=%v: sorting the second root's one union took %d comparisons under 2 first-root entries, %d under 64; want it sorted once",
+				desc, small, large)
+		}
 	}
 }
 

@@ -17,6 +17,8 @@
 package fuzz
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -26,6 +28,7 @@ import (
 	fdb "repro"
 	"repro/internal/core"
 	"repro/internal/fbuild"
+	"repro/internal/fplan"
 	"repro/internal/frep"
 	"repro/internal/ftree"
 	"repro/internal/gen"
@@ -66,7 +69,7 @@ type Case struct {
 	// String cases insert every value dictionary-encoded through a scrambled
 	// alphabet (strs[v-1] is value v's string form; lexicographic order is a
 	// random permutation of numeric order), so ORDER BY must sort keys in
-	// decoded order — codes are insertion-ordered — and the per-column sort
+	// decoded order — codes are insertion-ordered — and the per-union sort
 	// permutations are on the oracle's hook. Range selections on strings
 	// compare in decoded order too, so the oracle pre-filters them in string
 	// space before its (value-space) join.
@@ -547,11 +550,13 @@ func (c *Case) checkRestructured(db Querier, flat *relation.Relation, fail func(
 		}
 	}
 	var cross, later []fdb.Clause
+	var crossConds []opt.Condition
 	for _, e := range c.eqs {
 		cl := fdb.Eq(string(e.A), string(e.B))
 		switch {
 		case side[e.A] != side[e.B]:
 			cross = append(cross, cl)
+			crossConds = append(crossConds, opt.Condition{A: e.A, B: e.B})
 		case rng.Intn(3) == 0:
 			later = append(later, cl)
 		default:
@@ -583,6 +588,25 @@ func (c *Case) checkRestructured(db Querier, flat *relation.Relation, fail func(
 	res, err := left.Join(right, cross...)
 	if err != nil {
 		return fail("restructured: join: %v", err)
+	}
+	if len(crossConds) > 0 {
+		// Cached or not, Join serves exactly the plan a fresh search under
+		// its budget (the fdb package's fplanBudget, 1024 states) finds, or
+		// the greedy plan when that search runs out.
+		prod, err := fplan.ProductEnc(left.Enc(), right.Enc())
+		if err != nil {
+			return fail("restructured: product: %v", err)
+		}
+		found, err := opt.ExhaustivePlan(prod.Tree, crossConds, opt.PlanSearchOptions{Budget: 1024})
+		if errors.Is(err, opt.ErrBudget) {
+			found, err = opt.GreedyPlan(prod.Tree, crossConds)
+		}
+		if err != nil {
+			return fail("restructured: f-plan search: %v", err)
+		}
+		if want, err := found.Plan.ExecuteEnc(context.Background(), prod); err != nil || !want.Equal(res.Enc()) {
+			return fail("restructured: join is not what the searched f-plan %s builds (%v)", found.Plan, err)
+		}
 	}
 	if len(later) > 0 {
 		if res, err = res.Where(later...); err != nil {

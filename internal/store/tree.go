@@ -76,6 +76,14 @@ func encodeTree(e *encoder, t *ftree.T) {
 	encodeAttrSet(e, t.Consts)
 }
 
+// TreeKey returns t's encoding as a self-delimiting string, equal for two
+// trees only when their shape, sibling order, Rels, Deps and markers are.
+func TreeKey(t *ftree.T) string {
+	var e encoder
+	encodeTree(&e, t)
+	return string(e.b)
+}
+
 // decodeTree reconstructs an f-tree, validating the node budget, nesting
 // depth and (via ftree.Validate) the structural and path-constraint
 // invariants before returning it.

@@ -5,10 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/ftree"
-	"repro/internal/opt"
-	"repro/internal/relation"
 )
 
 // goldenFingerprints are plan-cache keys captured at the commit before the
@@ -207,44 +203,5 @@ func TestSnapshotPrepareSharesPlan(t *testing.T) {
 	}
 	if _, err := stmts[0].Exec(Arg("x", 5)); !errors.Is(err, errSnapshotClosed) {
 		t.Fatalf("pinned exec after close: %v", err)
-	}
-}
-
-// TestWherePlanFallback: Where falls back to the greedy f-plan only when the
-// search ran out of budget; any other search error is the caller's to see.
-func TestWherePlanFallback(t *testing.T) {
-	a, b := relation.Attribute("A.x"), relation.Attribute("B.y")
-	tree := ftree.New([]*ftree.Node{ftree.NewNode(a), ftree.NewNode(b)},
-		[]relation.AttrSet{relation.NewAttrSet(a), relation.NewAttrSet(b)})
-	conds := []opt.Condition{{A: a, B: b}}
-	searched, err := opt.ExhaustivePlan(tree, conds, opt.PlanSearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	greedy, err := opt.GreedyPlan(tree, conds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	searched.Explored = -1 // tell the two apart
-	boom := errors.New("search broke")
-	for _, tc := range []struct {
-		name    string
-		res     opt.PlanResult // the search's outcome
-		err     error
-		want    opt.PlanResult
-		wantErr error
-	}{
-		{"search finished", searched, nil, searched, nil},
-		{"budget exhausted", opt.PlanResult{}, opt.ErrBudget, greedy, nil},
-		{"any other error", opt.PlanResult{}, boom, opt.PlanResult{}, boom},
-	} {
-		got, err := searchedOrGreedy(tree, conds, tc.res, tc.err)
-		if err != tc.wantErr {
-			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.wantErr)
-		}
-		if got.Explored != tc.want.Explored || got.Plan.String() != tc.want.Plan.String() {
-			t.Errorf("%s: plan %v (explored %d), want %v (explored %d)",
-				tc.name, got.Plan, got.Explored, tc.want.Plan, tc.want.Explored)
-		}
 	}
 }

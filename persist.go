@@ -56,7 +56,7 @@ func (db *DB) SaveSnapshot(path string) error {
 // equal to the version the snapshot is cutting — otherwise the enc describes
 // data the file does not contain.
 func persistableEnc(key string, st *Stmt, states map[string]*delta.State) (store.Enc, bool) {
-	if st == nil || key == "" || !st.memoises() || st.snap != nil {
+	if st == nil || key == "" || !st.memoises() || st.snap != nil { // nil: an f-plan entry
 		return store.Enc{}, false
 	}
 	d := st.data.Load()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/store"
@@ -90,6 +91,66 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	}
 	if got := aggTable(t, db2, agg); got != wantAgg {
 		t.Fatalf("agg table diverges after reopen:\n%s\nwant:\n%s", got, wantAgg)
+	}
+}
+
+// TestSaveSnapshotAfterJoin: f-plan entries share the plan cache with
+// statements but name no relation and carry no encoding, so SaveSnapshot
+// skips them: the file writes, reopens and answers like the live database.
+func TestSaveSnapshotAfterJoin(t *testing.T) {
+	db, join, agg := persistFixture(t)
+	orders, err := db.Query(From("Orders"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stock, err := db.Query(From("Stock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined, err := orders.Join(stock, Eq("Orders.item", "Stock.item"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := false
+	for _, ce := range db.cache.entries() {
+		cached = cached || ce.fplan != nil
+	}
+	if !cached {
+		t.Fatal("the Join left no f-plan entry to skip; the fixture is broken")
+	}
+	path := filepath.Join(t.TempDir(), "snap.fdb")
+	if err := db.SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := OpenSnapshotFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for fp := range db2.adopted {
+		if strings.HasPrefix(fp, "fplan:") {
+			t.Fatalf("the snapshot carries an f-plan entry %q", fp)
+		}
+	}
+	if got, want := queryTable(t, db2, join), queryTable(t, db, join); got != want {
+		t.Fatalf("join table diverges after reopen:\n%s\nwant:\n%s", got, want)
+	}
+	if got, want := aggTable(t, db2, agg), aggTable(t, db, agg); got != want {
+		t.Fatalf("agg table diverges after reopen:\n%s\nwant:\n%s", got, want)
+	}
+	orders2, err := db2.Query(From("Orders"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stock2, err := db2.Query(From("Stock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined2, err := orders2.Join(stock2, Eq("Orders.item", "Stock.item"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := joined2.Table(-1), joined.Table(-1); got != want {
+		t.Fatalf("Join diverges after reopen:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -1,14 +1,20 @@
 package fdb
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fplan"
+	"repro/internal/frep"
+	"repro/internal/ftree"
 	"repro/internal/opt"
+	"repro/internal/rdb"
 	"repro/internal/relation"
 )
 
@@ -303,5 +309,248 @@ func TestBudgetExhaustionNeverErrors(t *testing.T) {
 				t.Fatalf("%s: rows out of order at %d: %v then %v", name, i, rows[i-1], rows[i])
 			}
 		}
+	}
+}
+
+// wideHalves creates two products of n two-column relations, L1..Ln and
+// R1..Rn, and the conditions Li.B = Ri.A that join them: 4n attributes
+// whose f-plan search space grows as 5^n.
+func wideHalves(t *testing.T, db *DB, n int) (l, r *Result, eqs []Clause, conds []opt.Condition) {
+	t.Helper()
+	half := func(side string) *Result {
+		var from []string
+		for i := 1; i <= n; i++ {
+			name := fmt.Sprintf("%s%d", side, i)
+			db.MustCreate(name, "A", "B")
+			for j := 1; j <= 3; j++ {
+				db.MustInsert(name, j, j%2+1)
+			}
+			from = append(from, name)
+		}
+		res, err := db.Query(From(from...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	l, r = half("L"), half("R")
+	for i := 1; i <= n; i++ {
+		a, b := relation.Attribute(fmt.Sprintf("L%d.B", i)), relation.Attribute(fmt.Sprintf("R%d.A", i))
+		eqs = append(eqs, Eq(string(a), string(b)))
+		conds = append(conds, opt.Condition{A: a, B: b})
+	}
+	return l, r, eqs, conds
+}
+
+// TestWherePlanFallback: on a product whose f-plan search space (3126
+// states) is past fplanBudget, a cold Where gives up at the budget, serves
+// the greedy plan with the flat oracle's rows and counts one fallback; the
+// plan is cached, so an identical Where is a hit that counts nothing more.
+// A search that fails for any other reason returns its error unchanged.
+func TestWherePlanFallback(t *testing.T) {
+	if fplanBudget != 1024 {
+		t.Fatal("internal/fuzz's checkRestructured searches under fplanBudget's value: change both")
+	}
+	db := New()
+	l, r, eqs, conds := wideHalves(t, db, 5)
+	prod, err := l.Join(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := db.CacheStats()
+	res, err := prod.Where(eqs...)
+	if err != nil {
+		t.Fatalf("wide Where: %v", err)
+	}
+	cold := db.CacheStats()
+	if cold.BudgetFallbacks != before.BudgetFallbacks+1 || cold.Misses != before.Misses+1 {
+		t.Fatalf("cold wide Where: %+v -> %+v, want one miss and one budget fallback", before, cold)
+	}
+	q := &core.Query{}
+	for _, name := range db.Relations() {
+		rel, _ := db.Relation(name)
+		q.Relations = append(q.Relations, rel)
+	}
+	for _, c := range conds {
+		q.Equalities = append(q.Equalities, core.Equality{A: c.A, B: c.B})
+	}
+	flat, err := rdb.Evaluate(q, rdb.Options{Materialize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, tp := range flat.Relation.Tuples {
+		cells := make([]string, len(tp))
+		for i, v := range tp {
+			cells[i] = fmt.Sprintf("%s=%d", flat.Relation.Schema[i], v)
+		}
+		sort.Strings(cells)
+		want = append(want, strings.Join(cells, "\t"))
+	}
+	sort.Strings(want)
+	if got := sortedRows(t, res); len(want) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("greedy-plan Where returned %d rows, the flat oracle %d", len(got), len(want))
+	}
+	again, err := prod.Where(eqs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm := db.CacheStats(); warm.Hits != cold.Hits+1 || warm.Misses != cold.Misses || warm.BudgetFallbacks != cold.BudgetFallbacks {
+		t.Fatalf("identical Where: %+v -> %+v, want one hit and nothing else", cold, warm)
+	}
+	if !again.Enc().Equal(res.Enc()) {
+		t.Fatal("the cached plan built a different encoding")
+	}
+
+	// Any other search error reaches the caller as it is: no greedy plan, no
+	// fallback counted, nothing cached.
+	a, b := relation.Attribute("A.x"), relation.Attribute("B.y")
+	tree := ftree.New([]*ftree.Node{ftree.NewNode(a), ftree.NewNode(b)},
+		[]relation.AttrSet{relation.NewAttrSet(a), relation.NewAttrSet(b)})
+	bad := []opt.Condition{{A: a, B: "C.z"}} // C.z is not in the tree
+	if _, err := opt.ExhaustivePlan(tree, bad, opt.PlanSearchOptions{}); err == nil || errors.Is(err, opt.ErrBudget) {
+		t.Fatalf("search over a missing attribute: err = %v, want a non-budget error", err)
+	}
+	before = db.CacheStats()
+	if got, err := db.planConds(tree, bad); err == nil || errors.Is(err, opt.ErrBudget) || got != nil {
+		t.Fatalf("planConds over a missing attribute = %v, %v; want the search's own error", got, err)
+	}
+	if after := db.CacheStats(); after.BudgetFallbacks != before.BudgetFallbacks {
+		t.Fatalf("a failed search counted a budget fallback: %+v -> %+v", before, after)
+	}
+	for _, ce := range db.cache.entries() {
+		if ce.key == fplanKey(tree, bad) {
+			t.Fatal("a failed search left an f-plan in the cache")
+		}
+	}
+}
+
+// example2Conds are the conditions of Example 2's Q1 ⋈ Q2 (the benchmark
+// session's join shape).
+var example2Conds = []opt.Condition{{A: "Orders.item", B: "Produce.item"}, {A: "Store.location", B: "Serve.location"}}
+
+// example2 runs Q1, Q2 and their Example 2 join over the current data.
+func example2(t *testing.T, db *DB) (r1, r2, joined *Result) {
+	t.Helper()
+	r1, r2 = q1(t, db), q2(t, db)
+	joined, err := r1.Join(r2, Eq("Orders.item", "Produce.item"), Eq("Store.location", "Serve.location"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r1, r2, joined
+}
+
+// freshJoin is Join without the plan cache: the product, a fresh
+// ExhaustivePlan and the plan's operators.
+func freshJoin(t *testing.T, r1, r2 *Result, conds []opt.Condition) *frep.Enc {
+	t.Helper()
+	prod, err := fplan.ProductEnc(r1.Enc(), r2.Enc())
+	if err != nil {
+		t.Fatal(err)
+	}
+	found, err := opt.ExhaustivePlan(prod.Tree, conds, opt.PlanSearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := found.Plan.ExecuteEnc(context.Background(), prod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
+// TestJoinPlansOnce: a Join of same-shaped inputs — here after writes changed
+// the data under both — reuses the cached f-plan (one hit, no miss), and
+// either way the joined encoding is exactly what a fresh search builds.
+func TestJoinPlansOnce(t *testing.T) {
+	db := grocery(t)
+	r1, r2, joined := example2(t, db)
+	if !joined.Enc().Equal(freshJoin(t, r1, r2, example2Conds)) {
+		t.Fatal("cold Join differs from product + ExhaustivePlan + ExecuteEnc")
+	}
+	db.MustInsert("Orders", "04", "Milk")
+	db.MustInsert("Serve", "Guney", "Izmir")
+	r1, r2 = q1(t, db), q2(t, db)
+	before := db.CacheStats()
+	again, err := r1.Join(r2, Eq("Orders.item", "Produce.item"), Eq("Store.location", "Serve.location"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := db.CacheStats(); after.Hits != before.Hits+1 || after.Misses != before.Misses {
+		t.Fatalf("second Join of the same shape: %+v -> %+v, want one hit and no miss", before, after)
+	}
+	if again.Count() <= joined.Count() {
+		t.Fatalf("the writes did not reach the second Join: %d -> %d tuples", joined.Count(), again.Count())
+	}
+	if !again.Enc().Equal(freshJoin(t, r1, r2, example2Conds)) {
+		t.Fatal("cached-plan Join differs from product + ExhaustivePlan + ExecuteEnc")
+	}
+}
+
+// TestFPlanKeyIsExactStructure: the f-plan cache key tells apart trees that
+// differ only in sibling order, a hidden or const marker, or Deps, and
+// condition lists that differ only in order — ExhaustivePlan breaks ties in
+// sibling and condition order, so any of these may change the plan.
+// Canonical() would conflate the sibling-order and Deps variants.
+func TestFPlanKeyIsExactStructure(t *testing.T) {
+	base := func() *ftree.T {
+		return ftree.New([]*ftree.Node{ftree.NewNode("A").Add(ftree.NewNode("B"), ftree.NewNode("C"))},
+			[]relation.AttrSet{relation.NewAttrSet("A", "B"), relation.NewAttrSet("A", "C")})
+	}
+	conds := []opt.Condition{{A: "A", B: "B"}, {A: "B", B: "C"}}
+	key := fplanKey(base(), conds)
+	if fplanKey(base(), conds) != key {
+		t.Fatal("the key of one structure is not deterministic")
+	}
+	for name, v := range map[string]struct {
+		edit      func(*ftree.T)
+		conds     []opt.Condition
+		canonical bool // Canonical() cannot tell this variant from base
+	}{
+		"sibling order":   {func(t *ftree.T) { k := t.Roots[0].Children; k[0], k[1] = k[1], k[0] }, conds, true},
+		"hidden marker":   {func(t *ftree.T) { t.Hidden.Add("B") }, conds, false},
+		"const marker":    {func(t *ftree.T) { t.Consts.Add("C") }, conds, false},
+		"deps":            {func(t *ftree.T) { t.Deps[1] = relation.NewAttrSet("C") }, conds, true},
+		"condition order": {func(*ftree.T) {}, []opt.Condition{conds[1], conds[0]}, true},
+	} {
+		tr := base()
+		v.edit(tr)
+		if fplanKey(tr, v.conds) == key {
+			t.Errorf("%s: same f-plan key as the base tree", name)
+		}
+		if v.canonical && tr.Canonical() != base().Canonical() {
+			t.Errorf("%s: Canonical() tells it apart after all; the case no longer shows why the key is exact", name)
+		}
+	}
+}
+
+// TestConcurrentJoinsSharePlan: Joins racing on a cold plan cache (run under
+// -race) all build the fresh search's encoding, and leave one f-plan entry.
+func TestConcurrentJoinsSharePlan(t *testing.T) {
+	db := grocery(t)
+	r1, r2 := q1(t, db), q2(t, db)
+	want := freshJoin(t, r1, r2, example2Conds)
+	entries := db.CacheStats().Entries
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				joined, err := r1.Join(r2, Eq("Orders.item", "Produce.item"), Eq("Store.location", "Serve.location"))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !joined.Enc().Equal(want) {
+					t.Error("a concurrent Join built a different encoding")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := db.CacheStats().Entries; got != entries+1 {
+		t.Fatalf("80 concurrent Joins left %d new cache entries, want 1", got-entries)
 	}
 }

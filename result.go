@@ -2,7 +2,6 @@ package fdb
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -10,7 +9,6 @@ import (
 
 	"repro/internal/fplan"
 	"repro/internal/frep"
-	"repro/internal/ftree"
 	"repro/internal/opt"
 	"repro/internal/relation"
 )
@@ -235,9 +233,12 @@ func (r *Result) Iter() frep.TupleIter {
 }
 
 // Where applies equality conditions to the factorised result: the engine
-// searches for an optimal f-plan (restructuring + merge/absorb operators)
-// and executes it on the encoded representation (encoded operators are
-// pure, so the receiver is unchanged; a new Result is returned).
+// finds an optimal f-plan (restructuring + merge/absorb operators) and
+// executes it on the encoded representation (encoded operators are pure, so
+// the receiver is unchanged; a new Result is returned). A plan depends on the
+// exact f-tree and the conditions alone, so the plan cache keeps it for every
+// same-shaped Where or Join; a search past its budget serves the greedy plan
+// and counts in CacheStats.BudgetFallbacks.
 func (r *Result) Where(clauses ...Clause) (*Result, error) {
 	if r.ordered() {
 		return nil, fmt.Errorf("fdb: Where on an ordered/limited result is not supported; apply OrderBy/Limit to the final query")
@@ -278,8 +279,8 @@ func (r *Result) Where(clauses ...Clause) (*Result, error) {
 		}
 	}
 	if len(conds) > 0 {
-		res, err := opt.ExhaustivePlan(enc.Tree, conds, opt.PlanSearchOptions{})
-		if res, err = searchedOrGreedy(enc.Tree, conds, res, err); err != nil {
+		res, err := r.db.planConds(enc.Tree, conds)
+		if err != nil {
 			return nil, err
 		}
 		if enc, err = res.Plan.ExecuteEnc(context.TODO(), enc); err != nil {
@@ -293,16 +294,6 @@ func (r *Result) Where(clauses ...Clause) (*Result, error) {
 		}
 	}
 	return newResult(r.db, enc), nil
-}
-
-// searchedOrGreedy is Where's f-plan policy, given the search's outcome: the
-// searched plan when the search finished, the greedy heuristic's when it ran
-// out of budget (large instances), and any other search error as it is.
-func searchedOrGreedy(t *ftree.T, conds []opt.Condition, res opt.PlanResult, err error) (opt.PlanResult, error) {
-	if errors.Is(err, opt.ErrBudget) {
-		return opt.GreedyPlan(t, conds)
-	}
-	return res, err
 }
 
 // Join combines two factorised results over disjoint attributes and applies

@@ -275,6 +275,12 @@ func TestPlanCacheDisabled(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Where/Join f-plans share the switch: every Join searches afresh.
+	for i := 0; i < 2; i++ {
+		if _, err := q1(t, db).Join(q2(t, db), Eq("Orders.item", "Produce.item")); err != nil {
+			t.Fatal(err)
+		}
+	}
 	s := db.CacheStats()
 	if s.Hits != 0 || s.Entries != 0 {
 		t.Fatalf("disabled cache still serving: %+v", s)
