@@ -1,9 +1,9 @@
 package fdb_test
 
-// Micro-benchmarks of the hot paths — build, exec, cold prepare, aggregate —
-// for profiling while working on one of them. They gate nothing: CI runs
-// them once so they cannot rot, and the repo benchmark (benchmark/) is what
-// a change is judged by.
+// Micro-benchmarks of the hot paths — build, exec, cold prepare, aggregate,
+// enumeration — for profiling while working on one of them. They gate
+// nothing: CI runs them once so they cannot rot, and the repo benchmark
+// (benchmark/) is what a change is judged by.
 
 import (
 	"fmt"
@@ -16,6 +16,8 @@ import (
 	"repro/internal/fbuild"
 	"repro/internal/frep"
 	"repro/internal/ftree"
+	"repro/internal/gen"
+	"repro/internal/opt"
 	"repro/internal/relation"
 )
 
@@ -217,5 +219,52 @@ func BenchmarkAggregateParallelRetailer(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchSink = int64(len(rows))
+	}
+}
+
+// BenchmarkEnumerationDelay checks the constant-delay enumeration claim:
+// per-tuple enumeration cost from a factorised result must stay flat as the
+// result grows (Section 2: O(|S|) delay between successive tuples). The
+// pull iterator walks the arena-backed columns and allocates nothing per
+// tuple.
+func BenchmarkEnumerationDelay(b *testing.B) {
+	for _, n := range []int{100, 400, 1600} {
+		rng := rand.New(rand.NewSource(10))
+		q, err := gen.RandomQuery(rng, 3, 9, n, 2, gen.Uniform, 40)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr, _, err := opt.OptimalFTree(q.Classes(), q.Schemas(), opt.TreeSearchOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rels := make([]*relation.Relation, len(q.Relations))
+		for i, r := range q.Relations {
+			rels[i] = r.Clone()
+		}
+		enc, err := fbuild.BuildEnc(rels, tr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if enc.Count() == 0 {
+			continue
+		}
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			var tuples int64
+			for i := 0; i < b.N; i++ {
+				it := frep.NewEncIterator(enc, nil)
+				for {
+					if _, ok := it.Next(); !ok {
+						break
+					}
+					tuples++
+				}
+			}
+			b.StopTimer()
+			if tuples > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(tuples), "ns/tuple")
+			}
+		})
 	}
 }

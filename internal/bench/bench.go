@@ -74,13 +74,10 @@ var Experiments = []Experiment{
 		return aggregation(c, []int{1, 2, 4, 8}, []int{2, 4, 6, 8}, 5_000_000)
 	}},
 	{8, "morsel-parallel execution: speedup vs worker count", func(c Config) (Table, error) {
-		return parallelSweep(c, []int{2, 4, 8}, []int{4, 6, 8}, []int{1, 2, 4, 8}, 20_000_000)
+		return parallelSweep(c, []int{2, 4, 8}, []int{4, 6, 8}, []int{1, 2, 4, 8})
 	}},
 	{9, "ordered top-k (ORDER BY + LIMIT) vs flat sort-then-cut", func(c Config) (Table, error) {
 		return topK(c, []int{2, 4, 8}, []int{4, 5, 6}, 10)
-	}},
-	{10, "write refresh: incremental delta merge vs rebuild on Exec", func(c Config) (Table, error) {
-		return writeRefresh(c, []int{2, 4, 8}, []float64{0.01, 0.05, 0.10, 0.25})
 	}},
 	{10, "mixed 90/10 read/write latency", func(c Config) (Table, error) {
 		return mixedReadWrite(c, []int{2, 4}, 300)

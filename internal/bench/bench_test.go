@@ -175,38 +175,3 @@ func BenchmarkInsertBatch(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkMergeDelta measures the incremental statement refresh after a
-// small batch insert: sorted delta merge into the pinned inputs plus the
-// arena-level enc merge, against a warm prepared statement.
-func BenchmarkMergeDelta(b *testing.B) {
-	rng := rand.New(rand.NewSource(10))
-	db, join := retailerDB(b, rng, 4)
-	st, err := db.Prepare(join...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := st.Exec(); err != nil {
-		b.Fatal(err)
-	}
-	next := 500*4 + 1
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		batch := make([][]interface{}, 20)
-		for j := range batch {
-			batch[j] = []interface{}{next, rng.Intn(gen.RetailerItems) + 1}
-			next++
-		}
-		if err := db.InsertBatch("Orders", batch); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		res, err := st.Exec()
-		if err != nil {
-			b.Fatal(err)
-		}
-		res.Count()
-	}
-}

@@ -5,41 +5,38 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/fbuild"
 	"repro/internal/frep"
-	"repro/internal/relation"
 )
 
-// parallelSweep is Experiment 8: the morsel-parallel execution paths (build,
-// grouped aggregation, sharded enumeration) at each worker count, on the
-// workloads of Experiment 6. Speedups are relative to the first worker
-// count, computed from times averaged across runs (single-run ratios would
-// only add noise). Every leg is cross-checked against the first, so a pass
-// is the parallel-vs-serial parity proof. Enumeration is skipped above
-// maxEnum flat tuples.
-func parallelSweep(cfg Config, retailer, chain, workers []int, maxEnum int64) (Table, error) {
+// parallelSweep is Experiment 8: the morsel-parallel execution paths (build
+// and grouped aggregation) at each worker count, on the workloads of
+// Experiment 6. Speedups are relative to the first worker count, computed
+// from times averaged across runs (single-run ratios would only add noise).
+// Every leg is cross-checked against the first, so a pass is the
+// parallel-vs-serial parity proof.
+func parallelSweep(cfg Config, retailer, chain, workers []int) (Table, error) {
 	t := Table{Header: []string{
 		"Experiment 8: morsel-parallel execution — speedup vs worker count (same inputs, same lifted f-tree)",
 		fmt.Sprintf("gomaxprocs=%d; speedups are relative to the %d-worker leg of each configuration", runtime.GOMAXPROCS(0), workers[0]),
-		"workload scale workers frep_size flat_tuples build_ms build_x agg_ms agg_x enum_ms enum_x",
+		"workload scale workers frep_size flat_tuples build_ms build_x agg_ms agg_x",
 	}}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for _, w := range aggWorkloads(cfg, retailer, chain) {
-		// Per worker count: frep_size flat_tuples build_ms agg_ms enum_ms
+		// Per worker count: frep_size flat_tuples build_ms agg_ms
 		m, err := mean(cfg.Runs, func() ([][]float64, error) {
-			return parallelPoint(w, w.query(rng), workers, maxEnum)
+			return parallelPoint(w, w.query(rng), workers)
 		})
 		if err != nil {
 			return t, err
 		}
 		base := m[0]
 		for i, r := range m {
-			t.add("%s %d %d %d %d %.3f %.2f %.3f %.2f %.3f %.2f", w.name, w.scale, workers[i],
-				int64(r[0]), int64(r[1]), r[2], ratio(base[2], r[2]), r[3], ratio(base[3], r[3]), r[4], ratio(base[4], r[4]))
+			t.add("%s %d %d %d %d %.3f %.2f %.3f %.2f", w.name, w.scale, workers[i],
+				int64(r[0]), int64(r[1]), r[2], ratio(base[2], r[2]), r[3], ratio(base[3], r[3]))
 		}
 	}
 	return t, nil
@@ -47,8 +44,8 @@ func parallelSweep(cfg Config, retailer, chain, workers []int, maxEnum int64) (T
 
 // parallelPoint runs one sweep: a shared lifted f-tree and pre-sorted inputs
 // (the prepared-statement situation), then per worker count one parallel
-// build, one parallel grouped aggregation and one sharded enumeration.
-func parallelPoint(w aggWorkload, q *core.Query, workers []int, maxEnum int64) ([][]float64, error) {
+// build and one parallel grouped aggregation.
+func parallelPoint(w aggWorkload, q *core.Query, workers []int) ([][]float64, error) {
 	tr, err := liftedTree(q, w.groupBy)
 	if err != nil {
 		return nil, err
@@ -73,8 +70,7 @@ func parallelPoint(w aggWorkload, q *core.Query, workers []int, maxEnum int64) (
 			return nil, err
 		}
 		buildMS := ms(start)
-		tuples := enc.Count()
-		row := []float64{float64(enc.Size()), float64(tuples), buildMS, 0, 0}
+		row := []float64{float64(enc.Size()), float64(enc.Count()), buildMS, 0}
 
 		start = time.Now()
 		rows, err := enc.AggregateParallel(w.groupBy, w.specs, p)
@@ -82,19 +78,6 @@ func parallelPoint(w aggWorkload, q *core.Query, workers []int, maxEnum int64) (
 			return nil, err
 		}
 		row[3] = ms(start)
-
-		if tuples <= maxEnum {
-			start = time.Now()
-			var n atomic.Int64
-			enc.EnumerateParallel(p, func(int, relation.Tuple) bool {
-				n.Add(1)
-				return true
-			})
-			row[4] = ms(start)
-			if n.Load() != tuples {
-				return fail("w=%d: enumerated %d tuples, Count says %d", p, n.Load(), tuples)
-			}
-		}
 
 		if first == nil {
 			first, firstRows = enc, rows

@@ -108,6 +108,34 @@ func SortFor(rels []*relation.Relation, t *ftree.T) error {
 	return nil
 }
 
+// SortIndex returns the column permutation the path sort imposes on r over
+// t: the relation's class columns in root-to-leaf path order, followed by
+// the remaining columns in schema order — exactly the comparator
+// Relation.SortBy uses after SortFor. Callers maintaining sorted snapshots
+// incrementally (merging net deltas into a statement's inputs) sort and
+// merge by this index so the shared slices never need re-sorting.
+func SortIndex(r *relation.Relation, t *ftree.T) ([]int, error) {
+	b := newBuilder(context.Background(), t)
+	st, err := b.newState(r)
+	if err != nil {
+		return nil, err
+	}
+	idx := make([]int, 0, len(r.Schema))
+	seen := make([]bool, len(r.Schema))
+	for _, cols := range st.cols {
+		for _, c := range cols {
+			idx = append(idx, c)
+			seen[c] = true
+		}
+	}
+	for c := range r.Schema {
+		if !seen[c] {
+			idx = append(idx, c)
+		}
+	}
+	return idx, nil
+}
+
 // BuildEnc evaluates the natural join encoded by t over the given relations
 // and returns its factorised representation over t, emitted straight into
 // the arena-backed columns. Every attribute of every relation must label a

@@ -228,3 +228,48 @@ func TestBuildEncEmpty(t *testing.T) {
 		t.Fatal("disjoint encoded join should be empty")
 	}
 }
+
+// TestSortIndex: the exported sort index matches the order SortFor imposes.
+func TestSortIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 20; trial++ {
+		q, err := gen.RandomQuery(rng, 1+rng.Intn(3), 2+rng.Intn(4), 5+rng.Intn(40), rng.Intn(2), gen.Uniform, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, _, err := opt.OptimalFTree(q.Classes(), q.Schemas(), opt.TreeSearchOptions{})
+		if err != nil {
+			continue
+		}
+		rels := cloneRels(q.Relations)
+		if err := SortFor(rels, tr); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rels {
+			idx, err := SortIndex(r, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(idx) != len(r.Schema) {
+				t.Fatalf("index %v does not cover schema %v", idx, r.Schema)
+			}
+			for k := 1; k < len(r.Tuples); k++ {
+				ta, tb := r.Tuples[k-1], r.Tuples[k]
+				cmp := 0
+				for _, c := range idx {
+					if ta[c] != tb[c] {
+						if ta[c] > tb[c] {
+							cmp = 1
+						} else {
+							cmp = -1
+						}
+						break
+					}
+				}
+				if cmp > 0 {
+					t.Fatalf("relation %s not sorted by its SortIndex %v", r.Name, idx)
+				}
+			}
+		}
+	}
+}

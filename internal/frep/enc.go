@@ -316,9 +316,9 @@ func (b *EncBuilder) CopyUnions(src *Enc, sni, dni, ulo, uhi int) {
 // without closing it. The entry values land in dni's open union; each
 // copied entry's child unions are copied (and closed) beneath, preserving
 // the parent-entry ⇔ child-union correspondence. Like CopyUnions this is a
-// handful of memmoves per descendant node; it is the primitive behind
-// incremental merges, which interleave copied runs of untouched entries
-// with freshly built ones inside a single union.
+// handful of memmoves per descendant node; it is the primitive behind the
+// set-algebra merges, which interleave entries copied from either operand
+// inside a single union.
 func (b *EncBuilder) CopyEntries(src *Enc, sni, dni, elo, ehi int) {
 	b.vals[dni] = append(b.vals[dni], src.Vals(sni)[elo:ehi]...)
 	dkids := b.ti.kids[dni]

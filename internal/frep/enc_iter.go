@@ -2,8 +2,6 @@ package frep
 
 import (
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/relation"
 )
@@ -69,12 +67,8 @@ type EncIterator struct {
 	lo, pos []int32
 	// per covered prefix node: the current union's entries in key order,
 	// by walk position; empty while stored order already is key order.
-	perm [][]int32
-	// offs holds each node's union-offset column. The first pre-order node
-	// (the first root) gets a private two-entry table instead, restricting
-	// its one union to the iterator's range — the sharding hook for
-	// parallel enumeration. A full iterator spans the whole union.
-	offs    [][]int32
+	perm    [][]int32
+	offs    [][]int32 // per node: its union-offset column
 	buf     relation.Tuple
 	done    bool
 	fresh   bool
@@ -86,23 +80,6 @@ type EncIterator struct {
 // otherwise. Preparation is linear in the number of f-tree nodes; each Next
 // is amortised constant delay.
 func NewEncIterator(e *Enc, ord *EncOrder) *EncIterator {
-	return NewEncIteratorRange(e, ord, 0, int32(e.NumEntries(0)))
-}
-
-// NewEncIteratorRange prepares an iterator over the tuples whose first-root
-// entry lies at walk positions [lo, hi) — a contiguous slice of the
-// enumeration order, since the first root is the most significant digit of
-// the odometer. Concatenating the ranges [0,a), [a,b), …, [z,N) reproduces
-// the full enumeration exactly; disjoint ranges can be walked concurrently
-// (the iterators share only the immutable e).
-func NewEncIteratorRange(e *Enc, ord *EncOrder, lo, hi int32) *EncIterator {
-	if lo < 0 {
-		lo = 0
-	}
-	n := int32(e.NumEntries(0))
-	if hi > n {
-		hi = n
-	}
 	it := &EncIterator{e: e, ord: ord, schema: e.Schema()}
 	nodes := len(e.ti.nodes)
 	it.cur = make([]int32, nodes)
@@ -112,19 +89,6 @@ func NewEncIteratorRange(e *Enc, ord *EncOrder, lo, hi int32) *EncIterator {
 		it.lo = make([]int32, ord.Prefix)
 		it.pos = make([]int32, ord.Prefix)
 		it.perm = make([][]int32, ord.Prefix)
-		if ord.Prefix > 0 && ord.desc[0] {
-			// A descending root walks its span backwards: mirror the
-			// range so it still counts walk positions.
-			lo, hi = n-hi, n-lo
-		}
-		if ord.Prefix > 0 && lo < hi {
-			// The first root is one union: sort it once, whole, so the range
-			// is a slice of its key order, and seat it for good.
-			it.lo[0], it.hi[0] = lo, hi
-			if p := it.keyOrder(0, 0, n); len(p) > 0 {
-				it.perm[0] = p[lo:hi]
-			}
-		}
 	}
 	it.fills = encFillTable(e, it.schema)
 	it.buf = make(relation.Tuple, len(it.schema))
@@ -132,15 +96,14 @@ func NewEncIteratorRange(e *Enc, ord *EncOrder, lo, hi int32) *EncIterator {
 	for ni := range it.offs {
 		it.offs[ni] = e.Offs(ni)
 	}
-	it.offs[0] = []int32{lo, hi}
 	it.Reset()
 	return it
 }
 
-// Reset rewinds the iterator to the first tuple of its range.
+// Reset rewinds the iterator to the first tuple.
 func (it *EncIterator) Reset() {
 	it.visited = 0
-	it.done = it.e.IsEmpty() || it.offs[0][0] >= it.offs[0][1]
+	it.done = it.e.IsEmpty()
 	it.fresh = !it.done
 	if it.done {
 		return
@@ -274,56 +237,3 @@ func (it *EncIterator) Schema() relation.Schema { return it.schema }
 // work measure behind the O(n) top-k guarantee: Limit(n) retrieval touches
 // O(n) of the encoding.
 func (it *EncIterator) Visited() int64 { return it.visited }
-
-// EnumerateShards splits the enumeration into n resumable iterators over
-// contiguous ranges of the first root's union, in enumeration order:
-// walking shard 0, then 1, … reproduces Enumerate exactly, and disjoint
-// shards are safe to drain concurrently. Shards past the available entries
-// come back immediately exhausted, so callers may spawn one worker each
-// without counting first.
-func (e *Enc) EnumerateShards(n int) []*EncIterator {
-	if n < 1 {
-		n = 1
-	}
-	total := int32(e.NumEntries(0))
-	if e.IsEmpty() {
-		total = 0
-	}
-	out := make([]*EncIterator, n)
-	for i := range out {
-		out[i] = NewEncIteratorRange(e, nil, chunkBound(total, i, n), chunkBound(total, i+1, n))
-	}
-	return out
-}
-
-// EnumerateParallel drains p shards with p goroutines, calling yield from
-// each worker with the shard index and the reused per-shard tuple buffer
-// (clone to retain). yield must be safe for concurrent calls; returning
-// false stops every worker promptly. Tuples arrive in enumeration order
-// within a shard, interleaved across shards.
-func (e *Enc) EnumerateParallel(p int, yield func(shard int, t relation.Tuple) bool) {
-	if p <= 1 {
-		e.Enumerate(func(t relation.Tuple) bool { return yield(0, t) })
-		return
-	}
-	shards := e.EnumerateShards(p)
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for i, it := range shards {
-		wg.Add(1)
-		go func(i int, it *EncIterator) {
-			defer wg.Done()
-			for !stop.Load() {
-				t, ok := it.Next()
-				if !ok {
-					return
-				}
-				if !yield(i, t) {
-					stop.Store(true)
-					return
-				}
-			}
-		}(i, it)
-	}
-	wg.Wait()
-}

@@ -3,7 +3,6 @@ package frep
 import (
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 
 	"repro/internal/ftree"
@@ -126,14 +125,6 @@ func TestOrderedEnumerationIsSortedPermutation(t *testing.T) {
 		if !tuplesEqual(got, want) {
 			t.Fatalf("seed %d: ordered enumeration diverges for keys %v (less=%v)\ngot  %v\nwant %v",
 				seed, keys, less != nil, got, want)
-		}
-		// The root range slices the ordered walk too: ranges over walk
-		// positions concatenate to the full ordered enumeration.
-		n := int32(e.NumEntries(0))
-		cut := int32(rng.Intn(int(n) + 1))
-		parts := append(collect(NewEncIteratorRange(e, ord, 0, cut)), collect(NewEncIteratorRange(e, ord, cut, n))...)
-		if !tuplesEqual(parts, want) {
-			t.Fatalf("seed %d: ordered ranges [0,%d)+[%d,%d) do not concatenate to the ordered enumeration", seed, cut, cut, n)
 		}
 	}
 }
@@ -438,39 +429,5 @@ func TestReindexReordersEnumeration(t *testing.T) {
 		if !tuplesEqual(got, want) {
 			t.Fatalf("seed %d: reindexed enumeration is not schema-lexicographic", seed)
 		}
-	}
-}
-
-// Ordered iteration is safe alongside concurrent shard draining of the same
-// immutable Enc (run under -race).
-func TestOrderedIterationWithConcurrentShards(t *testing.T) {
-	e := orderEnc(t, 42, false)
-	keys := []OrderKey{{Attr: e.Schema()[0], Desc: true}}
-	ord, ok := ResolveOrder(e, keys, nil)
-	if !ok {
-		t.Fatal("root key did not resolve")
-	}
-	var wg sync.WaitGroup
-	counts := make([]int64, 4)
-	for i, sh := range e.EnumerateShards(4) {
-		wg.Add(1)
-		go func(i int, it *EncIterator) {
-			defer wg.Done()
-			for {
-				if _, ok := it.Next(); !ok {
-					return
-				}
-				counts[i]++
-			}
-		}(i, sh)
-	}
-	got := collect(NewEncIterator(e, ord))
-	wg.Wait()
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	if total != e.Count() || int64(len(got)) != e.Count() {
-		t.Fatalf("shards drained %d, ordered %d, Count %d", total, len(got), e.Count())
 	}
 }

@@ -129,33 +129,3 @@ func (e *Enc) largestRoot() (ri int, n int32) {
 	}
 	return ri, n
 }
-
-// CountParallel is Count with the same root-union split: each worker counts
-// a contiguous run of pivot entries, the counts add (saturating), and the
-// remaining roots multiply in as in the serial walk.
-func (e *Enc) CountParallel(p int) int64 {
-	pivot, n := e.largestRoot()
-	if p <= 1 || e.IsEmpty() || int(n) < 2*p {
-		return e.Count()
-	}
-	parts := make([]int64, p)
-	var wg sync.WaitGroup
-	for i := 0; i < p; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			parts[i] = e.countSpan(pivot, chunkBound(n, i, p), chunkBound(n, i+1, p))
-		}(i)
-	}
-	wg.Wait()
-	total := int64(0)
-	for _, c := range parts {
-		total = satAdd(total, c)
-	}
-	for _, ri := range e.ti.roots {
-		if ri != pivot {
-			total = satMul(total, e.countSpan(ri, 0, int32(e.NumEntries(ri))))
-		}
-	}
-	return total
-}

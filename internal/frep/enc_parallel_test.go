@@ -2,7 +2,6 @@ package frep
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/relation"
@@ -72,102 +71,5 @@ func TestAggregateParallelLockstep(t *testing.T) {
 					seed, p, serial, par, groupBy)
 			}
 		}
-		if got, want := e.CountParallel(4), e.Count(); got != want {
-			t.Fatalf("seed %d: CountParallel = %d, Count = %d", seed, got, want)
-		}
 	}
-}
-
-// TestEncIteratorRangeLockstep: concatenating the shard iterators
-// reproduces the serial enumeration exactly, in order.
-func TestEncIteratorRangeLockstep(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	trials := 0
-	for seed := int64(0); trials < 80; seed++ {
-		e := quickEnc(seed*31 + rng.Int63n(100))
-		trials++
-		var serial []relation.Tuple
-		e.Enumerate(func(tp relation.Tuple) bool {
-			serial = append(serial, tp.Clone())
-			return true
-		})
-		for _, n := range []int{1, 2, 3, 7} {
-			var got []relation.Tuple
-			for _, it := range e.EnumerateShards(n) {
-				for {
-					tp, ok := it.Next()
-					if !ok {
-						break
-					}
-					got = append(got, tp.Clone())
-				}
-			}
-			if len(got) != len(serial) {
-				t.Fatalf("seed %d (shards=%d): %d tuples, want %d", seed, n, len(got), len(serial))
-			}
-			for i := range got {
-				if got[i].Compare(serial[i]) != 0 {
-					t.Fatalf("seed %d (shards=%d): tuple %d = %v, want %v", seed, n, i, got[i], serial[i])
-				}
-			}
-		}
-	}
-}
-
-// TestEnumerateParallel: the concurrent enumeration yields exactly the
-// serial multiset of tuples, and early termination stops all workers.
-func TestEnumerateParallel(t *testing.T) {
-	e := quickEnc(12345)
-	for seed := int64(0); e.IsEmpty(); seed++ {
-		e = quickEnc(seed)
-	}
-	want := map[string]int{}
-	total := 0
-	e.Enumerate(func(tp relation.Tuple) bool {
-		want[tupleKey(tp)]++
-		total++
-		return true
-	})
-
-	var mu sync.Mutex
-	got := map[string]int{}
-	e.EnumerateParallel(4, func(_ int, tp relation.Tuple) bool {
-		mu.Lock()
-		got[tupleKey(tp)]++
-		mu.Unlock()
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("parallel enumeration saw %d distinct tuples, want %d", len(got), len(want))
-	}
-	for k, n := range want {
-		if got[k] != n {
-			t.Fatalf("tuple %q seen %d times, want %d", k, got[k], n)
-		}
-	}
-
-	// Early stop: never more than a few tuples per worker after the signal.
-	var n int
-	e.EnumerateParallel(4, func(_ int, relTuple relation.Tuple) bool {
-		mu.Lock()
-		n++
-		mu.Unlock()
-		return false
-	})
-	if n > 4 {
-		t.Fatalf("early-stopped enumeration yielded %d tuples (> one per worker)", n)
-	}
-	if n == 0 && total > 0 {
-		t.Fatal("early-stopped enumeration yielded nothing")
-	}
-}
-
-func tupleKey(t relation.Tuple) string {
-	b := make([]byte, 0, len(t)*8)
-	for _, v := range t {
-		for s := 0; s < 64; s += 8 {
-			b = append(b, byte(v>>s))
-		}
-	}
-	return string(b)
 }

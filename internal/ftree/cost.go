@@ -85,30 +85,13 @@ func (t *T) classOf(n *Node) relation.AttrSet {
 // S returns s(T): the maximum fractional edge cover number over all
 // root-to-leaf paths. Hidden (projected-away) attributes participate: this
 // is the computation-cost variant s(T̂) that bounds intermediate work.
-func (t *T) S() float64 { return t.s(false) }
-
-// SVisible returns s of the tree restricted to nodes with at least one
-// visible attribute: the bound on the size of the represented result.
-func (t *T) SVisible() float64 { return t.s(true) }
-
-func (t *T) s(visibleOnly bool) float64 {
+func (t *T) S() float64 {
 	var best float64
 	var path []relation.AttrSet
 	var walk func(n *Node)
 	walk = func(n *Node) {
 		cls := t.classOf(n)
-		skip := cls == nil
-		if !skip && visibleOnly {
-			vis := false
-			for a := range cls {
-				if !t.Hidden.Has(a) {
-					vis = true
-					break
-				}
-			}
-			skip = !vis
-		}
-		if !skip {
+		if cls != nil {
 			path = append(path, cls)
 		}
 		if len(n.Children) == 0 {
@@ -119,7 +102,7 @@ func (t *T) s(visibleOnly bool) float64 {
 		for _, c := range n.Children {
 			walk(c)
 		}
-		if !skip {
+		if cls != nil {
 			path = path[:len(path)-1]
 		}
 	}

@@ -15,13 +15,6 @@ import (
 	"repro/internal/relation"
 )
 
-// mergeMaxFrac is the incremental-maintenance threshold: a refresh whose
-// net delta exceeds this fraction of the statement's input tuples skips the
-// arena merge and lets the next execution rebuild with BuildEncParallel —
-// when deltas dominate, the full build's morsel parallelism beats patching
-// most of the representation value by value.
-const mergeMaxFrac = 0.25
-
 // Stmt is a compiled, reusable select-project-join statement. Prepare pays
 // the data-independent part of query evaluation once — clause validation,
 // f-tree search, the per-input filters and path-sort permutations — and
@@ -31,11 +24,12 @@ const mergeMaxFrac = 0.25
 // A Stmt prepared from the database follows it: each Exec reads the
 // relations' current versions, loading the inputs (dedup + constant
 // pre-filter + path sort) on first use and folding any delta batches
-// committed since into its sorted snapshots afterwards (and, when the change
-// is small, directly into its cached encoded representation) — the compiled
-// plan is immutable and never recompiles. A Stmt prepared from a Snapshot
-// is pinned: it reads the snapshot's versions and fails loudly once the
-// snapshot is closed. Exec is safe for concurrent callers.
+// committed since into its sorted snapshots afterwards; the encoded
+// representation is rebuilt from those snapshots by the next execution that
+// needs it — the compiled plan is immutable and never recompiles. A Stmt
+// prepared from a Snapshot is pinned: it reads the snapshot's versions and
+// fails loudly once the snapshot is closed. Exec is safe for concurrent
+// callers.
 //
 // Who may touch what: the embedded plan is written by DB.plan and by nobody
 // after it; fp is set by cachedStmt before the statement is shared; data is
@@ -82,9 +76,9 @@ type stmtInput struct {
 // stmtData is one immutable version of a statement's inputs: the deduped,
 // pre-filtered, path-sorted snapshots and the store version each reflects.
 // Only refresh creates one, and it never changes after it is published. The
-// encoded representation of a statement that memoises one is kept here
-// (built on first use, or inherited from the previous version via the
-// incremental merge); reads and writes of enc go through mu.
+// encoded representation of a statement that memoises one is kept here,
+// built from rels by the first execution at this version (cachedEnc); reads
+// and writes of enc go through mu.
 type stmtData struct {
 	rels []*relation.Relation
 	vers []uint64
@@ -95,9 +89,9 @@ type stmtData struct {
 
 // memoises reports whether every execution at one input version yields the
 // same pre-projection encoding — nothing is selected at execution time — so
-// that the encoding is built once per version, patched by refresh, carried
-// by SaveSnapshot and adopted from a snapshot file. Statements with late
-// selections filter and build per call.
+// that the encoding is built once per version, carried by SaveSnapshot and
+// adopted from a snapshot file. Statements with late selections filter and
+// build per call.
 func (p *stmtPlan) memoises() bool { return len(p.lsels) == 0 }
 
 // execSel is one per-execution column filter: a late selection resolved
@@ -251,10 +245,9 @@ func (st *Stmt) current(d *stmtData) bool {
 // cut and brings every changed input up to it. An input with nothing to
 // carry forward — no data yet, or a history compacted away beneath the held
 // version — is loaded wholesale; otherwise its net delta is folded into the
-// sorted snapshot with a linear merge, and for memoising statements with a
-// small enough delta the cached encoded representation is patched in place
-// of the next rebuild. A cancelled ctx aborts between inputs and publishes
-// nothing.
+// sorted snapshot with a linear merge. The published data carries tuples
+// only: its encoding is nil until cachedEnc rebuilds it. A cancelled ctx
+// aborts between inputs and publishes nothing.
 func (st *Stmt) refresh(ctx context.Context) (*stmtData, error) {
 	d := st.data.Load()
 	if st.current(d) {
@@ -285,14 +278,10 @@ func (st *Stmt) refresh(ctx context.Context) (*stmtData, error) {
 		rels: make([]*relation.Relation, len(st.inputs)),
 		vers: make([]uint64, len(st.inputs)),
 	}
-	deltas := make([]fbuild.RelDelta, len(st.inputs))
-	loaded := false
-	deltaTuples, totalTuples := 0, 0
 	for i, in := range st.inputs {
 		nd.vers[i] = states[i].Ver
 		if d != nil && states[i].Ver == d.vers[i] {
 			nd.rels[i] = d.rels[i]
-			totalTuples += d.rels[i].Cardinality()
 			continue
 		}
 		var adds, dels []relation.Tuple
@@ -305,32 +294,13 @@ func (st *Stmt) refresh(ctx context.Context) (*stmtData, error) {
 				return nil, err
 			}
 			nd.rels[i] = st.load(i, states[i])
-			totalTuples += nd.rels[i].Cardinality()
-			loaded = true
 			continue
 		}
 		if in.filter != nil {
 			adds = filterTuples(adds, in.filter)
 			dels = filterTuples(dels, in.filter)
 		}
-		nd.rels[i], deltas[i] = mergeSortedDelta(d.rels[i], adds, dels, in.sortIdx)
-		deltaTuples += len(deltas[i].Adds) + len(deltas[i].Dels)
-		totalTuples += nd.rels[i].Cardinality()
-	}
-	// Incremental maintenance of the cached representation: worth it only
-	// for statements that memoise one (others build per Exec anyway), with
-	// an encoding to patch, no wholesale load, and a delta small enough that
-	// patching beats the morsel-parallel rebuild.
-	if st.memoises() && !loaded && deltaTuples > 0 &&
-		float64(deltaTuples) <= mergeMaxFrac*float64(max(totalTuples, 1)) {
-		d.mu.Lock()
-		old := d.enc
-		d.mu.Unlock()
-		if old != nil {
-			if enc, ok, err := fbuild.MergeEnc(nd.rels, st.tree.Clone(), old, deltas); err == nil && ok {
-				nd.enc = enc
-			}
-		}
+		nd.rels[i] = mergeSortedDelta(d.rels[i], adds, dels, in.sortIdx)
 	}
 	st.data.Store(nd)
 	return nd, nil
@@ -365,10 +335,9 @@ func filterTuples(ts []relation.Tuple, f func(relation.Tuple) bool) []relation.T
 // mergeSortedDelta applies a net delta to a sorted, deduplicated snapshot
 // with one linear merge in the snapshot's sort order (the column
 // permutation idx), returning the new snapshot (sharing tuple storage with
-// the old) and the delta actually applied: additions not already present
-// and removals actually found — the touched set the representation merge
-// patches.
-func mergeSortedDelta(old *relation.Relation, adds, dels []relation.Tuple, idx []int) (*relation.Relation, fbuild.RelDelta) {
+// the old). Additions already present and removals of absent tuples are
+// no-ops.
+func mergeSortedDelta(old *relation.Relation, adds, dels []relation.Tuple, idx []int) *relation.Relation {
 	cmp := func(a, b relation.Tuple) int {
 		for _, c := range idx {
 			if a[c] != b[c] {
@@ -386,7 +355,6 @@ func mergeSortedDelta(old *relation.Relation, adds, dels []relation.Tuple, idx [
 		return out
 	}
 	adds, dels = sortTuples(adds), sortTuples(dels)
-	var applied fbuild.RelDelta
 	out := relation.New(old.Name, old.Schema)
 	out.Tuples = make([]relation.Tuple, 0, len(old.Tuples)+len(adds))
 	ai, di := 0, 0
@@ -395,13 +363,11 @@ func mergeSortedDelta(old *relation.Relation, adds, dels []relation.Tuple, idx [
 			di++ // removal of an absent tuple: no-op
 		}
 		if di < len(dels) && cmp(dels[di], t) == 0 {
-			applied.Dels = append(applied.Dels, t)
 			di++
 			continue
 		}
 		for ai < len(adds) && cmp(adds[ai], t) < 0 {
 			out.Tuples = append(out.Tuples, adds[ai])
-			applied.Adds = append(applied.Adds, adds[ai])
 			ai++
 		}
 		if ai < len(adds) && cmp(adds[ai], t) == 0 {
@@ -409,11 +375,8 @@ func mergeSortedDelta(old *relation.Relation, adds, dels []relation.Tuple, idx [
 		}
 		out.Tuples = append(out.Tuples, t)
 	}
-	for ; ai < len(adds); ai++ {
-		out.Tuples = append(out.Tuples, adds[ai])
-		applied.Adds = append(applied.Adds, adds[ai])
-	}
-	return out, applied
+	out.Tuples = append(out.Tuples, adds[ai:]...)
+	return out
 }
 
 // buildContext binds parameters and builds the statement's factorised

@@ -241,53 +241,84 @@ func TestStmtRefreshAfterCompaction(t *testing.T) {
 	}
 }
 
-// TestStmtIncrementalRefreshParity: interleaved inserts, deletes and
-// upserts keep a long-lived prepared statement in lockstep with freshly
-// compiled queries — the incremental merge path never drifts.
+// TestStmtIncrementalRefreshParity: interleaved inserts, deletes, upserts
+// and a compaction keep long-lived prepared statements in lockstep with
+// freshly compiled ones — the refreshed inputs never drift, and the encoding
+// rebuilt from them equals a cold build column for column. Two shapes over
+// the chain R ⋈ S ⋈ T with writes to R and S: the plain join roots at their
+// shared class b, and ordered by T.d it roots at T.d with both written
+// relations below it.
 func TestStmtIncrementalRefreshParity(t *testing.T) {
 	db := New()
 	db.MustCreate("R", "a", "b")
 	db.MustCreate("S", "b", "c")
+	db.MustCreate("T", "c", "d")
 	for i := 0; i < 50; i++ {
 		db.MustInsert("R", i, i%7)
 		db.MustInsert("S", i%7, i%11)
+		db.MustInsert("T", i%11, i%5)
 	}
-	stmt, err := db.Prepare(From("R", "S"), Eq("R.b", "S.b"), Cmp("S.c", LT, 9))
-	if err != nil {
-		t.Fatal(err)
+	join := []Clause{From("R", "S", "T"), Eq("R.b", "S.b"), Eq("S.c", "T.c"), Cmp("S.c", LT, 9)}
+	shapes := []struct {
+		clauses []Clause
+		root    string // the compiled f-tree's first line
+	}{
+		{join, "R.b,S.b"},
+		{append(join[:len(join):len(join)], OrderBy("T.d")), "T.d"},
+	}
+	stmts := make([]*Stmt, len(shapes))
+	for i, sh := range shapes {
+		st, err := db.Prepare(sh.clauses...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if root, _, _ := strings.Cut(st.FTree(), "\n"); root != sh.root {
+			t.Fatalf("shape %d roots at %q, want %q", i, root, sh.root)
+		}
+		stmts[i] = st
 	}
 	for step := 0; step < 25; step++ {
-		switch step % 4 {
-		case 0:
+		switch {
+		case step == 13:
 			db.MustInsert("R", 100+step, step%7)
-		case 1:
+			if err := db.Compact("R"); err != nil {
+				t.Fatal(err)
+			}
+		case step%4 == 0:
+			db.MustInsert("R", 100+step, step%7)
+		case step%4 == 1:
 			if err := db.Delete("R", step, step%7); err != nil {
 				t.Fatal(err)
 			}
-		case 2:
+		case step%4 == 2:
 			if err := db.Upsert("S", 1, step%7, step%13); err != nil {
 				t.Fatal(err)
 			}
-		case 3:
+		default:
 			db.MustInsert("S", step%7, (step*3)%11)
 		}
-		got, err := stmt.Exec()
-		if err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		fresh, err := db.Prepare(From("R", "S"), Eq("R.b", "S.b"), Cmp("S.c", LT, 9))
-		if err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		want, err := fresh.Exec()
-		if err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		if got.Count() != want.Count() {
-			t.Fatalf("step %d: refreshed stmt diverged: %d != %d", step, got.Count(), want.Count())
-		}
-		if !reflect.DeepEqual(got.Rows(0), want.Rows(0)) {
-			t.Fatalf("step %d: refreshed rows diverged", step)
+		for i, st := range stmts {
+			got, err := st.Exec()
+			if err != nil {
+				t.Fatalf("step %d shape %d: %v", step, i, err)
+			}
+			fresh, err := db.Prepare(shapes[i].clauses...)
+			if err != nil {
+				t.Fatalf("step %d shape %d: %v", step, i, err)
+			}
+			want, err := fresh.Exec()
+			if err != nil {
+				t.Fatalf("step %d shape %d: %v", step, i, err)
+			}
+			if got.Count() != want.Count() {
+				t.Fatalf("step %d shape %d: refreshed stmt diverged: %d != %d", step, i, got.Count(), want.Count())
+			}
+			if !reflect.DeepEqual(got.Rows(0), want.Rows(0)) {
+				t.Fatalf("step %d shape %d: refreshed rows diverged", step, i)
+			}
+			if !got.Enc().Equal(want.Enc()) {
+				t.Fatalf("step %d shape %d: refreshed encoding differs from a cold build", step, i)
+			}
 		}
 	}
 }
