@@ -7,8 +7,8 @@ import (
 	"repro/internal/opt"
 )
 
-// defaultPlanCacheCap is the default number of compiled plans Query keeps.
-const defaultPlanCacheCap = 64
+// planCacheCap is the number of entries the plan cache keeps.
+const planCacheCap = 64
 
 // CacheStats is a snapshot of the plan cache counters and the planner's one
 // counter (documented on DB.CacheStats).
@@ -28,7 +28,6 @@ type CacheStats struct {
 // catalogue), keyed by the relation names each plan reads.
 type planCache struct {
 	mu           sync.Mutex
-	cap          int
 	ll           *list.List // front = most recently used
 	byKey        map[string]*list.Element
 	hits, misses uint64
@@ -42,14 +41,8 @@ type cacheEntry struct {
 	names map[string]bool // relations the plan reads; none for an f-plan
 }
 
-func newPlanCache(cap int) *planCache {
-	return &planCache{cap: cap, ll: list.New(), byKey: map[string]*list.Element{}}
-}
-
-func (c *planCache) capacity() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cap
+func newPlanCache() *planCache {
+	return &planCache{ll: list.New(), byKey: map[string]*list.Element{}}
 }
 
 func (c *planCache) get(key string) (cacheEntry, bool) {
@@ -67,9 +60,6 @@ func (c *planCache) get(key string) (cacheEntry, bool) {
 func (c *planCache) put(ce cacheEntry, names ...string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cap <= 0 {
-		return
-	}
 	ce.names = make(map[string]bool, len(names))
 	for _, n := range names {
 		ce.names[n] = true
@@ -80,7 +70,7 @@ func (c *planCache) put(ce cacheEntry, names ...string) {
 		return
 	}
 	c.byKey[ce.key] = c.ll.PushFront(&ce)
-	for c.ll.Len() > c.cap {
+	for c.ll.Len() > planCacheCap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
 		delete(c.byKey, oldest.Value.(*cacheEntry).key)
@@ -111,20 +101,6 @@ func (c *planCache) invalidate(name string) {
 			c.ll.Remove(el)
 			delete(c.byKey, key)
 		}
-	}
-}
-
-func (c *planCache) resize(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n < 0 {
-		n = 0 // negative means "disabled", same as 0; keeps eviction finite
-	}
-	c.cap = n
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.byKey, oldest.Value.(*cacheEntry).key)
 	}
 }
 

@@ -1,6 +1,7 @@
 // Command fdbench prints the experiment tables of internal/bench: the data
 // series of every figure in the paper's evaluation (Section 5) plus the
-// engine's own experiments. `fdbench -h` lists them.
+// FDB-vs-flat comparisons for aggregation, top-k and set algebra. `fdbench -h`
+// lists them.
 //
 //	fdbench -exp 3            # one experiment (every table entry with that ID)
 //	fdbench -exp 0 -runs 1    # all of them, once: what CI runs

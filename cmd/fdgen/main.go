@@ -21,6 +21,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"repro/internal/csvio"
 	"repro/internal/gen"
 )
 
@@ -68,27 +69,9 @@ func run(args []string, out io.Writer) error {
 	var loads []string
 	for _, rel := range rels {
 		path := filepath.Join(*outDir, strings.ToLower(rel.Name)+".tsv")
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(f, "%s", rel.Name)
-		for _, at := range rel.Schema {
-			// Attribute names are global (X1..XA); strip nothing, but the
-			// fdb loader qualifies them as Name.attr, so write bare names.
-			fmt.Fprintf(f, "\t%s", at)
-		}
-		fmt.Fprintln(f)
-		for _, t := range rel.Tuples {
-			for i, v := range t {
-				if i > 0 {
-					fmt.Fprint(f, "\t")
-				}
-				fmt.Fprintf(f, "%d", int64(v))
-			}
-			fmt.Fprintln(f)
-		}
-		if err := f.Close(); err != nil {
+		// Attribute names are global (X1..XA) and carry no "Name." prefix,
+		// so they are written as they are; the fdb loader qualifies them.
+		if err := csvio.WriteFile(path, rel, nil); err != nil {
 			return err
 		}
 		loads = append(loads, "-load "+path)

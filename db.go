@@ -66,7 +66,7 @@ func New() *DB {
 	return &DB{
 		dict:       relation.NewDict(),
 		stores:     map[string]*delta.Store{},
-		cache:      newPlanCache(defaultPlanCacheCap),
+		cache:      newPlanCache(),
 		planBudget: planBudget,
 	}
 }
@@ -266,19 +266,6 @@ func (db *DB) LoadTSV(path string) (string, error) {
 	return rel.Name, nil
 }
 
-// SaveTSV writes a stored relation to a tab-separated file. The relation's
-// current version is immutable, so the file is a consistent snapshot even
-// under concurrent writes.
-func (db *DB) SaveTSV(path, name string) error {
-	db.mu.RLock()
-	s, ok := db.stores[name]
-	db.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("fdb: unknown relation %q", name)
-	}
-	return csvio.WriteFile(path, s.State().Live(), db.dict)
-}
-
 // Relations lists the relation names in creation order.
 func (db *DB) Relations() []string {
 	db.mu.RLock()
@@ -402,9 +389,6 @@ func (db *DB) cachedStmt(s *spec) (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if db.cache.capacity() <= 0 {
-		return db.plan(b)
-	}
 	key := b.fingerprint()
 	if ce, ok := db.cache.get(key); ok {
 		return ce.stmt, nil
@@ -428,10 +412,6 @@ func (db *DB) CacheStats() CacheStats {
 	cs.BudgetFallbacks = db.budgetFallbacks.Load()
 	return cs
 }
-
-// SetPlanCacheCapacity resizes the plan cache (default 64 entries); 0
-// disables caching. Counters are preserved.
-func (db *DB) SetPlanCacheCapacity(n int) { db.cache.resize(n) }
 
 // SetParallelism sets the database-wide execution parallelism: the number
 // of workers query execution (factorisation build and aggregation) may use.

@@ -189,7 +189,7 @@ func parallelBuildSetup(b *testing.B) ([]*relation.Relation, *ftree.T) {
 }
 
 // BenchmarkBuildParallelRetailer tracks the morsel-parallel encoded build
-// at GOMAXPROCS workers (Experiment 8); on a single-core runner it measures
+// at GOMAXPROCS workers; on a single-core runner it measures
 // the partitioning + stitching overhead over BenchmarkBuildRetailer's
 // serial path.
 func BenchmarkBuildParallelRetailer(b *testing.B) {
@@ -207,7 +207,7 @@ func BenchmarkBuildParallelRetailer(b *testing.B) {
 }
 
 // BenchmarkAggregateParallelRetailer tracks the chunked parallel grouped
-// aggregation at GOMAXPROCS workers (Experiment 8).
+// aggregation at GOMAXPROCS workers.
 func BenchmarkAggregateParallelRetailer(b *testing.B) {
 	fr, groupBy, specs := retailerAggSetup(b)
 	workers := runtime.GOMAXPROCS(0)

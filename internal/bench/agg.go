@@ -17,7 +17,7 @@ import (
 	"repro/internal/relation"
 )
 
-// aggWorkload is one grouped-aggregation workload of Experiments 6 and 8.
+// aggWorkload is one grouped-aggregation workload of Experiment 6.
 type aggWorkload struct {
 	name    string
 	scale   int // retailer scale factor / chain length

@@ -46,9 +46,6 @@ func TestExperiments(t *testing.T) {
 // must come back with an error (which fdbench turns into a non-zero exit),
 // not with a table.
 func TestMissedBarFailsRun(t *testing.T) {
-	if _, err := treeSearch(smoke, []int{1}, []int{4}, 1, 0.5); err == nil {
-		t.Error("experiment 13 passed a cost-ratio bar below 1")
-	}
 	// The speedup bar applies from scale 4 on.
 	if _, err := setAlgebra(smoke, []int{4}, 1e9); err == nil {
 		t.Error("experiment 14 passed a 1e9x speedup bar")

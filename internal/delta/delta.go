@@ -180,10 +180,10 @@ func (s *State) NetSince(ver uint64) (adds, dels []relation.Tuple, ok bool) {
 type Store struct {
 	Name   string
 	Schema relation.Schema
-	// MaxBatches and CompactFrac override the compaction policy when > 0
-	// (tests and benchmarks pin them; the defaults serve the database).
-	MaxBatches  int
-	CompactFrac float64
+	// maxBatches and compactFrac override the compaction policy when > 0
+	// (this package's tests pin them; the database runs the defaults).
+	maxBatches  int
+	compactFrac float64
 
 	state atomic.Pointer[State]
 }
@@ -245,14 +245,14 @@ func compacted(cur *State) *State {
 }
 
 func (s *Store) shouldCompact(next *State) bool {
-	maxB := s.MaxBatches
+	maxB := s.maxBatches
 	if maxB <= 0 {
 		maxB = DefaultMaxBatches
 	}
 	if len(next.Batches) > maxB {
 		return true
 	}
-	frac := s.CompactFrac
+	frac := s.compactFrac
 	if frac <= 0 {
 		frac = DefaultCompactFrac
 	}

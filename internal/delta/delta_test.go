@@ -78,8 +78,8 @@ func TestLiveBaseOrderAndReAdd(t *testing.T) {
 
 func TestNetSince(t *testing.T) {
 	s := NewStore("R", sch("R.a"), 0)
-	s.MaxBatches = 100
-	s.CompactFrac = 100
+	s.maxBatches = 100
+	s.compactFrac = 100
 	s.Apply([]relation.Tuple{tup(1)}, nil, 1)
 	s.Apply([]relation.Tuple{tup(2)}, []relation.Tuple{tup(1)}, 2)
 	s.Apply([]relation.Tuple{tup(1)}, []relation.Tuple{tup(2)}, 3)
@@ -117,8 +117,8 @@ func TestNetSince(t *testing.T) {
 
 func TestCompactionPolicyBatchCount(t *testing.T) {
 	s := NewStore("R", sch("R.a"), 0)
-	s.MaxBatches = 4
-	s.CompactFrac = 1e9 // disable the fraction trigger
+	s.maxBatches = 4
+	s.compactFrac = 1e9 // disable the fraction trigger
 	for i := 1; i <= 4; i++ {
 		s.Apply([]relation.Tuple{tup(i)}, nil, uint64(i))
 	}
@@ -139,8 +139,8 @@ func TestCompactionPolicyDeltaFraction(t *testing.T) {
 		base.AppendTuple(tup(i))
 	}
 	s := FromRelation(base, 0)
-	s.MaxBatches = 1000
-	s.CompactFrac = 0.25
+	s.maxBatches = 1000
+	s.compactFrac = 0.25
 	var adds []relation.Tuple
 	for i := 100; i < 120; i++ {
 		adds = append(adds, tup(i))
@@ -192,7 +192,7 @@ func TestSnapshotPinsVersion(t *testing.T) {
 // with -race.
 func TestConcurrentReadersUnderWrites(t *testing.T) {
 	s := NewStore("R", sch("R.a", "R.b"), 0)
-	s.MaxBatches = 8
+	s.maxBatches = 8
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {

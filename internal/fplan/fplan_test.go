@@ -424,7 +424,7 @@ func TestPlanSimulateTreeExample11(t *testing.T) {
 	})
 
 	p1 := Plan{Ops: []Op{Swap{A: "A", B: "B"}, Absorb{A: "B", B: "F"}}}
-	s1, err := p1.CostS(in)
+	f1, s1, err := p1.SimulateTree(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func TestPlanSimulateTreeExample11(t *testing.T) {
 	}
 
 	p2 := Plan{Ops: []Op{Swap{A: "E", B: "F"}, Merge{A: "B", B: "F"}}}
-	s2, err := p2.CostS(in)
+	f2, s2, err := p2.SimulateTree(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,8 +442,6 @@ func TestPlanSimulateTreeExample11(t *testing.T) {
 	}
 
 	// Both plans produce trees with B and F merged.
-	f1, _, _ := p1.SimulateTree(in)
-	f2, _, _ := p2.SimulateTree(in)
 	if f1.NodeOf("B") != f1.NodeOf("F") || f2.NodeOf("B") != f2.NodeOf("F") {
 		t.Fatal("plans did not merge B and F")
 	}

@@ -87,11 +87,3 @@ func (o Lift) ApplyTree(t *ftree.T) error {
 		}
 	}
 }
-
-// Lifted reports whether every node holding one of the given attributes has
-// only such nodes as ancestors.
-func Lifted(t *ftree.T, attrs []relation.Attribute) bool {
-	o := Lift{Attrs: attrs}
-	_, _, ok, err := o.nextSwap(t)
-	return err == nil && !ok
-}

@@ -36,8 +36,8 @@ func TestLiftRaisesGroupAttrs(t *testing.T) {
 			group = []relation.Attribute{attrs[rng.Intn(len(attrs))]}
 		}
 		out := applyChecked(t, Lift{Attrs: group}, in)
-		if !Lifted(out.Tree, group) {
-			t.Fatalf("not lifted for %v:\n%s", group, out.Tree)
+		if _, _, ok, err := (Lift{Attrs: group}).nextSwap(out.Tree); err != nil || ok {
+			t.Fatalf("not lifted for %v (err %v):\n%s", group, err, out.Tree)
 		}
 	}
 }

@@ -59,12 +59,6 @@ func (p Plan) SimulateTree(t *ftree.T) (final *ftree.T, maxS float64, err error)
 	return cur, maxS, nil
 }
 
-// CostS returns only the plan cost s(f) (see SimulateTree).
-func (p Plan) CostS(t *ftree.T) (float64, error) {
-	_, s, err := p.SimulateTree(t)
-	return s, err
-}
-
 // Append returns a plan with the given operators added.
 func (p Plan) Append(ops ...Op) Plan {
 	out := Plan{Ops: make([]Op, 0, len(p.Ops)+len(ops))}

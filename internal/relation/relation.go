@@ -74,10 +74,6 @@ func (r *Relation) AppendTuple(t Tuple) {
 // Cardinality returns the number of tuples.
 func (r *Relation) Cardinality() int { return len(r.Tuples) }
 
-// DataElements returns the number of data values stored (tuples x arity),
-// the "# of data elements" measure of the paper's Figure 7.
-func (r *Relation) DataElements() int { return len(r.Tuples) * len(r.Schema) }
-
 // Clone deep-copies the relation.
 func (r *Relation) Clone() *Relation {
 	out := New(r.Name, r.Schema)
@@ -244,24 +240,6 @@ func (r *Relation) Equal(o *Relation) bool {
 		}
 	}
 	return true
-}
-
-// DistinctValues returns the sorted distinct values of attribute a.
-func (r *Relation) DistinctValues(a Attribute) []Value {
-	i := r.Schema.Index(a)
-	if i < 0 {
-		panic(fmt.Sprintf("relation %s: attribute %q not in schema", r.Name, a))
-	}
-	set := make(map[Value]bool)
-	for _, t := range r.Tuples {
-		set[t[i]] = true
-	}
-	out := make([]Value, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(x, y int) bool { return out[x] < out[y] })
-	return out
 }
 
 // String renders the relation as an aligned table, mainly for examples and

@@ -186,22 +186,6 @@ func TestEqualIgnoresOrderAndDuplicates(t *testing.T) {
 	}
 }
 
-func TestDistinctValues(t *testing.T) {
-	r := mkRel(t, "R", Schema{"A", "B"},
-		[]Value{3, 0}, []Value{1, 0}, []Value{3, 1})
-	got := r.DistinctValues("A")
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("DistinctValues = %v", got)
-	}
-}
-
-func TestDataElements(t *testing.T) {
-	r := mkRel(t, "R", Schema{"A", "B", "C"}, []Value{1, 2, 3}, []Value{4, 5, 6})
-	if r.DataElements() != 6 {
-		t.Fatalf("DataElements = %d, want 6", r.DataElements())
-	}
-}
-
 // Property: Dedup yields a sorted duplicate-free tuple list representing the
 // same set.
 func TestDedupProperty(t *testing.T) {

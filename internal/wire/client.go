@@ -198,11 +198,6 @@ func (rs *RemoteStmt) Exec(snap, maxRows uint32, args ...Arg) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	return WaitRows(p)
-}
-
-// WaitRows resolves a pending execution into its rows.
-func WaitRows(p *Pending) (*Rows, error) {
 	body, err := p.Wait()
 	if err != nil {
 		return nil, err

@@ -78,6 +78,15 @@ func libRows(t *testing.T, db *fdb.DB, sp *Spec, args []Arg) *Rows {
 	return &Rows{Schema: res.Schema(), Rows: res.Rows(0)}
 }
 
+// pendingRows resolves a pipelined execution into its rows.
+func pendingRows(p *Pending) (*Rows, error) {
+	body, err := p.Wait()
+	if err != nil {
+		return nil, err
+	}
+	return DecodeRows(body)
+}
+
 func sameRows(a, b *Rows) error {
 	if !reflect.DeepEqual(a.Schema, b.Schema) {
 		return fmt.Errorf("schema %v != %v", a.Schema, b.Schema)
@@ -171,12 +180,12 @@ func TestPipelinedOutOfOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The second request must complete while the first is still held.
-	got2, err := WaitRows(p2)
+	got2, err := pendingRows(p2)
 	if err != nil {
 		t.Fatalf("pipelined second request: %v", err)
 	}
 	close(gate)
-	got1, err := WaitRows(p1)
+	got1, err := pendingRows(p1)
 	if err != nil {
 		t.Fatalf("released first request: %v", err)
 	}
@@ -357,16 +366,16 @@ func TestAdmissionControl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := WaitRows(p3); asCode(err) != CodeOverload {
+	if _, err := pendingRows(p3); asCode(err) != CodeOverload {
 		t.Fatalf("third request: want CodeOverload, got %v", err)
 	}
 	gate <- struct{}{} // release the first
-	if _, err := WaitRows(p1); err != nil {
+	if _, err := pendingRows(p1); err != nil {
 		t.Fatalf("first request after release: %v", err)
 	}
 	<-started // the queued request took the slot
 	gate <- struct{}{}
-	if _, err := WaitRows(p2); err != nil {
+	if _, err := pendingRows(p2); err != nil {
 		t.Fatalf("queued request after release: %v", err)
 	}
 	if got := s.m.shed.Load(); got != 1 {
@@ -602,12 +611,12 @@ func TestDrainAndReconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := WaitRows(p2); asCode(err) != CodeDraining {
+	if _, err := pendingRows(p2); asCode(err) != CodeDraining {
 		t.Fatalf("request during drain: want CodeDraining, got %v", err)
 	}
 	close(gate)
 	// The held request still completes with its result.
-	if _, err := WaitRows(p1); err != nil {
+	if _, err := pendingRows(p1); err != nil {
 		t.Fatalf("in-flight request during drain: %v", err)
 	}
 	if err := <-shutdownDone; err != nil {

@@ -51,12 +51,15 @@ func TestParallelismMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The plan cache would serve the encoding memoised at P=1: with it off,
-	// every query compiles and builds at the parallelism in force.
-	db.SetPlanCacheCapacity(0)
+	// The plan cache would serve the encoding memoised at P=1: uncached
+	// statements compile and build at the parallelism in force.
 	for _, p := range []int{2, 4, 8} {
 		db.SetParallelism(p)
-		res, err := db.Query(retailerJoin...)
+		st, err := db.Prepare(retailerJoin...)
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+		res, err := st.Exec()
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -66,7 +69,11 @@ func TestParallelismMatchesSerial(t *testing.T) {
 		if !res.Enc().Equal(serial.Enc()) {
 			t.Fatalf("p=%d: parallel result not structurally equal to serial", p)
 		}
-		agg, err := db.QueryAgg(aggClauses...)
+		aggSt, err := db.Prepare(aggClauses...)
+		if err != nil {
+			t.Fatalf("p=%d: agg: %v", p, err)
+		}
+		agg, err := aggSt.ExecAgg()
 		if err != nil {
 			t.Fatalf("p=%d: agg: %v", p, err)
 		}

@@ -3,11 +3,9 @@ package fdb
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/delta"
 	"repro/internal/frep"
-	"repro/internal/ftree"
 	"repro/internal/relation"
 	"repro/internal/store"
 )
@@ -147,10 +145,11 @@ func newFromStore(f *store.File) (*DB, error) {
 
 // adoptSaved returns a snapshot-carried encoding for this statement at this
 // data version, or nil to fall back to a build. Adoption demands exact
-// agreement — fingerprint, input names and versions, tree shape and markers
-// — because the arena is wired to the stored tree's pre-order; any mismatch
-// means the plan must build normally. The returned enc is a view: its arena
-// stays in the snapshot file.
+// agreement — fingerprint, input names and versions, and the tree's
+// store.TreeKey (pre-order shape, Rels, Deps and markers) — because the arena
+// is wired to the stored tree's pre-order; any mismatch means the plan must
+// build normally. The returned enc is a view: its arena stays in the snapshot
+// file.
 func (st *Stmt) adoptSaved(d *stmtData) *frep.Enc {
 	if st.fp == "" || st.snap != nil || !st.memoises() {
 		return nil
@@ -164,42 +163,8 @@ func (st *Stmt) adoptSaved(d *stmtData) *frep.Enc {
 			return nil
 		}
 	}
-	if !treesAdoptable(ae.enc.Tree, st.tree) {
+	if store.TreeKey(ae.enc.Tree) != store.TreeKey(st.tree) {
 		return nil
 	}
 	return ae.enc.ReTree(st.tree.Clone())
-}
-
-// treesAdoptable reports whether an encoding over tree a may be viewed over
-// tree b: identical up to sibling order including hidden/const markers
-// (Canonical) AND laid out node-for-node in the same pre-order (ReTree's
-// contract — the arena's span list is pre-order).
-func treesAdoptable(a, b *ftree.T) bool {
-	if a.Canonical() != b.Canonical() {
-		return false
-	}
-	return preorderSig(a) == preorderSig(b)
-}
-
-// preorderSig renders the exact pre-order layout of a forest.
-func preorderSig(t *ftree.T) string {
-	var b strings.Builder
-	var walk func(n *ftree.Node)
-	walk = func(n *ftree.Node) {
-		b.WriteByte('(')
-		for i, a := range n.Attrs {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(string(a))
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-		b.WriteByte(')')
-	}
-	for _, r := range t.Roots {
-		walk(r)
-	}
-	return b.String()
 }

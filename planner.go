@@ -63,10 +63,8 @@ const fplanBudget = 1024
 // counted in budgetFallbacks — cached as an entry naming no relation.
 func (db *DB) planConds(t *ftree.T, conds []opt.Condition) (*opt.PlanResult, error) {
 	key := fplanKey(t, conds)
-	if db.cache.capacity() > 0 {
-		if ce, ok := db.cache.get(key); ok {
-			return ce.fplan, nil
-		}
+	if ce, ok := db.cache.get(key); ok {
+		return ce.fplan, nil
 	}
 	res, err := opt.ExhaustivePlan(t, conds, opt.PlanSearchOptions{Budget: fplanBudget})
 	if errors.Is(err, opt.ErrBudget) {

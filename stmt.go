@@ -91,7 +91,10 @@ type stmtData struct {
 // same pre-projection encoding — nothing is selected at execution time — so
 // that the encoding is built once per version, carried by SaveSnapshot and
 // adopted from a snapshot file. Statements with late selections filter and
-// build per call.
+// build per call, because the unselected encoding they would otherwise keep
+// can be two orders of magnitude larger than their sorted inputs (22.7 MB
+// against 0.16 MB for a one-item point lookup over the 4000-order retailer
+// join).
 func (p *stmtPlan) memoises() bool { return len(p.lsels) == 0 }
 
 // execSel is one per-execution column filter: a late selection resolved

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/csvio"
 )
 
 func prepQ1Item(t *testing.T, db *DB) *Stmt {
@@ -267,26 +269,6 @@ func TestPlanCacheHitsAndInvalidation(t *testing.T) {
 	}
 }
 
-func TestPlanCacheDisabled(t *testing.T) {
-	db := grocery(t)
-	db.SetPlanCacheCapacity(0)
-	for i := 0; i < 3; i++ {
-		if _, err := db.Query(From("Orders")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Where/Join f-plans share the switch: every Join searches afresh.
-	for i := 0; i < 2; i++ {
-		if _, err := q1(t, db).Join(q2(t, db), Eq("Orders.item", "Produce.item")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := db.CacheStats()
-	if s.Hits != 0 || s.Entries != 0 {
-		t.Fatalf("disabled cache still serving: %+v", s)
-	}
-}
-
 func TestConcurrentExecAndQuery(t *testing.T) {
 	db := grocery(t)
 	stmt := prepQ1Item(t, db)
@@ -386,7 +368,7 @@ func TestConcurrentInsertsAndQueries(t *testing.T) {
 			for range r.Tuples {
 				n++
 			}
-			if err := db.SaveTSV(tsv, "R"); err != nil {
+			if err := csvio.WriteFile(tsv, r, db.Dict()); err != nil {
 				errs <- err
 				return
 			}
@@ -451,16 +433,5 @@ func TestFingerprintStability(t *testing.T) {
 	}
 	if s1 == fp("Orders") {
 		t.Fatal("different queries share a fingerprint")
-	}
-}
-
-func TestNegativePlanCacheCapacity(t *testing.T) {
-	db := grocery(t)
-	db.SetPlanCacheCapacity(-1) // negative disables, like 0, without panicking
-	if _, err := db.Query(From("Orders")); err != nil {
-		t.Fatal(err)
-	}
-	if s := db.CacheStats(); s.Entries != 0 {
-		t.Fatalf("negative capacity still caching: %+v", s)
 	}
 }
