@@ -3,13 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -38,37 +35,24 @@ type config struct {
 	duration time.Duration
 	seed     int64
 	scale    int
-	csvPath  string
-	jsonPath string
-	qps      int
 }
 
-// cell is one sweep point's measurements.
+// cell is one sweep point's counters.
 type cell struct {
-	Mix         string  `json:"mix"`
-	Conns       int     `json:"conns"`
-	DurationS   float64 `json:"duration_s"`
-	Ops         int64   `json:"ops"`
-	Reads       int64   `json:"reads"`
-	Writes      int64   `json:"writes"`
-	Snapshots   int64   `json:"snapshots"`
-	Errors      int64   `json:"errors"`
-	Checked     int64   `json:"checked"`
-	Divergences int64   `json:"divergences"`
-	QPS         float64 `json:"qps"`
-	P50ms       float64 `json:"p50_ms"`
-	P99ms       float64 `json:"p99_ms"`
+	Mix         string
+	Conns       int
+	Ops         int64
+	Errors      int64
+	Checked     int64
+	Divergences int64
 }
 
-// summary is the whole run, written as -json.
+// summary is the whole run.
 type summary struct {
-	Addr             string `json:"addr"`
-	Seed             int64  `json:"seed"`
-	Scale            int    `json:"scale"`
-	Cells            []cell `json:"cells"`
-	TotalOps         int64  `json:"total_ops"`
-	TotalErrors      int64  `json:"total_errors"`
-	TotalDivergences int64  `json:"total_divergences"`
+	Cells            []cell
+	TotalOps         int64
+	TotalErrors      int64
+	TotalDivergences int64
 }
 
 // reference executes the same statements through the library API on an
@@ -111,11 +95,7 @@ func (r *reference) encoded(qi int, args []wire.Arg) ([]byte, error) {
 
 // workerStats accumulates one worker's counters; merged after the join.
 type workerStats struct {
-	lat         []int64
 	ops         int64
-	reads       int64
-	writes      int64
-	snaps       int64
 	errors      int64
 	checked     int64
 	divergences int64
@@ -148,7 +128,7 @@ func runLoad(cfg config, out io.Writer) (*summary, error) {
 		return nil, err
 	}
 
-	sum := &summary{Addr: addr, Seed: cfg.seed, Scale: cfg.scale}
+	sum := &summary{}
 	fmt.Fprintf(out, "fdload: sweep: mixes=%v conns=%v duration=%s seed=%d scale=%d\n",
 		cfg.mixes, cfg.conns, cfg.duration, cfg.seed, cfg.scale)
 	cellIdx := 0
@@ -158,28 +138,13 @@ func runLoad(cfg config, out io.Writer) (*summary, error) {
 			if err != nil {
 				return nil, fmt.Errorf("cell %s/%d: %v", mix, nconns, err)
 			}
-			fmt.Fprintf(out, "fdload: mix=%-8s conns=%-3d ops=%-7d qps=%-8.0f p50=%.2fms p99=%.2fms errors=%d checked=%d divergences=%d\n",
-				c.Mix, c.Conns, c.Ops, c.QPS, c.P50ms, c.P99ms, c.Errors, c.Checked, c.Divergences)
+			fmt.Fprintf(out, "fdload: mix=%-8s conns=%-3d ops=%-7d checked=%-7d divergences=%d errors=%d\n",
+				c.Mix, c.Conns, c.Ops, c.Checked, c.Divergences, c.Errors)
 			sum.Cells = append(sum.Cells, *c)
 			sum.TotalOps += c.Ops
 			sum.TotalErrors += c.Errors
 			sum.TotalDivergences += c.Divergences
 			cellIdx++
-		}
-	}
-
-	if cfg.csvPath != "" {
-		if err := writeCSV(cfg.csvPath, sum.Cells); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.jsonPath != "" {
-		blob, err := json.MarshalIndent(sum, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(cfg.jsonPath, append(blob, '\n'), 0o644); err != nil {
-			return nil, err
 		}
 	}
 	return sum, nil
@@ -199,7 +164,6 @@ func runCell(addr string, ref *reference, mix string, nconns int, cfg config, ce
 
 	stats := make([]workerStats, nconns)
 	var wg sync.WaitGroup
-	start := time.Now()
 	for w := 0; w < nconns; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -209,28 +173,14 @@ func runCell(addr string, ref *reference, mix string, nconns int, cfg config, ce
 		}(w)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
 
-	c := &cell{Mix: mix, Conns: nconns, DurationS: elapsed.Seconds()}
-	var lat []int64
+	c := &cell{Mix: mix, Conns: nconns}
 	for i := range stats {
 		s := &stats[i]
-		lat = append(lat, s.lat...)
 		c.Ops += s.ops
-		c.Reads += s.reads
-		c.Writes += s.writes
-		c.Snapshots += s.snaps
 		c.Errors += s.errors
 		c.Checked += s.checked
 		c.Divergences += s.divergences
-	}
-	if elapsed > 0 {
-		c.QPS = float64(c.Ops) / elapsed.Seconds()
-	}
-	if len(lat) > 0 {
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		c.P50ms = float64(lat[int(0.50*float64(len(lat)-1))]) / 1e6
-		c.P99ms = float64(lat[int(0.99*float64(len(lat)-1))]) / 1e6
 	}
 
 	if mix == mixMixed {
@@ -275,50 +225,31 @@ func runWorker(cl *wire.Client, ref *reference, mix string, cfg config, rng *ran
 		stmts[i] = rs
 	}
 
-	var interval time.Duration
-	if cfg.qps > 0 {
-		interval = time.Second / time.Duration(cfg.qps)
-	}
-	next := time.Now()
-
 	// Mixed mix: this worker's private oid range and its live rows.
 	oidNext := int64(writeBase + workerID*writeStride)
 	var inserted [][]wire.Value
 
 	deadline := time.Now().Add(cfg.duration)
 	for time.Now().Before(deadline) {
-		if interval > 0 {
-			if d := time.Until(next); d > 0 {
-				time.Sleep(d)
-			}
-			next = next.Add(interval)
-		}
 		switch {
 		case mix == mixMixed && rng.Intn(10) == 0:
 			// 10% writes: grow the private range, occasionally shrink it.
 			if len(inserted) > 4 && rng.Intn(3) == 0 {
 				row := inserted[len(inserted)-1]
 				inserted = inserted[:len(inserted)-1]
-				t0 := time.Now()
 				_, err := cl.Delete("Orders", [][]wire.Value{row})
-				st.lat = append(st.lat, time.Since(t0).Nanoseconds())
 				st.ops++
 				if err != nil {
 					st.errors++
-				} else {
-					st.writes++
 				}
 			} else {
 				row := []wire.Value{wire.Int(oidNext), wire.Int(int64(rng.Intn(50) + 1))}
 				oidNext++
-				t0 := time.Now()
 				_, err := cl.Insert("Orders", [][]wire.Value{row})
-				st.lat = append(st.lat, time.Since(t0).Nanoseconds())
 				st.ops++
 				if err != nil {
 					st.errors++
 				} else {
-					st.writes++
 					inserted = append(inserted, row)
 				}
 			}
@@ -329,19 +260,15 @@ func runWorker(cl *wire.Client, ref *reference, mix string, cfg config, rng *ran
 				st.ops++
 				continue
 			}
-			st.snaps++
 			for i := 0; i < 5; i++ {
 				qi := rng.Intn(len(queries))
 				args := queries[qi].Args(rng)
-				t0 := time.Now()
 				rows, err := stmts[qi].Exec(snap.ID, 0, args...)
-				st.lat = append(st.lat, time.Since(t0).Nanoseconds())
 				st.ops++
 				if err != nil {
 					st.errors++
 					continue
 				}
-				st.reads++
 				// The snapshot mix runs against an unchanging seed state, so
 				// pinned reads are checked against the reference too.
 				checkRead(ref, qi, args, rows, st)
@@ -352,15 +279,12 @@ func runWorker(cl *wire.Client, ref *reference, mix string, cfg config, rng *ran
 		default:
 			qi := rng.Intn(len(queries))
 			args := queries[qi].Args(rng)
-			t0 := time.Now()
 			rows, err := stmts[qi].Exec(0, 0, args...)
-			st.lat = append(st.lat, time.Since(t0).Nanoseconds())
 			st.ops++
 			if err != nil {
 				st.errors++
 				continue
 			}
-			st.reads++
 			if mix == mixRead {
 				// Only the read-only mix checks live reads: the mixed mix
 				// races its own writes, so its live reads have no stable
@@ -397,29 +321,4 @@ func checkRead(ref *reference, qi int, args []wire.Arg, rows *wire.Rows, st *wor
 	if !bytes.Equal(wire.EncodeRows(rows), want) {
 		st.divergences++
 	}
-}
-
-func writeCSV(path string, cells []cell) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := csv.NewWriter(f)
-	if err := w.Write([]string{"mix", "conns", "duration_s", "ops", "reads", "writes", "snapshots", "errors", "checked", "divergences", "qps", "p50_ms", "p99_ms"}); err != nil {
-		return err
-	}
-	for _, c := range cells {
-		rec := []string{
-			c.Mix, fmt.Sprint(c.Conns), fmt.Sprintf("%.2f", c.DurationS),
-			fmt.Sprint(c.Ops), fmt.Sprint(c.Reads), fmt.Sprint(c.Writes), fmt.Sprint(c.Snapshots),
-			fmt.Sprint(c.Errors), fmt.Sprint(c.Checked), fmt.Sprint(c.Divergences),
-			fmt.Sprintf("%.1f", c.QPS), fmt.Sprintf("%.3f", c.P50ms), fmt.Sprintf("%.3f", c.P99ms),
-		}
-		if err := w.Write(rec); err != nil {
-			return err
-		}
-	}
-	w.Flush()
-	return w.Error()
 }

@@ -1,14 +1,13 @@
-// Command fdload drives a wire server with a deterministic load sweep:
+// Command fdload drives a wire server with a deterministic load sweep —
 // connection counts × workload mixes (read-only, 90/10 read-write,
-// snapshot-heavy), measuring throughput and tail latency per cell. It
-// doubles as an integration test: in the read-only and snapshot mixes
-// every wire response is checked byte for byte against library API
-// execution of the same statement on an identical in-process database, and
-// the mixed cell restores the seed state and verifies the restoration —
-// any protocol error or divergence fails the run.
+// snapshot-heavy) — as an integration test of the protocol: in the
+// read-only and snapshot mixes every wire response is checked byte for byte
+// against library API execution of the same statement on an identical
+// in-process database, and the mixed cell restores the seed state and
+// verifies the restoration. Any protocol error or divergence fails the run.
+// It measures nothing; benchmark/ is the load measurement.
 //
-//	fdload -conns 1,4 -mixes read,mixed,snapshot -duration 3s \
-//	       -csv load.csv -json load.json
+//	fdload -conns 1,4 -mixes read,mixed,snapshot -duration 3s
 //
 // With no -addr, fdload starts its own server in-process on a free port.
 package main
@@ -31,9 +30,6 @@ func main() {
 	flag.DurationVar(&cfg.duration, "duration", 3*time.Second, "wall time per sweep cell")
 	flag.Int64Var(&cfg.seed, "seed", 42, "deterministic workload seed")
 	flag.IntVar(&cfg.scale, "scale", 1, "retailer workload scale")
-	flag.StringVar(&cfg.csvPath, "csv", "", "write per-cell results as CSV to this file")
-	flag.StringVar(&cfg.jsonPath, "json", "", "write the summary as JSON to this file")
-	flag.IntVar(&cfg.qps, "qps", 0, "per-worker target ops/sec (0: unthrottled)")
 	flag.Parse()
 
 	var err error

@@ -30,17 +30,11 @@ type DB struct {
 	ord    []string
 	ver    uint64 // global write version; bumps once per committed mutation
 	cache  *planCache
-	// par is the database-wide execution parallelism; 0 means "default",
-	// resolved to runtime.GOMAXPROCS(0) at execution time. Read atomically
-	// so Exec never contends with SetParallelism.
-	par atomic.Int32
 	// snaps counts open snapshots (diagnostics; see OpenSnapshots).
 	snaps atomic.Int64
 
-	// planBudget is the f-tree search's node budget (see planTree): the
-	// planBudget constant, a field only so tests can shrink it.
-	// budgetFallbacks counts the searches it and fplanBudget cut short.
-	planBudget      int
+	// budgetFallbacks counts the searches planBudget and fplanBudget cut
+	// short.
 	budgetFallbacks atomic.Uint64
 
 	// adopted indexes the pre-built encodings a snapshot file carried, by
@@ -64,10 +58,9 @@ type adoptedEnc struct {
 // New returns an empty database.
 func New() *DB {
 	return &DB{
-		dict:       relation.NewDict(),
-		stores:     map[string]*delta.Store{},
-		cache:      newPlanCache(),
-		planBudget: planBudget,
+		dict:   relation.NewDict(),
+		stores: map[string]*delta.Store{},
+		cache:  newPlanCache(),
 	}
 }
 
@@ -192,6 +185,16 @@ func (db *DB) mutate(name string, addRows, delRows [][]interface{}, upsertKey in
 		return err
 	}
 	if upsertKey > 0 {
+		// Two rows with one key would each survive the other's displacement,
+		// leaving the key twice: the batch is ambiguous, so refuse it whole.
+		keys := make(map[string]bool, len(adds))
+		for i, a := range adds {
+			k := fmt.Sprint(a[:upsertKey])
+			if keys[k] {
+				return fmt.Errorf("fdb: upsert batch on %q has two rows with key %v", name, addRows[i][:upsertKey])
+			}
+			keys[k] = true
+		}
 		// Remove the live tuples each upserted tuple displaces. Within the
 		// batch removals apply before additions, so upserting an unchanged
 		// tuple keeps it.
@@ -413,25 +416,10 @@ func (db *DB) CacheStats() CacheStats {
 	return cs
 }
 
-// SetParallelism sets the database-wide execution parallelism: the number
-// of workers query execution (factorisation build and aggregation) may use.
-// n == 1 forces the serial code path; n <= 0 restores the default
-// (runtime.GOMAXPROCS at execution time). Safe to call concurrently with
-// running queries — each execution reads the value once when it starts.
-func (db *DB) SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	db.par.Store(int32(n))
-}
-
-// Parallelism returns the parallelism executions currently resolve to.
-func (db *DB) Parallelism() int {
-	if p := int(db.par.Load()); p > 0 {
-		return p
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// Parallelism returns the number of workers an execution's factorisation
+// build and aggregation may use: runtime.GOMAXPROCS(0), read when the
+// execution starts. GOMAXPROCS=1 runs the serial code paths.
+func (db *DB) Parallelism() int { return runtime.GOMAXPROCS(0) }
 
 // orderLess returns the value comparator ORDER BY uses, mirroring how
 // results render: dictionary-decoded values compare lexicographically, plain

@@ -75,10 +75,8 @@ func BenchmarkExecPrepared(b *testing.B) {
 	for i := 0; i < 200; i++ {
 		db.MustInsert("Disp", i%120, rng.Intn(40))
 	}
-	// The serial per-exec path; the morsel-parallel path (whose profile
-	// depends on the core count) is measured by BenchmarkBuildParallelRetailer
-	// and BenchmarkAggregateParallelRetailer instead.
-	db.SetParallelism(1)
+	// Exec builds with GOMAXPROCS workers: -cpu 1 profiles the serial
+	// per-exec path.
 	st, err := db.Prepare(
 		fdb.From("Orders", "Stock", "Disp"),
 		fdb.Eq("Orders.item", "Stock.item"),
@@ -111,7 +109,6 @@ func BenchmarkExecPrepared(b *testing.B) {
 func BenchmarkPrepareCold(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	db := fdb.New()
-	db.SetParallelism(1)
 	var from []string
 	for i := 1; i <= 6; i++ {
 		name := fmt.Sprintf("R%d", i)

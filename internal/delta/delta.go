@@ -26,13 +26,13 @@ import (
 	"repro/internal/relation"
 )
 
-// DefaultMaxBatches is the batch-count compaction threshold: one more
-// applied batch folds the chain into a new base.
-const DefaultMaxBatches = 48
+// maxBatches is the batch-count compaction threshold: one more applied
+// batch folds the chain into a new base.
+const maxBatches = 48
 
-// DefaultCompactFrac is the delta-fraction compaction threshold: the chain
-// folds when the delta tuples exceed this fraction of the base cardinality.
-const DefaultCompactFrac = 0.5
+// compactFrac is the delta-fraction compaction threshold: the chain folds
+// when the delta tuples exceed this fraction of the base cardinality.
+const compactFrac = 0.5
 
 // Batch is one applied write: tuples added and tuples removed, stamped with
 // the database version at which it committed. Within a batch, removals
@@ -180,10 +180,6 @@ func (s *State) NetSince(ver uint64) (adds, dels []relation.Tuple, ok bool) {
 type Store struct {
 	Name   string
 	Schema relation.Schema
-	// maxBatches and compactFrac override the compaction policy when > 0
-	// (this package's tests pin them; the database runs the defaults).
-	maxBatches  int
-	compactFrac float64
 
 	state atomic.Pointer[State]
 }
@@ -220,7 +216,7 @@ func (s *Store) Apply(adds, dels []relation.Tuple, ver uint64) *State {
 	batches = append(batches, cur.Batches...)
 	batches = append(batches, &Batch{Ver: ver, Adds: adds, Dels: dels})
 	next := &State{Ver: ver, BaseVer: cur.BaseVer, Base: cur.Base, Batches: batches}
-	if s.shouldCompact(next) {
+	if shouldCompact(next) {
 		next = compacted(next)
 	}
 	s.state.Store(next)
@@ -244,21 +240,13 @@ func compacted(cur *State) *State {
 	return &State{Ver: cur.Ver, BaseVer: cur.Ver, Base: cur.Live()}
 }
 
-func (s *Store) shouldCompact(next *State) bool {
-	maxB := s.maxBatches
-	if maxB <= 0 {
-		maxB = DefaultMaxBatches
-	}
-	if len(next.Batches) > maxB {
+func shouldCompact(next *State) bool {
+	if len(next.Batches) > maxBatches {
 		return true
-	}
-	frac := s.compactFrac
-	if frac <= 0 {
-		frac = DefaultCompactFrac
 	}
 	base := next.Base.Cardinality()
 	if base < 16 {
 		base = 16 // tiny bases: let a few batches accumulate regardless
 	}
-	return float64(next.DeltaSize()) > frac*float64(base)
+	return float64(next.DeltaSize()) > compactFrac*float64(base)
 }

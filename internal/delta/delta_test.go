@@ -78,8 +78,6 @@ func TestLiveBaseOrderAndReAdd(t *testing.T) {
 
 func TestNetSince(t *testing.T) {
 	s := NewStore("R", sch("R.a"), 0)
-	s.maxBatches = 100
-	s.compactFrac = 100
 	s.Apply([]relation.Tuple{tup(1)}, nil, 1)
 	s.Apply([]relation.Tuple{tup(2)}, []relation.Tuple{tup(1)}, 2)
 	s.Apply([]relation.Tuple{tup(1)}, []relation.Tuple{tup(2)}, 3)
@@ -116,21 +114,27 @@ func TestNetSince(t *testing.T) {
 }
 
 func TestCompactionPolicyBatchCount(t *testing.T) {
-	s := NewStore("R", sch("R.a"), 0)
-	s.maxBatches = 4
-	s.compactFrac = 1e9 // disable the fraction trigger
-	for i := 1; i <= 4; i++ {
-		s.Apply([]relation.Tuple{tup(i)}, nil, uint64(i))
+	// A 100-tuple base keeps 49 one-tuple batches under the half-base
+	// fraction trigger, so only the batch count folds the chain.
+	base := relation.New("R", sch("R.a"))
+	for i := 0; i < 100; i++ {
+		base.AppendTuple(tup(i))
 	}
-	if got := len(s.State().Batches); got != 4 {
-		t.Fatalf("batches = %d, want 4 (no compaction yet)", got)
+	s := FromRelation(base, 0)
+	for i := 1; i <= maxBatches; i++ {
+		s.Apply([]relation.Tuple{tup(100 + i)}, nil, uint64(i))
 	}
-	s.Apply([]relation.Tuple{tup(5)}, nil, 5)
+	if got := len(s.State().Batches); got != maxBatches {
+		t.Fatalf("batches = %d, want %d (no compaction yet)", got, maxBatches)
+	}
+	s.Apply([]relation.Tuple{tup(100 + maxBatches + 1)}, nil, maxBatches+1)
 	st := s.State()
-	if len(st.Batches) != 0 || st.BaseVer != 5 {
-		t.Fatalf("expected compaction at batch 5: batches=%d baseVer=%d", len(st.Batches), st.BaseVer)
+	if len(st.Batches) != 0 || st.BaseVer != maxBatches+1 {
+		t.Fatalf("expected compaction at batch %d: batches=%d baseVer=%d", maxBatches+1, len(st.Batches), st.BaseVer)
 	}
-	wantRows(t, st.Live(), tup(1), tup(2), tup(3), tup(4), tup(5))
+	if got, want := st.Live().Cardinality(), 100+maxBatches+1; got != want {
+		t.Fatalf("compacted cardinality = %d, want %d", got, want)
+	}
 }
 
 func TestCompactionPolicyDeltaFraction(t *testing.T) {
@@ -139,23 +143,21 @@ func TestCompactionPolicyDeltaFraction(t *testing.T) {
 		base.AppendTuple(tup(i))
 	}
 	s := FromRelation(base, 0)
-	s.maxBatches = 1000
-	s.compactFrac = 0.25
 	var adds []relation.Tuple
-	for i := 100; i < 120; i++ {
+	for i := 100; i < 140; i++ {
 		adds = append(adds, tup(i))
 	}
-	s.Apply(adds, nil, 1) // 20 < 25: no compaction
+	s.Apply(adds, nil, 1) // 40 < 50: no compaction
 	if len(s.State().Batches) != 1 {
-		t.Fatalf("unexpected compaction at 20%% delta")
+		t.Fatalf("unexpected compaction at 40%% delta")
 	}
 	var more []relation.Tuple
-	for i := 120; i < 130; i++ {
+	for i := 140; i < 160; i++ {
 		more = append(more, tup(i))
 	}
-	s.Apply(more, nil, 2) // 30 > 25: fold
+	s.Apply(more, nil, 2) // 60 > 50: fold
 	st := s.State()
-	if len(st.Batches) != 0 || st.BaseVer != 2 || st.Base.Cardinality() != 130 {
+	if len(st.Batches) != 0 || st.BaseVer != 2 || st.Base.Cardinality() != 160 {
 		t.Fatalf("expected fold: batches=%d baseVer=%d card=%d", len(st.Batches), st.BaseVer, st.Base.Cardinality())
 	}
 }
@@ -192,7 +194,6 @@ func TestSnapshotPinsVersion(t *testing.T) {
 // with -race.
 func TestConcurrentReadersUnderWrites(t *testing.T) {
 	s := NewStore("R", sch("R.a", "R.b"), 0)
-	s.maxBatches = 8
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {

@@ -23,12 +23,21 @@ func (e *Enc) Aggregate(groupBy []relation.Attribute, specs []AggSpec) ([]AggRow
 	if e.IsEmpty() {
 		return nil, nil
 	}
-	// Subtrees without group attributes need no key bookkeeping: they fold
-	// into a single scalar partial (and, without aggregated attributes
-	// either, into a bare count). The group zone alone pays for maps.
 	scalar := ev.unit()
-	var cur map[string]*partial
+	return ev.finishRows(ev.foldRoots(e, -1, scalar, nil), scalar), nil
+}
+
+// foldRoots folds every root union of e except skip (-1: none), in root
+// order, into the scalar partial and the keyed partials cur, and returns the
+// updated keyed partials. Roots are independent factors, so partials cross.
+// Subtrees without group attributes need no key bookkeeping: they fold into
+// the scalar partial (and, without aggregated attributes either, into a
+// bare count). The group zone alone pays for maps.
+func (ev *aggEval) foldRoots(e *Enc, skip int, scalar *partial, cur map[string]*partial) map[string]*partial {
 	for _, ri := range e.ti.roots {
+		if ri == skip {
+			continue
+		}
 		n := e.ti.nodes[ri]
 		lo, hi := int32(0), int32(e.NumEntries(ri))
 		if !ev.groupBelow[n] {
@@ -39,7 +48,7 @@ func (e *Enc) Aggregate(groupBy []relation.Attribute, specs []AggSpec) ([]AggRow
 			cur = ev.cross(cur, m)
 		}
 	}
-	return ev.finishRows(cur, scalar), nil
+	return cur
 }
 
 // encScalarSpan aggregates entries [lo,hi) of node ni — a subtree holding

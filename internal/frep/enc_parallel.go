@@ -95,21 +95,7 @@ func (e *Enc) AggregateParallel(groupBy []relation.Attribute, specs []AggSpec, p
 	}
 
 	// Remaining roots fold in serially, exactly as in Aggregate.
-	for _, ri := range e.ti.roots {
-		if ri == pivot {
-			continue
-		}
-		rn := e.ti.nodes[ri]
-		lo, hi := int32(0), int32(e.NumEntries(ri))
-		if !ev.groupBelow[rn] {
-			ev.crossScalar(scalar, ev.encScalarSpan(e, ri, lo, hi, 0))
-		} else if m := ev.encSpan(e, ri, lo, hi); cur == nil {
-			cur = m
-		} else {
-			cur = ev.cross(cur, m)
-		}
-	}
-	return ev.finishRows(cur, scalar), nil
+	return ev.finishRows(ev.foldRoots(e, pivot, scalar, cur), scalar), nil
 }
 
 // chunkBound returns the i-th of p boundaries over [0, n) — in 64-bit, since

@@ -3,17 +3,18 @@
 // data via internal/gen, a conjunctive equality join, constant selections,
 // a projection or a group-by aggregation, and (for tuple results) random
 // OrderBy keys (mixed asc/desc, tree-compatible and incompatible),
-// Limit/Offset and Distinct — runs it through the public fdb surface at a
-// chosen execution parallelism (once as a single query and once split in
-// two results that are joined, filtered and projected after the fact, so
-// the f-plan operators restructure built representations), and checks the
-// result against the flat
+// Limit/Offset and Distinct — runs it through the public fdb surface (once
+// as a single query and once split in two results that are joined, filtered
+// and projected after the fact, so the f-plan operators restructure built
+// representations), and checks the result against the flat
 // internal/rdb oracle as an exact tuple *sequence*: the engine's
 // enumeration order is deterministic (ORDER BY keys first, remaining
 // columns ascending), so the oracle sorts its flat result with the same
 // comparator and every position must match. Every failure message leads
 // with the seed, so any mismatch found by the randomised tests or by `go
-// test -fuzz` reproduces with Check(seed, p) alone.
+// test -fuzz` reproduces with Check(seed) alone. The engine runs with
+// GOMAXPROCS workers, so running the package at GOMAXPROCS=1 and at
+// GOMAXPROCS=4 covers the serial and the morsel-parallel paths.
 package fuzz
 
 import (
@@ -226,18 +227,18 @@ func (c *Case) codes() map[relation.Value]relation.Value {
 	return out
 }
 
-// Check derives the case for seed and runs it at the given parallelism,
-// returning a seed-stamped error on any divergence from the oracle.
-func Check(seed int64, parallelism int) error {
+// Check derives the case for seed and runs it, returning a seed-stamped
+// error on any divergence from the oracle.
+func Check(seed int64) error {
 	c, err := NewCase(seed)
 	if err != nil {
 		return fmt.Errorf("fuzz: seed %d: generate: %v", seed, err)
 	}
-	return c.Run(parallelism)
+	return c.Run()
 }
 
-// Run executes the case at the given parallelism against a fresh database.
-func (c *Case) Run(parallelism int) error { return c.run(parallelism, nil) }
+// Run executes the case against a fresh database.
+func (c *Case) Run() error { return c.run(nil) }
 
 // CheckTrees derives the case for seed and evaluates its join below the
 // query API, once over opt.GreedyFTree's tree and once over
@@ -318,12 +319,12 @@ func CheckTrees(seed int64) (int, error) {
 // ones — including the adopted pre-built encoding, since the plan cache is
 // warmed before the save so the file carries the arena the reopened
 // database's first query adopts.
-func CheckPersisted(seed int64, parallelism int, dir string) error {
+func CheckPersisted(seed int64, dir string) error {
 	c, err := NewCase(seed)
 	if err != nil {
 		return fmt.Errorf("fuzz: seed %d: generate: %v", seed, err)
 	}
-	return c.run(parallelism, func(db *fdb.DB, clauses []fdb.Clause) (*fdb.DB, error) {
+	return c.run(func(db *fdb.DB, clauses []fdb.Clause) (*fdb.DB, error) {
 		if len(c.aggs) == 0 {
 			// Memoise the encoding so the snapshot carries it and the
 			// reopened database exercises the zero-copy adoption path.
@@ -335,25 +336,19 @@ func CheckPersisted(seed int64, parallelism int, dir string) error {
 		if err := db.SaveSnapshot(path); err != nil {
 			return nil, err
 		}
-		ndb, err := fdb.OpenSnapshotFile(path)
-		if err != nil {
-			return nil, err
-		}
-		ndb.SetParallelism(parallelism)
-		return ndb, nil
+		return fdb.OpenSnapshotFile(path)
 	})
 }
 
 // run builds the case's database, optionally routes it through a persist
 // hook (which may replace it with a reopened copy), and checks the result
 // of every query variant against the flat oracle.
-func (c *Case) run(parallelism int, persist func(*fdb.DB, []fdb.Clause) (*fdb.DB, error)) error {
+func (c *Case) run(persist func(*fdb.DB, []fdb.Clause) (*fdb.DB, error)) error {
 	fail := func(format string, args ...interface{}) error {
-		return fmt.Errorf("fuzz: seed %d (p=%d): %s", c.Seed, parallelism, fmt.Sprintf(format, args...))
+		return fmt.Errorf("fuzz: seed %d: %s", c.Seed, fmt.Sprintf(format, args...))
 	}
 
 	db := fdb.New()
-	db.SetParallelism(parallelism)
 	for _, rel := range c.rels {
 		if err := db.Create(rel.Name, c.bare[rel.Name]...); err != nil {
 			return fail("create: %v", err)

@@ -1,42 +1,24 @@
 package fuzz
 
 import (
-	"runtime"
 	"testing"
 )
 
-// parallelisms returns the worker counts every case runs at: the serial
-// path and P=GOMAXPROCS, plus a forced multi-worker leg when GOMAXPROCS is
-// too small to exercise the parallel code at all.
-func parallelisms() []int {
-	ps := []int{1, runtime.GOMAXPROCS(0)}
-	if runtime.GOMAXPROCS(0) < 4 {
-		ps = append(ps, 4)
-	}
-	return ps
-}
-
 // TestDifferential runs the differential harness over a block of seeds —
-// at least 1500 sequence-compared queries per full package run (750 seeds ×
-// ≥2 parallelism legs), covering OrderBy/Limit/Offset/Distinct alongside
-// joins, selections, projections and aggregates. Failures reproduce with
-// fuzz.Check(seed, p).
+// 1500 sequence-compared queries per full package run, covering
+// OrderBy/Limit/Offset/Distinct alongside joins, selections, projections and
+// aggregates. Failures reproduce with fuzz.Check(seed).
 func TestDifferential(t *testing.T) {
-	seeds := 750
+	seeds := 1500
 	if testing.Short() {
-		seeds = 60
+		seeds = 150
 	}
-	ps := parallelisms()
-	queries := 0
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		for _, p := range ps {
-			if err := Check(seed, p); err != nil {
-				t.Fatal(err)
-			}
-			queries++
+		if err := Check(seed); err != nil {
+			t.Fatal(err)
 		}
 	}
-	t.Logf("fuzz: %d queries checked (%d seeds × %d parallelism legs)", queries, seeds, len(ps))
+	t.Logf("fuzz: %d queries checked", seeds)
 }
 
 // TestDifferentialTrees is the greedy-vs-exhaustive f-tree differential,
@@ -91,63 +73,59 @@ func TestCaseDeterminism(t *testing.T) {
 // every seed applies 10-17 Insert/Delete/Upsert/Compact steps through the
 // public write API and re-checks the live query plus every pinned snapshot
 // against the flat oracle after each step — ≥1500 sequence-compared queries
-// per full package run across ≥2 parallelism legs, zero divergence allowed.
-// Failures reproduce with fuzz.CheckMutations(seed, p).
+// per full package run, zero divergence allowed. Failures reproduce with
+// fuzz.CheckMutations(seed).
 func TestMutationDifferential(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
 		seeds = 10
 	}
-	ps := parallelisms()
 	queries := 0
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		for _, p := range ps {
-			n, err := CheckMutations(seed, p)
-			queries += n
-			if err != nil {
-				t.Fatal(err)
-			}
+		n, err := CheckMutations(seed)
+		queries += n
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 	if !testing.Short() && queries < 1500 {
 		t.Fatalf("mutation workload too small: %d oracle-compared queries < 1500", queries)
 	}
-	t.Logf("fuzz: %d mutation-workload queries checked (%d seeds × %d parallelism legs)", queries, seeds, len(ps))
+	t.Logf("fuzz: %d mutation-workload queries checked (%d seeds)", queries, seeds)
 }
 
 // FuzzDifferential is the `go test -fuzz` entry point: the fuzzer mutates
-// the seed (and a parallelism byte), the corpus seeds come from the block
-// the deterministic test covers. Each input is exercised both as a static
-// workload (Check) and as a mutation workload (CheckMutations) so corpus
-// entries cover the write path too.
+// the seed, the corpus seeds come from the block the deterministic test
+// covers. Each input is exercised both as a static workload (Check) and as a
+// mutation workload (CheckMutations) so corpus entries cover the write path
+// too.
 func FuzzDifferential(f *testing.F) {
-	f.Add(int64(1), uint8(1))
-	f.Add(int64(2), uint8(2))
-	f.Add(int64(42), uint8(4))
-	f.Add(int64(500), uint8(3))
+	f.Add(int64(1))
+	f.Add(int64(2))
+	f.Add(int64(42))
+	f.Add(int64(500))
 	// Mutation-workload corpus: seeds whose schedules hit every write verb,
 	// compaction under open snapshots, and the aggregate query shape.
-	f.Add(int64(7), uint8(2))
-	f.Add(int64(23), uint8(4))
-	f.Add(int64(1009), uint8(1))
+	f.Add(int64(7))
+	f.Add(int64(23))
+	f.Add(int64(1009))
 	// Set-operation corpus: one seed per operator (union, union all, except,
 	// intersect), one combining a set operation with a scrambled string
 	// dictionary, and one with string range selections (decoded-order cuts).
-	f.Add(int64(22), uint8(1))
-	f.Add(int64(17), uint8(2))
-	f.Add(int64(15), uint8(1))
-	f.Add(int64(32), uint8(3))
-	f.Add(int64(58), uint8(1))   // regression: union-all bag under ordered retrieval
-	f.Add(int64(2815), uint8(0)) // regression: Distinct over a union-all bag on a branching tree
-	f.Add(int64(319), uint8(1))
-	f.Add(int64(2), uint8(2))
-	f.Add(int64(4), uint8(1))
-	f.Fuzz(func(t *testing.T, seed int64, p uint8) {
-		workers := int(p%8) + 1
-		if err := Check(seed, workers); err != nil {
+	f.Add(int64(22))
+	f.Add(int64(17))
+	f.Add(int64(15))
+	f.Add(int64(32))
+	f.Add(int64(58))   // regression: union-all bag under ordered retrieval
+	f.Add(int64(2815)) // regression: Distinct over a union-all bag on a branching tree
+	f.Add(int64(319))
+	f.Add(int64(2))
+	f.Add(int64(4))
+	f.Fuzz(func(t *testing.T, seed int64) {
+		if err := Check(seed); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := CheckMutations(seed, workers); err != nil {
+		if _, err := CheckMutations(seed); err != nil {
 			t.Fatal(err)
 		}
 	})

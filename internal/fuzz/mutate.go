@@ -22,11 +22,10 @@ import (
 // maxPins bounds the snapshots a workload holds open at once.
 const maxPins = 3
 
-// CheckMutations derives the mutation workload for seed, runs it at the
-// given parallelism and returns the number of oracle-compared queries. Any
-// divergence comes back as a seed-stamped error reproducible with
-// CheckMutations(seed, p) alone.
-func CheckMutations(seed int64, parallelism int) (int, error) {
+// CheckMutations derives the mutation workload for seed, runs it and returns
+// the number of oracle-compared queries. Any divergence comes back as a
+// seed-stamped error reproducible with CheckMutations(seed) alone.
+func CheckMutations(seed int64) (int, error) {
 	c, err := NewCase(seed)
 	if err != nil {
 		return 0, fmt.Errorf("fuzz: mutation seed %d: generate: %v", seed, err)
@@ -41,7 +40,6 @@ func CheckMutations(seed int64, parallelism int) (int, error) {
 	rng := rand.New(rand.NewSource(seed*0x9E3779B9 + 0x7F4A7C15))
 
 	db := fdb.New()
-	db.SetParallelism(parallelism)
 	oracle := make([]*relation.Relation, len(c.rels))
 	dom := relation.Value(4)
 	for i, rel := range c.rels {
@@ -81,8 +79,8 @@ func CheckMutations(seed int64, parallelism int) (int, error) {
 			return nil // oracle past its cap: skip, never fails
 		}
 		fail := func(format string, args ...interface{}) error {
-			return fmt.Errorf("fuzz: mutation seed %d (p=%d, %s): %s",
-				seed, parallelism, tag, fmt.Sprintf(format, args...))
+			return fmt.Errorf("fuzz: mutation seed %d (%s): %s",
+				seed, tag, fmt.Sprintf(format, args...))
 		}
 		queries++
 		if len(c.aggs) > 0 {

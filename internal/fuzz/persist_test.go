@@ -10,19 +10,16 @@ import (
 // every query variant of the case — joins, selections, projections,
 // aggregates, OrderBy/Limit/Offset/Distinct — is sequence-compared against
 // the flat oracle over the reopened database. Failures reproduce with
-// fuzz.CheckPersisted(seed, p, dir).
+// fuzz.CheckPersisted(seed, dir).
 func TestDifferentialPersisted(t *testing.T) {
 	seeds := 150
 	if testing.Short() {
 		seeds = 25
 	}
 	dir := t.TempDir()
-	ps := parallelisms()
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		for _, p := range ps {
-			if err := CheckPersisted(seed, p, dir); err != nil {
-				t.Fatal(err)
-			}
+		if err := CheckPersisted(seed, dir); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -323,6 +323,15 @@ func TestWritesOverWire(t *testing.T) {
 	if _, err := cl.Insert("Nope", [][]Value{{Int(1)}}); asCode(err) != CodeQuery {
 		t.Fatalf("insert into unknown relation: want CodeQuery, got %v", err)
 	}
+	// So does an upsert batch naming one key twice, and it changes nothing.
+	ver := db.Version()
+	dup := [][]Value{{Int(90001), Int(20)}, {Int(90001), Int(30)}}
+	if _, err := cl.Upsert("Orders", 1, dup); asCode(err) != CodeQuery || !strings.Contains(err.Error(), "key [90001]") {
+		t.Fatalf("duplicate-key upsert batch: want CodeQuery naming key [90001], got %v", err)
+	}
+	if db.Version() != ver {
+		t.Fatalf("rejected upsert batch bumped the version %d -> %d", ver, db.Version())
+	}
 }
 
 // TestAdmissionControl: with one execution slot and a one-deep queue, a

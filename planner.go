@@ -41,7 +41,7 @@ func (db *DB) planTree(classes, schemas []relation.AttrSet, chain []int) (*ftree
 		return nil, 0, err
 	}
 	best, bestCost, err := opt.OptimalFTreeOrdered(classes, schemas, chain,
-		opt.TreeSearchOptions{Budget: db.planBudget, Below: cost - costEps})
+		opt.TreeSearchOptions{Budget: planBudget, Below: cost - costEps})
 	switch {
 	case err == nil:
 		return best, bestCost, nil

@@ -74,9 +74,10 @@ func sortedRows(t *testing.T, res *Result) []string {
 	return out
 }
 
-// skewTrees returns the skew query's attribute classes and relation schemas
-// — what DB.plan hands planTree — for comparing against opt directly.
-func skewTrees(t *testing.T, db *DB) (classes, schemas []relation.AttrSet) {
+// skewQuery returns the skew query over db's relations — whose classes and
+// schemas are what DB.plan hands planTree — for comparing against opt and the
+// flat oracle directly.
+func skewQuery(t *testing.T, db *DB) *core.Query {
 	t.Helper()
 	q := &core.Query{Equalities: []core.Equality{
 		{A: "r2.x5", B: "r3.x9"}, {A: "r3.x1", B: "r2.x7"}, {A: "r1.x6", B: "r1.x8"},
@@ -89,16 +90,37 @@ func skewTrees(t *testing.T, db *DB) (classes, schemas []relation.AttrSet) {
 		}
 		q.Relations = append(q.Relations, r)
 	}
-	return q.Classes(), q.Schemas()
+	return q
+}
+
+// flatRows evaluates q with the flat oracle and renders its rows as
+// sortedRows renders a result's (integer data only).
+func flatRows(t *testing.T, q *core.Query) []string {
+	t.Helper()
+	flat, err := rdb.Evaluate(q, rdb.Options{Materialize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, tp := range flat.Relation.Tuples {
+		cells := make([]string, len(tp))
+		for i, v := range tp {
+			cells[i] = fmt.Sprintf("%s=%d", flat.Relation.Schema[i], v)
+		}
+		sort.Strings(cells)
+		out = append(out, strings.Join(cells, "\t"))
+	}
+	sort.Strings(out)
+	return out
 }
 
 // TestPlanAdoptsStrictlyCheaperTree: the policy serves the optimum from the
 // very first Prepare — no warm-up, no cache hits — on every compile surface,
-// with the rows the greedy tree would have produced.
+// with the flat oracle's rows.
 func TestPlanAdoptsStrictlyCheaperTree(t *testing.T) {
 	db := skewDB(t)
-	classes, schemas := skewTrees(t, db)
-	_, gcost, err := opt.GreedyFTree(classes, schemas)
+	q := skewQuery(t, db)
+	_, gcost, err := opt.GreedyFTree(q.Classes(), q.Schemas())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,23 +149,9 @@ func TestPlanAdoptsStrictlyCheaperTree(t *testing.T) {
 	if len(rows) == 0 {
 		t.Fatal("skew query returned no rows; the fixture is broken")
 	}
-	// The same query pinned to its greedy tree (a search that dies at once).
-	gdb := skewDB(t)
-	gdb.planBudget = 1
-	gst, err := gdb.Prepare(skewClauses()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gst.Cost() != gcost {
-		t.Fatalf("budget-starved Prepare compiled s(T)=%v, want the greedy %v", gst.Cost(), gcost)
-	}
-	gres, err := gst.Exec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sortedRows(t, gres); strings.Join(got, "\n") != strings.Join(rows, "\n") {
-		t.Fatalf("greedy and optimal trees disagree on rows:\ngreedy:\n%s\noptimal:\n%s",
-			strings.Join(got, "\n"), strings.Join(rows, "\n"))
+	if want := flatRows(t, q); strings.Join(want, "\n") != strings.Join(rows, "\n") {
+		t.Fatalf("the optimal tree and the flat oracle disagree on rows:\noracle:\n%s\noptimal:\n%s",
+			strings.Join(want, "\n"), strings.Join(rows, "\n"))
 	}
 	if cs := db.CacheStats(); cs.BudgetFallbacks != 0 {
 		t.Fatalf("default budget fell back on a three-relation query: %+v", cs)
@@ -155,12 +163,12 @@ func TestPlanAdoptsStrictlyCheaperTree(t *testing.T) {
 // equal-cost sibling — the property benchmark/'s frozen shadow check
 // (opt.GreedyFTree == Stmt.FTree()) relies on.
 func TestPlanTiesKeepGreedyTree(t *testing.T) {
-	db, clauses, classes, schemas := chainDB(t, 5)
-	gt, gcost, err := opt.GreedyFTree(classes, schemas)
+	db, clauses, q := chainDB(t, 5)
+	gt, gcost, err := opt.GreedyFTree(q.Classes(), q.Schemas())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ocost, err := opt.OptimalFTree(classes, schemas, opt.TreeSearchOptions{})
+	_, ocost, err := opt.OptimalFTree(q.Classes(), q.Schemas(), opt.TreeSearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +188,8 @@ func TestPlanTiesKeepGreedyTree(t *testing.T) {
 }
 
 // chainDB builds the length-n chain join R1.B=R2.A, R2.B=R3.A, … over a few
-// tuples per relation, and its classes/schemas for opt.
-func chainDB(t *testing.T, n int) (*DB, []Clause, []relation.AttrSet, []relation.AttrSet) {
+// tuples per relation, and the same query for opt and the flat oracle.
+func chainDB(t *testing.T, n int) (*DB, []Clause, *core.Query) {
 	t.Helper()
 	db := New()
 	q := &core.Query{}
@@ -202,20 +210,20 @@ func chainDB(t *testing.T, n int) (*DB, []Clause, []relation.AttrSet, []relation
 		clauses = append(clauses, Eq(a, b))
 		q.Equalities = append(q.Equalities, core.Equality{A: relation.Attribute(a), B: relation.Attribute(b)})
 	}
-	return db, clauses, q.Classes(), q.Schemas()
+	return db, clauses, q
 }
 
 // TestWidePrepareStopsAtBudget: a 24-relation chain would take the
 // unbudgeted search minutes; Prepare must give up after planBudget nodes,
 // count the fallback and serve the greedy tree — never an error.
 func TestWidePrepareStopsAtBudget(t *testing.T) {
-	db, clauses, classes, schemas := chainDB(t, 24)
-	gt, gcost, err := opt.GreedyFTree(classes, schemas)
+	db, clauses, q := chainDB(t, 24)
+	gt, gcost, err := opt.GreedyFTree(q.Classes(), q.Schemas())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The search planTree runs really does need more than the budget here.
-	if _, _, err := opt.OptimalFTree(classes, schemas,
+	if _, _, err := opt.OptimalFTree(q.Classes(), q.Schemas(),
 		opt.TreeSearchOptions{Budget: planBudget, Below: gcost - costEps}); !errors.Is(err, opt.ErrBudget) {
 		t.Fatalf("chain-24 search under planBudget = %v, want ErrBudget", err)
 	}
@@ -234,25 +242,22 @@ func TestWidePrepareStopsAtBudget(t *testing.T) {
 	}
 }
 
-// TestBudgetExhaustionNeverErrors: with a budget every search blows at
-// once, no compile surface may surface opt.ErrBudget — for the free search
-// and for the order-constrained one — and results stay right and ordered.
+// TestBudgetExhaustionNeverErrors: every search a chain-24 query runs
+// exhausts planBudget, and no compile surface may surface opt.ErrBudget —
+// for the free search and for the order-constrained one — while results stay
+// the flat oracle's and ordered.
 func TestBudgetExhaustionNeverErrors(t *testing.T) {
-	want, err := skewDB(t).Query(skewClauses()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRows := strings.Join(sortedRows(t, want), "\n")
+	db, clauses, q := chainDB(t, 24)
+	wantRows := strings.Join(flatRows(t, q), "\n")
+	with := func(extra ...Clause) []Clause { return append(append([]Clause(nil), clauses...), extra...) }
 
-	db := skewDB(t)
-	db.planBudget = 1
-	if _, err := db.Prepare(skewClauses()...); err != nil {
+	if _, err := db.Prepare(clauses...); err != nil {
 		t.Fatalf("Prepare: budget exhaustion escaped: %v", err)
 	}
-	if _, err := db.PrepareCached(skewClauses(Cmp("r2.x2", GE, Param("n")))...); err != nil {
+	if _, err := db.PrepareCached(with(Cmp("R1.A", GE, Param("n")))...); err != nil {
 		t.Fatalf("PrepareCached: budget exhaustion escaped: %v", err)
 	}
-	res, err := db.Query(skewClauses()...)
+	res, err := db.Query(clauses...)
 	if err != nil {
 		t.Fatalf("Query: budget exhaustion escaped: %v", err)
 	}
@@ -264,8 +269,9 @@ func TestBudgetExhaustionNeverErrors(t *testing.T) {
 		t.Fatalf("BudgetFallbacks = %d after three free searches, want 3", free)
 	}
 
-	// Ordered: on the skew query no reordering of the free tree streams
-	// r2.x2, so DB.plan runs the order-constrained search too.
+	// Ordered: no reordering of the greedy chain-24 tree streams R1.A, so
+	// DB.plan runs the order-constrained search too, and it exhausts the
+	// budget as well.
 	for name, compile := range map[string]func(...Clause) (*Result, error){
 		"Query": db.Query,
 		"Prepare": func(cs ...Clause) (*Result, error) {
@@ -284,25 +290,25 @@ func TestBudgetExhaustionNeverErrors(t *testing.T) {
 		},
 	} {
 		before := db.CacheStats().BudgetFallbacks
-		res, err := compile(skewClauses(OrderBy("r2.x2"))...)
+		res, err := compile(with(OrderBy("R1.A"))...)
 		if err != nil {
 			t.Fatalf("%s: ordered query under budget exhaustion: %v", name, err)
 		}
 		if got := db.CacheStats().BudgetFallbacks - before; got != 2 {
 			t.Fatalf("%s: %d fallbacks, want 2 (free and ordered search)", name, got)
 		}
-		rows := res.Rows(0)
-		if len(rows) == 0 {
-			t.Fatalf("%s: no rows", name)
+		if strings.Join(sortedRows(t, res), "\n") != wantRows {
+			t.Fatalf("%s: fallback plan changed the result", name)
 		}
+		rows := res.Rows(0)
 		col := -1
 		for i, a := range res.Schema() {
-			if a == "r2.x2" {
+			if a == "R1.A" {
 				col = i
 			}
 		}
 		if col < 0 {
-			t.Fatalf("%s: r2.x2 missing from schema %v", name, res.Schema())
+			t.Fatalf("%s: R1.A missing from schema %v", name, res.Schema())
 		}
 		for i := 1; i < len(rows); i++ {
 			if rows[i-1][col] > rows[i][col] {
@@ -374,20 +380,7 @@ func TestWherePlanFallback(t *testing.T) {
 	for _, c := range conds {
 		q.Equalities = append(q.Equalities, core.Equality{A: c.A, B: c.B})
 	}
-	flat, err := rdb.Evaluate(q, rdb.Options{Materialize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []string
-	for _, tp := range flat.Relation.Tuples {
-		cells := make([]string, len(tp))
-		for i, v := range tp {
-			cells[i] = fmt.Sprintf("%s=%d", flat.Relation.Schema[i], v)
-		}
-		sort.Strings(cells)
-		want = append(want, strings.Join(cells, "\t"))
-	}
-	sort.Strings(want)
+	want := flatRows(t, q)
 	if got := sortedRows(t, res); len(want) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("greedy-plan Where returned %d rows, the flat oracle %d", len(got), len(want))
 	}

@@ -466,7 +466,7 @@ func (st *Stmt) buildContext(ctx context.Context, args []NamedArg) (*frep.Enc, e
 	}
 	// Each Exec gets its own tree: the encoded representation owns it, and
 	// downstream operators derive fresh trees from it. The build is
-	// morsel-parallel when the execution's parallelism allows it.
+	// morsel-parallel when GOMAXPROCS allows it.
 	fr, err := fbuild.BuildEncParallelContext(ctx, rels, st.tree.Clone(), st.db.Parallelism())
 	if err != nil {
 		return nil, err

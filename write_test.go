@@ -81,6 +81,38 @@ func TestUpsertKeyPrefix(t *testing.T) {
 	}
 }
 
+// TestUpsertBatchRejectsDuplicateKey: single Upserts keep one row per key, so
+// a batch carrying one key twice is refused whole — naming the key, changing
+// no data and bumping no version — rather than storing both rows.
+func TestUpsertBatchRejectsDuplicateKey(t *testing.T) {
+	db := New()
+	db.MustCreate("R", "k", "v")
+	db.MustInsert("R", 1, 10)
+	v0 := db.Version()
+	err := db.UpsertBatch("R", 1, [][]interface{}{{1, 20}, {2, 5}, {1, 30}})
+	if err == nil || !strings.Contains(err.Error(), "key [1]") {
+		t.Fatalf("duplicate-key upsert batch: err = %v, want one naming key [1]", err)
+	}
+	if db.Version() != v0 {
+		t.Fatalf("rejected batch bumped the version %d -> %d", v0, db.Version())
+	}
+	res, err := db.Query(From("R"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Rows(0), [][]string{{"1", "10"}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the rejected batch: %v, want %v", got, want)
+	}
+	// Distinct keys in one batch still upsert together.
+	if err := db.UpsertBatch("R", 1, [][]interface{}{{1, 20}, {2, 5}}); err != nil {
+		t.Fatal(err)
+	}
+	res, _ = db.Query(From("R"))
+	if got, want := res.Rows(0), [][]string{{"1", "20"}, {"2", "5"}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after a distinct-key batch: %v, want %v", got, want)
+	}
+}
+
 // TestSnapshotIsolation: a snapshot pinned before a write keeps returning
 // the pinned rows bit-for-bit, across writes AND compaction, while live
 // queries see every commit; Close makes further reads fail loudly.
