@@ -44,7 +44,7 @@ func warmReadPool(db *fdb.DB) error {
 		if len(st.Params()) > 0 {
 			continue // parameterised plans cannot ride the snapshot
 		}
-		if _, err := wire.ExecRows(context.Background(), st, nil, 1); err != nil {
+		if _, err := wire.ExecReply(context.Background(), st, nil, 1, 0); err != nil {
 			return err
 		}
 	}

@@ -86,11 +86,7 @@ func newReference(seed int64, scale int) (*reference, error) {
 
 // encoded returns the wire encoding of query qi's library-side result.
 func (r *reference) encoded(qi int, args []wire.Arg) ([]byte, error) {
-	rows, err := wire.ExecRows(context.Background(), r.stmts[qi], args, 0)
-	if err != nil {
-		return nil, err
-	}
-	return wire.EncodeRows(rows), nil
+	return wire.ExecReply(context.Background(), r.stmts[qi], args, 0, 0)
 }
 
 // workerStats accumulates one worker's counters; merged after the join.

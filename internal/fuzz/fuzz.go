@@ -348,30 +348,11 @@ func (c *Case) run(persist func(*fdb.DB, []fdb.Clause) (*fdb.DB, error)) error {
 		return fmt.Errorf("fuzz: seed %d: %s", c.Seed, fmt.Sprintf(format, args...))
 	}
 
-	db := fdb.New()
-	for _, rel := range c.rels {
-		if err := db.Create(rel.Name, c.bare[rel.Name]...); err != nil {
-			return fail("create: %v", err)
-		}
-		for _, t := range rel.Tuples {
-			vals := make([]interface{}, len(t))
-			for i, v := range t {
-				if c.strs != nil {
-					vals[i] = c.strs[v-1]
-				} else {
-					vals[i] = int64(v)
-				}
-			}
-			if err := db.Insert(rel.Name, vals...); err != nil {
-				return fail("insert: %v", err)
-			}
-		}
+	db, err := c.build()
+	if err != nil {
+		return fail("%v", err)
 	}
-
-	base := []fdb.Clause{fdb.From(c.names...)}
-	for _, e := range c.eqs {
-		base = append(base, fdb.Eq(string(e.A), string(e.B)))
-	}
+	base := c.join()
 	clauses := append(append([]fdb.Clause{}, base...), c.selClauses(c.sels)...)
 
 	if persist != nil {
@@ -404,6 +385,57 @@ func (c *Case) run(persist func(*fdb.DB, []fdb.Clause) (*fdb.DB, error)) error {
 		return c.checkSet(db, base, flat, fail)
 	}
 	return nil
+}
+
+// build creates a fresh database holding the case's relations, every value
+// inserted as an integer or, in string cases, as its scrambled string.
+func (c *Case) build() (*fdb.DB, error) {
+	db := fdb.New()
+	for _, rel := range c.rels {
+		if err := db.Create(rel.Name, c.bare[rel.Name]...); err != nil {
+			return nil, fmt.Errorf("create: %v", err)
+		}
+		for _, t := range rel.Tuples {
+			vals := make([]interface{}, len(t))
+			for i, v := range t {
+				if c.strs != nil {
+					vals[i] = c.strs[v-1]
+				} else {
+					vals[i] = int64(v)
+				}
+			}
+			if err := db.Insert(rel.Name, vals...); err != nil {
+				return nil, fmt.Errorf("insert: %v", err)
+			}
+		}
+	}
+	return db, nil
+}
+
+// join is the case's From clause and join equalities.
+func (c *Case) join() []fdb.Clause {
+	out := []fdb.Clause{fdb.From(c.names...)}
+	for _, e := range c.eqs {
+		out = append(out, fdb.Eq(string(e.A), string(e.B)))
+	}
+	return out
+}
+
+// Statement builds the case's database and returns it with the case's
+// one-shot statement: the join, the first selection leg, and the retrieval
+// clauses (or the grouping and aggregates) the differential check queries.
+// It makes the generator a source of varied statements for other packages'
+// tests.
+func (c *Case) Statement() (*fdb.DB, []fdb.Clause, error) {
+	db, err := c.build()
+	if err != nil {
+		return nil, nil, fmt.Errorf("fuzz: seed %d: %v", c.Seed, err)
+	}
+	clauses := append(c.join(), c.selClauses(c.sels)...)
+	if len(c.aggs) > 0 {
+		return db, c.aggClauses(clauses), nil
+	}
+	return db, c.tupleClauses(clauses), nil
 }
 
 // selClauses renders a selection leg as fdb Cmp clauses (string form for
@@ -482,6 +514,20 @@ func (c *Case) strRangeMatch(v relation.Value, s core.ConstSel) bool {
 // then every result column ascending — clipped by Offset/Limit, and each
 // position must match (the factorised count must agree too).
 func (c *Case) checkPlain(db Querier, clauses []fdb.Clause, flat *relation.Relation, fail func(string, ...interface{}) error) error {
+	res, err := db.Query(c.tupleClauses(clauses)...)
+	if err != nil {
+		return fail("query: %v", err)
+	}
+
+	want := flat
+	if c.project != nil {
+		want = flat.Project(c.project) // set semantics, like the engine
+	}
+	return c.comparePlain(res, want, fail)
+}
+
+// tupleClauses appends the case's projection and retrieval clauses.
+func (c *Case) tupleClauses(clauses []fdb.Clause) []fdb.Clause {
 	if c.project != nil {
 		ps := make([]string, len(c.project))
 		for i, a := range c.project {
@@ -509,16 +555,7 @@ func (c *Case) checkPlain(db Querier, clauses []fdb.Clause, flat *relation.Relat
 	if c.limit >= 0 {
 		clauses = append(clauses, fdb.Limit(c.limit))
 	}
-	res, err := db.Query(clauses...)
-	if err != nil {
-		return fail("query: %v", err)
-	}
-
-	want := flat
-	if c.project != nil {
-		want = flat.Project(c.project) // set semantics, like the engine
-	}
-	return c.comparePlain(res, want, fail)
+	return clauses
 }
 
 // checkRestructured answers the case's join the long way round: the
@@ -811,17 +848,7 @@ func (c *Case) checkSet(db *fdb.DB, base []fdb.Clause, flat1 *relation.Relation,
 // checkAgg compares QueryAgg rows against a straight fold over the flat
 // oracle result.
 func (c *Case) checkAgg(db Querier, clauses []fdb.Clause, flat *relation.Relation, fail func(string, ...interface{}) error) error {
-	if len(c.groupBy) > 0 {
-		gs := make([]string, len(c.groupBy))
-		for i, a := range c.groupBy {
-			gs[i] = string(a)
-		}
-		clauses = append(clauses, fdb.GroupBy(gs...))
-	}
-	for _, s := range c.aggs {
-		clauses = append(clauses, fdb.Agg(s.Fn, string(s.Attr)))
-	}
-	res, err := db.QueryAgg(clauses...)
+	res, err := db.QueryAgg(c.aggClauses(clauses)...)
 	if err != nil {
 		return fail("queryagg: %v", err)
 	}
@@ -843,6 +870,21 @@ func (c *Case) checkAgg(db Querier, clauses []fdb.Clause, flat *relation.Relatio
 		}
 	}
 	return nil
+}
+
+// aggClauses appends the case's grouping and aggregates.
+func (c *Case) aggClauses(clauses []fdb.Clause) []fdb.Clause {
+	if len(c.groupBy) > 0 {
+		gs := make([]string, len(c.groupBy))
+		for i, a := range c.groupBy {
+			gs[i] = string(a)
+		}
+		clauses = append(clauses, fdb.GroupBy(gs...))
+	}
+	for _, s := range c.aggs {
+		clauses = append(clauses, fdb.Agg(s.Fn, string(s.Attr)))
+	}
+	return clauses
 }
 
 // flatAggregate folds the aggregates over the flat oracle result — the

@@ -39,23 +39,16 @@ func CheckMutations(seed int64) (int, error) {
 	c.sels2 = nil
 	rng := rand.New(rand.NewSource(seed*0x9E3779B9 + 0x7F4A7C15))
 
-	db := fdb.New()
+	db, err := c.build()
+	if err != nil {
+		return 0, fmt.Errorf("fuzz: mutation seed %d: %v", seed, err)
+	}
 	oracle := make([]*relation.Relation, len(c.rels))
 	dom := relation.Value(4)
 	for i, rel := range c.rels {
-		if err := db.Create(rel.Name, c.bare[rel.Name]...); err != nil {
-			return 0, fmt.Errorf("fuzz: mutation seed %d: create: %v", seed, err)
-		}
 		for _, t := range rel.Tuples {
-			vals := make([]interface{}, len(t))
-			for j, v := range t {
-				vals[j] = int64(v)
-				if v > dom {
-					dom = v
-				}
-			}
-			if err := db.Insert(rel.Name, vals...); err != nil {
-				return 0, fmt.Errorf("fuzz: mutation seed %d: insert: %v", seed, err)
+			for _, v := range t {
+				dom = max(dom, v)
 			}
 		}
 		// The oracle mirror is deduped up front: the engine is a set, and
@@ -65,13 +58,7 @@ func CheckMutations(seed int64) (int, error) {
 	}
 	dom += 3 // a little headroom so inserts create genuinely new tuples
 
-	clauses := []fdb.Clause{fdb.From(c.names...)}
-	for _, e := range c.eqs {
-		clauses = append(clauses, fdb.Eq(string(e.A), string(e.B)))
-	}
-	for _, s := range c.sels {
-		clauses = append(clauses, fdb.Cmp(string(s.A), s.Op, int64(s.C)))
-	}
+	clauses := append(c.join(), c.selClauses(c.sels)...)
 
 	queries := 0
 	check := func(q Querier, flat *relation.Relation, tag string) error {

@@ -11,6 +11,7 @@ package relation
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 )
 
@@ -203,14 +204,38 @@ func (d *Dict) Lookup(s string) (Value, bool) {
 }
 
 // Decode returns the string for v, or a numeric rendering if v was never
-// assigned by this dictionary.
-func (d *Dict) Decode(v Value) string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if v >= 0 && int(v) < len(d.toS) {
-		return d.toS[v]
+// assigned by this dictionary. Rendering many values, take one Snapshot and
+// use DecodeIn: one lock for the lot, and every value rendered against the
+// same code table.
+func (d *Dict) Decode(v Value) string { return DecodeIn(d.Snapshot(), v) }
+
+// AppendDecoded appends v's rendering under snap (a Snapshot) to dst: the
+// string snap assigns to code v, or v's decimal form when snap does not
+// cover it. It is the one cell-rendering rule; Decode, DecodeIn and the
+// wire's reply writer all go through it, so no two surfaces can disagree.
+func AppendDecoded(dst []byte, snap []string, v Value) []byte {
+	if s, ok := assigned(snap, v); ok {
+		return append(dst, s...)
 	}
-	return fmt.Sprintf("%d", int64(v))
+	return strconv.AppendInt(dst, int64(v), 10)
+}
+
+// DecodeIn is AppendDecoded as a string: an assigned code costs no
+// allocation, a decimal rendering one.
+func DecodeIn(snap []string, v Value) string {
+	if s, ok := assigned(snap, v); ok {
+		return s
+	}
+	var buf [20]byte
+	return string(AppendDecoded(buf[:0], snap, v))
+}
+
+// assigned returns the string snap assigns to code v, if it assigns one.
+func assigned(snap []string, v Value) (string, bool) {
+	if v >= 0 && int64(v) < int64(len(snap)) {
+		return snap[v], true
+	}
+	return "", false
 }
 
 // Snapshot returns a read-only view of the assigned strings, indexed by

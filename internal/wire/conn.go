@@ -139,15 +139,10 @@ func (c *conn) execute(f Frame) {
 }
 
 // reply sends one response frame: RespOK with body when code is zero,
-// RespErr otherwise. A body the frame limit cannot carry is answered with
-// a typed error instead — the connection stays usable, and the client
-// learns which knob to turn. All request accounting funnels through here.
+// RespErr otherwise. All request accounting funnels through here. The only
+// body that can grow past the frame limit, EXEC's, is bounded while it is
+// written (ExecReply), so none arrives here too large.
 func (c *conn) reply(id uint32, code byte, msg string, body []byte) {
-	if n := frameHeader + len(body); code == 0 && n > c.srv.opts.MaxFrame {
-		code = CodeQuery
-		msg = fmt.Sprintf("result too large: the %d-byte reply exceeds the server's %d-byte frame limit (MaxFrame); lower MaxRows or narrow the query",
-			n, c.srv.opts.MaxFrame)
-	}
 	f := Frame{Kind: RespOK, ID: id, Body: body}
 	if code != 0 {
 		f.Kind = RespErr
@@ -249,11 +244,11 @@ func (c *conn) handleExec(f Frame) (code byte, msg string, body []byte) {
 	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
 		return c.execErr(context.DeadlineExceeded)
 	}
-	rows, err := ExecRows(ctx, st, req.Args, int(req.MaxRows))
+	body, err = ExecReply(ctx, st, req.Args, int(req.MaxRows), c.srv.opts.MaxFrame)
 	if err != nil {
 		return c.execErr(err)
 	}
-	return 0, "", EncodeRows(rows)
+	return 0, "", body
 }
 
 // execErr is the error reply of a failed execution.

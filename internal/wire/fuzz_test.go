@@ -8,7 +8,8 @@ import (
 )
 
 // fuzzSeeds is one valid body per decoder under fuzz, the Spec drawn by the
-// round-trip tests' randSpec, plus a whole frame. The checked-in corpus
+// round-trip tests' randSpec, the reply shapes at DecodeRows' edges (a row
+// of no columns, an empty cell, no rows), plus a whole frame. The checked-in corpus
 // under testdata/fuzz/FuzzWireDecode adds more of the same and their
 // hostile variants (truncations, padding, counts far beyond the body);
 // plain `go test` replays it.
@@ -23,6 +24,9 @@ func fuzzSeeds() [][]byte {
 		EncodeExecReq(&ExecReq{Handle: 3, Snap: 5, MaxRows: 100, Args: []Arg{{Name: "x", Val: Int(-7)}, {Name: "s", Val: Str("q")}}}),
 		EncodeWriteReq(&WriteReq{Rel: "R", KeyCols: 2, Rows: [][]Value{{Int(1), Str("a")}, {Int(2), Str("b")}}}),
 		rows,
+		EncodeRows(&Rows{Rows: [][]string{nil, nil}}),
+		EncodeRows(&Rows{Schema: []string{"a", "b"}, Rows: [][]string{{"", "x"}, {"y", ""}}}),
+		EncodeRows(&Rows{Schema: []string{"a"}}),
 		frame.Bytes(),
 	}
 }

@@ -4,8 +4,11 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"strconv"
 
 	fdb "repro"
+	"repro/internal/relation"
 )
 
 // Protocol error codes carried by RespErr bodies. Codes are wire-stable;
@@ -248,6 +251,7 @@ var errTruncated = fmt.Errorf("wire: truncated message body")
 
 type rbuf struct {
 	b   []byte
+	s   string // b as one string when set: str returns substrings of it instead of copies
 	off int
 	err error
 }
@@ -294,7 +298,12 @@ func (r *rbuf) str() string {
 		r.fail()
 		return ""
 	}
-	s := string(r.b[r.off : r.off+n])
+	var s string
+	if r.s != "" {
+		s = r.s[r.off : r.off+n]
+	} else {
+		s = string(r.b[r.off : r.off+n])
+	}
 	r.off += n
 	return s
 }
@@ -514,31 +523,166 @@ type Rows struct {
 	Rows   [][]string
 }
 
-// ExecRows runs a prepared statement with the given bindings and renders up
-// to maxRows of its rows (0: all) in reply form. Whether the statement
-// computes aggregates or tuples is the statement's own property, so this is
-// the one place that picks between ExecAgg and Exec: the server's EXEC
-// handler and every library-side reference a reply is compared with go
-// through here.
-func ExecRows(ctx context.Context, st *fdb.Stmt, args []Arg, maxRows int) (*Rows, error) {
+// ExecReply runs a prepared statement with the given bindings and returns
+// its reply body: the schema and up to maxRows rows (0: all), byte for byte
+// EncodeRows(&Rows{res.Schema(), res.Rows(maxRows)}), written straight from
+// the result's iterator with no row ever materialised as strings. Whether
+// the statement computes aggregates or tuples is the statement's own
+// property, so this is the one place that picks between ExecAgg and Exec:
+// the server's EXEC handler and every library-side reference a reply is
+// compared with go through here. maxFrame > 0 is the frame limit the reply
+// must fit: the walk stops with a "result too large" error as soon as the
+// body passes it, instead of finishing a body no frame can carry.
+func ExecReply(ctx context.Context, st *fdb.Stmt, args []Arg, maxRows, maxFrame int) ([]byte, error) {
 	named := make([]fdb.NamedArg, len(args))
 	for i, a := range args {
 		named[i] = fdb.Arg(a.Name, a.Val.Native())
 	}
-	var res interface {
-		Schema() []string
-		Rows(limit int) [][]string
-	}
-	var err error
 	if len(st.Aggregates()) > 0 {
-		res, err = st.ExecAggContext(ctx, named...)
-	} else {
-		res, err = st.ExecContext(ctx, named...)
+		res, err := st.ExecAggContext(ctx, named...)
+		if err != nil {
+			return nil, err
+		}
+		return aggReply(res, maxRows, maxFrame)
 	}
+	res, err := st.ExecContext(ctx, named...)
 	if err != nil {
 		return nil, err
 	}
-	return &Rows{Schema: res.Schema(), Rows: res.Rows(maxRows)}, nil
+	return tupleReply(res, maxRows, maxFrame)
+}
+
+// tupleReply writes a tuple result's reply body.
+func tupleReply(res *fdb.Result, maxRows, maxFrame int) ([]byte, error) {
+	w := newReply(res.Schema(), res.Dict().Snapshot(), maxFrame)
+	rows := res.Count()
+	if maxRows > 0 {
+		rows = min(rows, int64(maxRows))
+	}
+	it := res.Iter()
+	for maxRows <= 0 || w.rows < maxRows {
+		t, ok := it.Next()
+		if !ok {
+			break
+		}
+		at := len(w.b)
+		w.row(len(t))
+		for _, v := range t {
+			w.cell(v)
+		}
+		if err := w.check(); err != nil {
+			return nil, err
+		}
+		if w.rows == 1 {
+			w.expect(rows-1, len(w.b)-at)
+		}
+	}
+	return w.finish(), nil
+}
+
+// aggReply writes an aggregate result's reply body: per group, the key
+// cells dictionary-rendered, then the aggregate values in decimal.
+func aggReply(res *fdb.AggResult, maxRows, maxFrame int) ([]byte, error) {
+	schema := res.Schema()
+	w := newReply(schema, res.Dict().Snapshot(), maxFrame)
+	n := res.Len()
+	if maxRows > 0 && maxRows < n {
+		n = maxRows
+	}
+	for i := 0; i < n; i++ {
+		key := res.KeyValues(i)
+		w.row(len(schema))
+		for _, v := range key {
+			w.cell(v)
+		}
+		for j := 0; j < len(schema)-len(key); j++ {
+			w.intCell(res.Value(i, j))
+		}
+		if err := w.check(); err != nil {
+			return nil, err
+		}
+	}
+	return w.finish(), nil
+}
+
+// reply is an EXEC reply body under construction, in EncodeRows' layout:
+// the row count is reserved up front and patched by finish, and each cell's
+// length is reserved and patched around its rendering, so cells go from
+// value to bytes without an intermediate string.
+type reply struct {
+	wbuf
+	snap     []string // the one dictionary snapshot every cell renders against
+	maxFrame int      // > 0: frame limit the body must fit
+	rows     int
+	countAt  int
+}
+
+func newReply(schema, snap []string, maxFrame int) *reply {
+	w := &reply{snap: snap, maxFrame: maxFrame}
+	w.strs(schema)
+	w.countAt = len(w.b)
+	w.u32(0)
+	return w
+}
+
+// expect sizes the body for rows more rows of about rowBytes each (with a
+// quarter's slack for wider values), so it is not regrown row by row. The
+// capacity never passes the frame limit, which no body may outgrow anyway.
+func (w *reply) expect(rows int64, rowBytes int) {
+	limit := MaxFrame
+	if w.maxFrame > 0 {
+		limit = w.maxFrame
+	}
+	want := min(int64(len(w.b))+rows*int64(rowBytes)*5/4, int64(limit))
+	if n := int(want) - len(w.b); n > 0 {
+		w.b = slices.Grow(w.b, n)
+	}
+}
+
+// row starts a row of n cells.
+func (w *reply) row(n int) {
+	w.u32(uint32(n))
+	w.rows++
+}
+
+// cell appends one value rendered as Result.Each renders it.
+func (w *reply) cell(v relation.Value) {
+	at := w.reserve()
+	w.b = relation.AppendDecoded(w.b, w.snap, v)
+	w.patch(at)
+}
+
+// intCell appends one aggregate value in decimal.
+func (w *reply) intCell(v int64) {
+	at := w.reserve()
+	w.b = strconv.AppendInt(w.b, v, 10)
+	w.patch(at)
+}
+
+// reserve appends a placeholder length and returns its offset.
+func (w *reply) reserve() int {
+	w.u32(0)
+	return len(w.b) - 4
+}
+
+// patch fills the length reserved at offset at with the bytes written since.
+func (w *reply) patch(at int) {
+	binary.BigEndian.PutUint32(w.b[at:], uint32(len(w.b)-at-4))
+}
+
+// check errors once the body has outgrown the frame limit.
+func (w *reply) check() error {
+	if w.maxFrame > 0 && frameHeader+len(w.b) > w.maxFrame {
+		return fmt.Errorf("result too large: %d rows in, the reply already exceeds the server's %d-byte frame limit (MaxFrame); lower MaxRows or narrow the query",
+			w.rows, w.maxFrame)
+	}
+	return nil
+}
+
+// finish patches the row count and returns the body.
+func (w *reply) finish() []byte {
+	binary.BigEndian.PutUint32(w.b[w.countAt:], uint32(w.rows))
+	return w.b
 }
 
 // EncodeRows serialises a result.
@@ -552,16 +696,46 @@ func EncodeRows(rs *Rows) []byte {
 	return w.b
 }
 
-// DecodeRows deserialises a result.
+// DecodeRows deserialises a result. The body is copied into one string and
+// every cell is a substring of it, every row a capacity-limited slice of one
+// shared backing array: two allocations for the cells whatever their count,
+// none of them aliasing b. The flip side is that a retained cell or row
+// keeps its whole reply's string alive.
 func DecodeRows(b []byte) (*Rows, error) {
-	r := &rbuf{b: b}
+	r := &rbuf{b: b, s: string(b)}
 	rs := &Rows{Schema: r.strs()}
+	rowsAt := r.off
 	n := r.count(4)
-	for i := 0; i < n; i++ {
-		rs.Rows = append(rs.Rows, r.strs())
+	// First pass: validate the body and count its cells, so the backing
+	// array is sized exactly and bounded by the body like every count.
+	cells := 0
+	for i := 0; i < n && r.err == nil; i++ {
+		m := r.count(4)
+		cells += m
+		for j := 0; j < m; j++ {
+			r.str()
+		}
 	}
 	if err := r.done(); err != nil {
 		return nil, err
+	}
+	if n == 0 {
+		return rs, nil
+	}
+	r.off = rowsAt + 4
+	rs.Rows = make([][]string, n)
+	all := make([]string, cells)
+	for i := range rs.Rows {
+		m := int(r.u32())
+		if m == 0 {
+			continue // nil, as strs decodes an empty list
+		}
+		row := all[:m:m]
+		all = all[m:]
+		for j := range row {
+			row[j] = r.str()
+		}
+		rs.Rows[i] = row
 	}
 	return rs, nil
 }

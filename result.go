@@ -190,9 +190,12 @@ func (r *Result) String() string { return r.enc.StringDict(r.db.dict) }
 
 // Each enumerates the tuples as string-decoded rows until fn returns false,
 // honouring OrderBy, Offset and Limit. The row slice is reused between calls
-// — clone it to retain (Rows does).
+// — clone it to retain (Rows does). Every row of one call renders against
+// one dictionary snapshot, so a concurrent insert cannot change how a value
+// renders halfway through.
 func (r *Result) Each(fn func(row []string) bool) {
 	it := r.Iter()
+	snap := r.db.dict.Snapshot()
 	row := make([]string, len(it.Schema()))
 	for {
 		t, ok := it.Next()
@@ -200,7 +203,7 @@ func (r *Result) Each(fn func(row []string) bool) {
 			return
 		}
 		for i, v := range t {
-			row[i] = r.db.dict.Decode(v)
+			row[i] = relation.DecodeIn(snap, v)
 		}
 		if !fn(row) {
 			return
@@ -221,6 +224,11 @@ func (r *Result) Rows(limit int) [][]string {
 // Enc exposes the underlying encoded representation (advanced use: direct
 // access to the internal packages).
 func (r *Result) Enc() *frep.Enc { return r.enc }
+
+// Dict returns the dictionary the result's values decode under: Iter's raw
+// values rendered with relation.AppendDecoded against one Dict().Snapshot()
+// are exactly Each's cells.
+func (r *Result) Dict() *relation.Dict { return r.db.dict }
 
 // Iter returns a resumable iterator over the result's tuples (raw values;
 // use Each/Rows for dictionary-decoded output), honouring OrderBy, Offset
@@ -434,13 +442,23 @@ func (r *AggResult) Schema() []string {
 
 // Key returns row i's group key, dictionary-decoded (empty for a global
 // aggregate).
-func (r *AggResult) Key(i int) []string {
+func (r *AggResult) Key(i int) []string { return r.key(r.db.dict.Snapshot(), i) }
+
+// key decodes row i's group key against a dictionary snapshot.
+func (r *AggResult) key(snap []string, i int) []string {
 	out := make([]string, len(r.rows[i].Key))
 	for j, v := range r.rows[i].Key {
-		out[j] = r.db.dict.Decode(v)
+		out[j] = relation.DecodeIn(snap, v)
 	}
 	return out
 }
+
+// KeyValues returns row i's group key as raw values (read-only; Key decodes
+// them).
+func (r *AggResult) KeyValues(i int) []relation.Value { return r.rows[i].Key }
+
+// Dict returns the dictionary the group keys decode under.
+func (r *AggResult) Dict() *relation.Dict { return r.db.dict }
 
 // Value returns row i's value for the j-th Agg clause.
 func (r *AggResult) Value(i, j int) int64 { return r.rows[i].Vals[j] }
@@ -460,8 +478,9 @@ func (r *AggResult) Int(i int, label string) (int64, error) {
 // (Comparison is on decoded strings, so looking up an unknown key never
 // grows the dictionary.)
 func (r *AggResult) Group(key ...string) int {
+	snap := r.db.dict.Snapshot()
 	for i := range r.rows {
-		k := r.Key(i)
+		k := r.key(snap, i)
 		if len(k) != len(key) {
 			continue
 		}
@@ -487,9 +506,10 @@ func (r *AggResult) Rows(limit int) [][]string {
 		n = limit
 	}
 	out := make([][]string, 0, n)
+	snap := r.db.dict.Snapshot()
 	for i := 0; i < n; i++ {
 		row := make([]string, 0, len(r.groupBy)+len(r.specs))
-		row = append(row, r.Key(i)...)
+		row = append(row, r.key(snap, i)...)
 		for _, v := range r.rows[i].Vals {
 			row = append(row, strconv.FormatInt(v, 10))
 		}

@@ -1,8 +1,10 @@
 package fdb
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
+	"strconv"
 	"testing"
 
 	"repro/internal/frep"
@@ -189,5 +191,34 @@ func TestIterEveryWayOut(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestEachRendersAgainstOneSnapshot: a value one above the dictionary's
+// length renders as its decimal form for the whole of one Each call, even
+// when a concurrent insert grows the dictionary past it between rows — one
+// reply never renders the same value two ways.
+func TestEachRendersAgainstOneSnapshot(t *testing.T) {
+	db := New()
+	db.MustCreate("R", "k", "v")
+	db.Dict().Encode("a")
+	v := int64(db.Dict().Len() + 1)
+	db.MustInsert("R", v+10, v)
+	db.MustInsert("R", v+11, v)
+	res, err := db.Query(From("R"), Cmp("R.v", EQ, v))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	res.Each(func(row []string) bool {
+		got = append(got, row[1])
+		for i := 0; db.Dict().Len() <= int(v); i++ {
+			db.Dict().Encode(fmt.Sprintf("grown-%d", i))
+		}
+		return true
+	})
+	want := strconv.FormatInt(v, 10)
+	if len(got) != 2 || got[0] != want || got[1] != want {
+		t.Fatalf("Each rendered R.v as %q, want %q twice", got, want)
 	}
 }
