@@ -3,8 +3,11 @@ package fdb
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"weak"
 
 	"repro/internal/core"
 	"repro/internal/delta"
@@ -12,7 +15,9 @@ import (
 	"repro/internal/fplan"
 	"repro/internal/frep"
 	"repro/internal/opt"
+	"repro/internal/probe"
 	"repro/internal/relation"
+	"repro/internal/store"
 )
 
 // A statement has one lifecycle, bind → plan → load, and this file is its
@@ -210,7 +215,8 @@ func (b *boundSpec) fingerprint() string {
 // the order-aware choice), each input's baked constant filter and its
 // f-tree path-sort permutation — and returns the statement around that
 // immutable plan. The statement holds no data yet; its first execution
-// loads it (Stmt.refresh).
+// loads it (Stmt.refresh) into the holder plan takes from the database's
+// registry, shared with every live statement of the same srcKey.
 func (db *DB) plan(b *boundSpec) (*Stmt, error) {
 	q := b.query
 	p := stmtPlan{
@@ -302,7 +308,72 @@ func (db *DB) plan(b *boundSpec) (*Stmt, error) {
 			in.sortAttrs[j] = shell.Schema[c]
 		}
 	}
-	return &Stmt{stmtPlan: p}, nil
+	return &Stmt{stmtPlan: p, src: db.srcs.get(srcKey(&p, consts))}, nil
+}
+
+// srcKey identifies the data a live statement executes over: per input, the
+// store and the constant selections baked into its filter, then the f-tree's
+// store.TreeKey (shape, sibling order, Rels, Deps and markers). The path-sort
+// permutations follow from the tree, so two statements with one key load
+// the same sorted inputs and build the same encoding — whatever projection,
+// ordering, limits or aggregates they apply on top of it. Late selections
+// are per execution and never reach the shared data.
+//
+// A store enters the key by address. That names it exactly for as long as
+// the key's holder lives, because the holder's statements keep their stores
+// alive; once the holder is collected its entry reads nil and is replaced.
+func srcKey(p *stmtPlan, consts [][]boundSel) string {
+	var key strings.Builder
+	for i, in := range p.inputs {
+		cs := make([]string, len(consts[i]))
+		for j, c := range consts[i] {
+			cs[j] = fmt.Sprintf("%d %d %d", c.col, c.op, c.code)
+		}
+		sort.Strings(cs)
+		fmt.Fprintf(&key, "%p[%s];", in.store, strings.Join(cs, ","))
+	}
+	key.WriteString(store.TreeKey(p.tree))
+	return key.String()
+}
+
+// srcRegistry hands every statement planned with one srcKey the same data
+// holder. It holds weak pointers only, so it keeps no holder alive, and a
+// cleanup deletes a key once its holder is collected. It is a heap object of
+// its own, reached from the DB but never reaching back: the cleanups close
+// over the registry, and a cleanup that reached the DB would keep the
+// database, and with it every statement, alive.
+type srcRegistry struct {
+	mu sync.Mutex
+	m  map[string]weak.Pointer[stmtSrc]
+}
+
+// get returns the live holder registered under key, or registers a new one.
+func (r *srcRegistry) get(key string) *stmtSrc {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if src := r.m[key].Value(); src != nil {
+		return src
+	}
+	src := &stmtSrc{}
+	r.m[key] = weak.Make(src)
+	runtime.AddCleanup(src, r.drop, key)
+	return src
+}
+
+// drop deletes key once its holder is collected, unless a live holder has
+// replaced it since.
+func (r *srcRegistry) drop(key string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.m[key].Value() == nil {
+		delete(r.m, key)
+	}
+}
+
+// The fuzz harness checks that a statement and its same-tree twin share a
+// holder.
+func init() {
+	probe.SharesData = func(a, b any) bool { return a.(*Stmt).src == b.(*Stmt).src }
 }
 
 // orderChain maps the ORDER BY keys to their attribute-class indices, in key

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"weak"
 
 	"repro/internal/core"
 	"repro/internal/csvio"
@@ -30,6 +31,9 @@ type DB struct {
 	ord    []string
 	ver    uint64 // global write version; bumps once per committed mutation
 	cache  *planCache
+	// srcs hands statements that compile to the same inputs, baked filters
+	// and f-tree one data holder (see srcRegistry).
+	srcs *srcRegistry
 	// snaps counts open snapshots (diagnostics; see OpenSnapshots).
 	snaps atomic.Int64
 
@@ -61,6 +65,7 @@ func New() *DB {
 		dict:   relation.NewDict(),
 		stores: map[string]*delta.Store{},
 		cache:  newPlanCache(),
+		srcs:   &srcRegistry{m: map[string]weak.Pointer[stmtSrc]{}},
 	}
 }
 
@@ -371,9 +376,12 @@ func (s *spec) noParams() error {
 // is looked up by the query's canonical fingerprint — parameter
 // placeholders included — so many callers preparing the same query shape
 // (the server front-end's connections, most prominently) share one
-// compiled plan and one memoised encoded representation. Statements are
-// safe for concurrent Exec, so the sharing is free; an entry stays cached
-// until a schema change invalidates its relations or the LRU evicts it.
+// compiled plan. Statements are safe for concurrent Exec, so the sharing is
+// free; an entry stays cached until a schema change invalidates its
+// relations or the LRU evicts it. The data goes further than the plan:
+// every live statement whose inputs, baked constant selections and f-tree
+// are equal — across fingerprints, cached or not — shares one set of
+// refreshed inputs and one memoised encoded representation.
 func (db *DB) PrepareCached(clauses ...Clause) (*Stmt, error) {
 	s, err := compileSpec(modeQuery, clauses)
 	if err != nil {

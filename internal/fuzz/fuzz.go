@@ -852,6 +852,12 @@ func (c *Case) checkAgg(db Querier, clauses []fdb.Clause, flat *relation.Relatio
 	if err != nil {
 		return fail("queryagg: %v", err)
 	}
+	return c.compareAgg(res, flat, fail)
+}
+
+// compareAgg checks one aggregation result against a straight fold of the
+// case's grouping and aggregates over the flat oracle result.
+func (c *Case) compareAgg(res *fdb.AggResult, flat *relation.Relation, fail func(string, ...interface{}) error) error {
 	want := flatAggregate(flat, c.groupBy, c.aggs)
 	if res.Len() != len(want) {
 		return fail("aggregation has %d groups, oracle %d", res.Len(), len(want))

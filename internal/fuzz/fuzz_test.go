@@ -71,10 +71,10 @@ func TestCaseDeterminism(t *testing.T) {
 
 // TestMutationDifferential runs the mutation harness over a block of seeds:
 // every seed applies 10-17 Insert/Delete/Upsert/Compact steps through the
-// public write API and re-checks the live query plus every pinned snapshot
-// against the flat oracle after each step — ≥1500 sequence-compared queries
-// per full package run, zero divergence allowed. Failures reproduce with
-// fuzz.CheckMutations(seed).
+// public write API and re-checks the live query, its same-tree twin and
+// every pinned snapshot against the flat oracle after each step — ≥1500
+// sequence-compared queries per full package run, zero divergence allowed.
+// Failures reproduce with fuzz.CheckMutations(seed).
 func TestMutationDifferential(t *testing.T) {
 	seeds := 60
 	if testing.Short() {

@@ -6,7 +6,9 @@
 // a fresh oracle evaluation (read-your-writes through the plan cache and
 // statement refresh), and every pinned snapshot must keep matching the
 // oracle copy captured when it was pinned — including snapshots taken
-// before mutations and queried after later writes and compactions.
+// before mutations and queried after later writes and compactions. A
+// same-tree twin of the query, prepared once and held across the schedule,
+// must share the query's data holder and match the oracle after every step.
 package fuzz
 
 import (
@@ -15,6 +17,8 @@ import (
 
 	fdb "repro"
 	"repro/internal/core"
+	"repro/internal/frep"
+	"repro/internal/probe"
 	"repro/internal/rdb"
 	"repro/internal/relation"
 )
@@ -74,6 +78,48 @@ func CheckMutations(seed int64) (int, error) {
 			return c.checkAgg(q, clauses, flat, fail)
 		}
 		return c.checkPlain(q, clauses, flat, fail)
+	}
+
+	// The twin compiles to the query's f-tree, so it shares the data holder
+	// of the query's cached statement: every write is folded once for both.
+	twin := c.sameTreeTwin()
+	own := clauses[:len(clauses):len(clauses)] // each extension gets its own array
+	query, twinClauses := c.tupleClauses(own), twin.tupleClauses(own)
+	if len(c.aggs) > 0 {
+		query, twinClauses = c.aggClauses(own), twin.aggClauses(own)
+	}
+	cached, err := db.PrepareCached(query...)
+	if err != nil {
+		return 0, fmt.Errorf("fuzz: mutation seed %d: prepare: %v", seed, err)
+	}
+	twinStmt, err := db.Prepare(twinClauses...)
+	if err != nil {
+		return 0, fmt.Errorf("fuzz: mutation seed %d: prepare twin: %v", seed, err)
+	}
+	if !probe.SharesData(cached, twinStmt) {
+		return 0, fmt.Errorf("fuzz: mutation seed %d: the same-tree twin does not share the query's data holder", seed)
+	}
+	checkTwin := func(flat *relation.Relation, tag string) error {
+		if flat == nil {
+			return nil
+		}
+		fail := func(format string, args ...interface{}) error {
+			return fmt.Errorf("fuzz: mutation seed %d (%s, same-tree twin): %s",
+				seed, tag, fmt.Sprintf(format, args...))
+		}
+		queries++
+		if len(twin.aggs) > 0 {
+			res, err := twinStmt.ExecAgg()
+			if err != nil {
+				return fail("execagg: %v", err)
+			}
+			return twin.compareAgg(res, flat, fail)
+		}
+		res, err := twinStmt.Exec()
+		if err != nil {
+			return fail("exec: %v", err)
+		}
+		return twin.comparePlain(res, flat.Project(twin.project), fail)
 	}
 
 	type pin struct {
@@ -140,6 +186,9 @@ func CheckMutations(seed int64) (int, error) {
 		if err := check(db, flat, fmt.Sprintf("step %d live", step)); err != nil {
 			return queries, err
 		}
+		if err := checkTwin(flat, fmt.Sprintf("step %d live", step)); err != nil {
+			return queries, err
+		}
 		// Every snapshot pinned at an earlier step must still answer with
 		// its pinned view, bit-for-bit, after this mutation.
 		for _, p := range pins {
@@ -162,6 +211,40 @@ func CheckMutations(seed int64) (int, error) {
 		return queries, fmt.Errorf("fuzz: mutation seed %d: %d snapshots leaked", seed, open)
 	}
 	return queries, nil
+}
+
+// sameTreeTwin derives a case whose statement compiles to this case's
+// f-tree but asks less of it: a plain count per group for an aggregation,
+// otherwise the result projected onto a random part of its attributes (the
+// ORDER BY keys kept). The draw has its own random stream, so the case and
+// its write schedule are what they always were.
+func (c *Case) sameTreeTwin() *Case {
+	twin := *c
+	if len(c.aggs) > 0 {
+		twin.aggs = []frep.AggSpec{{Fn: frep.AggCount}}
+		return &twin
+	}
+	out := c.project
+	if out == nil {
+		for _, rel := range c.rels {
+			out = append(out, rel.Schema...)
+		}
+	}
+	keep := relation.AttrSet{}
+	for _, k := range c.orderBy {
+		keep.Add(k.Attr)
+	}
+	rng := rand.New(rand.NewSource(c.Seed ^ 0x7517ee))
+	for _, i := range rng.Perm(len(out))[:1+rng.Intn(len(out))] {
+		keep.Add(out[i])
+	}
+	twin.project = nil
+	for _, a := range out {
+		if keep.Has(a) {
+			twin.project = append(twin.project, a)
+		}
+	}
+	return &twin
 }
 
 // flatEval evaluates the case's query over the given relation states with

@@ -84,7 +84,7 @@ func TestPrepareTouchesNoTuples(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.data.Load() != nil {
+			if st.src.data.Load() != nil {
 				t.Fatal("Prepare loaded the statement's inputs")
 			}
 		})

@@ -57,7 +57,7 @@ func persistableEnc(key string, st *Stmt, states map[string]*delta.State) (store
 	if st == nil || key == "" || !st.memoises() || st.snap != nil { // nil: an f-plan entry
 		return store.Enc{}, false
 	}
-	d := st.data.Load()
+	d := st.src.data.Load()
 	if d == nil {
 		return store.Enc{}, false // prepared, never executed
 	}

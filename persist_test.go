@@ -175,7 +175,7 @@ func TestOpenedSnapshotAdoptsEnc(t *testing.T) {
 	}
 	adoptedOne := false
 	for _, ce := range db2.cache.entries() {
-		d := ce.stmt.data.Load()
+		d := ce.stmt.src.data.Load()
 		if d == nil {
 			continue
 		}

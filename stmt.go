@@ -32,14 +32,25 @@ import (
 // callers.
 //
 // Who may touch what: the embedded plan is written by DB.plan and by nobody
-// after it; fp is set by cachedStmt before the statement is shared; data is
-// published by refresh alone, under refreshMu, and read with one atomic load.
+// after it; fp is set by cachedStmt before the statement is shared; src is
+// set by DB.plan (or pin) and never replaced. The data behind src is
+// published by refresh alone, under src.refreshMu, and read with one atomic
+// load — and src may be shared: every live statement of the database whose
+// inputs, baked constant selections and f-tree are equal holds the same one
+// (see srcRegistry), so a write is folded, and a memoised encoding rebuilt,
+// once for all of them, whatever their projection, ordering, limits or
+// aggregates.
 type Stmt struct {
 	stmtPlan
 	fp   string    // plan-cache fingerprint; "" when not cached
 	snap *Snapshot // non-nil: pinned to this snapshot's versions
+	src  *stmtSrc  // the data holder; pinned statements own theirs
+}
 
-	// data is the one mutable part, nil until the first execution loads it.
+// stmtSrc is the one mutable part of a statement: its current data, nil
+// until the first execution loads it, and the lock refresh publishes the
+// next version under. Statements that share a holder share everything in it.
+type stmtSrc struct {
 	data      atomic.Pointer[stmtData]
 	refreshMu sync.Mutex
 }
@@ -76,9 +87,11 @@ type stmtInput struct {
 // stmtData is one immutable version of a statement's inputs: the deduped,
 // pre-filtered, path-sorted snapshots and the store version each reflects.
 // Only refresh creates one, and it never changes after it is published. The
-// encoded representation of a statement that memoises one is kept here,
-// built from rels by the first execution at this version (cachedEnc); reads
-// and writes of enc go through mu.
+// encoded representation — the pre-projection result that the inputs, their
+// selections and the f-tree fix — is kept here for the statements that
+// memoise one, built from rels by the first execution at this version
+// (cachedEnc) and served to every statement sharing the holder; reads and
+// writes of enc go through mu.
 type stmtData struct {
 	rels []*relation.Relation
 	vers []uint64
@@ -148,7 +161,7 @@ func (st *Stmt) pin(snap *Snapshot) (*Stmt, error) {
 			return nil, fmt.Errorf("fdb: relation %q created after the snapshot", in.store.Name)
 		}
 	}
-	return &Stmt{stmtPlan: st.stmtPlan, snap: snap}, nil
+	return &Stmt{stmtPlan: st.stmtPlan, snap: snap, src: &stmtSrc{}}, nil
 }
 
 // Params lists the statement's parameter names in declaration order.
@@ -250,15 +263,17 @@ func (st *Stmt) current(d *stmtData) bool {
 // version — is loaded wholesale; otherwise its net delta is folded into the
 // sorted snapshot with a linear merge. The published data carries tuples
 // only: its encoding is nil until cachedEnc rebuilds it. A cancelled ctx
-// aborts between inputs and publishes nothing.
+// aborts between inputs and publishes nothing. Statements sharing the holder
+// fold a write once between them: whichever comes first publishes, and the
+// rest find the data current behind refreshMu.
 func (st *Stmt) refresh(ctx context.Context) (*stmtData, error) {
-	d := st.data.Load()
+	d := st.src.data.Load()
 	if st.current(d) {
 		return d, nil
 	}
-	st.refreshMu.Lock()
-	defer st.refreshMu.Unlock()
-	d = st.data.Load()
+	st.src.refreshMu.Lock()
+	defer st.src.refreshMu.Unlock()
+	d = st.src.data.Load()
 	if st.current(d) {
 		return d, nil
 	}
@@ -305,7 +320,7 @@ func (st *Stmt) refresh(ctx context.Context) (*stmtData, error) {
 		}
 		nd.rels[i] = mergeSortedDelta(d.rels[i], adds, dels, in.sortIdx)
 	}
-	st.data.Store(nd)
+	st.src.data.Store(nd)
 	return nd, nil
 }
 
@@ -324,15 +339,23 @@ func (st *Stmt) load(i int, state *delta.State) *relation.Relation {
 	return r
 }
 
-// filterTuples returns the tuples passing f (allocation-free when all do).
+// filterTuples returns the tuples passing f: ts itself when all do
+// (allocation-free), otherwise a fresh slice — ts is a delta shared with
+// every other reader and is never written.
 func filterTuples(ts []relation.Tuple, f func(relation.Tuple) bool) []relation.Tuple {
-	keep := ts[:0:0]
-	for _, t := range ts {
+	for i, t := range ts {
 		if f(t) {
-			keep = append(keep, t)
+			continue
 		}
+		keep := append(make([]relation.Tuple, 0, len(ts)-1), ts[:i]...)
+		for _, t := range ts[i+1:] {
+			if f(t) {
+				keep = append(keep, t)
+			}
+		}
+		return keep
 	}
-	return keep
+	return ts
 }
 
 // mergeSortedDelta applies a net delta to a sorted, deduplicated snapshot
@@ -476,7 +499,8 @@ func (st *Stmt) buildContext(ctx context.Context, args []NamedArg) (*frep.Enc, e
 
 // cachedEnc returns d's memoised pre-projection encoding, building it on
 // first use. Encoded representations are immutable, so handing the same
-// *Enc to every Exec at this version is free sharing, not aliasing.
+// *Enc to every Exec at this version, of every statement sharing the
+// holder, is free sharing, not aliasing.
 func (st *Stmt) cachedEnc(ctx context.Context, d *stmtData) (*frep.Enc, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -400,7 +400,7 @@ func TestExecContextCancellation(t *testing.T) {
 	} else if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if stmt.data.Load() != nil {
+	if stmt.src.data.Load() != nil {
 		t.Fatal("cancelled load published its inputs")
 	}
 	// A live context still completes, with every row.

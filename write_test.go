@@ -238,7 +238,7 @@ func TestResultSurvivesCompaction(t *testing.T) {
 
 // TestStmtRefreshAfterCompaction: a prepared statement whose held version
 // predates a compaction re-snapshots instead of merging, and serves data
-// identical to a fresh plan.
+// identical to a fresh plan over a copy of the database.
 func TestStmtRefreshAfterCompaction(t *testing.T) {
 	db := New()
 	db.MustCreate("R", "a", "b")
@@ -264,7 +264,8 @@ func TestStmtRefreshAfterCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := db.Query(From("R", "S"), Eq("R.b", "S.b"))
+	// Cold, on a copy: a query on db would share stmt's data holder.
+	fresh, err := coldCopy(t, db).Query(From("R", "S"), Eq("R.b", "S.b"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,9 @@ func TestStmtRefreshAfterCompaction(t *testing.T) {
 // TestStmtIncrementalRefreshParity: interleaved inserts, deletes, upserts
 // and a compaction keep long-lived prepared statements in lockstep with
 // freshly compiled ones — the refreshed inputs never drift, and the encoding
-// rebuilt from them equals a cold build column for column. Two shapes over
+// rebuilt from them equals a cold build, on a copy of the database, column
+// for column. A statement of the same shape prepared on the database itself
+// shares the long-lived one's data holder. Two shapes over
 // the chain R ⋈ S ⋈ T with writes to R and S: the plain join roots at their
 // shared class b, and ordered by T.d it roots at T.d with both written
 // relations below it.
@@ -329,12 +332,24 @@ func TestStmtIncrementalRefreshParity(t *testing.T) {
 		default:
 			db.MustInsert("S", step%7, (step*3)%11)
 		}
+		// The reference is built cold, outside the registry: a new database
+		// loaded with the current rows. A statement prepared on db itself
+		// would share the long-lived statement's data holder, and compare
+		// its encoding with itself.
+		cold := coldCopy(t, db)
 		for i, st := range stmts {
 			got, err := st.Exec()
 			if err != nil {
 				t.Fatalf("step %d shape %d: %v", step, i, err)
 			}
-			fresh, err := db.Prepare(shapes[i].clauses...)
+			twin, err := db.Prepare(shapes[i].clauses...)
+			if err != nil {
+				t.Fatalf("step %d shape %d: %v", step, i, err)
+			}
+			if twin.src != st.src {
+				t.Fatalf("step %d shape %d: a statement of the same shape does not share the data holder", step, i)
+			}
+			fresh, err := cold.Prepare(shapes[i].clauses...)
 			if err != nil {
 				t.Fatalf("step %d shape %d: %v", step, i, err)
 			}
@@ -353,6 +368,33 @@ func TestStmtIncrementalRefreshParity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// coldCopy returns a new database holding db's relations with their current
+// rows (integer data only): statements prepared on it load and build from
+// nothing db's statements hold.
+func coldCopy(t *testing.T, db *DB) *DB {
+	t.Helper()
+	out := New()
+	for _, name := range db.Relations() {
+		r, _ := db.Relation(name)
+		attrs := make([]string, len(r.Schema))
+		for i, a := range r.Schema {
+			attrs[i] = strings.TrimPrefix(string(a), name+".")
+		}
+		out.MustCreate(name, attrs...)
+		rows := make([][]interface{}, len(r.Tuples))
+		for i, tp := range r.Tuples {
+			rows[i] = make([]interface{}, len(tp))
+			for j, v := range tp {
+				rows[i][j] = v
+			}
+		}
+		if err := out.InsertBatch(name, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }
 
 // TestCacheHitRateReadMostly: under a read-mostly mixed workload the plan
