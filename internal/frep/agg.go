@@ -5,9 +5,9 @@
 // The evaluator follows the algebraic structure of the representation. A
 // union is a disjoint union of relations, so partial aggregates of its
 // entries combine additively: counts and sums add, minima and maxima
-// combine by min/max, distinct-value sets union. A product is a Cartesian
-// product of independent relations, so counts multiply and sums
-// cross-combine by count-weighting:
+// combine by min/max, distinct-value sets union by a sorted merge. A
+// product is a Cartesian product of independent relations, so counts
+// multiply and sums cross-combine by count-weighting:
 //
 //	cnt(X × Y)   = cnt(X) · cnt(Y)
 //	sum_A(X × Y) = sum_A(X) · cnt(Y) + sum_A(Y) · cnt(X)
@@ -24,15 +24,26 @@
 // attributes label nodes above all aggregated ones (the layout the query
 // compiler arranges with fplan.Lift), every union below the group zone
 // holds exactly one partial group and the pass is linear in |E|.
+//
+// Nothing below the group zone allocates per entry. A distinct set is a
+// sorted slice, and mostly a view of the arena: union values are sorted
+// and distinct, so the set of a union at the node carrying a COUNT
+// DISTINCT attribute is the union's own value span, and its distinct count
+// is the span's length. Deeper down, the values below a run of entries are
+// still one contiguous run of the attribute's column, sorted once per span.
+// Sets merge pairwise only where partials of one group meet: across the
+// roots, the parallel chunks and (in trees where a non-group node sits
+// above a group attribute) the group zone's entries.
 package frep
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
-	"repro/internal/ftree"
 	"repro/internal/relation"
 )
 
@@ -88,9 +99,11 @@ type AggRow struct {
 	Vals []int64
 }
 
-// newAggEval validates the aggregation request against the tree and
-// prepares the evaluation context.
-func newAggEval(t *ftree.T, groupBy []relation.Attribute, specs []AggSpec) (*aggEval, error) {
+// newAggEval validates the aggregation request against e's tree and
+// prepares the evaluation context, with its per-node tables indexed by e's
+// pre-order node index.
+func newAggEval(ctx context.Context, e *Enc, groupBy []relation.Attribute, specs []AggSpec) (*aggEval, error) {
+	t := e.Tree
 	slot := make(map[relation.Attribute]int, len(groupBy))
 	for i, a := range groupBy {
 		if _, dup := slot[a]; dup {
@@ -109,25 +122,56 @@ func newAggEval(t *ftree.T, groupBy []relation.Attribute, specs []AggSpec) (*agg
 			return nil, fmt.Errorf("frep: aggregate attribute %q not in representation", s.Attr)
 		}
 	}
-	ev := &aggEval{slot: slot, nKey: len(groupBy), specs: specs,
-		groupBelow: map[*ftree.Node]bool{}, specBelow: map[*ftree.Node]bool{}}
-	for _, r := range t.Roots {
-		ev.markBelow(r)
+	n := len(e.ti.nodes)
+	ev := &aggEval{nKey: len(groupBy), specs: specs, ctx: ctx,
+		groupBelow: make([]bool, n), specBelow: make([]bool, n),
+		keysAt: make([][]int, n), specsAt: make([][]int, n), setNode: make([]int, len(specs))}
+	for i := range specs {
+		ev.setNode[i] = -1
+	}
+	// Children follow their parent in pre-order, so a reverse walk sees
+	// every subtree before its root.
+	for ni := n - 1; ni >= 0; ni-- {
+		for _, a := range e.ti.nodes[ni].Attrs {
+			if si, ok := slot[a]; ok {
+				ev.keysAt[ni] = append(ev.keysAt[ni], si)
+			}
+		}
+		for i, s := range specs {
+			if s.Fn != AggCount && e.ti.nodes[ni].HasAttr(s.Attr) {
+				ev.specsAt[ni] = append(ev.specsAt[ni], i)
+				if s.Fn == AggCountDistinct {
+					ev.setNode[i] = ni
+				}
+			}
+		}
+		g, sp := len(ev.keysAt[ni]) > 0, len(ev.specsAt[ni]) > 0
+		for _, ci := range e.ti.kids[ni] {
+			g, sp = g || ev.groupBelow[ci], sp || ev.specBelow[ci]
+		}
+		ev.groupBelow[ni], ev.specBelow[ni] = g, sp
 	}
 	return ev, nil
 }
 
-// finishRows folds the top-level scalar into the keyed partials and renders
-// the sorted output rows.
-func (ev *aggEval) finishRows(cur map[string]*partial, scalar *partial) []AggRow {
+// withScalar crosses the scalar partial into every keyed partial of cur, or
+// makes it the one keyed partial when there are none.
+func (ev *aggEval) withScalar(cur map[string]*partial, scalar *partial) map[string]*partial {
 	if cur == nil {
 		scalar.key = make([]relation.Value, ev.nKey)
 		cur = map[string]*partial{pkey(scalar.key): scalar}
 	} else if !scalar.isUnit() {
 		for _, p := range cur {
-			ev.mergeScalar(p, scalar)
+			ev.crossScalar(p, scalar)
 		}
 	}
+	return cur
+}
+
+// finishRows folds the top-level scalar into the keyed partials and renders
+// the sorted output rows.
+func (ev *aggEval) finishRows(cur map[string]*partial, scalar *partial) []AggRow {
+	cur = ev.withScalar(cur, scalar)
 	rows := make([]AggRow, 0, len(cur))
 	for _, p := range cur {
 		row := AggRow{Key: p.key, Vals: make([]int64, len(ev.specs))}
@@ -156,19 +200,41 @@ func (ev *aggEval) finishRows(cur map[string]*partial, scalar *partial) []AggRow
 	return rows
 }
 
-// aggEval carries the shared evaluation context.
+// aggEval carries the evaluation context. The per-node tables are built
+// once per call and shared read-only by parallel workers; everything below
+// them is private to one worker.
 type aggEval struct {
-	slot       map[relation.Attribute]int
 	nKey       int
 	specs      []AggSpec
-	groupBelow map[*ftree.Node]bool // node or a descendant holds a group attr
-	specBelow  map[*ftree.Node]bool // node or a descendant holds a spec attr
+	groupBelow []bool  // node or a descendant holds a group attr
+	specBelow  []bool  // node or a descendant holds a spec attr
+	keysAt     [][]int // group-key slots of the node's own attributes
+	specsAt    [][]int // non-COUNT specs over the node's own attributes
+	setNode    []int   // per spec: its attribute's node if COUNT DISTINCT, else -1
 	// Per-depth scratch accumulators for the scalar path: one union total
 	// and one entry partial per recursion depth, reused across the whole
 	// pass so the hot path allocates nothing. Results are consumed (sets
-	// stolen, values copied) before a slot is reused.
+	// shared, values copied) before a slot is reused.
 	uscratch []*partial
 	escratch []*partial
+	// Cancellation: ctx is polled every checkTick entries; a non-nil err
+	// ends every loop of the pass.
+	ctx  context.Context
+	tick uint
+	err  error
+}
+
+// checkTick is how many entries pass between context polls.
+const checkTick = 1024
+
+// stopped counts one entry, polls ctx on every checkTick-th (the first
+// included) and reports whether the pass has been cancelled.
+func (ev *aggEval) stopped() bool {
+	if ev.err == nil && ev.tick%checkTick == 0 {
+		ev.err = ev.ctx.Err()
+	}
+	ev.tick++
+	return ev.err != nil
 }
 
 // scratchAt returns the reset scratch partial for depth d from pool.
@@ -184,35 +250,14 @@ func (ev *aggEval) scratchAt(pool *[]*partial, d int, cnt int64) *partial {
 	return p
 }
 
-// markBelow precomputes, per node, whether its subtree touches a group or
-// an aggregated attribute.
-func (ev *aggEval) markBelow(n *ftree.Node) (g, s bool) {
-	for _, a := range n.Attrs {
-		if _, ok := ev.slot[a]; ok {
-			g = true
-		}
-	}
-	for _, sp := range ev.specs {
-		if sp.Fn != AggCount && n.HasAttr(sp.Attr) {
-			s = true
-		}
-	}
-	for _, c := range n.Children {
-		cg, cs := ev.markBelow(c)
-		g = g || cg
-		s = s || cs
-	}
-	ev.groupBelow[n] = g
-	ev.specBelow[n] = s
-	return g, s
-}
-
-// aggState is the running value of one AggSpec inside a partial.
+// aggState is the running value of one AggSpec inside a partial. A
+// distinct set is sorted ascending and immutable once stored, so partials
+// share sets freely; most are views of the arena's value columns.
 type aggState struct {
 	sum  int64
 	m    int64 // min or max of the subtree
 	mSet bool  // m holds a value (the spec's attribute is in the subtree)
-	set  map[relation.Value]struct{}
+	set  []relation.Value
 }
 
 // partial is the aggregate of one group over one subtree: the group-key
@@ -238,7 +283,7 @@ func (p *partial) isUnit() bool {
 		}
 	}
 	for i := range p.st {
-		if p.st[i].sum != 0 || p.st[i].mSet || p.st[i].set != nil {
+		if p.st[i].sum != 0 || p.st[i].mSet || len(p.st[i].set) > 0 {
 			return false
 		}
 	}
@@ -264,29 +309,27 @@ func (ev *aggEval) unit() *partial {
 	return &partial{cnt: 1, st: make([]aggState, len(ev.specs))}
 }
 
-// applyNode extends a partial by the entry's own value for every
-// aggregated attribute of the node. The attribute labels only this node,
-// so the corresponding spec state is untouched below and the updates are
-// first-writes (sum was 0, mSet false, set nil).
-func (ev *aggEval) applyNode(p *partial, v relation.Value, n *ftree.Node) {
-	for i, s := range ev.specs {
-		if s.Fn == AggCount || !n.HasAttr(s.Attr) {
-			continue
-		}
+// applyNode extends a partial by the value v of an entry of node ni for
+// every aggregated attribute of the node. The attribute labels only this
+// node, so the corresponding spec state is untouched below and the updates
+// are first-writes (sum was 0, mSet false, set empty). Distinct specs take
+// set, the entry's arena view; a nil set leaves them to the caller.
+func (ev *aggEval) applyNode(p *partial, ni int, v relation.Value, set []relation.Value) {
+	for _, i := range ev.specsAt[ni] {
 		st := &p.st[i]
-		switch s.Fn {
+		switch ev.specs[i].Fn {
 		case AggSum:
 			st.sum = satMulI(int64(v), p.cnt)
 		case AggMin, AggMax:
 			st.m, st.mSet = int64(v), true
 		case AggCountDistinct:
-			st.set = map[relation.Value]struct{}{v: {}}
+			st.set = set
 		}
 	}
 }
 
-// crossScalar folds the independent scalar q into p in place, consuming q
-// (q's sets transfer ownership).
+// crossScalar folds the independent scalar q into p in place. Attributes
+// are disjoint, so at most one side holds each state; sets are shared.
 func (ev *aggEval) crossScalar(p, q *partial) {
 	for i := range p.st {
 		a, b := &p.st[i], &q.st[i]
@@ -294,65 +337,29 @@ func (ev *aggEval) crossScalar(p, q *partial) {
 		if !a.mSet && b.mSet {
 			a.m, a.mSet = b.m, true
 		}
-		if b.set != nil {
-			a.set = b.set // disjoint attributes: a.set was nil
+		if len(b.set) > 0 {
+			a.set = b.set
 		}
 	}
 	p.cnt = satMul(p.cnt, q.cnt)
 }
 
-// mergeScalar folds the independent scalar s into p in place without
-// consuming s: s may be shared across every partial of a map, so its sets
-// are cloned.
-func (ev *aggEval) mergeScalar(p, s *partial) {
-	for i := range p.st {
-		a, b := &p.st[i], &s.st[i]
-		a.sum = satAddI(satMulI(a.sum, s.cnt), satMulI(b.sum, p.cnt))
-		if !a.mSet && b.mSet {
-			a.m, a.mSet = b.m, true
-		}
-		if b.set != nil {
-			a.set = cloneSet(b.set)
-		}
-	}
-	p.cnt = satMul(p.cnt, s.cnt)
-}
-
-// foldEntry finishes one group-zone entry: the top-level scalar merges into
-// the keyed partials, then the entry's own value extends every partial's
-// group slots and aggregate states, re-keying the map where the node is
-// "hot" (touches a key slot or a spec attribute).
-func (ev *aggEval) foldEntry(cur map[string]*partial, scalar *partial, v relation.Value, n *ftree.Node) map[string]*partial {
-	if cur == nil {
-		scalar.key = make([]relation.Value, ev.nKey)
-		cur = map[string]*partial{pkey(scalar.key): scalar}
-	} else if !scalar.isUnit() {
-		for _, p := range cur {
-			ev.mergeScalar(p, scalar)
-		}
-	}
-	hot := false
-	for _, a := range n.Attrs {
-		if _, ok := ev.slot[a]; ok {
-			hot = true
-		}
-	}
-	for _, s := range ev.specs {
-		if s.Fn != AggCount && n.HasAttr(s.Attr) {
-			hot = true
-		}
-	}
-	if !hot {
+// foldEntry finishes entry j of group-zone node ni: the top-level scalar
+// merges into the keyed partials, then the entry's own value extends every
+// partial's group slots and aggregate states, re-keying the map where the
+// node is "hot" (touches a key slot or a spec attribute).
+func (ev *aggEval) foldEntry(cur map[string]*partial, scalar *partial, e *Enc, ni int, j int32) map[string]*partial {
+	cur = ev.withScalar(cur, scalar)
+	if len(ev.keysAt[ni]) == 0 && len(ev.specsAt[ni]) == 0 {
 		return cur
 	}
+	vals := e.Vals(ni)
 	out := make(map[string]*partial, len(cur))
 	for _, p := range cur {
-		for _, a := range n.Attrs {
-			if si, ok := ev.slot[a]; ok {
-				p.key[si] = v
-			}
+		for _, si := range ev.keysAt[ni] {
+			p.key[si] = vals[j]
 		}
-		ev.applyNode(p, v, n)
+		ev.applyNode(p, ni, vals[j], vals[j:j+1:j+1])
 		k := pkey(p.key)
 		if q, ok := out[k]; ok {
 			ev.add(q, p)
@@ -363,16 +370,9 @@ func (ev *aggEval) foldEntry(cur map[string]*partial, scalar *partial, v relatio
 	return out
 }
 
-func cloneSet(s map[relation.Value]struct{}) map[relation.Value]struct{} {
-	out := make(map[relation.Value]struct{}, len(s))
-	for v := range s {
-		out[v] = struct{}{}
-	}
-	return out
-}
-
 // add merges q into p: the union of two disjoint relations with the same
-// group key.
+// group key. Sets union by one sorted merge into a fresh slice (never in
+// place: both sides may be shared, or views of the arena).
 func (ev *aggEval) add(p, q *partial) {
 	p.cnt = satAdd(p.cnt, q.cnt)
 	for i := range p.st {
@@ -388,16 +388,42 @@ func (ev *aggEval) add(p, q *partial) {
 				a.m = b.m
 			}
 		}
-		if b.set != nil {
-			if a.set == nil {
-				a.set = b.set
-			} else {
-				for v := range b.set {
-					a.set[v] = struct{}{}
-				}
-			}
+		if len(a.set) == 0 {
+			a.set = b.set
+		} else if len(b.set) > 0 {
+			a.set = unionSorted(a.set, b.set)
 		}
 	}
+}
+
+// distinctIn returns the sorted distinct values of vals: vals itself,
+// capacity clipped, when it is strictly increasing (as one union is),
+// otherwise a sorted, compacted copy.
+func distinctIn(vals []relation.Value) []relation.Value {
+	for k := 1; k < len(vals); k++ {
+		if vals[k] <= vals[k-1] {
+			out := slices.Clone(vals)
+			slices.Sort(out)
+			return slices.Compact(out)
+		}
+	}
+	return vals[:len(vals):len(vals)]
+}
+
+// unionSorted merges two sorted distinct slices into a fresh one.
+func unionSorted(x, y []relation.Value) []relation.Value {
+	out := make([]relation.Value, 0, len(x)+len(y))
+	for len(x) > 0 && len(y) > 0 {
+		switch {
+		case x[0] < y[0]:
+			out, x = append(out, x[0]), x[1:]
+		case y[0] < x[0]:
+			out, y = append(out, y[0]), y[1:]
+		default:
+			out, x, y = append(out, x[0]), x[1:], y[1:]
+		}
+	}
+	return append(append(out, x...), y...)
 }
 
 // cross combines two independent partial maps (a Cartesian product):
@@ -427,29 +453,13 @@ func (ev *aggEval) cross(m1, m2 map[string]*partial) map[string]*partial {
 		for _, p2 := range m2 {
 			np := &partial{
 				key: make([]relation.Value, ev.nKey),
-				cnt: satMul(p1.cnt, p2.cnt),
-				st:  make([]aggState, len(ev.specs)),
+				cnt: p1.cnt,
+				st:  append([]aggState(nil), p1.st...),
 			}
 			for i := range np.key {
 				np.key[i] = p1.key[i] | p2.key[i] // slots are disjoint; unset is 0
 			}
-			for i := range np.st {
-				a, b := &p1.st[i], &p2.st[i]
-				np.st[i].sum = satAddI(satMulI(a.sum, p2.cnt), satMulI(b.sum, p1.cnt))
-				if a.mSet {
-					np.st[i].m, np.st[i].mSet = a.m, true
-				} else if b.mSet {
-					np.st[i].m, np.st[i].mSet = b.m, true
-				}
-				// Clone, never share: p1/p2 are crossed against every
-				// partial of the other side, and a shared set mutated by a
-				// later merge would corrupt sibling groups.
-				if a.set != nil {
-					np.st[i].set = cloneSet(a.set)
-				} else if b.set != nil {
-					np.st[i].set = cloneSet(b.set)
-				}
-			}
+			ev.crossScalar(np, p2)
 			k := pkey(np.key)
 			if q, ok := out[k]; ok {
 				ev.add(q, np)

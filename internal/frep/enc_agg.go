@@ -4,6 +4,8 @@
 package frep
 
 import (
+	"context"
+
 	"repro/internal/relation"
 )
 
@@ -16,15 +18,7 @@ import (
 // Counts saturate at math.MaxInt64; sums saturate at ±math.MaxInt64 — like
 // Count, exact for the paper's workloads and clamped beyond.
 func (e *Enc) Aggregate(groupBy []relation.Attribute, specs []AggSpec) ([]AggRow, error) {
-	ev, err := newAggEval(e.Tree, groupBy, specs)
-	if err != nil {
-		return nil, err
-	}
-	if e.IsEmpty() {
-		return nil, nil
-	}
-	scalar := ev.unit()
-	return ev.finishRows(ev.foldRoots(e, -1, scalar, nil), scalar), nil
+	return e.AggregateParallelContext(context.Background(), groupBy, specs, 1)
 }
 
 // foldRoots folds every root union of e except skip (-1: none), in root
@@ -38,9 +32,8 @@ func (ev *aggEval) foldRoots(e *Enc, skip int, scalar *partial, cur map[string]*
 		if ri == skip {
 			continue
 		}
-		n := e.ti.nodes[ri]
 		lo, hi := int32(0), int32(e.NumEntries(ri))
-		if !ev.groupBelow[n] {
+		if !ev.groupBelow[ri] {
 			ev.crossScalar(scalar, ev.encScalarSpan(e, ri, lo, hi, 0))
 		} else if m := ev.encSpan(e, ri, lo, hi); cur == nil {
 			cur = m
@@ -53,16 +46,28 @@ func (ev *aggEval) foldRoots(e *Enc, skip int, scalar *partial, cur map[string]*
 
 // encScalarSpan aggregates entries [lo,hi) of node ni — a subtree holding
 // no group attribute — into a single partial: no maps, no keys, no
-// allocation. The returned partial lives in the depth-d scratch slot; the
-// caller must consume it before the next encScalarSpan call at that depth.
+// allocation per entry. The returned partial lives in the depth-d scratch
+// slot; the caller must consume it before the next encScalarSpan call at
+// that depth. Distinct sets skip the per-entry work: the values of a
+// descendant below a run of entries are one contiguous run of its column,
+// so the top of the scalar zone (d == 0) reads each set off the arena —
+// as a view when the run is one union, sorted and distinct already.
 func (ev *aggEval) encScalarSpan(e *Enc, ni int, lo, hi int32, d int) *partial {
-	n := e.ti.nodes[ni]
-	if !ev.specBelow[n] {
+	if !ev.specBelow[ni] {
 		return ev.scratchAt(&ev.uscratch, d, e.countSpan(ni, lo, hi))
 	}
 	total := ev.scratchAt(&ev.uscratch, d, 0)
-	for j := lo; j < hi; j++ {
+	for j := lo; j < hi && !ev.stopped(); j++ {
 		ev.add(total, ev.encScalarEntry(e, ni, j, d))
+	}
+	if d > 0 {
+		return total
+	}
+	for i, nd := range ev.setNode {
+		if ni <= nd && nd < e.ti.sub[ni] {
+			dlo, dhi := e.below(ni, nd, lo, hi)
+			total.st[i].set = distinctIn(e.Vals(nd)[dlo:dhi])
+		}
 	}
 	return total
 }
@@ -74,15 +79,26 @@ func (ev *aggEval) encScalarEntry(e *Enc, ni int, j int32, d int) *partial {
 		clo, chi := e.UnionSpan(ci, int(j))
 		ev.crossScalar(p, ev.encScalarSpan(e, ci, clo, chi, d+1))
 	}
-	ev.applyNode(p, e.Vals(ni)[j], e.ti.nodes[ni])
+	ev.applyNode(p, ni, e.Vals(ni)[j], nil)
 	return p
+}
+
+// below maps entries [lo,hi) of node ni to the entries of its descendant
+// nd beneath them: union k of a child belongs to entry k of its parent.
+func (e *Enc) below(ni, nd int, lo, hi int32) (int32, int32) {
+	if nd == ni {
+		return lo, hi
+	}
+	lo, hi = e.below(ni, e.ti.par[nd], lo, hi)
+	o := e.Offs(nd)
+	return o[lo], o[hi]
 }
 
 // encSpan aggregates entries [lo,hi) of node ni (one union of the group
 // zone), keyed by the group slots fixed inside the subtree.
 func (ev *aggEval) encSpan(e *Enc, ni int, lo, hi int32) map[string]*partial {
 	out := make(map[string]*partial, 1)
-	for j := lo; j < hi; j++ {
+	for j := lo; j < hi && !ev.stopped(); j++ {
 		for k, p := range ev.encEntry(e, ni, j) {
 			if q, ok := out[k]; ok {
 				ev.add(q, p)
@@ -101,9 +117,8 @@ func (ev *aggEval) encEntry(e *Enc, ni int, j int32) map[string]*partial {
 	scalar := ev.unit()
 	var cur map[string]*partial
 	for _, ci := range e.ti.kids[ni] {
-		cn := e.ti.nodes[ci]
 		clo, chi := e.UnionSpan(ci, int(j))
-		if !ev.groupBelow[cn] {
+		if !ev.groupBelow[ci] {
 			ev.crossScalar(scalar, ev.encScalarSpan(e, ci, clo, chi, 0))
 		} else if m := ev.encSpan(e, ci, clo, chi); cur == nil {
 			cur = m
@@ -111,5 +126,5 @@ func (ev *aggEval) encEntry(e *Enc, ni int, j int32) map[string]*partial {
 			cur = ev.cross(cur, m)
 		}
 	}
-	return ev.foldEntry(cur, scalar, e.Vals(ni)[j], e.ti.nodes[ni])
+	return ev.foldEntry(cur, scalar, e, ni, j)
 }

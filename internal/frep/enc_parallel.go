@@ -6,6 +6,7 @@
 package frep
 
 import (
+	"context"
 	"sync"
 
 	"repro/internal/relation"
@@ -20,24 +21,44 @@ type aggChunk struct {
 	keyed  map[string]*partial
 }
 
-// AggregateParallel is Aggregate evaluated by p workers: the entries of the
-// largest root union split into contiguous chunks, each worker folds its
-// chunk with a private evaluator, and the per-chunk partials combine with
-// the additive union combinator before the remaining roots (if any) are
-// folded in serially. p <= 1, empty representations and roots too small to
-// split all fall back to the serial pass; results are identical to
-// Aggregate in every case.
+// AggregateParallel is AggregateParallelContext without cancellation.
 func (e *Enc) AggregateParallel(groupBy []relation.Attribute, specs []AggSpec, p int) ([]AggRow, error) {
-	pivot, n := e.largestRoot()
-	if p <= 1 || e.IsEmpty() || int(n) < 2*p {
-		return e.Aggregate(groupBy, specs)
-	}
-	ev, err := newAggEval(e.Tree, groupBy, specs)
-	if err != nil {
+	return e.AggregateParallelContext(context.Background(), groupBy, specs, p)
+}
+
+// AggregateParallelContext is Aggregate evaluated by p workers: the entries
+// of the largest root union split into contiguous chunks, each worker folds
+// its chunk with private scratch over the shared per-node tables, and the
+// per-chunk partials combine with the additive union combinator before the
+// remaining roots (if any) are folded in serially. p <= 1, empty
+// representations and roots too small to split all take the serial pass;
+// results are identical to Aggregate in every case. Every pass polls ctx
+// once per 1024 entries and aborts with its error.
+func (e *Enc) AggregateParallelContext(ctx context.Context, groupBy []relation.Attribute, specs []AggSpec, p int) ([]AggRow, error) {
+	ev, err := newAggEval(ctx, e, groupBy, specs)
+	if err != nil || e.IsEmpty() {
 		return nil, err
 	}
-	pivotNode := e.ti.nodes[pivot]
+	scalar := ev.unit()
+	var cur map[string]*partial
+	pivot, n := e.largestRoot()
+	if p <= 1 || int(n) < 2*p {
+		pivot = -1
+	} else if cur, err = ev.foldChunks(e, pivot, n, p, scalar); err != nil {
+		return nil, err
+	}
+	// Remaining roots fold in serially.
+	cur = ev.foldRoots(e, pivot, scalar, cur)
+	if ev.err != nil {
+		return nil, ev.err
+	}
+	return ev.finishRows(cur, scalar), nil
+}
 
+// foldChunks folds the n entries of root pivot with p workers into scalar
+// and the returned keyed partials. ev must be fresh: each worker runs on a
+// copy, which shares its read-only tables and owns its scratch.
+func (ev *aggEval) foldChunks(e *Enc, pivot int, n int32, p int, scalar *partial) (map[string]*partial, error) {
 	chunks := make([]*aggChunk, p)
 	for i := range chunks {
 		chunks[i] = &aggChunk{lo: chunkBound(n, i, p), hi: chunkBound(n, i+1, p)}
@@ -48,21 +69,15 @@ func (e *Enc) AggregateParallel(groupBy []relation.Attribute, specs []AggSpec, p
 		wg.Add(1)
 		go func(i int, c *aggChunk) {
 			defer wg.Done()
-			// A private evaluator per worker: the scratch accumulators and
-			// groupBelow/specBelow tables are not shareable.
-			wev, werr := newAggEval(e.Tree, groupBy, specs)
-			if werr != nil {
-				errs[i] = werr
-				return
-			}
-			if !wev.groupBelow[pivotNode] {
-				// Detach the result from the worker's scratch slot: the
-				// evaluator dies with the goroutine, so its sets transfer.
-				s := wev.encScalarSpan(e, pivot, c.lo, c.hi, 0)
-				c.scalar = &partial{cnt: s.cnt, st: append([]aggState(nil), s.st...)}
+			wev := *ev
+			if !wev.groupBelow[pivot] {
+				// The worker's scratch dies with it, so its slot is the
+				// chunk's result.
+				c.scalar = wev.encScalarSpan(e, pivot, c.lo, c.hi, 0)
 			} else {
 				c.keyed = wev.encSpan(e, pivot, c.lo, c.hi)
 			}
+			errs[i] = wev.err
 		}(i, c)
 	}
 	wg.Wait()
@@ -73,29 +88,25 @@ func (e *Enc) AggregateParallel(groupBy []relation.Attribute, specs []AggSpec, p
 	}
 
 	// Combine the chunks — they partition one union, so partials add.
-	scalar := ev.unit()
-	var cur map[string]*partial
-	if !ev.groupBelow[pivotNode] {
+	if !ev.groupBelow[pivot] {
 		total := &partial{st: make([]aggState, len(ev.specs))}
 		for _, c := range chunks {
 			ev.add(total, c.scalar)
 		}
 		ev.crossScalar(scalar, total)
-	} else {
-		cur = chunks[0].keyed
-		for _, c := range chunks[1:] {
-			for k, q := range c.keyed {
-				if pp, ok := cur[k]; ok {
-					ev.add(pp, q)
-				} else {
-					cur[k] = q
-				}
+		return nil, nil
+	}
+	cur := chunks[0].keyed
+	for _, c := range chunks[1:] {
+		for k, q := range c.keyed {
+			if pp, ok := cur[k]; ok {
+				ev.add(pp, q)
+			} else {
+				cur[k] = q
 			}
 		}
 	}
-
-	// Remaining roots fold in serially, exactly as in Aggregate.
-	return ev.finishRows(ev.foldRoots(e, pivot, scalar, cur), scalar), nil
+	return cur, nil
 }
 
 // chunkBound returns the i-th of p boundaries over [0, n) — in 64-bit, since

@@ -220,7 +220,8 @@ func (st *Stmt) ExecAgg(args ...NamedArg) (*AggResult, error) {
 	return st.ExecAggContext(context.Background(), args...)
 }
 
-// ExecAggContext is ExecAgg with cancellation.
+// ExecAggContext is ExecAgg with cancellation: the build, the baked
+// projection and the aggregation pass observe ctx and abort with its error.
 func (st *Stmt) ExecAggContext(ctx context.Context, args ...NamedArg) (*AggResult, error) {
 	if len(st.aggs) == 0 {
 		return nil, fmt.Errorf("fdb: statement has no aggregates; use Exec")
@@ -229,7 +230,7 @@ func (st *Stmt) ExecAggContext(ctx context.Context, args ...NamedArg) (*AggResul
 	if err != nil {
 		return nil, err
 	}
-	rows, err := fr.AggregateParallel(st.groupBy, st.aggs, st.db.Parallelism())
+	rows, err := fr.AggregateParallelContext(ctx, st.groupBy, st.aggs, st.db.Parallelism())
 	if err != nil {
 		return nil, err
 	}
@@ -324,18 +325,27 @@ func (st *Stmt) refresh(ctx context.Context) (*stmtData, error) {
 	return nd, nil
 }
 
-// load derives input i's snapshot from a state: a private tuple-slice header
-// over the state's shared (read-only) tuples, deduped, pre-filtered by the
-// baked constant selections and sorted in the input's f-tree path order.
+// load derives input i's snapshot from a state: a private tuple slice over
+// the state's shared (read-only) tuples, pre-filtered by the baked constant
+// selections, sorted once in the input's f-tree path order and deduped.
+// SortBy breaks ties on every remaining column, so duplicates are adjacent.
 func (st *Stmt) load(i int, state *delta.State) *relation.Relation {
 	live := state.Live()
-	r := relation.New(live.Name, live.Schema)
-	r.Tuples = append(make([]relation.Tuple, 0, len(live.Tuples)), live.Tuples...)
-	r.Dedup()
+	var r *relation.Relation
 	if f := st.inputs[i].filter; f != nil {
-		r = r.Filter(f)
+		r = live.Filter(f)
+	} else {
+		r = relation.New(live.Name, live.Schema)
+		r.Tuples = append(make([]relation.Tuple, 0, len(live.Tuples)), live.Tuples...)
 	}
 	r.SortBy(st.inputs[i].sortAttrs)
+	out := r.Tuples[:0]
+	for _, t := range r.Tuples {
+		if len(out) == 0 || t.Compare(out[len(out)-1]) != 0 {
+			out = append(out, t)
+		}
+	}
+	r.Tuples = out
 	return r
 }
 

@@ -2,11 +2,17 @@ package fdb
 
 import (
 	"context"
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/csvio"
+	"repro/internal/relation"
 )
 
 func prepQ1Item(t *testing.T, db *DB) *Stmt {
@@ -410,6 +416,105 @@ func TestExecContextCancellation(t *testing.T) {
 	}
 	if res.Count() != 20*20*20 {
 		t.Fatalf("exec after a cancelled load: %d tuples, want %d", res.Count(), 20*20*20)
+	}
+}
+
+// TestLoadRepeatedRows: a bulk load with repeated rows reaches a statement
+// as the set it denotes, filtered by a baked constant or not. Both
+// statements match the flat oracle over the deduplicated inputs, also once
+// a delete of a repeated row is folded into the loaded snapshot (which
+// removes one copy of a tuple, so the snapshot must hold only one).
+func TestLoadRepeatedRows(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"R": "R\ta\tb\n1\t10\n2\t20\n1\t10\n3\t30\n2\t20\n1\t10\n3\t31\n1\t20\n",
+		"S": "S\tb\tc\n10\t100\n10\t100\n20\t200\n30\t300\n31\t310\n20\t201\n20\t200\n",
+	}
+	db := New()
+	for _, name := range []string{"R", "S"} {
+		path := filepath.Join(dir, name+".tsv")
+		if err := os.WriteFile(path, []byte(files[name]), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.LoadTSV(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stmts := map[bool]*Stmt{}
+	for _, filtered := range []bool{false, true} {
+		clauses := []Clause{From("R", "S"), Eq("R.b", "S.b")}
+		if filtered {
+			clauses = append(clauses, Cmp("R.a", LE, 2))
+		}
+		stmt, err := db.Prepare(clauses...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stmts[filtered] = stmt
+	}
+	check := func(step string) {
+		t.Helper()
+		for filtered, stmt := range stmts {
+			q := &core.Query{Equalities: []core.Equality{{A: "R.b", B: "S.b"}}}
+			for _, name := range []string{"R", "S"} {
+				r, _ := db.Relation(name)
+				r = r.Clone()
+				if filtered && name == "R" {
+					r = r.Filter(func(tp relation.Tuple) bool { return tp[0] <= 2 })
+				}
+				r.Dedup()
+				q.Relations = append(q.Relations, r)
+			}
+			res, err := stmt.Exec()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := sortedRows(t, res), flatRows(t, q); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, filtered=%v:\n got %v\nwant %v", step, filtered, got, want)
+			}
+		}
+	}
+	check("loaded")
+	if err := db.Delete("R", 1, 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Delete("S", 20, 200); err != nil {
+		t.Fatal(err)
+	}
+	check("after deletes")
+}
+
+// TestExecAggContextCancellation: a cancelled context aborts the
+// aggregation pass itself, not only the load: the statement's encoding is
+// memoised by a first execution, so the second has nothing else to abort.
+func TestExecAggContextCancellation(t *testing.T) {
+	db := New()
+	db.MustCreate("A", "x", "p")
+	db.MustCreate("B", "y", "q")
+	for i := 0; i < 2000; i++ {
+		db.MustInsert("A", i%40, i)
+		db.MustInsert("B", i%40, i%97)
+	}
+	stmt, err := db.Prepare(From("A", "B"), Eq("A.x", "B.y"), GroupBy("A.x"),
+		Agg(Count, ""), Agg(CountDistinct, "B.q"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := stmt.ExecAgg()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := stmt.ExecAggContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	got, err := stmt.ExecAgg()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Rows(0), want.Rows(0)) || got.Len() != 40 {
+		t.Fatalf("after a cancelled aggregation: %v, want %v", got.Rows(0), want.Rows(0))
 	}
 }
 
