@@ -22,10 +22,11 @@ type CacheStats struct {
 
 // planCache is an LRU map from canonical query fingerprint to compiled
 // statement, and from (f-tree, conditions) key to the f-plan Result.Where
-// runs. Entries survive data writes: cached statements refresh their
-// snapshots incrementally from the relations' delta chains, so invalidation
-// is reserved for schema-level changes (a relation name reappearing in the
-// catalogue), keyed by the relation names each plan reads.
+// runs. Nothing invalidates an entry; only the LRU evicts. Data writes do
+// not stale a statement (it refreshes its inputs from the relations' delta
+// chains), and neither do schema changes: the catalogue only grows, Create
+// and LoadTSV refuse an existing name, and binding refuses an unknown one,
+// so no cached plan can read a relation that enters the catalogue later.
 type planCache struct {
 	mu           sync.Mutex
 	ll           *list.List // front = most recently used
@@ -38,7 +39,6 @@ type cacheEntry struct {
 	key   string
 	stmt  *Stmt
 	fplan *opt.PlanResult // immutable, shared by every Where that hits it
-	names map[string]bool // relations the plan reads; none for an f-plan
 }
 
 func newPlanCache() *planCache {
@@ -57,13 +57,9 @@ func (c *planCache) get(key string) (cacheEntry, bool) {
 	return cacheEntry{}, false
 }
 
-func (c *planCache) put(ce cacheEntry, names ...string) {
+func (c *planCache) put(ce cacheEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ce.names = make(map[string]bool, len(names))
-	for _, n := range names {
-		ce.names[n] = true
-	}
 	if el, ok := c.byKey[ce.key]; ok {
 		el.Value = &ce
 		c.ll.MoveToFront(el)
@@ -87,21 +83,6 @@ func (c *planCache) entries() []cacheEntry {
 		out = append(out, *el.Value.(*cacheEntry))
 	}
 	return out
-}
-
-// invalidate evicts every entry whose plan reads the named relation. Data
-// writes never call this (statements self-refresh per delta); it fires on
-// schema-level changes — a name entering the catalogue — so a plan compiled
-// against a former universe of relations can never serve the new one.
-func (c *planCache) invalidate(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for key, el := range c.byKey {
-		if el.Value.(*cacheEntry).names[name] {
-			c.ll.Remove(el)
-			delete(c.byKey, key)
-		}
-	}
 }
 
 func (c *planCache) stats() CacheStats {

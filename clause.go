@@ -10,9 +10,10 @@ import (
 )
 
 // Clause is one element of a query: relation list, equality, constant (or
-// parameterised) selection, projection, grouping or aggregation. Clauses
-// are built with From, Eq, Cmp, Project, GroupBy and Agg and compiled by
-// Query, QueryAgg, Prepare and Result.Where.
+// parameterised) selection, projection, grouping, aggregation or a retrieval
+// clause (OrderBy, Offset, Limit, Distinct). Clauses are built with From,
+// Eq, Cmp, Project, GroupBy, Agg and the retrieval constructors and compiled
+// by Query, QueryAgg, Prepare and Result.Where (and so Join).
 type Clause interface{ apply(*spec) error }
 
 // specMode says which clause kinds a compilation site accepts.
@@ -20,7 +21,7 @@ type specMode int
 
 const (
 	modeQuery specMode = iota // Query / Prepare: all clauses
-	modeWhere                 // Result.Where / Result.Join: no From
+	modeWhere                 // Result.Where / Result.Join: no From, Param, GroupBy or Agg
 )
 
 // spec is the compiled clause list, before binding to a database.
@@ -37,7 +38,7 @@ type spec struct {
 
 // outClauses are the clauses that shape how a finished result leaves the
 // engine; a spec collects them, a compiled statement carries them, and
-// DB.dress applies them (Stmt.Exec and QuerySet alike).
+// DB.dress applies them (Stmt.Exec and Result.Where alike).
 type outClauses struct {
 	order    []frep.OrderKey // ORDER BY keys; empty: enumeration order
 	offset   int             // tuples to skip
@@ -253,9 +254,6 @@ func Desc(attr string) Key { return Key{Attr: attr, Desc: true} }
 type orderByClause []interface{}
 
 func (o orderByClause) apply(s *spec) error {
-	if s.mode == modeWhere {
-		return fmt.Errorf("fdb: OrderBy is not allowed in Where/Join; order the query that produces the final result")
-	}
 	if len(o) == 0 {
 		return fmt.Errorf("fdb: OrderBy needs at least one key")
 	}
@@ -298,9 +296,6 @@ func OrderBy(keys ...interface{}) Clause { return orderByClause(keys) }
 type limitClause int
 
 func (l limitClause) apply(s *spec) error {
-	if s.mode == modeWhere {
-		return fmt.Errorf("fdb: Limit is not allowed in Where/Join; limit the query that produces the final result")
-	}
 	if l < 0 {
 		return fmt.Errorf("fdb: Limit needs n >= 0, got %d", int(l))
 	}
@@ -319,9 +314,6 @@ func Limit(n int) Clause { return limitClause(n) }
 type offsetClause int
 
 func (o offsetClause) apply(s *spec) error {
-	if s.mode == modeWhere {
-		return fmt.Errorf("fdb: Offset is not allowed in Where/Join; offset the query that produces the final result")
-	}
 	if o < 0 {
 		return fmt.Errorf("fdb: Offset needs n >= 0, got %d", int(o))
 	}
@@ -338,9 +330,6 @@ func Offset(n int) Clause { return offsetClause(n) }
 type distinctClause struct{}
 
 func (distinctClause) apply(s *spec) error {
-	if s.mode == modeWhere {
-		return fmt.Errorf("fdb: Distinct is not allowed in Where/Join")
-	}
 	if s.distinct {
 		return fmt.Errorf("fdb: Distinct given twice")
 	}

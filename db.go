@@ -90,7 +90,6 @@ func (db *DB) Create(name string, attrs ...string) error {
 	db.ver++
 	db.stores[name] = delta.NewStore(name, sch, db.ver)
 	db.ord = append(db.ord, name)
-	db.cache.invalidate(name)
 	return nil
 }
 
@@ -270,7 +269,6 @@ func (db *DB) LoadTSV(path string) (string, error) {
 	db.ver++
 	db.stores[rel.Name] = delta.FromRelation(rel, db.ver)
 	db.ord = append(db.ord, rel.Name)
-	db.cache.invalidate(rel.Name)
 	return rel.Name, nil
 }
 
@@ -360,16 +358,10 @@ func adhocSpec(clauses []Clause, agg bool) (*spec, error) {
 	case !agg && len(s.aggs) > 0:
 		return nil, fmt.Errorf("fdb: query computes aggregates; use QueryAgg")
 	}
-	return s, s.noParams()
-}
-
-// noParams rejects placeholders on the surfaces that execute immediately
-// (adhocSpec, QuerySet legs).
-func (s *spec) noParams() error {
 	if ps := s.params(); len(ps) > 0 {
-		return fmt.Errorf("fdb: unbound parameter %q: use Prepare and Exec for parameterised queries", ps[0])
+		return nil, fmt.Errorf("fdb: unbound parameter %q: use Prepare and Exec for parameterised queries", ps[0])
 	}
-	return nil
+	return s, nil
 }
 
 // PrepareCached is Prepare through the plan cache: the compiled statement
@@ -377,11 +369,12 @@ func (s *spec) noParams() error {
 // placeholders included — so many callers preparing the same query shape
 // (the server front-end's connections, most prominently) share one
 // compiled plan. Statements are safe for concurrent Exec, so the sharing is
-// free; an entry stays cached until a schema change invalidates its
-// relations or the LRU evicts it. The data goes further than the plan:
-// every live statement whose inputs, baked constant selections and f-tree
-// are equal — across fingerprints, cached or not — shares one set of
-// refreshed inputs and one memoised encoded representation.
+// free; an entry stays cached until the LRU evicts it (the catalogue only
+// grows and binding refuses unknown relations, so no later Create or
+// LoadTSV can change what a cached plan reads). The data goes further than
+// the plan: every live statement whose inputs, baked constant selections
+// and f-tree are equal — across fingerprints, cached or not — shares one
+// set of refreshed inputs and one memoised encoded representation.
 func (db *DB) PrepareCached(clauses ...Clause) (*Stmt, error) {
 	s, err := compileSpec(modeQuery, clauses)
 	if err != nil {
@@ -409,7 +402,7 @@ func (db *DB) cachedStmt(s *spec) (*Stmt, error) {
 		return nil, err
 	}
 	st.fp = key
-	db.cache.put(cacheEntry{key: key, stmt: st}, s.from...)
+	db.cache.put(cacheEntry{key: key, stmt: st})
 	return st, nil
 }
 

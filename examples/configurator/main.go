@@ -74,7 +74,7 @@ func main() {
 	fmt.Printf("  configurations: %d, singletons: %d\n", pick.Count(), pick.Size())
 
 	// Which CPUs remain available together with compatible memory?
-	options, err := pick.ProjectTo("CC.cpu", "CM.mem")
+	options, err := pick.Where(fdb.Project("CC.cpu", "CM.mem"))
 	must(err)
 	fmt.Printf("  remaining (cpu, mem) options: %d, factorised in %d singletons\n",
 		options.Count(), options.Size())

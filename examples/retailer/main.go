@@ -56,7 +56,7 @@ func main() {
 	fmt.Printf("  tuples %d, singletons %d (flat would be %d)\n",
 		local.Count(), local.Size(), local.FlatSize())
 
-	pairs, err := local.ProjectTo("Orders.oid", "Disp.dispatcher")
+	pairs, err := local.Where(fdb.Project("Orders.oid", "Disp.dispatcher"))
 	must(err)
 	fmt.Println("\nπ oid,dispatcher of that:")
 	fmt.Printf("  tuples %d, singletons %d\n", pairs.Count(), pairs.Size())

@@ -37,7 +37,16 @@
 //		fdb.Eq("Orders.item", "Store.item"),
 //		fdb.Eq("Store.location", "Disp.location"))
 //	fmt.Println(res.Size(), res.Count()) // singletons vs tuples
-//	res2, err := res.Where(fdb.Eq("Orders.item", "Produce.item")) // on factorised data
+//	res2, err := res.Where(fdb.Cmp("Disp.dispatcher", fdb.EQ, "Adnan"),
+//		fdb.Project("Orders.oid", "Disp.location"),
+//		fdb.OrderBy("Orders.oid"), fdb.Limit(10)) // on factorised data
+//
+// A result is refined one way, with Where: it takes the clauses a query
+// takes (From, parameters and aggregation excepted), and the last Where
+// finishes the result with OrderBy, Offset, Limit and Distinct. Join (the
+// paper's Example 2, joining two factorised results) and the set
+// operations Union, UnionAll, Except and Intersect combine results; Join
+// hands its clauses to Where.
 //
 // Aggregates (COUNT, SUM, MIN, MAX, COUNT DISTINCT — optionally grouped)
 // are computed in a single pass over the factorised representation, in

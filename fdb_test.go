@@ -1,8 +1,15 @@
 package fdb
 
 import (
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/frep"
+	"repro/internal/rdb"
+	"repro/internal/relation"
 )
 
 // grocery loads Figure 1 through the public API.
@@ -97,7 +104,7 @@ func TestResultStringGolden(t *testing.T) {
 		return r
 	}
 	adnan := must(res.Where(Cmp("Disp.dispatcher", EQ, "Adnan")))
-	proj := must(adnan.ProjectTo("Orders.oid", "Orders.item", "Disp.dispatcher", "Disp.location"))
+	proj := must(adnan.Where(Project("Orders.oid", "Orders.item", "Disp.dispatcher", "Disp.location")))
 	forest := must(proj.Join(must(db.Query(From("Produce")))))
 	if got, want := forest.FTree(), "Orders.item,Store.item~\n  Orders.oid\n  Disp.location,Store.location~\nDisp.dispatcher=const\nProduce.supplier\n  Produce.item\n"; got != want {
 		t.Fatalf("forest fixture changed shape:\n%s", got)
@@ -152,6 +159,80 @@ func TestExample2JoinOnFactorisedResults(t *testing.T) {
 	}
 }
 
+// TestJoinThenOrder finishes Example 2's Q1 ⋈ Q2 with OrderBy, Offset and
+// Limit among the join's own clauses: the tuples must be the flat oracle's
+// full join sorted by the retrieval comparator and clipped to the same
+// window, once on keys the joined f-tree streams (its root class, then a
+// child) and once on a leaf key that no sibling reordering brings to the
+// front of the pre-order, which takes the heap fallback.
+func TestJoinThenOrder(t *testing.T) {
+	db := grocery(t)
+	q := &core.Query{Equalities: []core.Equality{
+		{A: "Orders.item", B: "Store.item"}, {A: "Store.location", B: "Disp.location"},
+		{A: "Produce.supplier", B: "Serve.supplier"},
+		{A: "Orders.item", B: "Produce.item"}, {A: "Store.location", B: "Serve.location"},
+	}}
+	for _, name := range []string{"Orders", "Store", "Disp", "Produce", "Serve"} {
+		r, _ := db.Relation(name)
+		q.Relations = append(q.Relations, r)
+	}
+	flat, err := rdb.Evaluate(q, rdb.Options{Materialize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const offset, limit = 2, 5
+	for _, c := range []struct {
+		name     string
+		keys     []frep.OrderKey
+		streamed bool
+	}{
+		{"streams", []frep.OrderKey{{Attr: "Orders.item", Desc: true}, {Attr: "Orders.oid"}}, true},
+		{"heap fallback", []frep.OrderKey{{Attr: "Disp.dispatcher"}}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var order []interface{}
+			for _, k := range c.keys {
+				order = append(order, Key{Attr: string(k.Attr), Desc: k.Desc})
+			}
+			res, err := q1(t, db).Join(q2(t, db),
+				Eq("Orders.item", "Produce.item"), Eq("Store.location", "Serve.location"),
+				OrderBy(order...), Offset(offset), Limit(limit))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.OrderStreamed() != c.streamed {
+				t.Fatalf("OrderStreamed() = %v on f-tree\n%s", res.OrderStreamed(), res.FTree())
+			}
+			var schema relation.Schema
+			for _, a := range res.Schema() {
+				schema = append(schema, relation.Attribute(a))
+			}
+			var want []relation.Tuple
+			for _, tp := range flat.Relation.Tuples {
+				row := make(relation.Tuple, len(schema))
+				for i, a := range schema {
+					row[i] = tp[flat.Relation.Schema.Index(a)]
+				}
+				want = append(want, row)
+			}
+			cmp := frep.TupleCompare(schema, c.keys, db.orderLess())
+			sort.Slice(want, func(i, j int) bool { return cmp(want[i], want[j]) < 0 })
+			if len(want) < offset+limit {
+				t.Fatalf("fixture has %d tuples, the window needs %d", len(want), offset+limit)
+			}
+			want = want[offset : offset+limit]
+			var got []relation.Tuple
+			it := res.Iter()
+			for tp, ok := it.Next(); ok; tp, ok = it.Next() {
+				got = append(got, tp.Clone())
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("window\n%v\nwant\n%v", got, want)
+			}
+		})
+	}
+}
+
 func TestWhereConstAndProject(t *testing.T) {
 	db := grocery(t)
 	res := q1(t, db)
@@ -173,7 +254,7 @@ func TestWhereConstAndProject(t *testing.T) {
 	if milkOnly.Count() != 4 {
 		t.Fatalf("milk rows = %d, want 4", milkOnly.Count())
 	}
-	proj, err := res.ProjectTo("Orders.oid", "Disp.dispatcher")
+	proj, err := res.Where(Project("Orders.oid", "Disp.dispatcher"))
 	if err != nil {
 		t.Fatal(err)
 	}

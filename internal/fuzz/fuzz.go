@@ -4,9 +4,9 @@
 // a projection or a group-by aggregation, and (for tuple results) random
 // OrderBy keys (mixed asc/desc, tree-compatible and incompatible),
 // Limit/Offset and Distinct — runs it through the public fdb surface (once
-// as a single query and once split in two results that are joined, filtered
-// and projected after the fact, so the f-plan operators restructure built
-// representations), and checks the result against the flat
+// as a single query and once split in two results that are joined,
+// filtered, projected and ordered after the fact, so the f-plan operators
+// restructure built representations), and checks the result against the flat
 // internal/rdb oracle as an exact tuple *sequence*: the engine's
 // enumeration order is deterministic (ORDER BY keys first, remaining
 // columns ascending), so the oracle sorts its flat result with the same
@@ -529,12 +529,23 @@ func (c *Case) checkPlain(db Querier, clauses []fdb.Clause, flat *relation.Relat
 // tupleClauses appends the case's projection and retrieval clauses.
 func (c *Case) tupleClauses(clauses []fdb.Clause) []fdb.Clause {
 	if c.project != nil {
-		ps := make([]string, len(c.project))
-		for i, a := range c.project {
-			ps[i] = string(a)
-		}
-		clauses = append(clauses, fdb.Project(ps...))
+		clauses = append(clauses, projectClause(c.project))
 	}
+	return append(clauses, c.retrievalClauses()...)
+}
+
+// projectClause renders a projection as an fdb Project clause.
+func projectClause(attrs []relation.Attribute) fdb.Clause {
+	ps := make([]string, len(attrs))
+	for i, a := range attrs {
+		ps[i] = string(a)
+	}
+	return fdb.Project(ps...)
+}
+
+// retrievalClauses renders the case's OrderBy, Distinct, Offset and Limit.
+func (c *Case) retrievalClauses() []fdb.Clause {
+	var clauses []fdb.Clause
 	if len(c.orderBy) > 0 {
 		keys := make([]interface{}, len(c.orderBy))
 		for i, k := range c.orderBy {
@@ -561,12 +572,15 @@ func (c *Case) tupleClauses(clauses []fdb.Clause) []fdb.Clause {
 // checkRestructured answers the case's join the long way round: the
 // relations are split in two halves, each half is queried on its own, the
 // two factorised results are joined on the equalities that cross the split,
-// the equalities and selections held back from the halves are applied with
-// Where on the joined result, and a ProjectTo follows. The outcome must be
-// the one-shot query's oracle result. This is the leg that reaches
-// Result.Join/Where/ProjectTo, hence plan-driven swaps, merges and absorbs
-// over built representations. It draws from its own random stream, so the
-// case derivation (and every recorded seed) is unchanged by it.
+// and one final Where on the joined result applies the equalities and
+// selections held back from the halves, the projection, and — when the
+// case's order keys survive that projection — the case's retrieval
+// clauses. The outcome must be the one-shot query's oracle result, ordered
+// and clipped as the case asks. This is the leg that reaches
+// Result.Join/Where, hence plan-driven swaps, merges and absorbs over built
+// representations, and ordered retrieval over the encodings they
+// restructured. It draws from its own random stream, so the case
+// derivation (and every recorded seed) is unchanged by it.
 func (c *Case) checkRestructured(db Querier, flat *relation.Relation, fail func(string, ...interface{}) error) error {
 	rng := rand.New(rand.NewSource(c.Seed ^ 0x5ca1ab1e))
 	cut := 1 + rng.Intn(len(c.rels)-1)
@@ -640,27 +654,31 @@ func (c *Case) checkRestructured(db Querier, flat *relation.Relation, fail func(
 			return fail("restructured: join is not what the searched f-plan %s builds (%v)", found.Plan, err)
 		}
 	}
-	if len(later) > 0 {
-		if res, err = res.Where(later...); err != nil {
+	// The case's retrieval clauses ride on the final Where unless it
+	// projects an order key away; the result is then compared unordered.
+	final, want, ordered := later, flat, true
+	if project != nil {
+		final = append(final, projectClause(project))
+		want = flat.Project(project) // set semantics, like the engine
+		kept := relation.NewAttrSet(project...)
+		for _, k := range c.orderBy {
+			ordered = ordered && kept.Has(k.Attr)
+		}
+	}
+	expect := *c
+	if ordered {
+		final = append(final, c.retrievalClauses()...)
+	} else {
+		expect.orderBy, expect.offset, expect.limit = nil, 0, -1
+	}
+	if len(final) > 0 {
+		if res, err = res.Where(final...); err != nil {
 			return fail("restructured: where: %v", err)
 		}
 	}
-	want := flat
-	if project != nil {
-		ps := make([]string, len(project))
-		for i, a := range project {
-			ps[i] = string(a)
-		}
-		if res, err = res.ProjectTo(ps...); err != nil {
-			return fail("restructured: project: %v", err)
-		}
-		want = flat.Project(project) // set semantics, like the engine
-	}
-	// Join, Where and ProjectTo results carry no retrieval clauses.
-	plain := *c
-	plain.orderBy, plain.offset, plain.limit = nil, 0, -1
-	if err := plain.comparePlain(res, want, fail); err != nil {
-		return fmt.Errorf("restructured (cut %d, %d cross, %d later, project %v): %w", cut, len(cross), len(later), project, err)
+	if err := expect.comparePlain(res, want, fail); err != nil {
+		return fmt.Errorf("restructured (cut %d, %d cross, %d later, project %v, ordered %v): %w",
+			cut, len(cross), len(later), project, ordered, err)
 	}
 	return nil
 }
@@ -747,10 +765,10 @@ func (c *Case) comparePlain(res *fdb.Result, want *relation.Relation, fail func(
 	return nil
 }
 
-// checkSet runs the case's set operation through QuerySet (and, when no
-// ordering/clipping clauses ride on the case, additionally through the
-// Result methods) and compares against the flat rdb set-algebra mirror over
-// the two legs' oracle results.
+// checkSet runs the case's set operation over the two legs' results with
+// the Result method, finishes it with the case's retrieval clauses through
+// Where, and compares against the flat rdb set-algebra mirror over the two
+// legs' oracle results.
 func (c *Case) checkSet(db *fdb.DB, base []fdb.Clause, flat1 *relation.Relation, fail func(string, ...interface{}) error) error {
 	flat2, err := c.oracleFlat(c.sels2)
 	if err != nil {
@@ -759,33 +777,27 @@ func (c *Case) checkSet(db *fdb.DB, base []fdb.Clause, flat1 *relation.Relation,
 	if flat2 == nil {
 		return nil // past the materialisation cap
 	}
-	leg := func(sels []core.ConstSel) []fdb.Clause {
+	leg := func(sels []core.ConstSel) (*fdb.Result, error) {
 		cl := append(append([]fdb.Clause{}, base...), c.selClauses(sels)...)
 		if c.project != nil {
-			ps := make([]string, len(c.project))
-			for i, a := range c.project {
-				ps[i] = string(a)
-			}
-			cl = append(cl, fdb.Project(ps...))
+			cl = append(cl, projectClause(c.project))
 		}
-		return cl
+		return db.Query(cl...)
 	}
 	want1, want2 := flat1, flat2
 	if c.project != nil {
 		want1 = flat1.Project(c.project) // set semantics per leg, like the engine
 		want2 = flat2.Project(c.project)
 	}
-	type setRef func(a, b *relation.Relation) (*relation.Relation, error)
 	ops := map[int]struct {
 		name string
-		expr func(a, b *fdb.SetExpr) *fdb.SetExpr
 		meth func(a, b *fdb.Result) (*fdb.Result, error)
-		ref  setRef
+		ref  func(a, b *relation.Relation) (*relation.Relation, error)
 	}{
-		1: {"union", fdb.Union, (*fdb.Result).Union, rdb.Union},
-		2: {"union all", fdb.UnionAll, (*fdb.Result).UnionAll, rdb.UnionAll},
-		3: {"except", fdb.Except, (*fdb.Result).Except, rdb.Except},
-		4: {"intersect", fdb.Intersect, (*fdb.Result).Intersect, rdb.Intersect},
+		1: {"union", (*fdb.Result).Union, rdb.Union},
+		2: {"union all", (*fdb.Result).UnionAll, rdb.UnionAll},
+		3: {"except", (*fdb.Result).Except, rdb.Except},
+		4: {"intersect", (*fdb.Result).Intersect, rdb.Intersect},
 	}
 	op := ops[c.setOp]
 	want, err := op.ref(want1, want2)
@@ -797,50 +809,23 @@ func (c *Case) checkSet(db *fdb.DB, base []fdb.Clause, flat1 *relation.Relation,
 		want.Dedup() // trailing Distinct normalises a union-all bag
 	}
 
-	var trailing []fdb.Clause
-	if len(c.orderBy) > 0 {
-		keys := make([]interface{}, len(c.orderBy))
-		for i, k := range c.orderBy {
-			if k.Desc {
-				keys[i] = fdb.Desc(string(k.Attr))
-			} else {
-				keys[i] = fdb.Asc(string(k.Attr))
-			}
-		}
-		trailing = append(trailing, fdb.OrderBy(keys...))
-	}
-	if c.distinct {
-		trailing = append(trailing, fdb.Distinct())
-	}
-	if c.offset > 0 {
-		trailing = append(trailing, fdb.Offset(c.offset))
-	}
-	if c.limit >= 0 {
-		trailing = append(trailing, fdb.Limit(c.limit))
-	}
-	res, err := db.QuerySet(op.expr(fdb.Sub(leg(c.sels)...), fdb.Sub(leg(c.sels2)...)), trailing...)
+	r1, err := leg(c.sels)
 	if err != nil {
-		return fail("queryset %s: %v", op.name, err)
+		return fail("query leg 1: %v", err)
+	}
+	r2, err := leg(c.sels2)
+	if err != nil {
+		return fail("query leg 2: %v", err)
+	}
+	res, err := op.meth(r1, r2)
+	if err != nil {
+		return fail("result %s: %v", op.name, err)
+	}
+	if res, err = res.Where(c.retrievalClauses()...); err != nil {
+		return fail("%s: where: %v", op.name, err)
 	}
 	if err := c.comparePlain(res, want, fail); err != nil {
-		return fmt.Errorf("%s via QuerySet: %w", op.name, err)
-	}
-	if len(trailing) == 0 {
-		r1, err := db.Query(leg(c.sels)...)
-		if err != nil {
-			return fail("query leg 1: %v", err)
-		}
-		r2, err := db.Query(leg(c.sels2)...)
-		if err != nil {
-			return fail("query leg 2: %v", err)
-		}
-		mres, err := op.meth(r1, r2)
-		if err != nil {
-			return fail("result %s: %v", op.name, err)
-		}
-		if err := c.comparePlain(mres, want, fail); err != nil {
-			return fmt.Errorf("%s via Result method: %w", op.name, err)
-		}
+		return fmt.Errorf("%s: %w", op.name, err)
 	}
 	return nil
 }

@@ -224,8 +224,8 @@ func TestOrderClauseErrors(t *testing.T) {
 	if _, err := res.Where(fdb.Cmp("R.a", fdb.EQ, 1)); err == nil || !strings.Contains(err.Error(), "ordered") {
 		t.Fatalf("Where on ordered result: %v", err)
 	}
-	if _, err := res.ProjectTo("R.a"); err == nil {
-		t.Fatal("ProjectTo on ordered result must fail")
+	if _, err := res.Where(fdb.Project("R.a")); err == nil {
+		t.Fatal("projecting an ordered result must fail")
 	}
 	plain, err := db.Query(fdb.From("S"))
 	if err != nil {
@@ -234,8 +234,8 @@ func TestOrderClauseErrors(t *testing.T) {
 	if _, err := plain.Join(res); err == nil {
 		t.Fatal("Join with ordered result must fail")
 	}
-	if _, err := plain.Where(fdb.OrderBy("S.b")); err == nil {
-		t.Fatal("OrderBy inside Where must fail")
+	if _, err := plain.Where(fdb.Project("S.c"), fdb.OrderBy("S.b")); err == nil {
+		t.Fatal("OrderBy on a key Where projected away must fail")
 	}
 }
 

@@ -14,9 +14,12 @@ import (
 )
 
 // Result is a factorised query result, carried end-to-end in the
-// arena-backed columnar encoding (frep.Enc). Follow-up queries (Where,
-// Select, ProjectTo, Join) run directly on the encoded representation,
-// using the optimisers to pick cheap f-plans.
+// arena-backed columnar encoding (frep.Enc). Follow-up queries (Where, Join
+// and the set operations Union, UnionAll, Except, Intersect) run directly
+// on the encoded representation, using the optimisers to pick cheap
+// f-plans. Where is the one way to refine a result, and the last Where
+// finishes it: OrderBy, Offset, Limit and Distinct given there set how its
+// tuples leave.
 type Result struct {
 	db  *DB
 	enc *frep.Enc
@@ -240,16 +243,22 @@ func (r *Result) Iter() frep.TupleIter {
 	return frep.Clip(r.retrieval().cursor(), r.offset, r.limit)
 }
 
-// Where applies equality conditions to the factorised result: the engine
-// finds an optimal f-plan (restructuring + merge/absorb operators) and
-// executes it on the encoded representation (encoded operators are pure, so
-// the receiver is unchanged; a new Result is returned). A plan depends on the
-// exact f-tree and the conditions alone, so the plan cache keeps it for every
-// same-shaped Where or Join; a search past its budget serves the greedy plan
-// and counts in CacheStats.BudgetFallbacks.
+// Where refines the factorised result with the clauses a query takes,
+// From, parameters and aggregation excepted, applied in a query's order:
+// constant selections, then equality conditions, then Project, then the
+// retrieval clauses OrderBy, Offset, Limit and Distinct (through the same
+// path as a query's, with order keys checked against the projected schema).
+// For the conditions the engine finds an optimal f-plan (restructuring +
+// merge/absorb operators) and executes it on the encoded representation
+// (encoded operators are pure, so the receiver is unchanged; a new Result is
+// returned). A plan depends on the exact f-tree and the conditions alone, so
+// the plan cache keeps it for every same-shaped Where or Join; a search past
+// its budget serves the greedy plan and counts in
+// CacheStats.BudgetFallbacks. An ordered or clipped result is finished: it
+// takes no further Where, Join or set operation.
 func (r *Result) Where(clauses ...Clause) (*Result, error) {
 	if r.ordered() {
-		return nil, fmt.Errorf("fdb: Where on an ordered/limited result is not supported; apply OrderBy/Limit to the final query")
+		return nil, fmt.Errorf("fdb: Where on an ordered/limited result is not supported; put OrderBy/Offset/Limit in the last Where")
 	}
 	s, err := compileSpec(modeWhere, clauses)
 	if err != nil {
@@ -301,11 +310,16 @@ func (r *Result) Where(clauses ...Clause) (*Result, error) {
 			return nil, err
 		}
 	}
-	return newResult(r.db, enc), nil
+	if len(s.order) > 0 {
+		if err := checkOrderKeys(s.order, enc.Schema()); err != nil {
+			return nil, err
+		}
+	}
+	return r.db.dress(enc, s.outClauses)
 }
 
-// Join combines two factorised results over disjoint attributes and applies
-// the given equality conditions — the Q1 ⋈ Q2 scenario of Example 2. Both
+// Join combines two factorised results over disjoint attributes and refines
+// the product with Where's clauses — the Q1 ⋈ Q2 scenario of Example 2. Both
 // results must come from the same DB: values are dictionary-encoded per
 // database, so joining across databases would silently compare unrelated
 // codes and decode garbage.
@@ -317,7 +331,7 @@ func (r *Result) Join(other *Result, clauses ...Clause) (*Result, error) {
 		return nil, fmt.Errorf("fdb: Join across different DB instances: the dictionary encodings are incompatible")
 	}
 	if r.ordered() || other.ordered() {
-		return nil, fmt.Errorf("fdb: Join of an ordered/limited result is not supported; apply OrderBy/Limit to the final query")
+		return nil, fmt.Errorf("fdb: Join of an ordered/limited result is not supported; put OrderBy/Offset/Limit in the last Where")
 	}
 	prod, err := fplan.ProductEnc(r.enc, other.enc)
 	if err != nil {
@@ -361,8 +375,8 @@ func (r *Result) Intersect(other *Result) (*Result, error) {
 
 // setOp is the shared guard path of the four set operations: same database
 // (values are dictionary-encoded per DB, so cross-database operands would
-// silently compare unrelated codes), unordered operands (order/limit apply
-// to the final retrieval, not to intermediate algebra).
+// silently compare unrelated codes), unordered operands (order and clipping
+// belong in the last Where, not on intermediate algebra).
 func (r *Result) setOp(name string, op func(a, b *frep.Enc) (*frep.Enc, error), other *Result) (*Result, error) {
 	if other == nil {
 		return nil, fmt.Errorf("fdb: %s with nil result", name)
@@ -371,25 +385,9 @@ func (r *Result) setOp(name string, op func(a, b *frep.Enc) (*frep.Enc, error), 
 		return nil, fmt.Errorf("fdb: %s across different DB instances: the dictionary encodings are incompatible", name)
 	}
 	if r.ordered() || other.ordered() {
-		return nil, fmt.Errorf("fdb: %s of an ordered/limited result is not supported; apply OrderBy/Limit to the final query", name)
+		return nil, fmt.Errorf("fdb: %s of an ordered/limited result is not supported; put OrderBy/Offset/Limit in the last Where", name)
 	}
 	enc, err := op(r.enc, other.enc)
-	if err != nil {
-		return nil, err
-	}
-	return newResult(r.db, enc), nil
-}
-
-// ProjectTo projects the factorised result onto the given attributes.
-func (r *Result) ProjectTo(attrs ...string) (*Result, error) {
-	if r.ordered() {
-		return nil, fmt.Errorf("fdb: ProjectTo on an ordered/limited result is not supported; apply OrderBy/Limit to the final query")
-	}
-	var as []relation.Attribute
-	for _, a := range attrs {
-		as = append(as, relation.Attribute(a))
-	}
-	enc, err := fplan.ApplyEnc(fplan.Project{Attrs: as}, r.enc)
 	if err != nil {
 		return nil, err
 	}

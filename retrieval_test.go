@@ -78,7 +78,24 @@ func TestIterEveryWayOut(t *testing.T) {
 	}
 	sch := plain.Schema() // root class first, the second child's attribute last
 	root, lastChild := sch[0], sch[len(sch)-1]
-	leg := func(op CmpOp) *SetExpr { return Sub(append(join[:2:2], Cmp("R.a", op, 2))...) }
+	// setOp combines the legs R.a <= 2 and R.a >= 2 and finishes the result
+	// with Where.
+	setOp := func(op func(a, b *Result) (*Result, error), finish ...Clause) func(clip []Clause) (*Result, error) {
+		return func(clip []Clause) (*Result, error) {
+			var legs [2]*Result
+			for i, cmp := range []CmpOp{LE, GE} {
+				var err error
+				if legs[i], err = db.Query(append(join[:2:2], Cmp("R.a", cmp, 2))...); err != nil {
+					return nil, err
+				}
+			}
+			res, err := op(legs[0], legs[1])
+			if err != nil {
+				return nil, err
+			}
+			return res.Where(append(finish[:len(finish):len(finish)], clip...)...)
+		}
+	}
 
 	query := func(order ...Clause) func(clip []Clause) (*Result, error) {
 		return func(clip []Clause) (*Result, error) {
@@ -94,14 +111,9 @@ func TestIterEveryWayOut(t *testing.T) {
 		{name: "plain", build: query(), streamed: true},
 		{name: "streamed on the root key", build: query(OrderBy(Desc(root))), streamed: true},
 		{name: "sibling-reordered view", streamed: true, view: true,
-			build: func(clip []Clause) (*Result, error) {
-				return db.QuerySet(Union(leg(LE), leg(GE)), append([]Clause{OrderBy(root, Desc(lastChild))}, clip...)...)
-			}},
+			build: setOp((*Result).Union, OrderBy(root, Desc(lastChild)))},
 		{name: "heap fallback", build: query(OrderBy(Desc(lastChild)))},
-		{name: "bag", bag: true,
-			build: func(clip []Clause) (*Result, error) {
-				return db.QuerySet(UnionAll(leg(LE), leg(GE)), clip...)
-			}},
+		{name: "bag", bag: true, build: setOp((*Result).UnionAll)},
 	}
 	clips := map[string][]Clause{
 		"no clip":             nil,

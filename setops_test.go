@@ -91,73 +91,91 @@ func TestResultSetOpGuards(t *testing.T) {
 	if _, err := plain.Intersect(ordered); err == nil || !strings.Contains(err.Error(), "ordered") {
 		t.Errorf("ordered-operand Intersect error = %v", err)
 	}
-}
-
-func TestQuerySet(t *testing.T) {
-	db := setAlgebraDB(t)
-	a := Sub(From("R"), Cmp("R.oid", LE, 7))
-	b := Sub(From("R"), Cmp("R.oid", GE, 5))
-
-	res, err := db.QuerySet(Union(a, b), OrderBy(Desc("R.oid")), Limit(3))
+	// Operands over different attributes surface from the native merge.
+	db.MustCreate("S", "x")
+	db.MustInsert("S", 1)
+	s, err := db.Query(From("S"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := plain.Union(s); err == nil {
+		t.Error("schema-mismatched union succeeded")
+	}
+}
+
+// setLegs queries the two overlapping legs of setAlgebraDB: oid 1..7 and
+// oid 5..10.
+func setLegs(t *testing.T, db *DB) (a, b *Result) {
+	t.Helper()
+	a, err := db.Query(From("R"), Cmp("R.oid", LE, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err = db.Query(From("R"), Cmp("R.oid", GE, 5)); err != nil {
+		t.Fatal(err)
+	}
+	return a, b
+}
+
+// TestSetOpsThenWhere: a set operation's result is finished like any other
+// result, by Where — ordered and clipped, or normalised by Distinct — and
+// set operations nest.
+func TestSetOpsThenWhere(t *testing.T) {
+	db := setAlgebraDB(t)
+	a, b := setLegs(t, db)
+	must := func(r *Result, err error) *Result {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+
+	res := must(must(a.Union(b)).Where(OrderBy(Desc("R.oid")), Limit(3)))
 	rows := res.Rows(0)
 	if len(rows) != 3 || rows[0][0] != "10" || rows[1][0] != "9" || rows[2][0] != "8" {
 		t.Errorf("union top-3 by oid desc = %v", rows)
 	}
 
 	// Nested expression: (A − B) ∪ (A ∩ B) = A.
-	res, err = db.QuerySet(Union(Except(a, b), Intersect(a, b)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res = must(must(a.Except(b)).Union(must(a.Intersect(b))))
 	if res.Count() != 7 {
 		t.Errorf("(A − B) ∪ (A ∩ B) count = %d, want 7", res.Count())
 	}
 
 	// UNION ALL + Distinct restores set semantics.
-	res, err = db.QuerySet(UnionAll(a, b), Distinct())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res = must(must(a.UnionAll(b)).Where(Distinct()))
 	if res.Count() != 10 {
 		t.Errorf("union all + distinct count = %d, want 10", res.Count())
 	}
 }
 
-func TestQuerySetErrors(t *testing.T) {
+// TestSetOpsThenWhereErrors: the Where that finishes a set operation checks
+// its clauses like any Where, and a finished result takes no further
+// algebra.
+func TestSetOpsThenWhereErrors(t *testing.T) {
 	db := setAlgebraDB(t)
-	a := Sub(From("R"), Cmp("R.oid", LE, 7))
-	b := Sub(From("R"), Cmp("R.oid", GE, 5))
-
-	if _, err := db.QuerySet(nil); err == nil {
-		t.Error("QuerySet(nil) succeeded")
+	a, b := setLegs(t, db)
+	u, err := a.Union(b)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := db.QuerySet(Union(a, nil)); err == nil || !strings.Contains(err.Error(), "two sub-expressions") {
-		t.Errorf("Union(a, nil) error = %v", err)
+	if _, err := u.Where(From("R")); err == nil || !strings.Contains(err.Error(), "not allowed in Where") {
+		t.Errorf("From in the finishing Where: error = %v", err)
 	}
-	// Query clauses in the trailing position belong in the legs.
-	if _, err := db.QuerySet(Union(a, b), From("R")); err == nil || !strings.Contains(err.Error(), "Sub legs") {
-		t.Errorf("trailing From error = %v", err)
+	// Order-by attribute must exist in the combined result, after projection.
+	if _, err := u.Where(OrderBy("R.nope")); err == nil || !strings.Contains(err.Error(), "not in the result") {
+		t.Errorf("order by unknown attribute: error = %v", err)
 	}
-	// Retrieval clauses inside a leg belong on the combined result.
-	bad := Sub(From("R"), Limit(2))
-	if _, err := db.QuerySet(Union(bad, b)); err == nil || !strings.Contains(err.Error(), "not a Sub leg") {
-		t.Errorf("leg Limit error = %v", err)
+	if _, err := u.Where(Project("R.grp"), OrderBy("R.oid")); err == nil || !strings.Contains(err.Error(), "not in the result") {
+		t.Errorf("order by projected-away attribute: error = %v", err)
 	}
-	if _, err := db.QuerySet(Sub(From("R"), Agg(Sum, "R.oid"))); err == nil || !strings.Contains(err.Error(), "aggregates") {
-		t.Errorf("leg aggregate error = %v", err)
+	clipped, err := u.Where(Limit(2))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Schema mismatch between the legs surfaces from the native merge.
-	db.MustCreate("S", "x")
-	db.MustInsert("S", 1)
-	if _, err := db.QuerySet(Union(a, Sub(From("S")))); err == nil {
-		t.Error("schema-mismatched union succeeded")
-	}
-	// Order-by attribute must exist in the combined result.
-	if _, err := db.QuerySet(Union(a, b), OrderBy("R.nope")); err == nil {
-		t.Error("order by unknown attribute succeeded")
+	if _, err := clipped.Union(b); err == nil || !strings.Contains(err.Error(), "last Where") {
+		t.Errorf("set operation over a clipped result: error = %v", err)
 	}
 }
 
@@ -179,14 +197,19 @@ func TestClippingEdges(t *testing.T) {
 	if results["ordered clip"], err = db.Query(From("R"), OrderBy(Desc("R.grp"), Asc("R.oid")), Offset(2), Limit(4)); err != nil {
 		t.Fatal(err)
 	}
-	if results["setop clip"], err = db.QuerySet(
-		UnionAll(Sub(From("R"), Cmp("R.oid", LE, 7)), Sub(From("R"), Cmp("R.oid", GE, 5))),
-		OrderBy("R.oid"), Offset(3), Limit(6)); err != nil {
+	a, b := setLegs(t, db)
+	all, err := a.UnionAll(b)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if results["setop offset past end"], err = db.QuerySet(
-		Intersect(Sub(From("R"), Cmp("R.oid", LE, 7)), Sub(From("R"), Cmp("R.oid", GE, 5))),
-		Offset(50)); err != nil {
+	if results["setop clip"], err = all.Where(OrderBy("R.oid"), Offset(3), Limit(6)); err != nil {
+		t.Fatal(err)
+	}
+	inter, err := a.Intersect(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if results["setop offset past end"], err = inter.Where(Offset(50)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -233,14 +233,20 @@ func TestStmtsShareData(t *testing.T) {
 // once it returns: two sharing one holder, one with a holder of its own.
 func execDropped(t *testing.T, db *DB) {
 	t.Helper()
+	var sts []*Stmt
 	for _, clauses := range [][]Clause{withJoin(), withJoin(Project("Orders.oid")), withJoin(Cmp("Orders.item", EQ, "Milk"))} {
-		if _, err := mustPrepare(t, db, clauses...).Exec(); err != nil {
+		st := mustPrepare(t, db, clauses...)
+		if _, err := st.Exec(); err != nil {
 			t.Fatal(err)
 		}
+		sts = append(sts, st)
 	}
+	// Alive until counted: a collection in between would run a holder's
+	// cleanup and drop its key early.
 	if n := registered(db.srcs); n != 2 {
 		t.Fatalf("registry holds %d keys, want 2", n)
 	}
+	runtime.KeepAlive(sts)
 }
 
 // registered reports the number of keys in the registry, those of dead

@@ -263,11 +263,9 @@ func TestPlanCacheHitsAndInvalidation(t *testing.T) {
 	if res.Count() != wantRes.Count() {
 		t.Fatalf("cached query served stale data after insert: %d != %d", res.Count(), wantRes.Count())
 	}
-	// Schema-level change: a new relation evicts plans that read its name
-	// region — but plans over unrelated names survive. (Creating a relation
-	// whose name a plan already reads is impossible — Create rejects
-	// duplicates — so eviction-on-create is purely defensive; assert the
-	// unrelated-name half.)
+	// Schema-level change: a new relation leaves every plan cached. (No plan
+	// can read its name: Create rejects duplicates and binding rejects
+	// unknown relations.)
 	entriesBefore := db.CacheStats().Entries
 	db.MustCreate("Unrelated", "x")
 	if s := db.CacheStats(); s.Entries != entriesBefore {
