@@ -73,18 +73,6 @@ func (c *planCache) put(ce cacheEntry) {
 	}
 }
 
-// entries returns a copy of the cache's entries, MRU first. SaveSnapshot
-// walks it to find memoised encodings worth persisting.
-func (c *planCache) entries() []cacheEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]cacheEntry, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		out = append(out, *el.Value.(*cacheEntry))
-	}
-	return out
-}
-
 func (c *planCache) stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()

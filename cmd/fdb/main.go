@@ -33,10 +33,11 @@
 // matching the first k columns).
 //
 // -save path writes the database to a zero-copy snapshot file after the
-// loads, writes and query run (the query's encoding rides along, so the
-// reopened file serves it without a build); -open path starts from such a
-// file instead of an empty database — it is memory-mapped, so opening skips
-// the TSV parse and encode entirely:
+// loads, writes and query run (the query's encoding rides along under its
+// data holder's key, so the reopened file serves any statement over that
+// data without a build); -open path starts from such a file instead of an
+// empty database — it is memory-mapped, so opening skips the TSV parse and
+// encode entirely:
 //
 //	fdb -load orders.tsv -load store.tsv -save grocery.fdb
 //	fdb -open grocery.fdb -from Orders,Store -eq Orders.item=Store.item
@@ -67,6 +68,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 
@@ -183,13 +185,7 @@ func run(argv []string, in io.Reader, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// With -save the statement goes through the plan cache so its memoised
-	// encoding rides along in the snapshot file.
-	prepare := db.Prepare
-	if *savePath != "" {
-		prepare = db.PrepareCached
-	}
-	stmt, err := prepare(clauses...)
+	stmt, err := db.Prepare(clauses...)
 	if err != nil {
 		return err
 	}
@@ -201,7 +197,11 @@ func run(argv []string, in io.Reader, out io.Writer) error {
 		return err
 	}
 	if *savePath != "" {
-		return saveSnapshot(db, *savePath, out)
+		// The snapshot carries the encodings of live data holders only, and
+		// the statement is what keeps its holder alive.
+		err := saveSnapshot(db, *savePath, out)
+		runtime.KeepAlive(stmt)
+		return err
 	}
 	return nil
 }
@@ -632,9 +632,10 @@ func replRelease(snaps map[string]*fdb.Snapshot, rest []string, out io.Writer) e
 	return nil
 }
 
-// replSave writes the session database to a snapshot file. Queries already
-// run through the query verb went through the plan cache, so their
-// encodings ride along and a later open serves them without a build.
+// replSave writes the session database to a snapshot file. The encodings of
+// statements still alive ride along, one per data holder — prepared ones,
+// and those the query verb left in the plan cache — so a later open serves
+// them without a build.
 func replSave(db *fdb.DB, rest []string, out io.Writer) error {
 	if len(rest) != 1 {
 		return fmt.Errorf("usage: save <path>")
@@ -660,8 +661,9 @@ func replOpen(rest []string, out io.Writer) (*fdb.DB, error) {
 	return db, nil
 }
 
-// replQuery compiles through the plan cache, so a later save carries the
-// query's encoding along.
+// replQuery compiles through the plan cache, which keeps the statement —
+// and so its data holder — alive, so a later save carries the query's
+// encoding along.
 func replQuery(db *fdb.DB, rest []string, rows int, out io.Writer) error {
 	clauses, err := parseQuery(rest)
 	if err != nil {

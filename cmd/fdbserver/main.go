@@ -28,8 +28,9 @@ import (
 )
 
 // warmReadPool executes the parameter-free queries of the retailer read
-// pool once, so their plans land in the shared cache with memoised
-// encodings before a snapshot is cut — a -data restart then serves those
+// pool once through the shared plan cache, which keeps their data holders
+// alive with memoised encodings when the snapshot is cut — one arena per
+// holder, however many queries share it — so a -data restart serves those
 // queries from the mapped arenas without any build.
 func warmReadPool(db *fdb.DB) error {
 	for _, q := range wire.RetailerQueries() {

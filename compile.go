@@ -146,8 +146,9 @@ func checkOrderKeys(keys []frep.OrderKey, result []relation.Attribute) error {
 }
 
 // fingerprint is the plan-cache key of the bound spec: canonical over the
-// relations' names and schemas and the query's clauses, and stored in
-// FDBSNAP1 files (adoptSaved matches on it), so its bytes are a format.
+// relations' names and schemas and the query's clauses, so every syntactic
+// permutation of one query finds one cached statement. It names a plan, not
+// data: snapshot files key their arenas by srcKey instead.
 // Data versions are not part of the key: cached statements self-refresh from
 // the delta chains. Parameterised selections fingerprint by attribute,
 // operator and placeholder name — the bound values are per-Exec and never
@@ -278,7 +279,9 @@ func (db *DB) plan(b *boundSpec) (*Stmt, error) {
 	if len(b.order) > 0 {
 		// A successful reorder is verified against the order property it
 		// claims to establish.
-		p.streamable = fplan.ReorderForOrder(p.tree, b.order) && fplan.OrderCompatible(p.tree, b.order)
+		if fplan.ReorderForOrder(p.tree, b.order) {
+			_, p.streamable = frep.ResolveOrder(p.tree, b.order, nil)
+		}
 		if !p.streamable {
 			ot, ocost, oerr := db.planTree(classes, schemas, orderChain(classes, b.order))
 			switch {
@@ -312,28 +315,34 @@ func (db *DB) plan(b *boundSpec) (*Stmt, error) {
 }
 
 // srcKey identifies the data a live statement executes over: per input, the
-// store and the constant selections baked into its filter, then the f-tree's
-// store.TreeKey (shape, sibling order, Rels, Deps and markers). The path-sort
-// permutations follow from the tree, so two statements with one key load
-// the same sorted inputs and build the same encoding — whatever projection,
-// ordering, limits or aggregates they apply on top of it. Late selections
-// are per execution and never reach the shared data.
+// relation's %q-quoted name (returned too, in input order) and the constant
+// selections baked into its filter, then the f-tree's store.TreeKey (shape, sibling order, Rels, Deps
+// and markers). The path-sort permutations follow from the tree, so two
+// statements with one key load the same sorted inputs and build the same
+// encoding — whatever projection, ordering, limits or aggregates they apply
+// on top of it. Late selections are per execution and never reach the
+// shared data.
 //
-// A store enters the key by address. That names it exactly for as long as
-// the key's holder lives, because the holder's statements keep their stores
-// alive; once the holder is collected its entry reads nil and is replaced.
-func srcKey(p *stmtPlan, consts [][]boundSel) string {
+// The key is the only name a memoised encoding has: SaveSnapshot writes each
+// holder's arena under it and a reopened database adopts by it, so its bytes
+// are a format (TestHolderKeyGolden). A relation name is permanent — the
+// catalogue only grows, and Create and LoadTSV refuse an existing name — so
+// the key means the same data in every process that opens the file, and
+// quoting keeps a name holding '[' or ';' from forging another's key.
+func srcKey(p *stmtPlan, consts [][]boundSel) (string, []string) {
 	var key strings.Builder
+	names := make([]string, len(p.inputs))
 	for i, in := range p.inputs {
+		names[i] = in.store.Name
 		cs := make([]string, len(consts[i]))
 		for j, c := range consts[i] {
 			cs[j] = fmt.Sprintf("%d %d %d", c.col, c.op, c.code)
 		}
 		sort.Strings(cs)
-		fmt.Fprintf(&key, "%p[%s];", in.store, strings.Join(cs, ","))
+		fmt.Fprintf(&key, "%q[%s];", in.store.Name, strings.Join(cs, ","))
 	}
 	key.WriteString(store.TreeKey(p.tree))
-	return key.String()
+	return key.String(), names
 }
 
 // srcRegistry hands every statement planned with one srcKey the same data
@@ -347,17 +356,32 @@ type srcRegistry struct {
 	m  map[string]weak.Pointer[stmtSrc]
 }
 
-// get returns the live holder registered under key, or registers a new one.
-func (r *srcRegistry) get(key string) *stmtSrc {
+// get returns the live holder registered under key, or registers a new one
+// over the named inputs.
+func (r *srcRegistry) get(key string, names []string) *stmtSrc {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if src := r.m[key].Value(); src != nil {
 		return src
 	}
-	src := &stmtSrc{}
+	src := &stmtSrc{key: key, names: names}
 	r.m[key] = weak.Make(src)
 	runtime.AddCleanup(src, r.drop, key)
 	return src
+}
+
+// live returns the registered holders not yet collected, sorted by key.
+func (r *srcRegistry) live() []*stmtSrc {
+	r.mu.Lock()
+	out := make([]*stmtSrc, 0, len(r.m))
+	for _, w := range r.m {
+		if src := w.Value(); src != nil {
+			out = append(out, src)
+		}
+	}
+	r.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	return out
 }
 
 // drop deletes key once its holder is collected, unless a live holder has
@@ -371,9 +395,10 @@ func (r *srcRegistry) drop(key string) {
 }
 
 // The fuzz harness checks that a statement and its same-tree twin share a
-// holder.
+// holder, and that a reopened database adopts the arenas its file carried.
 func init() {
 	probe.SharesData = func(a, b any) bool { return a.(*Stmt).src == b.(*Stmt).src }
+	probe.ServesSnapshotArena = func(st any) bool { return st.(*Stmt).servesSavedArena() }
 }
 
 // orderChain maps the ORDER BY keys to their attribute-class indices, in key

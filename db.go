@@ -41,22 +41,15 @@ type DB struct {
 	// short.
 	budgetFallbacks atomic.Uint64
 
-	// adopted indexes the pre-built encodings a snapshot file carried, by
-	// plan fingerprint. Populated once by OpenSnapshotFile before the DB is
-	// handed out and read-only afterwards, so lookups take no lock. backing
-	// roots the opened store.File: adopted arenas and relation tuples alias
-	// its (possibly memory-mapped) bytes, which must stay mapped for the
-	// lifetime of the database — the file is never unmapped through the DB.
-	adopted map[string]*adoptedEnc
+	// adopted indexes the encodings a snapshot file carried by the holder
+	// key (srcKey) they were saved under. Populated once by
+	// OpenSnapshotFile before the DB is handed out and read-only
+	// afterwards, so lookups take no lock. backing roots the opened
+	// store.File: adopted arenas and relation tuples alias its (possibly
+	// memory-mapped) bytes, which must stay mapped for the lifetime of the
+	// database — the file is never unmapped through the DB.
+	adopted map[string]store.Enc
 	backing *store.File
-}
-
-// adoptedEnc is one snapshot-carried encoding: the statement fingerprint it
-// was memoised under maps to it, inputs records the (relation, version)
-// pairs the build reflected, and enc's arena points into the snapshot file.
-type adoptedEnc struct {
-	inputs []store.Input
-	enc    *frep.Enc
 }
 
 // New returns an empty database.
@@ -374,7 +367,8 @@ func adhocSpec(clauses []Clause, agg bool) (*spec, error) {
 // LoadTSV can change what a cached plan reads). The data goes further than
 // the plan: every live statement whose inputs, baked constant selections
 // and f-tree are equal — across fingerprints, cached or not — shares one
-// set of refreshed inputs and one memoised encoded representation.
+// set of refreshed inputs and one memoised encoded representation, which a
+// snapshot file carries under that data holder's key.
 func (db *DB) PrepareCached(clauses ...Clause) (*Stmt, error) {
 	s, err := compileSpec(modeQuery, clauses)
 	if err != nil {
@@ -401,7 +395,6 @@ func (db *DB) cachedStmt(s *spec) (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	st.fp = key
 	db.cache.put(cacheEntry{key: key, stmt: st})
 	return st, nil
 }

@@ -215,7 +215,7 @@ func (q *Query) EvaluateFlat() (*relation.Relation, error) {
 			}
 		}
 		for _, s := range q.Selections {
-			if !cmpEval(s.Op, t[idx(s.A)], s.C) {
+			if !s.Match(t[idx(s.A)]) {
 				return false
 			}
 		}
@@ -230,22 +230,4 @@ func (q *Query) EvaluateFlat() (*relation.Relation, error) {
 }
 
 // Match reports whether value v satisfies the selection.
-func (s ConstSel) Match(v relation.Value) bool { return cmpEval(s.Op, v, s.C) }
-
-func cmpEval(op fplan.Cmp, a, b relation.Value) bool {
-	switch op {
-	case fplan.Eq:
-		return a == b
-	case fplan.Ne:
-		return a != b
-	case fplan.Lt:
-		return a < b
-	case fplan.Le:
-		return a <= b
-	case fplan.Gt:
-		return a > b
-	case fplan.Ge:
-		return a >= b
-	}
-	return false
-}
+func (s ConstSel) Match(v relation.Value) bool { return s.Op.Eval(v, s.C) }

@@ -154,6 +154,15 @@ func BuildEncContext(ctx context.Context, rels []*relation.Relation, t *ftree.T)
 		return nil, err
 	}
 	b := newBuilder(ctx, t)
+	states, err := b.newStates(rels)
+	if err != nil {
+		return nil, err
+	}
+	return b.buildAll(t, states)
+}
+
+// newStates prepares one build state per input relation.
+func (b *builder) newStates(rels []*relation.Relation) ([]*relState, error) {
 	states := make([]*relState, 0, len(rels))
 	for _, r := range rels {
 		st, err := b.newState(r)
@@ -162,30 +171,7 @@ func BuildEncContext(ctx context.Context, rels []*relation.Relation, t *ftree.T)
 		}
 		states = append(states, st)
 	}
-
-	b.eb = frep.NewEncBuilder(t)
-	empty := false
-	for _, root := range t.Roots {
-		var mine []*relState
-		for _, st := range states {
-			if len(st.nodes) > 0 && b.inSubtree(st.nodes[0], root) {
-				mine = append(mine, st)
-			}
-		}
-		ri := b.eb.Idx(root)
-		n := b.buildUnionEnc(root, ri, mine, 0)
-		b.eb.CloseUnion(ri)
-		if b.err != nil {
-			return nil, b.err
-		}
-		if n == 0 {
-			empty = true
-		}
-	}
-	if empty {
-		return frep.NewEmptyEnc(t), nil
-	}
-	return b.eb.Finish(), nil
+	return states, nil
 }
 
 // markAt returns the reusable mark buffer for recursion depth d.

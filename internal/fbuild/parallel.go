@@ -52,13 +52,9 @@ func BuildEncParallelContext(ctx context.Context, rels []*relation.Relation, t *
 		return nil, err
 	}
 	b := newBuilder(ctx, t)
-	states := make([]*relState, 0, len(rels))
-	for _, r := range rels {
-		st, err := b.newState(r)
-		if err != nil {
-			return nil, err
-		}
-		states = append(states, st)
+	states, err := b.newStates(rels)
+	if err != nil {
+		return nil, err
 	}
 
 	// Route states to roots and pick the pivot: the root whose driver

@@ -231,7 +231,7 @@ func selectEnc(e *frep.Enc, a relation.Attribute, keep func(relation.Value) bool
 // selectConstEnc is σ_{AθC}; for equality the node becomes constant and the
 // representation re-normalises.
 func selectConstEnc(o SelectConst, e *frep.Enc) (*frep.Enc, error) {
-	out, err := selectEnc(e, o.A, func(v relation.Value) bool { return o.Op.eval(v, o.C) })
+	out, err := selectEnc(e, o.A, func(v relation.Value) bool { return o.Op.Eval(v, o.C) })
 	if err != nil || o.Op != Eq {
 		return out, err
 	}

@@ -99,7 +99,7 @@ func flatSemantics(op Op, in *relation.Relation) *relation.Relation {
 		return in.Select(func(tp relation.Tuple) bool { return tp[a] == tp[b] })
 	case SelectConst:
 		a := col(o.A)
-		return in.Select(func(tp relation.Tuple) bool { return o.Op.eval(tp[a], o.C) })
+		return in.Select(func(tp relation.Tuple) bool { return o.Op.Eval(tp[a], o.C) })
 	case SelectFn:
 		a := col(o.A)
 		return in.Select(func(tp relation.Tuple) bool { return o.Keep(tp[a]) })

@@ -38,8 +38,8 @@ func (c Cmp) String() string {
 	return "?"
 }
 
-// eval applies the comparison.
-func (c Cmp) eval(a, b relation.Value) bool {
+// Eval reports whether a θ b holds for the comparison θ = c.
+func (c Cmp) Eval(a, b relation.Value) bool {
 	switch c {
 	case Eq:
 		return a == b

@@ -12,66 +12,8 @@ import (
 	"repro/internal/ftree"
 )
 
-// allConstNode reports whether every attribute of n is bound to a constant
-// (such nodes hold at most one entry per union and never perturb order).
-func allConstNode(t *ftree.T, n *ftree.Node) bool {
-	for _, a := range n.Attrs {
-		if !t.Consts.Has(a) {
-			return false
-		}
-	}
-	return true
-}
-
-// preorder returns the tree's nodes in pre-order.
-func preorder(t *ftree.T) []*ftree.Node {
-	var out []*ftree.Node
-	var walk func(n *ftree.Node)
-	walk = func(n *ftree.Node) {
-		out = append(out, n)
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	for _, r := range t.Roots {
-		walk(r)
-	}
-	return out
-}
-
-// OrderCompatible reports whether the ORDER BY keys are a structural
-// property of t as it stands: walking keys in order, each key's node is the
-// next pre-order node (constant nodes are skipped, repeated nodes are
-// tie-free). The data-level twin is frep.ResolveOrder.
-func OrderCompatible(t *ftree.T, keys []frep.OrderKey) bool {
-	nodes := preorder(t)
-	idx := map[*ftree.Node]int{}
-	for i, n := range nodes {
-		idx[n] = i
-	}
-	next := 0
-	for _, k := range keys {
-		n := t.NodeOf(k.Attr)
-		if n == nil || t.Hidden.Has(k.Attr) {
-			return false
-		}
-		ni := idx[n]
-		if allConstNode(t, n) || ni < next {
-			continue
-		}
-		for next < ni && allConstNode(t, nodes[next]) {
-			next++
-		}
-		if next != ni {
-			return false
-		}
-		next++
-	}
-	return true
-}
-
 // ReorderForOrder permutes t's root and sibling order in place so that the
-// ORDER BY keys become a structural property (OrderCompatible), and reports
+// ORDER BY keys become a structural property (frep.ResolveOrder), and reports
 // whether it succeeded. Only orderings are touched — never the shape — so
 // the factorisation over t is unchanged up to column layout and a built
 // representation can follow with frep.(*Enc).Reindex. It fails when a key
@@ -86,7 +28,7 @@ func ReorderForOrder(t *ftree.T, keys []frep.OrderKey) bool {
 		if n == nil || t.Hidden.Has(k.Attr) {
 			return false
 		}
-		if allConstNode(t, n) || seen[n] {
+		if t.AllConst(n) || seen[n] {
 			continue
 		}
 		seen[n] = true
@@ -100,7 +42,7 @@ func ReorderForOrder(t *ftree.T, keys []frep.OrderKey) bool {
 			if c == to {
 				return []*ftree.Node{to}
 			}
-			if allConstNode(t, c) {
+			if t.AllConst(c) {
 				if sub := constPath(c, to); sub != nil {
 					return append([]*ftree.Node{c}, sub...)
 				}
@@ -139,7 +81,7 @@ func ReorderForOrder(t *ftree.T, keys []frep.OrderKey) bool {
 			var p []*ftree.Node
 			if r == n {
 				p = []*ftree.Node{n}
-			} else if allConstNode(t, r) {
+			} else if t.AllConst(r) {
 				if sub := constPath(r, n); sub != nil {
 					p = append([]*ftree.Node{r}, sub...)
 				}
@@ -189,7 +131,7 @@ func ReorderForOrder(t *ftree.T, keys []frep.OrderKey) bool {
 				var p []*ftree.Node
 				if c == n {
 					p = []*ftree.Node{n}
-				} else if allConstNode(t, c) {
+				} else if t.AllConst(c) {
 					if sub := constPath(c, n); sub != nil {
 						p = append([]*ftree.Node{c}, sub...)
 					}

@@ -55,51 +55,42 @@ type TupleIter interface {
 	Reset()
 }
 
-// EncOrder is a resolved order plan for one Enc: the ORDER BY keys were
-// matched against the pre-order node sequence, so the first Prefix nodes
-// stream in key order (per-node direction, under less) and every deeper node
-// streams natively. It holds no data-sized state: the iterator puts each
-// covered union in key order as it seats it.
+// EncOrder is a resolved order plan for one f-tree, and so for every Enc
+// over it: the ORDER BY keys were matched against the pre-order node
+// sequence, so the first Prefix nodes stream in key order (per-node
+// direction, under less) and every deeper node streams natively. It holds
+// no data-sized state: the iterator puts each covered union in key order as
+// it seats it.
 type EncOrder struct {
 	Prefix int
 	desc   []bool    // per covered node
 	less   ValueLess // nil: stored order is key order
 }
 
-// allConst reports whether every attribute of node ni is bound to a constant:
-// such a node holds at most one entry per union, so it cannot perturb the
-// order of the surrounding digits.
-func (e *Enc) allConst(ni int) bool {
-	for _, a := range e.ti.nodes[ni].Attrs {
-		if !e.Tree.Consts.Has(a) {
-			return false
-		}
-	}
-	return true
-}
-
-// ResolveOrder matches the ORDER BY keys against e's pre-order node sequence
-// and returns the order plan, or ok == false when the requested order is not
-// a structural property of this encoding (the caller may retry after sibling
-// reordering, or fall back to SortedRows). Keys on constant nodes impose
-// nothing and are skipped, as are keys whose node an earlier key already
-// pinned (their digits are tie-free).
-func ResolveOrder(e *Enc, keys []OrderKey, less ValueLess) (*EncOrder, bool) {
+// ResolveOrder matches the ORDER BY keys against t's pre-order node
+// sequence and returns the order plan of every encoding over t, or ok ==
+// false when the requested order is not a structural property of t (the
+// caller may retry after sibling reordering, or fall back to SortedRows).
+// Walking the keys in order, each key's node must be the next pre-order
+// node; keys on constant nodes impose nothing and are skipped, as are keys
+// whose node an earlier key already pinned (their digits are tie-free).
+func ResolveOrder(t *ftree.T, keys []OrderKey, less ValueLess) (*EncOrder, bool) {
+	ti := indexTree(t)
 	ord := &EncOrder{less: less}
 	cover := func(desc bool) {
 		ord.desc = append(ord.desc, desc)
 		ord.Prefix++
 	}
 	for _, k := range keys {
-		n := e.Tree.NodeOf(k.Attr)
-		if n == nil || e.Tree.Hidden.Has(k.Attr) {
+		n := t.NodeOf(k.Attr)
+		if n == nil || t.Hidden.Has(k.Attr) {
 			return nil, false
 		}
-		ni := e.NodeIndex(n)
-		if e.allConst(ni) || ni < ord.Prefix {
+		ni := ti.idx[n]
+		if t.AllConst(n) || ni < ord.Prefix {
 			continue
 		}
-		for ord.Prefix < ni && e.allConst(ord.Prefix) {
+		for ord.Prefix < ni && t.AllConst(ti.nodes[ord.Prefix]) {
 			cover(false)
 		}
 		if ord.Prefix != ni {

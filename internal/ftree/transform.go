@@ -325,6 +325,18 @@ func (t *T) AllHidden(n *Node) bool {
 	return true
 }
 
+// AllConst reports whether every attribute of n is bound to a constant:
+// such a node holds at most one entry per union, so it never perturbs the
+// order of the surrounding digits.
+func (t *T) AllConst(n *Node) bool {
+	for _, a := range n.Attrs {
+		if !t.Consts.Has(a) {
+			return false
+		}
+	}
+	return true
+}
+
 // RemoveLeaf deletes a leaf node (no children) from the tree. Used by the
 // projection operator after hidden nodes have been swapped down to leaves.
 func (t *T) RemoveLeaf(n *Node) error {

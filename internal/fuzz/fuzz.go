@@ -34,6 +34,7 @@ import (
 	"repro/internal/ftree"
 	"repro/internal/gen"
 	"repro/internal/opt"
+	"repro/internal/probe"
 	"repro/internal/rdb"
 	"repro/internal/relation"
 )
@@ -316,28 +317,75 @@ func CheckTrees(seed int64) (int, error) {
 // zero-copy snapshot file under dir, reopened from the file (mmap when
 // available), and the oracle comparison runs against the reopened database.
 // Opened-snapshot reads thereby face the same differential bar as live
-// ones — including the adopted pre-built encoding, since the plan cache is
-// warmed before the save so the file carries the arena the reopened
-// database's first query adopts.
+// ones. The case's statement (its aggregation, in aggregate cases) runs
+// before the save, so the file carries its holder's arena, and its first
+// execution on the reopened database must adopt that arena, not rebuild,
+// whenever the engine memoises a non-empty encoding for it.
 func CheckPersisted(seed int64, dir string) error {
 	c, err := NewCase(seed)
 	if err != nil {
 		return fmt.Errorf("fuzz: seed %d: generate: %v", seed, err)
 	}
 	return c.run(func(db *fdb.DB, clauses []fdb.Clause) (*fdb.DB, error) {
-		if len(c.aggs) == 0 {
-			// Memoise the encoding so the snapshot carries it and the
-			// reopened database exercises the zero-copy adoption path.
-			if _, err := db.Query(clauses...); err != nil {
-				return nil, err
-			}
+		if len(c.aggs) > 0 {
+			clauses = c.aggClauses(clauses)
+		}
+		if _, err := c.execCached(db, clauses); err != nil {
+			return nil, err
 		}
 		path := filepath.Join(dir, fmt.Sprintf("case%d.fdb", seed))
 		if err := db.SaveSnapshot(path); err != nil {
 			return nil, err
 		}
-		return fdb.OpenSnapshotFile(path)
+		ndb, err := fdb.OpenSnapshotFile(path)
+		if err != nil {
+			return nil, err
+		}
+		st, err := c.execCached(ndb, clauses)
+		if err != nil {
+			return nil, err
+		}
+		if c.memoises(ndb) && !probe.ServesSnapshotArena(st) {
+			flat, err := c.oracleFlat(c.sels)
+			if err != nil {
+				return nil, err
+			}
+			if flat != nil && len(flat.Tuples) > 0 {
+				return nil, fmt.Errorf("the reopened first execution rebuilt its encoding instead of adopting the snapshot's arena")
+			}
+		}
+		return ndb, nil
 	})
+}
+
+// execCached prepares the clauses through db's plan cache and executes the
+// statement once, as an aggregation in aggregate cases.
+func (c *Case) execCached(db *fdb.DB, clauses []fdb.Clause) (*fdb.Stmt, error) {
+	st, err := db.PrepareCached(clauses...)
+	if err != nil {
+		return nil, err
+	}
+	if len(c.aggs) > 0 {
+		_, err = st.ExecAgg()
+	} else {
+		_, err = st.Exec()
+	}
+	return st, err
+}
+
+// memoises reports whether db bakes every selection of the case into the
+// inputs, and so memoises the encoding: a string constant is baked only in
+// an equality or inequality on a string the dictionary holds.
+func (c *Case) memoises(db *fdb.DB) bool {
+	for _, s := range c.sels {
+		if c.strs == nil {
+			continue
+		}
+		if _, ok := db.Dict().Lookup(c.strs[s.C-1]); !ok || s.Op != fdb.EQ && s.Op != fdb.NE {
+			return false
+		}
+	}
+	return true
 }
 
 // run builds the case's database, optionally routes it through a persist

@@ -6,3 +6,8 @@ package probe
 // SharesData reports whether two *fdb.Stmt values execute over one data
 // holder: the same refreshed inputs and the same memoised encoding.
 var SharesData func(a, b any) bool
+
+// ServesSnapshotArena reports whether an *fdb.Stmt's data holder serves the
+// non-empty arena its database's snapshot file carried under the holder's
+// key — adopted, not rebuilt.
+var ServesSnapshotArena func(st any) bool

@@ -18,8 +18,8 @@
 //	             union-offset columns (int32)
 //	[metaOff)    meta blob (8-aligned, after the last data section):
 //	             dictionary strings; per-relation name, delta-store version,
-//	             schema, row count and data-section ref; per-enc statement
-//	             fingerprint, serialised f-tree, input (name, version)
+//	             schema, row count and data-section ref; per-enc data
+//	             holder key, serialised f-tree, input (name, version)
 //	             list, pre-order node spans, and value/offset section refs
 //
 // Every section carries its own crc64 (ECMA) recorded in the meta blob; the

@@ -33,7 +33,7 @@ func fuzzSet() *Set {
 		Ver:  7,
 		Dict: []string{"apple", "pear"},
 		Rels: []Relation{{Ver: 5, Rel: r}},
-		Encs: []Enc{{Fingerprint: "q1", Inputs: []Input{{Name: "R", Ver: 5}}, Enc: enc}},
+		Encs: []Enc{{Key: "q1", Inputs: []Input{{Name: "R", Ver: 5}}, Enc: enc}},
 	}
 }
 

@@ -157,10 +157,10 @@ func parse(data []byte, mapped bool) (*File, error) {
 		if err != nil {
 			return nil, err
 		}
-		if encKeys[se.Fingerprint] {
-			return nil, badf("duplicate enc fingerprint %q", se.Fingerprint)
+		if encKeys[se.Key] {
+			return nil, badf("duplicate enc key %q", se.Key)
 		}
-		encKeys[se.Fingerprint] = true
+		encKeys[se.Key] = true
 		f.Encs = append(f.Encs, se)
 	}
 	if err := d.done(); err != nil {
@@ -281,7 +281,7 @@ func parseRelation(d *decoder, data []byte) (Relation, error) {
 }
 
 func parseEnc(d *decoder, data []byte, relNames map[string]bool) (Enc, error) {
-	fp, err := d.str("enc fingerprint")
+	key, err := d.str("enc key")
 	if err != nil {
 		return Enc{}, err
 	}
@@ -359,7 +359,7 @@ func parseEnc(d *decoder, data []byte, relNames map[string]bool) (Enc, error) {
 	arena := frep.Arena{Vals: valsView(valsSec, int(valsN)), Offs: offsView(offsSec, int(offsN))}
 	enc, err := frep.AdoptEnc(tree, arena, spans)
 	if err != nil {
-		return Enc{}, badf("enc %q: %v", fp, err)
+		return Enc{}, badf("enc %q: %v", key, err)
 	}
-	return Enc{Fingerprint: fp, Inputs: inputs, Enc: enc}, nil
+	return Enc{Key: key, Inputs: inputs, Enc: enc}, nil
 }

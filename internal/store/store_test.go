@@ -34,7 +34,7 @@ func testSet(t *testing.T) *Set {
 		Ver:  7,
 		Dict: []string{"apple", "pear", "plum"},
 		Rels: []Relation{{Ver: 5, Rel: r}, {Ver: 2, Rel: empty}},
-		Encs: []Enc{{Fingerprint: "q1", Inputs: []Input{{Name: "R", Ver: 5}}, Enc: enc}},
+		Encs: []Enc{{Key: "q1", Inputs: []Input{{Name: "R", Ver: 5}}, Enc: enc}},
 	}
 }
 
@@ -79,8 +79,8 @@ func checkFile(t *testing.T, set *Set, f *File) {
 	}
 	for i, want := range set.Encs {
 		got := f.Encs[i]
-		if got.Fingerprint != want.Fingerprint {
-			t.Fatalf("enc %d fingerprint %q, want %q", i, got.Fingerprint, want.Fingerprint)
+		if got.Key != want.Key {
+			t.Fatalf("enc %d key %q, want %q", i, got.Key, want.Key)
 		}
 		if len(got.Inputs) != len(want.Inputs) || got.Inputs[0] != want.Inputs[0] {
 			t.Fatalf("enc %d inputs %v, want %v", i, got.Inputs, want.Inputs)

@@ -17,13 +17,15 @@ type Relation struct {
 	Rel *relation.Relation
 }
 
-// Input names one statement input of a persisted Enc: the relation it was
-// built from and the version that build reflected. A reopened database
-// adopts the Enc only while every input is still at its recorded version.
+// Enc is one persisted encoded representation: the key of the data holder
+// that memoised it, the inputs it was built from with the version that
+// build reflected, and the encoding itself. A reopened database adopts the
+// Enc only for a holder of the same key, and only while every input is
+// still at its recorded version.
 type Enc struct {
-	Fingerprint string
-	Inputs      []Input
-	Enc         *frep.Enc
+	Key    string
+	Inputs []Input
+	Enc    *frep.Enc
 }
 
 // Input is a (relation name, delta-store version) pair.
@@ -93,7 +95,7 @@ func Encode(s *Set) ([]byte, error) {
 	spanss := make([][]frep.NodeSpan, len(s.Encs))
 	for i, se := range s.Encs {
 		if se.Enc == nil {
-			return nil, fmt.Errorf("store: enc %q is nil", se.Fingerprint)
+			return nil, fmt.Errorf("store: enc %q is nil", se.Key)
 		}
 		arenas[i], spanss[i] = se.Enc.Export()
 		eSecs[i].vals = place(uint64(len(arenas[i].Vals)) * 8)
@@ -149,7 +151,7 @@ func Encode(s *Set) ([]byte, error) {
 	}
 	m.u32(uint32(len(s.Encs)))
 	for i, se := range s.Encs {
-		m.str(se.Fingerprint)
+		m.str(se.Key)
 		encodeTree(m, se.Enc.Tree)
 		m.u32(uint32(len(se.Inputs)))
 		for _, in := range se.Inputs {

@@ -8,9 +8,10 @@ import (
 )
 
 // goldenFingerprints are plan-cache keys captured at the commit before the
-// compile path was split into bind → plan → load. FDBSNAP1 files store them
-// and adoptSaved matches on them, so they are a format: a change here
-// orphans every encoding a saved snapshot carries.
+// compile path was split into bind → plan → load. They pin plan-cache
+// identity — which spellings of a query share one cached statement — not a
+// file format: snapshot files key their arenas by holder key
+// (TestHolderKeyGolden).
 var goldenFingerprints = []struct {
 	clauses []Clause
 	want    string
@@ -39,13 +40,23 @@ var goldenFingerprints = []struct {
 
 func TestFingerprintGolden(t *testing.T) {
 	db := grocery(t)
+	// cacheKey reads the key the plan cache holds st under.
+	cacheKey := func(st *Stmt) string {
+		for _, ce := range cacheEntries(db) {
+			if ce.stmt == st {
+				return ce.key
+			}
+		}
+		t.Fatal("statement not in the plan cache")
+		return ""
+	}
 	for _, g := range goldenFingerprints {
 		st, err := db.PrepareCached(append([]Clause{From("Orders", "Store"), Eq("Orders.item", "Store.item")}, g.clauses...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.fp != g.want {
-			t.Errorf("fingerprint moved:\n got %s\nwant %s", st.fp, g.want)
+		if got := cacheKey(st); got != g.want {
+			t.Errorf("fingerprint moved:\n got %s\nwant %s", got, g.want)
 		}
 	}
 	// Canonical over the syntactic permutations of one query.
@@ -53,8 +64,72 @@ func TestFingerprintGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.fp != goldenFingerprints[0].want {
-		t.Errorf("permuted query keyed apart: %s", st.fp)
+	if got := cacheKey(st); got != goldenFingerprints[0].want {
+		t.Errorf("permuted query keyed apart: %s", got)
+	}
+}
+
+// groceryJoinTree is store.TreeKey of the grocery join's f-tree: node count
+// and roots, then the pre-order walk (the item class over Orders.oid and
+// Store.location), the Rels and Deps sets, and empty Hidden and Consts.
+const groceryJoinTree = "\x03\x00\x00\x00\x01\x00\x00\x00\x02\x00\x00\x00\v\x00\x00\x00Orders.item\n\x00\x00\x00Store.item\x02\x00\x00\x00" +
+	"\x01\x00\x00\x00\n\x00\x00\x00Orders.oid\x00\x00\x00\x00" +
+	"\x01\x00\x00\x00\x0e\x00\x00\x00Store.location\x00\x00\x00\x00" +
+	"\x02\x00\x00\x00\x02\x00\x00\x00\v\x00\x00\x00Orders.item\n\x00\x00\x00Orders.oid\x02\x00\x00\x00\n\x00\x00\x00Store.item\x0e\x00\x00\x00Store.location" +
+	"\x02\x00\x00\x00\x02\x00\x00\x00\v\x00\x00\x00Orders.item\n\x00\x00\x00Orders.oid\x02\x00\x00\x00\n\x00\x00\x00Store.item\x0e\x00\x00\x00Store.location" +
+	"\x00\x00\x00\x00\x00\x00\x00\x00"
+
+// goldenHolderKeys are data-holder keys (srcKey). SaveSnapshot names every
+// carried arena by one and a reopened database adopts by it, so they are a
+// file format: a change here orphans every encoding a saved snapshot
+// carries. The bytes after the last input are the tree's store.TreeKey.
+var goldenHolderKeys = []struct {
+	name    string
+	clauses []Clause
+	want    string
+}{
+	{"join", nil,
+		`"Orders"[];"Store"[];` + groceryJoinTree},
+	{"baked int selection", []Clause{Cmp("Orders.oid", GE, 2)},
+		`"Orders"[0 5 2];"Store"[];` + groceryJoinTree},
+	{"baked string selection", []Clause{Cmp("Orders.item", EQ, "Milk"), Cmp("Store.location", NE, "Izmir")},
+		`"Orders"[1 0 1];"Store"[0 1 7];` + groceryJoinTree},
+	// Projection, retrieval clauses and ungrouped aggregates ride on top of
+	// the data: the join's holder serves them.
+	{"shared with the join", []Clause{Project("Orders.oid"), Distinct(), Limit(2)},
+		`"Orders"[];"Store"[];` + groceryJoinTree},
+	{"shared with the join by an aggregate", []Clause{Agg(Count, ""), Agg(Sum, "Orders.oid")},
+		`"Orders"[];"Store"[];` + groceryJoinTree},
+}
+
+func TestHolderKeyGolden(t *testing.T) {
+	db := grocery(t)
+	key := func(clauses ...Clause) string {
+		st, err := db.Prepare(clauses...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.src.key
+	}
+	for _, g := range goldenHolderKeys {
+		got := key(append([]Clause{From("Orders", "Store"), Eq("Orders.item", "Store.item")}, g.clauses...)...)
+		if got != g.want {
+			t.Errorf("%s: holder key moved:\n got %q\nwant %q", g.name, got, g.want)
+		}
+	}
+	// Relation names enter the key quoted, so a name holding the key's own
+	// separators cannot spell another input list: unquoted, this one input
+	// would read like the join's two.
+	db.MustCreate("Orders[];Store", "item")
+	odd := key(From("Orders[];Store"))
+	if want := `"Orders[];Store"[];` +
+		"\x01\x00\x00\x00\x01\x00\x00\x00\x01\x00\x00\x00\x13\x00\x00\x00Orders[];Store.item\x00\x00\x00\x00" +
+		"\x01\x00\x00\x00\x01\x00\x00\x00\x13\x00\x00\x00Orders[];Store.item" +
+		"\x01\x00\x00\x00\x01\x00\x00\x00\x13\x00\x00\x00Orders[];Store.item\x00\x00\x00\x00\x00\x00\x00\x00"; odd != want {
+		t.Errorf("odd name: holder key moved:\n got %q\nwant %q", odd, want)
+	}
+	if strings.HasPrefix(odd, `"Orders"[];"Store"[];`) {
+		t.Errorf("a relation name spelled the join's input list: %q", odd)
 	}
 }
 

@@ -2,7 +2,6 @@ package fdb
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/delta"
 	"repro/internal/frep"
@@ -12,12 +11,15 @@ import (
 
 // SaveSnapshot writes the database to path in the zero-copy snapshot format
 // (internal/store): the dictionary's code table, every relation's live
-// tuples at one consistent version cut, and every plan-cache entry whose
-// memoised encoded representation reflects exactly that cut — so a database
-// reopened from the file serves those plans' first queries without any
-// build. The write is atomic (temp file + rename) and the file records the
-// global write version and each relation's delta-store version, which
-// OpenSnapshotFile restores verbatim.
+// tuples at one consistent version cut, and one arena per live data holder
+// whose memoised encoded representation reflects exactly that cut, named by
+// the holder's key (srcKey) — so a database reopened from the file serves
+// the first query of any statement over that data without a build, however
+// it was prepared. A holder lives while a statement holds it: the plan cache
+// keeps cached statements', a caller keeps the ones it prepared. The write
+// is atomic (temp file + rename) and the file records the global write
+// version and each relation's delta-store version, which OpenSnapshotFile
+// restores verbatim.
 func (db *DB) SaveSnapshot(path string) error {
 	db.mu.RLock()
 	ver := db.ver
@@ -38,26 +40,20 @@ func (db *DB) SaveSnapshot(path string) error {
 		rel.Tuples = live.Tuples[:len(live.Tuples):len(live.Tuples)]
 		set.Rels = append(set.Rels, store.Relation{Ver: st.Ver, Rel: rel})
 	}
-	entries := db.cache.entries()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
-	for _, ce := range entries {
-		if se, ok := persistableEnc(ce.key, ce.stmt, states); ok {
+	for _, src := range db.srcs.live() {
+		if se, ok := persistableEnc(src, states); ok {
 			set.Encs = append(set.Encs, se)
 		}
 	}
 	return store.Write(path, set)
 }
 
-// persistableEnc decides whether a cached statement's memoised encoding can
-// ride along in the snapshot: the statement must memoise one and be
-// unpinned, its data loaded and the encoding built, and every input version
-// equal to the version the snapshot is cutting — otherwise the enc describes
-// data the file does not contain.
-func persistableEnc(key string, st *Stmt, states map[string]*delta.State) (store.Enc, bool) {
-	if st == nil || key == "" || !st.memoises() || st.snap != nil { // nil: an f-plan entry
-		return store.Enc{}, false
-	}
-	d := st.src.data.Load()
+// persistableEnc decides whether a holder's memoised encoding can ride along
+// in the snapshot: its data loaded and the encoding built, and every input
+// version equal to the version the snapshot is cutting — otherwise the enc
+// describes data the file does not contain.
+func persistableEnc(src *stmtSrc, states map[string]*delta.State) (store.Enc, bool) {
+	d := src.data.Load()
 	if d == nil {
 		return store.Enc{}, false // prepared, never executed
 	}
@@ -67,15 +63,15 @@ func persistableEnc(key string, st *Stmt, states map[string]*delta.State) (store
 	if enc == nil {
 		return store.Enc{}, false
 	}
-	inputs := make([]store.Input, len(st.inputs))
-	for i, in := range st.inputs {
-		s, ok := states[in.store.Name]
+	inputs := make([]store.Input, len(src.names))
+	for i, name := range src.names {
+		s, ok := states[name]
 		if !ok || s.Ver != d.vers[i] {
 			return store.Enc{}, false
 		}
-		inputs[i] = store.Input{Name: in.store.Name, Ver: d.vers[i]}
+		inputs[i] = store.Input{Name: name, Ver: d.vers[i]}
 	}
-	return store.Enc{Fingerprint: key, Inputs: inputs, Enc: enc}, true
+	return store.Enc{Key: src.key, Inputs: inputs, Enc: enc}, true
 }
 
 // OpenSnapshotFile opens a database from a snapshot file written by
@@ -83,11 +79,13 @@ func persistableEnc(key string, st *Stmt, states map[string]*delta.State) (store
 // into the heap otherwise): relation tuples and any snapshot-carried
 // encodings are zero-copy views into the mapping, so opening costs
 // validation — header, checksums, structural invariants — instead of a
-// parse and build, and a carried encoding serves its plan's first query
-// with no build at all. The mapping stays referenced for the lifetime of
-// the returned database; the database is fully writable — the first
-// mutation simply layers delta batches over the mapped base like any other
-// bulk-loaded relation.
+// parse and build. Carried encodings are indexed by holder key, and the
+// first execution of any live statement, cached or not, whose data holder
+// has that key adopts one with no build at all; an arena saved under any
+// other name matches no holder, and its statements build as usual. The
+// mapping stays referenced for the lifetime of the returned database; the
+// database is fully writable — the first mutation simply layers delta
+// batches over the mapped base like any other bulk-loaded relation.
 //
 // The mapped file is the database's storage, so it must not change while
 // the database lives. Replace a served snapshot by rename — what
@@ -127,44 +125,56 @@ func newFromStore(f *store.File) (*DB, error) {
 	}
 	db.ver = f.Ver
 	if len(f.Encs) > 0 {
-		db.adopted = make(map[string]*adoptedEnc, len(f.Encs))
+		db.adopted = make(map[string]store.Enc, len(f.Encs))
 		for _, se := range f.Encs {
 			for _, in := range se.Inputs {
 				s, ok := db.stores[in.Name]
 				if !ok || s.State().Ver != in.Ver {
 					return nil, fmt.Errorf("fdb: open snapshot: enc %q input %s@%d does not match its stored relation",
-						se.Fingerprint, in.Name, in.Ver)
+						se.Key, in.Name, in.Ver)
 				}
 			}
-			db.adopted[se.Fingerprint] = &adoptedEnc{inputs: se.Inputs, enc: se.Enc}
+			db.adopted[se.Key] = se
 		}
 	}
 	db.backing = f
 	return db, nil
 }
 
-// adoptSaved returns a snapshot-carried encoding for this statement at this
-// data version, or nil to fall back to a build. Adoption demands exact
-// agreement — fingerprint, input names and versions, and the tree's
-// store.TreeKey (pre-order shape, Rels, Deps and markers) — because the arena
-// is wired to the stored tree's pre-order; any mismatch means the plan must
-// build normally. The returned enc is a view: its arena stays in the snapshot
-// file.
+// adoptSaved returns a snapshot-carried encoding for this statement's
+// holder at this data version, or nil to fall back to a build. Adoption
+// demands exact agreement — holder key, input names and versions, and the
+// tree's store.TreeKey (pre-order shape, Rels, Deps and markers) — because
+// the arena is wired to the stored tree's pre-order; any mismatch means the
+// plan must build normally. A pinned statement's holder has no key and never
+// adopts. The returned enc is a view: its arena stays in the snapshot file.
 func (st *Stmt) adoptSaved(d *stmtData) *frep.Enc {
-	if st.fp == "" || st.snap != nil || !st.memoises() {
+	se, ok := st.db.adopted[st.src.key]
+	if !ok || st.src.key == "" || len(se.Inputs) != len(st.src.names) {
 		return nil
 	}
-	ae := st.db.adopted[st.fp]
-	if ae == nil || len(ae.inputs) != len(st.inputs) || len(d.vers) != len(st.inputs) {
-		return nil
-	}
-	for i := range st.inputs {
-		if ae.inputs[i].Name != st.inputs[i].store.Name || ae.inputs[i].Ver != d.vers[i] {
+	for i, name := range st.src.names {
+		if se.Inputs[i].Name != name || se.Inputs[i].Ver != d.vers[i] {
 			return nil
 		}
 	}
-	if store.TreeKey(ae.enc.Tree) != store.TreeKey(st.tree) {
+	if store.TreeKey(se.Enc.Tree) != store.TreeKey(st.tree) {
 		return nil
 	}
-	return ae.enc.ReTree(st.tree.Clone())
+	return se.Enc.ReTree(st.tree.Clone())
+}
+
+// servesSavedArena reports whether the statement's holder serves the arena
+// the snapshot file carried under its key: the memoised encoding aliases the
+// carried arena's storage. An empty arena aliases nothing, so it never does.
+func (st *Stmt) servesSavedArena() bool {
+	se, ok := st.db.adopted[st.src.key]
+	d := st.src.data.Load()
+	if !ok || d == nil || len(se.Enc.A.Vals) == 0 {
+		return false
+	}
+	d.mu.Lock()
+	enc := d.enc
+	d.mu.Unlock()
+	return enc != nil && len(enc.A.Vals) > 0 && &enc.A.Vals[0] == &se.Enc.A.Vals[0]
 }

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
+	"runtime"
 	"testing"
 
 	"repro/internal/store"
@@ -95,8 +95,9 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 }
 
 // TestSaveSnapshotAfterJoin: f-plan entries share the plan cache with
-// statements but name no relation and carry no encoding, so SaveSnapshot
-// skips them: the file writes, reopens and answers like the live database.
+// statements but hold no data, and persistence reads only the data holders:
+// the file carries exactly one arena per live holder with a built encoding,
+// under the holder's key, and reopens to answer like the live database.
 func TestSaveSnapshotAfterJoin(t *testing.T) {
 	db, join, agg := persistFixture(t)
 	orders, err := db.Query(From("Orders"))
@@ -112,24 +113,43 @@ func TestSaveSnapshotAfterJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	cached := false
-	for _, ce := range db.cache.entries() {
+	for _, ce := range cacheEntries(db) {
 		cached = cached || ce.fplan != nil
 	}
 	if !cached {
 		t.Fatal("the Join left no f-plan entry to skip; the fixture is broken")
 	}
+	// The registry holds weak pointers: pin the holders the save must find.
+	holders := db.srcs.live()
 	path := filepath.Join(t.TempDir(), "snap.fdb")
 	if err := db.SaveSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
+	runtime.KeepAlive(holders)
 	db2, err := OpenSnapshotFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for fp := range db2.adopted {
-		if strings.HasPrefix(fp, "fplan:") {
-			t.Fatalf("the snapshot carries an f-plan entry %q", fp)
+	built := 0
+	for _, src := range holders {
+		d := src.data.Load()
+		if d == nil {
+			continue
 		}
+		d.mu.Lock()
+		enc := d.enc
+		d.mu.Unlock()
+		if enc == nil {
+			continue
+		}
+		built++
+		if _, ok := db2.adopted[src.key]; !ok {
+			t.Fatalf("the snapshot lacks the arena of holder %q", src.key)
+		}
+	}
+	if built < 4 || len(db2.adopted) != built {
+		t.Fatalf("the snapshot carries %d arenas for %d holders with an encoding (want at least 4: join, agg, Orders, Stock)",
+			len(db2.adopted), built)
 	}
 	if got, want := queryTable(t, db2, join), queryTable(t, db, join); got != want {
 		t.Fatalf("join table diverges after reopen:\n%s\nwant:\n%s", got, want)
@@ -154,44 +174,150 @@ func TestSaveSnapshotAfterJoin(t *testing.T) {
 	}
 }
 
-// TestOpenedSnapshotAdoptsEnc pins the zero-copy contract: the first query
-// on a reopened database must adopt the snapshot-carried arena — sharing
-// its backing storage — rather than rebuild.
+// TestOpenedSnapshotAdoptsEnc pins the zero-copy contract: the first
+// execution on a reopened database must adopt the snapshot-carried arena —
+// sharing its backing storage — rather than rebuild.
 func TestOpenedSnapshotAdoptsEnc(t *testing.T) {
 	db, join, _ := persistFixture(t)
+	st, err := db.Prepare(join...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Exec(); err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "snap.fdb")
 	if err := db.SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(st)
+	db2, err := OpenSnapshotFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2, err := db2.Prepare(join...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := db2.adopted[st2.src.key]; !ok {
+		t.Fatalf("opened database carries no arena under the join's holder key %q", st2.src.key)
+	}
+	if _, err := st2.Exec(); err != nil {
+		t.Fatal(err)
+	}
+	if !st2.servesSavedArena() {
+		t.Fatal("the first execution rebuilt instead of adopting the snapshot-carried arena")
+	}
+}
+
+// savedQ1 saves a database whose only executed statements are Q1 and its
+// projection, both prepared uncached, and returns the file, the clauses
+// and their tables on the live database.
+func savedQ1(t *testing.T) (path string, stmts [][]Clause, want []string) {
+	t.Helper()
+	db := grocery(t)
+	q1 := []Clause{From("Orders", "Store", "Disp"), Eq("Orders.item", "Store.item"), Eq("Store.location", "Disp.location")}
+	stmts = [][]Clause{q1, append(append([]Clause{}, q1...), Project("Orders.oid", "Disp.dispatcher"))}
+	var live []*Stmt
+	for _, clauses := range stmts {
+		st, err := db.Prepare(clauses...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := st.Exec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, st)
+		want = append(want, res.Table(-1))
+	}
+	path = filepath.Join(t.TempDir(), "q1.fdb")
+	if err := db.SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(live)
+	return path, stmts, want
+}
+
+// TestSaveSnapshotOneArenaPerHolder: Q1 and its projection share one data
+// holder, so the file carries one arena, and the same two uncached
+// statements on the reopened database both serve their first execution
+// from it.
+func TestSaveSnapshotOneArenaPerHolder(t *testing.T) {
+	path, stmts, want := savedQ1(t)
+	f, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Encs) != 1 {
+		t.Fatalf("the snapshot carries %d arenas for one holder", len(f.Encs))
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	db2, err := OpenSnapshotFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(db2.adopted) == 0 {
-		t.Fatal("opened database carries no adoptable encodings")
+	for i, clauses := range stmts {
+		st, err := db2.Prepare(clauses...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := st.Exec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.servesSavedArena() {
+			t.Fatalf("statement %d rebuilt instead of adopting the carried arena", i)
+		}
+		if got := res.Table(-1); got != want[i] {
+			t.Fatalf("statement %d diverges after reopen:\n%s\nwant:\n%s", i, got, want[i])
+		}
 	}
-	if _, err := db2.Query(join...); err != nil {
+}
+
+// TestOpenedSnapshotIgnoresFingerprintKeys: a file whose arena is named by Q1's
+// plan-cache fingerprint — how files were keyed before holder keys — opens,
+// adopts nothing and answers like the live database.
+func TestOpenedSnapshotIgnoresFingerprintKeys(t *testing.T) {
+	path, stmts, want := savedQ1(t)
+	f, err := store.Open(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	adoptedOne := false
-	for _, ce := range db2.cache.entries() {
-		d := ce.stmt.src.data.Load()
-		if d == nil {
-			continue
-		}
-		d.mu.Lock()
-		enc := d.enc
-		d.mu.Unlock()
-		ae := db2.adopted[ce.key]
-		if enc == nil || ae == nil || len(enc.A.Vals) == 0 {
-			continue
-		}
-		if &enc.A.Vals[0] == &ae.enc.A.Vals[0] {
-			adoptedOne = true
-		}
+	encs := append([]store.Enc(nil), f.Encs...)
+	encs[0].Key = `R:"Disp"("Disp.dispatcher","Disp.location");"Orders"("Orders.oid","Orders.item");"Store"("Store.location","Store.item")|E:"Disp.location"="Store.location";"Orders.item"="Store.item"|S:|P:*`
+	old := filepath.Join(t.TempDir(), "fingerprint.fdb")
+	if err := store.Write(old, &store.Set{Ver: f.Ver, Dict: f.Dict, Rels: f.Rels, Encs: encs}); err != nil {
+		t.Fatal(err)
 	}
-	if !adoptedOne {
-		t.Fatal("no cached statement adopted a snapshot-carried arena")
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := OpenSnapshotFile(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	carried, ok := db2.adopted[encs[0].Key]
+	if len(db2.adopted) != 1 || !ok {
+		t.Fatalf("opened database indexes %d arenas, want the file's one", len(db2.adopted))
+	}
+	for i, clauses := range stmts {
+		st, err := db2.Prepare(clauses...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := st.Exec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if enc := st.src.data.Load().enc; &enc.A.Vals[0] == &carried.Enc.A.Vals[0] {
+			t.Fatalf("statement %d adopted an arena keyed by a plan fingerprint", i)
+		}
+		if got := res.Table(-1); got != want[i] {
+			t.Fatalf("statement %d diverges after reopen:\n%s\nwant:\n%s", i, got, want[i])
+		}
 	}
 }
 

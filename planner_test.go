@@ -411,7 +411,7 @@ func TestWherePlanFallback(t *testing.T) {
 	if after := db.CacheStats(); after.BudgetFallbacks != before.BudgetFallbacks {
 		t.Fatalf("a failed search counted a budget fallback: %+v -> %+v", before, after)
 	}
-	for _, ce := range db.cache.entries() {
+	for _, ce := range cacheEntries(db) {
 		if ce.key == fplanKey(tree, bad) {
 			t.Fatal("a failed search left an f-plan in the cache")
 		}

@@ -180,3 +180,15 @@ func TestSnapshotBindAggregate(t *testing.T) {
 		t.Fatalf("live aggregate missed the new group: %d, want %d", len(liveAfter.Rows(0)), len(b)+1)
 	}
 }
+
+// cacheEntries returns a copy of the plan cache's entries, MRU first.
+func cacheEntries(db *DB) []cacheEntry {
+	c := db.cache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]cacheEntry, 0, c.ll.Len())
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		out = append(out, *el.Value.(*cacheEntry))
+	}
+	return out
+}

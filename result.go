@@ -120,13 +120,13 @@ func (r *Result) retrieval() *retrieval {
 // sibling-reordered view (Reindex shares the arena) when only the child
 // order is in the way. ok == false: no such view, the caller sorts.
 func streamPlan(e *frep.Enc, keys []frep.OrderKey, less frep.ValueLess) (*frep.Enc, *frep.EncOrder, bool) {
-	if p, ok := frep.ResolveOrder(e, keys, less); ok {
+	if p, ok := frep.ResolveOrder(e.Tree, keys, less); ok {
 		return e, p, true
 	}
 	t := e.Tree.Clone()
 	if fplan.ReorderForOrder(t, keys) {
 		if e2, err := e.Reindex(t); err == nil {
-			if p, ok := frep.ResolveOrder(e2, keys, less); ok {
+			if p, ok := frep.ResolveOrder(e2.Tree, keys, less); ok {
 				return e2, p, true
 			}
 		}

@@ -32,17 +32,15 @@ import (
 // callers.
 //
 // Who may touch what: the embedded plan is written by DB.plan and by nobody
-// after it; fp is set by cachedStmt before the statement is shared; src is
-// set by DB.plan (or pin) and never replaced. The data behind src is
-// published by refresh alone, under src.refreshMu, and read with one atomic
-// load — and src may be shared: every live statement of the database whose
-// inputs, baked constant selections and f-tree are equal holds the same one
-// (see srcRegistry), so a write is folded, and a memoised encoding rebuilt,
-// once for all of them, whatever their projection, ordering, limits or
-// aggregates.
+// after it; src is set by DB.plan (or pin) and never replaced. The data
+// behind src is published by refresh alone, under src.refreshMu, and read
+// with one atomic load — and src may be shared: every live statement of the
+// database whose inputs, baked constant selections and f-tree are equal
+// holds the same one (see srcRegistry), so a write is folded, and a
+// memoised encoding rebuilt, once for all of them, whatever their
+// projection, ordering, limits or aggregates.
 type Stmt struct {
 	stmtPlan
-	fp   string    // plan-cache fingerprint; "" when not cached
 	snap *Snapshot // non-nil: pinned to this snapshot's versions
 	src  *stmtSrc  // the data holder; pinned statements own theirs
 }
@@ -50,7 +48,13 @@ type Stmt struct {
 // stmtSrc is the one mutable part of a statement: its current data, nil
 // until the first execution loads it, and the lock refresh publishes the
 // next version under. Statements that share a holder share everything in it.
+// A registry holder also carries its srcKey and input names, which name its
+// encoding in a snapshot file; a pinned statement's private holder has
+// neither, so it is never saved and never adopts.
 type stmtSrc struct {
+	key   string
+	names []string
+
 	data      atomic.Pointer[stmtData]
 	refreshMu sync.Mutex
 }
@@ -516,8 +520,9 @@ func (st *Stmt) cachedEnc(ctx context.Context, d *stmtData) (*frep.Enc, error) {
 	defer d.mu.Unlock()
 	if d.enc == nil {
 		// A database opened from a snapshot file may hold a pre-built arena
-		// for exactly this plan at exactly these input versions; adopting it
-		// skips the build entirely (the arena stays in the mapped file).
+		// under exactly this holder's key at exactly these input versions;
+		// adopting it skips the build entirely (the arena stays in the
+		// mapped file).
 		if enc := st.adoptSaved(d); enc != nil {
 			d.enc = enc
 			return d.enc, nil
