@@ -15,7 +15,8 @@
 // turned into the REPL's token list (from … eq … where … project … orderby …
 // distinct offset … limit … groupby … agg …) and parsed by the same
 // parseQuery, and every surface that runs a statement — the flags, exec,
-// query, squery — prepares it and ends in the same execAndReport.
+// query, squery — prepares it through the plan cache (squery then binds it
+// to the snapshot) and ends in the same execAndReport.
 //
 // With -agg (and optionally -groupby), the query aggregates in one pass
 // over the factorised result and prints one row per group.
@@ -35,7 +36,8 @@
 // -save path writes the database to a zero-copy snapshot file after the
 // loads, writes and query run (the query's encoding rides along under its
 // data holder's key, so the reopened file serves any statement over that
-// data without a build); -open path starts from such a file instead of an
+// data without a build); with -i, use the REPL's save verb instead, as -save
+// is refused there. -open path starts from such a file instead of an
 // empty database — it is memory-mapped, so opening skips the TSV parse and
 // encode entirely:
 //
@@ -68,7 +70,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -117,6 +118,10 @@ func run(argv []string, in io.Reader, out io.Writer) error {
 	fs.Var(&upserts, "upsert", "upsert a tuple Rel:k:v1,v2,... replacing live tuples that match on the first k columns (repeatable)")
 	if err := fs.Parse(argv); err != nil {
 		return err
+	}
+	if *interactive && *savePath != "" {
+		// The REPL is the last thing -i runs: a -save would never happen.
+		return fmt.Errorf("-save does not combine with -i; use the REPL's save verb")
 	}
 
 	var db *fdb.DB
@@ -197,11 +202,9 @@ func run(argv []string, in io.Reader, out io.Writer) error {
 		return err
 	}
 	if *savePath != "" {
-		// The snapshot carries the encodings of live data holders only, and
-		// the statement is what keeps its holder alive.
-		err := saveSnapshot(db, *savePath, out)
-		runtime.KeepAlive(stmt)
-		return err
+		// The plan cache keeps the statement, and so its data holder, alive:
+		// the snapshot carries its encoding.
+		return saveSnapshot(db, *savePath, out)
 	}
 	return nil
 }
@@ -397,14 +400,14 @@ func report(out io.Writer, res *fdb.Result, rows int) {
 const replHelp = `commands:
   load <path>                      load a TSV relation file
   rels                             list relations
-  prepare <name> <query>           compile a statement ($x in where = parameter)
+  prepare <name> <query>           compile a statement through the plan cache ($x in where = parameter)
   exec <name> [k=v ...]            run a prepared statement
   query <query>                    run an ad-hoc query (through the plan cache)
   insert <Rel> v1 v2 ...           add a tuple (set semantics; visible to the next query)
   delete <Rel> v1 v2 ...           remove the exact tuple (absent: no-op)
   upsert <Rel> <k> v1 v2 ...       insert, first removing live tuples matching the first k columns
   snapshot <name>                  pin a consistent read view of the database
-  squery <name> <query>            run a query against a pinned snapshot
+  squery <name> <query>            run a query bound to a pinned snapshot (same plan as query)
   release <name>                   close a snapshot (its queries then fail)
   compact <Rel>                    fold the relation's delta chain into a fresh base
   save <path>                      write the database to a zero-copy snapshot file
@@ -466,7 +469,7 @@ func repl(db *fdb.DB, rows int, in io.Reader, out io.Writer) {
 		case "snapshot":
 			err = replSnapshot(db, snaps, rest, out)
 		case "squery":
-			err = replSnapQuery(snaps, rest, rows, out)
+			err = replSnapQuery(db, snaps, rest, rows, out)
 		case "release":
 			err = replRelease(snaps, rest, out)
 		case "compact":
@@ -598,7 +601,7 @@ func replSnapshot(db *fdb.DB, snaps map[string]*fdb.Snapshot, rest []string, out
 	return nil
 }
 
-func replSnapQuery(snaps map[string]*fdb.Snapshot, rest []string, rows int, out io.Writer) error {
+func replSnapQuery(db *fdb.DB, snaps map[string]*fdb.Snapshot, rest []string, rows int, out io.Writer) error {
 	if len(rest) < 2 {
 		return fmt.Errorf("usage: squery <snapshot> <query>")
 	}
@@ -610,8 +613,11 @@ func replSnapQuery(snaps map[string]*fdb.Snapshot, rest []string, rows int, out 
 	if err != nil {
 		return err
 	}
-	stmt, err := snap.Prepare(clauses...)
+	stmt, err := db.Prepare(clauses...)
 	if err != nil {
+		return err
+	}
+	if stmt, err = snap.Bind(stmt); err != nil {
 		return err
 	}
 	return execAndReport(out, stmt, nil, rows)
@@ -661,7 +667,7 @@ func replOpen(rest []string, out io.Writer) (*fdb.DB, error) {
 	return db, nil
 }
 
-// replQuery compiles through the plan cache, which keeps the statement —
+// replQuery prepares through the plan cache, which keeps the statement —
 // and so its data holder — alive, so a later save carries the query's
 // encoding along.
 func replQuery(db *fdb.DB, rest []string, rows int, out io.Writer) error {
@@ -669,7 +675,7 @@ func replQuery(db *fdb.DB, rest []string, rows int, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	stmt, err := db.PrepareCached(clauses...)
+	stmt, err := db.Prepare(clauses...)
 	if err != nil {
 		return err
 	}

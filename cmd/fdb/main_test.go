@@ -341,3 +341,19 @@ func TestRunErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestInteractiveRefusesSave: -save names a file written after the query,
+// but -i ends in the REPL, so the combination is refused — pointing at the
+// REPL's save verb — rather than silently writing nothing.
+func TestInteractiveRefusesSave(t *testing.T) {
+	orders, _, _ := writeTSVs(t)
+	p := filepath.Join(t.TempDir(), "orders.fdb")
+	var out bytes.Buffer
+	err := run([]string{"-i", "-save", p, "-load", orders}, strings.NewReader("quit\n"), &out)
+	if err == nil || !strings.Contains(err.Error(), "save verb") {
+		t.Fatalf("-i -save: err = %v, want a refusal naming the REPL's save verb", err)
+	}
+	if _, err := os.Stat(p); !os.IsNotExist(err) {
+		t.Fatalf("-i -save wrote %s (stat: %v)", p, err)
+	}
+}

@@ -27,18 +27,19 @@ import (
 	"repro/internal/wire"
 )
 
-// warmReadPool executes the parameter-free queries of the retailer read
-// pool once through the shared plan cache, which keeps their data holders
-// alive with memoised encodings when the snapshot is cut — one arena per
-// holder, however many queries share it — so a -data restart serves those
-// queries from the mapped arenas without any build.
+// warmReadPool prepares and executes the parameter-free queries of the
+// retailer read pool once. Prepare resolves through the shared plan cache,
+// which keeps their data holders alive with memoised encodings when the
+// snapshot is cut — one arena per holder, however many queries share it —
+// so a -data restart serves those queries from the mapped arenas without
+// any build.
 func warmReadPool(db *fdb.DB) error {
 	for _, q := range wire.RetailerQueries() {
 		clauses, err := q.Spec.Clauses()
 		if err != nil {
 			return err
 		}
-		st, err := db.PrepareCached(clauses...)
+		st, err := db.Prepare(clauses...)
 		if err != nil {
 			return err
 		}

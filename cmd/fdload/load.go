@@ -75,7 +75,7 @@ func newReference(seed int64, scale int) (*reference, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := db.PrepareCached(clauses...)
+		st, err := db.Prepare(clauses...)
 		if err != nil {
 			return nil, fmt.Errorf("reference prepare %s: %v", q.Name, err)
 		}

@@ -296,22 +296,13 @@ func (db *DB) Dict() *relation.Dict { return db.dict }
 // Query compiles and runs a select-project-join query and returns its
 // factorised result: it finds an f-tree of minimal cost s(T) for the query,
 // builds the factorised representation directly from the input relations,
-// then applies constant selections and the projection.
-//
-// Query is a thin wrapper over the prepared-statement machinery: the
-// compiled plan is looked up in (and inserted into) an internal LRU cache
-// keyed by the query's canonical fingerprint, so repeating the same query
-// skips the f-tree search, and the cached statement's loaded inputs skip
-// the dedup and sort. Writes do not evict cached plans — a cached statement
-// refreshes its data incrementally from the relations' delta chains per
-// execution. CacheStats exposes the hit counters. Queries with Param
-// placeholders are rejected — use Prepare and Exec to bind them.
+// then applies constant selections and the projection. Query is Prepare
+// followed by Exec, so a repeated query hits the plan cache and its
+// statement's loaded inputs; a query with Param placeholders fails with
+// Exec's missing-parameter error, and one with Agg clauses belongs to
+// QueryAgg.
 func (db *DB) Query(clauses ...Clause) (*Result, error) {
-	s, err := adhocSpec(clauses, false)
-	if err != nil {
-		return nil, err
-	}
-	st, err := db.cachedStmt(s)
+	st, err := db.Prepare(clauses...)
 	if err != nil {
 		return nil, err
 	}
@@ -320,62 +311,22 @@ func (db *DB) Query(clauses ...Clause) (*Result, error) {
 
 // QueryAgg compiles and runs an aggregation query — From/Eq/Cmp clauses
 // plus at least one Agg, optionally GroupBy — and returns its aggregate
-// rows. The query compiles like Query (shared plan cache, keyed by a
-// fingerprint extended with the grouping and aggregate list; the compiled
-// f-tree is restructured so group-by attributes sit above aggregated
-// ones), then the aggregates are evaluated in a single pass over the
-// factorised result, never over its flattening.
+// rows: Prepare followed by ExecAgg. The compiled f-tree is restructured so
+// group-by attributes sit above aggregated ones, and the aggregates are
+// evaluated in a single pass over the factorised result, never over its
+// flattening.
 func (db *DB) QueryAgg(clauses ...Clause) (*AggResult, error) {
-	s, err := adhocSpec(clauses, true)
-	if err != nil {
-		return nil, err
-	}
-	st, err := db.cachedStmt(s)
+	st, err := db.Prepare(clauses...)
 	if err != nil {
 		return nil, err
 	}
 	return st.ExecAgg()
 }
 
-// adhocSpec compiles the clauses of an execute-immediately call — Query or
-// QueryAgg (agg), on the database or on a snapshot: the query's shape must
-// be the one the call returns, and there is nowhere to bind a parameter.
-func adhocSpec(clauses []Clause, agg bool) (*spec, error) {
-	s, err := compileSpec(modeQuery, clauses)
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case agg && len(s.aggs) == 0:
-		return nil, fmt.Errorf("fdb: QueryAgg needs at least one Agg clause")
-	case !agg && len(s.aggs) > 0:
-		return nil, fmt.Errorf("fdb: query computes aggregates; use QueryAgg")
-	}
-	if ps := s.params(); len(ps) > 0 {
-		return nil, fmt.Errorf("fdb: unbound parameter %q: use Prepare and Exec for parameterised queries", ps[0])
-	}
-	return s, nil
-}
-
-// PrepareCached is Prepare through the plan cache: the compiled statement
-// is looked up by the query's canonical fingerprint — parameter
-// placeholders included — so many callers preparing the same query shape
-// (the server front-end's connections, most prominently) share one
-// compiled plan. Statements are safe for concurrent Exec, so the sharing is
-// free; an entry stays cached until the LRU evicts it (the catalogue only
-// grows and binding refuses unknown relations, so no later Create or
-// LoadTSV can change what a cached plan reads). The data goes further than
-// the plan: every live statement whose inputs, baked constant selections
-// and f-tree are equal — across fingerprints, cached or not — shares one
-// set of refreshed inputs and one memoised encoded representation, which a
-// snapshot file carries under that data holder's key.
-func (db *DB) PrepareCached(clauses ...Clause) (*Stmt, error) {
-	s, err := compileSpec(modeQuery, clauses)
-	if err != nil {
-		return nil, err
-	}
-	return db.cachedStmt(s)
-}
+// PrepareCached forwards to Prepare, which resolves through the plan cache.
+// The benchmark harness is its only caller; it goes when the harness moves
+// to Prepare.
+func (db *DB) PrepareCached(clauses ...Clause) (*Stmt, error) { return db.Prepare(clauses...) }
 
 // cachedStmt resolves a compiled statement for the spec through the plan
 // cache: bind, look the bound spec's fingerprint up, plan and insert on a

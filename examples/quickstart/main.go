@@ -86,8 +86,10 @@ func main() {
 		fmt.Printf("  item=%-6s -> %d tuples in %d singletons\n", item, r.Count(), r.Size())
 	}
 
-	// Ad-hoc queries reuse plans too: db.Query goes through an LRU plan
-	// cache keyed by the query's canonical fingerprint.
+	// Ad-hoc queries reuse plans too: db.Query is Prepare then Exec, and
+	// Prepare goes through an LRU plan cache keyed by the query's canonical
+	// fingerprint. The counts below include the prepared Q1(item) above,
+	// which is a cache entry (and a miss) of its own.
 	for i := 0; i < 3; i++ {
 		_, err := db.Query(
 			fdb.From("Produce", "Serve"),

@@ -7,9 +7,12 @@
 // The engine spends its optimisation budget before execution: it searches
 // for an f-tree of minimal cost s(T), pre-filters and dedups the inputs,
 // and only then builds the factorised result. The API is therefore built
-// around compiled, reusable statements: Prepare pays the compile cost once,
-// Exec runs the compiled statement cheaply many times, and Param
-// placeholders let one plan serve millions of distinct constant values:
+// around compiled, reusable statements: Prepare pays the compile cost once
+// per query shape — it resolves through an LRU plan cache keyed by the
+// query's canonical fingerprint (see CacheStats), so every caller preparing
+// the shape shares one statement — Exec runs the compiled statement cheaply
+// many times, and Param placeholders let one plan serve millions of
+// distinct constant values:
 //
 //	db := fdb.New()
 //	db.MustCreate("Orders", "oid", "item")
@@ -26,11 +29,11 @@
 // Exec is safe for concurrent callers; ExecContext adds cancellation for
 // long factorisation builds. Prepare reads the query and the schemas only;
 // a Stmt loads its input relations on its first Exec and follows their
-// writes from then on.
+// writes from then on. A Snapshot pins a consistent read view; Bind pins a
+// prepared statement to it.
 //
-// Ad-hoc queries still work — and get plan reuse for free through an
-// internal LRU plan cache keyed by the query's canonical fingerprint
-// (see CacheStats):
+// Ad-hoc queries are Prepare followed by Exec, so they reuse plans through
+// the same cache:
 //
 //	res, err := db.Query(
 //		fdb.From("Orders", "Store", "Disp"),
@@ -61,9 +64,9 @@
 //		fdb.Agg(fdb.Count, ""), fdb.Agg(fdb.Sum, "Orders.oid"))
 //	v, err := ar.Int(0, "count") // one row per group, sorted by key
 //
-// Grouped statements restructure their f-tree at compile time so group-by
-// attributes sit above aggregated ones; Prepare + ExecAgg reuse the
-// restructured plan per binding.
+// QueryAgg is Prepare followed by ExecAgg. Grouped statements restructure
+// their f-tree at compile time so group-by attributes sit above aggregated
+// ones; Prepare + ExecAgg reuse the restructured plan per binding.
 //
 // Relations are presented at the logical layer, but results (and, when
 // desired, inputs of follow-up queries) are stored as factorised

@@ -45,8 +45,9 @@ import (
 const maxOracleTuples = 500_000
 
 // Querier is the query surface a differential check runs against: the live
-// database or a pinned snapshot — both answer the same clause language, so
-// the same oracle comparison covers read-your-writes and snapshot reads.
+// database or a pinned snapshot (snapQuerier) — both answer the same clause
+// language, so the same oracle comparison covers read-your-writes and
+// snapshot reads.
 type Querier interface {
 	Query(clauses ...fdb.Clause) (*fdb.Result, error)
 	QueryAgg(clauses ...fdb.Clause) (*fdb.AggResult, error)
@@ -361,7 +362,7 @@ func CheckPersisted(seed int64, dir string) error {
 // execCached prepares the clauses through db's plan cache and executes the
 // statement once, as an aggregation in aggregate cases.
 func (c *Case) execCached(db *fdb.DB, clauses []fdb.Clause) (*fdb.Stmt, error) {
-	st, err := db.PrepareCached(clauses...)
+	st, err := db.Prepare(clauses...)
 	if err != nil {
 		return nil, err
 	}

@@ -88,7 +88,7 @@ func CheckMutations(seed int64) (int, error) {
 	if len(c.aggs) > 0 {
 		query, twinClauses = c.aggClauses(own), twin.aggClauses(own)
 	}
-	cached, err := db.PrepareCached(query...)
+	cached, err := db.Prepare(query...)
 	if err != nil {
 		return 0, fmt.Errorf("fuzz: mutation seed %d: prepare: %v", seed, err)
 	}
@@ -192,7 +192,7 @@ func CheckMutations(seed int64) (int, error) {
 		// Every snapshot pinned at an earlier step must still answer with
 		// its pinned view, bit-for-bit, after this mutation.
 		for _, p := range pins {
-			if err := check(p.snap, p.flat, fmt.Sprintf("step %d snap@%d", step, p.step)); err != nil {
+			if err := check(snapQuerier{db, p.snap}, p.flat, fmt.Sprintf("step %d snap@%d", step, p.step)); err != nil {
 				return queries, err
 			}
 		}
@@ -203,7 +203,7 @@ func CheckMutations(seed int64) (int, error) {
 
 	for _, p := range pins {
 		p.snap.Close()
-		if _, err := p.snap.Query(fdb.From(c.names[0])); err == nil {
+		if _, err := (snapQuerier{db, p.snap}).Query(fdb.From(c.names[0])); err == nil {
 			return queries, fmt.Errorf("fuzz: mutation seed %d: closed snapshot (step %d) still answered", seed, p.step)
 		}
 	}
@@ -211,6 +211,37 @@ func CheckMutations(seed int64) (int, error) {
 		return queries, fmt.Errorf("fuzz: mutation seed %d: %d snapshots leaked", seed, open)
 	}
 	return queries, nil
+}
+
+// snapQuerier answers a differential check from a pinned snapshot: each query
+// is the database's cached statement for its clauses, bound to the snapshot.
+type snapQuerier struct {
+	db   *fdb.DB
+	snap *fdb.Snapshot
+}
+
+func (q snapQuerier) bind(clauses []fdb.Clause) (*fdb.Stmt, error) {
+	st, err := q.db.Prepare(clauses...)
+	if err != nil {
+		return nil, err
+	}
+	return q.snap.Bind(st)
+}
+
+func (q snapQuerier) Query(clauses ...fdb.Clause) (*fdb.Result, error) {
+	st, err := q.bind(clauses)
+	if err != nil {
+		return nil, err
+	}
+	return st.Exec()
+}
+
+func (q snapQuerier) QueryAgg(clauses ...fdb.Clause) (*fdb.AggResult, error) {
+	st, err := q.bind(clauses)
+	if err != nil {
+		return nil, err
+	}
+	return st.ExecAgg()
 }
 
 // sameTreeTwin derives a case whose statement compiles to this case's

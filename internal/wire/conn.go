@@ -176,7 +176,7 @@ func (c *conn) handlePrepare(f Frame) {
 		c.reply(f.ID, CodeBadRequest, err.Error(), nil)
 		return
 	}
-	st, err := c.srv.db.PrepareCached(clauses...)
+	st, err := c.srv.db.Prepare(clauses...)
 	if err != nil {
 		c.reply(f.ID, CodeQuery, err.Error(), nil)
 		return

@@ -42,7 +42,7 @@ type replyCase struct {
 // prepare compiles clauses on db for a replyCase.
 func prepare(t *testing.T, db *fdb.DB, clauses ...fdb.Clause) *fdb.Stmt {
 	t.Helper()
-	st, err := db.PrepareCached(clauses...)
+	st, err := db.Prepare(clauses...)
 	if err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
@@ -219,7 +219,7 @@ func scanStmt(b *testing.B) *fdb.Stmt {
 	if err != nil {
 		b.Fatal(err)
 	}
-	st, err := db.PrepareCached(clauses...)
+	st, err := db.Prepare(clauses...)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func (o Options) withDefaults() Options {
 }
 
 // Server speaks the wire protocol over a listener, fronting one database.
-// Every connection shares the database's plan cache (PrepareCached), so a
+// Every connection prepares through the database's plan cache, so a
 // thousand connections preparing the same query shape compile it once; each
 // connection owns its statement handles and pinned snapshots, released when
 // it closes. Requests admit through a bounded queue onto shared execution

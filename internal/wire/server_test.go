@@ -60,7 +60,7 @@ func libRows(t *testing.T, db *fdb.DB, sp *Spec, args []Arg) *Rows {
 	if err != nil {
 		t.Fatalf("clauses: %v", err)
 	}
-	st, err := db.PrepareCached(clauses...)
+	st, err := db.Prepare(clauses...)
 	if err != nil {
 		t.Fatalf("prepare: %v", err)
 	}

@@ -51,7 +51,7 @@ func TestFingerprintGolden(t *testing.T) {
 		return ""
 	}
 	for _, g := range goldenFingerprints {
-		st, err := db.PrepareCached(append([]Clause{From("Orders", "Store"), Eq("Orders.item", "Store.item")}, g.clauses...)...)
+		st, err := db.Prepare(append([]Clause{From("Orders", "Store"), Eq("Orders.item", "Store.item")}, g.clauses...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestFingerprintGolden(t *testing.T) {
 		}
 	}
 	// Canonical over the syntactic permutations of one query.
-	st, err := db.PrepareCached(From("Store", "Orders"), Eq("Store.item", "Orders.item"))
+	st, err := db.Prepare(From("Store", "Orders"), Eq("Store.item", "Orders.item"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,9 +182,10 @@ func TestPrepareTouchesNoTuples(t *testing.T) {
 	}
 }
 
-// TestSnapshotPrepareSharesPlan: the snapshot surface compiles through the
-// plan cache, so K snapshots preparing one shape cost one f-tree search, and
-// each pinned statement is still repeatable under concurrent writes.
+// TestSnapshotPrepareSharesPlan: a statement pinned by Prepare and Bind
+// compiles through the plan cache, so K snapshots pinning one shape cost one
+// f-tree search, and each pinned statement is still repeatable under
+// concurrent writes.
 func TestSnapshotPrepareSharesPlan(t *testing.T) {
 	db := seedPC(t)
 	shape := []Clause{From("R", "S"), Eq("R.b", "S.b"), Cmp("R.a", LE, Param("x"))}
@@ -198,7 +199,7 @@ func TestSnapshotPrepareSharesPlan(t *testing.T) {
 		snaps[i] = db.Snapshot()
 		defer snaps[i].Close()
 		for _, into := range [][]*Stmt{stmts, lazy} {
-			st, err := snaps[i].Prepare(shape...)
+			st, err := pinPrepare(snaps[i], shape...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -263,18 +264,15 @@ func TestSnapshotPrepareSharesPlan(t *testing.T) {
 
 	// The snapshot lifecycle errors are what they were.
 	db.MustCreate("Late", "z")
-	if _, err := snaps[0].Prepare(From("Late")); err == nil || !strings.Contains(err.Error(), "created after the snapshot") {
-		t.Fatalf("prepare of a post-snapshot relation: %v", err)
-	}
-	if _, err := snaps[0].Query(From("Late")); err == nil || !strings.Contains(err.Error(), "created after the snapshot") {
-		t.Fatalf("query of a post-snapshot relation: %v", err)
+	if _, err := pinPrepare(snaps[0], From("Late")); err == nil || !strings.Contains(err.Error(), "created after the snapshot") {
+		t.Fatalf("bind of a post-snapshot relation: %v", err)
 	}
 	snaps[0].Close()
-	if _, err := snaps[0].Prepare(shape...); !errors.Is(err, errSnapshotClosed) {
-		t.Fatalf("prepare on a closed snapshot: %v", err)
+	if _, err := pinPrepare(snaps[0], shape...); !errors.Is(err, errSnapshotClosed) {
+		t.Fatalf("bind on a closed snapshot: %v", err)
 	}
-	if _, err := snaps[0].QueryAgg(From("R"), Agg(Count, "")); !errors.Is(err, errSnapshotClosed) {
-		t.Fatalf("aggregate on a closed snapshot: %v", err)
+	if _, err := pinPrepare(snaps[0], From("R"), Agg(Count, "")); !errors.Is(err, errSnapshotClosed) {
+		t.Fatalf("aggregate bind on a closed snapshot: %v", err)
 	}
 	if _, err := stmts[0].Exec(Arg("x", 5)); !errors.Is(err, errSnapshotClosed) {
 		t.Fatalf("pinned exec after close: %v", err)

@@ -63,7 +63,7 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	// A cached statement that was never executed holds no data: the save
 	// must skip it, not trip over it.
 	cold := []Clause{From("Orders"), Cmp("Orders.oid", LE, 5)}
-	if _, err := db.PrepareCached(cold...); err != nil {
+	if _, err := db.Prepare(cold...); err != nil {
 		t.Fatal(err)
 	}
 
@@ -211,8 +211,8 @@ func TestOpenedSnapshotAdoptsEnc(t *testing.T) {
 }
 
 // savedQ1 saves a database whose only executed statements are Q1 and its
-// projection, both prepared uncached, and returns the file, the clauses
-// and their tables on the live database.
+// projection, and returns the file, the clauses and their tables on the
+// live database.
 func savedQ1(t *testing.T) (path string, stmts [][]Clause, want []string) {
 	t.Helper()
 	db := grocery(t)
@@ -240,9 +240,9 @@ func savedQ1(t *testing.T) (path string, stmts [][]Clause, want []string) {
 }
 
 // TestSaveSnapshotOneArenaPerHolder: Q1 and its projection share one data
-// holder, so the file carries one arena, and the same two uncached
-// statements on the reopened database both serve their first execution
-// from it.
+// holder, so the file carries one arena, and the same two statements
+// prepared on the reopened database both serve their first execution from
+// it.
 func TestSaveSnapshotOneArenaPerHolder(t *testing.T) {
 	path, stmts, want := savedQ1(t)
 	f, err := store.Open(path)

@@ -1,6 +1,7 @@
 package fdb
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -19,17 +20,17 @@ func seedPC(t *testing.T) *DB {
 	return db
 }
 
-// TestPrepareCachedSharesPlans: identical shapes share one *Stmt through
-// the plan cache, parameter placeholders included; different shapes don't.
-func TestPrepareCachedSharesPlans(t *testing.T) {
+// TestPrepareSharesPlans: identical shapes share one *Stmt through the plan
+// cache, parameter placeholders included; different shapes don't.
+func TestPrepareSharesPlans(t *testing.T) {
 	db := seedPC(t)
 	shape := []Clause{From("R", "S"), Eq("R.b", "S.b"), Cmp("R.a", EQ, Param("x"))}
-	st1, err := db.PrepareCached(shape...)
+	st1, err := db.Prepare(shape...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := db.CacheStats()
-	st2, err := db.PrepareCached(shape...)
+	st2, err := db.Prepare(shape...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestPrepareCachedSharesPlans(t *testing.T) {
 		t.Fatalf("no cache hit: %+v -> %+v", before, after)
 	}
 	// A different placeholder name is a different plan identity.
-	st3, err := db.PrepareCached(From("R", "S"), Eq("R.b", "S.b"), Cmp("R.a", EQ, Param("y")))
+	st3, err := db.Prepare(From("R", "S"), Eq("R.b", "S.b"), Cmp("R.a", EQ, Param("y")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +67,70 @@ func TestPrepareCachedSharesPlans(t *testing.T) {
 		}
 	}
 	// Invalid shapes are rejected before touching the cache.
-	if _, err := db.PrepareCached(From("R"), GroupBy("R.a")); err == nil {
+	if _, err := db.Prepare(From("R"), GroupBy("R.a")); err == nil {
 		t.Fatal("GroupBy without Agg accepted")
+	}
+}
+
+// TestPreparePermutationHitsCache: Prepare resolves through the plan cache by
+// the query's canonical fingerprint, so a syntactic permutation of a shape —
+// inputs, equality sides and clauses reordered — is one miss and then one
+// hit on the same *Stmt.
+func TestPreparePermutationHitsCache(t *testing.T) {
+	db := seedPC(t)
+	before := db.CacheStats()
+	st1, err := db.Prepare(From("R", "S"), Eq("R.b", "S.b"), Cmp("R.a", LE, Param("x")), Cmp("S.c", EQ, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2, err := db.Prepare(Cmp("S.c", EQ, 2), Cmp("R.a", LE, Param("x")), Eq("S.b", "R.b"), From("S", "R"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st1 != st2 {
+		t.Fatal("a permutation of one shape prepared a second statement")
+	}
+	if after := db.CacheStats(); after.Misses != before.Misses+1 || after.Hits != before.Hits+1 || after.Entries != before.Entries+1 {
+		t.Fatalf("two prepares of one shape: cache went %+v -> %+v, want +1 miss, +1 hit, +1 entry", before, after)
+	}
+}
+
+// TestPrepareEvictionFreesHolder: the plan cache is what keeps a prepared
+// statement the caller dropped alive, so once planCacheCap other shapes
+// have evicted it, its data holder leaves the registry.
+func TestPrepareEvictionFreesHolder(t *testing.T) {
+	db := seedPC(t)
+	st, err := db.Prepare(From("R", "S"), Eq("R.b", "S.b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Exec(); err != nil {
+		t.Fatal(err)
+	}
+	key := st.src.key
+	st = nil
+	holds := func() bool {
+		db.srcs.mu.Lock()
+		defer db.srcs.mu.Unlock()
+		_, ok := db.srcs.m[key]
+		return ok
+	}
+	runtime.GC()
+	if !holds() {
+		t.Fatal("the plan cache did not keep a dropped statement's holder")
+	}
+	evictAll(t, db)
+	eventually(t, "an evicted statement's holder is still registered", func() bool { return !holds() })
+}
+
+// evictAll prepares planCacheCap shapes over the database's first relation
+// alone, which differ only in their limit: they fill the plan cache,
+// evicting every earlier entry, and share one data holder between them.
+func evictAll(t *testing.T, db *DB) {
+	t.Helper()
+	rel := db.Relations()[0]
+	for i := 0; i < planCacheCap; i++ {
+		mustPrepare(t, db, From(rel), Limit(i+1))
 	}
 }
 
@@ -75,7 +138,7 @@ func TestPrepareCachedSharesPlans(t *testing.T) {
 // pinned version while the original keeps reading live data.
 func TestSnapshotBind(t *testing.T) {
 	db := seedPC(t)
-	st, err := db.PrepareCached(From("R"), Cmp("R.a", EQ, Param("x")))
+	st, err := db.Prepare(From("R"), Cmp("R.a", EQ, Param("x")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +174,7 @@ func TestSnapshotBind(t *testing.T) {
 	}
 	// Binding a statement from another database is an error.
 	other := seedPC(t)
-	stOther, err := other.PrepareCached(From("R"))
+	stOther, err := other.Prepare(From("R"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +184,7 @@ func TestSnapshotBind(t *testing.T) {
 	// A relation created after the snapshot is not in the pinned cut.
 	db.MustCreate("Late", "z")
 	db.MustInsert("Late", 1)
-	stLate, err := db.PrepareCached(From("Late"))
+	stLate, err := db.Prepare(From("Late"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +212,7 @@ func TestSnapshotBind(t *testing.T) {
 // TestSnapshotBindAggregate: pinned aggregates follow the same rules.
 func TestSnapshotBindAggregate(t *testing.T) {
 	db := seedPC(t)
-	st, err := db.PrepareCached(From("R", "S"), Eq("R.b", "S.b"), GroupBy("R.a"), Agg(Count, ""))
+	st, err := db.Prepare(From("R", "S"), Eq("R.b", "S.b"), GroupBy("R.a"), Agg(Count, ""))
 	if err != nil {
 		t.Fatal(err)
 	}

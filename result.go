@@ -410,8 +410,8 @@ func tabTable(schema []string, rows [][]string) string {
 	return b.String()
 }
 
-// AggResult is the result of an aggregation query (QueryAgg or
-// Stmt.ExecAgg): one row per group, sorted by group key, with
+// AggResult is the result of an aggregation statement's ExecAgg (which
+// QueryAgg runs after Prepare): one row per group, sorted by group key, with
 // dictionary-decoded key accessors and typed aggregate values. A global
 // aggregate (no GroupBy) has one row with an empty key — or zero rows if
 // the query result is empty.

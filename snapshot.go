@@ -20,9 +20,9 @@ var errSnapshotClosed = errors.New("fdb: snapshot closed: statement reads a rele
 // Insert/Delete/Upsert or Compact calls. Snapshots are cheap — a pointer
 // per relation, no copying — and safe for concurrent use.
 //
-// Close releases the pin. Statements prepared from the snapshot fail with
-// an error after Close; results already executed stay valid (they own their
-// representation).
+// Statements read the snapshot through Bind. Close releases the pin:
+// statements bound to the snapshot fail with an error after Close; results
+// already executed stay valid (they own their representation).
 type Snapshot struct {
 	db     *DB
 	ver    uint64
@@ -57,35 +57,14 @@ func (s *Snapshot) Close() {
 
 func (s *Snapshot) isClosed() bool { return s.closed.Load() }
 
-// Prepare compiles a statement pinned to the snapshot's versions: every
-// Exec reads the pinned data, never refreshing, and errors once the
-// snapshot is closed. The plan comes from the database plan cache, so any
-// number of snapshots preparing one query shape share one f-tree search.
-func (s *Snapshot) Prepare(clauses ...Clause) (*Stmt, error) {
-	sp, err := compileSpec(modeQuery, clauses)
-	if err != nil {
-		return nil, err
-	}
-	return s.pinned(sp)
-}
-
-// pinned resolves the spec through the database plan cache and pins the
-// shared plan to the snapshot.
-func (s *Snapshot) pinned(sp *spec) (*Stmt, error) {
-	st, err := s.db.cachedStmt(sp)
-	if err != nil {
-		return nil, err
-	}
-	return st.pin(s)
-}
-
-// Bind pins an already-compiled live statement to the snapshot, sharing
-// its compiled plan; the bound statement's first Exec loads its inputs at
-// the pinned versions. Together with DB.PrepareCached this gives the
-// many-connection server one plan per query shape across all live and
-// snapshot-pinned executions. The bound statement reads the pinned data
-// forever (never refreshing) and errors after Close; the receiver statement
-// is unaffected.
+// Bind is the one way to run a statement against the snapshot: it pins a
+// statement from DB.Prepare to the snapshot, sharing its compiled plan; the
+// bound statement's first Exec loads its inputs at the pinned versions.
+// Since Prepare resolves through the plan cache, any number of snapshots
+// and connections running one query shape share one plan. The bound
+// statement reads the pinned data forever (never refreshing) and errors
+// after Close; the receiver statement is unaffected. Bind fails on a closed
+// snapshot and on a statement reading a relation created after it.
 func (s *Snapshot) Bind(st *Stmt) (*Stmt, error) {
 	if st == nil {
 		return nil, fmt.Errorf("fdb: Bind of a nil statement")
@@ -94,32 +73,6 @@ func (s *Snapshot) Bind(st *Stmt) (*Stmt, error) {
 		return nil, fmt.Errorf("fdb: Bind of a statement from a different DB instance")
 	}
 	return st.pin(s)
-}
-
-// Query runs a select-project-join query against the snapshot.
-func (s *Snapshot) Query(clauses ...Clause) (*Result, error) {
-	sp, err := adhocSpec(clauses, false)
-	if err != nil {
-		return nil, err
-	}
-	st, err := s.pinned(sp)
-	if err != nil {
-		return nil, err
-	}
-	return st.Exec()
-}
-
-// QueryAgg runs an aggregation query against the snapshot.
-func (s *Snapshot) QueryAgg(clauses ...Clause) (*AggResult, error) {
-	sp, err := adhocSpec(clauses, true)
-	if err != nil {
-		return nil, err
-	}
-	st, err := s.pinned(sp)
-	if err != nil {
-		return nil, err
-	}
-	return st.ExecAgg()
 }
 
 // Relations lists the relation names visible in the snapshot, in creation

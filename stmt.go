@@ -16,10 +16,11 @@ import (
 )
 
 // Stmt is a compiled, reusable select-project-join statement. Prepare pays
-// the data-independent part of query evaluation once — clause validation,
-// f-tree search, the per-input filters and path-sort permutations — and
-// reads no tuple; each Exec binds parameters, brings the inputs up to date
-// and builds the factorised result.
+// the data-independent part of query evaluation once per query shape —
+// clause validation, f-tree search, the per-input filters and path-sort
+// permutations — and reads no tuple; the plan cache hands the statement to
+// every later Prepare of the shape. Each Exec binds parameters, brings the
+// inputs up to date and builds the factorised result.
 //
 // A Stmt prepared from the database follows it: each Exec reads the
 // relations' current versions, loading the inputs (dedup + constant
@@ -27,7 +28,7 @@ import (
 // committed since into its sorted snapshots afterwards; the encoded
 // representation is rebuilt from those snapshots by the next execution that
 // needs it — the compiled plan is immutable and never recompiles. A Stmt
-// prepared from a Snapshot is pinned: it reads the snapshot's versions and
+// that Snapshot.Bind returns is pinned: it reads the snapshot's versions and
 // fails loudly once the snapshot is closed. Exec is safe for concurrent
 // callers.
 //
@@ -135,24 +136,34 @@ func Arg(name string, value interface{}) NamedArg { return NamedArg{Name: name, 
 // and bound per Exec; all other clauses are fixed at Prepare time. Prepare
 // reads the query and the schemas only; the statement's first execution
 // loads its inputs.
+//
+// The statement comes from the plan cache, looked up by the query's
+// canonical fingerprint — parameter placeholders included — so every caller
+// preparing the same query shape (the server's connections, most
+// prominently) gets the same *Stmt and one f-tree search. Statements are
+// safe for concurrent Exec, so the sharing is free; an entry stays cached
+// until the LRU evicts it (the catalogue only grows and binding refuses
+// unknown relations, so no later Create or LoadTSV can change what a cached
+// plan reads). The data goes further than the plan: every live statement
+// whose inputs, baked constant selections and f-tree are equal — across
+// fingerprints — shares one set of refreshed inputs and one memoised
+// encoded representation, which a snapshot file carries under that data
+// holder's key.
 func (db *DB) Prepare(clauses ...Clause) (*Stmt, error) {
 	s, err := compileSpec(modeQuery, clauses)
 	if err != nil {
 		return nil, err
 	}
-	b, err := db.bind(s)
-	if err != nil {
-		return nil, err
-	}
-	return db.plan(b)
+	return db.cachedStmt(s)
 }
 
-// pin derives a statement bound to the snapshot's pinned versions from an
-// already-compiled live statement: a copy of the plan — f-tree, parameter
-// slots, baked filters and sort permutations are shared — whose data is
-// loaded, once, from the snapshot's states by its first execution. Clause
-// validation and f-tree search are never repeated per (statement, snapshot)
-// pair. The pinned statement fails loudly once the snapshot is closed.
+// pin is Snapshot.Bind's body: it derives a statement bound to the
+// snapshot's pinned versions from a prepared live statement — a copy of the
+// plan (f-tree, parameter slots, baked filters and sort permutations are
+// shared) with a private data holder, loaded once from the snapshot's
+// states by its first execution. Clause validation and f-tree search are
+// never repeated per (statement, snapshot) pair. The pinned statement fails
+// loudly once the snapshot is closed.
 func (st *Stmt) pin(snap *Snapshot) (*Stmt, error) {
 	if st.snap != nil {
 		return nil, fmt.Errorf("fdb: statement is already pinned to a snapshot")
@@ -173,7 +184,8 @@ func (st *Stmt) Params() []string { return append([]string(nil), st.params...) }
 
 // Aggregates lists the statement's aggregate column labels in declaration
 // order; empty for a plain select-project-join statement. Statements with
-// aggregates run through ExecAgg, all others through Exec.
+// aggregates run through ExecAgg (QueryAgg), all others through Exec
+// (Query); the other method refuses them.
 func (st *Stmt) Aggregates() []string {
 	out := make([]string, len(st.aggs))
 	for i, s := range st.aggs {
@@ -206,7 +218,7 @@ func (st *Stmt) Exec(args ...NamedArg) (*Result, error) {
 // baked projection observe ctx and abort with its error.
 func (st *Stmt) ExecContext(ctx context.Context, args ...NamedArg) (*Result, error) {
 	if len(st.aggs) > 0 {
-		return nil, fmt.Errorf("fdb: statement computes aggregates; use ExecAgg")
+		return nil, fmt.Errorf("fdb: statement computes aggregates; use ExecAgg (or QueryAgg)")
 	}
 	fr, err := st.buildContext(ctx, args)
 	if err != nil {
@@ -228,7 +240,7 @@ func (st *Stmt) ExecAgg(args ...NamedArg) (*AggResult, error) {
 // projection and the aggregation pass observe ctx and abort with its error.
 func (st *Stmt) ExecAggContext(ctx context.Context, args ...NamedArg) (*AggResult, error) {
 	if len(st.aggs) == 0 {
-		return nil, fmt.Errorf("fdb: statement has no aggregates; use Exec")
+		return nil, fmt.Errorf("fdb: statement has no aggregates; use Exec (or Query)")
 	}
 	fr, err := st.buildContext(ctx, args)
 	if err != nil {
@@ -455,7 +467,7 @@ func (st *Stmt) buildContext(ctx context.Context, args []NamedArg) (*frep.Enc, e
 	}
 	for _, p := range st.params {
 		if _, ok := bound[p]; !ok {
-			return nil, fmt.Errorf("fdb: missing parameter %q", p)
+			return nil, fmt.Errorf("fdb: missing parameter %q: bind it through Exec (Query and QueryAgg bind none)", p)
 		}
 	}
 

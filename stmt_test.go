@@ -95,8 +95,9 @@ func TestExecParamErrors(t *testing.T) {
 	if _, err := stmt.Exec(Arg("item", 1.5)); err == nil || !strings.Contains(err.Error(), "unsupported value type") {
 		t.Fatalf("bad value type: err = %v", err)
 	}
-	// Unbound parameters are rejected by ad-hoc Query.
-	if _, err := db.Query(From("Orders"), Cmp("Orders.item", EQ, Param("item"))); err == nil || !strings.Contains(err.Error(), "unbound parameter") {
+	// Ad-hoc Query is Prepare then Exec with no bindings: a parameter is
+	// missing.
+	if _, err := db.Query(From("Orders"), Cmp("Orders.item", EQ, Param("item"))); err == nil || !strings.Contains(err.Error(), "missing parameter") {
 		t.Fatalf("param in Query: err = %v", err)
 	}
 	// Param on an attribute of no input relation fails at Prepare.
@@ -185,7 +186,7 @@ func TestStmtReadYourWrites(t *testing.T) {
 	if after.Count() <= before.Count() {
 		t.Fatalf("statement missed the insert: %d <= %d", after.Count(), before.Count())
 	}
-	pinned, err := snap.Query(
+	pinned, err := pinQuery(snap,
 		From("Orders", "Store", "Disp"),
 		Eq("Orders.item", "Store.item"),
 		Eq("Store.location", "Disp.location"),

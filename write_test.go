@@ -124,11 +124,11 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 	q := []Clause{From("R"), Cmp("R.b", EQ, 3)}
 	snap := db.Snapshot()
-	pinnedStmt, err := snap.Prepare(q...)
+	pinnedStmt, err := pinPrepare(snap, q...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res0, err := snap.Query(q...)
+	res0, err := pinQuery(snap, q...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestSnapshotIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rerun := range []*Result{
-		mustQuery(t, func() (*Result, error) { return snap.Query(q...) }),
+		mustQuery(t, func() (*Result, error) { return pinQuery(snap, q...) }),
 		mustQuery(t, func() (*Result, error) { return pinnedStmt.Exec() }),
 	} {
 		if got := rerun.Rows(0); !reflect.DeepEqual(got, want) {
@@ -169,7 +169,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	if db.OpenSnapshots() != 0 {
 		t.Fatalf("OpenSnapshots after close = %d", db.OpenSnapshots())
 	}
-	if _, err := snap.Query(q...); err == nil {
+	if _, err := pinQuery(snap, q...); err == nil {
 		t.Fatal("query on closed snapshot succeeded")
 	}
 	if _, err := pinnedStmt.Exec(); err == nil || !strings.Contains(err.Error(), "snapshot closed") {
@@ -486,13 +486,13 @@ func TestConcurrentWritersReadersSnapshots(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 25; i++ {
 			snap := db.Snapshot()
-			a, err := snap.Query(From("R"))
+			a, err := pinQuery(snap, From("R"))
 			if err != nil {
 				errs <- err
 				snap.Close()
 				return
 			}
-			b, err := snap.Query(From("R"))
+			b, err := pinQuery(snap, From("R"))
 			if err != nil {
 				errs <- err
 				snap.Close()
