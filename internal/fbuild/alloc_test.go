@@ -1,0 +1,97 @@
+package fbuild
+
+import (
+	"testing"
+
+	"repro/internal/ftree"
+	"repro/internal/relation"
+)
+
+// q1Tree is the f-tree of the grocery query Q1 = Orders ⋈ Store ⋈ Disp:
+// item → {oid, location → dispatcher}.
+func q1Tree() *ftree.T {
+	loc := ftree.NewNode("s_location", "d_location").Add(ftree.NewNode("d_dispatcher"))
+	item := ftree.NewNode("o_item", "s_item").Add(ftree.NewNode("o_oid"), loc)
+	return ftree.New([]*ftree.Node{item}, []relation.AttrSet{
+		relation.NewAttrSet("o_oid", "o_item"),
+		relation.NewAttrSet("s_location", "s_item"),
+		relation.NewAttrSet("d_dispatcher", "d_location"),
+	})
+}
+
+// q1Inputs are Q1's relations over n items, sorted for q1Tree: every item
+// has four orders and is stocked at three of n/2 locations, and every
+// location has two dispatchers. The join has 18n singletons over q1Tree.
+func q1Inputs(tb testing.TB, n int) []*relation.Relation {
+	orders := relation.New("Orders", relation.Schema{"o_oid", "o_item"})
+	store := relation.New("Store", relation.Schema{"s_location", "s_item"})
+	disp := relation.New("Disp", relation.Schema{"d_dispatcher", "d_location"})
+	locs := n / 2
+	for i := 0; i < n; i++ {
+		for k := 0; k < 4; k++ {
+			orders.Append(relation.Value(4*i+k), relation.Value(i))
+		}
+		for k := 0; k < 3; k++ {
+			store.Append(relation.Value((i+k)%locs), relation.Value(i))
+		}
+	}
+	for l := 0; l < locs; l++ {
+		disp.Append(relation.Value(2*l), relation.Value(l))
+		disp.Append(relation.Value(2*l+1), relation.Value(l))
+	}
+	rels := []*relation.Relation{orders, store, disp}
+	if err := SortFor(rels, q1Tree()); err != nil {
+		tb.Fatal(err)
+	}
+	return rels
+}
+
+// TestBuildAllocsFlat: building four times the singletons over the same
+// tree allocates only what the output columns' append growth adds, a few
+// allocations per tree node, and nothing per union or per value.
+func TestBuildAllocsFlat(t *testing.T) {
+	tr := q1Tree()
+	build := func(n int) (allocs float64, singletons int) {
+		rels := q1Inputs(t, n)
+		e, err := BuildEnc(rels, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := BuildEnc(rels, tr); err != nil {
+				t.Fatal(err)
+			}
+		}), e.Size()
+	}
+	small, ss := build(500)
+	large, ls := build(2000)
+	if ls < 4*ss {
+		t.Fatalf("%d singletons are not 4x %d", ls, ss)
+	}
+	t.Logf("%v allocs for %d singletons, %v for %d", small, ss, large, ls)
+	// Large slices grow by about 1.25x, so a 4x longer column takes about
+	// seven more growth steps; each node has a value and an offset column.
+	const perNode = 16
+	if nodes := 4.0; large-small > perNode*nodes {
+		t.Fatalf("allocations grow with the data: %v for %d singletons, %v for %d", small, ss, large, ls)
+	}
+}
+
+// BenchmarkBuildEnc times the serial build of Q1 over inputs sorted
+// beforehand, on a fixed tree, per singleton of the result.
+func BenchmarkBuildEnc(b *testing.B) {
+	tr := q1Tree()
+	rels := q1Inputs(b, 4000)
+	e, err := BuildEnc(rels, tr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildEnc(rels, tr); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*e.Size()), "ns/singleton")
+}

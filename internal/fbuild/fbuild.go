@@ -7,14 +7,17 @@
 // the path constraint every relation's classes lie on one root-to-leaf
 // path. Each relation is sorted once by its classes in path order; the
 // builder then descends the f-tree, unifying the candidate values of each
-// class across the participating relations with a leapfrog-style
-// merge-intersection over sorted index ranges, and emits union entries
-// whose subtrees are all non-empty (semijoin reduction comes for free).
+// class across the participating relations with a leapfrog merge over
+// sorted index ranges (galloping seeks), and emits union entries whose
+// subtrees are all non-empty (semijoin reduction comes for free). Scratch
+// lives in one frame per tree node and states are routed by pre-order
+// index, so the build allocates nothing per union or value but its output.
 package fbuild
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/frep"
@@ -28,6 +31,7 @@ type relState struct {
 	// nodes on the relation's root-to-leaf path, shallowest first; the
 	// relation has at least one attribute in each of these classes.
 	nodes []*ftree.Node
+	pres  []int // pres[i] is nodes[i]'s pre-order index: routing compares ints
 	// cols[i] are the column indexes of the relation's attributes labelled
 	// by nodes[i] (usually one; several if a within-relation equality
 	// merged two of its attributes into one class).
@@ -41,18 +45,35 @@ type relState struct {
 // builder holds the shared build context.
 type builder struct {
 	tree *ftree.T
-	// pre-order intervals for subtree tests.
-	in, out map[*ftree.Node]int
+	// The tree in pre-order, numbered as frep's column builder numbers it:
+	// pre maps a node to its index (setup only) and sub[i] ends i's
+	// subtree, so p lies under i iff i <= p < sub[i]. Morsel workers share
+	// both read-only.
+	pre map[*ftree.Node]int
+	sub []int
 	// cancellation: ctx is polled every checkTick leapfrog rounds; a
 	// non-nil err aborts the recursion.
 	ctx  context.Context
 	tick uint
 	err  error
-	// encoded-build state: the column builder and one reusable mark buffer
-	// per recursion depth (entry rollback on empty subtrees).
-	eb    *frep.EncBuilder
-	marks [][]int32
+	// eb receives the entries; frames[ni] is the scratch of the union being
+	// built for node ni, reused by every union of ni, so a build allocates
+	// no scratch per union or per value.
+	eb     *frep.EncBuilder
+	frames []frame
 }
+
+// frame is one node's scratch in buildUnionEnc.
+type frame struct {
+	active []*relState // states that bind this union's class
+	cur    []int       // each active state's leapfrog position
+	save   []span      // each active state's range on entry to the union
+	routed []*relState // states passed down, grouped by child:
+	cut    []int       // routed[cut[ci]:cut[ci+1]] go to child ci
+	mark   []int32     // column lengths to roll an emptied entry back to
+}
+
+type span struct{ lo, hi int }
 
 // checkTick is how many leapfrog rounds pass between context polls.
 const checkTick = 1024
@@ -73,24 +94,28 @@ func (b *builder) checkpoint() bool {
 	return false
 }
 
-// newBuilder numbers the tree in pre-order for subtree tests.
+// newBuilder numbers the tree in pre-order and gives each node a frame.
 func newBuilder(ctx context.Context, t *ftree.T) *builder {
-	b := &builder{tree: t, in: map[*ftree.Node]int{}, out: map[*ftree.Node]int{}, ctx: ctx}
-	ctr := 0
+	b := &builder{tree: t, pre: map[*ftree.Node]int{}, ctx: ctx}
 	var number func(n *ftree.Node)
 	number = func(n *ftree.Node) {
-		b.in[n] = ctr
-		ctr++
+		i := len(b.sub)
+		b.pre[n] = i
+		b.sub = append(b.sub, 0)
 		for _, c := range n.Children {
 			number(c)
 		}
-		b.out[n] = ctr
+		b.sub[i] = len(b.sub)
 	}
 	for _, r := range t.Roots {
 		number(r)
 	}
+	b.frames = make([]frame, len(b.sub))
 	return b
 }
+
+// under reports whether pre-order index p lies in the subtree of node i.
+func (b *builder) under(p, i int) bool { return i <= p && p < b.sub[i] }
 
 // SortFor sorts each relation by its root-to-leaf path order in t — exactly
 // the order BuildEnc imposes — and verifies the path constraint. Callers
@@ -174,37 +199,45 @@ func (b *builder) newStates(rels []*relation.Relation) ([]*relState, error) {
 	return states, nil
 }
 
-// markAt returns the reusable mark buffer for recursion depth d.
-func (b *builder) markAt(d int) []int32 {
-	for len(b.marks) <= d {
-		b.marks = append(b.marks, nil)
-	}
-	return b.marks[d][:0]
-}
-
-// buildUnionEnc constructs the union for node from the relations routed
+// buildUnionEnc constructs the union for node ni from the relations routed
 // here, emitting entries straight into the column builder; it returns the
-// number of entries emitted into the (still open) union of node. Relations
-// in states either have node as their next class (active) or start deeper
+// number of entries emitted into the (still open) union of ni. Relations
+// in states either have ni as their next class (active) or start deeper
 // (dormant). Entries whose subtree empties are rolled back.
-func (b *builder) buildUnionEnc(node *ftree.Node, ni int, states []*relState, depth int) int {
-	var active []*relState
+func (b *builder) buildUnionEnc(ni int, states []*relState) int {
+	f := &b.frames[ni]
+	f.active, f.cur, f.save = f.active[:0], f.cur[:0], f.save[:0]
 	for _, st := range states {
-		if st.next < len(st.nodes) && st.nodes[st.next] == node {
-			active = append(active, st)
+		if st.pres[st.next] == ni {
+			f.active = append(f.active, st)
+			f.cur = append(f.cur, st.lo) // scan position within [lo,hi)
+			f.save = append(f.save, span{st.lo, st.hi})
 		}
 	}
+	active, cur, save := f.active, f.cur, f.save
 	if len(active) == 0 {
 		// No relation constrains this class: impossible for query-derived
 		// trees (every class stems from some relation), so treat as empty.
 		return 0
 	}
+	// Route the states to the children once: which child a state goes to
+	// depends only on the class it binds next, the same for every value.
+	kids := b.eb.Kids(ni)
+	f.routed, f.cut = f.routed[:0], append(f.cut[:0], 0)
+	for _, c := range kids {
+		for _, st := range states {
+			n := st.next
+			if st.pres[n] == ni {
+				n++
+			}
+			if n < len(st.pres) && b.under(st.pres[n], c) {
+				f.routed = append(f.routed, st)
+			}
+		}
+		f.cut = append(f.cut, len(f.routed))
+	}
 	count := 0
 	// Leapfrog over the active relations' first class column.
-	cur := make([]int, len(active)) // scan position within [lo,hi)
-	for i, st := range active {
-		cur[i] = st.lo
-	}
 	for {
 		if b.checkpoint() {
 			return count
@@ -236,20 +269,19 @@ func (b *builder) buildUnionEnc(node *ftree.Node, ni int, states []*relState, de
 			continue
 		}
 		// Candidate v: narrow every active relation to its v-range,
-		// including equality across extra same-class columns.
-		type saved struct{ lo, hi, next int }
-		save := make([]saved, len(active))
+		// including equality across extra same-class columns, and move its
+		// cursor past v.
 		ok := true
 		for i, st := range active {
-			save[i] = saved{st.lo, st.hi, st.next}
 			cols := st.cols[st.next]
 			lo := cur[i]
-			hi := st.seek(cols[0], v+1, lo, st.hi)
+			hi := st.seekPast(cols[0], v, lo, st.hi)
+			cur[i] = hi
 			// Extra columns of the same class must also equal v; the range
 			// [lo,hi) is sorted by them in order.
 			for _, c := range cols[1:] {
 				lo = st.seek(c, v, lo, hi)
-				hi = st.seek(c, v+1, lo, hi)
+				hi = st.seekPast(c, v, lo, hi)
 			}
 			if lo >= hi {
 				ok = false
@@ -258,35 +290,27 @@ func (b *builder) buildUnionEnc(node *ftree.Node, ni int, states []*relState, de
 			st.next++
 		}
 		if ok {
-			mark := b.markAt(depth)
-			mark = b.eb.Mark(ni, mark)
-			b.marks[depth] = mark
+			if len(kids) > 0 { // a leaf entry is never rolled back
+				f.mark = b.eb.Mark(ni, f.mark[:0])
+			}
 			b.eb.Append(ni, v)
 			alive := true
-			kids := b.eb.Kids(ni)
-			for ci, child := range node.Children {
-				var mine []*relState
-				for _, st := range states {
-					if st.next < len(st.nodes) && b.inSubtree(st.nodes[st.next], child) {
-						mine = append(mine, st)
-					}
-				}
-				if b.buildUnionEnc(child, kids[ci], mine, depth+1) == 0 {
+			for ci, c := range kids {
+				if b.buildUnionEnc(c, f.routed[f.cut[ci]:f.cut[ci+1]]) == 0 {
 					alive = false
 					break
 				}
-				b.eb.CloseUnion(kids[ci])
+				b.eb.CloseUnion(c)
 			}
 			if alive {
 				count++
 			} else {
-				b.eb.Rollback(ni, b.marks[depth])
+				b.eb.Rollback(ni, f.mark)
 			}
 		}
-		// Restore and advance past v.
 		for i, st := range active {
-			st.lo, st.hi, st.next = save[i].lo, save[i].hi, save[i].next
-			cur[i] = st.seek(st.cols[st.next][0], v+1, cur[i], st.hi)
+			st.lo, st.hi = save[i].lo, save[i].hi
+			st.next--
 		}
 	}
 }
@@ -307,14 +331,15 @@ func (b *builder) newState(r *relation.Relation) (*relState, error) {
 		byNode[n] = append(byNode[n], i)
 	}
 	// Path order = ascending pre-order number; verify the chain property.
-	sort.Slice(nodes, func(i, j int) bool { return b.in[nodes[i]] < b.in[nodes[j]] })
-	for i := 0; i+1 < len(nodes); i++ {
-		if !b.inSubtree(nodes[i+1], nodes[i]) {
+	sort.Slice(nodes, func(i, j int) bool { return b.pre[nodes[i]] < b.pre[nodes[j]] })
+	st := &relState{rel: r, nodes: nodes, lo: 0, hi: r.Cardinality()}
+	for i, n := range nodes {
+		st.pres = append(st.pres, b.pre[n])
+		if i > 0 && !b.under(st.pres[i], st.pres[i-1]) {
 			return nil, fmt.Errorf("fbuild: relation %s violates the path constraint (classes %v and %v on different branches)",
-				r.Name, nodes[i].Attrs, nodes[i+1].Attrs)
+				r.Name, nodes[i-1].Attrs, n.Attrs)
 		}
 	}
-	st := &relState{rel: r, nodes: nodes, lo: 0, hi: r.Cardinality()}
 	var order []relation.Attribute
 	for _, n := range nodes {
 		st.cols = append(st.cols, byNode[n])
@@ -326,15 +351,38 @@ func (b *builder) newState(r *relation.Relation) (*relState, error) {
 	return st, nil
 }
 
-// inSubtree reports whether x lies in the subtree rooted at root.
-func (b *builder) inSubtree(x, root *ftree.Node) bool {
-	return b.in[root] <= b.in[x] && b.in[x] < b.out[root]
+// seek returns the first index in [lo, hi) whose value in column col is at
+// least v (tuples are sorted by col within the range). It gallops from lo,
+// where the answer usually is or is near, and then bisects the last step.
+func (st *relState) seek(col int, v relation.Value, lo, hi int) int {
+	ts := st.rel.Tuples
+	if lo >= hi || ts[lo][col] >= v {
+		return lo
+	}
+	// ts[lo] < v: double the step until it overshoots.
+	step := 1
+	for lo+step < hi && ts[lo+step][col] < v {
+		lo += step
+		step <<= 1
+	}
+	hi = min(hi, lo+step)
+	lo++
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ts[m][col] < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
-// seek returns the first index in [lo, hi) whose value in column col is at
-// least v (tuples are sorted by col within the range).
-func (st *relState) seek(col int, v relation.Value, lo, hi int) int {
-	return lo + sort.Search(hi-lo, func(i int) bool {
-		return st.rel.Tuples[lo+i][col] >= v
-	})
+// seekPast returns the first index in [lo, hi) whose value in column col
+// exceeds v: the end of v's run. At the largest value, v+1 would wrap.
+func (st *relState) seekPast(col int, v relation.Value, lo, hi int) int {
+	if v == math.MaxInt64 {
+		return hi
+	}
+	return st.seek(col, v+1, lo, hi)
 }

@@ -1,8 +1,11 @@
 package fbuild
 
 import (
+	"context"
+	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/ftree"
@@ -193,6 +196,51 @@ func TestWithinRelationEquality(t *testing.T) {
 	got := f.Relation("got").Project(want.Schema)
 	if !got.Equal(want) {
 		t.Fatalf("within-relation equality wrong:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestBuildExtremeValues: MinInt64 and MaxInt64 in a join column and in a
+// same-class extra column build like any other value, serially and in
+// parallel. A build that advanced past v by seeking v+1 wrapped at
+// MaxInt64 and spun, so every build runs under a deadline.
+func TestBuildExtremeValues(t *testing.T) {
+	lo, hi := relation.Value(math.MinInt64), relation.Value(math.MaxInt64)
+	r := relation.New("R", relation.Schema{"A", "B"})
+	s := relation.New("S", relation.Schema{"C", "D", "E"})
+	for _, v := range []relation.Value{lo, -2, -1, 0, 1, 2, hi} {
+		r.Append(v, 1)
+		r.Append(v, 2)
+		s.Append(v, v, 3)
+		s.Append(v, hi, 4)
+		s.Append(v, lo, 5)
+	}
+	for _, c := range []struct {
+		name string
+		q    *core.Query
+	}{
+		{"join column", &core.Query{Relations: []*relation.Relation{r, s},
+			Equalities: []core.Equality{{A: "A", B: "C"}}}},
+		{"same-class column", &core.Query{Relations: []*relation.Relation{s},
+			Equalities: []core.Equality{{A: "C", B: "D"}}}},
+		{"both", &core.Query{Relations: []*relation.Relation{r, s},
+			Equalities: []core.Equality{{A: "A", B: "C"}, {A: "C", B: "D"}}}},
+	} {
+		tr := buildTreeFor(t, c.q)
+		want, err := c.q.EvaluateFlat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []int{1, 2, 3} {
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			f, err := BuildEncParallelContext(ctx, cloneRels(c.q.Relations), tr, p)
+			cancel()
+			if err != nil {
+				t.Fatalf("%s (p=%d): %v", c.name, p, err)
+			}
+			if got := f.Relation("got").Project(want.Schema); !got.Equal(want) {
+				t.Fatalf("%s (p=%d):\n%s\nwant:\n%s", c.name, p, got, want)
+			}
+		}
 	}
 }
 

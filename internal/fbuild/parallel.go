@@ -86,7 +86,7 @@ func BuildEncParallelContext(ctx context.Context, rels []*relation.Relation, t *
 		go func() {
 			defer wg.Done()
 			for mi := range next {
-				parts[mi], errs[mi] = buildMorsel(ctx, b, t, pivot, pivotMine, ranges[mi])
+				parts[mi], errs[mi] = buildMorsel(b, t, pivot, pivotMine, ranges[mi])
 			}
 		}()
 	}
@@ -120,12 +120,13 @@ func pickPivot(b *builder, t *ftree.T, states []*relState) (*ftree.Node, []*relS
 	var pivotMine []*relState
 	var driver *relState
 	for _, root := range t.Roots {
+		ri := b.pre[root]
 		var mine []*relState
 		var best *relState
 		for _, st := range states {
-			if len(st.nodes) > 0 && b.inSubtree(st.nodes[0], root) {
+			if len(st.pres) > 0 && b.under(st.pres[0], ri) {
 				mine = append(mine, st)
-				if st.nodes[0] == root && (best == nil || st.hi-st.lo > best.hi-best.lo) {
+				if st.pres[0] == ri && (best == nil || st.hi-st.lo > best.hi-best.lo) {
 					best = st
 				}
 			}
@@ -166,9 +167,10 @@ func morselRanges(driver *relState, m int) []valRange {
 
 // buildMorsel runs one morsel: clone the pivot-subtree states, narrow the
 // states active at the pivot to the morsel's value range, and run the
-// ordinary encoded leapfrog build into a fresh column builder.
-func buildMorsel(ctx context.Context, shared *builder, t *ftree.T, pivot *ftree.Node, mine []*relState, r valRange) (*frep.EncBuilder, error) {
-	wb := &builder{tree: t, in: shared.in, out: shared.out, ctx: ctx, eb: frep.NewEncBuilder(t)}
+// ordinary encoded leapfrog build into a fresh column builder and frames.
+func buildMorsel(shared *builder, t *ftree.T, pivot *ftree.Node, mine []*relState, r valRange) (*frep.EncBuilder, error) {
+	wb := &builder{tree: t, pre: shared.pre, sub: shared.sub, ctx: shared.ctx,
+		eb: frep.NewEncBuilder(t), frames: make([]frame, len(shared.frames))}
 	clones := make([]*relState, len(mine))
 	for i, st := range mine {
 		c := *st
@@ -184,7 +186,7 @@ func buildMorsel(ctx context.Context, shared *builder, t *ftree.T, pivot *ftree.
 		clones[i] = &c
 	}
 	ri := wb.eb.Idx(pivot)
-	wb.buildUnionEnc(pivot, ri, clones, 0)
+	wb.buildUnionEnc(ri, clones)
 	wb.eb.CloseUnion(ri)
 	if wb.err != nil {
 		return nil, wb.err
@@ -203,14 +205,14 @@ func (b *builder) buildRest(t *ftree.T, pivot *ftree.Node, states []*relState) (
 		if root == pivot {
 			continue
 		}
+		ri := b.pre[root]
 		var mine []*relState
 		for _, st := range states {
-			if len(st.nodes) > 0 && b.inSubtree(st.nodes[0], root) {
+			if len(st.pres) > 0 && b.under(st.pres[0], ri) {
 				mine = append(mine, st)
 			}
 		}
-		ri := b.eb.Idx(root)
-		n := b.buildUnionEnc(root, ri, mine, 0)
+		n := b.buildUnionEnc(ri, mine)
 		b.eb.CloseUnion(ri)
 		if b.err != nil {
 			return nil, false, b.err

@@ -1,0 +1,305 @@
+package fbuild
+
+import (
+	"context"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"repro/internal/frep"
+	"repro/internal/ftree"
+	"repro/internal/gen"
+	"repro/internal/opt"
+	"repro/internal/relation"
+)
+
+// refBuilder is the leapfrog build as it was before the builder kept
+// per-node scratch frames and routed by pre-order index: it allocates its
+// scratch per union and per value, routes through node-keyed maps and
+// seeks with sort.Search. It is the differential reference of the build.
+// Its one change from that builder: it advances past a value v with an
+// upper-bound seek (seekPast) instead of a seek to v+1, which wraps at
+// MaxInt64 and never returns.
+type refBuilder struct {
+	tree    *ftree.T
+	in, out map[*ftree.Node]int
+	ctx     context.Context
+	tick    uint
+	err     error
+	eb      *frep.EncBuilder
+	marks   [][]int32
+}
+
+// refBuildEnc builds the join of rels over t with the reference builder.
+func refBuildEnc(rels []*relation.Relation, t *ftree.T) (*frep.Enc, error) {
+	states, err := newBuilder(context.Background(), t).newStates(rels)
+	if err != nil {
+		return nil, err
+	}
+	b := &refBuilder{tree: t, in: map[*ftree.Node]int{}, out: map[*ftree.Node]int{},
+		ctx: context.Background(), eb: frep.NewEncBuilder(t)}
+	ctr := 0
+	var number func(n *ftree.Node)
+	number = func(n *ftree.Node) {
+		b.in[n] = ctr
+		ctr++
+		for _, c := range n.Children {
+			number(c)
+		}
+		b.out[n] = ctr
+	}
+	for _, r := range t.Roots {
+		number(r)
+	}
+	empty := false
+	for _, root := range t.Roots {
+		var mine []*relState
+		for _, st := range states {
+			if len(st.nodes) > 0 && b.inSubtree(st.nodes[0], root) {
+				mine = append(mine, st)
+			}
+		}
+		ri := b.eb.Idx(root)
+		if b.buildUnionEnc(root, ri, mine, 0) == 0 {
+			empty = true
+		}
+		b.eb.CloseUnion(ri)
+	}
+	if empty {
+		return frep.NewEmptyEnc(t), nil
+	}
+	return b.eb.Finish(), nil
+}
+
+func (b *refBuilder) checkpoint() bool {
+	if b.err != nil {
+		return true
+	}
+	b.tick++
+	if b.tick%checkTick == 0 {
+		if err := b.ctx.Err(); err != nil {
+			b.err = err
+			return true
+		}
+	}
+	return false
+}
+
+func (b *refBuilder) markAt(d int) []int32 {
+	for len(b.marks) <= d {
+		b.marks = append(b.marks, nil)
+	}
+	return b.marks[d][:0]
+}
+
+func (b *refBuilder) inSubtree(x, root *ftree.Node) bool {
+	return b.in[root] <= b.in[x] && b.in[x] < b.out[root]
+}
+
+// seek returns the first index in [lo, hi) whose value in column col is at
+// least v; seekPast the first whose value exceeds v.
+func (b *refBuilder) seek(st *relState, col int, v relation.Value, lo, hi int) int {
+	return lo + sort.Search(hi-lo, func(i int) bool {
+		return st.rel.Tuples[lo+i][col] >= v
+	})
+}
+
+func (b *refBuilder) seekPast(st *relState, col int, v relation.Value, lo, hi int) int {
+	return lo + sort.Search(hi-lo, func(i int) bool {
+		return st.rel.Tuples[lo+i][col] > v
+	})
+}
+
+func (b *refBuilder) buildUnionEnc(node *ftree.Node, ni int, states []*relState, depth int) int {
+	var active []*relState
+	for _, st := range states {
+		if st.next < len(st.nodes) && st.nodes[st.next] == node {
+			active = append(active, st)
+		}
+	}
+	if len(active) == 0 {
+		// No relation constrains this class: impossible for query-derived
+		// trees (every class stems from some relation), so treat as empty.
+		return 0
+	}
+	count := 0
+	// Leapfrog over the active relations' first class column.
+	cur := make([]int, len(active)) // scan position within [lo,hi)
+	for i, st := range active {
+		cur[i] = st.lo
+	}
+	for {
+		if b.checkpoint() {
+			return count
+		}
+		// Propose the maximum of the current values; any relation exhausted
+		// ends the union.
+		var v relation.Value
+		for i, st := range active {
+			if cur[i] >= st.hi {
+				return count
+			}
+			if val := st.rel.Tuples[cur[i]][st.cols[st.next][0]]; i == 0 || val > v {
+				v = val
+			}
+		}
+		// Seek all relations to >= v; retry while they disagree.
+		agreed := true
+		for i, st := range active {
+			col := st.cols[st.next][0]
+			cur[i] = b.seek(st, col, v, cur[i], st.hi)
+			if cur[i] >= st.hi {
+				return count
+			}
+			if st.rel.Tuples[cur[i]][col] != v {
+				agreed = false
+			}
+		}
+		if !agreed {
+			continue
+		}
+		// Candidate v: narrow every active relation to its v-range,
+		// including equality across extra same-class columns.
+		type saved struct{ lo, hi, next int }
+		save := make([]saved, len(active))
+		ok := true
+		for i, st := range active {
+			save[i] = saved{st.lo, st.hi, st.next}
+			cols := st.cols[st.next]
+			lo := cur[i]
+			hi := b.seekPast(st, cols[0], v, lo, st.hi)
+			// Extra columns of the same class must also equal v; the range
+			// [lo,hi) is sorted by them in order.
+			for _, c := range cols[1:] {
+				lo = b.seek(st, c, v, lo, hi)
+				hi = b.seekPast(st, c, v, lo, hi)
+			}
+			if lo >= hi {
+				ok = false
+			}
+			st.lo, st.hi = lo, hi
+			st.next++
+		}
+		if ok {
+			mark := b.markAt(depth)
+			mark = b.eb.Mark(ni, mark)
+			b.marks[depth] = mark
+			b.eb.Append(ni, v)
+			alive := true
+			kids := b.eb.Kids(ni)
+			for ci, child := range node.Children {
+				var mine []*relState
+				for _, st := range states {
+					if st.next < len(st.nodes) && b.inSubtree(st.nodes[st.next], child) {
+						mine = append(mine, st)
+					}
+				}
+				if b.buildUnionEnc(child, kids[ci], mine, depth+1) == 0 {
+					alive = false
+					break
+				}
+				b.eb.CloseUnion(kids[ci])
+			}
+			if alive {
+				count++
+			} else {
+				b.eb.Rollback(ni, b.marks[depth])
+			}
+		}
+		// Restore and advance past v.
+		for i, st := range active {
+			st.lo, st.hi, st.next = save[i].lo, save[i].hi, save[i].next
+			cur[i] = b.seekPast(st, st.cols[st.next][0], v, cur[i], st.hi)
+		}
+	}
+}
+
+// stretchExtremes maps the smallest value of every relation in rels to
+// MinInt64 and the largest to MaxInt64. The mapping is monotone and
+// injective, so joins and sort orders keep their shape while the builds
+// meet both ends of the value domain.
+func stretchExtremes(rels []*relation.Relation) {
+	lo, hi := relation.Value(math.MaxInt64), relation.Value(math.MinInt64)
+	for _, r := range rels {
+		for _, tp := range r.Tuples {
+			for _, v := range tp {
+				if v < lo {
+					lo = v
+				}
+				if v > hi {
+					hi = v
+				}
+			}
+		}
+	}
+	for _, r := range rels {
+		for _, tp := range r.Tuples {
+			for c, v := range tp {
+				switch v {
+				case lo:
+					tp[c] = math.MinInt64
+				case hi:
+					tp[c] = math.MaxInt64
+				}
+			}
+		}
+	}
+}
+
+// TestBuildMatchesReference: the serial build and the parallel build at
+// P = 2 and 3 are Enc.Equal to the reference builder over random queries,
+// with and without values at both ends of the domain. Some of the queries
+// merge two attributes of one relation into a class, which the builds
+// evaluate as a selection over the extra same-class columns.
+func TestBuildMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	within := 0
+	for trial := 0; trial < 120; trial++ {
+		r := 1 + rng.Intn(3)
+		a := r + rng.Intn(4)
+		k := rng.Intn(min(a-1, 3) + 1)
+		dist := gen.Uniform
+		if trial%3 == 2 {
+			dist = gen.Zipf
+		}
+		q, err := gen.RandomQuery(rng, r, a, 1+rng.Intn(60), k, dist, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, _, err := opt.OptimalFTree(q.Classes(), q.Schemas(), opt.TreeSearchOptions{})
+		if err != nil {
+			continue
+		}
+		if trial%2 == 1 {
+			stretchExtremes(q.Relations)
+		}
+		want, err := refBuildEnc(cloneRels(q.Relations), tr)
+		if err != nil {
+			t.Fatalf("trial %d: reference: %v", trial, err)
+		}
+		states, err := newBuilder(context.Background(), tr).newStates(cloneRels(q.Relations))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range states {
+			for _, cols := range st.cols {
+				if len(cols) > 1 {
+					within++
+				}
+			}
+		}
+		for _, p := range []int{1, 2, 3} {
+			got, err := BuildEncParallel(cloneRels(q.Relations), tr, p)
+			if err != nil {
+				t.Fatalf("trial %d (p=%d): %v", trial, p, err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("trial %d (p=%d): build differs from the reference\ntree:\n%s", trial, p, tr)
+			}
+		}
+	}
+	if within == 0 {
+		t.Fatal("no trial merged two attributes of one relation into a class")
+	}
+}

@@ -3,12 +3,14 @@ package fdb
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/csvio"
@@ -415,6 +417,44 @@ func TestExecContextCancellation(t *testing.T) {
 	}
 	if res.Count() != 20*20*20 {
 		t.Fatalf("exec after a cancelled load: %d tuples, want %d", res.Count(), 20*20*20)
+	}
+}
+
+// TestExecExtremeValues: values at both ends of int64 are ordinary join
+// and selection values. An advance past the largest value that computed
+// v+1 wrapped to the smallest and never returned, so Exec runs under a
+// deadline.
+func TestExecExtremeValues(t *testing.T) {
+	db := New()
+	db.MustCreate("R", "a", "b")
+	db.MustCreate("S", "c", "d")
+	db.MustInsert("R", 1, 2)
+	db.MustInsert("R", int64(math.MaxInt64), 3)
+	db.MustInsert("R", int64(math.MinInt64), 4)
+	db.MustInsert("S", int64(math.MaxInt64), 5)
+	db.MustInsert("S", int64(math.MinInt64), 6)
+	db.MustInsert("S", int64(math.MinInt64), 7)
+	for _, c := range []struct {
+		name    string
+		clauses []Clause
+		want    int64
+	}{
+		{"scan", []Clause{From("R")}, 3},
+		{"join", []Clause{From("R", "S"), Eq("R.a", "S.c")}, 3},
+	} {
+		stmt, err := db.Prepare(c.clauses...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+		res, err := stmt.ExecContext(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if res.Count() != c.want {
+			t.Fatalf("%s: %d rows, want %d", c.name, res.Count(), c.want)
+		}
 	}
 }
 
