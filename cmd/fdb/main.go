@@ -1,66 +1,33 @@
 // Command fdb runs select-project-join queries over tab-separated relation
 // files and prints the factorised result, its f-tree, and size statistics.
-// Queries are compiled once with the prepared-statement API and executed
-// with bound parameters.
 //
-//	fdb -load orders.tsv -load store.tsv -load disp.tsv \
-//	    -from Orders,Store,Disp \
-//	    -eq Orders.item=Store.item -eq Store.location=Disp.location \
-//	    [-where 'Orders.oid<=3'] [-where 'Orders.item=$item' -param item=Milk] \
-//	    [-project Orders.oid,Disp.dispatcher] [-rows 20] \
-//	    [-orderby Disp.dispatcher,-Orders.oid] [-limit 5] [-offset 2] [-distinct] \
-//	    [-groupby Store.location -agg count -agg 'sum(Orders.oid)']
+//	fdb [-i] [-rows n] [line ...]
 //
-// The query flags and the REPL's query verbs are one grammar: the flags are
-// turned into the REPL's token list (from … eq … where … project … orderby …
-// distinct offset … limit … groupby … agg …) and parsed by the same
-// parseQuery, and every surface that runs a statement — the flags, exec,
+// Every task is a line of one small command language, the REPL's: each
+// positional argument is one line, run in order with no prompt, and the
+// first line that fails ends the run with a non-zero exit. -i then reads
+// further lines from stdin interactively; with no lines and no -i, fdb runs
+// a demo on the paper's grocery database (Figure 1).
+//
+//	fdb 'load orders.tsv' 'load store.tsv' \
+//	    'query from Orders,Store eq Orders.item=Store.item orderby -Orders.oid limit 5'
+//	fdb 'load orders.tsv' 'insert Orders o9 Milk' 'save grocery.fdb'
+//	fdb 'open grocery.fdb' 'prepare q from Orders where Orders.item=$item' 'exec q item=Milk'
+//	fdb -i 'open grocery.fdb'
+//
+// Query text is parsed by wire.ParseSpec into the server's wire.Spec and
+// compiled by Spec.Clauses, so the command line, the REPL and the wire
+// protocol read a query one way. Every verb that runs a statement — exec,
 // query, squery — prepares it through the plan cache (squery then binds it
-// to the snapshot) and ends in the same execAndReport.
-//
-// With -agg (and optionally -groupby), the query aggregates in one pass
-// over the factorised result and prints one row per group.
-//
-// -orderby sorts the result by the named attributes (a leading '-' means
-// descending); when the key prefix matches the compiled f-tree, the rows
-// stream in order straight off the factorised representation and -limit
-// short-circuits after n tuples. -distinct makes the set semantics explicit.
-//
-// A -where value of the form $name compiles to a statement parameter bound
-// by a matching -param name=value flag.
-//
-// -insert Rel:v1,v2 / -delete Rel:v1,v2 / -upsert Rel:k:v1,v2 mutate the
-// loaded relations before the query runs (upsert replaces live tuples
-// matching the first k columns).
-//
-// -save path writes the database to a zero-copy snapshot file after the
-// loads, writes and query run (the query's encoding rides along under its
-// data holder's key, so the reopened file serves any statement over that
-// data without a build); with -i, use the REPL's save verb instead, as -save
-// is refused there. -open path starts from such a file instead of an
-// empty database — it is memory-mapped, so opening skips the TSV parse and
-// encode entirely:
-//
-//	fdb -load orders.tsv -load store.tsv -save grocery.fdb
-//	fdb -open grocery.fdb -from Orders,Store -eq Orders.item=Store.item
-//
-// With -i, fdb starts an interactive REPL over the loaded relations:
-//
-//	fdb> prepare q1 from Orders,Store eq Orders.item=Store.item where Orders.oid<=$n
-//	fdb> exec q1 n=3
-//	fdb> query from Orders orderby -Orders.item limit 3
-//	fdb> insert Orders o9 Milk
-//	fdb> snapshot s1
-//	fdb> squery s1 from Orders
-//	fdb> release s1
-//	fdb> save grocery.fdb
-//	fdb> open grocery.fdb
-//	fdb> stats
+// to the snapshot) and prints it through execAndReport. replHelp lists the
+// verbs and the query grammar.
 //
 // A relation file's first line is "Name<TAB>attr1<TAB>attr2…"; every other
 // line is one tuple; integer fields are stored as numbers, anything else is
-// dictionary-encoded. Run without flags for a demo on the paper's grocery
-// database (Figure 1).
+// dictionary-encoded. save writes a zero-copy snapshot file that open maps
+// back in, skipping the TSV parse and encode; the encodings of live
+// statements ride along, so the reopened database serves them without a
+// build.
 package main
 
 import (
@@ -74,12 +41,8 @@ import (
 	"strings"
 
 	"repro"
+	"repro/internal/wire"
 )
-
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
-func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 
 func main() {
 	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
@@ -91,252 +54,45 @@ func main() {
 	}
 }
 
-// run is the testable entry point: it parses argv, loads the relations, and
-// writes every report to out.
+// run is the testable entry point: it runs every positional argument as a
+// line, then the REPL with -i, and writes every report to out.
 func run(argv []string, in io.Reader, out io.Writer) error {
 	fs := flag.NewFlagSet("fdb", flag.ContinueOnError)
-	var loads, eqs, wheres, params, aggs multiFlag
-	fs.Var(&loads, "load", "relation file to load (repeatable)")
-	from := fs.String("from", "", "comma-separated relations to join")
-	fs.Var(&eqs, "eq", "equality A=B over qualified attributes (repeatable)")
-	fs.Var(&wheres, "where", "selection attr(=|!=|<|<=|>|>=)value; value $name binds a parameter (repeatable)")
-	fs.Var(&params, "param", "parameter binding name=value for $name placeholders (repeatable)")
-	project := fs.String("project", "", "comma-separated attributes to keep")
-	fs.Var(&aggs, "agg", "aggregate count | sum(A) | min(A) | max(A) | distinct(A) (repeatable)")
-	groupBy := fs.String("groupby", "", "comma-separated attributes to group the aggregates by")
-	orderBy := fs.String("orderby", "", "comma-separated sort keys; prefix an attribute with '-' for descending")
-	limit := fs.Int("limit", -1, "cap the result at n tuples (top-k with -orderby); -1: no limit")
-	offset := fs.Int("offset", 0, "skip the first n tuples of the (ordered) result")
-	distinct := fs.Bool("distinct", false, "deduplicate the result on the factorised form (explicit set semantics)")
 	rows := fs.Int("rows", 10, "result rows to print (0: all)")
-	interactive := fs.Bool("i", false, "start an interactive REPL after loading")
-	openPath := fs.String("open", "", "open a snapshot file (memory-mapped, zero-copy) instead of starting empty")
-	savePath := fs.String("save", "", "write the database to this snapshot file after loads, writes and the query")
-	var inserts, deletes, upserts multiFlag
-	fs.Var(&inserts, "insert", "insert a tuple Rel:v1,v2,... before the query (repeatable)")
-	fs.Var(&deletes, "delete", "delete a tuple Rel:v1,v2,... before the query (repeatable)")
-	fs.Var(&upserts, "upsert", "upsert a tuple Rel:k:v1,v2,... replacing live tuples that match on the first k columns (repeatable)")
+	interactive := fs.Bool("i", false, "read more lines from stdin after the argument lines (the REPL)")
+	fs.Usage = func() {
+		fmt.Fprintln(fs.Output(), "usage: fdb [-i] [-rows n] [line ...]  (each line is a command; 'fdb help' lists them)")
+		fs.PrintDefaults()
+	}
 	if err := fs.Parse(argv); err != nil {
 		return err
 	}
-	if *interactive && *savePath != "" {
-		// The REPL is the last thing -i runs: a -save would never happen.
-		return fmt.Errorf("-save does not combine with -i; use the REPL's save verb")
-	}
-
-	var db *fdb.DB
-	if *openPath != "" {
-		var err error
-		if db, err = fdb.OpenSnapshotFile(*openPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "opened snapshot %s (version %d, %d relations)\n", *openPath, db.Version(), len(db.Relations()))
-	} else {
-		db = fdb.New()
-	}
-	for _, f := range loads {
-		if _, err := db.LoadTSV(f); err != nil {
-			return err
-		}
-	}
-	if err := applyWrites(db, inserts, deletes, upserts); err != nil {
-		return err
-	}
-	if *interactive {
-		repl(db, *rows, in, out)
-		return nil
-	}
-	if len(loads) == 0 && *from == "" && *openPath == "" {
+	if fs.NArg() == 0 && !*interactive {
 		return demo(out)
 	}
-	if *from == "" {
-		if *savePath != "" {
-			return saveSnapshot(db, *savePath, out)
+	s := &session{db: fdb.New(), stmts: map[string]*fdb.Stmt{}, snaps: map[string]*fdb.Snapshot{}, rows: *rows, out: out}
+	for _, line := range fs.Args() {
+		quit, err := s.do(line)
+		if err != nil {
+			return fmt.Errorf("%q: %w", line, err)
 		}
-		if *openPath != "" {
-			return nil // open-and-inspect: the header line is the report
-		}
-		return fmt.Errorf("missing -from")
-	}
-	// The flags spell the REPL's query grammar: one token list, one parser.
-	tokens := []string{"from", *from}
-	add := func(word string, vals ...string) {
-		for _, v := range vals {
-			tokens = append(tokens, word, v)
+		if quit {
+			return nil
 		}
 	}
-	add("eq", eqs...)
-	add("where", wheres...)
-	if *project != "" {
-		add("project", *project)
-	}
-	if *orderBy != "" {
-		add("orderby", *orderBy)
-	}
-	if *distinct {
-		tokens = append(tokens, "distinct")
-	}
-	if *offset > 0 {
-		add("offset", strconv.Itoa(*offset))
-	}
-	if *limit >= 0 {
-		add("limit", strconv.Itoa(*limit))
-	}
-	if *groupBy != "" {
-		add("groupby", *groupBy)
-	}
-	add("agg", aggs...)
-	clauses, err := parseQuery(tokens)
-	if err != nil {
-		return err
-	}
-	stmt, err := db.Prepare(clauses...)
-	if err != nil {
-		return err
-	}
-	args, err := parseArgs(params)
-	if err != nil {
-		return err
-	}
-	if err := execAndReport(out, stmt, args, *rows); err != nil {
-		return err
-	}
-	if *savePath != "" {
-		// The plan cache keeps the statement, and so its data holder, alive:
-		// the snapshot carries its encoding.
-		return saveSnapshot(db, *savePath, out)
+	if *interactive {
+		s.repl(in)
 	}
 	return nil
 }
 
-// saveSnapshot writes the database to path in the zero-copy snapshot format
-// (reopen with -open or the REPL open verb) and reports the file.
-func saveSnapshot(db *fdb.DB, path string, out io.Writer) error {
-	if err := db.SaveSnapshot(path); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "saved snapshot %s (version %d)\n", path, db.Version())
-	return nil
-}
-
-// parseOrderBy turns "A,-B" into an OrderBy clause (leading '-': descending).
-func parseOrderBy(s string) fdb.Clause {
-	var keys []interface{}
-	for _, tok := range strings.Split(s, ",") {
-		if strings.HasPrefix(tok, "-") {
-			keys = append(keys, fdb.Desc(tok[1:]))
-		} else {
-			keys = append(keys, fdb.Asc(tok))
-		}
-	}
-	return fdb.OrderBy(keys...)
-}
-
-// parseAgg parses an aggregate token: count, sum(A), min(A), max(A) or
-// distinct(A) (also accepted as count_distinct(A)).
-func parseAgg(tok string) (fdb.Clause, error) {
-	if tok == "count" {
-		return fdb.Agg(fdb.Count, ""), nil
-	}
-	i := strings.Index(tok, "(")
-	if i < 1 || !strings.HasSuffix(tok, ")") {
-		return nil, fmt.Errorf("bad aggregate %q (want count, sum(A), min(A), max(A) or distinct(A))", tok)
-	}
-	attr := tok[i+1 : len(tok)-1]
-	switch tok[:i] {
-	case "sum":
-		return fdb.Agg(fdb.Sum, attr), nil
-	case "min":
-		return fdb.Agg(fdb.Min, attr), nil
-	case "max":
-		return fdb.Agg(fdb.Max, attr), nil
-	case "distinct", "count_distinct":
-		return fdb.Agg(fdb.CountDistinct, attr), nil
-	}
-	return nil, fmt.Errorf("unknown aggregate function %q", tok[:i])
-}
-
-// parseWhere parses attr<op>value; a value of $name becomes a Param.
-func parseWhere(w string) (fdb.Clause, error) {
-	for _, op := range []struct {
-		tok string
-		cmp fdb.CmpOp
-	}{{"!=", fdb.NE}, {"<=", fdb.LE}, {">=", fdb.GE}, {"<", fdb.LT}, {">", fdb.GT}, {"=", fdb.EQ}} {
-		if i := strings.Index(w, op.tok); i > 0 {
-			attr, val := w[:i], w[i+len(op.tok):]
-			return fdb.Cmp(attr, op.cmp, parseValue(val)), nil
-		}
-	}
-	return nil, fmt.Errorf("bad -where %q", w)
-}
-
-// parseValue turns a token into an int64, a Param placeholder ($name), or a
-// string constant.
-func parseValue(val string) interface{} {
-	if strings.HasPrefix(val, "$") && len(val) > 1 {
-		return fdb.Param(val[1:])
-	}
-	if n, err := strconv.ParseInt(val, 10, 64); err == nil {
-		return n
-	}
-	return val
-}
-
-// parseConst parses a binding value: an int64 or a literal string (no
-// placeholder interpretation — a value may legitimately start with '$').
+// parseConst parses a binding or tuple value: an int64 or a literal string
+// (no placeholder interpretation — a value may legitimately start with '$').
 func parseConst(val string) interface{} {
 	if n, err := strconv.ParseInt(val, 10, 64); err == nil {
 		return n
 	}
 	return val
-}
-
-// applyWrites applies the -insert/-delete/-upsert flags, in that flag
-// order, before the query runs: the printed result reflects the writes
-// (read-your-writes through the same path the REPL verbs use).
-func applyWrites(db *fdb.DB, inserts, deletes, upserts []string) error {
-	for _, tok := range inserts {
-		name, vals, err := parseTuple(tok)
-		if err != nil {
-			return fmt.Errorf("bad -insert %q: %v", tok, err)
-		}
-		if err := db.Insert(name, vals...); err != nil {
-			return err
-		}
-	}
-	for _, tok := range deletes {
-		name, vals, err := parseTuple(tok)
-		if err != nil {
-			return fmt.Errorf("bad -delete %q: %v", tok, err)
-		}
-		if err := db.Delete(name, vals...); err != nil {
-			return err
-		}
-	}
-	for _, tok := range upserts {
-		parts := strings.SplitN(tok, ":", 3)
-		if len(parts) != 3 {
-			return fmt.Errorf("bad -upsert %q (want Rel:k:v1,v2,...)", tok)
-		}
-		key, err := strconv.Atoi(parts[1])
-		if err != nil {
-			return fmt.Errorf("bad -upsert key count %q", parts[1])
-		}
-		vals := parseValues(strings.Split(parts[2], ","))
-		if err := db.Upsert(parts[0], key, vals...); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// parseTuple parses Rel:v1,v2,... into a relation name and encoded values.
-func parseTuple(tok string) (string, []interface{}, error) {
-	parts := strings.SplitN(tok, ":", 2)
-	if len(parts) != 2 || parts[0] == "" || parts[1] == "" {
-		return "", nil, fmt.Errorf("want Rel:v1,v2,...")
-	}
-	return parts[0], parseValues(strings.Split(parts[1], ",")), nil
 }
 
 func parseValues(tokens []string) []interface{} {
@@ -351,18 +107,19 @@ func parseValues(tokens []string) []interface{} {
 func parseArgs(tokens []string) ([]fdb.NamedArg, error) {
 	var args []fdb.NamedArg
 	for _, p := range tokens {
-		parts := strings.SplitN(p, "=", 2)
-		if len(parts) != 2 || parts[0] == "" {
+		name, val, ok := strings.Cut(p, "=")
+		if !ok || name == "" {
 			return nil, fmt.Errorf("bad parameter binding %q (want name=value)", p)
 		}
-		args = append(args, fdb.Arg(parts[0], parseConst(parts[1])))
+		args = append(args, fdb.Arg(name, parseConst(val)))
 	}
 	return args, nil
 }
 
 // execAndReport runs a compiled statement and prints its result: one row per
 // group for a statement that aggregates, the factorisation and its rows
-// otherwise. Every query surface — flags, exec, query, squery — ends here.
+// otherwise. Every verb that runs a statement — exec, query, squery — ends
+// here.
 func execAndReport(out io.Writer, stmt *fdb.Stmt, args []fdb.NamedArg, rows int) error {
 	if len(stmt.Aggregates()) > 0 {
 		ar, err := stmt.ExecAgg(args...)
@@ -395,7 +152,7 @@ func report(out io.Writer, res *fdb.Result, rows int) {
 	fmt.Fprint(out, res.Table(rows))
 }
 
-// ------------------------------------------------------------------- REPL
+// ------------------------------------------------------------------- lines
 
 const replHelp = `commands:
   load <path>                      load a TSV relation file
@@ -423,126 +180,147 @@ query syntax:
 orderby sorts the rows (leading '-': descending); with a tree-compatible key
 prefix the rows stream in order off the factorised result and limit N is
 top-k. aggregation queries (agg, optionally groupby) print one row per
-group, computed in a single pass over the factorised result.`
+group, computed in a single pass over the factorised result.
+on the command line each argument is one line, e.g.
+  fdb 'load orders.tsv' 'query from Orders orderby -Orders.oid limit 3'`
 
-// repl reads commands from in until EOF or quit.
-func repl(db *fdb.DB, rows int, in io.Reader, out io.Writer) {
-	stmts := map[string]*fdb.Stmt{}
-	snaps := map[string]*fdb.Snapshot{}
+// session is what the lines of one run share: the database, the prepared
+// statements and pinned snapshots by name, and the printed row cap.
+type session struct {
+	db    *fdb.DB
+	stmts map[string]*fdb.Stmt
+	snaps map[string]*fdb.Snapshot
+	rows  int
+	out   io.Writer
+}
+
+// repl reads lines from in until EOF or quit, reporting a failing line and
+// going on.
+func (s *session) repl(in io.Reader) {
 	sc := bufio.NewScanner(in)
-	fmt.Fprintln(out, "fdb interactive — 'help' for commands")
+	fmt.Fprintln(s.out, "fdb interactive — 'help' for commands")
 	for {
-		fmt.Fprint(out, "fdb> ")
+		fmt.Fprint(s.out, "fdb> ")
 		if !sc.Scan() {
-			fmt.Fprintln(out)
+			fmt.Fprintln(s.out)
 			if err := sc.Err(); err != nil {
-				fmt.Fprintln(out, "error reading input:", err)
+				fmt.Fprintln(s.out, "error reading input:", err)
 			}
 			return
 		}
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			continue
-		}
-		cmd, rest := fields[0], fields[1:]
-		var err error
-		switch cmd {
-		case "quit", "exit":
-			return
-		case "help":
-			fmt.Fprintln(out, replHelp)
-		case "load":
-			err = replLoad(db, rest, out)
-		case "rels":
-			for _, name := range db.Relations() {
-				r, _ := db.Relation(name)
-				fmt.Fprintf(out, "  %s%v: %d tuples\n", name, r.Schema, r.Cardinality())
-			}
-		case "prepare":
-			err = replPrepare(db, stmts, rest, out)
-		case "exec":
-			err = replExec(stmts, rest, rows, out)
-		case "query":
-			err = replQuery(db, rest, rows, out)
-		case "insert", "delete", "upsert":
-			err = replWrite(db, cmd, rest, out)
-		case "snapshot":
-			err = replSnapshot(db, snaps, rest, out)
-		case "squery":
-			err = replSnapQuery(db, snaps, rest, rows, out)
-		case "release":
-			err = replRelease(snaps, rest, out)
-		case "compact":
-			if len(rest) != 1 {
-				err = fmt.Errorf("usage: compact <Rel>")
-			} else if err = db.Compact(rest[0]); err == nil {
-				fmt.Fprintf(out, "  compacted %s (version %d)\n", rest[0], db.Version())
-			}
-		case "save":
-			err = replSave(db, rest, out)
-		case "open":
-			var ndb *fdb.DB
-			if ndb, err = replOpen(rest, out); ndb != nil {
-				// The new database replaces the old wholesale: prepared
-				// statements and pinned snapshots are views of a database
-				// this session no longer serves, so they are discarded.
-				db = ndb
-				stmts = map[string]*fdb.Stmt{}
-				for _, s := range snaps {
-					s.Close()
-				}
-				snaps = map[string]*fdb.Snapshot{}
-			}
-		case "stats":
-			s := db.CacheStats()
-			fmt.Fprintf(out, "  plan cache: %d entries, %d hits, %d misses\n", s.Entries, s.Hits, s.Misses)
-		default:
-			err = fmt.Errorf("unknown command %q ('help' lists commands)", cmd)
-		}
+		quit, err := s.do(sc.Text())
 		if err != nil {
-			fmt.Fprintln(out, "error:", err)
+			fmt.Fprintln(s.out, "error:", err)
+		}
+		if quit {
+			return
 		}
 	}
 }
 
-func replLoad(db *fdb.DB, rest []string, out io.Writer) error {
+// do runs one line, the dispatch shared by the argument lines and the REPL;
+// quit reports a quit or exit line.
+func (s *session) do(line string) (quit bool, err error) {
+	fields := strings.Fields(line)
+	if len(fields) == 0 {
+		return false, nil
+	}
+	cmd, rest := fields[0], fields[1:]
+	switch cmd {
+	case "quit", "exit":
+		return true, nil
+	case "help":
+		fmt.Fprintln(s.out, replHelp)
+	case "load":
+		err = s.load(rest)
+	case "rels":
+		for _, name := range s.db.Relations() {
+			r, _ := s.db.Relation(name)
+			fmt.Fprintf(s.out, "  %s%v: %d tuples\n", name, r.Schema, r.Cardinality())
+		}
+	case "prepare":
+		err = s.prepareNamed(rest)
+	case "exec":
+		err = s.exec(rest)
+	case "query":
+		err = s.query(rest)
+	case "insert", "delete", "upsert":
+		err = s.write(cmd, rest)
+	case "snapshot":
+		err = s.snapshot(rest)
+	case "squery":
+		err = s.snapQuery(rest)
+	case "release":
+		err = s.release(rest)
+	case "compact":
+		if len(rest) != 1 {
+			err = fmt.Errorf("usage: compact <Rel>")
+		} else if err = s.db.Compact(rest[0]); err == nil {
+			fmt.Fprintf(s.out, "  compacted %s (version %d)\n", rest[0], s.db.Version())
+		}
+	case "save":
+		err = s.save(rest)
+	case "open":
+		err = s.open(rest)
+	case "stats":
+		c := s.db.CacheStats()
+		fmt.Fprintf(s.out, "  plan cache: %d entries, %d hits, %d misses\n", c.Entries, c.Hits, c.Misses)
+	default:
+		err = fmt.Errorf("unknown command %q ('help' lists commands)", cmd)
+	}
+	return false, err
+}
+
+// prepare compiles query text the way the server compiles a wire request:
+// wire.ParseSpec, Spec.Clauses, then DB.Prepare through the plan cache,
+// which keeps the statement — and so its data holder — alive, so a later
+// save carries its encoding along.
+func (s *session) prepare(tokens []string) (*fdb.Stmt, error) {
+	sp, err := wire.ParseSpec(tokens)
+	if err != nil {
+		return nil, err
+	}
+	clauses, err := sp.Clauses()
+	if err != nil {
+		return nil, err
+	}
+	return s.db.Prepare(clauses...)
+}
+
+func (s *session) load(rest []string) error {
 	if len(rest) != 1 {
 		return fmt.Errorf("usage: load <path>")
 	}
-	name, err := db.LoadTSV(rest[0])
+	name, err := s.db.LoadTSV(rest[0])
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "  loaded %s\n", name)
+	fmt.Fprintf(s.out, "  loaded %s\n", name)
 	return nil
 }
 
-func replPrepare(db *fdb.DB, stmts map[string]*fdb.Stmt, rest []string, out io.Writer) error {
+func (s *session) prepareNamed(rest []string) error {
 	if len(rest) < 2 {
 		return fmt.Errorf("usage: prepare <name> <query>")
 	}
-	clauses, err := parseQuery(rest[1:])
+	stmt, err := s.prepare(rest[1:])
 	if err != nil {
 		return err
 	}
-	stmt, err := db.Prepare(clauses...)
-	if err != nil {
-		return err
-	}
-	stmts[rest[0]] = stmt
+	s.stmts[rest[0]] = stmt
 	if aggs := stmt.Aggregates(); len(aggs) > 0 {
-		fmt.Fprintf(out, "  %s compiled: s(T)=%.1f, params %v, aggregates %v\n", rest[0], stmt.Cost(), stmt.Params(), aggs)
+		fmt.Fprintf(s.out, "  %s compiled: s(T)=%.1f, params %v, aggregates %v\n", rest[0], stmt.Cost(), stmt.Params(), aggs)
 	} else {
-		fmt.Fprintf(out, "  %s compiled: s(T)=%.1f, params %v\n", rest[0], stmt.Cost(), stmt.Params())
+		fmt.Fprintf(s.out, "  %s compiled: s(T)=%.1f, params %v\n", rest[0], stmt.Cost(), stmt.Params())
 	}
 	return nil
 }
 
-func replExec(stmts map[string]*fdb.Stmt, rest []string, rows int, out io.Writer) error {
+func (s *session) exec(rest []string) error {
 	if len(rest) < 1 {
 		return fmt.Errorf("usage: exec <name> [k=v ...]")
 	}
-	stmt, ok := stmts[rest[0]]
+	stmt, ok := s.stmts[rest[0]]
 	if !ok {
 		return fmt.Errorf("no prepared statement %q", rest[0])
 	}
@@ -550,26 +328,34 @@ func replExec(stmts map[string]*fdb.Stmt, rest []string, rows int, out io.Writer
 	if err != nil {
 		return err
 	}
-	return execAndReport(out, stmt, args, rows)
+	return execAndReport(s.out, stmt, args, s.rows)
 }
 
-// replWrite handles the insert/delete/upsert verbs. Writes commit
-// immediately: the next query (prepared or ad-hoc, cached or fresh) sees
-// them, while pinned snapshots keep their view.
-func replWrite(db *fdb.DB, verb string, rest []string, out io.Writer) error {
+func (s *session) query(rest []string) error {
+	stmt, err := s.prepare(rest)
+	if err != nil {
+		return err
+	}
+	return execAndReport(s.out, stmt, nil, s.rows)
+}
+
+// write handles the insert/delete/upsert verbs. Writes commit immediately:
+// the next query (prepared or ad-hoc, cached or fresh) sees them, while
+// pinned snapshots keep their view.
+func (s *session) write(verb string, rest []string) error {
 	switch verb {
 	case "insert":
 		if len(rest) < 2 {
 			return fmt.Errorf("usage: insert <Rel> v1 v2 ...")
 		}
-		if err := db.Insert(rest[0], parseValues(rest[1:])...); err != nil {
+		if err := s.db.Insert(rest[0], parseValues(rest[1:])...); err != nil {
 			return err
 		}
 	case "delete":
 		if len(rest) < 2 {
 			return fmt.Errorf("usage: delete <Rel> v1 v2 ...")
 		}
-		if err := db.Delete(rest[0], parseValues(rest[1:])...); err != nil {
+		if err := s.db.Delete(rest[0], parseValues(rest[1:])...); err != nil {
 			return err
 		}
 	case "upsert":
@@ -580,169 +366,94 @@ func replWrite(db *fdb.DB, verb string, rest []string, out io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("bad key column count %q", rest[1])
 		}
-		if err := db.Upsert(rest[0], key, parseValues(rest[2:])...); err != nil {
+		if err := s.db.Upsert(rest[0], key, parseValues(rest[2:])...); err != nil {
 			return err
 		}
 	}
-	r, _ := db.Relation(rest[0])
-	fmt.Fprintf(out, "  %s %s: now %d tuples (version %d)\n", verb, rest[0], r.Cardinality(), db.Version())
+	r, _ := s.db.Relation(rest[0])
+	fmt.Fprintf(s.out, "  %s %s: now %d tuples (version %d)\n", verb, rest[0], r.Cardinality(), s.db.Version())
 	return nil
 }
 
-func replSnapshot(db *fdb.DB, snaps map[string]*fdb.Snapshot, rest []string, out io.Writer) error {
+func (s *session) snapshot(rest []string) error {
 	if len(rest) != 1 {
 		return fmt.Errorf("usage: snapshot <name>")
 	}
-	if old, ok := snaps[rest[0]]; ok {
+	if old, ok := s.snaps[rest[0]]; ok {
 		old.Close()
 	}
-	snaps[rest[0]] = db.Snapshot()
-	fmt.Fprintf(out, "  snapshot %s pinned at version %d\n", rest[0], snaps[rest[0]].Version())
+	s.snaps[rest[0]] = s.db.Snapshot()
+	fmt.Fprintf(s.out, "  snapshot %s pinned at version %d\n", rest[0], s.snaps[rest[0]].Version())
 	return nil
 }
 
-func replSnapQuery(db *fdb.DB, snaps map[string]*fdb.Snapshot, rest []string, rows int, out io.Writer) error {
+func (s *session) snapQuery(rest []string) error {
 	if len(rest) < 2 {
 		return fmt.Errorf("usage: squery <snapshot> <query>")
 	}
-	snap, ok := snaps[rest[0]]
+	snap, ok := s.snaps[rest[0]]
 	if !ok {
 		return fmt.Errorf("no snapshot %q", rest[0])
 	}
-	clauses, err := parseQuery(rest[1:])
-	if err != nil {
-		return err
-	}
-	stmt, err := db.Prepare(clauses...)
+	stmt, err := s.prepare(rest[1:])
 	if err != nil {
 		return err
 	}
 	if stmt, err = snap.Bind(stmt); err != nil {
 		return err
 	}
-	return execAndReport(out, stmt, nil, rows)
+	return execAndReport(s.out, stmt, nil, s.rows)
 }
 
-func replRelease(snaps map[string]*fdb.Snapshot, rest []string, out io.Writer) error {
+func (s *session) release(rest []string) error {
 	if len(rest) != 1 {
 		return fmt.Errorf("usage: release <name>")
 	}
-	snap, ok := snaps[rest[0]]
+	snap, ok := s.snaps[rest[0]]
 	if !ok {
 		return fmt.Errorf("no snapshot %q", rest[0])
 	}
 	// The name stays bound to the closed snapshot: a later squery surfaces
 	// the engine's closed-snapshot error instead of a lookup failure.
 	snap.Close()
-	fmt.Fprintf(out, "  snapshot %s released\n", rest[0])
+	fmt.Fprintf(s.out, "  snapshot %s released\n", rest[0])
 	return nil
 }
 
-// replSave writes the session database to a snapshot file. The encodings of
+// save writes the session database to a snapshot file. The encodings of
 // statements still alive ride along, one per data holder — prepared ones,
 // and those the query verb left in the plan cache — so a later open serves
 // them without a build.
-func replSave(db *fdb.DB, rest []string, out io.Writer) error {
+func (s *session) save(rest []string) error {
 	if len(rest) != 1 {
 		return fmt.Errorf("usage: save <path>")
 	}
-	if err := db.SaveSnapshot(rest[0]); err != nil {
+	if err := s.db.SaveSnapshot(rest[0]); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "  saved snapshot %s (version %d)\n", rest[0], db.Version())
+	fmt.Fprintf(s.out, "  saved snapshot %s (version %d)\n", rest[0], s.db.Version())
 	return nil
 }
 
-// replOpen opens a snapshot file as a replacement session database (nil
-// with an error when it cannot).
-func replOpen(rest []string, out io.Writer) (*fdb.DB, error) {
+// open replaces the session database with a snapshot file. Prepared
+// statements and pinned snapshots are views of a database the session no
+// longer serves, so they are discarded.
+func (s *session) open(rest []string) error {
 	if len(rest) != 1 {
-		return nil, fmt.Errorf("usage: open <path>")
+		return fmt.Errorf("usage: open <path>")
 	}
 	db, err := fdb.OpenSnapshotFile(rest[0])
 	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(out, "  opened snapshot %s (version %d, %d relations)\n", rest[0], db.Version(), len(db.Relations()))
-	return db, nil
-}
-
-// replQuery prepares through the plan cache, which keeps the statement —
-// and so its data holder — alive, so a later save carries the query's
-// encoding along.
-func replQuery(db *fdb.DB, rest []string, rows int, out io.Writer) error {
-	clauses, err := parseQuery(rest)
-	if err != nil {
 		return err
 	}
-	stmt, err := db.Prepare(clauses...)
-	if err != nil {
-		return err
+	fmt.Fprintf(s.out, "  opened snapshot %s (version %d, %d relations)\n", rest[0], db.Version(), len(db.Relations()))
+	s.db = db
+	s.stmts = map[string]*fdb.Stmt{}
+	for _, snap := range s.snaps {
+		snap.Close()
 	}
-	return execAndReport(out, stmt, nil, rows)
-}
-
-// queryWords is the query grammar's vocabulary: every word but distinct
-// takes one argument, named here for the "needs" error.
-var queryWords = map[string]struct {
-	needs string
-	parse func(arg string) (fdb.Clause, error)
-}{
-	"from":    {"a relation list", func(a string) (fdb.Clause, error) { return fdb.From(strings.Split(a, ",")...), nil }},
-	"eq":      {"A=B", parseEq},
-	"where":   {"a condition", parseWhere},
-	"project": {"an attribute list", func(a string) (fdb.Clause, error) { return fdb.Project(strings.Split(a, ",")...), nil }},
-	"orderby": {"a key list (e.g. A,-B)", func(a string) (fdb.Clause, error) { return parseOrderBy(a), nil }},
-	"limit":   {"a count", parseCount("limit", fdb.Limit)},
-	"offset":  {"a count", parseCount("offset", fdb.Offset)},
-	"groupby": {"an attribute list", func(a string) (fdb.Clause, error) { return fdb.GroupBy(strings.Split(a, ",")...), nil }},
-	"agg":     {"a function (count, sum(A), min(A), max(A), distinct(A))", parseAgg},
-}
-
-// parseQuery parses the query grammar shared by the flags and the REPL:
-// from R1,R2 eq A=B ... where ATTR<op>VAL ... project A,B orderby A,-B
-// limit N offset N distinct groupby A,B agg count|sum(A)|...
-func parseQuery(tokens []string) ([]fdb.Clause, error) {
-	var clauses []fdb.Clause
-	for i := 0; i < len(tokens); i++ {
-		if tokens[i] == "distinct" {
-			clauses = append(clauses, fdb.Distinct())
-			continue
-		}
-		w, ok := queryWords[tokens[i]]
-		if !ok {
-			return nil, fmt.Errorf("unexpected token %q", tokens[i])
-		}
-		if i+1 >= len(tokens) {
-			return nil, fmt.Errorf("%s needs %s", tokens[i], w.needs)
-		}
-		i++
-		c, err := w.parse(tokens[i])
-		if err != nil {
-			return nil, err
-		}
-		clauses = append(clauses, c)
-	}
-	return clauses, nil
-}
-
-func parseEq(arg string) (fdb.Clause, error) {
-	parts := strings.SplitN(arg, "=", 2)
-	if len(parts) != 2 {
-		return nil, fmt.Errorf("bad eq %q", arg)
-	}
-	return fdb.Eq(parts[0], parts[1]), nil
-}
-
-// parseCount parses the argument of limit and offset.
-func parseCount(word string, clause func(int) fdb.Clause) func(string) (fdb.Clause, error) {
-	return func(arg string) (fdb.Clause, error) {
-		n, err := strconv.Atoi(arg)
-		if err != nil {
-			return nil, fmt.Errorf("bad %s %q", word, arg)
-		}
-		return clause(n), nil
-	}
+	s.snaps = map[string]*fdb.Snapshot{}
+	return nil
 }
 
 // demo runs Q1 of the paper on the grocery database of Figure 1, then shows

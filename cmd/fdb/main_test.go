@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
@@ -31,25 +33,27 @@ func writeTSVs(t *testing.T) (orders, store, disp string) {
 	return
 }
 
+// runLines runs lines as command-line arguments, printing every row, and
+// returns what the run printed.
+func runLines(lines ...string) (string, error) {
+	var out bytes.Buffer
+	err := run(append([]string{"-rows", "0"}, lines...), strings.NewReader(""), &out)
+	return out.String(), err
+}
+
 // TestOrderedQueryGolden locks the ordered-query output down: the same
-// ORDER BY/LIMIT invocation must print byte-identical output on every run
+// ORDER BY/LIMIT line must print byte-identical output on every run
 // (stable plan, stable streaming order, stable rendering). Regenerate with
 // `go test ./cmd/fdb -run Golden -update`.
 func TestOrderedQueryGolden(t *testing.T) {
 	orders, store, disp := writeTSVs(t)
-	var out bytes.Buffer
-	args := []string{
-		"-load", orders, "-load", store, "-load", disp,
-		"-from", "Orders,Store,Disp",
-		"-eq", "Orders.item=Store.item",
-		"-eq", "Store.location=Disp.location",
-		"-orderby", "Orders.item,-Disp.dispatcher",
-		"-offset", "1",
-		"-limit", "6",
-		"-distinct",
-		"-rows", "0",
+	lines := []string{
+		"load " + orders, "load " + store, "load " + disp,
+		"query from Orders,Store,Disp eq Orders.item=Store.item eq Store.location=Disp.location " +
+			"orderby Orders.item,-Disp.dispatcher offset 1 limit 6 distinct",
 	}
-	if err := run(args, strings.NewReader(""), &out); err != nil {
+	out, err := runLines(lines...)
+	if err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "ordered_golden.txt")
@@ -57,7 +61,7 @@ func TestOrderedQueryGolden(t *testing.T) {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -65,16 +69,12 @@ func TestOrderedQueryGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Fatalf("ordered output drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", golden, out.Bytes(), want)
+	if out != string(want) {
+		t.Fatalf("ordered output drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", golden, out, want)
 	}
 	// Stability across runs, not just against the checked-in file.
-	var again bytes.Buffer
-	if err := run(args, strings.NewReader(""), &again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), again.Bytes()) {
-		t.Fatal("two identical invocations printed different output")
+	if again, err := runLines(lines...); err != nil || again != out {
+		t.Fatalf("two identical invocations printed different output (err %v)", err)
 	}
 }
 
@@ -169,7 +169,7 @@ func TestWriteSnapshotGolden(t *testing.T) {
 
 // TestSaveOpenGolden pins the persistence round trip byte for byte: the
 // same query printed from the live database, from a REPL-reopened snapshot,
-// and from a -open invocation in a fresh process must be identical — the
+// and from an open line in a fresh run must be identical — the
 // snapshot file preserves relations, dictionary codes and plan output
 // exactly. Regenerate with `go test ./cmd/fdb -run Golden -update`.
 func TestSaveOpenGolden(t *testing.T) {
@@ -216,25 +216,16 @@ func TestSaveOpenGolden(t *testing.T) {
 		t.Fatalf("agg output diverges across save/open:\n--- live ---\n%s\n--- reopened ---\n%s", reports[1], reports[3])
 	}
 
-	// The golden file pins the -open one-shot path (fresh process over the
-	// mapped file) modulo the temp path printed in the header line.
-	var oneShot bytes.Buffer
-	args := []string{
-		"-open", snap,
-		"-from", "Orders,Store,Disp",
-		"-eq", "Orders.item=Store.item",
-		"-eq", "Store.location=Disp.location",
-		"-orderby", "Orders.oid,Disp.dispatcher",
-		"-rows", "0",
-	}
-	if err := run(args, strings.NewReader(""), &oneShot); err != nil {
+	// The golden file pins the open-then-query lines of a fresh run over
+	// the mapped file, modulo the temp path printed in the open line.
+	got, err := runLines("open "+snap, query)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got := oneShot.String()
-	if i := strings.IndexByte(got, '\n'); i >= 0 && strings.HasPrefix(got, "opened snapshot ") {
-		got = got[i+1:] // drop the header line (contains the temp path)
+	if i := strings.IndexByte(got, '\n'); i >= 0 && strings.HasPrefix(got, "  opened snapshot ") {
+		got = got[i+1:] // drop the open line (contains the temp path)
 	} else {
-		t.Fatalf("missing opened-snapshot header:\n%s", got)
+		t.Fatalf("missing opened-snapshot line:\n%s", got)
 	}
 	golden := filepath.Join("testdata", "saveopen_golden.txt")
 	if *update {
@@ -247,30 +238,29 @@ func TestSaveOpenGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != string(want) {
-		t.Fatalf("-open output drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
+		t.Fatalf("reopened output drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
 	}
 }
 
-// TestSaveOpenFlagsRoundTrip drives the non-interactive -save / -open flags
-// including the save-only invocation (no -from) and the corrupt-file error.
-func TestSaveOpenFlagsRoundTrip(t *testing.T) {
+// TestScriptSaveOpenRoundTrip: a run that loads and saves, then a new run
+// that opens the file and queries it; a corrupted file fails the open line.
+func TestScriptSaveOpenRoundTrip(t *testing.T) {
 	orders, _, _ := writeTSVs(t)
 	snap := filepath.Join(t.TempDir(), "orders.fdb")
-	var out bytes.Buffer
-	if err := run([]string{"-load", orders, "-save", snap}, strings.NewReader(""), &out); err != nil {
+	out, err := runLines("load "+orders, "save "+snap)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "saved snapshot ") {
-		t.Fatalf("save-only invocation did not report the file:\n%s", out.String())
+	if !strings.Contains(out, "saved snapshot ") {
+		t.Fatalf("save line did not report the file:\n%s", out)
 	}
-	var reopened bytes.Buffer
-	args := []string{"-open", snap, "-from", "Orders", "-orderby", "Orders.oid,Orders.item", "-rows", "0"}
-	if err := run(args, strings.NewReader(""), &reopened); err != nil {
+	reopened, err := runLines("open "+snap, "query from Orders orderby Orders.oid,Orders.item")
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"o1\tMilk", "o3\tMelon"} {
-		if !strings.Contains(reopened.String(), want) {
-			t.Fatalf("reopened rows missing %q:\n%s", want, reopened.String())
+		if !strings.Contains(reopened, want) {
+			t.Fatalf("reopened rows missing %q:\n%s", want, reopened)
 		}
 	}
 	// A corrupted file must fail loudly, not open.
@@ -283,77 +273,148 @@ func TestSaveOpenFlagsRoundTrip(t *testing.T) {
 	if err := os.WriteFile(bad, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-open", bad, "-from", "Orders"}, strings.NewReader(""), &bytes.Buffer{}); err == nil {
+	if _, err := runLines("open "+bad, "query from Orders"); err == nil {
 		t.Fatal("corrupted snapshot opened without error")
 	}
 }
 
-// TestWriteFlags drives the one-shot -insert/-delete/-upsert flags.
-func TestWriteFlags(t *testing.T) {
+// TestScriptWrites drives the insert/delete/upsert lines ahead of a query,
+// and refuses malformed write lines.
+func TestScriptWrites(t *testing.T) {
 	orders, _, _ := writeTSVs(t)
-	var out bytes.Buffer
-	args := []string{
-		"-load", orders,
-		"-insert", "Orders:o9,Bread",
-		"-delete", "Orders:o2,Melon",
-		"-upsert", "Orders:1:o1,Butter",
-		"-from", "Orders",
-		"-orderby", "Orders.oid,Orders.item",
-		"-rows", "0",
-	}
-	if err := run(args, strings.NewReader(""), &out); err != nil {
+	out, err := runLines("load "+orders,
+		"insert Orders o9 Bread",
+		"delete Orders o2 Melon",
+		"upsert Orders 1 o1 Butter",
+		"query from Orders orderby Orders.oid,Orders.item")
+	if err != nil {
 		t.Fatal(err)
 	}
-	s := out.String()
 	for _, want := range []string{"o9\tBread", "o1\tButter"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("written rows missing %q:\n%s", want, s)
+		if !strings.Contains(out, want) {
+			t.Fatalf("written rows missing %q:\n%s", want, out)
 		}
 	}
 	for _, gone := range []string{"o2\tMelon", "o1\tMilk", "o1\tCheese"} {
-		if strings.Contains(s, gone) {
-			t.Fatalf("deleted/displaced row %q still printed:\n%s", gone, s)
+		if strings.Contains(out, gone) {
+			t.Fatalf("deleted/displaced row %q still printed:\n%s", gone, out)
 		}
 	}
-	// Malformed write flags error out.
-	for name, bad := range map[string][]string{
-		"insert":     {"-load", orders, "-insert", "Orders", "-from", "Orders"},
-		"upsert":     {"-load", orders, "-upsert", "Orders:o1,Milk", "-from", "Orders"},
-		"upsert key": {"-load", orders, "-upsert", "Orders:x:o1,Milk", "-from", "Orders"},
+	for name, bad := range map[string]string{
+		"insert":      "insert Orders",
+		"insert rel":  "insert Nope o1 Milk",
+		"delete":      "delete Orders",
+		"upsert":      "upsert Orders o1 Milk",
+		"upsert key":  "upsert Orders x o1 Milk",
+		"upsert size": "upsert Orders 1 o1",
 	} {
-		if err := run(bad, strings.NewReader(""), &bytes.Buffer{}); err == nil {
-			t.Errorf("%s: malformed flag accepted", name)
+		if _, err := runLines("load "+orders, bad); err == nil {
+			t.Errorf("%s: malformed line %q accepted", name, bad)
 		}
 	}
 }
 
-// TestRunErrors: the CLI surfaces clause errors instead of printing.
+// TestRunErrors: a line the engine or the grammar refuses fails the run,
+// and the lines after it do not run.
 func TestRunErrors(t *testing.T) {
 	orders, _, _ := writeTSVs(t)
-	for name, args := range map[string][]string{
-		"missing from":  {"-load", orders, "-orderby", "Orders.oid"},
-		"bad orderattr": {"-load", orders, "-from", "Orders", "-orderby", "Orders.zzz"},
-		"agg and limit": {"-load", orders, "-from", "Orders", "-agg", "count", "-limit", "3"},
+	for name, line := range map[string]string{
+		"missing from":  "query orderby Orders.oid",
+		"unknown rel":   "query from Nope",
+		"bad orderattr": "query from Orders orderby Orders.zzz",
+		"agg and limit": "query from Orders agg count limit 3",
+		"bad where":     "query from Orders where Orders.oid",
+		"unknown word":  "query from Orders select Orders.oid",
+		"unknown verb":  "select from Orders",
+		"unknown stmt":  "exec q",
+		"bad binding":   "prepare q from Orders where Orders.oid=$n\nexec q n",
+		"unknown snap":  "squery s from Orders",
+		"missing path":  "load",
 	} {
-		var out bytes.Buffer
-		if err := run(args, strings.NewReader(""), &out); err == nil {
+		lines := append([]string{"load " + orders}, strings.Split(line, "\n")...)
+		if _, err := runLines(lines...); err == nil {
 			t.Errorf("%s: expected an error", name)
 		}
 	}
-}
-
-// TestInteractiveRefusesSave: -save names a file written after the query,
-// but -i ends in the REPL, so the combination is refused — pointing at the
-// REPL's save verb — rather than silently writing nothing.
-func TestInteractiveRefusesSave(t *testing.T) {
-	orders, _, _ := writeTSVs(t)
 	p := filepath.Join(t.TempDir(), "orders.fdb")
-	var out bytes.Buffer
-	err := run([]string{"-i", "-save", p, "-load", orders}, strings.NewReader("quit\n"), &out)
-	if err == nil || !strings.Contains(err.Error(), "save verb") {
-		t.Fatalf("-i -save: err = %v, want a refusal naming the REPL's save verb", err)
+	if _, err := runLines("load "+orders, "query from Nope", "save "+p); err == nil {
+		t.Fatal("a failing line did not fail the run")
 	}
 	if _, err := os.Stat(p); !os.IsNotExist(err) {
-		t.Fatalf("-i -save wrote %s (stat: %v)", p, err)
+		t.Fatalf("the line after a failing one ran: %s exists (stat: %v)", p, err)
+	}
+}
+
+// TestQueryTextMatchesClauses: every query line of this package's tests,
+// the package doc and the README prepares, through wire.ParseSpec and
+// Spec.Clauses, to the very statement its hand-written clause list prepares
+// — the plan cache keys by canonical fingerprint, so one statement means
+// one query. Distinct lines must give distinct statements.
+func TestQueryTextMatchesClauses(t *testing.T) {
+	db := fdb.New()
+	db.MustCreate("Orders", "oid", "item")
+	db.MustCreate("Store", "location", "item")
+	db.MustCreate("Stock", "location", "item")
+	db.MustCreate("Disp", "dispatcher", "location")
+	grocery := []fdb.Clause{fdb.From("Orders", "Store", "Disp"),
+		fdb.Eq("Orders.item", "Store.item"), fdb.Eq("Store.location", "Disp.location")}
+	with := func(cs ...fdb.Clause) []fdb.Clause { return append(append([]fdb.Clause{}, grocery...), cs...) }
+	s := &session{db: db}
+	seen := map[*fdb.Stmt]string{}
+	for _, c := range []struct {
+		text    string
+		clauses []fdb.Clause
+	}{
+		{"from Orders", []fdb.Clause{fdb.From("Orders")}},
+		{"from Orders orderby -Orders.item limit 2",
+			[]fdb.Clause{fdb.From("Orders"), fdb.OrderBy(fdb.Desc("Orders.item")), fdb.Limit(2)}},
+		{"from Orders orderby -Orders.oid limit 3",
+			[]fdb.Clause{fdb.From("Orders"), fdb.OrderBy(fdb.Desc("Orders.oid")), fdb.Limit(3)}},
+		{"from Orders orderby Orders.oid,Orders.item",
+			[]fdb.Clause{fdb.From("Orders"), fdb.OrderBy("Orders.oid", "Orders.item")}},
+		{"from Orders orderby Orders.oid,-Orders.item offset 1",
+			[]fdb.Clause{fdb.From("Orders"), fdb.OrderBy(fdb.Asc("Orders.oid"), fdb.Desc("Orders.item")), fdb.Offset(1)}},
+		{"from Orders where Orders.item=$item",
+			[]fdb.Clause{fdb.From("Orders"), fdb.Cmp("Orders.item", fdb.EQ, fdb.Param("item"))}},
+		{"from Orders,Store eq Orders.item=Store.item project Store.location distinct orderby Store.location",
+			[]fdb.Clause{fdb.From("Orders", "Store"), fdb.Eq("Orders.item", "Store.item"),
+				fdb.Project("Store.location"), fdb.Distinct(), fdb.OrderBy("Store.location")}},
+		{"from Orders,Store eq Orders.item=Store.item orderby -Orders.oid limit 5",
+			[]fdb.Clause{fdb.From("Orders", "Store"), fdb.Eq("Orders.item", "Store.item"),
+				fdb.OrderBy(fdb.Desc("Orders.oid")), fdb.Limit(5)}},
+		{"from Orders,Store eq Orders.item=Store.item groupby Store.location agg count agg distinct(Orders.item)",
+			[]fdb.Clause{fdb.From("Orders", "Store"), fdb.Eq("Orders.item", "Store.item"),
+				fdb.GroupBy("Store.location"), fdb.Agg(fdb.Count, ""), fdb.Agg(fdb.CountDistinct, "Orders.item")}},
+		{"from Orders,Store,Disp eq Orders.item=Store.item eq Store.location=Disp.location orderby Orders.oid,Disp.dispatcher",
+			with(fdb.OrderBy("Orders.oid", "Disp.dispatcher"))},
+		{"from Orders,Store,Disp eq Orders.item=Store.item eq Store.location=Disp.location orderby Orders.item,-Disp.dispatcher offset 1 limit 6 distinct",
+			with(fdb.OrderBy(fdb.Asc("Orders.item"), fdb.Desc("Disp.dispatcher")), fdb.Offset(1), fdb.Limit(6), fdb.Distinct())},
+		{"from Orders,Stock eq Orders.item=Stock.item groupby Stock.location agg count agg sum(Orders.oid)",
+			[]fdb.Clause{fdb.From("Orders", "Stock"), fdb.Eq("Orders.item", "Stock.item"),
+				fdb.GroupBy("Stock.location"), fdb.Agg(fdb.Count, ""), fdb.Agg(fdb.Sum, "Orders.oid")}},
+		{"from Orders,Stock eq Orders.item=Stock.item where Orders.oid<$n groupby Stock.location agg count",
+			[]fdb.Clause{fdb.From("Orders", "Stock"), fdb.Eq("Orders.item", "Stock.item"),
+				fdb.Cmp("Orders.oid", fdb.LT, fdb.Param("n")), fdb.GroupBy("Stock.location"), fdb.Agg(fdb.Count, "")}},
+		{"from Orders,Store eq Orders.item=Store.item where Orders.oid<=$n",
+			[]fdb.Clause{fdb.From("Orders", "Store"), fdb.Eq("Orders.item", "Store.item"),
+				fdb.Cmp("Orders.oid", fdb.LE, fdb.Param("n"))}},
+		{"from Orders where Orders.oid<=3 where Orders.item!=Milk",
+			[]fdb.Clause{fdb.From("Orders"), fdb.Cmp("Orders.oid", fdb.LE, int64(3)), fdb.Cmp("Orders.item", fdb.NE, "Milk")}},
+	} {
+		want, err := db.Prepare(c.clauses...)
+		if err != nil {
+			t.Fatalf("%s: clauses: %v", c.text, err)
+		}
+		got, err := s.prepare(strings.Fields(c.text))
+		if err != nil {
+			t.Fatalf("%s: text: %v", c.text, err)
+		}
+		if got != want {
+			t.Errorf("%s: the text and the clause list prepare different statements", c.text)
+		}
+		if prev, dup := seen[want]; dup {
+			t.Errorf("%q and %q prepare one statement", prev, c.text)
+		}
+		seen[want] = c.text
 	}
 }

@@ -5,8 +5,8 @@
 //
 //	fdgen -r 3 -a 9 -n 1000 -m 100 -dist zipf -out data/
 //
-// It also prints a ready-to-paste fdb invocation with K random
-// non-redundant equalities. All randomness flows from -seed (printed with
+// It also prints a ready-to-paste fdb invocation — one 'load' line per file
+// and a 'query' line with K random non-redundant equalities. All randomness flows from -seed (printed with
 // the output), so any generated dataset — including one that surfaced a bug
 // — reproduces exactly from that one number.
 package main
@@ -74,7 +74,7 @@ func run(args []string, out io.Writer) error {
 		if err := csvio.WriteFile(path, rel, nil); err != nil {
 			return err
 		}
-		loads = append(loads, "-load "+path)
+		loads = append(loads, "'load "+path+"'")
 	}
 	eqs, err := gen.RandomEqualities(rng, sch, *k)
 	if err != nil {
@@ -85,12 +85,12 @@ func run(args []string, out io.Writer) error {
 		names = append(names, rel.Name)
 	}
 	fmt.Fprintf(out, "wrote %d relations to %s (seed %d)\n", len(rels), *outDir, *seed)
-	fmt.Fprintf(out, "suggested query:\n  fdb %s -from %s", strings.Join(loads, " "), strings.Join(names, ","))
+	fmt.Fprintf(out, "suggested query:\n  fdb %s 'query from %s", strings.Join(loads, " "), strings.Join(names, ","))
 	for _, e := range eqs {
 		// Qualify with relation names for the fdb loader.
-		fmt.Fprintf(out, " -eq %s=%s", qualify(sch, string(e.A)), qualify(sch, string(e.B)))
+		fmt.Fprintf(out, " eq %s=%s", qualify(sch, string(e.A)), qualify(sch, string(e.B)))
 	}
-	fmt.Fprintln(out)
+	fmt.Fprintln(out, "'")
 	return nil
 }
 

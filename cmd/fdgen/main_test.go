@@ -56,8 +56,15 @@ func TestFdgenSmoke(t *testing.T) {
 	if !strings.Contains(out, "seed 7") {
 		t.Fatalf("summary does not print the seed:\n%s", out)
 	}
-	if !strings.Contains(out, "-eq ") || !strings.Contains(out, "-from ") {
-		t.Fatalf("summary lacks a pasteable query:\n%s", out)
+	// The invocation is fdb's one grammar: a load line per file, then one
+	// query line.
+	for _, want := range []string{"  fdb 'load ", "r1.tsv' 'load ", "' 'query from R1,R2,R3 eq ", " eq "} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("summary lacks a pasteable fdb invocation (%q):\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, " -") {
+		t.Fatalf("summary still spells flags:\n%s", out)
 	}
 }
 
@@ -75,7 +82,7 @@ func TestFdgenDeterministic(t *testing.T) {
 			t.Fatalf("%s differs between two runs with the same seed", name)
 		}
 	}
-	// The summary differs only in the -load paths (temp dirs).
+	// The summary differs only in the load paths (temp dirs).
 	if qa, qb := afterFrom(outA), afterFrom(outB); qa != qb {
 		t.Fatalf("suggested queries differ between identical seeds:\n%s\n%s", qa, qb)
 	}
@@ -99,10 +106,10 @@ func TestFdgenBadFlags(t *testing.T) {
 	}
 }
 
-// afterFrom strips everything before the path-independent "-from" tail of
-// the suggested query.
+// afterFrom strips everything before the path-independent query line of
+// the suggested invocation.
 func afterFrom(s string) string {
-	if i := strings.Index(s, "-from"); i >= 0 {
+	if i := strings.Index(s, "'query from"); i >= 0 {
 		return s[i:]
 	}
 	return s

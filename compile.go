@@ -306,10 +306,6 @@ func (db *DB) plan(b *boundSpec) (*Stmt, error) {
 		if in.sortIdx, err = fbuild.SortIndex(shell, p.tree); err != nil {
 			return nil, err
 		}
-		in.sortAttrs = make([]relation.Attribute, len(in.sortIdx))
-		for j, c := range in.sortIdx {
-			in.sortAttrs[j] = shell.Schema[c]
-		}
 	}
 	return &Stmt{stmtPlan: p, src: db.srcs.get(srcKey(&p, consts))}, nil
 }

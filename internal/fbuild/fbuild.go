@@ -18,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/frep"
@@ -120,8 +121,8 @@ func (b *builder) under(p, i int) bool { return i <= p && p < b.sub[i] }
 // SortFor sorts each relation by its root-to-leaf path order in t — exactly
 // the order BuildEnc imposes — and verifies the path constraint. Callers
 // that reuse relations across many builds (prepared statements) pay the
-// sort once here; the build's own SortBy then detects the sorted input and
-// becomes a read-only no-op, so the relations can be shared by concurrent
+// sort once here; the build's own relation.SortPerm then finds the input
+// sorted and writes nothing, so the relations can be shared by concurrent
 // builds.
 func SortFor(rels []*relation.Relation, t *ftree.T) error {
 	b := newBuilder(context.Background(), t)
@@ -134,31 +135,17 @@ func SortFor(rels []*relation.Relation, t *ftree.T) error {
 }
 
 // SortIndex returns the column permutation the path sort imposes on r over
-// t: the relation's class columns in root-to-leaf path order, followed by
-// the remaining columns in schema order — exactly the comparator
-// Relation.SortBy uses after SortFor. Callers maintaining sorted snapshots
-// incrementally (merging net deltas into a statement's inputs) sort and
-// merge by this index so the shared slices never need re-sorting.
+// t: the relation's class columns in root-to-leaf path order, which cover
+// every column, since every attribute must label a node of t. Callers
+// maintaining sorted snapshots incrementally (a statement's inputs, merged
+// with net deltas) sort and merge by it with relation.SortPerm and
+// relation.ComparePerm, so the shared slices never need re-sorting.
 func SortIndex(r *relation.Relation, t *ftree.T) ([]int, error) {
-	b := newBuilder(context.Background(), t)
-	st, err := b.newState(r)
+	st, err := newBuilder(context.Background(), t).newState(r)
 	if err != nil {
 		return nil, err
 	}
-	idx := make([]int, 0, len(r.Schema))
-	seen := make([]bool, len(r.Schema))
-	for _, cols := range st.cols {
-		for _, c := range cols {
-			idx = append(idx, c)
-			seen[c] = true
-		}
-	}
-	for c := range r.Schema {
-		if !seen[c] {
-			idx = append(idx, c)
-		}
-	}
-	return idx, nil
+	return slices.Concat(st.cols...), nil
 }
 
 // BuildEnc evaluates the natural join encoded by t over the given relations
@@ -340,14 +327,10 @@ func (b *builder) newState(r *relation.Relation) (*relState, error) {
 				r.Name, nodes[i-1].Attrs, n.Attrs)
 		}
 	}
-	var order []relation.Attribute
 	for _, n := range nodes {
 		st.cols = append(st.cols, byNode[n])
-		for _, c := range byNode[n] {
-			order = append(order, r.Schema[c])
-		}
 	}
-	r.SortBy(order)
+	relation.SortPerm(r.Tuples, slices.Concat(st.cols...))
 	return st, nil
 }
 

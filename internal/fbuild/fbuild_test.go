@@ -302,19 +302,7 @@ func TestSortIndex(t *testing.T) {
 				t.Fatalf("index %v does not cover schema %v", idx, r.Schema)
 			}
 			for k := 1; k < len(r.Tuples); k++ {
-				ta, tb := r.Tuples[k-1], r.Tuples[k]
-				cmp := 0
-				for _, c := range idx {
-					if ta[c] != tb[c] {
-						if ta[c] > tb[c] {
-							cmp = 1
-						} else {
-							cmp = -1
-						}
-						break
-					}
-				}
-				if cmp > 0 {
+				if relation.ComparePerm(r.Tuples[k-1], r.Tuples[k], idx) > 0 {
 					t.Fatalf("relation %s not sorted by its SortIndex %v", r.Name, idx)
 				}
 			}

@@ -2,7 +2,7 @@ package relation
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -88,53 +88,47 @@ func (r *Relation) Clone() *Relation {
 // attribute in order must be in the schema; attributes not listed break ties
 // in schema order to make the sort total and deterministic.
 func (r *Relation) SortBy(order []Attribute) {
-	idx := make([]int, 0, len(order))
+	perm := make([]int, 0, len(r.Schema))
+	listed := make([]bool, len(r.Schema))
 	for _, a := range order {
 		i := r.Schema.Index(a)
 		if i < 0 {
 			panic(fmt.Sprintf("relation %s: sort attribute %q not in schema", r.Name, a))
 		}
-		idx = append(idx, i)
-	}
-	// Tie-break on remaining columns for determinism.
-	seen := make(map[int]bool, len(idx))
-	for _, i := range idx {
-		seen[i] = true
+		perm = append(perm, i)
+		listed[i] = true
 	}
 	for i := range r.Schema {
-		if !seen[i] {
-			idx = append(idx, i)
+		if !listed[i] {
+			perm = append(perm, i)
 		}
 	}
-	// Already sorted? One read-only pass; SortBy then never writes, so
-	// relations pre-sorted in this order can be shared by concurrent
-	// readers (prepared-statement snapshots).
-	sorted := true
-scan:
-	for k := 1; k < len(r.Tuples); k++ {
-		ta, tb := r.Tuples[k-1], r.Tuples[k]
-		for _, i := range idx {
-			if ta[i] < tb[i] {
-				continue scan
+	SortPerm(r.Tuples, perm)
+}
+
+// ComparePerm orders tuples lexicographically over the columns perm lists,
+// most significant first.
+func ComparePerm(a, b Tuple, perm []int) int {
+	for _, c := range perm {
+		if a[c] != b[c] {
+			if a[c] < b[c] {
+				return -1
 			}
-			if ta[i] > tb[i] {
-				sorted = false
-				break scan
-			}
+			return 1
 		}
 	}
-	if sorted {
-		return
+	return 0
+}
+
+// SortPerm sorts ts by ComparePerm over perm. It checks first, in one
+// read-only pass, and writes nothing when ts is sorted already, so tuple
+// slices kept in this order (prepared-statement inputs) can be shared by
+// concurrent readers.
+func SortPerm(ts []Tuple, perm []int) {
+	cmp := func(a, b Tuple) int { return ComparePerm(a, b, perm) }
+	if !slices.IsSortedFunc(ts, cmp) {
+		slices.SortFunc(ts, cmp)
 	}
-	sort.Slice(r.Tuples, func(a, b int) bool {
-		ta, tb := r.Tuples[a], r.Tuples[b]
-		for _, i := range idx {
-			if ta[i] != tb[i] {
-				return ta[i] < tb[i]
-			}
-		}
-		return false
-	})
 }
 
 // Sort sorts tuples lexicographically in schema order.

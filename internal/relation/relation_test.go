@@ -139,6 +139,25 @@ func TestSortByAndDedup(t *testing.T) {
 	}
 }
 
+// TestSortPerm: SortPerm over a column permutation orders as SortBy over
+// the attributes it names, and ComparePerm agrees with the order.
+func TestSortPerm(t *testing.T) {
+	rows := [][]Value{{2, 1, 5}, {1, 2, 4}, {1, 1, 6}, {1, 2, 3}, {2, 1, 4}}
+	byName := mkRel(t, "R", Schema{"A", "B", "C"}, rows...)
+	byName.SortBy([]Attribute{"B"}) // ties: A, then C
+	byPerm := mkRel(t, "R", Schema{"A", "B", "C"}, rows...)
+	perm := []int{1, 0, 2}
+	SortPerm(byPerm.Tuples, perm)
+	for i := range byName.Tuples {
+		if byName.Tuples[i].Compare(byPerm.Tuples[i]) != 0 {
+			t.Fatalf("SortPerm %v = %v, SortBy = %v", perm, byPerm.Tuples, byName.Tuples)
+		}
+		if i > 0 && ComparePerm(byPerm.Tuples[i-1], byPerm.Tuples[i], perm) >= 0 {
+			t.Fatalf("ComparePerm disagrees at %d: %v", i, byPerm.Tuples)
+		}
+	}
+}
+
 func TestProjectSelectProduct(t *testing.T) {
 	r := mkRel(t, "R", Schema{"A", "B"},
 		[]Value{1, 1}, []Value{1, 2}, []Value{2, 2})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -36,9 +37,10 @@ func fuzzSeeds() [][]byte {
 const fuzzFrameLimit = 1 << 16
 
 // FuzzWireDecode feeds arbitrary bytes to everything that parses bytes a
-// peer controls: the four body decoders and the frame reader. The contract
-// is FuzzStoreOpen's: never panic, and either an error or a value that
-// survives re-encoding — encode it, decode that, and get the same value.
+// peer controls: the four body decoders, the frame reader and the text
+// query parser. The contract is FuzzStoreOpen's: never panic, and either an
+// error or a value that survives re-encoding — encode it, decode that, and
+// get the same value.
 func FuzzWireDecode(f *testing.F) {
 	for _, b := range fuzzSeeds() {
 		f.Add(b)
@@ -46,6 +48,14 @@ func FuzzWireDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if sp := reencodes(t, "Spec", b, DecodeSpec, EncodeSpec); sp != nil {
 			// Turning a decoded spec into clauses may refuse it, never panic.
+			_, _ = sp.Clauses()
+		}
+		// The same bytes as a text query: ParseSpec may refuse them, never
+		// panic, and what it accepts must survive the codec and Clauses.
+		if sp, err := ParseSpec(strings.Fields(string(b))); err == nil {
+			if again, err := DecodeSpec(EncodeSpec(sp)); err != nil || !reflect.DeepEqual(sp, again) {
+				t.Fatalf("parsed Spec does not survive re-encoding: %v\n%+v\n%+v", err, sp, again)
+			}
 			_, _ = sp.Clauses()
 		}
 		reencodes(t, "ExecReq", b, DecodeExecReq, EncodeExecReq)

@@ -148,8 +148,16 @@ func NewSpec(from ...string) Spec { return Spec{From: from, Limit: -1} }
 func (sp *Spec) IsAgg() bool { return len(sp.Aggs) > 0 }
 
 // Clauses converts the spec to the library's clause list. Unknown operator
-// or aggregate codes error rather than silently aliasing.
+// or aggregate codes error rather than silently aliasing, and so do the
+// counts fdb.Limit and fdb.Offset refuse: a Limit below -1 (-1 is "no
+// limit") and a negative Offset.
 func (sp *Spec) Clauses() ([]fdb.Clause, error) {
+	if sp.Limit < -1 {
+		return nil, fmt.Errorf("wire: limit needs n >= 0 (or -1 for none), got %d", sp.Limit)
+	}
+	if sp.Offset < 0 {
+		return nil, fmt.Errorf("wire: offset needs n >= 0, got %d", sp.Offset)
+	}
 	var cs []fdb.Clause
 	if len(sp.From) > 0 {
 		cs = append(cs, fdb.From(sp.From...))

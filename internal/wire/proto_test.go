@@ -184,3 +184,27 @@ func TestSpecClausesRejectsUnknownCodes(t *testing.T) {
 		t.Fatal("unknown aggregate accepted")
 	}
 }
+
+// TestSpecClausesRejectsBadCounts: a Limit below -1 and a negative Offset
+// are refused, as fdb.Limit and fdb.Offset refuse them, instead of running
+// unclipped or being dropped.
+func TestSpecClausesRejectsBadCounts(t *testing.T) {
+	for name, edit := range map[string]func(*Spec){
+		"limit -2":  func(sp *Spec) { sp.Limit = -2 },
+		"limit min": func(sp *Spec) { sp.Limit = -1 << 63 },
+		"offset -1": func(sp *Spec) { sp.Offset = -1 },
+	} {
+		sp := NewSpec("R")
+		edit(&sp)
+		if _, err := sp.Clauses(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	for _, n := range []int64{-1, 0, 5} {
+		sp := NewSpec("R")
+		sp.Limit = n
+		if _, err := sp.Clauses(); err != nil {
+			t.Errorf("limit %d refused: %v", n, err)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package fdb
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -83,10 +82,9 @@ type stmtPlan struct {
 // constant-selection pre-filter baked at compile time, and the column
 // permutation of its f-tree path sort (for in-order delta merging).
 type stmtInput struct {
-	store     *delta.Store
-	filter    func(relation.Tuple) bool // nil: no constant selection
-	sortIdx   []int
-	sortAttrs []relation.Attribute // schema attrs in sortIdx order (SortBy arg)
+	store   *delta.Store
+	filter  func(relation.Tuple) bool // nil: no constant selection
+	sortIdx []int
 }
 
 // stmtData is one immutable version of a statement's inputs: the deduped,
@@ -344,7 +342,7 @@ func (st *Stmt) refresh(ctx context.Context) (*stmtData, error) {
 // load derives input i's snapshot from a state: a private tuple slice over
 // the state's shared (read-only) tuples, pre-filtered by the baked constant
 // selections, sorted once in the input's f-tree path order and deduped.
-// SortBy breaks ties on every remaining column, so duplicates are adjacent.
+// The path order covers every column, so duplicates are adjacent.
 func (st *Stmt) load(i int, state *delta.State) *relation.Relation {
 	live := state.Live()
 	var r *relation.Relation
@@ -354,7 +352,7 @@ func (st *Stmt) load(i int, state *delta.State) *relation.Relation {
 		r = relation.New(live.Name, live.Schema)
 		r.Tuples = append(make([]relation.Tuple, 0, len(live.Tuples)), live.Tuples...)
 	}
-	r.SortBy(st.inputs[i].sortAttrs)
+	relation.SortPerm(r.Tuples, st.inputs[i].sortIdx)
 	out := r.Tuples[:0]
 	for _, t := range r.Tuples {
 		if len(out) == 0 || t.Compare(out[len(out)-1]) != 0 {
@@ -390,20 +388,10 @@ func filterTuples(ts []relation.Tuple, f func(relation.Tuple) bool) []relation.T
 // the old). Additions already present and removals of absent tuples are
 // no-ops.
 func mergeSortedDelta(old *relation.Relation, adds, dels []relation.Tuple, idx []int) *relation.Relation {
-	cmp := func(a, b relation.Tuple) int {
-		for _, c := range idx {
-			if a[c] != b[c] {
-				if a[c] < b[c] {
-					return -1
-				}
-				return 1
-			}
-		}
-		return 0
-	}
+	cmp := func(a, b relation.Tuple) int { return relation.ComparePerm(a, b, idx) }
 	sortTuples := func(ts []relation.Tuple) []relation.Tuple {
 		out := append(make([]relation.Tuple, 0, len(ts)), ts...)
-		sort.Slice(out, func(i, j int) bool { return cmp(out[i], out[j]) < 0 })
+		relation.SortPerm(out, idx)
 		return out
 	}
 	adds, dels = sortTuples(adds), sortTuples(dels)
