@@ -144,20 +144,28 @@ func (c constClause) apply(s *spec) error {
 	if c.attr == "" {
 		return fmt.Errorf("fdb: Cmp needs an attribute name")
 	}
-	if p, ok := c.val.(ParamValue); ok {
-		if p.name == "" {
+	switch v := c.val.(type) {
+	case ParamValue:
+		if v.name == "" {
 			return fmt.Errorf("fdb: Param needs a non-empty name")
 		}
 		if s.mode == modeWhere {
-			return fmt.Errorf("fdb: parameter %q is not allowed in Where/Join; use Prepare/Exec", p.name)
+			return fmt.Errorf("fdb: parameter %q is not allowed in Where/Join; use Prepare/Exec", v.name)
 		}
+	case int, int64, relation.Value, string:
+	default:
+		return fmt.Errorf("fdb: unsupported value type %T", c.val)
 	}
 	s.sels = append(s.sels, selSpec{attr: relation.Attribute(c.attr), op: c.op, val: c.val})
 	return nil
 }
 
 // Cmp adds the selection attr θ value; value may be int, int64, string, or
-// a Param placeholder bound at Exec time.
+// a Param placeholder bound at Exec time. A selection whose value is known
+// at Prepare — an integer or a string, with any operator — is baked into its
+// input; a Param is bound per Exec. A string constant never grows the
+// dictionary: an equality compares its code (it has none: nothing is
+// equal), and a range compares in decoded order, the order OrderBy uses.
 func Cmp(attr string, op CmpOp, value interface{}) Clause {
 	return constClause{attr: attr, op: op, val: value}
 }

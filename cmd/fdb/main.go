@@ -15,6 +15,12 @@
 //	fdb 'open grocery.fdb' 'prepare q from Orders where Orders.item=$item' 'exec q item=Milk'
 //	fdb -i 'open grocery.fdb'
 //
+// A line splits into words at spaces outside double quotes (wire.SplitLine).
+// A quoted word is read as a Go string literal and is always a string — a
+// where value, an insert value, an exec binding or a path:
+//
+//	fdb 'load "my orders.tsv"' 'query from Orders where Orders.item="Ice Cream"'
+//
 // Query text is parsed by wire.ParseSpec into the server's wire.Spec and
 // compiled by Spec.Clauses, so the command line, the REPL and the wire
 // protocol read a query one way. Every verb that runs a statement — exec,
@@ -86,21 +92,17 @@ func run(argv []string, in io.Reader, out io.Writer) error {
 	return nil
 }
 
-// parseConst parses a binding or tuple value: an int64 or a literal string
-// (no placeholder interpretation — a value may legitimately start with '$').
-func parseConst(val string) interface{} {
-	if n, err := strconv.ParseInt(val, 10, 64); err == nil {
-		return n
+// parseConst parses a binding or tuple value: a word in double quotes is a
+// string (wire.Unquote), any other word an int64 or a literal string (no
+// placeholder interpretation — a value may legitimately start with '$').
+func parseConst(word string) (interface{}, error) {
+	if s, quoted, err := wire.Unquote(word); err != nil || quoted {
+		return s, err
 	}
-	return val
-}
-
-func parseValues(tokens []string) []interface{} {
-	vals := make([]interface{}, len(tokens))
-	for i, v := range tokens {
-		vals[i] = parseConst(v)
+	if n, err := strconv.ParseInt(word, 10, 64); err == nil {
+		return n, nil
 	}
-	return vals
+	return word, nil
 }
 
 // parseArgs turns name=value tokens into Exec arguments.
@@ -111,7 +113,11 @@ func parseArgs(tokens []string) ([]fdb.NamedArg, error) {
 		if !ok || name == "" {
 			return nil, fmt.Errorf("bad parameter binding %q (want name=value)", p)
 		}
-		args = append(args, fdb.Arg(name, parseConst(val)))
+		v, err := parseConst(val)
+		if err != nil {
+			return nil, err
+		}
+		args = append(args, fdb.Arg(name, v))
 	}
 	return args, nil
 }
@@ -181,6 +187,9 @@ orderby sorts the rows (leading '-': descending); with a tree-compatible key
 prefix the rows stream in order off the factorised result and limit N is
 top-k. aggregation queries (agg, optionally groupby) print one row per
 group, computed in a single pass over the factorised result.
+a word splits at spaces outside double quotes; a quoted value (Go syntax)
+is always a string: where R.item="Ice Cream", insert R 7 "42",
+exec q item="a b", load "my file.tsv".
 on the command line each argument is one line, e.g.
   fdb 'load orders.tsv' 'query from Orders orderby -Orders.oid limit 3'`
 
@@ -221,9 +230,9 @@ func (s *session) repl(in io.Reader) {
 // do runs one line, the dispatch shared by the argument lines and the REPL;
 // quit reports a quit or exit line.
 func (s *session) do(line string) (quit bool, err error) {
-	fields := strings.Fields(line)
-	if len(fields) == 0 {
-		return false, nil
+	fields, err := wire.SplitLine(line)
+	if err != nil || len(fields) == 0 {
+		return false, err
 	}
 	cmd, rest := fields[0], fields[1:]
 	switch cmd {
@@ -231,8 +240,8 @@ func (s *session) do(line string) (quit bool, err error) {
 		return true, nil
 	case "help":
 		fmt.Fprintln(s.out, replHelp)
-	case "load":
-		err = s.load(rest)
+	case "load", "save", "open":
+		err = s.file(cmd, rest)
 	case "rels":
 		for _, name := range s.db.Relations() {
 			r, _ := s.db.Relation(name)
@@ -258,10 +267,6 @@ func (s *session) do(line string) (quit bool, err error) {
 		} else if err = s.db.Compact(rest[0]); err == nil {
 			fmt.Fprintf(s.out, "  compacted %s (version %d)\n", rest[0], s.db.Version())
 		}
-	case "save":
-		err = s.save(rest)
-	case "open":
-		err = s.open(rest)
 	case "stats":
 		c := s.db.CacheStats()
 		fmt.Fprintf(s.out, "  plan cache: %d entries, %d hits, %d misses\n", c.Entries, c.Hits, c.Misses)
@@ -285,18 +290,6 @@ func (s *session) prepare(tokens []string) (*fdb.Stmt, error) {
 		return nil, err
 	}
 	return s.db.Prepare(clauses...)
-}
-
-func (s *session) load(rest []string) error {
-	if len(rest) != 1 {
-		return fmt.Errorf("usage: load <path>")
-	}
-	name, err := s.db.LoadTSV(rest[0])
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(s.out, "  loaded %s\n", name)
-	return nil
 }
 
 func (s *session) prepareNamed(rest []string) error {
@@ -343,32 +336,34 @@ func (s *session) query(rest []string) error {
 // the next query (prepared or ad-hoc, cached or fresh) sees them, while
 // pinned snapshots keep their view.
 func (s *session) write(verb string, rest []string) error {
+	first, usage := 1, "<Rel> v1 v2 ..."
+	if verb == "upsert" {
+		first, usage = 2, "<Rel> <keycols> v1 v2 ..."
+	}
+	if len(rest) <= first {
+		return fmt.Errorf("usage: %s %s", verb, usage)
+	}
+	var err error
+	vals := make([]interface{}, len(rest)-first)
+	for i, w := range rest[first:] {
+		if vals[i], err = parseConst(w); err != nil {
+			return err
+		}
+	}
 	switch verb {
 	case "insert":
-		if len(rest) < 2 {
-			return fmt.Errorf("usage: insert <Rel> v1 v2 ...")
-		}
-		if err := s.db.Insert(rest[0], parseValues(rest[1:])...); err != nil {
-			return err
-		}
+		err = s.db.Insert(rest[0], vals...)
 	case "delete":
-		if len(rest) < 2 {
-			return fmt.Errorf("usage: delete <Rel> v1 v2 ...")
-		}
-		if err := s.db.Delete(rest[0], parseValues(rest[1:])...); err != nil {
-			return err
-		}
+		err = s.db.Delete(rest[0], vals...)
 	case "upsert":
-		if len(rest) < 3 {
-			return fmt.Errorf("usage: upsert <Rel> <keycols> v1 v2 ...")
-		}
-		key, err := strconv.Atoi(rest[1])
-		if err != nil {
+		key, kerr := strconv.Atoi(rest[1])
+		if kerr != nil {
 			return fmt.Errorf("bad key column count %q", rest[1])
 		}
-		if err := s.db.Upsert(rest[0], key, parseValues(rest[2:])...); err != nil {
-			return err
-		}
+		err = s.db.Upsert(rest[0], key, vals...)
+	}
+	if err != nil {
+		return err
 	}
 	r, _ := s.db.Relation(rest[0])
 	fmt.Fprintf(s.out, "  %s %s: now %d tuples (version %d)\n", verb, rest[0], r.Cardinality(), s.db.Version())
@@ -420,39 +415,47 @@ func (s *session) release(rest []string) error {
 	return nil
 }
 
-// save writes the session database to a snapshot file. The encodings of
-// statements still alive ride along, one per data holder — prepared ones,
-// and those the query verb left in the plan cache — so a later open serves
-// them without a build.
-func (s *session) save(rest []string) error {
+// file runs the verbs that take one path, quoted when it holds a space:
+// load reads a TSV relation file; save writes the session database to a
+// snapshot file, and the encodings of statements still alive ride along,
+// one per data holder — prepared ones, and those the query verb left in the
+// plan cache — so a later open serves them without a build; open replaces
+// the session database with a snapshot file, discarding the prepared
+// statements and pinned snapshots, views of a database the session no
+// longer serves.
+func (s *session) file(verb string, rest []string) error {
 	if len(rest) != 1 {
-		return fmt.Errorf("usage: save <path>")
+		return fmt.Errorf("usage: %s <path>", verb)
 	}
-	if err := s.db.SaveSnapshot(rest[0]); err != nil {
-		return err
-	}
-	fmt.Fprintf(s.out, "  saved snapshot %s (version %d)\n", rest[0], s.db.Version())
-	return nil
-}
-
-// open replaces the session database with a snapshot file. Prepared
-// statements and pinned snapshots are views of a database the session no
-// longer serves, so they are discarded.
-func (s *session) open(rest []string) error {
-	if len(rest) != 1 {
-		return fmt.Errorf("usage: open <path>")
-	}
-	db, err := fdb.OpenSnapshotFile(rest[0])
+	path, _, err := wire.Unquote(rest[0])
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(s.out, "  opened snapshot %s (version %d, %d relations)\n", rest[0], db.Version(), len(db.Relations()))
-	s.db = db
-	s.stmts = map[string]*fdb.Stmt{}
-	for _, snap := range s.snaps {
-		snap.Close()
+	switch verb {
+	case "load":
+		name, err := s.db.LoadTSV(path)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(s.out, "  loaded %s\n", name)
+	case "save":
+		if err := s.db.SaveSnapshot(path); err != nil {
+			return err
+		}
+		fmt.Fprintf(s.out, "  saved snapshot %s (version %d)\n", path, s.db.Version())
+	case "open":
+		db, err := fdb.OpenSnapshotFile(path)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(s.out, "  opened snapshot %s (version %d, %d relations)\n", path, db.Version(), len(db.Relations()))
+		s.db = db
+		s.stmts = map[string]*fdb.Stmt{}
+		for _, snap := range s.snaps {
+			snap.Close()
+		}
+		s.snaps = map[string]*fdb.Snapshot{}
 	}
-	s.snaps = map[string]*fdb.Snapshot{}
 	return nil
 }
 

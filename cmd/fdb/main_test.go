@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/wire"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
@@ -400,12 +401,22 @@ func TestQueryTextMatchesClauses(t *testing.T) {
 				fdb.Cmp("Orders.oid", fdb.LE, fdb.Param("n"))}},
 		{"from Orders where Orders.oid<=3 where Orders.item!=Milk",
 			[]fdb.Clause{fdb.From("Orders"), fdb.Cmp("Orders.oid", fdb.LE, int64(3)), fdb.Cmp("Orders.item", fdb.NE, "Milk")}},
+		{`from Orders where Orders.item="Ice Cream"`,
+			[]fdb.Clause{fdb.From("Orders"), fdb.Cmp("Orders.item", fdb.EQ, "Ice Cream")}},
+		{`from Orders where Orders.item="42" where Orders.oid>="$n"`,
+			[]fdb.Clause{fdb.From("Orders"), fdb.Cmp("Orders.item", fdb.EQ, "42"), fdb.Cmp("Orders.oid", fdb.GE, "$n")}},
+		{"from Orders where Orders.item=a<b where Orders.oid<=x=y",
+			[]fdb.Clause{fdb.From("Orders"), fdb.Cmp("Orders.item", fdb.EQ, "a<b"), fdb.Cmp("Orders.oid", fdb.LE, "x=y")}},
 	} {
 		want, err := db.Prepare(c.clauses...)
 		if err != nil {
 			t.Fatalf("%s: clauses: %v", c.text, err)
 		}
-		got, err := s.prepare(strings.Fields(c.text))
+		words, err := wire.SplitLine(c.text)
+		if err != nil {
+			t.Fatalf("%s: split: %v", c.text, err)
+		}
+		got, err := s.prepare(words)
 		if err != nil {
 			t.Fatalf("%s: text: %v", c.text, err)
 		}
@@ -416,5 +427,40 @@ func TestQueryTextMatchesClauses(t *testing.T) {
 			t.Errorf("%q and %q prepare one statement", prev, c.text)
 		}
 		seen[want] = c.text
+	}
+}
+
+// TestScriptQuoting: a double-quoted word keeps its spaces, in a path, a
+// where value, a written value and an exec binding, and is always a
+// string; a quote left open fails the line.
+func TestScriptQuoting(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "my dir")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	tsv := filepath.Join(dir, "my orders.tsv")
+	if err := os.WriteFile(tsv, []byte("Orders\toid\titem\no1\tMilk\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap := filepath.Join(dir, "my snap.fdb")
+	out, err := runLines(`load "`+tsv+`"`, `insert Orders o2 "Ice Cream"`, `insert Orders o3 "42"`,
+		`query from Orders where Orders.item="Ice Cream"`,
+		`prepare p from Orders where Orders.item=$item`, `exec p item="42"`, `save "`+snap+`"`)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	for _, want := range []string{"Orders.oid\tOrders.item\no2\tIce Cream\n", "Orders.oid\tOrders.item\no3\t42\n"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+	if out, err := runLines(`open "`+snap+`"`, `query from Orders where Orders.item!="Ice Cream" orderby Orders.oid`); err != nil ||
+		!strings.Contains(out, "o1\tMilk\no3\t42\n") {
+		t.Errorf("reopened by a quoted path: %v\n%s", err, out)
+	}
+	for _, line := range []string{`load "` + tsv, `query from Orders where Orders.item="Ice`, `insert Orders o4 "a"b`} {
+		if _, err := runLines(line); err == nil {
+			t.Errorf("%q accepted", line)
+		}
 	}
 }

@@ -32,29 +32,24 @@ type boundSpec struct {
 	*spec
 	stores []*delta.Store
 	// query is the spec over data-free shells (name and schema) of the From
-	// relations, Selections holding the constants classifySel baked.
+	// relations; its selections are sels.
 	query *core.Query
 	sels  []boundSel
 }
 
-// boundSel is one selection as classifySel saw it, located in the inputs:
-// column col of input relation rel compared against a baked code
-// (selConst), or — a late selection — against a value only an execution
-// knows: its binding of a parameter (selParam), or a string that must be
-// re-resolved against the dictionary every time (selDynamic: a range
-// comparison, whose decoded order can gain strings between Execs, or an
-// equality whose constant has no code yet and may gain one).
+// boundSel is one selection located in the inputs: column col of input
+// relation rel compared against val — a constant, baked into the input, or
+// a Param placeholder, bound per Exec. selPred compiles it each time it is
+// applied.
 type boundSel struct {
 	selSpec
-	class    selClass
-	code     relation.Value // class == selConst: the value code to bake
-	rel, col int            // the input relation and column attr names
+	rel, col int // the input relation and column attr names
 }
 
 // bind resolves the spec's relations to their stores and schemas under one
-// read lock, classifies every selection once, and runs all of the query's
-// validation, so that nothing downstream of it (the plan cache, plan) can
-// meet an invalid query.
+// read lock, locates every selection in the inputs, and runs all of the
+// query's validation, so that nothing downstream of it (the plan cache,
+// plan) can meet an invalid query.
 func (db *DB) bind(s *spec) (*boundSpec, error) {
 	if len(s.from) == 0 {
 		return nil, fmt.Errorf("fdb: query needs From(...)")
@@ -73,11 +68,7 @@ func (db *DB) bind(s *spec) (*boundSpec, error) {
 	}
 	db.mu.RUnlock()
 	for _, sel := range s.sels {
-		class, code, err := db.classifySel(sel.op, sel.val)
-		if err != nil {
-			return nil, err
-		}
-		bs := boundSel{selSpec: sel, class: class, code: code, rel: -1}
+		bs := boundSel{selSpec: sel, rel: -1}
 		for i, r := range q.Relations {
 			if j := r.Schema.Index(sel.attr); j >= 0 {
 				bs.rel, bs.col = i, j
@@ -86,9 +77,6 @@ func (db *DB) bind(s *spec) (*boundSpec, error) {
 		}
 		if bs.rel < 0 {
 			return nil, fmt.Errorf("fdb: selection on unknown attribute %q", sel.attr)
-		}
-		if class == selConst {
-			q.Selections = append(q.Selections, core.ConstSel{A: sel.attr, Op: sel.op, C: code})
 		}
 		b.sels = append(b.sels, bs)
 	}
@@ -155,7 +143,6 @@ func checkOrderKeys(keys []frep.OrderKey, result []relation.Attribute) error {
 // part of the plan identity.
 func (b *boundSpec) fingerprint() string {
 	q := *b.query
-	q.Selections = nil
 	var psels, ssels []string
 	for _, sel := range b.sels {
 		// String constants fingerprint by spelling whether or not they have
@@ -166,7 +153,8 @@ func (b *boundSpec) fingerprint() string {
 		case ParamValue:
 			psels = append(psels, fmt.Sprintf("%s %d $%s", sel.attr, sel.op, v.name))
 		default:
-			q.Selections = append(q.Selections, core.ConstSel{A: sel.attr, Op: sel.op, C: sel.code})
+			c, _ := toValue(v)
+			q.Selections = append(q.Selections, core.ConstSel{A: sel.attr, Op: sel.op, C: c})
 		}
 	}
 	var key strings.Builder
@@ -213,8 +201,8 @@ func (b *boundSpec) fingerprint() string {
 
 // plan is stage two: it decides everything about the statement that its
 // data cannot change — the f-tree (planTree, Lift for grouped aggregates,
-// the order-aware choice), each input's baked constant filter and its
-// f-tree path-sort permutation — and returns the statement around that
+// the order-aware choice), each input's selections and its f-tree path-sort
+// permutation — and returns the statement around that
 // immutable plan. The statement holds no data yet; its first execution
 // loads it (Stmt.refresh) into the holder plan takes from the database's
 // registry, shared with every live statement of the same srcKey.
@@ -229,29 +217,11 @@ func (db *DB) plan(b *boundSpec) (*Stmt, error) {
 		outClauses: b.outClauses,
 		inputs:     make([]stmtInput, len(b.stores)),
 	}
-	// Constant selections are cheapest first (Section 4): each input's are
-	// compiled into one filter, applied when the input is loaded and to every
-	// delta folded into it afterwards. Parameters and dynamic string
-	// selections resolve per Exec.
-	consts := make([][]boundSel, len(b.stores))
+	// Selections with a constant are cheapest first (Section 4): an input's
+	// constants filter it when it is loaded and every delta folded into it
+	// afterwards, its parameters per Exec (Stmt.match).
 	for _, sel := range b.sels {
-		if sel.class == selConst {
-			consts[sel.rel] = append(consts[sel.rel], sel)
-		} else {
-			p.lsels = append(p.lsels, sel)
-		}
-	}
-	for i, mine := range consts {
-		if len(mine) > 0 {
-			p.inputs[i].filter = func(t relation.Tuple) bool {
-				for _, c := range mine {
-					if !(core.ConstSel{Op: c.op, C: c.code}).Match(t[c.col]) {
-						return false
-					}
-				}
-				return true
-			}
-		}
+		p.inputs[sel.rel].sels = append(p.inputs[sel.rel].sels, sel)
 	}
 	classes, schemas := q.Classes(), q.Schemas()
 	var err error
@@ -307,17 +277,22 @@ func (db *DB) plan(b *boundSpec) (*Stmt, error) {
 			return nil, err
 		}
 	}
-	return &Stmt{stmtPlan: p, src: db.srcs.get(srcKey(&p, consts))}, nil
+	return &Stmt{stmtPlan: p, src: db.srcs.get(db.srcKey(&p))}, nil
 }
 
 // srcKey identifies the data a live statement executes over: per input, the
 // relation's %q-quoted name (returned too, in input order) and the constant
-// selections baked into its filter, then the f-tree's store.TreeKey (shape, sibling order, Rels, Deps
-// and markers). The path-sort permutations follow from the tree, so two
-// statements with one key load the same sorted inputs and build the same
-// encoding — whatever projection, ordering, limits or aggregates they apply
-// on top of it. Late selections are per execution and never reach the
+// selections baked into it, then the f-tree's store.TreeKey (shape, sibling
+// order, Rels, Deps and markers). The path-sort permutations follow from the
+// tree, so two statements with one key load the same sorted inputs and build
+// the same encoding — whatever projection, ordering, limits or aggregates
+// they apply on top of it. Parameters are per execution and never reach the
 // shared data.
+//
+// A baked selection keys as "col op value". The value is an integer, or the
+// code of a string the dictionary holds in an equality or inequality (saved
+// files carry these keys), and any other string by its %q spelling: a range,
+// or a string with no code at Prepare.
 //
 // The key is the only name a memoised encoding has: SaveSnapshot writes each
 // holder's arena under it and a reopened database adopts by it, so its bytes
@@ -325,14 +300,26 @@ func (db *DB) plan(b *boundSpec) (*Stmt, error) {
 // catalogue only grows, and Create and LoadTSV refuse an existing name — so
 // the key means the same data in every process that opens the file, and
 // quoting keeps a name holding '[' or ';' from forging another's key.
-func srcKey(p *stmtPlan, consts [][]boundSel) (string, []string) {
+func (db *DB) srcKey(p *stmtPlan) (string, []string) {
 	var key strings.Builder
 	names := make([]string, len(p.inputs))
 	for i, in := range p.inputs {
 		names[i] = in.store.Name
-		cs := make([]string, len(consts[i]))
-		for j, c := range consts[i] {
-			cs[j] = fmt.Sprintf("%d %d %d", c.col, c.op, c.code)
+		var cs []string
+		for _, c := range in.sels {
+			switch v := c.val.(type) {
+			case ParamValue:
+				continue
+			case string:
+				if code, ok := db.dict.Lookup(v); ok && (c.op == fplan.Eq || c.op == fplan.Ne) {
+					cs = append(cs, fmt.Sprintf("%d %d %d", c.col, c.op, code))
+				} else {
+					cs = append(cs, fmt.Sprintf("%d %d %q", c.col, c.op, v))
+				}
+			default:
+				code, _ := toValue(v)
+				cs = append(cs, fmt.Sprintf("%d %d %d", c.col, c.op, code))
+			}
 		}
 		sort.Strings(cs)
 		fmt.Fprintf(&key, "%q[%s];", in.store.Name, strings.Join(cs, ","))

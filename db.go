@@ -3,7 +3,6 @@ package fdb
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"weak"
@@ -367,10 +366,10 @@ func (db *DB) CacheStats() CacheStats {
 func (db *DB) Parallelism() int { return runtime.GOMAXPROCS(0) }
 
 // orderLess returns the value comparator ORDER BY uses, mirroring how
-// results render: dictionary-decoded values compare lexicographically, plain
-// integers numerically, and integers sort before dictionary strings. With an
-// empty dictionary (pure integer data) it returns nil — native value order
-// already is decoded order, so ordered iteration needs no permutations.
+// results render: values compare as relation.DecodeValue decodes them
+// (Decoded.Less). With an empty dictionary (pure integer data) it returns
+// nil — native value order already is decoded order, so ordered iteration
+// needs no permutations.
 func (db *DB) orderLess() frep.ValueLess {
 	// Snapshot the append-only dictionary once: every code in the result
 	// predates this call, and the comparator runs O(N log N) times on the
@@ -380,121 +379,66 @@ func (db *DB) orderLess() frep.ValueLess {
 		return nil
 	}
 	return func(a, b relation.Value) bool {
-		oka := a >= 0 && int(a) < len(strs)
-		okb := b >= 0 && int(b) < len(strs)
-		switch {
-		case oka && okb:
-			return strs[a] < strs[b]
-		case !oka && !okb:
-			return a < b
-		default:
-			return !oka
-		}
+		return relation.DecodeValue(strs, a).Less(relation.DecodeValue(strs, b))
 	}
 }
 
-// selClass is how a selection's right-hand side compiles.
-type selClass int
-
-const (
-	selConst   selClass = iota // a value code, permanent: bake it into the plan
-	selDynamic                 // a string that needs the dictionary per execution (stringSelPred)
-	selParam                   // a Param placeholder, bound per Exec
-)
-
-// classifySel is the one place that decides how a selection value compiles,
-// for every surface that takes one (bind, Exec-time bindings, Result.Where). Integers are their own code. A string
-// is a constant only as an equality on an already-encoded string — codes
-// are permanent, so baking that is cache-safe; ranges (decoded order can
-// gain strings) and unseen strings (they may gain a code) stay dynamic.
-// Nothing here grows the dictionary: a query never mints a code for a
-// constant the database has only ever compared against.
-func (db *DB) classifySel(op fplan.Cmp, val interface{}) (selClass, relation.Value, error) {
-	switch x := val.(type) {
-	case ParamValue:
-		return selParam, 0, nil
-	case string:
-		if c, ok := db.dict.Lookup(x); ok && (op == fplan.Eq || op == fplan.Ne) {
-			return selConst, c, nil
+// selPred is the one compiler of a selection: it turns op val into a column
+// predicate against the dictionary as it stands when called. A baked
+// selection is compiled each time it filters its input (at load and at every
+// delta fold), a parameter each time an Exec binds it, and Result.Where
+// compiles its own; each call comes after the data it filters was read, so
+// every string code in that data is already in the dictionary. An integer
+// compares as itself. A string never gets a code here: an equality or
+// inequality compares the code the string has (none: EQ matches nothing and
+// NE everything), and a range compares in decoded order, the order ORDER BY
+// uses. pinned reports an equality on one value code, which leaves the
+// selected node constant. Cmp and Exec have checked val's type.
+func (db *DB) selPred(op fplan.Cmp, val interface{}) (pred func(relation.Value) bool, pinned bool) {
+	s, ok := val.(string)
+	if !ok {
+		c, _ := toValue(val)
+		return core.ConstSel{Op: op, C: c}.Match, op == fplan.Eq
+	}
+	if op == fplan.Eq || op == fplan.Ne {
+		c, ok := db.dict.Lookup(s)
+		if !ok {
+			miss := op == fplan.Ne
+			return func(relation.Value) bool { return miss }, false
 		}
-		return selDynamic, 0, nil
+		return core.ConstSel{Op: op, C: c}.Match, op == fplan.Eq
 	}
-	c, err := db.encode(val)
-	return selConst, c, err
-}
-
-// selPred compiles an execution-time selection value (a bound parameter or
-// a dynamic string constant) into a column predicate.
-func (db *DB) selPred(op fplan.Cmp, val interface{}) (func(relation.Value) bool, error) {
-	class, c, err := db.classifySel(op, val)
-	if err != nil {
-		return nil, err
-	}
-	if class == selConst {
-		return core.ConstSel{Op: op, C: c}.Match, nil
-	}
-	return db.stringSelPred(op, val.(string)), nil
+	strs, bound := db.dict.Snapshot(), relation.Decoded{Str: s, IsStr: true}
+	return func(v relation.Value) bool {
+		return op.Eval(relation.Value(relation.DecodeValue(strs, v).Compare(bound)), 0)
+	}, false
 }
 
 // encode turns a Go value into an engine Value, assigning a fresh dictionary
 // code to an unseen string. It belongs on write paths only (Insert, Delete,
-// Upsert): read paths — query constants, parameter binds — must go through
-// classifySel instead, so that comparing against a string the
-// database has never stored cannot grow the dictionary. The dictionary is
-// internally synchronised, so encode is safe under either DB lock.
+// Upsert): read paths — query constants, parameter binds — compile through
+// selPred instead, so that comparing against a string the database has never
+// stored cannot grow the dictionary. The dictionary is internally
+// synchronised, so encode is safe under either DB lock.
 func (db *DB) encode(v interface{}) (relation.Value, error) {
-	switch x := v.(type) {
-	case int:
-		return relation.Value(x), nil
-	case int64:
-		return relation.Value(x), nil
-	case relation.Value:
-		return x, nil
-	case string:
-		return db.dict.Encode(x), nil
+	if s, ok := v.(string); ok {
+		return db.dict.Encode(s), nil
+	}
+	if c, ok := toValue(v); ok {
+		return c, nil
 	}
 	return 0, fmt.Errorf("fdb: unsupported value type %T", v)
 }
 
-// stringSelPred compiles a string comparison into a value predicate with
-// read-only dictionary semantics. Equality operators compare codes: an
-// unknown constant matches nothing (EQ) or everything (NE) — the dictionary
-// is never grown for it. Range operators compare in decoded lexicographic
-// order — the same total order ORDER BY uses (see orderLess) — not in code
-// (insertion) order; values outside the dictionary sort before all strings.
-func (db *DB) stringSelPred(op fplan.Cmp, s string) func(relation.Value) bool {
-	switch op {
-	case fplan.Eq:
-		c, ok := db.dict.Lookup(s)
-		if !ok {
-			return func(relation.Value) bool { return false }
-		}
-		return func(v relation.Value) bool { return v == c }
-	case fplan.Ne:
-		c, ok := db.dict.Lookup(s)
-		if !ok {
-			return func(relation.Value) bool { return true }
-		}
-		return func(v relation.Value) bool { return v != c }
+// toValue converts an integer constant to its engine Value.
+func toValue(v interface{}) (relation.Value, bool) {
+	switch x := v.(type) {
+	case int:
+		return relation.Value(x), true
+	case int64:
+		return relation.Value(x), true
+	case relation.Value:
+		return x, true
 	}
-	// One dictionary snapshot for the whole scan: every code in the data
-	// predates the predicate's construction.
-	strs := db.dict.Snapshot()
-	return func(v relation.Value) bool {
-		c := -1 // non-string values sort before all strings, as in orderLess
-		if v >= 0 && int(v) < len(strs) {
-			c = strings.Compare(strs[v], s)
-		}
-		switch op {
-		case fplan.Lt:
-			return c < 0
-		case fplan.Le:
-			return c <= 0
-		case fplan.Gt:
-			return c > 0
-		case fplan.Ge:
-			return c >= 0
-		}
-		return false
-	}
+	return 0, false
 }

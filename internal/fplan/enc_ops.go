@@ -33,10 +33,8 @@ func ApplyEnc(op Op, e *frep.Enc) (*frep.Enc, error) {
 		return frep.NewEmptyEnc(nt), nil
 	}
 	switch o := op.(type) {
-	case SelectConst:
-		return selectConstEnc(o, e)
-	case SelectFn:
-		return selectFnEnc(o, e)
+	case Select:
+		return selectEnc(o, e)
 	case Merge:
 		return mergeEnc(o, e)
 	case Absorb:
@@ -216,32 +214,21 @@ func rewriteProducts(e *frep.Enc, nt *ftree.T, parent *ftree.Node, emit func(r *
 
 // ------------------------------------------------------------ selections
 
-// selectEnc is the filtered re-emit shared by the selections: the unions of
-// A's node keep the entries passing keep, with upward cascade.
-func selectEnc(e *frep.Enc, a relation.Attribute, keep func(relation.Value) bool) (*frep.Enc, error) {
-	sn, err := attrNode(e.Tree, a)
+// selectEnc is σ: the entries of A's node keep the values passing Keep,
+// with upward cascade; a constant node re-normalises the representation.
+func selectEnc(o Select, e *frep.Enc) (*frep.Enc, error) {
+	sn, err := attrNode(e.Tree, o.A)
 	if err != nil {
 		return nil, err
 	}
 	r := newEncRewriter(e, e.Tree.Clone(), e.NodeIndex(sn))
-	r.entryFilter = keep
-	return r.run(), nil
-}
-
-// selectConstEnc is σ_{AθC}; for equality the node becomes constant and the
-// representation re-normalises.
-func selectConstEnc(o SelectConst, e *frep.Enc) (*frep.Enc, error) {
-	out, err := selectEnc(e, o.A, func(v relation.Value) bool { return o.Op.Eval(v, o.C) })
-	if err != nil || o.Op != Eq {
-		return out, err
+	r.entryFilter = o.Keep
+	out := r.run()
+	if !o.Const {
+		return out, nil
 	}
 	out.Tree.MarkConst(o.A)
 	return normaliseEnc(out)
-}
-
-// selectFnEnc is σ_{A∈P}: an opaque predicate and no constant marking.
-func selectFnEnc(o SelectFn, e *frep.Enc) (*frep.Enc, error) {
-	return selectEnc(e, o.A, o.Keep)
 }
 
 // ------------------------------------------------- push-up, normalisation

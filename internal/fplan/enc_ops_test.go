@@ -167,20 +167,21 @@ func TestStrictPushUpCatchesUnequalCopies(t *testing.T) {
 	}
 }
 
-// TestSelectFnDirect pins the SelectFn surface: rendering, the
-// unknown-attribute error, and a decoded-order-style predicate filtering
-// without marking anything constant.
+// TestSelectFnDirect pins the Select surface for a predicate that is not
+// an equality: rendering, the unknown-attribute error, and a
+// decoded-order-style predicate filtering without marking anything
+// constant.
 func TestSelectFnDirect(t *testing.T) {
 	e := productFixture(t, rand.New(rand.NewSource(17)))
-	op := SelectFn{A: "B", Keep: func(v relation.Value) bool { return v != 1 }, Label: "!= 1 (decoded)"}
+	op := Select{A: "B", Keep: func(v relation.Value) bool { return v != 1 }, Label: "!= 1 (decoded)"}
 	if got := op.String(); got != "σ[B != 1 (decoded)]" {
 		t.Errorf("String() = %q", got)
 	}
-	if applyChecked(t, SelectFn{A: "Z", Keep: op.Keep, Label: "x"}, e) != nil {
+	if applyChecked(t, Select{A: "Z", Keep: op.Keep, Label: "x"}, e) != nil {
 		t.Error("unknown attribute accepted")
 	}
 	out := applyChecked(t, op, e)
 	if out.Tree.Canonical() != e.Tree.Canonical() {
-		t.Errorf("SelectFn changed the tree:\n%s\nwas:\n%s", out.Tree, e.Tree)
+		t.Errorf("Select changed the tree:\n%s\nwas:\n%s", out.Tree, e.Tree)
 	}
 }

@@ -100,13 +100,13 @@ func randomOp(rng *rand.Rand, t *ftree.T) Op {
 		return Absorb{A: pick(), B: pick()}
 	case 4:
 		ops := []Cmp{Eq, Ne, Lt, Le, Gt, Ge}
-		return SelectConst{A: pick(), Op: ops[rng.Intn(len(ops))], C: relation.Value(rng.Intn(3))}
+		return selectConst(pick(), ops[rng.Intn(len(ops))], relation.Value(rng.Intn(3)))
 	case 5:
 		return PushUp{B: pick()}
 	case 6:
 		// Predicate selection: parity (a code-order-free predicate, like the
-		// decoded-order string ranges SelectFn exists for).
-		return SelectFn{A: pick(), Keep: func(v relation.Value) bool { return v%2 == 0 }, Label: "even"}
+		// decoded-order string ranges compile to).
+		return Select{A: pick(), Keep: func(v relation.Value) bool { return v%2 == 0 }, Label: "even"}
 	case 7:
 		if rng.Intn(2) == 0 {
 			return Distinct{}

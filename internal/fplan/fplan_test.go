@@ -3,6 +3,7 @@ package fplan
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -97,10 +98,7 @@ func flatSemantics(op Op, in *relation.Relation) *relation.Relation {
 	case Absorb:
 		a, b := col(o.A), col(o.B)
 		return in.Select(func(tp relation.Tuple) bool { return tp[a] == tp[b] })
-	case SelectConst:
-		a := col(o.A)
-		return in.Select(func(tp relation.Tuple) bool { return o.Op.Eval(tp[a], o.C) })
-	case SelectFn:
+	case Select:
 		a := col(o.A)
 		return in.Select(func(tp relation.Tuple) bool { return o.Keep(tp[a]) })
 	case Project:
@@ -283,6 +281,12 @@ func TestAbsorbIsSelectionRandom(t *testing.T) {
 
 // --- selection with constant -------------------------------------------------
 
+// selectConst is σ_{AθC} as the engine compiles an integer constant: the
+// comparison as the predicate, constant for an equality.
+func selectConst(a relation.Attribute, op Cmp, c relation.Value) Select {
+	return Select{A: a, Keep: func(v relation.Value) bool { return op.Eval(v, c) }, Const: op == Eq, Label: fmt.Sprintf("%s %d", op, c)}
+}
+
 func TestSelectConstRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	attrs := []relation.Attribute{"A", "B", "C"}
@@ -293,7 +297,7 @@ func TestSelectConstRandom(t *testing.T) {
 		if r.Cardinality() == 0 {
 			continue
 		}
-		op := SelectConst{A: attrs[rng.Intn(len(attrs))], Op: ops[rng.Intn(len(ops))], C: relation.Value(rng.Intn(4))}
+		op := selectConst(attrs[rng.Intn(len(attrs))], ops[rng.Intn(len(ops))], relation.Value(rng.Intn(4)))
 		if applyChecked(t, op, mustEnc(t, chainTree(attrs, deps), r)) == nil {
 			t.Fatalf("trial %d: %s rejected", trial, op)
 		}
@@ -309,7 +313,7 @@ func TestSelectConstEqMakesRoot(t *testing.T) {
 	r.Append(2, 6, 1)
 	tr := chainTree([]relation.Attribute{"A", "B", "C"},
 		[]relation.AttrSet{relation.NewAttrSet("A", "B", "C")})
-	out := applyChecked(t, SelectConst{A: "B", Op: Eq, C: 5}, mustEnc(t, tr, r))
+	out := applyChecked(t, selectConst("B", Eq, 5), mustEnc(t, tr, r))
 	if out.Tree.ParentOf(out.Tree.NodeOf("B")) != nil {
 		t.Fatalf("constant node B should be a root:\n%s", out.Tree)
 	}
@@ -455,7 +459,7 @@ func TestPlanSimulateTreeExample11(t *testing.T) {
 func TestExecuteEnc(t *testing.T) {
 	q1, rels := groceryQ1(t)
 	in := mustEnc(t, groceryT1(rels), q1)
-	plan := Plan{Ops: []Op{Swap{A: "item", B: "location"}, SelectConst{A: "oid", Op: Ge, C: 0}}}
+	plan := Plan{Ops: []Op{Swap{A: "item", B: "location"}, selectConst("oid", Ge, 0)}}
 	out, err := plan.ExecuteEnc(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)

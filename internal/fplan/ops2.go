@@ -57,49 +57,32 @@ func (c Cmp) Eval(a, b relation.Value) bool {
 	return false
 }
 
-// SelectConst is σ_{AθC} (Section 3.3): one pass over the representation
-// removing entries whose value fails the comparison, with empty unions
-// annihilating their enclosing products. For equality the node becomes
-// constant: it stops carrying correlation, so the tree re-normalises (the
-// node floats up) and s(T) ignores it.
-type SelectConst struct {
-	A  relation.Attribute
-	Op Cmp
-	C  relation.Value
-}
-
-func (o SelectConst) String() string { return fmt.Sprintf("σ[%s%s%d]", o.A, o.Op, int64(o.C)) }
-
-// ApplyTree implements Op.
-func (o SelectConst) ApplyTree(t *ftree.T) error {
-	if t.NodeOf(o.A) == nil {
-		return fmt.Errorf("fplan: select: attribute %q not in f-tree", o.A)
-	}
-	if o.Op == Eq {
-		t.MarkConst(o.A)
-		t.NormaliseSteps()
-	}
-	return nil
-}
-
-// SelectFn is σ_{A∈P}: a selection by an arbitrary value predicate — the
-// escape hatch for comparisons whose order is not native value order, most
-// prominently range selections on dictionary-encoded strings, which must
-// compare in decoded lexicographic order while codes carry insertion order.
-// Unlike SelectConst it never marks the node constant (the surviving values
-// are not known to be a single one), so the tree shape is preserved.
-type SelectFn struct {
+// Select is σ (Section 3.3): one pass over the representation removing
+// the entries of A's node whose value fails Keep, with empty unions
+// annihilating their enclosing products. Keep is the selection compiled to
+// a value predicate, so a comparison whose order is not native value order
+// (a range on dictionary-encoded strings, which compares in decoded order
+// while codes carry insertion order) is one like any other. Const marks an
+// equality with one value: the node becomes constant, stops carrying
+// correlation, so the tree re-normalises (the node floats up) and s(T)
+// ignores it. Label renders the predicate in plans.
+type Select struct {
 	A     relation.Attribute
 	Keep  func(relation.Value) bool
-	Label string // human-readable predicate, for plan rendering
+	Const bool
+	Label string
 }
 
-func (o SelectFn) String() string { return fmt.Sprintf("σ[%s %s]", o.A, o.Label) }
+func (o Select) String() string { return fmt.Sprintf("σ[%s %s]", o.A, o.Label) }
 
 // ApplyTree implements Op.
-func (o SelectFn) ApplyTree(t *ftree.T) error {
+func (o Select) ApplyTree(t *ftree.T) error {
 	if t.NodeOf(o.A) == nil {
 		return fmt.Errorf("fplan: select: attribute %q not in f-tree", o.A)
+	}
+	if o.Const {
+		t.MarkConst(o.A)
+		t.NormaliseSteps()
 	}
 	return nil
 }

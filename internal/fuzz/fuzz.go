@@ -321,7 +321,8 @@ func CheckTrees(seed int64) (int, error) {
 // ones. The case's statement (its aggregation, in aggregate cases) runs
 // before the save, so the file carries its holder's arena, and its first
 // execution on the reopened database must adopt that arena, not rebuild,
-// whenever the engine memoises a non-empty encoding for it.
+// whenever the encoding is non-empty: a case has no Param, so every
+// statement it prepares memoises.
 func CheckPersisted(seed int64, dir string) error {
 	c, err := NewCase(seed)
 	if err != nil {
@@ -346,7 +347,7 @@ func CheckPersisted(seed int64, dir string) error {
 		if err != nil {
 			return nil, err
 		}
-		if c.memoises(ndb) && !probe.ServesSnapshotArena(st) {
+		if !probe.ServesSnapshotArena(st) {
 			flat, err := c.oracleFlat(c.sels)
 			if err != nil {
 				return nil, err
@@ -372,21 +373,6 @@ func (c *Case) execCached(db *fdb.DB, clauses []fdb.Clause) (*fdb.Stmt, error) {
 		_, err = st.Exec()
 	}
 	return st, err
-}
-
-// memoises reports whether db bakes every selection of the case into the
-// inputs, and so memoises the encoding: a string constant is baked only in
-// an equality or inequality on a string the dictionary holds.
-func (c *Case) memoises(db *fdb.DB) bool {
-	for _, s := range c.sels {
-		if c.strs == nil {
-			continue
-		}
-		if _, ok := db.Dict().Lookup(c.strs[s.C-1]); !ok || s.Op != fdb.EQ && s.Op != fdb.NE {
-			return false
-		}
-	}
-	return true
 }
 
 // run builds the case's database, optionally routes it through a persist

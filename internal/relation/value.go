@@ -211,11 +211,11 @@ func (d *Dict) Decode(v Value) string { return DecodeIn(d.Snapshot(), v) }
 
 // AppendDecoded appends v's rendering under snap (a Snapshot) to dst: the
 // string snap assigns to code v, or v's decimal form when snap does not
-// cover it. It is the one cell-rendering rule; Decode, DecodeIn and the
-// wire's reply writer all go through it, so no two surfaces can disagree.
+// cover it (DecodeValue). Decode, DecodeIn and the wire's reply writer all
+// go through it, so no two surfaces can render a cell differently.
 func AppendDecoded(dst []byte, snap []string, v Value) []byte {
-	if s, ok := assigned(snap, v); ok {
-		return append(dst, s...)
+	if d := DecodeValue(snap, v); d.IsStr {
+		return append(dst, d.Str...)
 	}
 	return strconv.AppendInt(dst, int64(v), 10)
 }
@@ -223,19 +223,54 @@ func AppendDecoded(dst []byte, snap []string, v Value) []byte {
 // DecodeIn is AppendDecoded as a string: an assigned code costs no
 // allocation, a decimal rendering one.
 func DecodeIn(snap []string, v Value) string {
-	if s, ok := assigned(snap, v); ok {
-		return s
+	if d := DecodeValue(snap, v); d.IsStr {
+		return d.Str
 	}
 	var buf [20]byte
 	return string(AppendDecoded(buf[:0], snap, v))
 }
 
-// assigned returns the string snap assigns to code v, if it assigns one.
-func assigned(snap []string, v Value) (string, bool) {
+// Decoded is a value as results show it under one dictionary snapshot: the
+// value itself (Int) and, when the snapshot assigns its code a string, that
+// string (Str, IsStr); a value without one is the integer Int.
+type Decoded struct {
+	Int   Value
+	Str   string
+	IsStr bool
+}
+
+// DecodeValue is the one rule for whether v is a dictionary string under
+// snap: it is when snap assigns its code a string, and an integer
+// otherwise. How a cell renders (AppendDecoded), how ORDER BY sorts and how
+// a range selection on a string compares (Decoded.Less) all follow it.
+func DecodeValue(snap []string, v Value) Decoded {
 	if v >= 0 && int64(v) < int64(len(snap)) {
-		return snap[v], true
+		return Decoded{Int: v, Str: snap[v], IsStr: true}
 	}
-	return "", false
+	return Decoded{Int: v}
+}
+
+// Less is the order of decoded values: integers numerically, strings
+// lexicographically, and every integer before every string.
+func (a Decoded) Less(b Decoded) bool {
+	if a.IsStr && b.IsStr {
+		return a.Str < b.Str
+	}
+	if a.IsStr == b.IsStr {
+		return a.Int < b.Int
+	}
+	return b.IsStr
+}
+
+// Compare is Less as a three-way comparison.
+func (a Decoded) Compare(b Decoded) int {
+	switch {
+	case a.Less(b):
+		return -1
+	case b.Less(a):
+		return 1
+	}
+	return 0
 }
 
 // Snapshot returns a read-only view of the assigned strings, indexed by

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -50,13 +49,16 @@ func FuzzWireDecode(f *testing.F) {
 			// Turning a decoded spec into clauses may refuse it, never panic.
 			_, _ = sp.Clauses()
 		}
-		// The same bytes as a text query: ParseSpec may refuse them, never
-		// panic, and what it accepts must survive the codec and Clauses.
-		if sp, err := ParseSpec(strings.Fields(string(b))); err == nil {
-			if again, err := DecodeSpec(EncodeSpec(sp)); err != nil || !reflect.DeepEqual(sp, again) {
-				t.Fatalf("parsed Spec does not survive re-encoding: %v\n%+v\n%+v", err, sp, again)
+		// The same bytes as a text query line: SplitLine and ParseSpec may
+		// refuse them, never panic, and what they accept must survive the
+		// codec and Clauses.
+		if words, err := SplitLine(string(b)); err == nil {
+			if sp, err := ParseSpec(words); err == nil {
+				if again, err := DecodeSpec(EncodeSpec(sp)); err != nil || !reflect.DeepEqual(sp, again) {
+					t.Fatalf("parsed Spec does not survive re-encoding: %v\n%+v\n%+v", err, sp, again)
+				}
+				_, _ = sp.Clauses()
 			}
-			_, _ = sp.Clauses()
 		}
 		reencodes(t, "ExecReq", b, DecodeExecReq, EncodeExecReq)
 		reencodes(t, "WriteReq", b, DecodeWriteReq, EncodeWriteReq)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // textWords is the text grammar's vocabulary: every word but distinct takes
@@ -20,8 +21,8 @@ var textWords = map[string]string{
 	"agg":     "a function (count, sum(A), min(A), max(A), distinct(A))",
 }
 
-// textOps lists the comparison tokens longest first, so "<=" is not read
-// as "<" followed by a value starting with "=".
+// textOps lists the comparison tokens longest first: where two start at the
+// same place, "<=" is not read as "<" followed by a value starting with "=".
 var textOps = []struct {
 	tok string
 	op  byte
@@ -31,17 +32,67 @@ var textAggs = map[string]byte{
 	"sum": AggSum, "min": AggMin, "max": AggMax, "distinct": AggCountDistinct, "count_distinct": AggCountDistinct,
 }
 
-// ParseSpec parses the text form of a query, already split into words:
+// SplitLine splits a text line into words at unquoted whitespace. A
+// double-quoted stretch, in Go syntax, stays in its word with its quotes
+// and escapes, so a word can hold a space (where R.item="Ice Cream", load
+// "my file.tsv"); Unquote reads its value. A quote left open fails.
+func SplitLine(line string) ([]string, error) {
+	var words []string
+	start, quoted, escaped := -1, false, false
+	for i, r := range line {
+		switch {
+		case escaped:
+			escaped = false
+		case quoted && r == '\\':
+			escaped = true
+		case r == '"':
+			quoted = !quoted
+		case !quoted && unicode.IsSpace(r):
+			if start >= 0 {
+				words = append(words, line[start:i])
+				start = -1
+			}
+			continue
+		}
+		if start < 0 {
+			start = i
+		}
+	}
+	if quoted {
+		return nil, fmt.Errorf("unterminated quote in %q", line)
+	}
+	if start >= 0 {
+		words = append(words, line[start:])
+	}
+	return words, nil
+}
+
+// Unquote reads a word as a value: a word in double quotes is the string
+// strconv.Unquote reads from it (quoted true), any other word itself.
+func Unquote(word string) (s string, quoted bool, err error) {
+	if !strings.HasPrefix(word, `"`) {
+		return word, false, nil
+	}
+	if s, err = strconv.Unquote(word); err != nil {
+		return "", true, fmt.Errorf("bad quoted string %s", word)
+	}
+	return s, true, nil
+}
+
+// ParseSpec parses the text form of a query, split into words by
+// SplitLine:
 //
 //	from R1,R2 [eq A=B ...] [where ATTR(=|!=|<|<=|>|>=)VAL ...] [project A,B]
 //	[orderby A,-B] [limit N] [offset N] [distinct]
 //	[groupby A,B] [agg count|sum(A)|min(A)|max(A)|distinct(A) ...]
 //
 // Words may come in any order and every list word may repeat; limit,
-// offset, orderby and distinct may not. A where value $name is a parameter
-// bound at Exec, an integer is an integer constant, anything else a string
-// constant. An orderby key with a leading '-' sorts descending.
-// count_distinct(A) is accepted for distinct(A).
+// offset, orderby and distinct may not. A where condition is cut at its
+// first operator, so the value may hold operator characters. A where value
+// in double quotes is a string constant, whatever it holds; otherwise $name
+// is a parameter bound at Exec, an integer is an integer constant, and
+// anything else a string constant. An orderby key with a leading '-' sorts
+// descending. count_distinct(A) is accepted for distinct(A).
 func ParseSpec(tokens []string) (*Spec, error) {
 	sp := NewSpec()
 	once := map[string]bool{}
@@ -102,24 +153,32 @@ func ParseSpec(tokens []string) (*Spec, error) {
 	return &sp, nil
 }
 
-// parseWhere adds the selection attr<op>value.
+// parseWhere adds the selection attr<op>value, cut at the first operator in
+// w (the longest operator token there).
 func (sp *Spec) parseWhere(w string) error {
-	for _, o := range textOps {
-		i := strings.Index(w, o.tok)
-		if i <= 0 {
-			continue
+	at, o := -1, textOps[0]
+	for _, t := range textOps {
+		if i := strings.Index(w, t.tok); i >= 0 && (at < 0 || i < at) {
+			at, o = i, t
 		}
-		attr, val := w[:i], w[i+len(o.tok):]
-		if name, ok := strings.CutPrefix(val, "$"); ok && name != "" {
-			sp.Sels = append(sp.Sels, SelParam(attr, o.op, name))
-		} else if n, err := strconv.ParseInt(val, 10, 64); err == nil {
-			sp.Sels = append(sp.Sels, SelInt(attr, o.op, n))
-		} else {
-			sp.Sels = append(sp.Sels, SelStr(attr, o.op, val))
-		}
-		return nil
 	}
-	return fmt.Errorf("bad where %q", w)
+	if at <= 0 {
+		return fmt.Errorf("bad where %q", w)
+	}
+	attr, val := w[:at], w[at+len(o.tok):]
+	str, quoted, err := Unquote(val)
+	n, nerr := strconv.ParseInt(val, 10, 64)
+	switch {
+	case err != nil:
+		return err
+	case !quoted && len(val) > 1 && val[0] == '$':
+		sp.Sels = append(sp.Sels, SelParam(attr, o.op, val[1:]))
+	case !quoted && nerr == nil:
+		sp.Sels = append(sp.Sels, SelInt(attr, o.op, n))
+	default:
+		sp.Sels = append(sp.Sels, SelStr(attr, o.op, str))
+	}
+	return nil
 }
 
 // parseAgg adds an aggregate: count, or fn(A) for an fn of textAggs.

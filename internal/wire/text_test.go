@@ -6,17 +6,26 @@ import (
 	"testing"
 )
 
-// TestParseSpec pins the text grammar's reading of each word.
+// TestParseSpec pins the text grammar's reading of each word: a where
+// condition is cut at its first operator, and a quoted value is a string
+// whatever it holds, spaces included.
 func TestParseSpec(t *testing.T) {
-	got, err := ParseSpec(strings.Fields("from R,S eq R.a=S.a where R.b<=$n where S.c!=x where R.b>3 " +
-		"project R.a,S.c orderby S.c,-R.a offset 2 limit 0 distinct groupby R.a agg count agg sum(R.b) agg count_distinct(S.c)"))
+	words, err := SplitLine("from R,S eq R.a=S.a where R.b<=$n where S.c!=x where R.b>3 " +
+		`where S.c=a<b where S.c<"=x" where R.b="42" where R.b>="$n" where S.c="Ice Cream\t\"2\"" ` +
+		" project R.a,S.c orderby S.c,-R.a offset 2 limit 0 distinct groupby R.a agg count agg sum(R.b) agg count_distinct(S.c)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ParseSpec(words)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := &Spec{
-		From:     []string{"R", "S"},
-		Eqs:      [][2]string{{"R.a", "S.a"}},
-		Sels:     []Sel{SelParam("R.b", OpLE, "n"), SelStr("S.c", OpNE, "x"), SelInt("R.b", OpGT, 3)},
+		From: []string{"R", "S"},
+		Eqs:  [][2]string{{"R.a", "S.a"}},
+		Sels: []Sel{SelParam("R.b", OpLE, "n"), SelStr("S.c", OpNE, "x"), SelInt("R.b", OpGT, 3),
+			SelStr("S.c", OpEQ, "a<b"), SelStr("S.c", OpLT, "=x"), SelStr("R.b", OpEQ, "42"), SelStr("R.b", OpGE, "$n"),
+			SelStr("S.c", OpEQ, "Ice Cream\t\"2\"")},
 		Project:  []string{"R.a", "S.c"},
 		GroupBy:  []string{"R.a"},
 		Aggs:     []AggSpec{{Fn: AggCount}, {Fn: AggSum, Attr: "R.b"}, {Fn: AggCountDistinct, Attr: "S.c"}},
@@ -52,9 +61,33 @@ func TestParseSpecRefuses(t *testing.T) {
 		"from R where R.a",
 		"from R agg median(R.a)",
 		"from R agg sum",
+		"from R where =x",
+		`from R where R.a="x"y`,
+		`from R where R.a="\q"`,
 	} {
 		if sp, err := ParseSpec(strings.Fields(line)); err == nil {
 			t.Errorf("%q accepted: %+v", line, sp)
+		}
+	}
+}
+
+// TestSplitLine: words split at whitespace outside double quotes only, a
+// quoted stretch keeps its quotes and escapes, and an open quote fails.
+func TestSplitLine(t *testing.T) {
+	for line, want := range map[string][]string{
+		"":                           nil,
+		"  load\tx.tsv  ":            {"load", "x.tsv"},
+		`load "/tmp/my file.tsv"`:    {"load", `"/tmp/my file.tsv"`},
+		`where R.a="b \" c" limit 1`: {"where", `R.a="b \" c"`, "limit", "1"},
+		`a"b c"d e`:                  {`a"b c"d`, "e"},
+	} {
+		if got, err := SplitLine(line); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("SplitLine(%q) = %q, %v; want %q", line, got, err, want)
+		}
+	}
+	for _, line := range []string{`load "x`, `where R.a="b \"`, `"`} {
+		if got, err := SplitLine(line); err == nil {
+			t.Errorf("SplitLine(%q) = %q, want an error", line, got)
 		}
 	}
 }

@@ -94,6 +94,11 @@ var goldenHolderKeys = []struct {
 		`"Orders"[0 5 2];"Store"[];` + groceryJoinTree},
 	{"baked string selection", []Clause{Cmp("Orders.item", EQ, "Milk"), Cmp("Store.location", NE, "Izmir")},
 		`"Orders"[1 0 1];"Store"[0 1 7];` + groceryJoinTree},
+	// Strings an equality's code cannot settle key by their spelling.
+	{"baked string range", []Clause{Cmp("Orders.item", LT, "Milk"), Cmp("Orders.item", GE, "Cheese")},
+		`"Orders"[1 2 "Milk",1 5 "Cheese"];"Store"[];` + groceryJoinTree},
+	{"baked code-less equality", []Clause{Cmp("Orders.item", EQ, "Durian"), Cmp("Store.location", NE, "Ankara")},
+		`"Orders"[1 0 "Durian"];"Store"[0 1 "Ankara"];` + groceryJoinTree},
 	// Projection, retrieval clauses and ungrouped aggregates ride on top of
 	// the data: the join's holder serves them.
 	{"shared with the join", []Clause{Project("Orders.oid"), Distinct(), Limit(2)},

@@ -265,24 +265,11 @@ func (r *Result) Where(clauses ...Clause) (*Result, error) {
 		return nil, err
 	}
 	enc := r.enc
-	// Constant selections first (cheapest, Section 4): a code selection
-	// where classifySel can bake one, a dictionary-order predicate otherwise.
+	// Selections first (cheapest, Section 4), each compiled by selPred.
 	for _, sel := range s.sels {
-		class, v, err := r.db.classifySel(sel.op, sel.val)
-		if err != nil {
-			return nil, err
-		}
-		if class == selConst {
-			enc, err = fplan.ApplyEnc(fplan.SelectConst{A: sel.attr, Op: sel.op, C: v}, enc)
-		} else {
-			str := sel.val.(string) // compileSpec rejects Param in Where
-			enc, err = fplan.ApplyEnc(fplan.SelectFn{
-				A:     sel.attr,
-				Keep:  r.db.stringSelPred(sel.op, str),
-				Label: fmt.Sprintf("%s %q", sel.op, str),
-			}, enc)
-		}
-		if err != nil {
+		keep, pinned := r.db.selPred(sel.op, sel.val)
+		op := fplan.Select{A: sel.attr, Keep: keep, Const: pinned, Label: fmt.Sprintf("%s %#v", sel.op, sel.val)}
+		if enc, err = fplan.ApplyEnc(op, enc); err != nil {
 			return nil, err
 		}
 	}

@@ -16,14 +16,15 @@ import (
 
 // Stmt is a compiled, reusable select-project-join statement. Prepare pays
 // the data-independent part of query evaluation once per query shape —
-// clause validation, f-tree search, the per-input filters and path-sort
-// permutations — and reads no tuple; the plan cache hands the statement to
-// every later Prepare of the shape. Each Exec binds parameters, brings the
-// inputs up to date and builds the factorised result.
+// clause validation, f-tree search, locating each selection in its input,
+// the path-sort permutations — and reads no tuple; the plan cache hands the
+// statement to every later Prepare of the shape. Each Exec binds
+// parameters, brings the inputs up to date and builds the factorised
+// result.
 //
 // A Stmt prepared from the database follows it: each Exec reads the
 // relations' current versions, loading the inputs (dedup + constant
-// pre-filter + path sort) on first use and folding any delta batches
+// selections + path sort) on first use and folding any delta batches
 // committed since into its sorted snapshots afterwards; the encoded
 // representation is rebuilt from those snapshots by the next execution that
 // needs it — the compiled plan is immutable and never recompiles. A Stmt
@@ -65,7 +66,6 @@ type stmtSrc struct {
 // (see pin).
 type stmtPlan struct {
 	db      *DB
-	lsels   []boundSel           // late selections (class != selConst): resolved per Exec
 	params  []string             // distinct parameter names, declaration order
 	project []relation.Attribute // nil: keep all attributes
 	groupBy []relation.Attribute // aggregation statements: group-by attributes
@@ -73,17 +73,17 @@ type stmtPlan struct {
 	outClauses
 
 	tree       *ftree.T    // the f-tree planTree chose
-	inputs     []stmtInput // per-input filters and path-sort permutations for that tree
+	inputs     []stmtInput // per-input selections and path-sort permutations for that tree
 	cost       float64     // s(T) of the compiled f-tree
 	streamable bool        // the tree streams the statement's ORDER BY
 }
 
 // stmtInput is one compiled input relation: its backing store, the
-// constant-selection pre-filter baked at compile time, and the column
-// permutation of its f-tree path sort (for in-order delta merging).
+// selections on its columns (constants and parameters; see match), and the
+// column permutation of its f-tree path sort (for in-order delta merging).
 type stmtInput struct {
 	store   *delta.Store
-	filter  func(relation.Tuple) bool // nil: no constant selection
+	sels    []boundSel
 	sortIdx []int
 }
 
@@ -104,20 +104,36 @@ type stmtData struct {
 }
 
 // memoises reports whether every execution at one input version yields the
-// same pre-projection encoding — nothing is selected at execution time — so
-// that the encoding is built once per version, carried by SaveSnapshot and
-// adopted from a snapshot file. Statements with late selections filter and
-// build per call, because the unselected encoding they would otherwise keep
-// can be two orders of magnitude larger than their sorted inputs (22.7 MB
-// against 0.16 MB for a one-item point lookup over the 4000-order retailer
-// join).
-func (p *stmtPlan) memoises() bool { return len(p.lsels) == 0 }
+// same pre-projection encoding — the statement has no Param, so every
+// selection is baked into its input — so that the encoding is built once
+// per version, carried by SaveSnapshot and adopted from a snapshot file.
+// Statements with parameters filter and build per call, because the
+// unselected encoding they would otherwise keep can be two orders of
+// magnitude larger than their sorted inputs (22.7 MB against 0.16 MB for a
+// one-item point lookup over the 4000-order retailer join).
+func (p *stmtPlan) memoises() bool { return len(p.params) == 0 }
 
-// execSel is one per-execution column filter: a late selection resolved
-// for this execution.
-type execSel struct {
-	col  int
-	pred func(relation.Value) bool
+// match compiles input i's selections into one tuple filter, nil when none
+// applies: its constants when args is nil (at load and at delta fold), its
+// parameters bound to args otherwise (at Exec). It is the one way a
+// statement applies a selection, and it compiles each through selPred when
+// called, after the state it filters was read.
+func (st *Stmt) match(i int, args map[string]interface{}) func(relation.Tuple) bool {
+	var f func(relation.Tuple) bool
+	for _, s := range st.inputs[i].sels {
+		p, isParam := s.val.(ParamValue)
+		if isParam != (args != nil) {
+			continue
+		}
+		val := s.val
+		if isParam {
+			val = args[p.name]
+		}
+		pred, _ := st.db.selPred(s.op, val)
+		col, rest := s.col, f
+		f = func(t relation.Tuple) bool { return pred(t[col]) && (rest == nil || rest(t)) }
+	}
+	return f
 }
 
 // NamedArg binds a parameter name to a value for Exec; create it with Arg.
@@ -130,10 +146,11 @@ type NamedArg struct {
 func Arg(name string, value interface{}) NamedArg { return NamedArg{Name: name, Value: value} }
 
 // Prepare compiles a select-project-join query into a reusable statement.
-// Selections whose value is a Param placeholder are compiled into the plan
-// and bound per Exec; all other clauses are fixed at Prepare time. Prepare
-// reads the query and the schemas only; the statement's first execution
-// loads its inputs.
+// Selections whose value is a Param placeholder are bound per Exec; every
+// other clause is fixed at Prepare time, and every other selection is baked
+// into its input, so a statement memoises its encoding unless it has a
+// Param. Prepare reads the query and the schemas only; the statement's
+// first execution loads its inputs.
 //
 // The statement comes from the plan cache, looked up by the query's
 // canonical fingerprint — parameter placeholders included — so every caller
@@ -329,9 +346,9 @@ func (st *Stmt) refresh(ctx context.Context) (*stmtData, error) {
 			nd.rels[i] = st.load(i, states[i])
 			continue
 		}
-		if in.filter != nil {
-			adds = filterTuples(adds, in.filter)
-			dels = filterTuples(dels, in.filter)
+		if f := st.match(i, nil); f != nil {
+			adds = filterTuples(adds, f)
+			dels = filterTuples(dels, f)
 		}
 		nd.rels[i] = mergeSortedDelta(d.rels[i], adds, dels, in.sortIdx)
 	}
@@ -340,13 +357,13 @@ func (st *Stmt) refresh(ctx context.Context) (*stmtData, error) {
 }
 
 // load derives input i's snapshot from a state: a private tuple slice over
-// the state's shared (read-only) tuples, pre-filtered by the baked constant
+// the state's shared (read-only) tuples, filtered by the baked constant
 // selections, sorted once in the input's f-tree path order and deduped.
 // The path order covers every column, so duplicates are adjacent.
 func (st *Stmt) load(i int, state *delta.State) *relation.Relation {
 	live := state.Live()
 	var r *relation.Relation
-	if f := st.inputs[i].filter; f != nil {
+	if f := st.match(i, nil); f != nil {
 		r = live.Filter(f)
 	} else {
 		r = relation.New(live.Name, live.Schema)
@@ -429,8 +446,8 @@ func (st *Stmt) buildContext(ctx context.Context, args []NamedArg) (*frep.Enc, e
 		return nil, errSnapshotClosed
 	}
 	// Bindings stay raw Go values here: a string argument must resolve
-	// through the read-only dictionary path below (Lookup / decoded-order
-	// predicate), never by minting a code for it.
+	// through the read-only dictionary path (selPred), never by minting a
+	// code for it.
 	bound := make(map[string]interface{}, len(args))
 	for _, a := range args {
 		known := false
@@ -472,34 +489,14 @@ func (st *Stmt) buildContext(ctx context.Context, args []NamedArg) (*frep.Enc, e
 		return st.applyProject(ctx, fr)
 	}
 
-	// Resolve this execution's selections — bound parameters and dynamic
-	// string comparisons — into per-relation column predicates, then filter
-	// the affected snapshots. Filter shares tuple storage and preserves
-	// order, so the filtered inputs stay sorted and the shared snapshots
-	// stay untouched.
-	byRel := map[int][]execSel{}
-	for _, ls := range st.lsels {
-		val := ls.val
-		if p, ok := val.(ParamValue); ok {
-			val = bound[p.name]
-		}
-		pred, err := st.db.selPred(ls.op, val)
-		if err != nil {
-			return nil, err
-		}
-		byRel[ls.rel] = append(byRel[ls.rel], execSel{col: ls.col, pred: pred})
-	}
+	// Filter the inputs by this execution's parameter bindings. Filter
+	// shares tuple storage and preserves order, so the filtered inputs stay
+	// sorted and the shared snapshots stay untouched.
 	rels := append([]*relation.Relation(nil), d.rels...)
-	for ri, sels := range byRel {
-		sels := sels
-		rels[ri] = rels[ri].Filter(func(t relation.Tuple) bool {
-			for _, es := range sels {
-				if !es.pred(t[es.col]) {
-					return false
-				}
-			}
-			return true
-		})
+	for i := range rels {
+		if f := st.match(i, bound); f != nil {
+			rels[i] = rels[i].Filter(f)
+		}
 	}
 	// Each Exec gets its own tree: the encoded representation owns it, and
 	// downstream operators derive fresh trees from it. The build is
