@@ -202,3 +202,41 @@ func TestBakedStringSaveSnapshotAdopts(t *testing.T) {
 		}
 	}
 }
+
+// TestBakedStringKeyOutlivesInsert: a string equality keys its holder by
+// the string's spelling, so a statement prepared before the string reached
+// the dictionary keys alike after it did — one planned after the insert
+// shares its holder — and a database reopened from a file saved after the
+// insert adopts its arena.
+func TestBakedStringKeyOutlivesInsert(t *testing.T) {
+	db := scrambledDB(t)
+	sel := bakedStrings["code-less eq"]
+	st := mustPrepare(t, db, From("P"), sel)
+	db.MustInsert("P", "i7", "durian")
+	if _, err := st.Exec(); err != nil {
+		t.Fatal(err)
+	}
+	if fresh := planFresh(t, db, From("P"), sel); fresh.src != st.src {
+		t.Fatalf("planned after the insert, the statement keys %q, not %q", fresh.src.key, st.src.key)
+	}
+	path := filepath.Join(t.TempDir(), "durian.fdb")
+	if err := db.SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(st)
+	db2, err := OpenSnapshotFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2 := mustPrepare(t, db2, From("P"), sel)
+	res, err := st2.Exec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := names(t, res); got != "durian" {
+		t.Fatalf("reopened: %q, want durian", got)
+	}
+	if !st2.servesSavedArena() {
+		t.Fatalf("reopened, the statement keys %q and rebuilt instead of adopting", st2.src.key)
+	}
+}

@@ -277,10 +277,10 @@ func (db *DB) plan(b *boundSpec) (*Stmt, error) {
 			return nil, err
 		}
 	}
-	return &Stmt{stmtPlan: p, src: db.srcs.get(db.srcKey(&p))}, nil
+	return &Stmt{stmtPlan: p, src: db.srcs.get(srcKey(&p))}, nil
 }
 
-// srcKey identifies the data a live statement executes over: per input, the
+// srcKey identifies the data a statement executes over: per input, the
 // relation's %q-quoted name (returned too, in input order) and the constant
 // selections baked into it, then the f-tree's store.TreeKey (shape, sibling
 // order, Rels, Deps and markers). The path-sort permutations follow from the
@@ -289,10 +289,9 @@ func (db *DB) plan(b *boundSpec) (*Stmt, error) {
 // they apply on top of it. Parameters are per execution and never reach the
 // shared data.
 //
-// A baked selection keys as "col op value". The value is an integer, or the
-// code of a string the dictionary holds in an equality or inequality (saved
-// files carry these keys), and any other string by its %q spelling: a range,
-// or a string with no code at Prepare.
+// A baked selection keys as "col op value": an integer value as a number, a
+// string by its %q spelling, so a key never depends on what the dictionary
+// held at Prepare.
 //
 // The key is the only name a memoised encoding has: SaveSnapshot writes each
 // holder's arena under it and a reopened database adopts by it, so its bytes
@@ -300,7 +299,7 @@ func (db *DB) plan(b *boundSpec) (*Stmt, error) {
 // catalogue only grows, and Create and LoadTSV refuse an existing name — so
 // the key means the same data in every process that opens the file, and
 // quoting keeps a name holding '[' or ';' from forging another's key.
-func (db *DB) srcKey(p *stmtPlan) (string, []string) {
+func srcKey(p *stmtPlan) (string, []string) {
 	var key strings.Builder
 	names := make([]string, len(p.inputs))
 	for i, in := range p.inputs {
@@ -311,11 +310,7 @@ func (db *DB) srcKey(p *stmtPlan) (string, []string) {
 			case ParamValue:
 				continue
 			case string:
-				if code, ok := db.dict.Lookup(v); ok && (c.op == fplan.Eq || c.op == fplan.Ne) {
-					cs = append(cs, fmt.Sprintf("%d %d %d", c.col, c.op, code))
-				} else {
-					cs = append(cs, fmt.Sprintf("%d %d %q", c.col, c.op, v))
-				}
+				cs = append(cs, fmt.Sprintf("%d %d %q", c.col, c.op, v))
 			default:
 				code, _ := toValue(v)
 				cs = append(cs, fmt.Sprintf("%d %d %d", c.col, c.op, code))
@@ -378,7 +373,8 @@ func (r *srcRegistry) drop(key string) {
 }
 
 // The fuzz harness checks that a statement and its same-tree twin share a
-// holder, and that a reopened database adopts the arenas its file carried.
+// holder, as do two binds of a statement to one snapshot, and that a
+// reopened database adopts the arenas its file carried.
 func init() {
 	probe.SharesData = func(a, b any) bool { return a.(*Stmt).src == b.(*Stmt).src }
 	probe.ServesSnapshotArena = func(st any) bool { return st.(*Stmt).servesSavedArena() }

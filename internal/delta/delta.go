@@ -77,51 +77,41 @@ func (s *State) DeltaSize() int {
 	return n
 }
 
-// Live returns the relation this state represents: the base with every
-// batch applied under set semantics. The materialisation runs once per
-// state and is cached; the returned relation is shared — treat it as
-// read-only. Tuple order is deterministic: base order first, then additions
-// in first-application order.
+// Live returns the relation this state represents: the base with the net
+// delta since it, NetSince(BaseVer), applied. The materialisation runs once
+// per state and is cached; the returned relation is shared — treat it as
+// read-only. Tuple order is deterministic: base order, then net additions in
+// first-touch order.
 func (s *State) Live() *relation.Relation {
 	s.liveOnce.Do(func() {
-		if len(s.Batches) == 0 {
+		adds, dels, _ := s.NetSince(s.BaseVer)
+		if len(adds) == 0 && len(dels) == 0 {
 			s.live = s.Base
 			return
 		}
-		// alive is each touched tuple's final polarity; addOrder keeps the
-		// first time a (finally alive) tuple was added, for determinism.
-		alive := make(map[string]bool)
-		var addOrder []relation.Tuple
-		seen := make(map[string]bool)
-		for _, b := range s.Batches {
-			for _, t := range b.Dels {
-				alive[tupleKey(t)] = false
-			}
-			for _, t := range b.Adds {
-				k := tupleKey(t)
-				alive[k] = true
-				if !seen[k] {
-					seen[k] = true
-					addOrder = append(addOrder, t)
-				}
-			}
+		// net is each touched tuple's final polarity; an addition already in
+		// the base keeps its base position and leaves the map.
+		net := make(map[string]bool, len(adds)+len(dels))
+		for _, t := range dels {
+			net[tupleKey(t)] = false
 		}
-		base := make(map[string]bool, s.Base.Cardinality())
+		for _, t := range adds {
+			net[tupleKey(t)] = true
+		}
 		out := relation.New(s.Base.Name, s.Base.Schema)
-		out.Tuples = make([]relation.Tuple, 0, s.Base.Cardinality()+len(addOrder))
+		out.Tuples = make([]relation.Tuple, 0, len(s.Base.Tuples)+len(adds))
 		for _, t := range s.Base.Tuples {
 			k := tupleKey(t)
-			base[k] = true
-			if v, touched := alive[k]; touched && !v {
-				continue
+			if add, touched := net[k]; touched {
+				if !add {
+					continue
+				}
+				delete(net, k)
 			}
 			out.Tuples = append(out.Tuples, t)
 		}
-		emitted := make(map[string]bool)
-		for _, t := range addOrder {
-			k := tupleKey(t)
-			if alive[k] && !base[k] && !emitted[k] {
-				emitted[k] = true
+		for _, t := range adds {
+			if net[tupleKey(t)] {
 				out.Tuples = append(out.Tuples, t)
 			}
 		}
@@ -144,14 +134,12 @@ func (s *State) NetSince(ver uint64) (adds, dels []relation.Tuple, ok bool) {
 	}
 	final := make(map[string]bool)
 	var order []relation.Tuple
-	seen := make(map[string]bool)
 	note := func(t relation.Tuple, add bool) {
 		k := tupleKey(t)
-		final[k] = add
-		if !seen[k] {
-			seen[k] = true
+		if _, seen := final[k]; !seen {
 			order = append(order, t)
 		}
+		final[k] = add
 	}
 	for _, b := range s.Batches {
 		if b.Ver <= ver {

@@ -197,7 +197,15 @@ func CheckMutations(seed int64) (int, error) {
 			}
 		}
 		if len(pins) < maxPins && rng.Intn(3) == 0 {
-			pins = append(pins, pin{snap: db.Snapshot(), flat: flat, step: step})
+			snap := db.Snapshot()
+			// Statements bound to one snapshot share its holder for their
+			// key, as the live ones share the database's.
+			a, errA := snap.Bind(cached)
+			b, errB := snap.Bind(cached)
+			if errA != nil || errB != nil || !probe.SharesData(a, b) {
+				return queries, fmt.Errorf("fuzz: mutation seed %d: step %d: two binds to one snapshot do not share a data holder (%v, %v)", seed, step, errA, errB)
+			}
+			pins = append(pins, pin{snap: snap, flat: flat, step: step})
 		}
 	}
 

@@ -17,7 +17,8 @@ import (
 // onto the server's shared slots and run in their own goroutines so that
 // pipelined requests complete out of order. Responses serialise through a
 // write mutex; statement handles and pinned snapshots die with the
-// connection.
+// connection. A snapshot keeps the data its bound statements loaded, so the
+// connection keeps nothing per (snapshot, statement) pair.
 type conn struct {
 	srv *Server
 	c   net.Conn
@@ -28,8 +29,7 @@ type conn struct {
 	mu     sync.Mutex
 	stmts  map[uint32]*fdb.Stmt // handle -> statement (possibly shared through the plan cache; the handle is connection-local)
 	snaps  map[uint32]*fdb.Snapshot
-	pinned map[uint64]*fdb.Stmt // (snap id << 32 | handle) -> pinned statement
-	nextID uint32               // handle and snapshot id allocator (shared; ids only need uniqueness)
+	nextID uint32 // handle and snapshot id allocator (shared; ids only need uniqueness)
 
 	reqWG     sync.WaitGroup
 	done      chan struct{}
@@ -38,14 +38,13 @@ type conn struct {
 
 func newConn(s *Server, c net.Conn) *conn {
 	return &conn{
-		srv:    s,
-		c:      c,
-		br:     bufio.NewReaderSize(c, 64<<10),
-		bw:     bufio.NewWriterSize(c, 64<<10),
-		stmts:  map[uint32]*fdb.Stmt{},
-		snaps:  map[uint32]*fdb.Snapshot{},
-		pinned: map[uint64]*fdb.Stmt{},
-		done:   make(chan struct{}),
+		srv:   s,
+		c:     c,
+		br:    bufio.NewReaderSize(c, 64<<10),
+		bw:    bufio.NewWriterSize(c, 64<<10),
+		stmts: map[uint32]*fdb.Stmt{},
+		snaps: map[uint32]*fdb.Snapshot{},
+		done:  make(chan struct{}),
 	}
 }
 
@@ -190,42 +189,27 @@ func (c *conn) handlePrepare(f Frame) {
 }
 
 // stmtFor resolves the statement a request executes: the live cached
-// statement, or — under a pinned snapshot — a snapshot-bound variant,
-// created on first use per (snapshot, handle) and cached so repeated
-// executions pay the input load once.
+// statement, or — under a snapshot — that statement bound to the snapshot,
+// per EXEC. Binding is cheap: the snapshot hands every statement bound to it
+// with one data holder key the same holder, so the inputs are loaded once
+// per snapshot, not once per execution.
 func (c *conn) stmtFor(req *ExecReq) (*fdb.Stmt, *Error) {
 	c.mu.Lock()
 	live, ok := c.stmts[req.Handle]
-	if !ok {
-		c.mu.Unlock()
+	snap, known := c.snaps[req.Snap]
+	c.mu.Unlock()
+	switch {
+	case !ok:
 		return nil, &Error{Code: CodeUnknown, Msg: fmt.Sprintf("unknown statement handle %d", req.Handle)}
-	}
-	if req.Snap == 0 {
-		c.mu.Unlock()
+	case req.Snap == 0:
 		return live, nil
-	}
-	snap, ok := c.snaps[req.Snap]
-	if !ok {
-		c.mu.Unlock()
+	case !known:
 		return nil, &Error{Code: CodeUnknown, Msg: fmt.Sprintf("unknown snapshot %d", req.Snap)}
 	}
-	key := uint64(req.Snap)<<32 | uint64(req.Handle)
-	if st, ok := c.pinned[key]; ok {
-		c.mu.Unlock()
-		return st, nil
-	}
-	c.mu.Unlock()
 	pst, err := snap.Bind(live)
 	if err != nil {
 		return nil, &Error{Code: CodeQuery, Msg: err.Error()}
 	}
-	c.mu.Lock()
-	if prev, ok := c.pinned[key]; ok {
-		pst = prev // a concurrent bind won; both are equivalent
-	} else if _, live := c.snaps[req.Snap]; live {
-		c.pinned[key] = pst
-	}
-	c.mu.Unlock()
 	return pst, nil
 }
 
@@ -307,11 +291,6 @@ func (c *conn) closeStmt(f Frame) {
 	c.mu.Lock()
 	_, ok := c.stmts[h]
 	delete(c.stmts, h)
-	for key := range c.pinned {
-		if uint32(key) == h {
-			delete(c.pinned, key)
-		}
-	}
 	c.mu.Unlock()
 	if !ok {
 		c.reply(f.ID, CodeUnknown, fmt.Sprintf("unknown statement handle %d", h), nil)
@@ -329,11 +308,6 @@ func (c *conn) releaseSnap(f Frame) {
 	c.mu.Lock()
 	snap, ok := c.snaps[id]
 	delete(c.snaps, id)
-	for key := range c.pinned {
-		if uint32(key>>32) == id {
-			delete(c.pinned, key)
-		}
-	}
 	c.mu.Unlock()
 	if !ok {
 		c.reply(f.ID, CodeUnknown, fmt.Sprintf("unknown snapshot %d", id), nil)
@@ -363,7 +337,6 @@ func (c *conn) close() {
 			snaps = append(snaps, s)
 		}
 		c.snaps = map[uint32]*fdb.Snapshot{}
-		c.pinned = map[uint64]*fdb.Stmt{}
 		c.stmts = map[uint32]*fdb.Stmt{}
 		c.mu.Unlock()
 		for _, s := range snaps {

@@ -82,7 +82,10 @@ const groceryJoinTree = "\x03\x00\x00\x00\x01\x00\x00\x00\x02\x00\x00\x00\v\x00\
 // goldenHolderKeys are data-holder keys (srcKey). SaveSnapshot names every
 // carried arena by one and a reopened database adopts by it, so they are a
 // file format: a change here orphans every encoding a saved snapshot
-// carries. The bytes after the last input are the tree's store.TreeKey.
+// carries. The bytes after the last input are the tree's store.TreeKey. A
+// baked string keys by its %q spelling, whether or not the dictionary held
+// it at Prepare, so one statement keys alike before and after the string is
+// inserted.
 var goldenHolderKeys = []struct {
 	name    string
 	clauses []Clause
@@ -93,8 +96,7 @@ var goldenHolderKeys = []struct {
 	{"baked int selection", []Clause{Cmp("Orders.oid", GE, 2)},
 		`"Orders"[0 5 2];"Store"[];` + groceryJoinTree},
 	{"baked string selection", []Clause{Cmp("Orders.item", EQ, "Milk"), Cmp("Store.location", NE, "Izmir")},
-		`"Orders"[1 0 1];"Store"[0 1 7];` + groceryJoinTree},
-	// Strings an equality's code cannot settle key by their spelling.
+		`"Orders"[1 0 "Milk"];"Store"[0 1 "Izmir"];` + groceryJoinTree},
 	{"baked string range", []Clause{Cmp("Orders.item", LT, "Milk"), Cmp("Orders.item", GE, "Cheese")},
 		`"Orders"[1 2 "Milk",1 5 "Cheese"];"Store"[];` + groceryJoinTree},
 	{"baked code-less equality", []Clause{Cmp("Orders.item", EQ, "Durian"), Cmp("Store.location", NE, "Ankara")},
@@ -190,28 +192,38 @@ func TestPrepareTouchesNoTuples(t *testing.T) {
 // TestSnapshotPrepareSharesPlan: a statement pinned by Prepare and Bind
 // compiles through the plan cache, so K snapshots pinning one shape cost one
 // f-tree search, and each pinned statement is still repeatable under
-// concurrent writes.
+// concurrent writes — also one whose holder is first loaded after them.
 func TestSnapshotPrepareSharesPlan(t *testing.T) {
 	db := seedPC(t)
 	shape := []Clause{From("R", "S"), Eq("R.b", "S.b"), Cmp("R.a", LE, Param("x"))}
 	const k = 4
 	before := db.CacheStats()
 	snaps := make([]*Snapshot, k)
+	lazySnaps := make([]*Snapshot, k) // snaps[i]'s cut, taken a second time
 	stmts := make([]*Stmt, k)
 	lazy := make([]*Stmt, k) // prepared now, first executed after the writes
 	want := make([]string, k)
 	for i := range snaps {
-		snaps[i] = db.Snapshot()
+		// lazy[i] is the first statement of its key on its snapshot: a
+		// statement on snaps[i] would share, and load, its holder.
+		snaps[i], lazySnaps[i] = db.Snapshot(), db.Snapshot()
 		defer snaps[i].Close()
-		for _, into := range [][]*Stmt{stmts, lazy} {
-			st, err := pinPrepare(snaps[i], shape...)
+		defer lazySnaps[i].Close()
+		for _, pin := range []struct {
+			into []*Stmt
+			snap *Snapshot
+		}{{stmts, snaps[i]}, {lazy, lazySnaps[i]}} {
+			st, err := pinPrepare(pin.snap, shape...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			into[i] = st
+			pin.into[i] = st
 			if st.tree != stmts[0].tree {
 				t.Fatal("snapshots of one shape compiled separate plans")
 			}
+		}
+		if lazySnaps[i].Version() != snaps[i].Version() || lazy[i].src == stmts[i].src {
+			t.Fatal("the lazy statement does not read its own holder at the same cut")
 		}
 		res, err := stmts[i].Exec(Arg("x", 5))
 		if err != nil {

@@ -21,18 +21,11 @@ import (
 // version and each relation's delta-store version, which OpenSnapshotFile
 // restores verbatim.
 func (db *DB) SaveSnapshot(path string) error {
-	db.mu.RLock()
-	ver := db.ver
-	ord := append([]string(nil), db.ord...)
-	states := make(map[string]*delta.State, len(db.stores))
-	for name, s := range db.stores {
-		states[name] = s.State()
-	}
-	db.mu.RUnlock()
-
-	set := &store.Set{Ver: ver, Dict: db.dict.Snapshot()}
-	for _, name := range ord {
-		st := states[name]
+	snap := db.Snapshot()
+	defer snap.Close()
+	set := &store.Set{Ver: snap.ver, Dict: db.dict.Snapshot()}
+	for _, name := range snap.Relations() {
+		st := snap.states[name]
 		live := st.Live()
 		// Private slice header over the immutable live tuples: the writer
 		// only reads, and the version chain is never mutated in place.
@@ -41,7 +34,7 @@ func (db *DB) SaveSnapshot(path string) error {
 		set.Rels = append(set.Rels, store.Relation{Ver: st.Ver, Rel: rel})
 	}
 	for _, src := range db.srcs.live() {
-		if se, ok := persistableEnc(src, states); ok {
+		if se, ok := persistableEnc(src, snap.states); ok {
 			set.Encs = append(set.Encs, se)
 		}
 	}
@@ -146,11 +139,12 @@ func newFromStore(f *store.File) (*DB, error) {
 // demands exact agreement — holder key, input names and versions, and the
 // tree's store.TreeKey (pre-order shape, Rels, Deps and markers) — because
 // the arena is wired to the stored tree's pre-order; any mismatch means the
-// plan must build normally. A pinned statement's holder has no key and never
-// adopts. The returned enc is a view: its arena stays in the snapshot file.
+// plan must build normally. A pinned statement adopts too, when its
+// snapshot's versions are the file's. The returned enc is a view: its arena
+// stays in the snapshot file.
 func (st *Stmt) adoptSaved(d *stmtData) *frep.Enc {
 	se, ok := st.db.adopted[st.src.key]
-	if !ok || st.src.key == "" || len(se.Inputs) != len(st.src.names) {
+	if !ok || len(se.Inputs) != len(st.src.names) {
 		return nil
 	}
 	for i, name := range st.src.names {

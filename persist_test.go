@@ -410,3 +410,34 @@ func TestSaveSnapshotEmptyDB(t *testing.T) {
 		t.Fatalf("empty relation reopened with %d tuples", res.Count())
 	}
 }
+
+// TestOpenedSnapshotPinnedAdopts: a statement pinned to a snapshot of a
+// freshly opened database reads the file's versions, so its holder adopts
+// the carried arena under its key, as a live statement's does.
+func TestOpenedSnapshotPinnedAdopts(t *testing.T) {
+	db, join, _ := persistFixture(t)
+	path := filepath.Join(t.TempDir(), "snap.fdb")
+	if err := db.SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := OpenSnapshotFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := db2.Snapshot()
+	defer snap.Close()
+	st, err := pinPrepare(snap, join...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := st.Exec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.servesSavedArena() {
+		t.Fatal("the pinned statement rebuilt instead of adopting the snapshot-carried arena")
+	}
+	if got, want := res.Table(-1), queryTable(t, db, join); got != want {
+		t.Fatalf("pinned on the reopened database:\n%s\nwant:\n%s", got, want)
+	}
+}

@@ -166,9 +166,10 @@ func checkDispatchers(t *testing.T, db *DB, agg, top *Stmt, offset, limit int) {
 // TestStmtsShareData: statements that compile to the same inputs, baked
 // selections and f-tree share one data holder — a write is folded and the
 // encoding rebuilt once for all of them — and nothing else shares: not a
-// statement with another baked constant, other inputs or another tree, and
-// never a pinned statement. The registry keeps no holder, and no database,
-// alive.
+// statement with another baked constant, other inputs or another tree.
+// Statements pinned to one snapshot share that snapshot's holder, never a
+// live statement's or another snapshot's. The registry keeps no holder, and
+// no database, alive.
 func TestStmtsShareData(t *testing.T) {
 	db := grocery(t)
 	// Shaped like the write_refresh dashboards: grouping lifts the tree to
@@ -239,8 +240,20 @@ func TestStmtsShareData(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pinned.src == milk.src || bound.src == milk.src || pinned.src == bound.src {
-			t.Error("a pinned statement shares a data holder")
+		if pinned.src != bound.src {
+			t.Error("statements pinned to one snapshot with one key do not share a data holder")
+		}
+		if bound.src == milk.src {
+			t.Error("a pinned statement shares a live statement's data holder")
+		}
+		snap2 := db.Snapshot()
+		defer snap2.Close()
+		other, err := snap2.Bind(milk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if other.src == bound.src || other.src == milk.src {
+			t.Error("statements pinned to two snapshots share a data holder")
 		}
 	})
 
@@ -398,21 +411,86 @@ func TestSharedStmtsConcurrentWrites(t *testing.T) {
 	}
 }
 
-// TestFilterTuplesAllocFree: a delta every tuple of which passes the baked
-// filter is returned as is, without allocating; one with a failing tuple is
-// copied, leaving the shared delta untouched.
-func TestFilterTuplesAllocFree(t *testing.T) {
-	ts := []relation.Tuple{{1, 2}, {3, 4}, {5, 6}}
-	all := func(relation.Tuple) bool { return true }
-	if n := testing.AllocsPerRun(100, func() { filterTuples(ts, all) }); n != 0 {
-		t.Fatalf("filterTuples allocates %.0f times when every tuple passes", n)
+// TestMergeSortedDeltaFilters: a fold keeps only the delta tuples the baked
+// filter passes, sorts and dedups them — a whole relation with repeated rows
+// folds into an empty snapshot as a load — and never writes the delta,
+// which is shared with every other reader.
+func TestMergeSortedDeltaFilters(t *testing.T) {
+	idx := []int{1, 0}
+	keep := func(tp relation.Tuple) bool { return tp[0] != 3 }
+	ts := []relation.Tuple{{5, 6}, {3, 4}, {1, 2}, {5, 6}}
+	loaded := mergeSortedDelta(relation.New("R", nil), ts, nil, keep, idx)
+	if fmt.Sprint(loaded.Tuples) != "[[1 2] [5 6]]" || fmt.Sprint(ts) != "[[5 6] [3 4] [1 2] [5 6]]" {
+		t.Fatalf("loaded %v, delta left %v", loaded.Tuples, ts)
 	}
-	odd := func(tp relation.Tuple) bool { return tp[0] != 3 }
-	got := filterTuples(ts, odd)
-	if fmt.Sprint(got) != "[[1 2] [5 6]]" || fmt.Sprint(ts) != "[[1 2] [3 4] [5 6]]" {
-		t.Fatalf("filtered %v, delta left %v", got, ts)
+	adds, dels := []relation.Tuple{{7, 0}, {3, 9}, {1, 2}}, []relation.Tuple{{5, 6}, {9, 9}}
+	got := mergeSortedDelta(loaded, adds, dels, keep, idx)
+	if fmt.Sprint(got.Tuples) != "[[7 0] [1 2]]" || fmt.Sprint(loaded.Tuples) != "[[1 2] [5 6]]" {
+		t.Fatalf("folded %v, held snapshot left %v", got.Tuples, loaded.Tuples)
 	}
-	if got := filterTuples(ts, func(relation.Tuple) bool { return false }); len(got) != 0 {
-		t.Fatalf("filtered %v, want nothing", got)
+}
+
+// TestSnapshotBindsShareHolder: every bind of one statement to one snapshot
+// gets the snapshot's holder for its key, so the first Exec loads the
+// pinned cut and builds its encoding once and every later bind, from any
+// goroutine, reuses both; a write after the pin changes nothing they read.
+// Close drops the snapshot's holders. Run under -race.
+func TestSnapshotBindsShareHolder(t *testing.T) {
+	db := grocery(t)
+	st := mustPrepare(t, db, withJoin()...)
+	snap := db.Snapshot()
+	defer snap.Close()
+	bind := func() *Stmt {
+		b, err := snap.Bind(st)
+		if err != nil {
+			t.Error(err)
+		}
+		return b
+	}
+	a, b := bind(), bind()
+	if a.src != b.src || a.src == st.src {
+		t.Fatal("two binds of one statement to one snapshot do not share the snapshot's holder")
+	}
+	res, err := a.Exec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := res.Table(-1)
+	d := a.src.data.Load()
+	if d == nil || d.enc == nil {
+		t.Fatal("the first Exec left no data or no encoding in the holder")
+	}
+	enc := d.enc
+	db.MustInsert("Orders", "05", "Cheese")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, st := range []*Stmt{b, bind()} {
+				res, err := st.Exec()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := res.Table(-1); got != want {
+					t.Errorf("a later bind read another cut:\n%s\nwant:\n%s", got, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if b.src.data.Load() != d || d.enc != enc {
+		t.Fatal("a later bind reloaded the inputs or rebuilt the encoding")
+	}
+	snap.Close()
+	snap.mu.Lock()
+	n := len(snap.srcs)
+	snap.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("a closed snapshot still registers %d holders", n)
+	}
+	if _, err := snap.Bind(st); err != errSnapshotClosed {
+		t.Fatalf("bind on a closed snapshot: %v", err)
 	}
 }

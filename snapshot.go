@@ -3,6 +3,7 @@ package fdb
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/delta"
@@ -20,14 +21,18 @@ var errSnapshotClosed = errors.New("fdb: snapshot closed: statement reads a rele
 // Insert/Delete/Upsert or Compact calls. Snapshots are cheap — a pointer
 // per relation, no copying — and safe for concurrent use.
 //
-// Statements read the snapshot through Bind. Close releases the pin:
-// statements bound to the snapshot fail with an error after Close; results
-// already executed stay valid (they own their representation).
+// Statements read the snapshot through Bind; the snapshot owns their data
+// holders, one per srcKey, until Close. Close releases the pin: statements
+// bound to the snapshot fail with an error after Close; results already
+// executed stay valid (they own their representation).
 type Snapshot struct {
 	db     *DB
 	ver    uint64
 	states map[string]*delta.State
 	closed atomic.Bool
+
+	mu   sync.Mutex
+	srcs map[string]*stmtSrc // bound statements' holders by srcKey; nil once closed
 }
 
 // Snapshot pins the current version of every relation and returns the
@@ -35,7 +40,7 @@ type Snapshot struct {
 // halfway through it.
 func (db *DB) Snapshot() *Snapshot {
 	db.mu.RLock()
-	s := &Snapshot{db: db, ver: db.ver, states: make(map[string]*delta.State, len(db.stores))}
+	s := &Snapshot{db: db, ver: db.ver, states: make(map[string]*delta.State, len(db.stores)), srcs: map[string]*stmtSrc{}}
 	for name, st := range db.stores {
 		s.states[name] = st.State()
 	}
@@ -47,9 +52,12 @@ func (db *DB) Snapshot() *Snapshot {
 // Version returns the database write version the snapshot pins.
 func (s *Snapshot) Version() uint64 { return s.ver }
 
-// Close releases the snapshot. Idempotent; only the first call decrements
-// the database's open-snapshot count.
+// Close releases the snapshot and its data holders. Idempotent; only the
+// first call decrements the database's open-snapshot count.
 func (s *Snapshot) Close() {
+	s.mu.Lock()
+	s.srcs = nil
+	s.mu.Unlock()
 	if s.closed.CompareAndSwap(false, true) {
 		s.db.snaps.Add(-1)
 	}
@@ -57,14 +65,32 @@ func (s *Snapshot) Close() {
 
 func (s *Snapshot) isClosed() bool { return s.closed.Load() }
 
+// holder returns the snapshot's data holder for key, registering one over
+// the named inputs on first use, or nil once the snapshot is closed.
+func (s *Snapshot) holder(key string, names []string) *stmtSrc {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.srcs == nil {
+		return nil
+	}
+	src := s.srcs[key]
+	if src == nil {
+		src = &stmtSrc{key: key, names: names}
+		s.srcs[key] = src
+	}
+	return src
+}
+
 // Bind is the one way to run a statement against the snapshot: it pins a
-// statement from DB.Prepare to the snapshot, sharing its compiled plan; the
-// bound statement's first Exec loads its inputs at the pinned versions.
-// Since Prepare resolves through the plan cache, any number of snapshots
-// and connections running one query shape share one plan. The bound
-// statement reads the pinned data forever (never refreshing) and errors
-// after Close; the receiver statement is unaffected. Bind fails on a closed
-// snapshot and on a statement reading a relation created after it.
+// statement from DB.Prepare to the snapshot, sharing its compiled plan and
+// the snapshot's data holder for its srcKey, so the first Exec of any
+// statement bound with that key loads the inputs at the pinned versions and
+// every later one reuses them. Since Prepare resolves through the plan
+// cache, any number of snapshots and connections running one query shape
+// share one plan. The bound statement reads the pinned data forever (never
+// refreshing) and errors after Close; the receiver statement is unaffected.
+// Bind fails on a closed snapshot and on a statement reading a relation
+// created after it.
 func (s *Snapshot) Bind(st *Stmt) (*Stmt, error) {
 	if st == nil {
 		return nil, fmt.Errorf("fdb: Bind of a nil statement")

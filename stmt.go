@@ -23,8 +23,8 @@ import (
 // result.
 //
 // A Stmt prepared from the database follows it: each Exec reads the
-// relations' current versions, loading the inputs (dedup + constant
-// selections + path sort) on first use and folding any delta batches
+// relations' current versions, folding the inputs (constant selections +
+// path sort + dedup) from nothing on first use and folding any delta batches
 // committed since into its sorted snapshots afterwards; the encoded
 // representation is rebuilt from those snapshots by the next execution that
 // needs it — the compiled plan is immutable and never recompiles. A Stmt
@@ -37,21 +37,22 @@ import (
 // behind src is published by refresh alone, under src.refreshMu, and read
 // with one atomic load — and src may be shared: every live statement of the
 // database whose inputs, baked constant selections and f-tree are equal
-// holds the same one (see srcRegistry), so a write is folded, and a
-// memoised encoding rebuilt, once for all of them, whatever their
+// holds the same one (see srcRegistry), and so does every statement bound to
+// one snapshot with that srcKey (see Snapshot.holder), so a write is folded,
+// and a memoised encoding rebuilt, once for all of them, whatever their
 // projection, ordering, limits or aggregates.
 type Stmt struct {
 	stmtPlan
 	snap *Snapshot // non-nil: pinned to this snapshot's versions
-	src  *stmtSrc  // the data holder; pinned statements own theirs
+	src  *stmtSrc  // the data holder: the database's for its key, or the snapshot's
 }
 
 // stmtSrc is the one mutable part of a statement: its current data, nil
 // until the first execution loads it, and the lock refresh publishes the
 // next version under. Statements that share a holder share everything in it.
-// A registry holder also carries its srcKey and input names, which name its
-// encoding in a snapshot file; a pinned statement's private holder has
-// neither, so it is never saved and never adopts.
+// A holder also carries its srcKey and input names, which name its encoding
+// in a snapshot file: SaveSnapshot writes the database's holders, and any
+// holder, live or pinned, adopts a carried arena under its key.
 type stmtSrc struct {
 	key   string
 	names []string
@@ -175,23 +176,25 @@ func (db *DB) Prepare(clauses ...Clause) (*Stmt, error) {
 // pin is Snapshot.Bind's body: it derives a statement bound to the
 // snapshot's pinned versions from a prepared live statement — a copy of the
 // plan (f-tree, parameter slots, baked filters and sort permutations are
-// shared) with a private data holder, loaded once from the snapshot's
-// states by its first execution. Clause validation and f-tree search are
-// never repeated per (statement, snapshot) pair. The pinned statement fails
-// loudly once the snapshot is closed.
+// shared) with the snapshot's data holder for the statement's key, loaded
+// once from the snapshot's states by the first execution of any statement
+// bound to it. Clause validation and f-tree search are never repeated per
+// (statement, snapshot) pair. The pinned statement fails loudly once the
+// snapshot is closed.
 func (st *Stmt) pin(snap *Snapshot) (*Stmt, error) {
 	if st.snap != nil {
 		return nil, fmt.Errorf("fdb: statement is already pinned to a snapshot")
-	}
-	if snap.isClosed() {
-		return nil, errSnapshotClosed
 	}
 	for _, in := range st.inputs {
 		if _, ok := snap.states[in.store.Name]; !ok {
 			return nil, fmt.Errorf("fdb: relation %q created after the snapshot", in.store.Name)
 		}
 	}
-	return &Stmt{stmtPlan: st.stmtPlan, snap: snap, src: &stmtSrc{}}, nil
+	src := snap.holder(st.src.key, st.src.names)
+	if src == nil {
+		return nil, errSnapshotClosed
+	}
+	return &Stmt{stmtPlan: st.stmtPlan, snap: snap, src: src}, nil
 }
 
 // Params lists the statement's parameter names in declaration order.
@@ -268,18 +271,24 @@ func (st *Stmt) ExecAggContext(ctx context.Context, args ...NamedArg) (*AggResul
 	return &AggResult{db: st.db, groupBy: st.groupBy, specs: st.aggs, rows: rows}, nil
 }
 
-// current reports whether d is what the statement should execute over: any
-// loaded data for a pinned statement, the data reflecting every input
-// store's current version for a live one.
+// state returns the version of input i the statement reads: its snapshot's
+// for a pinned statement, the store's current one for a live statement. It
+// is the only place the data path tells the two apart.
+func (st *Stmt) state(i int) *delta.State {
+	if st.snap != nil {
+		return st.snap.states[st.inputs[i].store.Name]
+	}
+	return st.inputs[i].store.State()
+}
+
+// current reports whether d is what the statement should execute over: the
+// data reflecting the version of every input the statement reads.
 func (st *Stmt) current(d *stmtData) bool {
 	if d == nil {
 		return false
 	}
-	if st.snap != nil {
-		return true
-	}
 	for i := range st.inputs {
-		if st.inputs[i].store.State().Ver != d.vers[i] {
+		if st.state(i).Ver != d.vers[i] {
 			return false
 		}
 	}
@@ -287,17 +296,18 @@ func (st *Stmt) current(d *stmtData) bool {
 }
 
 // refresh is stage three of the lifecycle and the only place a statement's
-// data arrives: it returns the input snapshots at the relations' current
-// versions (a pinned statement: at its snapshot's). The fast path is
-// len(inputs) atomic loads; behind them, the slow path captures a consistent
-// cut and brings every changed input up to it. An input with nothing to
-// carry forward — no data yet, or a history compacted away beneath the held
-// version — is loaded wholesale; otherwise its net delta is folded into the
-// sorted snapshot with a linear merge. The published data carries tuples
-// only: its encoding is nil until cachedEnc rebuilds it. A cancelled ctx
-// aborts between inputs and publishes nothing. Statements sharing the holder
-// fold a write once between them: whichever comes first publishes, and the
-// rest find the data current behind refreshMu.
+// data arrives: it returns the input snapshots at the versions the
+// statement reads (state). The fast path is len(inputs) atomic loads;
+// behind them, the slow path captures a consistent cut and brings every
+// changed input up to it with one fold: the held tuples and the net delta
+// since them, or — no data yet, or a history compacted away beneath the
+// held version — nothing and the whole live relation, filtered by the baked
+// constant selections and merged in the input's path order. The published
+// data carries tuples only: its encoding is nil until cachedEnc rebuilds
+// it. A cancelled ctx aborts between inputs and publishes nothing.
+// Statements sharing the holder fold a write once between them: whichever
+// comes first publishes, and the rest find the data current behind
+// refreshMu.
 func (st *Stmt) refresh(ctx context.Context) (*stmtData, error) {
 	d := st.src.data.Load()
 	if st.current(d) {
@@ -309,20 +319,13 @@ func (st *Stmt) refresh(ctx context.Context) (*stmtData, error) {
 	if st.current(d) {
 		return d, nil
 	}
-	// A consistent cut: the snapshot's, or one no writer commits into
-	// between the state loads.
+	// A consistent cut: no writer commits between the state loads.
 	states := make([]*delta.State, len(st.inputs))
-	if st.snap != nil {
-		for i, in := range st.inputs {
-			states[i] = st.snap.states[in.store.Name]
-		}
-	} else {
-		st.db.mu.RLock()
-		for i, in := range st.inputs {
-			states[i] = in.store.State()
-		}
-		st.db.mu.RUnlock()
+	st.db.mu.RLock()
+	for i := range st.inputs {
+		states[i] = st.state(i)
 	}
+	st.db.mu.RUnlock()
 
 	nd := &stmtData{
 		rels: make([]*relation.Relation, len(st.inputs)),
@@ -334,82 +337,52 @@ func (st *Stmt) refresh(ctx context.Context) (*stmtData, error) {
 			nd.rels[i] = d.rels[i]
 			continue
 		}
+		var held *relation.Relation
 		var adds, dels []relation.Tuple
 		ok := false
 		if d != nil {
+			held = d.rels[i]
 			adds, dels, ok = states[i].NetSince(d.vers[i])
 		}
 		if !ok {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			nd.rels[i] = st.load(i, states[i])
-			continue
+			held = relation.New(in.store.Name, in.store.Schema)
+			adds, dels = states[i].Live().Tuples, nil
 		}
-		if f := st.match(i, nil); f != nil {
-			adds = filterTuples(adds, f)
-			dels = filterTuples(dels, f)
-		}
-		nd.rels[i] = mergeSortedDelta(d.rels[i], adds, dels, in.sortIdx)
+		nd.rels[i] = mergeSortedDelta(held, adds, dels, st.match(i, nil), in.sortIdx)
 	}
 	st.src.data.Store(nd)
 	return nd, nil
 }
 
-// load derives input i's snapshot from a state: a private tuple slice over
-// the state's shared (read-only) tuples, filtered by the baked constant
-// selections, sorted once in the input's f-tree path order and deduped.
-// The path order covers every column, so duplicates are adjacent.
-func (st *Stmt) load(i int, state *delta.State) *relation.Relation {
-	live := state.Live()
-	var r *relation.Relation
-	if f := st.match(i, nil); f != nil {
-		r = live.Filter(f)
-	} else {
-		r = relation.New(live.Name, live.Schema)
-		r.Tuples = append(make([]relation.Tuple, 0, len(live.Tuples)), live.Tuples...)
-	}
-	relation.SortPerm(r.Tuples, st.inputs[i].sortIdx)
-	out := r.Tuples[:0]
-	for _, t := range r.Tuples {
-		if len(out) == 0 || t.Compare(out[len(out)-1]) != 0 {
-			out = append(out, t)
-		}
-	}
-	r.Tuples = out
-	return r
-}
-
-// filterTuples returns the tuples passing f: ts itself when all do
-// (allocation-free), otherwise a fresh slice — ts is a delta shared with
-// every other reader and is never written.
-func filterTuples(ts []relation.Tuple, f func(relation.Tuple) bool) []relation.Tuple {
-	for i, t := range ts {
-		if f(t) {
-			continue
-		}
-		keep := append(make([]relation.Tuple, 0, len(ts)-1), ts[:i]...)
-		for _, t := range ts[i+1:] {
-			if f(t) {
-				keep = append(keep, t)
-			}
-		}
-		return keep
-	}
-	return ts
-}
-
-// mergeSortedDelta applies a net delta to a sorted, deduplicated snapshot
-// with one linear merge in the snapshot's sort order (the column
-// permutation idx), returning the new snapshot (sharing tuple storage with
-// the old). Additions already present and removals of absent tuples are
-// no-ops.
-func mergeSortedDelta(old *relation.Relation, adds, dels []relation.Tuple, idx []int) *relation.Relation {
+// mergeSortedDelta applies a delta to a sorted, deduplicated snapshot with
+// one linear merge in the snapshot's sort order (the column permutation idx,
+// which covers every column), returning the new snapshot (sharing tuple
+// storage with the old). The delta's tuples that keep (nil: all) passes are
+// copied, sorted and deduplicated first — the delta is shared with every
+// other reader and is never written — so it may be a whole relation with
+// repeated rows folded into an empty snapshot. Additions already present
+// and removals of absent tuples are no-ops.
+func mergeSortedDelta(old *relation.Relation, adds, dels []relation.Tuple, keep func(relation.Tuple) bool, idx []int) *relation.Relation {
 	cmp := func(a, b relation.Tuple) int { return relation.ComparePerm(a, b, idx) }
 	sortTuples := func(ts []relation.Tuple) []relation.Tuple {
-		out := append(make([]relation.Tuple, 0, len(ts)), ts...)
+		out := make([]relation.Tuple, 0, len(ts))
+		for _, t := range ts {
+			if keep == nil || keep(t) {
+				out = append(out, t)
+			}
+		}
 		relation.SortPerm(out, idx)
-		return out
+		n := 0
+		for _, t := range out {
+			if n == 0 || cmp(t, out[n-1]) != 0 {
+				out[n] = t
+				n++
+			}
+		}
+		return out[:n]
 	}
 	adds, dels = sortTuples(adds), sortTuples(dels)
 	out := relation.New(old.Name, old.Schema)

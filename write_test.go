@@ -124,7 +124,10 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 	q := []Clause{From("R"), Cmp("R.b", EQ, 3)}
 	snap := db.Snapshot()
-	pinnedStmt, err := pinPrepare(snap, q...)
+	// The selection bound per Exec gives pinnedStmt a holder key of its own
+	// on the snapshot, so its first Exec, after the writes and the
+	// compaction, loads the pinned cut itself.
+	pinnedStmt, err := pinPrepare(snap, From("R"), Cmp("R.b", EQ, Param("b")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +153,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 	for _, rerun := range []*Result{
 		mustQuery(t, func() (*Result, error) { return pinQuery(snap, q...) }),
-		mustQuery(t, func() (*Result, error) { return pinnedStmt.Exec() }),
+		mustQuery(t, func() (*Result, error) { return pinnedStmt.Exec(Arg("b", 3)) }),
 	} {
 		if got := rerun.Rows(0); !reflect.DeepEqual(got, want) {
 			t.Fatalf("snapshot drifted:\n got %v\nwant %v", got, want)
@@ -172,7 +175,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	if _, err := pinQuery(snap, q...); err == nil {
 		t.Fatal("query on closed snapshot succeeded")
 	}
-	if _, err := pinnedStmt.Exec(); err == nil || !strings.Contains(err.Error(), "snapshot closed") {
+	if _, err := pinnedStmt.Exec(Arg("b", 3)); err == nil || !strings.Contains(err.Error(), "snapshot closed") {
 		t.Fatalf("pinned stmt after close: err = %v", err)
 	}
 }
