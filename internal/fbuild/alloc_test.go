@@ -46,45 +46,88 @@ func q1Inputs(tb testing.TB, n int) []*relation.Relation {
 	return rels
 }
 
+// pointTree is item_point's order-forced tree over Q1: oid → location →
+// {dispatcher, item}.
+func pointTree() *ftree.T {
+	loc := ftree.NewNode("s_location", "d_location").Add(ftree.NewNode("d_dispatcher"), ftree.NewNode("o_item", "s_item"))
+	return ftree.New([]*ftree.Node{ftree.NewNode("o_oid").Add(loc)}, q1Tree().Rels)
+}
+
+// pointInputs are q1Inputs(n) with Orders narrowed to 4n orders of one
+// item, as item_point's selection leaves it, sorted for pointTree. The
+// location subtree is the same under every oid, so memo hits dominate.
+func pointInputs(tb testing.TB, n int) []*relation.Relation {
+	rels := q1Inputs(tb, n)
+	orders := relation.New("Orders", relation.Schema{"o_oid", "o_item"})
+	for o := 0; o < 4*n; o++ {
+		orders.Append(relation.Value(o), 0)
+	}
+	rels[0] = orders
+	if err := SortFor(rels, pointTree()); err != nil {
+		tb.Fatal(err)
+	}
+	return rels
+}
+
 // TestBuildAllocsFlat: building four times the singletons over the same
 // tree allocates only what the output columns' append growth adds, a few
-// allocations per tree node, and nothing per union or per value.
+// allocations per tree node, and nothing per union or per value — memo
+// hits included, on item_point's tree.
 func TestBuildAllocsFlat(t *testing.T) {
-	tr := q1Tree()
-	build := func(n int) (allocs float64, singletons int) {
-		rels := q1Inputs(t, n)
-		e, err := BuildEnc(rels, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return testing.AllocsPerRun(10, func() {
-			if _, err := BuildEnc(rels, tr); err != nil {
+	for _, c := range []struct {
+		name   string
+		tree   *ftree.T
+		inputs func(testing.TB, int) []*relation.Relation
+	}{{"q1", q1Tree(), q1Inputs}, {"point", pointTree(), pointInputs}} {
+		build := func(n int) (allocs float64, singletons int) {
+			rels := c.inputs(t, n)
+			e, err := BuildEnc(rels, c.tree)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}), e.Size()
-	}
-	small, ss := build(500)
-	large, ls := build(2000)
-	if ls < 4*ss {
-		t.Fatalf("%d singletons are not 4x %d", ls, ss)
-	}
-	t.Logf("%v allocs for %d singletons, %v for %d", small, ss, large, ls)
-	// Large slices grow by about 1.25x, so a 4x longer column takes about
-	// seven more growth steps; each node has a value and an offset column.
-	const perNode = 16
-	if nodes := 4.0; large-small > perNode*nodes {
-		t.Fatalf("allocations grow with the data: %v for %d singletons, %v for %d", small, ss, large, ls)
+			return testing.AllocsPerRun(10, func() {
+				if _, err := BuildEnc(rels, c.tree); err != nil {
+					t.Fatal(err)
+				}
+			}), e.Size()
+		}
+		small, ss := build(500)
+		large, ls := build(2000)
+		if ls < 4*ss {
+			t.Fatalf("%s: %d singletons are not 4x %d", c.name, ls, ss)
+		}
+		t.Logf("%s: %v allocs for %d singletons, %v for %d", c.name, small, ss, large, ls)
+		// Large slices grow by about 1.25x, so a 4x longer column takes about
+		// seven more growth steps; each node has a value and an offset column.
+		const perNode = 16
+		if nodes := 4.0; large-small > perNode*nodes {
+			t.Fatalf("%s: allocations grow with the data: %v for %d singletons, %v for %d", c.name, small, ss, large, ls)
+		}
 	}
 }
 
 // BenchmarkBuildEnc times the serial build of Q1 over inputs sorted
-// beforehand, on a fixed tree, per singleton of the result.
+// beforehand, on a fixed tree, per singleton of the result. The tree has
+// no memoised node.
 func BenchmarkBuildEnc(b *testing.B) {
-	tr := q1Tree()
-	rels := q1Inputs(b, 4000)
+	benchBuild(b, q1Tree(), q1Inputs(b, 4000), nil)
+}
+
+// BenchmarkBuildEncOrdered is BenchmarkBuildEnc on item_point's tree over
+// a one-item Orders, where the location subtree is built once and copied
+// under every other oid. It also reports the entries, over all nodes, that
+// each build copied and built.
+func BenchmarkBuildEncOrdered(b *testing.B) {
+	benchBuild(b, pointTree(), pointInputs(b, 4000), countMemo(b))
+}
+
+func benchBuild(b *testing.B, tr *ftree.T, rels []*relation.Relation, memo *memoCounts) {
 	e, err := BuildEnc(rels, tr)
 	if err != nil {
 		b.Fatal(err)
+	}
+	if memo != nil {
+		memo.copied.Store(0)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -94,4 +137,13 @@ func BenchmarkBuildEnc(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*e.Size()), "ns/singleton")
+	if memo != nil {
+		entries := 0
+		for ni := range e.NodeCount() {
+			entries += e.NumEntries(ni)
+		}
+		copied := float64(memo.copied.Load()) / float64(b.N)
+		b.ReportMetric(copied, "copied/op")
+		b.ReportMetric(float64(entries)-copied, "built/op")
+	}
 }

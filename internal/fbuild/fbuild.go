@@ -12,6 +12,15 @@
 // subtrees are all non-empty (semijoin reduction comes for free). Scratch
 // lives in one frame per tree node and states are routed by pre-order
 // index, so the build allocates nothing per union or value but its output.
+//
+// A node's subtree depends only on its key (Olteanu and Závodný): the
+// ranges of the relations routed to it, less those whose columns below it
+// are constant over their input, since any non-empty range of such a
+// relation projects to one tuple. A node that is not a leaf, under an
+// ancestor that binds no keyed relation, meets each key once per entry of
+// that ancestor; it memoises key → the entry span its union produced and
+// copies the span, subtree and all, on a repeat. Leaves are not memoised:
+// their keys mostly miss, and a leaf union is cheap to rebuild.
 package fbuild
 
 import (
@@ -41,6 +50,10 @@ type relState struct {
 	next int
 	// lo, hi delimit the tuples consistent with all bound ancestors.
 	lo, hi int
+	// constFrom is the first index into nodes from which every column is
+	// constant over the input: below such a node the state's range, never
+	// empty there, projects to one tuple, so it is left out of keys.
+	constFrom int
 }
 
 // builder holds the shared build context.
@@ -62,9 +75,30 @@ type builder struct {
 	// no scratch per union or per value.
 	eb     *frep.EncBuilder
 	frames []frame
+	// memo[i]: node i memoises its unions (see memoise), shared read-only
+	// by morsel workers. hits, copied and dropped count memo hits, the
+	// entries they copied over all nodes and the records rollbacks dropped.
+	memo                  []bool
+	hits, copied, dropped int
 }
 
-// frame is one node's scratch in buildUnionEnc.
+// memoStats, when set (by tests), receives each builder's memo counters as
+// its build ends.
+var memoStats func(hits, copied, dropped int)
+
+func (b *builder) report() {
+	if memoStats != nil {
+		memoStats(b.hits, b.copied, b.dropped)
+	}
+}
+
+// frame is one node's scratch in buildUnionEnc, and a memoised node's
+// table, open addressing over flat slices: key is the current union's key
+// (lo, hi of each keyed routed state), keys and spans record each key
+// built and the entry span it produced (empty too) in build order, and
+// slots holds record numbers + 1 (0 is empty), doubling when half full.
+// Spans grow along the column, so a rollback drops records from the end,
+// and dropping a linear-probing table's newest record restores the table.
 type frame struct {
 	active []*relState // states that bind this union's class
 	cur    []int       // each active state's leapfrog position
@@ -72,6 +106,10 @@ type frame struct {
 	routed []*relState // states passed down, grouped by child:
 	cut    []int       // routed[cut[ci]:cut[ci+1]] go to child ci
 	mark   []int32     // column lengths to roll an emptied entry back to
+
+	key, keys []int
+	spans     []span
+	slots     []int32
 }
 
 type span struct{ lo, hi int }
@@ -173,7 +211,8 @@ func BuildEncContext(ctx context.Context, rels []*relation.Relation, t *ftree.T)
 	return b.buildAll(t, states)
 }
 
-// newStates prepares one build state per input relation.
+// newStates prepares one build state per input relation and decides which
+// nodes memoise.
 func (b *builder) newStates(rels []*relation.Relation) ([]*relState, error) {
 	states := make([]*relState, 0, len(rels))
 	for _, r := range rels {
@@ -183,7 +222,95 @@ func (b *builder) newStates(rels []*relation.Relation) ([]*relState, error) {
 		}
 		states = append(states, st)
 	}
+	b.memoise(states)
 	return states, nil
+}
+
+// memoise marks the nodes whose unions are memoised: those that are not
+// leaves and have an ancestor that binds no state keyed at the node. Such
+// an ancestor's entries leave every keyed range alone, so the node meets
+// each key once per entry; where every ancestor binds a keyed state, each
+// key is new and a table would only cost.
+func (b *builder) memoise(states []*relState) {
+	b.memo = make([]bool, len(b.sub))
+	for ni := range b.memo {
+		if b.sub[ni] == ni+1 {
+			continue // a leaf
+		}
+		for a := 0; a < ni && !b.memo[ni]; a++ {
+			b.memo[ni] = b.under(ni, a) && !slices.ContainsFunc(states, func(st *relState) bool {
+				// st.next at ni is st's first node under ni
+				first := slices.IndexFunc(st.pres, func(p int) bool { return b.under(p, ni) })
+				return keyed(st, first) && slices.Contains(st.pres, a)
+			})
+		}
+	}
+}
+
+// keyed reports whether st's range can change the subtree below its k-th
+// node: it has nodes there, and not all their columns are constant.
+func keyed(st *relState, k int) bool { return k >= 0 && k < st.constFrom }
+
+// memoUnion is buildUnionEnc for a memoised node: a key built before is
+// copied, a new one built and recorded.
+func (b *builder) memoUnion(ni int, states []*relState) int {
+	f := &b.frames[ni]
+	f.key = f.key[:0]
+	for _, st := range states {
+		if keyed(st, st.next) {
+			f.key = append(f.key, st.lo, st.hi)
+		}
+	}
+	if 2*len(f.spans) >= len(f.slots) { // grow, adding records in build order
+		f.slots = make([]int32, max(16, 2*len(f.slots)))
+		for r := range f.spans {
+			s, _ := f.find(f.keys[r*len(f.key) : (r+1)*len(f.key)])
+			f.slots[s] = int32(r + 1)
+		}
+	}
+	s, r := f.find(f.key)
+	if r >= 0 {
+		sp := f.spans[r]
+		b.hits++
+		b.copied += b.eb.CopyEntries(b.eb, ni, ni, sp.lo, sp.hi)
+		return sp.hi - sp.lo
+	}
+	lo := b.eb.Entries(ni)
+	n := b.buildUnionEnc(ni, states)
+	if b.err == nil {
+		f.keys = append(f.keys, f.key...)
+		f.spans = append(f.spans, span{lo, lo + n})
+		f.slots[s] = int32(len(f.spans))
+	}
+	return n
+}
+
+// find returns the slot holding key and its record number, or the empty
+// slot where key goes and -1.
+func (f *frame) find(key []int) (slot, rec int) {
+	h := uint64(len(key))
+	for _, x := range key {
+		h = (h ^ uint64(x)) * 0x9e3779b97f4a7c15
+	}
+	mask := len(f.slots) - 1
+	for s := int(h>>32) & mask; ; s = (s + 1) & mask {
+		r := int(f.slots[s]) - 1
+		if r < 0 || slices.Equal(f.keys[r*len(key):(r+1)*len(key)], key) {
+			return s, r
+		}
+	}
+}
+
+// drop forgets the records whose spans end past entry n, newest first.
+func (f *frame) drop(n int) (dropped int) {
+	k := len(f.key)
+	for r := len(f.spans) - 1; r >= 0 && f.spans[r].hi > n; r-- {
+		s, _ := f.find(f.keys[r*k : (r+1)*k])
+		f.slots[s] = 0
+		f.keys, f.spans = f.keys[:r*k], f.spans[:r]
+		dropped++
+	}
+	return dropped
 }
 
 // buildUnionEnc constructs the union for node ni from the relations routed
@@ -283,7 +410,14 @@ func (b *builder) buildUnionEnc(ni int, states []*relState) int {
 			b.eb.Append(ni, v)
 			alive := true
 			for ci, c := range kids {
-				if b.buildUnionEnc(c, f.routed[f.cut[ci]:f.cut[ci+1]]) == 0 {
+				routed := f.routed[f.cut[ci]:f.cut[ci+1]]
+				var n int
+				if b.memo[c] {
+					n = b.memoUnion(c, routed)
+				} else {
+					n = b.buildUnionEnc(c, routed)
+				}
+				if n == 0 {
 					alive = false
 					break
 				}
@@ -293,6 +427,11 @@ func (b *builder) buildUnionEnc(ni int, states []*relState) int {
 				count++
 			} else {
 				b.eb.Rollback(ni, f.mark)
+				for j := ni; j < b.sub[ni]; j++ {
+					if b.memo[j] {
+						b.dropped += b.frames[j].drop(b.eb.Entries(j))
+					}
+				}
 			}
 		}
 		for i, st := range active {
@@ -330,8 +469,19 @@ func (b *builder) newState(r *relation.Relation) (*relState, error) {
 	for _, n := range nodes {
 		st.cols = append(st.cols, byNode[n])
 	}
+	st.constFrom = len(nodes)
+	for st.constFrom > 0 && constant(r.Tuples, st.cols[st.constFrom-1]) {
+		st.constFrom--
+	}
 	relation.SortPerm(r.Tuples, slices.Concat(st.cols...))
 	return st, nil
+}
+
+// constant reports whether each of the columns holds one value over ts.
+func constant(ts []relation.Tuple, cols []int) bool {
+	return !slices.ContainsFunc(ts, func(t relation.Tuple) bool {
+		return slices.ContainsFunc(cols, func(c int) bool { return t[c] != ts[0][c] })
+	})
 }
 
 // seek returns the first index in [lo, hi) whose value in column col is at

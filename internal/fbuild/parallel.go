@@ -72,7 +72,9 @@ func BuildEncParallelContext(ctx context.Context, rels []*relation.Relation, t *
 	// Workers drain the morsel queue; each morsel gets a private column
 	// builder and private copies of the states routed into the pivot
 	// subtree (the relations themselves are shared and read-only: they were
-	// sorted once above, before any goroutine started).
+	// sorted once above, before any goroutine started). Each morsel builder
+	// owns its frames, memo tables included, so a key built in one morsel
+	// is built again in the next.
 	parts := make([]*frep.EncBuilder, len(ranges))
 	errs := make([]error, len(ranges))
 	next := make(chan int, len(ranges))
@@ -169,7 +171,7 @@ func morselRanges(driver *relState, m int) []valRange {
 // states active at the pivot to the morsel's value range, and run the
 // ordinary encoded leapfrog build into a fresh column builder and frames.
 func buildMorsel(shared *builder, t *ftree.T, pivot *ftree.Node, mine []*relState, r valRange) (*frep.EncBuilder, error) {
-	wb := &builder{tree: t, pre: shared.pre, sub: shared.sub, ctx: shared.ctx,
+	wb := &builder{tree: t, pre: shared.pre, sub: shared.sub, memo: shared.memo, ctx: shared.ctx,
 		eb: frep.NewEncBuilder(t), frames: make([]frame, len(shared.frames))}
 	clones := make([]*relState, len(mine))
 	for i, st := range mine {
@@ -188,6 +190,7 @@ func buildMorsel(shared *builder, t *ftree.T, pivot *ftree.Node, mine []*relStat
 	ri := wb.eb.Idx(pivot)
 	wb.buildUnionEnc(ri, clones)
 	wb.eb.CloseUnion(ri)
+	wb.report()
 	if wb.err != nil {
 		return nil, wb.err
 	}
@@ -221,6 +224,7 @@ func (b *builder) buildRest(t *ftree.T, pivot *ftree.Node, states []*relState) (
 			empty = true
 		}
 	}
+	b.report()
 	return b.eb, empty, nil
 }
 

@@ -5,8 +5,10 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/frep"
 	"repro/internal/ftree"
 	"repro/internal/gen"
@@ -251,7 +253,9 @@ func stretchExtremes(rels []*relation.Relation) {
 // P = 2 and 3 are Enc.Equal to the reference builder over random queries,
 // with and without values at both ends of the domain. Some of the queries
 // merge two attributes of one relation into a class, which the builds
-// evaluate as a selection over the extra same-class columns.
+// evaluate as a selection over the extra same-class columns. A second
+// series forces trees that memoise (see memoise) and requires memo hits and
+// records dropped by rollbacks, so copied spans are checked too.
 func TestBuildMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	within := 0
@@ -302,4 +306,131 @@ func TestBuildMatchesReference(t *testing.T) {
 	if within == 0 {
 		t.Fatal("no trial merged two attributes of one relation into a class")
 	}
+
+	// Order-forced trees over inputs with one equality-filtered column, and
+	// item_point's tree oid → location → {dispatcher, item}: ancestors that
+	// bind no keyed state make memoised nodes hit, and entries emptied
+	// below a memoised node make rollbacks drop its records.
+	memo := countMemo(t)
+	for trial := 0; trial < 300; trial++ {
+		var q *core.Query
+		var tr *ftree.T
+		if trial%4 == 3 {
+			q, tr = pointQuery(rng, trial%8 == 7)
+		} else {
+			r := 2 + rng.Intn(2)
+			var err error
+			q, err = gen.RandomQuery(rng, r, r+1+rng.Intn(4), 1+rng.Intn(60), rng.Intn(3), gen.Uniform, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			classes := q.Classes()
+			chain := rng.Perm(len(classes))[:1+rng.Intn(min(3, len(classes)))]
+			if tr, _, err = opt.GreedyFTreeOrdered(classes, q.Schemas(), chain); err != nil {
+				continue
+			}
+			filterEq(rng, q.Relations[rng.Intn(len(q.Relations))], -1)
+		}
+		want, err := refBuildEnc(cloneRels(q.Relations), tr)
+		if err != nil {
+			t.Fatalf("forced trial %d: reference: %v", trial, err)
+		}
+		for _, p := range []int{1, 2, 3} {
+			got, err := BuildEncParallel(cloneRels(q.Relations), tr, p)
+			if err != nil {
+				t.Fatalf("forced trial %d (p=%d): %v", trial, p, err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("forced trial %d (p=%d): build differs from the reference\ntree:\n%s", trial, p, tr)
+			}
+		}
+	}
+	t.Logf("memo: %d hits copied %d entries; rollbacks dropped %d records",
+		memo.hits.Load(), memo.copied.Load(), memo.dropped.Load())
+	if memo.hits.Load() == 0 || memo.dropped.Load() == 0 {
+		t.Fatalf("memo hits %d and dropped records %d: both must happen", memo.hits.Load(), memo.dropped.Load())
+	}
+}
+
+// memoCounts sums the memo counters of every builder, morsel workers
+// included.
+type memoCounts struct{ hits, copied, dropped atomic.Int64 }
+
+// countMemo points memoStats at fresh counters until the test ends.
+func countMemo(t testing.TB) *memoCounts {
+	c := &memoCounts{}
+	memoStats = func(hits, copied, dropped int) {
+		c.hits.Add(int64(hits))
+		c.copied.Add(int64(copied))
+		c.dropped.Add(int64(dropped))
+	}
+	t.Cleanup(func() { memoStats = nil })
+	return c
+}
+
+// filterEq keeps the tuples of r whose column col (a random one if col is
+// negative) equals that of a random tuple: the column becomes constant.
+func filterEq(rng *rand.Rand, r *relation.Relation, col int) {
+	if len(r.Tuples) == 0 {
+		return
+	}
+	if col < 0 {
+		col = rng.Intn(len(r.Schema))
+	}
+	v := r.Tuples[rng.Intn(len(r.Tuples))][col]
+	r.Tuples = r.Select(func(tp relation.Tuple) bool { return tp[col] == v }).Tuples
+}
+
+// pointQuery is item_point's join over small random data: Orders ⋈ Stock
+// ⋈ Disp on the tree oid → location → {dispatcher, item}, with Orders
+// filtered to one item. With twoCols, Orders carries a second item column
+// in the item class, and only the first one is filtered. Half the time
+// Notes(oid, note) ⋈ Tags(note) joins in as oid's second child, so an oid
+// whose notes have no tag rolls back the location span it has just
+// recorded.
+func pointQuery(rng *rand.Rand, twoCols bool) (*core.Query, *ftree.T) {
+	ordersSchema := relation.Schema{"o_oid", "o_item"}
+	itemClass := []relation.Attribute{"o_item", "s_item"}
+	if twoCols {
+		ordersSchema = append(ordersSchema, "o_item2")
+		itemClass = append(itemClass, "o_item2")
+	}
+	orders := relation.New("Orders", ordersSchema)
+	stock := relation.New("Stock", relation.Schema{"s_location", "s_item"})
+	disp := relation.New("Disp", relation.Schema{"d_dispatcher", "d_location"})
+	items, locs := 2+rng.Intn(4), 2+rng.Intn(6)
+	v := func(n int) relation.Value { return relation.Value(rng.Intn(n)) }
+	for i := 0; i < 5+rng.Intn(40); i++ {
+		tp := relation.Tuple{v(30), v(items)}
+		if twoCols {
+			tp = append(tp, v(items))
+		}
+		orders.AppendTuple(tp)
+	}
+	for i := 0; i < 2+rng.Intn(20); i++ {
+		stock.Append(v(locs), v(items))
+		disp.Append(v(12), v(locs))
+	}
+	rels := []*relation.Relation{orders, stock, disp}
+	oid := ftree.NewNode("o_oid").Add(ftree.NewNode("s_location", "d_location").
+		Add(ftree.NewNode("d_dispatcher"), ftree.NewNode(itemClass...)))
+	if rng.Intn(2) == 0 {
+		notes := relation.New("Notes", relation.Schema{"n_oid", "n_note"})
+		for i := 0; i < rng.Intn(30); i++ {
+			notes.Append(v(30), v(3))
+		}
+		tags := relation.New("Tags", relation.Schema{"t_note"})
+		tags.Append(v(3))
+		rels = append(rels, notes, tags)
+		oid = ftree.NewNode("o_oid", "n_oid").Add(oid.Children[0], ftree.NewNode("n_note", "t_note"))
+	}
+	for _, r := range rels {
+		r.Dedup()
+	}
+	filterEq(rng, orders, 1)
+	var schemas []relation.AttrSet
+	for _, r := range rels {
+		schemas = append(schemas, relation.NewAttrSet(r.Schema...))
+	}
+	return &core.Query{Relations: rels}, ftree.New([]*ftree.Node{oid}, schemas)
 }

@@ -292,39 +292,47 @@ func (b *EncBuilder) Rollback(ni int, marks []int32) {
 	}
 }
 
+// Columns is what the copies read: an Enc, or a builder's own columns as
+// built so far, so a builder can copy what it has already built.
+type Columns interface {
+	Vals(ni int) []relation.Value
+	Offs(ni int) []int32
+	Kids(ni int) []int
+}
+
+// Vals returns node ni's value column as built so far.
+func (b *EncBuilder) Vals(ni int) []relation.Value { return b.vals[ni] }
+
+// Offs returns node ni's union offsets as built so far.
+func (b *EncBuilder) Offs(ni int) []int32 { return b.offs[ni] }
+
 // CopyUnions bulk-copies unions [ulo,uhi) of src node sni — with their
-// entire subtrees — into builder node dni, closing every copied union. The
-// subtree shapes below sni and dni must match child-for-child. Because
-// child unions follow parent entry order, every descendant's fragment is a
-// contiguous column range: the copy is a handful of memmoves per node.
-func (b *EncBuilder) CopyUnions(src *Enc, sni, dni, ulo, uhi int) {
+// entire subtrees — into builder node dni, closing every copied union, and
+// returns the number of entries copied over all nodes. The subtree shapes
+// below sni and dni must match child-for-child.
+func (b *EncBuilder) CopyUnions(src Columns, sni, dni, ulo, uhi int) int {
 	so := src.Offs(sni)
-	elo, ehi := so[ulo], so[uhi]
-	base := int32(len(b.vals[dni])) - elo
-	b.vals[dni] = append(b.vals[dni], src.Vals(sni)[elo:ehi]...)
+	base := i32(len(b.vals[dni])) - so[ulo]
 	for u := ulo; u < uhi; u++ {
 		b.offs[dni] = append(b.offs[dni], base+so[u+1])
 	}
-	dkids := b.ti.kids[dni]
-	for k, sc := range src.ti.kids[sni] {
-		b.CopyUnions(src, sc, dkids[k], int(elo), int(ehi))
-	}
+	return b.CopyEntries(src, sni, dni, int(so[ulo]), int(so[uhi]))
 }
 
-// CopyEntries bulk-copies entries [elo,ehi) of src node sni — with their
-// entire subtrees — into the currently open union at builder node dni,
-// without closing it. The entry values land in dni's open union; each
-// copied entry's child unions are copied (and closed) beneath, preserving
-// the parent-entry ⇔ child-union correspondence. Like CopyUnions this is a
-// handful of memmoves per descendant node; it is the primitive behind the
-// set-algebra merges, which interleave entries copied from either operand
-// inside a single union.
-func (b *EncBuilder) CopyEntries(src *Enc, sni, dni, elo, ehi int) {
+// CopyEntries is the one column-range copy: entries [elo,ehi) of src node
+// sni go to the open union at builder node dni, which stays open, and
+// below them each source child's unions [elo,ehi), since child union k
+// belongs to parent entry k. Every descendant's fragment is one contiguous
+// column range, so the copy is a handful of memmoves per node; the
+// set-algebra merges interleave entries from either operand with it. src
+// may be b itself: the copied range lies below each column's length.
+func (b *EncBuilder) CopyEntries(src Columns, sni, dni, elo, ehi int) int {
 	b.vals[dni] = append(b.vals[dni], src.Vals(sni)[elo:ehi]...)
-	dkids := b.ti.kids[dni]
-	for k, sc := range src.ti.kids[sni] {
-		b.CopyUnions(src, sc, dkids[k], elo, ehi)
+	n := ehi - elo
+	for k, sc := range src.Kids(sni) {
+		n += b.CopyUnions(src, sc, b.ti.kids[dni][k], elo, ehi)
 	}
+	return n
 }
 
 // Finish packs the per-node columns into one arena and returns the encoded
