@@ -247,17 +247,20 @@ func (db *DB) OpenSnapshots() int { return int(db.snaps.Load()) }
 
 // LoadTSV reads one relation from a tab-separated file (first line
 // "Name<TAB>attr…", see internal/csvio) into the database and returns its
-// name.
+// name. A file with a malformed line or a taken name is refused before
+// any of its strings is encoded: a minted code would render the integers
+// equal to it as that string.
 func (db *DB) LoadTSV(path string) (string, error) {
-	rel, err := csvio.ReadFile(path, db.dict)
+	tab, err := csvio.ReadFile(path)
 	if err != nil {
 		return "", err
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if _, ok := db.stores[rel.Name]; ok {
-		return "", fmt.Errorf("fdb: relation %q already exists", rel.Name)
+	if _, ok := db.stores[tab.Name]; ok {
+		return "", fmt.Errorf("fdb: relation %q already exists", tab.Name)
 	}
+	rel := tab.Encode(db.dict)
 	db.ver++
 	db.stores[rel.Name] = delta.FromRelation(rel, db.ver)
 	db.ord = append(db.ord, rel.Name)
@@ -362,7 +365,7 @@ func (db *DB) CacheStats() CacheStats {
 
 // Parallelism returns the number of workers an execution's factorisation
 // build and aggregation may use: runtime.GOMAXPROCS(0), read when the
-// execution starts. GOMAXPROCS=1 runs the serial code paths.
+// execution starts. GOMAXPROCS=1 builds one morsel and aggregates serially.
 func (db *DB) Parallelism() int { return runtime.GOMAXPROCS(0) }
 
 // orderLess returns the value comparator ORDER BY uses, mirroring how

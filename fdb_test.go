@@ -1,6 +1,8 @@
 package fdb
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -361,5 +363,43 @@ func TestTableRendering(t *testing.T) {
 	tbl := res.Table(3)
 	if !strings.Contains(tbl, "Orders.oid") || len(strings.Split(strings.TrimSpace(tbl), "\n")) != 4 {
 		t.Fatalf("table rendering wrong:\n%s", tbl)
+	}
+}
+
+// TestLoadTSVRefusedLeavesDict: a load refused for a taken name or a
+// malformed line encodes none of its strings. Integers and dictionary
+// codes share one value space, so a code minted by a refused load would
+// render the integers 0 and 1 already stored as its strings.
+func TestLoadTSVRefusedLeavesDict(t *testing.T) {
+	dir := t.TempDir()
+	load := func(db *DB, name, text string) error {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := db.LoadTSV(path)
+		return err
+	}
+	db := New()
+	if err := load(db, "n.tsv", "N\tx\n0\n1\n"); err != nil {
+		t.Fatal(err)
+	}
+	for file, text := range map[string]string{
+		"dup.tsv": "N\tx\nalpha\nbeta\n",           // N is taken
+		"bad.tsv": "M\tx\ty\nalpha\tbeta\ngamma\n", // line 3 has one field of two
+	} {
+		if load(db, file, text) == nil {
+			t.Fatalf("%s loaded", file)
+		}
+		if n := db.Dict().Len(); n != 0 {
+			t.Fatalf("refused %s left %d strings in the dictionary", file, n)
+		}
+	}
+	res, err := db.Query(From("N"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rows(0); !reflect.DeepEqual(got, [][]string{{"0"}, {"1"}}) {
+		t.Fatalf("N reads %v after refused loads, want [[0] [1]]", got)
 	}
 }

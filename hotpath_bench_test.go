@@ -186,9 +186,8 @@ func parallelBuildSetup(b *testing.B) ([]*relation.Relation, *ftree.T) {
 }
 
 // BenchmarkBuildParallelRetailer tracks the morsel-parallel encoded build
-// at GOMAXPROCS workers; on a single-core runner it measures
-// the partitioning + stitching overhead over BenchmarkBuildRetailer's
-// serial path.
+// at GOMAXPROCS workers over pre-sorted inputs; on a single-core runner it
+// builds the pivot root as one morsel, the path every serial build takes.
 func BenchmarkBuildParallelRetailer(b *testing.B) {
 	rels, tr := parallelBuildSetup(b)
 	workers := runtime.GOMAXPROCS(0)

@@ -5,7 +5,7 @@
 // Format: the first line is "Name<TAB>attr1<TAB>attr2…"; every following
 // non-empty line is one tuple. Fields that parse as signed 64-bit integers
 // are stored numerically; all other fields are dictionary-encoded through
-// the supplied Dict.
+// the supplied Dict, once the whole file has parsed (Table.Encode).
 package csvio
 
 import (
@@ -19,9 +19,18 @@ import (
 	"repro/internal/relation"
 )
 
+// Table is one parsed relation file: its name, its qualified schema and
+// its rows, still text. Read checks every line before it returns a Table,
+// so nothing is dictionary-encoded until Encode, which cannot fail.
+type Table struct {
+	Name   string
+	Schema relation.Schema
+	rows   [][]string
+}
+
 // Read parses one relation. Attribute names are qualified as "Name.attr"
 // so schemas from different files never collide.
-func Read(r io.Reader, dict *relation.Dict) (*relation.Relation, error) {
+func Read(r io.Reader) (*Table, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 16<<20)
 	if !sc.Scan() {
@@ -34,18 +43,16 @@ func Read(r io.Reader, dict *relation.Dict) (*relation.Relation, error) {
 	if len(head) < 2 {
 		return nil, fmt.Errorf("csvio: header %q needs a name and at least one attribute", sc.Text())
 	}
-	name := head[0]
-	sch := make(relation.Schema, len(head)-1)
+	t := &Table{Name: head[0], Schema: make(relation.Schema, len(head)-1)}
 	for i, a := range head[1:] {
 		if a == "" {
 			return nil, fmt.Errorf("csvio: empty attribute name in header")
 		}
-		sch[i] = relation.Attribute(name + "." + a)
+		t.Schema[i] = relation.Attribute(t.Name + "." + a)
 	}
-	if err := sch.Validate(); err != nil {
+	if err := t.Schema.Validate(); err != nil {
 		return nil, fmt.Errorf("csvio: %w", err)
 	}
-	rel := relation.New(name, sch)
 	line := 1
 	for sc.Scan() {
 		line++
@@ -54,37 +61,48 @@ func Read(r io.Reader, dict *relation.Dict) (*relation.Relation, error) {
 			continue
 		}
 		fields := strings.Split(txt, "\t")
-		if len(fields) != len(sch) {
-			return nil, fmt.Errorf("csvio: line %d has %d fields, schema has %d", line, len(fields), len(sch))
+		if len(fields) != len(t.Schema) {
+			return nil, fmt.Errorf("csvio: line %d has %d fields, schema has %d", line, len(fields), len(t.Schema))
 		}
-		t := make(relation.Tuple, len(fields))
-		for i, f := range fields {
-			if n, err := strconv.ParseInt(f, 10, 64); err == nil {
-				t[i] = relation.Value(n)
-			} else {
-				t[i] = dict.Encode(f)
-			}
-		}
-		rel.AppendTuple(t)
+		t.rows = append(t.rows, fields)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	return rel, nil
+	return t, nil
+}
+
+// Encode returns the table as a relation: fields that parse as signed
+// 64-bit integers are stored numerically, all others dictionary-encoded
+// through dict.
+func (t *Table) Encode(dict *relation.Dict) *relation.Relation {
+	rel := relation.New(t.Name, t.Schema)
+	for _, fields := range t.rows {
+		tp := make(relation.Tuple, len(fields))
+		for i, f := range fields {
+			if n, err := strconv.ParseInt(f, 10, 64); err == nil {
+				tp[i] = relation.Value(n)
+			} else {
+				tp[i] = dict.Encode(f)
+			}
+		}
+		rel.AppendTuple(tp)
+	}
+	return rel
 }
 
 // ReadFile opens and parses one relation file.
-func ReadFile(path string, dict *relation.Dict) (*relation.Relation, error) {
+func ReadFile(path string) (*Table, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer func() { _ = f.Close() }()
-	rel, err := Read(f, dict)
+	t, err := Read(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return rel, nil
+	return t, nil
 }
 
 // Write renders the relation in the text format. Values present in dict

@@ -12,10 +12,11 @@ import (
 func TestReadBasic(t *testing.T) {
 	in := "Orders\toid\titem\n1\tMilk\n2\tCheese\n\n3\tMilk\n"
 	d := relation.NewDict()
-	r, err := Read(strings.NewReader(in), d)
+	tab, err := Read(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := tab.Encode(d)
 	if r.Name != "Orders" || r.Cardinality() != 3 {
 		t.Fatalf("got %s with %d tuples", r.Name, r.Cardinality())
 	}
@@ -37,7 +38,6 @@ func TestReadBasic(t *testing.T) {
 }
 
 func TestReadErrors(t *testing.T) {
-	d := relation.NewDict()
 	cases := []string{
 		"",                // empty
 		"OnlyName\n",      // no attributes
@@ -46,7 +46,7 @@ func TestReadErrors(t *testing.T) {
 		"R\ta\t\n1\t2\n",  // empty attribute name
 	}
 	for _, c := range cases {
-		if _, err := Read(strings.NewReader(c), d); err == nil {
+		if _, err := Read(strings.NewReader(c)); err == nil {
 			t.Errorf("input %q accepted", c)
 		}
 	}
@@ -62,10 +62,11 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	d2 := relation.NewDict()
-	back, err := Read(&buf, d2)
+	tab, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	back := tab.Encode(d2)
 	if !back.Schema.Equal(r.Schema) || back.Cardinality() != 2 {
 		t.Fatalf("round trip wrong: %v (%d tuples)", back.Schema, back.Cardinality())
 	}
@@ -82,10 +83,11 @@ func TestRoundTripNumericNilDict(t *testing.T) {
 	if err := Write(&buf, r, nil); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Read(&buf, relation.NewDict())
+	tab, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	back := tab.Encode(relation.NewDict())
 	if back.Tuples[0][0] != -7 || back.Tuples[1][0] != 42 {
 		t.Fatalf("numeric round trip wrong: %v", back.Tuples)
 	}
@@ -100,14 +102,15 @@ func TestFileRoundTrip(t *testing.T) {
 	if err := WriteFile(path, r, d); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadFile(path, d)
+	tab, err := ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	back := tab.Encode(d)
 	if back.Cardinality() != 1 || d.Decode(back.Tuples[0][0]) != "hello" {
 		t.Fatal("file round trip wrong")
 	}
-	if _, err := ReadFile(filepath.Join(dir, "missing.tsv"), d); err == nil {
+	if _, err := ReadFile(filepath.Join(dir, "missing.tsv")); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }

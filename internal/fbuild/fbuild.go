@@ -21,6 +21,11 @@
 // that ancestor; it memoises key → the entry span its union produced and
 // copies the span, subtree and all, on a repeat. Leaves are not memoised:
 // their keys mostly miss, and a leaf union is cheap to rebuild.
+//
+// A build has one driver, BuildEncParallelContext (parallel.go): the other
+// roots are built into one column builder, the pivot root's values split
+// into morsels built into one builder each, and frep.EncBuilder.Finish
+// packs them all into one arena. A serial build is one unbounded morsel.
 package fbuild
 
 import (
@@ -191,24 +196,10 @@ func SortIndex(r *relation.Relation, t *ftree.T) ([]int, error) {
 // the arena-backed columns. Every attribute of every relation must label a
 // node of t, and each relation's nodes must lie on one root-to-leaf path
 // (the path constraint). Relations are sorted in place by their path order
-// (a no-op if already sorted, e.g. via SortFor).
+// (a no-op if already sorted, e.g. via SortFor). It is the build driver,
+// BuildEncParallelContext, with one worker.
 func BuildEnc(rels []*relation.Relation, t *ftree.T) (*frep.Enc, error) {
-	return BuildEncContext(context.Background(), rels, t)
-}
-
-// BuildEncContext is BuildEnc with cancellation: the construction polls ctx
-// at regular checkpoints and aborts with ctx's error, so long factorisation
-// builds can be abandoned by impatient callers.
-func BuildEncContext(ctx context.Context, rels []*relation.Relation, t *ftree.T) (*frep.Enc, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	b := newBuilder(ctx, t)
-	states, err := b.newStates(rels)
-	if err != nil {
-		return nil, err
-	}
-	return b.buildAll(t, states)
+	return BuildEncParallelContext(context.Background(), rels, t, 1)
 }
 
 // newStates prepares one build state per input relation and decides which

@@ -1,19 +1,20 @@
-// Parallel factorised build: morsel-driven parallelism over the encoded
+// The build driver: morsel-driven parallelism over the encoded
 // representation. The root union of an f-representation concatenates its
 // entries in ascending value order, and the fragment below any contiguous
 // run of entries is contiguous in every descendant column — so the build
 // partitions cleanly by value range: split the pivot root's candidate
 // values into M morsels, run the ordinary leapfrog build per morsel into a
 // private column builder (each worker sees the same sorted, read-only
-// relations, narrowed to its value range), and stitch the builders back
-// together with bulk copies and offset rebasing (frep.StitchEnc). One
-// worker count of 1 — or a root too small to split — takes today's serial
-// path bit for bit.
+// relations, narrowed to its value range), and pack the builders into one
+// arena with bulk copies and offset rebasing (frep.EncBuilder.Finish). A
+// serial build — one worker, or a root too small to split — is one
+// unbounded morsel of the same driver.
 package fbuild
 
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/frep"
 	"repro/internal/ftree"
@@ -40,14 +41,12 @@ func BuildEncParallel(rels []*relation.Relation, t *ftree.T, workers int) (*frep
 
 // BuildEncParallelContext evaluates the natural join encoded by t directly
 // into the arena-backed columnar representation, partitioning the pivot
-// root's value domain into morsels evaluated concurrently. The result is
-// structurally identical (frep.Enc.Equal) to BuildEncContext's. workers <= 1
-// delegates to the serial build unchanged; cancellation is polled by every
-// worker at the same checkpoints as the serial build.
+// root's value domain into morsels that up to workers goroutines build
+// concurrently. It is the one build driver: BuildEnc calls it with one
+// worker, and one worker or a root under two entries per worker makes one
+// unbounded morsel. The result is the same (frep.Enc.Equal) at every worker
+// count; cancellation is polled by every worker at the same checkpoints.
 func BuildEncParallelContext(ctx context.Context, rels []*relation.Relation, t *ftree.T, workers int) (*frep.Enc, error) {
-	if workers <= 1 {
-		return BuildEncContext(ctx, rels, t)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -59,69 +58,60 @@ func BuildEncParallelContext(ctx context.Context, rels []*relation.Relation, t *
 
 	// Route states to roots and pick the pivot: the root whose driver
 	// relation (largest active range) gives the most entries to split.
-	pivot, pivotMine, driver := pickPivot(b, t, states)
-	if driver == nil || driver.hi-driver.lo < 2*workers {
-		// Nothing worth splitting: a degenerate or tiny root.
-		return b.buildAll(t, states)
-	}
-	ranges := morselRanges(driver, workers*morselsPerWorker)
-	if len(ranges) < 2 {
-		return b.buildAll(t, states)
+	routed, pivot, driver := pickPivot(b, t, states)
+	var ranges []valRange
+	switch {
+	case driver == nil: // no root has an active state: buildRest takes them all
+	case workers > 1 && driver.hi-driver.lo >= 2*workers:
+		ranges = morselRanges(driver, workers*morselsPerWorker)
+	default:
+		ranges = []valRange{{}}
 	}
 
-	// Workers drain the morsel queue; each morsel gets a private column
-	// builder and private copies of the states routed into the pivot
-	// subtree (the relations themselves are shared and read-only: they were
-	// sorted once above, before any goroutine started). Each morsel builder
-	// owns its frames, memo tables included, so a key built in one morsel
-	// is built again in the next.
+	// Morsels go in turn to workers-1 goroutines and to the calling one,
+	// which first builds the remaining roots (if any). Each morsel
+	// gets a private column builder and private copies of the states
+	// routed into the pivot subtree (the relations themselves are shared
+	// and read-only: they were sorted once above, before any goroutine
+	// started). Each morsel builder owns its frames, memo tables included,
+	// so a key built in one morsel is built again in the next.
 	parts := make([]*frep.EncBuilder, len(ranges))
 	errs := make([]error, len(ranges))
-	next := make(chan int, len(ranges))
-	for mi := range ranges {
-		next <- mi
+	var next atomic.Int64
+	drain := func() {
+		for mi := next.Add(1) - 1; mi < int64(len(ranges)); mi = next.Add(1) - 1 {
+			parts[mi], errs[mi] = buildMorsel(b, t, t.Roots[pivot], routed[pivot], ranges[mi])
+		}
 	}
-	close(next)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range min(workers, len(ranges)) - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for mi := range next {
-				parts[mi], errs[mi] = buildMorsel(b, t, pivot, pivotMine, ranges[mi])
-			}
+			drain()
 		}()
 	}
-	// The main goroutine builds the remaining roots (if any) while the
-	// workers chew through the pivot morsels.
-	rest, restEmpty, restErr := b.buildRest(t, pivot, states)
+	rest, err := b.buildRest(t, pivot, routed)
+	drain()
 	wg.Wait()
-	if restErr != nil {
-		return nil, restErr
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	for _, e := range append(errs, err) {
+		if e != nil {
+			return nil, e
 		}
 	}
-	total := 0
-	for _, p := range parts {
-		total += p.Entries(p.Idx(pivot))
+	if e := rest.Finish(parts...); !e.IsEmpty() {
+		return e, nil
 	}
-	if total == 0 || restEmpty {
-		return frep.NewEmptyEnc(t), nil
-	}
-	return frep.StitchEnc(t, pivot, parts, rest), nil
+	return frep.NewEmptyEnc(t), nil
 }
 
-// pickPivot chooses the root to partition: the one whose largest active
-// relation range is widest. It returns the pivot, the states routed into
-// its subtree, and that driver state (nil if no root has an active state).
-func pickPivot(b *builder, t *ftree.T, states []*relState) (*ftree.Node, []*relState, *relState) {
-	var pivot *ftree.Node
-	var pivotMine []*relState
-	var driver *relState
-	for _, root := range t.Roots {
+// pickPivot routes the states to the roots (routed[k] holds those under
+// t.Roots[k]) and chooses the root to partition: the one whose largest
+// active relation range is widest. It returns that root's index in
+// t.Roots and its driver state (-1 and nil if no root has an active state).
+func pickPivot(b *builder, t *ftree.T, states []*relState) (routed [][]*relState, pivot int, driver *relState) {
+	pivot = -1
+	for k, root := range t.Roots {
 		ri := b.pre[root]
 		var mine []*relState
 		var best *relState
@@ -133,11 +123,12 @@ func pickPivot(b *builder, t *ftree.T, states []*relState) (*ftree.Node, []*relS
 				}
 			}
 		}
+		routed = append(routed, mine)
 		if best != nil && (driver == nil || best.hi-best.lo > driver.hi-driver.lo) {
-			pivot, pivotMine, driver = root, mine, best
+			pivot, driver = k, best
 		}
 	}
-	return pivot, pivotMine, driver
+	return routed, pivot, driver
 }
 
 // morselRanges splits the driver's sorted root-class column into up to m
@@ -169,7 +160,8 @@ func morselRanges(driver *relState, m int) []valRange {
 
 // buildMorsel runs one morsel: clone the pivot-subtree states, narrow the
 // states active at the pivot to the morsel's value range, and run the
-// ordinary encoded leapfrog build into a fresh column builder and frames.
+// ordinary encoded leapfrog build into a fresh column builder and frames,
+// leaving the pivot's union open.
 func buildMorsel(shared *builder, t *ftree.T, pivot *ftree.Node, mine []*relState, r valRange) (*frep.EncBuilder, error) {
 	wb := &builder{tree: t, pre: shared.pre, sub: shared.sub, memo: shared.memo, ctx: shared.ctx,
 		eb: frep.NewEncBuilder(t), frames: make([]frame, len(shared.frames))}
@@ -187,9 +179,7 @@ func buildMorsel(shared *builder, t *ftree.T, pivot *ftree.Node, mine []*relStat
 		}
 		clones[i] = &c
 	}
-	ri := wb.eb.Idx(pivot)
-	wb.buildUnionEnc(ri, clones)
-	wb.eb.CloseUnion(ri)
+	wb.buildUnionEnc(wb.eb.Idx(pivot), clones) // Finish closes the pivot's union
 	wb.report()
 	if wb.err != nil {
 		return nil, wb.err
@@ -197,46 +187,22 @@ func buildMorsel(shared *builder, t *ftree.T, pivot *ftree.Node, mine []*relStat
 	return wb.eb, nil
 }
 
-// buildRest builds every root except pivot (every root, when pivot is nil)
-// into the builder's own column builder, serially on the caller's
-// goroutine, and reports whether any of them came up empty. With a single
-// root and a pivot it returns a builder whose columns StitchEnc never reads.
-func (b *builder) buildRest(t *ftree.T, pivot *ftree.Node, states []*relState) (*frep.EncBuilder, bool, error) {
+// buildRest builds every root but t.Roots[pivot] from the states routed to
+// it into the builder's own column builder, serially on the caller's
+// goroutine.
+func (b *builder) buildRest(t *ftree.T, pivot int, routed [][]*relState) (*frep.EncBuilder, error) {
 	b.eb = frep.NewEncBuilder(t)
-	empty := false
-	for _, root := range t.Roots {
-		if root == pivot {
+	for k, root := range t.Roots {
+		if k == pivot {
 			continue
 		}
 		ri := b.pre[root]
-		var mine []*relState
-		for _, st := range states {
-			if len(st.pres) > 0 && b.under(st.pres[0], ri) {
-				mine = append(mine, st)
-			}
-		}
-		n := b.buildUnionEnc(ri, mine)
+		b.buildUnionEnc(ri, routed[k])
 		b.eb.CloseUnion(ri)
 		if b.err != nil {
-			return nil, false, b.err
-		}
-		if n == 0 {
-			empty = true
+			return nil, b.err
 		}
 	}
 	b.report()
-	return b.eb, empty, nil
-}
-
-// buildAll finishes a build serially from already-prepared states — the
-// fallback when partitioning is not worthwhile.
-func (b *builder) buildAll(t *ftree.T, states []*relState) (*frep.Enc, error) {
-	eb, empty, err := b.buildRest(t, nil, states)
-	if err != nil {
-		return nil, err
-	}
-	if empty {
-		return frep.NewEmptyEnc(t), nil
-	}
-	return eb.Finish(), nil
+	return b.eb, nil
 }

@@ -12,8 +12,8 @@ import (
 	"repro/internal/relation"
 )
 
-// TestBuildEncParallelMatchesSerial: the stitched parallel build validates
-// and is structurally equal (column for column) to the serial build, across
+// TestBuildEncParallelMatchesSerial: the packed parallel build validates
+// and is structurally equal (column for column) to the one-worker build, across
 // random queries, worker counts and value skews.
 func TestBuildEncParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
@@ -43,7 +43,7 @@ func TestBuildEncParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("trial %d (p=%d): %v", trial, workers, err)
 			}
 			if err := par.Validate(); err != nil {
-				t.Fatalf("trial %d (p=%d): stitched enc invalid: %v\ntree:\n%s", trial, workers, err, tr)
+				t.Fatalf("trial %d (p=%d): packed enc invalid: %v\ntree:\n%s", trial, workers, err, tr)
 			}
 			if !par.Equal(serial) {
 				t.Fatalf("trial %d (p=%d): parallel build differs from serial\ntree:\n%s", trial, workers, tr)

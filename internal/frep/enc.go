@@ -163,16 +163,10 @@ func (e *Enc) IsEmpty() bool {
 	return false
 }
 
-// NewEmptyEnc returns the canonical empty representation over t.
-func NewEmptyEnc(t *ftree.T) *Enc {
-	b := NewEncBuilder(t)
-	for _, ri := range b.ti.roots {
-		b.CloseUnion(ri)
-	}
-	e := b.Finish()
-	e.Empty = true
-	return e
-}
+// NewEmptyEnc returns the canonical empty representation over t: one empty
+// union per root and no other union. It is empty over a tree without roots
+// too, which no root union could say.
+func NewEmptyEnc(t *ftree.T) *Enc { return pack(t, indexTree(t), true, nil) }
 
 // ReTree returns a view of e over tree t, which must have the same
 // pre-order shape (node-for-node) as e.Tree — used by operators that only
@@ -194,25 +188,17 @@ func (e *Enc) DropLeaf(t *ftree.T, ni int) *Enc {
 
 // ConcatEnc combines two encoded representations into one over tree t,
 // whose roots must be a's roots followed by b's roots (same shapes). Used
-// by the Cartesian product operator; columns are copied into a fresh single
-// arena, spans rebased.
+// by the Cartesian product operator: a builder whose columns are a's
+// nodes, then b's, aliased rather than copied, goes through the packer.
 func ConcatEnc(t *ftree.T, a, b *Enc) *Enc {
-	out := &Enc{Tree: t, Empty: a.IsEmpty() || b.IsEmpty(), ti: indexTree(t)}
-	out.A.Vals = make([]relation.Value, 0, len(a.A.Vals)+len(b.A.Vals))
-	out.A.Offs = make([]int32, 0, len(a.A.Offs)+len(b.A.Offs))
+	cols := &EncBuilder{tree: t, ti: indexTree(t)}
 	for _, src := range []*Enc{a, b} {
 		for ni := range src.cols {
-			vlo := i32(len(out.A.Vals))
-			out.A.Vals = append(out.A.Vals, src.Vals(ni)...)
-			olo := i32(len(out.A.Offs))
-			out.A.Offs = append(out.A.Offs, src.Offs(ni)...)
-			out.cols = append(out.cols, nodeCol{
-				valLo: vlo, valHi: i32(len(out.A.Vals)),
-				offLo: olo, offHi: i32(len(out.A.Offs)),
-			})
+			cols.vals = append(cols.vals, src.Vals(ni))
+			cols.offs = append(cols.offs, src.Offs(ni))
 		}
 	}
-	return out
+	return pack(t, cols.ti, a.IsEmpty() || b.IsEmpty(), []*EncBuilder{cols})
 }
 
 // ---------------------------------------------------------------- builder
@@ -262,6 +248,9 @@ func i32(n int) int32 {
 	}
 	return int32(n)
 }
+
+// Entries returns the number of entry values appended so far at node ni.
+func (b *EncBuilder) Entries(ni int) int { return len(b.vals[ni]) }
 
 // Append adds one entry value at node ni (to the currently open union).
 func (b *EncBuilder) Append(ni int, v relation.Value) {
@@ -335,29 +324,58 @@ func (b *EncBuilder) CopyEntries(src Columns, sni, dni, elo, ehi int) int {
 	return n
 }
 
-// Finish packs the per-node columns into one arena and returns the encoded
-// representation. Emptiness is detected from the roots (any root union
-// without entries represents ∅).
-func (b *EncBuilder) Finish() *Enc {
-	totalV, totalO := 0, 0
-	for i := range b.vals {
-		totalV += len(b.vals[i])
-		totalO += len(b.offs[i])
+// Finish packs b's columns, followed node by node by those of each builder
+// in more, into one arena and returns the encoded representation. A later
+// builder's union offsets are rebased by the entries before it at the
+// node, so builders over consecutive value ranges of a root concatenate
+// into one build: each leaves that root's union open, and a root union
+// none of them closed is closed once, over all of them. Emptiness is
+// detected from the roots (any root union without entries represents ∅).
+func (b *EncBuilder) Finish(more ...*EncBuilder) *Enc {
+	return pack(b.tree, b.ti, false, append([]*EncBuilder{b}, more...))
+}
+
+// pack is the only code that writes an arena. Node ni's column is the
+// parts' columns at ni back to back, each part's offsets past its leading
+// 0 rebased by the entries before it; a root that no part closed a union
+// at gets one union over all its entries. The result is empty if empty is
+// set or any root union has no entries.
+func pack(t *ftree.T, ti *treeIndex, empty bool, parts []*EncBuilder) *Enc {
+	nv, no := 0, 0
+	for ni := range ti.nodes {
+		closed := 0
+		for _, p := range parts {
+			nv += len(p.vals[ni])
+			closed += len(p.offs[ni]) - 1
+		}
+		if closed == 0 && ti.par[ni] < 0 {
+			closed = 1
+		}
+		no += 1 + closed
 	}
-	e := &Enc{Tree: b.tree, ti: b.ti,
-		A:    Arena{Vals: make([]relation.Value, 0, totalV), Offs: make([]int32, 0, totalO)},
-		cols: make([]nodeCol, len(b.vals))}
-	for i := range b.vals {
-		vlo := i32(len(e.A.Vals))
-		e.A.Vals = append(e.A.Vals, b.vals[i]...)
-		olo := i32(len(e.A.Offs))
-		e.A.Offs = append(e.A.Offs, b.offs[i]...)
-		e.cols[i] = nodeCol{valLo: vlo, valHi: i32(len(e.A.Vals)), offLo: olo, offHi: i32(len(e.A.Offs))}
-	}
-	for _, ri := range b.ti.roots {
-		if e.NumEntries(ri) == 0 {
+	e := &Enc{Tree: t, Empty: empty, ti: ti,
+		A:    Arena{Vals: make([]relation.Value, 0, nv), Offs: make([]int32, 0, no)},
+		cols: make([]nodeCol, len(ti.nodes))}
+	for ni := range ti.nodes {
+		vlo, olo := i32(len(e.A.Vals)), i32(len(e.A.Offs))
+		e.A.Offs = append(e.A.Offs, 0)
+		for _, p := range parts {
+			base := i32(len(e.A.Vals)) - vlo
+			e.A.Vals = append(e.A.Vals, p.vals[ni]...)
+			if offs := p.offs[ni][1:]; base == 0 {
+				e.A.Offs = append(e.A.Offs, offs...)
+			} else {
+				for _, o := range offs {
+					e.A.Offs = append(e.A.Offs, base+o)
+				}
+			}
+		}
+		if len(e.A.Offs) == int(olo)+1 && ti.par[ni] < 0 { // a root union none closed
+			e.A.Offs = append(e.A.Offs, i32(len(e.A.Vals))-vlo)
+		}
+		e.cols[ni] = nodeCol{valLo: vlo, valHi: i32(len(e.A.Vals)), offLo: olo, offHi: i32(len(e.A.Offs))}
+		if ti.par[ni] < 0 && e.NumEntries(ni) == 0 {
 			e.Empty = true
-			break
 		}
 	}
 	return e

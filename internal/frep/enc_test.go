@@ -1,7 +1,6 @@
 package frep
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -85,39 +84,6 @@ func TestEncEmpty(t *testing.T) {
 	e.Enumerate(func(relation.Tuple) bool { n++; return true })
 	if n != 0 {
 		t.Fatalf("empty enc enumerated %d tuples", n)
-	}
-}
-
-// ConcatEnc mirrors the Cartesian product at the data level.
-func TestEncConcatProduct(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	mk := func(attr relation.Attribute, n int) *Enc {
-		r := relation.New("R", relation.Schema{attr})
-		for i := 0; i < n; i++ {
-			r.Append(relation.Value(rng.Intn(50)))
-		}
-		r.Dedup()
-		tr := ftree.New([]*ftree.Node{ftree.NewNode(attr)}, []relation.AttrSet{relation.NewAttrSet(attr)})
-		e, err := fromRelation(tr, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	a, b := mk("X", 8), mk("Y", 5)
-	tree := &ftree.T{
-		Roots:  append(append([]*ftree.Node{}, a.Tree.Roots...), b.Tree.Roots...),
-		Rels:   append(append([]relation.AttrSet{}, a.Tree.Rels...), b.Tree.Rels...),
-		Deps:   append(append([]relation.AttrSet{}, a.Tree.Deps...), b.Tree.Deps...),
-		Hidden: a.Tree.Hidden.Union(b.Tree.Hidden),
-		Consts: a.Tree.Consts.Union(b.Tree.Consts),
-	}
-	p := ConcatEnc(tree, a, b)
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if p.Count() != a.Count()*b.Count() {
-		t.Fatalf("product count %d, want %d", p.Count(), a.Count()*b.Count())
 	}
 }
 
