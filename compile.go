@@ -238,27 +238,25 @@ func (db *DB) plan(b *boundSpec) (*Stmt, error) {
 			return nil, err
 		}
 	}
-	// Order-aware planning: sibling and root order are semantically free, so
-	// first try to reorder the optimal tree until the ORDER BY keys label the
-	// front of its pre-order walk (streaming order, no sort). If the shape
-	// itself is in the way, search for the cheapest order-compatible tree and
-	// take it when the cost model approves — equal cost always, half a cover
-	// unit of slack when a Limit makes top-k short-circuiting worth it.
-	// Otherwise the statement keeps the optimal tree and retrieval falls back
-	// to a bounded heap at Exec time.
+	// Order-aware planning: frep.ResolveOrder arranges roots and siblings,
+	// which are semantically free, so that the ORDER BY keys label the
+	// front of the pre-order walk (streaming order, no sort). If the shape
+	// itself is in the way, search for the cheapest order-compatible tree
+	// and take it when the cost model approves — equal cost always, half a
+	// cover unit of slack when a Limit makes top-k short-circuiting worth
+	// it. Otherwise the statement keeps the planned tree as it is, and so
+	// the data holder of its unordered twin, and retrieval falls back to a
+	// bounded heap at Exec time.
 	if len(b.order) > 0 {
-		// A successful reorder is verified against the order property it
-		// claims to establish.
-		if fplan.ReorderForOrder(p.tree, b.order) {
-			_, p.streamable = frep.ResolveOrder(p.tree, b.order, nil)
-		}
+		p.tree, _, p.streamable = frep.ResolveOrder(p.tree, b.order, nil)
 		if !p.streamable {
 			ot, ocost, oerr := db.planTree(classes, schemas, orderChain(classes, b.order))
 			switch {
 			case oerr == nil:
-				if opt.PreferOrdered(p.cost, ocost, b.limit >= 0) && fplan.ReorderForOrder(ot, b.order) {
-					p.tree, p.cost = ot, ocost
-					p.streamable = true
+				if opt.PreferOrdered(p.cost, ocost, b.limit >= 0) {
+					if ot, _, ok := frep.ResolveOrder(ot, b.order, nil); ok {
+						p.tree, p.cost, p.streamable = ot, ocost, true
+					}
 				}
 			case errors.Is(oerr, opt.ErrOrderIncompatible):
 				// No f-tree of this query streams the requested order;

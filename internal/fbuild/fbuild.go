@@ -64,20 +64,16 @@ type relState struct {
 // builder holds the shared build context.
 type builder struct {
 	tree *ftree.T
-	// The tree in pre-order, numbered as frep's column builder numbers it:
-	// pre maps a node to its index (setup only) and sub[i] ends i's
-	// subtree, so p lies under i iff i <= p < sub[i]. Morsel workers share
-	// both read-only.
-	pre map[*ftree.Node]int
-	sub []int
 	// cancellation: ctx is polled every checkTick leapfrog rounds; a
 	// non-nil err aborts the recursion.
 	ctx  context.Context
 	tick uint
 	err  error
-	// eb receives the entries; frames[ni] is the scratch of the union being
-	// built for node ni, reused by every union of ni, so a build allocates
-	// no scratch per union or per value.
+	// eb receives the entries and numbers the tree in pre-order, once per
+	// build: the driver's builder takes the other roots, and each morsel's
+	// is a Fresh one over the same numbering. frames[ni] is the scratch of
+	// the union being built for node ni, reused by every union of ni, so a
+	// build allocates no scratch per union or per value.
 	eb     *frep.EncBuilder
 	frames []frame
 	// memo[i]: node i memoises its unions (see memoise), shared read-only
@@ -138,28 +134,15 @@ func (b *builder) checkpoint() bool {
 	return false
 }
 
-// newBuilder numbers the tree in pre-order and gives each node a frame.
+// newBuilder numbers the tree in pre-order (its column builder) and gives
+// each node a frame.
 func newBuilder(ctx context.Context, t *ftree.T) *builder {
-	b := &builder{tree: t, pre: map[*ftree.Node]int{}, ctx: ctx}
-	var number func(n *ftree.Node)
-	number = func(n *ftree.Node) {
-		i := len(b.sub)
-		b.pre[n] = i
-		b.sub = append(b.sub, 0)
-		for _, c := range n.Children {
-			number(c)
-		}
-		b.sub[i] = len(b.sub)
-	}
-	for _, r := range t.Roots {
-		number(r)
-	}
-	b.frames = make([]frame, len(b.sub))
-	return b
+	eb := frep.NewEncBuilder(t)
+	return &builder{tree: t, ctx: ctx, eb: eb, frames: make([]frame, eb.NodeCount())}
 }
 
 // under reports whether pre-order index p lies in the subtree of node i.
-func (b *builder) under(p, i int) bool { return i <= p && p < b.sub[i] }
+func (b *builder) under(p, i int) bool { return i <= p && p < b.eb.End(i) }
 
 // SortFor sorts each relation by its root-to-leaf path order in t — exactly
 // the order BuildEnc imposes — and verifies the path constraint. Callers
@@ -223,9 +206,9 @@ func (b *builder) newStates(rels []*relation.Relation) ([]*relState, error) {
 // each key once per entry; where every ancestor binds a keyed state, each
 // key is new and a table would only cost.
 func (b *builder) memoise(states []*relState) {
-	b.memo = make([]bool, len(b.sub))
+	b.memo = make([]bool, len(b.frames))
 	for ni := range b.memo {
-		if b.sub[ni] == ni+1 {
+		if b.eb.End(ni) == ni+1 {
 			continue // a leaf
 		}
 		for a := 0; a < ni && !b.memo[ni]; a++ {
@@ -418,7 +401,7 @@ func (b *builder) buildUnionEnc(ni int, states []*relState) int {
 				count++
 			} else {
 				b.eb.Rollback(ni, f.mark)
-				for j := ni; j < b.sub[ni]; j++ {
+				for j := ni; j < b.eb.End(ni); j++ {
 					if b.memo[j] {
 						b.dropped += b.frames[j].drop(b.eb.Entries(j))
 					}
@@ -448,10 +431,10 @@ func (b *builder) newState(r *relation.Relation) (*relState, error) {
 		byNode[n] = append(byNode[n], i)
 	}
 	// Path order = ascending pre-order number; verify the chain property.
-	sort.Slice(nodes, func(i, j int) bool { return b.pre[nodes[i]] < b.pre[nodes[j]] })
+	sort.Slice(nodes, func(i, j int) bool { return b.eb.Idx(nodes[i]) < b.eb.Idx(nodes[j]) })
 	st := &relState{rel: r, nodes: nodes, lo: 0, hi: r.Cardinality()}
 	for i, n := range nodes {
-		st.pres = append(st.pres, b.pre[n])
+		st.pres = append(st.pres, b.eb.Idx(n))
 		if i > 0 && !b.under(st.pres[i], st.pres[i-1]) {
 			return nil, fmt.Errorf("fbuild: relation %s violates the path constraint (classes %v and %v on different branches)",
 				r.Name, nodes[i-1].Attrs, n.Attrs)

@@ -112,7 +112,7 @@ func BuildEncParallelContext(ctx context.Context, rels []*relation.Relation, t *
 func pickPivot(b *builder, t *ftree.T, states []*relState) (routed [][]*relState, pivot int, driver *relState) {
 	pivot = -1
 	for k, root := range t.Roots {
-		ri := b.pre[root]
+		ri := b.eb.Idx(root)
 		var mine []*relState
 		var best *relState
 		for _, st := range states {
@@ -163,8 +163,8 @@ func morselRanges(driver *relState, m int) []valRange {
 // ordinary encoded leapfrog build into a fresh column builder and frames,
 // leaving the pivot's union open.
 func buildMorsel(shared *builder, t *ftree.T, pivot *ftree.Node, mine []*relState, r valRange) (*frep.EncBuilder, error) {
-	wb := &builder{tree: t, pre: shared.pre, sub: shared.sub, memo: shared.memo, ctx: shared.ctx,
-		eb: frep.NewEncBuilder(t), frames: make([]frame, len(shared.frames))}
+	wb := &builder{tree: t, memo: shared.memo, ctx: shared.ctx,
+		eb: shared.eb.Fresh(), frames: make([]frame, len(shared.frames))}
 	clones := make([]*relState, len(mine))
 	for i, st := range mine {
 		c := *st
@@ -191,12 +191,11 @@ func buildMorsel(shared *builder, t *ftree.T, pivot *ftree.Node, mine []*relStat
 // it into the builder's own column builder, serially on the caller's
 // goroutine.
 func (b *builder) buildRest(t *ftree.T, pivot int, routed [][]*relState) (*frep.EncBuilder, error) {
-	b.eb = frep.NewEncBuilder(t)
 	for k, root := range t.Roots {
 		if k == pivot {
 			continue
 		}
-		ri := b.pre[root]
+		ri := b.eb.Idx(root)
 		b.buildUnionEnc(ri, routed[k])
 		b.eb.CloseUnion(ri)
 		if b.err != nil {

@@ -293,7 +293,7 @@ func pushUpEnc(o PushUp, e *frep.Enc) (*frep.Enc, error) {
 			b.CloseUnion(dA)
 			// The factored-out copy: B-union of the first A-entry.
 			b.CopyUnions(e, sbi, s2d[sbi], int(lo), int(lo)+1)
-			if Strict && checkErr == nil {
+			if strict && checkErr == nil {
 				for i := lo + 1; i < hi; i++ {
 					if !e.UnionEqual(sbi, int(i), int(lo)) {
 						checkErr = fmt.Errorf("fplan: push-up of %q factored out unequal copies", o.B)

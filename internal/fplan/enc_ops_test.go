@@ -152,7 +152,7 @@ func TestSwapAbsorbEdgeShapes(t *testing.T) {
 	}
 }
 
-// TestStrictPushUpCatchesUnequalCopies: with Strict on (the whole test
+// TestStrictPushUpCatchesUnequalCopies: with strict on (the whole test
 // package), a push-up over data that does not have the independence its
 // tree claims fails instead of silently keeping the first copy.
 func TestStrictPushUpCatchesUnequalCopies(t *testing.T) {
@@ -163,7 +163,7 @@ func TestStrictPushUpCatchesUnequalCopies(t *testing.T) {
 	lying := e.ReTree(chainTree(attrs, []relation.AttrSet{relation.NewAttrSet("A"), relation.NewAttrSet("B")}))
 	_, err := ApplyEnc(PushUp{B: "B"}, lying)
 	if err == nil || !strings.Contains(err.Error(), "unequal copies") {
-		t.Fatalf("want the Strict equality check to fire, got %v", err)
+		t.Fatalf("want the strict equality check to fire, got %v", err)
 	}
 }
 
@@ -183,5 +183,38 @@ func TestSelectFnDirect(t *testing.T) {
 	out := applyChecked(t, op, e)
 	if out.Tree.Canonical() != e.Tree.Canonical() {
 		t.Errorf("Select changed the tree:\n%s\nwas:\n%s", out.Tree, e.Tree)
+	}
+}
+
+// Distinct: identity on engine-built representations (real dedup on
+// duplicate-carrying ones is frep's TestDedupEnc) and a schema no-op.
+func TestDistinctOp(t *testing.T) {
+	r := relation.New("R", relation.Schema{"A", "B"})
+	r.Append(1, 2)
+	r.Append(1, 3)
+	r.Append(2, 2)
+	tr := ftree.New([]*ftree.Node{ftree.NewNode("A").Add(ftree.NewNode("B"))},
+		[]relation.AttrSet{relation.NewAttrSet("A", "B")})
+	e := mustEnc(t, tr, r)
+	out := applyChecked(t, Distinct{}, e)
+	if !out.Equal(e) {
+		t.Fatal("Distinct changed an engine-built representation")
+	}
+
+	// Empty representations stay empty.
+	empty := frep.NewEmptyEnc(tr.Clone())
+	out, err := ApplyEnc(Distinct{}, empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.IsEmpty() {
+		t.Fatal("Distinct broke the empty representation")
+	}
+
+	if err := (Distinct{}).ApplyTree(tr); err != nil {
+		t.Fatalf("ApplyTree: %v", err)
+	}
+	if (Distinct{}).String() != "δ" {
+		t.Fatal("unexpected operator rendering")
 	}
 }

@@ -13,7 +13,7 @@ import (
 	"repro/internal/relation"
 )
 
-func init() { Strict = true }
+func init() { strict = true }
 
 // --- fixtures -------------------------------------------------------------
 

@@ -18,9 +18,10 @@ import (
 	"repro/internal/relation"
 )
 
-// Strict enables expensive internal consistency checks (copies factored out
-// by push-up must be equal). Tests switch it on; benchmarks leave it off.
-var Strict = false
+// strict enables expensive internal consistency checks (copies factored out
+// by push-up must be equal). The package's tests switch it on; nothing
+// else does.
+var strict = false
 
 // Op is one f-plan operator. ApplyTree performs the schema-level transform
 // only (used by the optimisers to cost candidate plans without touching

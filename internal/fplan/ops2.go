@@ -183,3 +183,18 @@ func productTree(ta, tb *ftree.T) (*ftree.T, error) {
 		Consts: ta.Consts.Union(tb.Consts),
 	}, nil
 }
+
+// ---------------------------------------------------------------- distinct δ
+
+// Distinct is δ: the explicit set-semantics normalisation. Projection in
+// this engine already removes hidden-node multiplicity, so on any
+// engine-produced representation Distinct is the identity; it merges
+// duplicate-valued union entries (unioning their children recursively) so
+// the guarantee holds for any input and DISTINCT queries state it
+// explicitly.
+type Distinct struct{}
+
+func (Distinct) String() string { return "δ" }
+
+// ApplyTree implements Op: δ never changes the schema.
+func (Distinct) ApplyTree(t *ftree.T) error { return nil }

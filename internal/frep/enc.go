@@ -218,8 +218,13 @@ type EncBuilder struct {
 }
 
 // NewEncBuilder prepares a builder for representations over t.
-func NewEncBuilder(t *ftree.T) *EncBuilder {
-	ti := indexTree(t)
+func NewEncBuilder(t *ftree.T) *EncBuilder { return newEncBuilder(t, indexTree(t)) }
+
+// Fresh returns an empty builder over b's tree that shares b's pre-order
+// numbering, so the builders one Finish packs number the tree once.
+func (b *EncBuilder) Fresh() *EncBuilder { return newEncBuilder(b.tree, b.ti) }
+
+func newEncBuilder(t *ftree.T, ti *treeIndex) *EncBuilder {
 	b := &EncBuilder{tree: t, ti: ti,
 		vals: make([][]relation.Value, len(ti.nodes)),
 		offs: make([][]int32, len(ti.nodes))}
@@ -235,6 +240,13 @@ func (b *EncBuilder) Idx(n *ftree.Node) int { return b.ti.idx[n] }
 
 // Kids returns the pre-order indexes of ni's children.
 func (b *EncBuilder) Kids(ni int) []int { return b.ti.kids[ni] }
+
+// End returns the end (exclusive) of ni's subtree in pre-order: node p lies
+// in it iff ni <= p < End(ni).
+func (b *EncBuilder) End(ni int) int { return b.ti.sub[ni] }
+
+// NodeCount returns the number of f-tree nodes (pre-order columns).
+func (b *EncBuilder) NodeCount() int { return len(b.ti.nodes) }
 
 // Roots returns the pre-order indexes of the root nodes.
 func (b *EncBuilder) Roots() []int { return b.ti.roots }
@@ -562,7 +574,7 @@ func (e *Enc) Equal(o *Enc) bool {
 }
 
 // UnionEqual reports whether unions u1 and u2 of node ni represent the same
-// fragment (deep comparison over the subtree; used by Strict push-up
+// fragment (deep comparison over the subtree; used by the strict push-up
 // checks).
 func (e *Enc) UnionEqual(ni, u1, u2 int) bool {
 	lo1, hi1 := e.UnionSpan(ni, u1)

@@ -14,13 +14,16 @@
 //   - per-node direction: descending keys walk their union (or permutation)
 //     backwards, which reverses exactly that digit of the odometer.
 //
-// When the requested order is incompatible with the f-tree even after
-// restructuring, SortedRows falls back to a bounded size-k heap (or a full
-// sort when no limit is given) over the enumeration.
+// ResolveOrder is the one decision whether an ORDER BY streams, and under
+// which arrangement of roots and siblings: the planner calls it on the
+// planned tree, retrieval on the encoding's tree. When no arrangement
+// streams, SortedRows falls back to a bounded size-k heap (or a full sort
+// when no limit is given) over the enumeration.
 package frep
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/ftree"
@@ -67,14 +70,57 @@ type EncOrder struct {
 	less   ValueLess // nil: stored order is key order
 }
 
-// ResolveOrder matches the ORDER BY keys against t's pre-order node
-// sequence and returns the order plan of every encoding over t, or ok ==
-// false when the requested order is not a structural property of t (the
-// caller may retry after sibling reordering, or fall back to SortedRows).
-// Walking the keys in order, each key's node must be the next pre-order
-// node; keys on constant nodes impose nothing and are skipped, as are keys
-// whose node an earlier key already pinned (their digits are tie-free).
-func ResolveOrder(t *ftree.T, keys []OrderKey, less ValueLess) (*EncOrder, bool) {
+// ResolveOrder is the one order decision: it finds an arrangement of t's
+// roots and siblings under which the ORDER BY keys label the front of the
+// pre-order walk, and returns that tree with the order plan of every
+// encoding over it. Root and sibling order carry no factorisation semantics
+// (f-trees are unordered forests), so they are a free lever; the shape is
+// never touched, and an encoding over t follows the returned tree with
+// Enc.Reindex. t itself is tried first, which keeps the column order of
+// results that already stream; then a clone whose roots and child lists
+// are stably sorted by the position of the first key naming a non-constant
+// node in each subtree, keyless subtrees last. That clone streams whenever
+// any arrangement does. ok == false: none does, t comes back as it was, and
+// the caller sorts (SortedRows) or plans another shape
+// (opt.OptimalFTreeOrdered). t is never mutated.
+func ResolveOrder(t *ftree.T, keys []OrderKey, less ValueLess) (*ftree.T, *EncOrder, bool) {
+	if ord, ok := matchOrder(t, keys, less); ok {
+		return t, ord, true
+	}
+	c := t.Clone()
+	rank := map[*ftree.Node]int{} // first key position: a node's, then its subtree's
+	for i := len(keys) - 1; i >= 0; i-- {
+		if n := c.NodeOf(keys[i].Attr); n != nil && !c.AllConst(n) {
+			rank[n] = i
+		}
+	}
+	var arrange func(ns []*ftree.Node) int
+	arrange = func(ns []*ftree.Node) int {
+		first := len(keys)
+		for _, n := range ns {
+			r, ok := rank[n]
+			if !ok {
+				r = len(keys)
+			}
+			rank[n] = min(r, arrange(n.Children))
+			first = min(first, rank[n])
+		}
+		slices.SortStableFunc(ns, func(a, b *ftree.Node) int { return rank[a] - rank[b] })
+		return first
+	}
+	arrange(c.Roots)
+	if ord, ok := matchOrder(c, keys, less); ok {
+		return c, ord, true
+	}
+	return t, nil, false
+}
+
+// matchOrder matches the keys against t's pre-order node sequence as it
+// stands. Walking the keys in order, each key's node must be the next
+// pre-order node; keys on constant nodes impose nothing and are skipped,
+// as are keys whose node an earlier key already pinned (their digits are
+// tie-free), and constant nodes between two keys are covered ascending.
+func matchOrder(t *ftree.T, keys []OrderKey, less ValueLess) (*EncOrder, bool) {
 	ti := indexTree(t)
 	ord := &EncOrder{less: less}
 	cover := func(desc bool) {

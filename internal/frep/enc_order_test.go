@@ -116,7 +116,7 @@ func TestOrderedEnumerationIsSortedPermutation(t *testing.T) {
 		if rng.Intn(2) == 1 {
 			less = zigzagLess
 		}
-		ord, ok := ResolveOrder(e.Tree, keys, less)
+		_, ord, ok := ResolveOrder(e.Tree, keys, less)
 		if !ok {
 			t.Fatalf("seed %d: prefix keys %v did not resolve", seed, keys)
 		}
@@ -193,7 +193,7 @@ func TestOrderedLimitSortsOnlyVisitedUnions(t *testing.T) {
 		limited := func(u int) int {
 			n := 0
 			e := stringKeyEnc(u, 8, false)
-			ord, ok := ResolveOrder(e.Tree, keys, scrambledLess(strBase, &n))
+			_, ord, ok := ResolveOrder(e.Tree, keys, scrambledLess(strBase, &n))
 			if !ok {
 				t.Fatal("keys did not resolve")
 			}
@@ -213,7 +213,7 @@ func TestOrderedLimitSortsOnlyVisitedUnions(t *testing.T) {
 		drained := func(u int) int {
 			n := 0
 			e := stringKeyEnc(u, 8, true)
-			ord, ok := ResolveOrder(e.Tree, keys, scrambledLess(2*strBase, &n))
+			_, ord, ok := ResolveOrder(e.Tree, keys, scrambledLess(2*strBase, &n))
 			if !ok {
 				t.Fatal("keys did not resolve")
 			}
@@ -276,7 +276,7 @@ func TestLimitIsPrefixOfOrderedStream(t *testing.T) {
 		e := orderEnc(t, seed, false)
 		schema := e.Schema()
 		keys := []OrderKey{{Attr: schema[0], Desc: rng.Intn(2) == 1}}
-		ord, ok := ResolveOrder(e.Tree, keys, nil)
+		_, ord, ok := ResolveOrder(e.Tree, keys, nil)
 		if !ok {
 			t.Fatalf("seed %d: root key did not resolve", seed)
 		}
@@ -320,7 +320,7 @@ func TestOrderedLimitShortCircuits(t *testing.T) {
 	}
 	plans := map[string]*EncOrder{"stored": nil}
 	for _, desc := range []bool{false, true} {
-		ord, ok := ResolveOrder(e.Tree, []OrderKey{{Attr: "A", Desc: desc}}, nil)
+		_, ord, ok := ResolveOrder(e.Tree, []OrderKey{{Attr: "A", Desc: desc}}, nil)
 		if !ok {
 			t.Fatal("root key did not resolve")
 		}

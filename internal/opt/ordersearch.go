@@ -1,8 +1,8 @@
 // Order-constrained f-tree search. Enumeration of a factorised
 // representation streams in pre-order-lexicographic order, so an ORDER BY is
-// free exactly when its key classes label the first pre-order nodes. Sibling
-// reordering (fplan.ReorderForOrder) gets there when the optimal tree already
-// has the right shape; OptimalFTreeOrdered is the stronger lever: the same
+// free exactly when its key classes label the first pre-order nodes. Root and
+// sibling arrangement (frep.ResolveOrder) gets there when the optimal tree
+// already has the right shape; OptimalFTreeOrdered is the stronger lever: the same
 // branch-and-bound search as OptimalFTree, with the key-class chain forced to
 // the front of the pre-order walk — each key class roots the component (or
 // nested sub-component) containing it, and the component holding the next key

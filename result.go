@@ -86,12 +86,13 @@ func (db *DB) dress(enc *frep.Enc, out outClauses) (*Result, error) {
 func (r *Result) ordered() bool { return len(r.order) > 0 || r.offset > 0 || r.limit >= 0 }
 
 // retrieval decides, once, how the tuples leave. Without keys, and with keys
-// that label the pre-order prefix (directly, or after the sibling reordering
-// of streamPlan), enumeration streams off the encoding. Otherwise it sorts:
-// an order the tree cannot stream goes through the bounded heap, and so does
-// every retrieval over a bag — UnionAll leaves duplicate union entries whose
-// subtrees differ; streaming would emit each subtree in order but not the
-// merge of the two (canonical schema order when there are no keys).
+// that label the pre-order prefix (directly, or after the root and sibling
+// arrangement of streamPlan), enumeration streams off the encoding.
+// Otherwise it sorts: an order the tree cannot stream goes through the
+// bounded heap, and so does every retrieval over a bag — UnionAll leaves
+// duplicate union entries whose subtrees differ; streaming would emit each
+// subtree in order but not the merge of the two (canonical schema order
+// when there are no keys).
 func (r *Result) retrieval() *retrieval {
 	r.once.Do(func() {
 		rt := &r.out
@@ -116,20 +117,17 @@ func (r *Result) retrieval() *retrieval {
 }
 
 // streamPlan finds the encoding and order plan that stream keys
-// structurally: e itself when the keys already label its pre-order prefix, a
-// sibling-reordered view (Reindex shares the arena) when only the child
-// order is in the way. ok == false: no such view, the caller sorts.
+// structurally: e itself when the keys already label its pre-order prefix,
+// a view over the root and sibling arrangement frep.ResolveOrder picks
+// (Reindex shares the arena) otherwise. ok == false: no arrangement
+// streams, the caller sorts.
 func streamPlan(e *frep.Enc, keys []frep.OrderKey, less frep.ValueLess) (*frep.Enc, *frep.EncOrder, bool) {
-	if p, ok := frep.ResolveOrder(e.Tree, keys, less); ok {
-		return e, p, true
+	t, p, ok := frep.ResolveOrder(e.Tree, keys, less)
+	if !ok || t == e.Tree {
+		return e, p, ok
 	}
-	t := e.Tree.Clone()
-	if fplan.ReorderForOrder(t, keys) {
-		if e2, err := e.Reindex(t); err == nil {
-			if p, ok := frep.ResolveOrder(e2.Tree, keys, less); ok {
-				return e2, p, true
-			}
-		}
+	if e2, err := e.Reindex(t); err == nil {
+		return e2, p, true
 	}
 	return e, nil, false
 }

@@ -285,6 +285,52 @@ func TestStmtsShareData(t *testing.T) {
 	})
 }
 
+// TestUnstreamableOrderSharesHolder: an ORDER BY that no arrangement of the
+// planned tree streams leaves the tree as planned, so the ordered statement
+// shares its unordered twin's holder and sorts at retrieval.
+func TestUnstreamableOrderSharesHolder(t *testing.T) {
+	db := New()
+	db.MustCreate("R", "a")
+	db.MustCreate("S", "c", "d")
+	for _, a := range []int{2, 1} {
+		db.MustInsert("R", a)
+	}
+	for _, cd := range [][2]int{{1, 5}, {1, 3}, {2, 4}} {
+		db.MustInsert("S", cd[0], cd[1])
+	}
+	plain := mustPrepare(t, db, From("R", "S"))
+	// S.d lies below S.c, so R.a cannot come between them in pre-order.
+	st := mustPrepare(t, db, From("R", "S"), OrderBy("S.c", "R.a", "S.d"))
+	if st.OrderStreamable() {
+		t.Fatal("S.c, R.a, S.d streams over a tree with S.d below S.c")
+	}
+	if st.FTree() != plain.FTree() {
+		t.Fatalf("the ordered statement left the planned tree:\n%s\nwant\n%s", st.FTree(), plain.FTree())
+	}
+	if st.src != plain.src {
+		t.Fatal("an unstreamable ordered statement has its own data holder")
+	}
+	res, err := st.Exec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.OrderStreamed() {
+		t.Fatal("retrieval claims to stream an unstreamable order")
+	}
+	col := map[string]int{}
+	for i, a := range res.Schema() {
+		col[a] = i
+	}
+	var got []string
+	for _, row := range res.Rows(0) {
+		got = append(got, row[col["S.c"]]+","+row[col["R.a"]]+","+row[col["S.d"]])
+	}
+	want := []string{"1,1,3", "1,1,5", "1,2,3", "1,2,5", "2,1,4", "2,2,4"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("rows (S.c,R.a,S.d) = %v, want %v", got, want)
+	}
+}
+
 // execDropped prepares and executes statements on db that nothing but the
 // plan cache keeps once it returns: two sharing one holder, one with a
 // holder of its own.
