@@ -3,6 +3,7 @@ package fdb
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"weak"
@@ -141,9 +142,13 @@ func (db *DB) UpsertBatch(name string, keyCols int, rows [][]interface{}) error 
 	return db.mutate(name, rows, nil, keyCols)
 }
 
-// mutate is the shared write path: encode the rows, derive the delta batch
-// (upserts scan the live version for key-prefix matches to remove), bump
-// the global version and publish the relation's successor state.
+// mutate is the shared write path: validate the rows, encode them, derive
+// the delta batch (an upsert removes the live tuples that share its key),
+// bump the global version and publish the relation's successor state. A
+// batch is checked whole — arity, value types, repeated upsert keys —
+// before any string is encoded, and a removal only looks strings up, so a
+// refused or no-op write mints no dictionary code: a minted code would
+// render the integers equal to it as that string.
 func (db *DB) mutate(name string, addRows, delRows [][]interface{}, upsertKey int) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -154,59 +159,57 @@ func (db *DB) mutate(name string, addRows, delRows [][]interface{}, upsertKey in
 	if upsertKey > len(s.Schema) {
 		return fmt.Errorf("fdb: relation %q has arity %d, upsert key has %d columns", name, len(s.Schema), upsertKey)
 	}
-	encodeRows := func(rows [][]interface{}) ([]relation.Tuple, error) {
-		out := make([]relation.Tuple, 0, len(rows))
-		for _, row := range rows {
-			if len(row) != len(s.Schema) {
-				return nil, fmt.Errorf("fdb: relation %q has arity %d, got %d values", name, len(s.Schema), len(row))
-			}
-			t := make(relation.Tuple, len(row))
-			for i, v := range row {
-				val, err := db.encode(v)
-				if err != nil {
-					return nil, err
+	keys := map[string]bool{} // an upsert's keys, as given
+	for _, row := range slices.Concat(addRows, delRows) {
+		if len(row) != len(s.Schema) {
+			return fmt.Errorf("fdb: relation %q has arity %d, got %d values", name, len(s.Schema), len(row))
+		}
+		for _, v := range row {
+			if _, isStr := v.(string); !isStr {
+				if _, ok := toValue(v); !ok {
+					return fmt.Errorf("fdb: unsupported value type %T", v)
 				}
-				t[i] = val
+			}
+		}
+		if upsertKey == 0 {
+			continue
+		}
+		// Two rows with one key would each survive the other's displacement,
+		// leaving the key twice: the batch is ambiguous, so refuse it whole.
+		k := fmt.Sprintf("%#v", row[:upsertKey])
+		if keys[k] {
+			return fmt.Errorf("fdb: upsert batch on %q has two rows with key %v", name, row[:upsertKey])
+		}
+		keys[k] = true
+	}
+	tuples := func(rows [][]interface{}, mint bool) []relation.Tuple {
+		out := make([]relation.Tuple, 0, len(rows))
+	next:
+		for _, row := range rows {
+			t := make(relation.Tuple, len(row))
+			for c, v := range row {
+				var known bool
+				if t[c], known = db.value(v, mint); !known {
+					continue next // a string without a code matches no stored tuple
+				}
 			}
 			out = append(out, t)
 		}
-		return out, nil
+		return out
 	}
-	adds, err := encodeRows(addRows)
-	if err != nil {
-		return err
-	}
-	dels, err := encodeRows(delRows)
-	if err != nil {
-		return err
-	}
+	adds, dels := tuples(addRows, true), tuples(delRows, false)
 	if upsertKey > 0 {
-		// Two rows with one key would each survive the other's displacement,
-		// leaving the key twice: the batch is ambiguous, so refuse it whole.
-		keys := make(map[string]bool, len(adds))
-		for i, a := range adds {
-			k := fmt.Sprint(a[:upsertKey])
-			if keys[k] {
-				return fmt.Errorf("fdb: upsert batch on %q has two rows with key %v", name, addRows[i][:upsertKey])
-			}
-			keys[k] = true
-		}
-		// Remove the live tuples each upserted tuple displaces. Within the
-		// batch removals apply before additions, so upserting an unchanged
-		// tuple keeps it.
-		live := s.State().Live()
+		// Remove the live tuples each upserted tuple displaces: the key
+		// columns are the schema prefix, so they are one run of the sorted
+		// live version. Within the batch removals apply before additions, so
+		// upserting an unchanged tuple keeps it.
+		live := s.State().Live().Tuples
+		prefix := func(t, key relation.Tuple) int { return t[:upsertKey].Compare(key) }
 		for _, a := range adds {
-			for _, t := range live.Tuples {
-				match := true
-				for c := 0; c < upsertKey; c++ {
-					if t[c] != a[c] {
-						match = false
-						break
-					}
-				}
-				if match {
-					dels = append(dels, t)
-				}
+			key := a[:upsertKey]
+			i, _ := slices.BinarySearchFunc(live, key, prefix)
+			for ; i < len(live) && prefix(live[i], key) == 0; i++ {
+				dels = append(dels, live[i])
 			}
 		}
 	}
@@ -417,20 +420,23 @@ func (db *DB) selPred(op fplan.Cmp, val interface{}) (pred func(relation.Value) 
 	}, false
 }
 
-// encode turns a Go value into an engine Value, assigning a fresh dictionary
-// code to an unseen string. It belongs on write paths only (Insert, Delete,
-// Upsert): read paths — query constants, parameter binds — compile through
-// selPred instead, so that comparing against a string the database has never
+// value turns a value mutate has checked into an engine Value. A string
+// takes its dictionary code, and a fresh one if it has none and mint is
+// set; known is false for a string left without a code. Only insertions
+// mint: read paths — query constants, parameter binds — compile through
+// selPred, and removals look up, so naming a string the database has never
 // stored cannot grow the dictionary. The dictionary is internally
-// synchronised, so encode is safe under either DB lock.
-func (db *DB) encode(v interface{}) (relation.Value, error) {
-	if s, ok := v.(string); ok {
-		return db.dict.Encode(s), nil
+// synchronised, so value is safe under either DB lock.
+func (db *DB) value(v interface{}, mint bool) (val relation.Value, known bool) {
+	s, isStr := v.(string)
+	switch {
+	case !isStr:
+		c, _ := toValue(v)
+		return c, true
+	case mint:
+		return db.dict.Encode(s), true
 	}
-	if c, ok := toValue(v); ok {
-		return c, nil
-	}
-	return 0, fmt.Errorf("fdb: unsupported value type %T", v)
+	return db.dict.Lookup(s)
 }
 
 // toValue converts an integer constant to its engine Value.

@@ -10,16 +10,21 @@
 // collector keeps every arena and tuple they reference alive (the MVCC
 // model of the append-only time-travel databases in the related work).
 //
-// Deltas follow set semantics: within one batch removals apply before
-// additions, a removal of an absent tuple is a no-op, and an addition of a
-// present tuple is a no-op. When the delta chain grows past the compaction
-// policy (too many batches, or delta tuples dominating the base), Apply
-// folds the chain into a new materialised base; NetSince then reports the
-// history as unavailable and readers re-snapshot instead of merging.
+// Every stored version is a set sorted in schema order: FromRelation sorts
+// a bulk-loaded base and drops its repeated tuples, and Fold — the one code
+// that applies additions and removals to a tuple set, for Live and for every
+// statement input kept in another column order — merges a sorted delta into
+// a sorted set. Deltas follow set semantics: within one batch removals apply
+// before additions, a removal of an absent tuple is a no-op, and an
+// addition of a present tuple is a no-op. When the delta chain grows past
+// the compaction policy (too many batches, or delta tuples dominating the
+// base), Apply folds the chain into a new materialised base; NetSince then
+// reports the history as unavailable and readers re-snapshot instead of
+// merging.
 package delta
 
 import (
-	"encoding/binary"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -59,15 +64,6 @@ type State struct {
 	live     *relation.Relation
 }
 
-// tupleKey renders a tuple as a fixed-width byte-string map key.
-func tupleKey(t relation.Tuple) string {
-	buf := make([]byte, 8*len(t))
-	for i, v := range t {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
-	}
-	return string(buf)
-}
-
 // DeltaSize returns the number of delta tuples across the state's batches.
 func (s *State) DeltaSize() int {
 	n := 0
@@ -77,54 +73,28 @@ func (s *State) DeltaSize() int {
 	return n
 }
 
-// Live returns the relation this state represents: the base with the net
-// delta since it, NetSince(BaseVer), applied. The materialisation runs once
+// Live returns the relation this state represents: Fold of the base and
+// the net delta since it, NetSince(BaseVer). The materialisation runs once
 // per state and is cached; the returned relation is shared — treat it as
-// read-only. Tuple order is deterministic: base order, then net additions in
-// first-touch order.
+// read-only. Like every base, it is sorted in schema order and
+// duplicate-free.
 func (s *State) Live() *relation.Relation {
 	s.liveOnce.Do(func() {
-		adds, dels, _ := s.NetSince(s.BaseVer)
-		if len(adds) == 0 && len(dels) == 0 {
-			s.live = s.Base
-			return
+		s.live = s.Base
+		if adds, dels, _ := s.NetSince(s.BaseVer); len(adds)+len(dels) > 0 {
+			s.live = Fold(s.Base, adds, dels, nil, schemaOrder(len(s.Base.Schema)))
 		}
-		// net is each touched tuple's final polarity; an addition already in
-		// the base keeps its base position and leaves the map.
-		net := make(map[string]bool, len(adds)+len(dels))
-		for _, t := range dels {
-			net[tupleKey(t)] = false
-		}
-		for _, t := range adds {
-			net[tupleKey(t)] = true
-		}
-		out := relation.New(s.Base.Name, s.Base.Schema)
-		out.Tuples = make([]relation.Tuple, 0, len(s.Base.Tuples)+len(adds))
-		for _, t := range s.Base.Tuples {
-			k := tupleKey(t)
-			if add, touched := net[k]; touched {
-				if !add {
-					continue
-				}
-				delete(net, k)
-			}
-			out.Tuples = append(out.Tuples, t)
-		}
-		for _, t := range adds {
-			if net[tupleKey(t)] {
-				out.Tuples = append(out.Tuples, t)
-			}
-		}
-		s.live = out
 	})
 	return s.live
 }
 
 // NetSince folds the batches newer than ver into net additions and net
-// removals relative to the relation's content at ver (last polarity wins;
-// the two lists are disjoint and duplicate-free, in first-touch order).
-// ok is false when ver predates the base snapshot — the history has been
-// compacted away and the caller must re-snapshot via Live instead.
+// removals relative to the relation's content at ver: the touches are
+// stably sorted in schema order, so each tuple's last touch — its final
+// polarity — ends its run. The two lists are disjoint, duplicate-free and
+// sorted in schema order. ok is false when ver predates the base snapshot —
+// the history has been compacted away and the caller must re-snapshot via
+// Live instead.
 func (s *State) NetSince(ver uint64) (adds, dels []relation.Tuple, ok bool) {
 	if ver < s.BaseVer {
 		return nil, nil, false
@@ -132,34 +102,90 @@ func (s *State) NetSince(ver uint64) (adds, dels []relation.Tuple, ok bool) {
 	if ver >= s.Ver {
 		return nil, nil, true
 	}
-	final := make(map[string]bool)
-	var order []relation.Tuple
-	note := func(t relation.Tuple, add bool) {
-		k := tupleKey(t)
-		if _, seen := final[k]; !seen {
-			order = append(order, t)
-		}
-		final[k] = add
+	type touch struct {
+		t   relation.Tuple
+		add bool
 	}
+	var touches []touch
 	for _, b := range s.Batches {
 		if b.Ver <= ver {
 			continue
 		}
 		for _, t := range b.Dels {
-			note(t, false)
+			touches = append(touches, touch{t, false})
 		}
 		for _, t := range b.Adds {
-			note(t, true)
+			touches = append(touches, touch{t, true})
 		}
 	}
-	for _, t := range order {
-		if final[tupleKey(t)] {
-			adds = append(adds, t)
+	slices.SortStableFunc(touches, func(a, b touch) int { return a.t.Compare(b.t) })
+	for i, tc := range touches {
+		if i+1 < len(touches) && touches[i+1].t.Compare(tc.t) == 0 {
+			continue // a later touch of the same tuple wins
+		}
+		if tc.add {
+			adds = append(adds, tc.t)
 		} else {
-			dels = append(dels, t)
+			dels = append(dels, tc.t)
 		}
 	}
 	return adds, dels, true
+}
+
+// Fold returns old with a delta applied, and is the one place additions and
+// removals meet a tuple set: old must be sorted by perm (a column
+// permutation that covers every column) and duplicate-free, and so is the
+// result, which shares tuple storage with old. The delta's tuples that keep
+// (nil: all) passes are copied, sorted and deduplicated first — the delta
+// is shared with every other reader and is never written — so it may be a
+// whole relation with repeated rows folded into an empty set. Removals
+// apply before additions; an addition already present and a removal of an
+// absent tuple are no-ops.
+func Fold(old *relation.Relation, adds, dels []relation.Tuple, keep func(relation.Tuple) bool, perm []int) *relation.Relation {
+	cmp := func(a, b relation.Tuple) int { return relation.ComparePerm(a, b, perm) }
+	sortTuples := func(ts []relation.Tuple) []relation.Tuple {
+		out := make([]relation.Tuple, 0, len(ts))
+		for _, t := range ts {
+			if keep == nil || keep(t) {
+				out = append(out, t)
+			}
+		}
+		relation.SortPerm(out, perm)
+		return slices.CompactFunc(out, func(a, b relation.Tuple) bool { return cmp(a, b) == 0 })
+	}
+	adds, dels = sortTuples(adds), sortTuples(dels)
+	out := relation.New(old.Name, old.Schema)
+	out.Tuples = make([]relation.Tuple, 0, len(old.Tuples)+len(adds))
+	ai, di := 0, 0
+	for _, t := range old.Tuples {
+		for di < len(dels) && cmp(dels[di], t) < 0 {
+			di++ // removal of an absent tuple: no-op
+		}
+		if di < len(dels) && cmp(dels[di], t) == 0 {
+			di++
+			continue
+		}
+		for ai < len(adds) && cmp(adds[ai], t) < 0 {
+			out.Tuples = append(out.Tuples, adds[ai])
+			ai++
+		}
+		if ai < len(adds) && cmp(adds[ai], t) == 0 {
+			ai++ // addition of a present tuple: no-op
+		}
+		out.Tuples = append(out.Tuples, t)
+	}
+	out.Tuples = append(out.Tuples, adds[ai:]...)
+	return out
+}
+
+// schemaOrder is the column permutation of schema order over n columns, the
+// order every stored version keeps.
+func schemaOrder(n int) []int {
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	return perm
 }
 
 // Store is the versioned home of one relation. The current State sits
@@ -180,8 +206,10 @@ func NewStore(name string, schema relation.Schema, ver uint64) *Store {
 }
 
 // FromRelation creates a store whose base is the given relation (bulk
-// load); the store takes ownership of rel.
+// load); the store takes ownership of rel and makes it a set, sorting it in
+// schema order and dropping repeated tuples in place.
 func FromRelation(rel *relation.Relation, ver uint64) *Store {
+	rel.Dedup()
 	s := &Store{Name: rel.Name, Schema: rel.Schema}
 	s.state.Store(&State{Ver: ver, BaseVer: ver, Base: rel})
 	return s

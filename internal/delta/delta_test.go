@@ -2,6 +2,8 @@ package delta
 
 import (
 	"fmt"
+	"maps"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -68,12 +70,119 @@ func TestLiveBaseOrderAndReAdd(t *testing.T) {
 	base.AppendTuple(tup(5))
 	base.AppendTuple(tup(3))
 	base.AppendTuple(tup(7))
+	base.AppendTuple(tup(3))
 	s := FromRelation(base, 10)
-	// Delete a base tuple, then re-add it: it keeps its base position
-	// (final polarity alive, key present in base).
+	// The store owns the base and makes it a set in schema order.
+	wantRows(t, s.State().Live(), tup(3), tup(5), tup(7))
+	// Delete a base tuple, then re-add it: it is live again, in its sorted
+	// place (final polarity alive, key present in base).
 	s.Apply(nil, []relation.Tuple{tup(3)}, 11)
+	wantRows(t, s.State().Live(), tup(5), tup(7))
 	s.Apply([]relation.Tuple{tup(3), tup(1)}, nil, 12)
-	wantRows(t, s.State().Live(), tup(5), tup(3), tup(7), tup(1))
+	wantRows(t, s.State().Live(), tup(1), tup(3), tup(5), tup(7))
+}
+
+// TestFoldFilters: a fold keeps only the delta tuples the filter passes,
+// sorts and dedups them in the fold's column order — a whole relation with
+// repeated rows folds into an empty set as a load — and never writes the
+// delta, which is shared with every other reader, nor the held set.
+func TestFoldFilters(t *testing.T) {
+	idx := []int{1, 0}
+	keep := func(tp relation.Tuple) bool { return tp[0] != 3 }
+	ts := []relation.Tuple{{5, 6}, {3, 4}, {1, 2}, {5, 6}}
+	loaded := Fold(relation.New("R", nil), ts, nil, keep, idx)
+	if fmt.Sprint(loaded.Tuples) != "[[1 2] [5 6]]" || fmt.Sprint(ts) != "[[5 6] [3 4] [1 2] [5 6]]" {
+		t.Fatalf("loaded %v, delta left %v", loaded.Tuples, ts)
+	}
+	adds, dels := []relation.Tuple{{7, 0}, {3, 9}, {1, 2}}, []relation.Tuple{{5, 6}, {9, 9}}
+	got := Fold(loaded, adds, dels, keep, idx)
+	if fmt.Sprint(got.Tuples) != "[[7 0] [1 2]]" || fmt.Sprint(loaded.Tuples) != "[[1 2] [5 6]]" {
+		t.Fatalf("folded %v, held set left %v", got.Tuples, loaded.Tuples)
+	}
+}
+
+// TestLiveMatchesModel drives random histories over a 16-tuple domain —
+// repeated and cancelling touches within and across batches, a bulk load
+// with repeated rows, Compact at random points — and pins states as it
+// goes. Every version's Live must be sorted, duplicate-free and equal to a
+// map model that applies each batch's removals and then its additions, and
+// folding the head's net delta since a pinned version into that version's
+// Live must give the head's Live.
+func TestLiveMatchesModel(t *testing.T) {
+	type pin struct {
+		st    *State
+		model map[[2]relation.Value]bool
+	}
+	// check requires live to be a sorted set and, given a model, to equal it.
+	check := func(seed int64, ver uint64, live *relation.Relation, model map[[2]relation.Value]bool) {
+		t.Helper()
+		for i, tp := range live.Tuples {
+			if i > 0 && live.Tuples[i-1].Compare(tp) >= 0 {
+				t.Fatalf("seed %d ver %d: not a sorted set: %v", seed, ver, rows(live))
+			}
+			if model != nil && !model[[2]relation.Value{tp[0], tp[1]}] {
+				t.Fatalf("seed %d ver %d: live holds %v, the model does not", seed, ver, tp)
+			}
+		}
+		if model != nil && len(live.Tuples) != len(model) {
+			t.Fatalf("seed %d ver %d: live has %d tuples, the model %d: %v", seed, ver, len(live.Tuples), len(model), rows(live))
+		}
+	}
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		some := func(n int) []relation.Tuple {
+			out := make([]relation.Tuple, rng.Intn(n+1))
+			for i := range out {
+				out[i] = tup(rng.Intn(4), rng.Intn(4))
+			}
+			return out
+		}
+		model := map[[2]relation.Value]bool{}
+		base := relation.New("R", sch("R.a", "R.b"))
+		for _, tp := range some(12) {
+			base.AppendTuple(tp)
+			model[[2]relation.Value{tp[0], tp[1]}] = true
+		}
+		s := FromRelation(base, 0)
+		check(seed, 0, s.State().Base, model)
+		var pins []pin
+		for v := uint64(1); v <= 40; v++ {
+			adds, dels := some(5), some(3)
+			if len(adds) > 0 && rng.Intn(3) == 0 {
+				dels = append(dels, adds[0]) // cancelling touch within the batch
+			}
+			for _, tp := range dels {
+				delete(model, [2]relation.Value{tp[0], tp[1]})
+			}
+			for _, tp := range adds {
+				model[[2]relation.Value{tp[0], tp[1]}] = true
+			}
+			s.Apply(adds, dels, v)
+			if rng.Intn(8) == 0 {
+				s.Compact()
+			}
+			st := s.State()
+			check(seed, v, st.Base, nil)
+			if rng.Intn(4) == 0 {
+				// A pinned state's Live is first read after the later writes.
+				pins = append(pins, pin{st, maps.Clone(model)})
+				continue
+			}
+			check(seed, v, st.Live(), model)
+		}
+		head := s.State()
+		for _, p := range pins {
+			check(seed, p.st.Ver, p.st.Live(), p.model)
+			adds, dels, ok := head.NetSince(p.st.Ver)
+			if !ok {
+				continue // compacted away beneath the pinned version
+			}
+			got := Fold(p.st.Live(), adds, dels, nil, []int{0, 1})
+			if fmt.Sprint(got.Tuples) != fmt.Sprint(head.Live().Tuples) {
+				t.Fatalf("seed %d: fold since %d = %v, head live %v", seed, p.st.Ver, rows(got), rows(head.Live()))
+			}
+		}
+	}
 }
 
 func TestNetSince(t *testing.T) {
@@ -228,4 +337,38 @@ func TestConcurrentReadersUnderWrites(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// BenchmarkLive materialises a 100k-tuple base under 48 pending batches of
+// 100 additions and 50 removals each — the longest chain the compaction
+// policy keeps — once per iteration, on a fresh state each time (Live is
+// memoised per state).
+func BenchmarkLive(b *testing.B) {
+	base := relation.New("R", sch("R.a", "R.b"))
+	for i := 0; i < 100000; i++ {
+		base.AppendTuple(tup(i/4, i%4))
+	}
+	s := FromRelation(base, 0)
+	for v := 1; v <= maxBatches; v++ {
+		var adds, dels []relation.Tuple
+		for i := 0; i < 100; i++ {
+			adds = append(adds, tup(100000+v*100+i, 0))
+		}
+		for i := 0; i < 50; i++ {
+			dels = append(dels, tup(v*500+i, 1))
+		}
+		s.Apply(adds, dels, uint64(v))
+	}
+	cur := s.State()
+	if len(cur.Batches) != maxBatches {
+		b.Fatalf("the chain compacted: %d batches", len(cur.Batches))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st := &State{Ver: cur.Ver, BaseVer: cur.BaseVer, Base: cur.Base, Batches: cur.Batches}
+		if st.Live().Cardinality() != 100000+maxBatches*50 {
+			b.Fatal("wrong cardinality")
+		}
+	}
 }

@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/frep"
 	"repro/internal/ftree"
@@ -151,11 +150,12 @@ func (b *builder) under(p, i int) bool { return i <= p && p < b.eb.End(i) }
 // sorted and writes nothing, so the relations can be shared by concurrent
 // builds.
 func SortFor(rels []*relation.Relation, t *ftree.T) error {
-	b := newBuilder(context.Background(), t)
 	for _, r := range rels {
-		if _, err := b.newState(r); err != nil {
+		idx, err := SortIndex(r, t)
+		if err != nil {
 			return err
 		}
+		relation.SortPerm(r.Tuples, idx)
 	}
 	return nil
 }
@@ -167,11 +167,43 @@ func SortFor(rels []*relation.Relation, t *ftree.T) error {
 // with net deltas) sort and merge by it with relation.SortPerm and
 // relation.ComparePerm, so the shared slices never need re-sorting.
 func SortIndex(r *relation.Relation, t *ftree.T) ([]int, error) {
-	st, err := newBuilder(context.Background(), t).newState(r)
+	_, cols, err := pathOf(r, t)
 	if err != nil {
 		return nil, err
 	}
-	return slices.Concat(st.cols...), nil
+	return slices.Concat(cols...), nil
+}
+
+// pathOf returns the nodes of t that label r's attributes, root first, with
+// the columns of r each one labels, and checks the path constraint: the
+// root path of the deepest of them holds them all.
+func pathOf(r *relation.Relation, t *ftree.T) (nodes []*ftree.Node, cols [][]int, err error) {
+	var path []*ftree.Node
+	for _, a := range r.Schema {
+		n := t.NodeOf(a)
+		if n == nil {
+			return nil, nil, fmt.Errorf("fbuild: attribute %q of %s not in f-tree", a, r.Name)
+		}
+		if p := t.PathTo(n); len(p) > len(path) {
+			path = p
+		}
+	}
+	covered := 0
+	for _, n := range path {
+		var c []int
+		for i, a := range r.Schema {
+			if n.HasAttr(a) {
+				c = append(c, i)
+			}
+		}
+		if c != nil {
+			nodes, cols, covered = append(nodes, n), append(cols, c), covered+len(c)
+		}
+	}
+	if covered < len(r.Schema) {
+		return nil, nil, fmt.Errorf("fbuild: relation %s violates the path constraint (its classes lie on different branches)", r.Name)
+	}
+	return nodes, cols, nil
 }
 
 // BuildEnc evaluates the natural join encoded by t over the given relations
@@ -418,30 +450,13 @@ func (b *builder) buildUnionEnc(ni int, states []*relState) int {
 // newState sorts the relation by its classes in path order and prepares its
 // traversal state.
 func (b *builder) newState(r *relation.Relation) (*relState, error) {
-	byNode := map[*ftree.Node][]int{}
-	var nodes []*ftree.Node
-	for i, a := range r.Schema {
-		n := b.tree.NodeOf(a)
-		if n == nil {
-			return nil, fmt.Errorf("fbuild: attribute %q of %s not in f-tree", a, r.Name)
-		}
-		if byNode[n] == nil {
-			nodes = append(nodes, n)
-		}
-		byNode[n] = append(byNode[n], i)
+	nodes, cols, err := pathOf(r, b.tree)
+	if err != nil {
+		return nil, err
 	}
-	// Path order = ascending pre-order number; verify the chain property.
-	sort.Slice(nodes, func(i, j int) bool { return b.eb.Idx(nodes[i]) < b.eb.Idx(nodes[j]) })
-	st := &relState{rel: r, nodes: nodes, lo: 0, hi: r.Cardinality()}
-	for i, n := range nodes {
-		st.pres = append(st.pres, b.eb.Idx(n))
-		if i > 0 && !b.under(st.pres[i], st.pres[i-1]) {
-			return nil, fmt.Errorf("fbuild: relation %s violates the path constraint (classes %v and %v on different branches)",
-				r.Name, nodes[i-1].Attrs, n.Attrs)
-		}
-	}
+	st := &relState{rel: r, nodes: nodes, cols: cols, lo: 0, hi: r.Cardinality()}
 	for _, n := range nodes {
-		st.cols = append(st.cols, byNode[n])
+		st.pres = append(st.pres, b.eb.Idx(n))
 	}
 	st.constFrom = len(nodes)
 	for st.constFrom > 0 && constant(r.Tuples, st.cols[st.constFrom-1]) {

@@ -187,8 +187,9 @@ func productTree(ta, tb *ftree.T) (*ftree.T, error) {
 // ---------------------------------------------------------------- distinct δ
 
 // Distinct is δ: the explicit set-semantics normalisation. Projection in
-// this engine already removes hidden-node multiplicity, so on any
-// engine-produced representation Distinct is the identity; it merges
+// this engine already removes hidden-node multiplicity, so Distinct is the
+// identity on every engine-built representation except a bag — UNION ALL's
+// result, which keeps a tuple of both operands twice. It merges
 // duplicate-valued union entries (unioning their children recursively) so
 // the guarantee holds for any input and DISTINCT queries state it
 // explicitly.

@@ -343,9 +343,9 @@ func SortedRows(e *Enc, keys []OrderKey, less ValueLess, k int) []relation.Tuple
 
 // HasDupEntries reports whether any union holds two entries with the same
 // value — the one way an encoding can represent duplicate tuples. A cheap
-// O(size) scan: engine-built representations satisfy the strict order
-// invariant, so DISTINCT verifies the set property at memory speed and only
-// pays for a rebuild when a duplicate actually exists.
+// O(size) scan: engine-built representations other than bags satisfy the
+// strict order invariant, so DISTINCT verifies the set property at memory
+// speed and only pays for a rebuild when a duplicate actually exists.
 func (e *Enc) HasDupEntries() bool {
 	if e.IsEmpty() {
 		return false
@@ -366,10 +366,10 @@ func (e *Enc) HasDupEntries() bool {
 // DedupEnc returns the set-semantics normalisation of e: within every union,
 // entries sharing a value are merged (their child unions union recursively)
 // so the result satisfies the strict order invariant and represents the same
-// relation without duplicates. Engine-produced representations already are
-// sets (HasDupEntries is false), and come back unchanged without a rebuild;
-// DISTINCT exists to make that guarantee explicit and to normalise
-// externally-built encodings.
+// relation without duplicates. Engine-produced representations other than
+// bags (BagUnionEnc's results) already are sets (HasDupEntries is false),
+// and come back unchanged without a rebuild; DISTINCT exists to make that
+// guarantee explicit and to normalise bags and externally-built encodings.
 //
 // Union does not distribute over the child product: entries v×(A1×B1) and
 // v×(A2×B2) merge child by child only when they agree on all but at most
@@ -421,7 +421,7 @@ func DedupEnc(e *Enc) *Enc {
 	for _, ri := range e.Roots() {
 		if !emit(ri, []int32{0}) {
 			schema := e.Schema()
-			return encodeRows(chainTree(schema), dedupRows(rowsOf(e, schema)), false)
+			return encodeRows(chainTree(schema), rowsOf(e, schema), false)
 		}
 		b.CloseUnion(ri)
 	}

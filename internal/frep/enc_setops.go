@@ -20,7 +20,7 @@ package frep
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/ftree"
 	"repro/internal/relation"
@@ -115,7 +115,7 @@ func setOpEnc(op setOp, a, b *Enc) (*Enc, error) {
 			la, lb := a, rb
 			if op != opUnionAll {
 				// Set semantics needs set-form inputs; engine-built operands
-				// already are (DedupEnc is then free).
+				// already are, bags aside (DedupEnc is then free).
 				la, lb = DedupEnc(la), DedupEnc(lb)
 			}
 			out, err := setOpStructural(op, la, lb)
@@ -433,17 +433,17 @@ func chainTree(schema relation.Schema) *ftree.T {
 	return ftree.New([]*ftree.Node{root}, []relation.AttrSet{relation.NewAttrSet(schema...)})
 }
 
-// setOpFlat is the rebuild fallback: both operands are enumerated, b's
-// columns permuted into a's schema order, both sorted, combined flat, and
-// the result re-encoded over the path tree. Correctness over structure —
-// taken when the trees disagree or a structural merge aborts.
+// setOpFlat is the rebuild fallback: both operands are enumerated in a's
+// schema order, sorted and re-encoded over its path tree — as sets, unless
+// the operation is union all — and merged there structurally, where every
+// collision decomposes. Correctness over structure — taken when the trees
+// disagree or a structural merge aborts.
 func setOpFlat(op setOp, a, b *Enc) (*Enc, error) {
 	schema := a.Schema()
-	ra, rb := rowsOf(a, schema), rowsOf(b, schema)
-	if op != opUnionAll {
-		ra, rb = dedupRows(ra), dedupRows(rb)
-	}
-	return encodeRows(chainTree(schema), mergeRows(op, ra, rb), op == opUnionAll), nil
+	keepDup := op == opUnionAll
+	return setOpStructural(op,
+		encodeRows(chainTree(schema), rowsOf(a, schema), keepDup),
+		encodeRows(chainTree(schema), rowsOf(b, schema), keepDup))
 }
 
 // rowsOf enumerates e's visible tuples permuted into schema order and
@@ -463,67 +463,14 @@ func rowsOf(e *Enc, schema relation.Schema) []relation.Tuple {
 		rows = append(rows, row)
 		return true
 	})
-	cmp := TupleCompare(schema, nil, nil)
-	sort.SliceStable(rows, func(i, j int) bool { return cmp(rows[i], rows[j]) < 0 })
+	slices.SortFunc(rows, relation.Tuple.Compare)
 	return rows
-}
-
-// dedupRows removes adjacent duplicates from a sorted row slice, in place.
-func dedupRows(rows []relation.Tuple) []relation.Tuple {
-	out := rows[:0]
-	for _, r := range rows {
-		if len(out) > 0 && r.Compare(out[len(out)-1]) == 0 {
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
-}
-
-// mergeRows combines two sorted row slices under op. For the set-semantics
-// operations the inputs must be deduplicated; union all keeps every copy.
-func mergeRows(op setOp, a, b []relation.Tuple) []relation.Tuple {
-	var out []relation.Tuple
-	i, k := 0, 0
-	for i < len(a) || k < len(b) {
-		var c int
-		switch {
-		case k >= len(b):
-			c = -1
-		case i >= len(a):
-			c = 1
-		default:
-			c = a[i].Compare(b[k])
-		}
-		switch {
-		case c < 0:
-			if op != opIntersect {
-				out = append(out, a[i])
-			}
-			i++
-		case c > 0:
-			if op == opUnion || op == opUnionAll {
-				out = append(out, b[k])
-			}
-			k++
-		default:
-			switch op {
-			case opUnionAll: // keep both copies
-				out = append(out, a[i], b[k])
-			case opUnion, opIntersect:
-				out = append(out, a[i])
-			}
-			i++
-			k++
-		}
-	}
-	return out
 }
 
 // encodeRows builds a chain-tree encoding from rows sorted in t's (schema)
 // order by streaming inserts along the common prefix with the previous row.
 // With keepDup, duplicate rows become duplicate leaf entries (the bag form
-// union all produces); otherwise the rows must already be deduplicated.
+// union all produces); otherwise repeated rows are dropped.
 func encodeRows(t *ftree.T, rows []relation.Tuple, keepDup bool) *Enc {
 	if len(rows) == 0 {
 		return NewEmptyEnc(t)

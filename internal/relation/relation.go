@@ -135,16 +135,11 @@ func SortPerm(ts []Tuple, perm []int) {
 func (r *Relation) Sort() { r.SortBy(nil) }
 
 // Dedup sorts the relation and removes duplicate tuples, establishing set
-// semantics.
+// semantics. Like the sort, it writes nothing when the relation already is
+// a sorted set.
 func (r *Relation) Dedup() {
 	r.Sort()
-	out := r.Tuples[:0]
-	for i, t := range r.Tuples {
-		if i == 0 || t.Compare(r.Tuples[i-1]) != 0 {
-			out = append(out, t)
-		}
-	}
-	r.Tuples = out
+	r.Tuples = slices.CompactFunc(r.Tuples, func(a, b Tuple) bool { return a.Compare(b) == 0 })
 }
 
 // Project returns a new relation with only the given attributes, with

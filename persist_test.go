@@ -2,11 +2,13 @@ package fdb
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
 
+	"repro/internal/relation"
 	"repro/internal/store"
 )
 
@@ -439,5 +441,60 @@ func TestOpenedSnapshotPinnedAdopts(t *testing.T) {
 	}
 	if got, want := res.Table(-1), queryTable(t, db, join); got != want {
 		t.Fatalf("pinned on the reopened database:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestBulkLoadsAreSets: a relation is a set however it arrives. A TSV file
+// and a snapshot file that repeat a row each load it once, so the stored
+// relation, what a save writes and what a query returns agree.
+func TestBulkLoadsAreSets(t *testing.T) {
+	dir := t.TempDir()
+	tsv := filepath.Join(dir, "r.tsv")
+	if err := os.WriteFile(tsv, []byte("R\ta\tb\n3\t4\n1\t2\n1\t2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bag := relation.New("S", relation.Schema{"S.a", "S.b"})
+	bag.Append(3, 4)
+	bag.Append(1, 2)
+	bag.Append(3, 4)
+	fdbPath := filepath.Join(dir, "s.fdb")
+	if err := store.Write(fdbPath, &store.Set{Ver: 1, Rels: []store.Relation{{Ver: 1, Rel: bag}}}); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := OpenSnapshotFile(fdbPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := New()
+	if _, err := loaded.LoadTSV(tsv); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		file, name string
+		db         *DB
+	}{{"tsv", "R", loaded}, {"snapshot", "S", opened}} {
+		t.Run(c.file, func(t *testing.T) {
+			r, _ := c.db.Relation(c.name)
+			if got := fmt.Sprint(r.Tuples); got != "[[1 2] [3 4]]" {
+				t.Fatalf("%s stored as %s, want the sorted set [[1 2] [3 4]]", c.name, got)
+			}
+			resaved := filepath.Join(dir, c.name+".resaved.fdb")
+			if err := c.db.SaveSnapshot(resaved); err != nil {
+				t.Fatal(err)
+			}
+			f, err := store.Open(resaved)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := len(f.Rels[0].Rel.Tuples)
+			f.Close()
+			if n != 2 {
+				t.Fatalf("%s saved with %d tuples, want 2", c.name, n)
+			}
+			res := mustQuery(t, func() (*Result, error) { return c.db.Query(From(c.name)) })
+			if res.Count() != 2 {
+				t.Fatalf("%s query returns %d rows, want 2", c.name, res.Count())
+			}
+		})
 	}
 }

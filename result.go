@@ -67,7 +67,8 @@ func newResult(db *DB, enc *frep.Enc) *Result {
 func (db *DB) dress(enc *frep.Enc, out outClauses) (*Result, error) {
 	if out.distinct {
 		// Projection already yields set semantics; δ normalises and makes the
-		// guarantee explicit (a no-op pass on every engine-built rep).
+		// guarantee explicit (a no-op pass on every engine-built rep but
+		// UnionAll's bags, which it makes sets).
 		var err error
 		if enc, err = fplan.ApplyEnc(fplan.Distinct{}, enc); err != nil {
 			return nil, err

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/rdb"
-	"repro/internal/relation"
 )
 
 // groceryJoin is Example 1's Q1 = Orders ⋈ Store ⋈ Disp.
@@ -454,25 +453,6 @@ func TestSharedStmtsConcurrentWrites(t *testing.T) {
 	}
 	if res.Count() != writes {
 		t.Fatalf("after the writer: %d rows, want %d", res.Count(), writes)
-	}
-}
-
-// TestMergeSortedDeltaFilters: a fold keeps only the delta tuples the baked
-// filter passes, sorts and dedups them — a whole relation with repeated rows
-// folds into an empty snapshot as a load — and never writes the delta,
-// which is shared with every other reader.
-func TestMergeSortedDeltaFilters(t *testing.T) {
-	idx := []int{1, 0}
-	keep := func(tp relation.Tuple) bool { return tp[0] != 3 }
-	ts := []relation.Tuple{{5, 6}, {3, 4}, {1, 2}, {5, 6}}
-	loaded := mergeSortedDelta(relation.New("R", nil), ts, nil, keep, idx)
-	if fmt.Sprint(loaded.Tuples) != "[[1 2] [5 6]]" || fmt.Sprint(ts) != "[[5 6] [3 4] [1 2] [5 6]]" {
-		t.Fatalf("loaded %v, delta left %v", loaded.Tuples, ts)
-	}
-	adds, dels := []relation.Tuple{{7, 0}, {3, 9}, {1, 2}}, []relation.Tuple{{5, 6}, {9, 9}}
-	got := mergeSortedDelta(loaded, adds, dels, keep, idx)
-	if fmt.Sprint(got.Tuples) != "[[7 0] [1 2]]" || fmt.Sprint(loaded.Tuples) != "[[1 2] [5 6]]" {
-		t.Fatalf("folded %v, held snapshot left %v", got.Tuples, loaded.Tuples)
 	}
 }
 

@@ -299,12 +299,12 @@ func (st *Stmt) current(d *stmtData) bool {
 // data arrives: it returns the input snapshots at the versions the
 // statement reads (state). The fast path is len(inputs) atomic loads;
 // behind them, the slow path captures a consistent cut and brings every
-// changed input up to it with one fold: the held tuples and the net delta
-// since them, or — no data yet, or a history compacted away beneath the
-// held version — nothing and the whole live relation, filtered by the baked
-// constant selections and merged in the input's path order. The published
-// data carries tuples only: its encoding is nil until cachedEnc rebuilds
-// it. A cancelled ctx aborts between inputs and publishes nothing.
+// changed input up to it with one delta.Fold: the held tuples and the net
+// delta since them, or — no data yet, or a history compacted away beneath
+// the held version — nothing and the whole live relation, filtered by the
+// baked constant selections and merged in the input's path order. The
+// published data carries tuples only: its encoding is nil until cachedEnc
+// rebuilds it. A cancelled ctx aborts between inputs and publishes nothing.
 // Statements sharing the holder fold a write once between them: whichever
 // comes first publishes, and the rest find the data current behind
 // refreshMu.
@@ -351,62 +351,10 @@ func (st *Stmt) refresh(ctx context.Context) (*stmtData, error) {
 			held = relation.New(in.store.Name, in.store.Schema)
 			adds, dels = states[i].Live().Tuples, nil
 		}
-		nd.rels[i] = mergeSortedDelta(held, adds, dels, st.match(i, nil), in.sortIdx)
+		nd.rels[i] = delta.Fold(held, adds, dels, st.match(i, nil), in.sortIdx)
 	}
 	st.src.data.Store(nd)
 	return nd, nil
-}
-
-// mergeSortedDelta applies a delta to a sorted, deduplicated snapshot with
-// one linear merge in the snapshot's sort order (the column permutation idx,
-// which covers every column), returning the new snapshot (sharing tuple
-// storage with the old). The delta's tuples that keep (nil: all) passes are
-// copied, sorted and deduplicated first — the delta is shared with every
-// other reader and is never written — so it may be a whole relation with
-// repeated rows folded into an empty snapshot. Additions already present
-// and removals of absent tuples are no-ops.
-func mergeSortedDelta(old *relation.Relation, adds, dels []relation.Tuple, keep func(relation.Tuple) bool, idx []int) *relation.Relation {
-	cmp := func(a, b relation.Tuple) int { return relation.ComparePerm(a, b, idx) }
-	sortTuples := func(ts []relation.Tuple) []relation.Tuple {
-		out := make([]relation.Tuple, 0, len(ts))
-		for _, t := range ts {
-			if keep == nil || keep(t) {
-				out = append(out, t)
-			}
-		}
-		relation.SortPerm(out, idx)
-		n := 0
-		for _, t := range out {
-			if n == 0 || cmp(t, out[n-1]) != 0 {
-				out[n] = t
-				n++
-			}
-		}
-		return out[:n]
-	}
-	adds, dels = sortTuples(adds), sortTuples(dels)
-	out := relation.New(old.Name, old.Schema)
-	out.Tuples = make([]relation.Tuple, 0, len(old.Tuples)+len(adds))
-	ai, di := 0, 0
-	for _, t := range old.Tuples {
-		for di < len(dels) && cmp(dels[di], t) < 0 {
-			di++ // removal of an absent tuple: no-op
-		}
-		if di < len(dels) && cmp(dels[di], t) == 0 {
-			di++
-			continue
-		}
-		for ai < len(adds) && cmp(adds[ai], t) < 0 {
-			out.Tuples = append(out.Tuples, adds[ai])
-			ai++
-		}
-		if ai < len(adds) && cmp(adds[ai], t) == 0 {
-			ai++ // addition of a present tuple: no-op
-		}
-		out.Tuples = append(out.Tuples, t)
-	}
-	out.Tuples = append(out.Tuples, adds[ai:]...)
-	return out
 }
 
 // buildContext binds parameters and builds the statement's factorised

@@ -556,3 +556,67 @@ func TestBatchWrites(t *testing.T) {
 		t.Fatalf("batch upsert: %d rows with b=99", res.Count())
 	}
 }
+
+// TestDeleteUnknownStringMatchesNothing: a removal naming a string the
+// dictionary has never seen removes nothing and mints no code. Integers and
+// codes share one value space, so a minted code would equal the stored
+// integer 0 and delete it.
+func TestDeleteUnknownStringMatchesNothing(t *testing.T) {
+	db := New()
+	db.MustCreate("R", "a")
+	db.MustInsert("R", 0)
+	db.MustInsert("R", 5)
+	if err := db.Delete("R", "ghost"); err != nil {
+		t.Fatal(err)
+	}
+	if n := db.Dict().Len(); n != 0 {
+		t.Fatalf("the delete left %d strings in the dictionary", n)
+	}
+	res := mustQuery(t, func() (*Result, error) { return db.Query(From("R")) })
+	if got, want := res.Rows(0), [][]string{{"0"}, {"5"}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after deleting an unknown string: %v, want %v", got, want)
+	}
+}
+
+// TestRefusedInsertMintsNoCode: a batch refused at a later row — for its
+// arity or a value's type — encodes none of its strings, so the stored
+// integers keep rendering as numbers.
+func TestRefusedInsertMintsNoCode(t *testing.T) {
+	db := New()
+	db.MustCreate("R", "a", "b")
+	db.MustInsert("R", 0, 0)
+	for _, rows := range [][][]interface{}{
+		{{"fresh", "fresh"}, {1}},
+		{{"fresh", "fresh"}, {1, struct{}{}}},
+	} {
+		if err := db.InsertBatch("R", rows); err == nil {
+			t.Fatalf("batch %v accepted", rows)
+		}
+		if n := db.Dict().Len(); n != 0 {
+			t.Fatalf("refused batch %v left %d strings in the dictionary", rows, n)
+		}
+	}
+	res := mustQuery(t, func() (*Result, error) { return db.Query(From("R")) })
+	if got, want := res.Rows(0), [][]string{{"0", "0"}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the refused batches: %v, want %v", got, want)
+	}
+}
+
+// TestRefusedUpsertMintsNoCode: an upsert batch refused for a repeated key
+// is judged on the values as given, before any string is encoded.
+func TestRefusedUpsertMintsNoCode(t *testing.T) {
+	db := New()
+	db.MustCreate("R", "k", "v")
+	db.MustInsert("R", 1, 2)
+	err := db.UpsertBatch("R", 1, [][]interface{}{{"a", "x"}, {"b", "y"}, {"a", "z"}})
+	if err == nil || !strings.Contains(err.Error(), "key [a]") {
+		t.Fatalf("repeated-key upsert batch: err = %v, want one naming key [a]", err)
+	}
+	if n := db.Dict().Len(); n != 0 {
+		t.Fatalf("the refused batch left %d strings in the dictionary", n)
+	}
+	res := mustQuery(t, func() (*Result, error) { return db.Query(From("R")) })
+	if got, want := res.Rows(0), [][]string{{"1", "2"}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the refused batch: %v, want %v", got, want)
+	}
+}
