@@ -38,12 +38,12 @@ type spec struct {
 
 // outClauses are the clauses that shape how a finished result leaves the
 // engine; a spec collects them, a compiled statement carries them, and
-// DB.dress applies them (Stmt.Exec and Result.Where alike).
+// Result.dress applies them (Stmt.Exec and Result.Where alike).
 type outClauses struct {
 	order    []frep.OrderKey // ORDER BY keys; empty: enumeration order
 	offset   int             // tuples to skip
 	limit    int             // result cap; -1: none
-	distinct bool            // explicit set-semantics normalisation
+	distinct bool            // fold a bag into a set
 }
 
 // selSpec is one selection attr θ value; val is a Go constant (int, int64,
@@ -345,10 +345,8 @@ func (distinctClause) apply(s *spec) error {
 	return nil
 }
 
-// Distinct makes the set semantics of the result explicit: after projection,
-// duplicate-representing unions are deduplicated in place on the factorised
-// form, never by hashing flat tuples. The engine's projection already
-// produces set results, so Distinct is a (verified) no-op on every query —
-// it exists so queries can state the requirement and so externally-built
-// representations normalise.
+// Distinct makes the set semantics of the result explicit. Every query
+// result already is a set, so it changes nothing there; on a UnionAll bag
+// it folds the operands into one set with the structural set union, never
+// by hashing flat tuples.
 func Distinct() Clause { return distinctClause{} }

@@ -159,7 +159,8 @@ func (db *DB) mutate(name string, addRows, delRows [][]interface{}, upsertKey in
 	if upsertKey > len(s.Schema) {
 		return fmt.Errorf("fdb: relation %q has arity %d, upsert key has %d columns", name, len(s.Schema), upsertKey)
 	}
-	keys := map[string]bool{} // an upsert's keys, as given
+	keys := map[string]bool{}            // an upsert's keys, as they will be stored
+	fresh := map[string]relation.Value{} // the upsert's strings without a code, by the code each will get
 	for _, row := range slices.Concat(addRows, delRows) {
 		if len(row) != len(s.Schema) {
 			return fmt.Errorf("fdb: relation %q has arity %d, got %d values", name, len(s.Schema), len(row))
@@ -174,9 +175,25 @@ func (db *DB) mutate(name string, addRows, delRows [][]interface{}, upsertKey in
 		if upsertKey == 0 {
 			continue
 		}
-		// Two rows with one key would each survive the other's displacement,
-		// leaving the key twice: the batch is ambiguous, so refuse it whole.
-		k := fmt.Sprintf("%#v", row[:upsertKey])
+		// Two rows with one stored key would each survive the other's
+		// displacement, leaving the key twice: refuse the batch whole. Keys
+		// compare as stored, a string by its code or by the one minting
+		// will give it: the dictionary's length plus its rank among the
+		// batch's unseen strings (minting holds db.mu, as this does).
+		key := make(relation.Tuple, 0, upsertKey)
+		for _, v := range row {
+			code, known := db.value(v, false)
+			if str, _ := v.(string); !known {
+				if code, known = fresh[str]; !known {
+					code = relation.Value(db.dict.Len() + len(fresh))
+					fresh[str] = code
+				}
+			}
+			if len(key) < upsertKey {
+				key = append(key, code)
+			}
+		}
+		k := fmt.Sprint(key)
 		if keys[k] {
 			return fmt.Errorf("fdb: upsert batch on %q has two rows with key %v", name, row[:upsertKey])
 		}

@@ -49,8 +49,6 @@ func ApplyEnc(op Op, e *frep.Enc) (*frep.Enc, error) {
 		return liftEnc(o, e)
 	case Project:
 		return projectEnc(o, e)
-	case Distinct:
-		return frep.DedupEnc(e), nil
 	}
 	return nil, fmt.Errorf("fplan: no data-level implementation of operator %T", op)
 }
@@ -295,7 +293,7 @@ func pushUpEnc(o PushUp, e *frep.Enc) (*frep.Enc, error) {
 			b.CopyUnions(e, sbi, s2d[sbi], int(lo), int(lo)+1)
 			if strict && checkErr == nil {
 				for i := lo + 1; i < hi; i++ {
-					if !e.UnionEqual(sbi, int(i), int(lo)) {
+					if !frep.FragEqual(e, e, sbi, int(i), int(lo)) {
 						checkErr = fmt.Errorf("fplan: push-up of %q factored out unequal copies", o.B)
 						break
 					}

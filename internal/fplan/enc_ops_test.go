@@ -185,36 +185,3 @@ func TestSelectFnDirect(t *testing.T) {
 		t.Errorf("Select changed the tree:\n%s\nwas:\n%s", out.Tree, e.Tree)
 	}
 }
-
-// Distinct: identity on engine-built representations (real dedup on
-// duplicate-carrying ones is frep's TestDedupEnc) and a schema no-op.
-func TestDistinctOp(t *testing.T) {
-	r := relation.New("R", relation.Schema{"A", "B"})
-	r.Append(1, 2)
-	r.Append(1, 3)
-	r.Append(2, 2)
-	tr := ftree.New([]*ftree.Node{ftree.NewNode("A").Add(ftree.NewNode("B"))},
-		[]relation.AttrSet{relation.NewAttrSet("A", "B")})
-	e := mustEnc(t, tr, r)
-	out := applyChecked(t, Distinct{}, e)
-	if !out.Equal(e) {
-		t.Fatal("Distinct changed an engine-built representation")
-	}
-
-	// Empty representations stay empty.
-	empty := frep.NewEmptyEnc(tr.Clone())
-	out, err := ApplyEnc(Distinct{}, empty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.IsEmpty() {
-		t.Fatal("Distinct broke the empty representation")
-	}
-
-	if err := (Distinct{}).ApplyTree(tr); err != nil {
-		t.Fatalf("ApplyTree: %v", err)
-	}
-	if (Distinct{}).String() != "δ" {
-		t.Fatal("unexpected operator rendering")
-	}
-}

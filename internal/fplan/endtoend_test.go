@@ -60,7 +60,7 @@ func TestRandomOperatorSequences(t *testing.T) {
 	// property above says nothing about it. (A bare ψ never is: operators
 	// keep their output normalised. It runs inside η, α and σ_=, and on its
 	// own in TestNormalisePushesIndependentParts.)
-	for _, k := range []string{"χ", "μ", "α", "σ", "η", "π", "λ", "δ"} {
+	for _, k := range []string{"χ", "μ", "α", "σ", "η", "π", "λ"} {
 		if applied[k] == 0 {
 			t.Errorf("operator %s never applied", k)
 		}
@@ -108,9 +108,6 @@ func randomOp(rng *rand.Rand, t *ftree.T) Op {
 		// decoded-order string ranges compile to).
 		return Select{A: pick(), Keep: func(v relation.Value) bool { return v%2 == 0 }, Label: "even"}
 	case 7:
-		if rng.Intn(2) == 0 {
-			return Distinct{}
-		}
 		return Normalise{}
 	case 8:
 		if len(attrs) < 2 {

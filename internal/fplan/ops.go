@@ -2,7 +2,8 @@
 // data: push-up ψ and normalisation η, swap χ (the priority-queue algorithm
 // of Figure 4), Cartesian product ×, the selection operators merge μ, absorb
 // α and selection-with-constant σ, and projection π — plus f-plans
-// (sequences of operators) and their executor.
+// (sequences of operators) and their executor. There is no δ: every
+// representation is a set, and projection keeps it one.
 //
 // Every operator maps an encoded representation (f-tree and columns
 // together) to a fresh one, in time quasilinear in the sizes of its input

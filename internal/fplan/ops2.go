@@ -183,19 +183,3 @@ func productTree(ta, tb *ftree.T) (*ftree.T, error) {
 		Consts: ta.Consts.Union(tb.Consts),
 	}, nil
 }
-
-// ---------------------------------------------------------------- distinct δ
-
-// Distinct is δ: the explicit set-semantics normalisation. Projection in
-// this engine already removes hidden-node multiplicity, so Distinct is the
-// identity on every engine-built representation except a bag — UNION ALL's
-// result, which keeps a tuple of both operands twice. It merges
-// duplicate-valued union entries (unioning their children recursively) so
-// the guarantee holds for any input and DISTINCT queries state it
-// explicitly.
-type Distinct struct{}
-
-func (Distinct) String() string { return "δ" }
-
-// ApplyTree implements Op: δ never changes the schema.
-func (Distinct) ApplyTree(t *ftree.T) error { return nil }

@@ -471,9 +471,11 @@ func (ev *aggEval) cross(m1, m2 map[string]*partial) map[string]*partial {
 	return out
 }
 
-// SatMul multiplies saturating at math.MaxInt64 — exported so the public
-// layer's size accounting clips the same way the representation measures do.
+// SatMul and SatAdd multiply and add saturating at math.MaxInt64 —
+// exported so the public layer's size accounting clips the same way the
+// representation measures do.
 func SatMul(a, b int64) int64 { return satMul(a, b) }
+func SatAdd(a, b int64) int64 { return satAdd(a, b) }
 
 // satMul and satAdd are the count arithmetic: non-negative operands,
 // saturating at math.MaxInt64.

@@ -5,7 +5,9 @@
 // union per f-tree child. The top level holds one union per f-tree root
 // (their product).
 //
-// The representation maintains two invariants from Section 3:
+// Every Enc maintains two invariants from Section 3 (Validate checks
+// them), so every Enc represents a set — a bag union keeps its operands'
+// encodings apart (fdb.Result.UnionAll):
 //
 //   - order: the values of every union are strictly increasing;
 //   - reduction: every non-root union is non-empty (an empty union would
@@ -573,22 +575,23 @@ func (e *Enc) Equal(o *Enc) bool {
 	return true
 }
 
-// UnionEqual reports whether unions u1 and u2 of node ni represent the same
-// fragment (deep comparison over the subtree; used by the strict push-up
-// checks).
-func (e *Enc) UnionEqual(ni, u1, u2 int) bool {
-	lo1, hi1 := e.UnionSpan(ni, u1)
-	lo2, hi2 := e.UnionSpan(ni, u2)
-	if hi1-lo1 != hi2-lo2 {
+// FragEqual reports whether union ua of a and union ub of b at node ni
+// represent the same fragment: a deep comparison over the subtree. The two
+// encodings share ni's pre-order layout below it (a == b compares two
+// unions of one encoding).
+func FragEqual(a, b *Enc, ni, ua, ub int) bool {
+	alo, ahi := a.UnionSpan(ni, ua)
+	blo, bhi := b.UnionSpan(ni, ub)
+	if ahi-alo != bhi-blo {
 		return false
 	}
-	vals := e.Vals(ni)
-	for k := int32(0); k < hi1-lo1; k++ {
-		if vals[lo1+k] != vals[lo2+k] {
+	va, vb := a.Vals(ni), b.Vals(ni)
+	for t := int32(0); t < ahi-alo; t++ {
+		if va[alo+t] != vb[blo+t] {
 			return false
 		}
-		for _, ci := range e.ti.kids[ni] {
-			if !e.UnionEqual(ci, int(lo1+k), int(lo2+k)) {
+		for _, ci := range a.Kids(ni) {
+			if !FragEqual(a, b, ci, int(alo+t), int(blo+t)) {
 				return false
 			}
 		}

@@ -277,177 +277,84 @@ func ReplayIter(schema relation.Schema, rows []relation.Tuple) TupleIter {
 	return &sortedIter{schema: schema, rows: rows}
 }
 
-// SortedRows is the fallback for orders incompatible with the f-tree: it
-// enumerates e once and returns the first k tuples under TupleCompare (k < 0:
-// all of them), sorted. With a bound it keeps a max-heap of the best k
-// tuples (O(N log k) time, O(k) memory — the top-k never materialises the
-// flat result); without one it sorts everything. Callers clip an OFFSET off
-// the front (Clip over ReplayIter) and so ask for offset+limit rows.
-func SortedRows(e *Enc, keys []OrderKey, less ValueLess, k int) []relation.Tuple {
-	cmp := TupleCompare(e.Schema(), keys, less)
-	var rows []relation.Tuple
-	switch {
-	case k == 0:
+// SortedRows is the fallback for orders incompatible with the f-tree, and
+// the retrieval of a bag (the bag union of es): it enumerates every encoding
+// of es once, each permuted into the first one's column order, and returns
+// the first k tuples under TupleCompare (k < 0: all of them), sorted. With a
+// bound it keeps a max-heap of the best k tuples (O(N log k) time, O(k)
+// memory — the top-k never materialises the flat result); without one it
+// sorts everything. Callers clip an OFFSET off the front (Clip over
+// ReplayIter) and so ask for offset+limit rows.
+func SortedRows(es []*Enc, keys []OrderKey, less ValueLess, k int) []relation.Tuple {
+	if k == 0 {
 		return nil
-	case k > 0:
-		heap := make([]relation.Tuple, 0, k)
-		// Max-heap under cmp: the root is the worst of the best k so far.
-		siftUp := func(i int) {
-			for i > 0 {
-				p := (i - 1) / 2
-				if cmp(heap[i], heap[p]) <= 0 {
-					return
-				}
-				heap[i], heap[p] = heap[p], heap[i]
-				i = p
+	}
+	schema := es[0].Schema()
+	cmp := TupleCompare(schema, keys, less)
+	var rows []relation.Tuple
+	// Max-heap under cmp when k > 0: the root is the worst of the best k so
+	// far.
+	siftUp := func(i int) {
+		for i > 0 {
+			p := (i - 1) / 2
+			if cmp(rows[i], rows[p]) <= 0 {
+				return
 			}
+			rows[i], rows[p] = rows[p], rows[i]
+			i = p
 		}
-		siftDown := func(i int) {
-			for {
-				c := 2*i + 1
-				if c >= len(heap) {
-					return
-				}
-				if c+1 < len(heap) && cmp(heap[c+1], heap[c]) > 0 {
-					c++
-				}
-				if cmp(heap[c], heap[i]) <= 0 {
-					return
-				}
-				heap[i], heap[c] = heap[c], heap[i]
-				i = c
+	}
+	siftDown := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(rows) {
+				return
 			}
+			if c+1 < len(rows) && cmp(rows[c+1], rows[c]) > 0 {
+				c++
+			}
+			if cmp(rows[c], rows[i]) <= 0 {
+				return
+			}
+			rows[i], rows[c] = rows[c], rows[i]
+			i = c
 		}
-		e.Enumerate(func(t relation.Tuple) bool {
-			if len(heap) < k {
-				heap = append(heap, t.Clone())
-				siftUp(len(heap) - 1)
-			} else if cmp(t, heap[0]) < 0 {
-				heap[0] = t.Clone()
-				siftDown(0)
-			}
-			return true
-		})
-		rows = heap
-	default:
-		e.Enumerate(func(t relation.Tuple) bool {
+	}
+	keep := func(t relation.Tuple) bool {
+		switch {
+		case k < 0:
 			rows = append(rows, t.Clone())
-			return true
+		case len(rows) < k:
+			rows = append(rows, t.Clone())
+			siftUp(len(rows) - 1)
+		case cmp(t, rows[0]) < 0:
+			rows[0] = t.Clone()
+			siftDown(0)
+		}
+		return true
+	}
+	for _, e := range es {
+		from := e.Schema()
+		perm := make([]int, len(schema))
+		moved := false
+		for i, a := range schema {
+			perm[i] = from.Index(a)
+			moved = moved || perm[i] != i
+		}
+		if !moved {
+			e.Enumerate(keep)
+			continue
+		}
+		row := make(relation.Tuple, len(perm))
+		e.Enumerate(func(t relation.Tuple) bool {
+			for i, j := range perm {
+				row[i] = t[j]
+			}
+			return keep(row)
 		})
 	}
 	sort.SliceStable(rows, func(i, j int) bool { return cmp(rows[i], rows[j]) < 0 })
 	return rows
-}
-
-// ------------------------------------------------------------------ dedup
-
-// HasDupEntries reports whether any union holds two entries with the same
-// value — the one way an encoding can represent duplicate tuples. A cheap
-// O(size) scan: engine-built representations other than bags satisfy the
-// strict order invariant, so DISTINCT verifies the set property at memory
-// speed and only pays for a rebuild when a duplicate actually exists.
-func (e *Enc) HasDupEntries() bool {
-	if e.IsEmpty() {
-		return false
-	}
-	for ni := range e.cols {
-		vals, offs := e.Vals(ni), e.Offs(ni)
-		for u := 0; u+1 < len(offs); u++ {
-			for j := offs[u] + 1; j < offs[u+1]; j++ {
-				if vals[j] == vals[j-1] {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// DedupEnc returns the set-semantics normalisation of e: within every union,
-// entries sharing a value are merged (their child unions union recursively)
-// so the result satisfies the strict order invariant and represents the same
-// relation without duplicates. Engine-produced representations other than
-// bags (BagUnionEnc's results) already are sets (HasDupEntries is false),
-// and come back unchanged without a rebuild; DISTINCT exists to make that
-// guarantee explicit and to normalise bags and externally-built encodings.
-//
-// Union does not distribute over the child product: entries v×(A1×B1) and
-// v×(A2×B2) merge child by child only when they agree on all but at most
-// one child (the rule setMerger.collide applies to ∪). A duplicate group
-// that differs in two or more children is rebuilt flat over the path tree,
-// like a non-decomposable set operation.
-func DedupEnc(e *Enc) *Enc {
-	if !e.HasDupEntries() {
-		return e
-	}
-	nt := e.Tree.Clone()
-	if e.IsEmpty() {
-		return NewEmptyEnc(nt)
-	}
-	// The clone shares e's pre-order shape, so source and destination node
-	// indexes coincide.
-	b := NewEncBuilder(nt)
-	var emit func(ni int, unions []int32) bool
-	emit = func(ni int, unions []int32) bool {
-		offs := e.Offs(ni)
-		vals := e.Vals(ni)
-		kids := e.Kids(ni)
-		var idxs []int32
-		for _, u := range unions {
-			for j := offs[u]; j < offs[u+1]; j++ {
-				idxs = append(idxs, j)
-			}
-		}
-		sort.SliceStable(idxs, func(a, b int) bool { return vals[idxs[a]] < vals[idxs[b]] })
-		for g := 0; g < len(idxs); {
-			h := g
-			for h < len(idxs) && vals[idxs[h]] == vals[idxs[g]] {
-				h++
-			}
-			if !mergeable(e, kids, idxs[g:h]) {
-				return false
-			}
-			b.Append(ni, vals[idxs[g]])
-			for _, ci := range kids {
-				if !emit(ci, idxs[g:h]) {
-					return false
-				}
-				b.CloseUnion(ci)
-			}
-			g = h
-		}
-		return true
-	}
-	for _, ri := range e.Roots() {
-		if !emit(ri, []int32{0}) {
-			schema := e.Schema()
-			return encodeRows(chainTree(schema), rowsOf(e, schema), false)
-		}
-		b.CloseUnion(ri)
-	}
-	return b.Finish()
-}
-
-// mergeable reports whether the same-valued entries group (entry indexes of
-// one node, whose children are kids) differ from one another in at most one
-// child fragment — the condition under which their union is the product of
-// the per-child unions.
-func mergeable(e *Enc, kids []int, group []int32) bool {
-	if len(group) < 2 || len(kids) < 2 {
-		return true
-	}
-	diff := -1
-	for _, other := range group[1:] {
-		for _, ci := range kids {
-			if ci != diff && !fragEqual(e, e, ci, int(group[0]), int(other)) {
-				if diff >= 0 {
-					return false
-				}
-				diff = ci
-			}
-		}
-	}
-	return true
 }
 
 // ---------------------------------------------------------------- reindex

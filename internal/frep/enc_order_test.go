@@ -261,7 +261,7 @@ func TestSortedFallbackMatchesReference(t *testing.T) {
 		if limit >= 0 {
 			k = offset + limit
 		}
-		got := collect(Clip(ReplayIter(e.Schema(), SortedRows(e, keys, nil, k)), offset, limit))
+		got := collect(Clip(ReplayIter(e.Schema(), SortedRows([]*Enc{e}, keys, nil, k)), offset, limit))
 		if !tuplesEqual(got, want) {
 			t.Fatalf("seed %d: fallback diverges for keys %v offset %d limit %d", seed, keys, offset, limit)
 		}
@@ -345,62 +345,6 @@ func TestOrderedLimitShortCircuits(t *testing.T) {
 			t.Fatalf("%s: top-5 visited %d entries (want O(5), representation has %d root entries)",
 				desc, v, e.NumEntries(0))
 		}
-	}
-}
-
-// DedupEnc on engine-built representations is the identity; on a hand-built
-// encoding with duplicate union values it merges entries, validates, and
-// agrees with the set-dedup of the enumerated tuples.
-func TestDedupEnc(t *testing.T) {
-	for seed := int64(1); seed <= 40; seed++ {
-		e := orderEnc(t, seed, seed%2 == 0)
-		d := DedupEnc(e)
-		if err := d.Validate(); err != nil {
-			t.Fatalf("seed %d: dedup of valid enc fails Validate: %v", seed, err)
-		}
-		if !d.Equal(e) {
-			t.Fatalf("seed %d: dedup of engine-built enc is not the identity", seed)
-		}
-	}
-
-	// A ∪ with duplicate values: {⟨1⟩×{1,2}, ⟨1⟩×{2,3}, ⟨2⟩×{1}} over A→B.
-	tr := ftree.New([]*ftree.Node{ftree.NewNode("A").Add(ftree.NewNode("B"))},
-		[]relation.AttrSet{relation.NewAttrSet("A", "B")})
-	b := NewEncBuilder(tr)
-	ai, bi := b.Roots()[0], b.Kids(b.Roots()[0])[0]
-	for _, en := range []struct {
-		a  relation.Value
-		bs []relation.Value
-	}{{1, []relation.Value{1, 2}}, {1, []relation.Value{2, 3}}, {2, []relation.Value{1}}} {
-		b.Append(ai, en.a)
-		for _, v := range en.bs {
-			b.Append(bi, v)
-		}
-		b.CloseUnion(bi)
-	}
-	b.CloseUnion(ai)
-	dup := b.Finish()
-	if err := dup.Validate(); err == nil {
-		t.Fatal("hand-built duplicate enc unexpectedly validates")
-	}
-
-	d := DedupEnc(dup)
-	if err := d.Validate(); err != nil {
-		t.Fatalf("dedup'd enc fails Validate: %v", err)
-	}
-	// Set-dedup of the enumerated tuples is the reference.
-	ref := relation.New("ref", dup.Schema())
-	dup.Enumerate(func(tp relation.Tuple) bool {
-		ref.AppendTuple(tp.Clone())
-		return true
-	})
-	ref.Dedup()
-	got := d.Relation("got")
-	if !got.Equal(ref) {
-		t.Fatalf("dedup enumerates\n%v\nwant set-dedup\n%v", got.Tuples, ref.Tuples)
-	}
-	if n := d.Count(); n != int64(ref.Cardinality()) {
-		t.Fatalf("dedup Count() = %d, want %d", n, ref.Cardinality())
 	}
 }
 

@@ -12,9 +12,8 @@
 // lands in the one that differs. A collision with two or more differing
 // children aborts the structural merge (errNonDecomposable) and the
 // operands are rebuilt over a path tree, where every node has at most one
-// child and the merge always decomposes. UNION ALL is the dedup-free leg:
-// a collision keeps both entries as adjacent equal values (the bag reading
-// of the encoding — DedupEnc normalises it back to a set).
+// child and the merge always decomposes. Every operand and every result is
+// a set: a bag union keeps its operands apart (fdb.Result.UnionAll).
 package frep
 
 import (
@@ -31,7 +30,6 @@ type setOp int
 
 const (
 	opUnion setOp = iota
-	opUnionAll
 	opExcept
 	opIntersect
 )
@@ -40,8 +38,6 @@ func (o setOp) String() string {
 	switch o {
 	case opUnion:
 		return "union"
-	case opUnionAll:
-		return "union all"
 	case opExcept:
 		return "except"
 	case opIntersect:
@@ -64,13 +60,6 @@ var errNonDecomposable = errors.New("frep: set operation does not decompose over
 // a's tree on the structural path, a's schema order on the rebuild path).
 func SetUnionEnc(a, b *Enc) (*Enc, error) { return setOpEnc(opUnion, a, b) }
 
-// BagUnionEnc returns a ⊎ b under bag semantics: no deduplication — a value
-// present in both sides keeps both entries, as adjacent equal values in one
-// union. The result may therefore violate the strict-order invariant that
-// Validate checks for set-semantics encodings; enumeration, Count and
-// clipping all handle it, and DedupEnc restores the set form.
-func BagUnionEnc(a, b *Enc) (*Enc, error) { return setOpEnc(opUnionAll, a, b) }
-
 // ExceptEnc returns a − b under set semantics. Alignment and fallback as
 // for SetUnionEnc.
 func ExceptEnc(a, b *Enc) (*Enc, error) { return setOpEnc(opExcept, a, b) }
@@ -81,7 +70,7 @@ func ExceptEnc(a, b *Enc) (*Enc, error) { return setOpEnc(opExcept, a, b) }
 func IntersectEnc(a, b *Enc) (*Enc, error) { return setOpEnc(opIntersect, a, b) }
 
 func setOpEnc(op setOp, a, b *Enc) (*Enc, error) {
-	if err := checkSetSchemas(op, a, b); err != nil {
+	if err := CheckSetSchemas(op.String(), a, b); err != nil {
 		return nil, err
 	}
 	// Empty operands short-circuit before any alignment work.
@@ -89,36 +78,22 @@ func setOpEnc(op setOp, a, b *Enc) (*Enc, error) {
 	case a.IsEmpty() && b.IsEmpty():
 		return NewEmptyEnc(a.Tree.Clone()), nil
 	case a.IsEmpty():
-		switch op {
-		case opUnion:
-			return DedupEnc(b), nil
-		case opUnionAll:
+		if op == opUnion {
 			return b, nil
-		default: // ∅ − B = ∅ ∩ B = ∅
-			return NewEmptyEnc(a.Tree.Clone()), nil
 		}
+		return NewEmptyEnc(a.Tree.Clone()), nil // ∅ − B = ∅ ∩ B = ∅
 	case b.IsEmpty():
-		switch op {
-		case opIntersect:
+		if op == opIntersect {
 			return NewEmptyEnc(a.Tree.Clone()), nil
-		case opUnionAll:
-			return a, nil
-		default: // A ∪ ∅ = A − ∅ = A
-			return DedupEnc(a), nil
 		}
+		return a, nil // A ∪ ∅ = A − ∅ = A
 	}
 	// Hidden attributes make structural values and visible tuples diverge
 	// (two operands can be equal as relations yet differ entry-for-entry),
 	// so only marker-free operands take the structural walk.
 	if len(a.Tree.Hidden) == 0 && len(b.Tree.Hidden) == 0 {
 		if rb, ok := alignSetOp(a, b); ok {
-			la, lb := a, rb
-			if op != opUnionAll {
-				// Set semantics needs set-form inputs; engine-built operands
-				// already are, bags aside (DedupEnc is then free).
-				la, lb = DedupEnc(la), DedupEnc(lb)
-			}
-			out, err := setOpStructural(op, la, lb)
+			out, err := setOpStructural(op, a, rb)
 			if err == nil {
 				return out, nil
 			}
@@ -130,20 +105,16 @@ func setOpEnc(op setOp, a, b *Enc) (*Enc, error) {
 	return setOpFlat(op, a, b)
 }
 
-// checkSetSchemas enforces the one hard contract: both operands cover the
-// same visible attribute set (column order is free).
-func checkSetSchemas(op setOp, a, b *Enc) error {
+// CheckSetSchemas enforces the one hard contract of the set operation
+// named op, bag union included: both operands cover the same visible
+// attribute set (column order is free).
+func CheckSetSchemas(op string, a, b *Enc) error {
 	av, bv := a.Tree.VisibleAttrs().Sorted(), b.Tree.VisibleAttrs().Sorted()
 	if len(av) == 0 {
 		return fmt.Errorf("frep: %s: operand has no visible attributes", op)
 	}
-	if len(av) != len(bv) {
+	if !slices.Equal(av, bv) {
 		return fmt.Errorf("frep: %s: schemas differ: %v vs %v", op, av, bv)
-	}
-	for i := range av {
-		if av[i] != bv[i] {
-			return fmt.Errorf("frep: %s: schemas differ: %v vs %v", op, av, bv)
-		}
 	}
 	return nil
 }
@@ -159,7 +130,7 @@ func alignSetOp(a, b *Enc) (rb *Enc, ok bool) {
 	}
 	direct := true
 	for ni := 0; ni < a.NodeCount(); ni++ {
-		if a.Parent(ni) != b.Parent(ni) || !attrsEqual(a.Node(ni).Attrs, b.Node(ni).Attrs) {
+		if a.Parent(ni) != b.Parent(ni) || !slices.Equal(a.Node(ni).Attrs, b.Node(ni).Attrs) {
 			direct = false
 			break
 		}
@@ -172,18 +143,6 @@ func alignSetOp(a, b *Enc) (rb *Enc, ok bool) {
 		return nil, false
 	}
 	return rb, true
-}
-
-func attrsEqual(a, b []relation.Attribute) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // setMerger carries one structural merge: both operands share the builder's
@@ -237,7 +196,7 @@ func setOpStructural(op setOp, a, b *Enc) (*Enc, error) {
 	}
 	diff := -1
 	for _, ri := range roots {
-		if !fragEqual(a, b, ri, 0, 0) {
+		if !FragEqual(a, b, ri, 0, 0) {
 			if diff >= 0 {
 				return nil, errNonDecomposable
 			}
@@ -245,14 +204,10 @@ func setOpStructural(op setOp, a, b *Enc) (*Enc, error) {
 		}
 	}
 	if diff < 0 { // the operands are equal
-		switch op {
-		case opUnion:
+		if op == opUnion {
 			return a, nil
-		case opExcept:
-			return NewEmptyEnc(nt), nil
-		default: // opUnionAll: A ⊎ A doubles any one root's component
-			diff = roots[0]
 		}
+		return NewEmptyEnc(nt), nil
 	}
 	for _, ri := range roots {
 		if ri != diff {
@@ -282,13 +237,13 @@ func (m *setMerger) mergeUnion(ni, ua, ub, depth int) (int, error) {
 	for i < ahi || k < bhi {
 		switch {
 		case k >= bhi || (i < ahi && va[i] < vb[k]):
-			if m.op != opIntersect { // union, union all, except keep a-only entries
+			if m.op != opIntersect { // union and except keep a-only entries
 				m.bld.CopyEntries(m.a, ni, ni, int(i), int(i)+1)
 				count++
 			}
 			i++
 		case i >= ahi || vb[k] < va[i]:
-			if m.op == opUnion || m.op == opUnionAll { // b-only entries
+			if m.op == opUnion { // b-only entries
 				m.bld.CopyEntries(m.b, ni, ni, int(k), int(k)+1)
 				count++
 			}
@@ -307,8 +262,7 @@ func (m *setMerger) mergeUnion(ni, ua, ub, depth int) (int, error) {
 }
 
 // collide handles one value present in both operands: entry ia of a and
-// entry ib of b at node ni. Returns the entries emitted at ni (0, 1 or —
-// for union all — 2).
+// entry ib of b at node ni. Returns the entries emitted at ni (0 or 1).
 func (m *setMerger) collide(ni, ia, ib, depth int) (int, error) {
 	kids := m.a.Kids(ni)
 	v := m.a.Vals(ni)[ia]
@@ -317,22 +271,11 @@ func (m *setMerger) collide(ni, ia, ib, depth int) (int, error) {
 		case opUnion, opIntersect:
 			m.bld.Append(ni, v)
 			return 1, nil
-		case opUnionAll:
-			m.bld.Append(ni, v)
-			m.bld.Append(ni, v)
-			return 2, nil
 		default: // opExcept: the leaf entry annihilates
 			return 0, nil
 		}
 	}
-	switch m.op {
-	case opUnionAll:
-		// Bag semantics: both entries survive verbatim as adjacent equal
-		// values; no recursion, so union all never aborts below the roots.
-		m.bld.CopyEntries(m.a, ni, ni, ia, ia+1)
-		m.bld.CopyEntries(m.b, ni, ni, ib, ib+1)
-		return 2, nil
-	case opIntersect:
+	if m.op == opIntersect {
 		// ∩ distributes over the child product: recurse into every pair,
 		// rolling the entry back if any child intersection empties.
 		mark := m.bld.Mark(ni, m.markAt(depth))
@@ -355,7 +298,7 @@ func (m *setMerger) collide(ni, ia, ib, depth int) (int, error) {
 	// all but at most one child, where the operation then lands.
 	diff := -1
 	for _, ci := range kids {
-		if !fragEqual(m.a, m.b, ci, ia, ib) {
+		if !FragEqual(m.a, m.b, ci, ia, ib) {
 			if diff >= 0 {
 				return 0, errNonDecomposable
 			}
@@ -390,29 +333,6 @@ func (m *setMerger) collide(ni, ia, ib, depth int) (int, error) {
 	return 1, nil
 }
 
-// fragEqual reports whether union ua of a and union ub of b at (shared
-// pre-order) node ni represent the same fragment — UnionEqual across two
-// encodings with aligned layouts.
-func fragEqual(a, b *Enc, ni, ua, ub int) bool {
-	alo, ahi := a.UnionSpan(ni, ua)
-	blo, bhi := b.UnionSpan(ni, ub)
-	if ahi-alo != bhi-blo {
-		return false
-	}
-	va, vb := a.Vals(ni), b.Vals(ni)
-	for t := int32(0); t < ahi-alo; t++ {
-		if va[alo+t] != vb[blo+t] {
-			return false
-		}
-		for _, ci := range a.Kids(ni) {
-			if !fragEqual(a, b, ci, int(alo+t), int(blo+t)) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // ------------------------------------------------------- path-tree rebuild
 
 // chainTree builds the chain f-tree over schema order: one single-attribute
@@ -434,16 +354,14 @@ func chainTree(schema relation.Schema) *ftree.T {
 }
 
 // setOpFlat is the rebuild fallback: both operands are enumerated in a's
-// schema order, sorted and re-encoded over its path tree — as sets, unless
-// the operation is union all — and merged there structurally, where every
-// collision decomposes. Correctness over structure — taken when the trees
-// disagree or a structural merge aborts.
+// schema order, sorted and re-encoded over its path tree, and merged there
+// structurally, where every collision decomposes. Correctness over
+// structure — taken when the trees disagree or a structural merge aborts.
 func setOpFlat(op setOp, a, b *Enc) (*Enc, error) {
 	schema := a.Schema()
-	keepDup := op == opUnionAll
 	return setOpStructural(op,
-		encodeRows(chainTree(schema), rowsOf(a, schema), keepDup),
-		encodeRows(chainTree(schema), rowsOf(b, schema), keepDup))
+		encodeRows(chainTree(schema), rowsOf(a, schema)),
+		encodeRows(chainTree(schema), rowsOf(b, schema)))
 }
 
 // rowsOf enumerates e's visible tuples permuted into schema order and
@@ -468,10 +386,9 @@ func rowsOf(e *Enc, schema relation.Schema) []relation.Tuple {
 }
 
 // encodeRows builds a chain-tree encoding from rows sorted in t's (schema)
-// order by streaming inserts along the common prefix with the previous row.
-// With keepDup, duplicate rows become duplicate leaf entries (the bag form
-// union all produces); otherwise repeated rows are dropped.
-func encodeRows(t *ftree.T, rows []relation.Tuple, keepDup bool) *Enc {
+// order by streaming inserts along the common prefix with the previous row;
+// repeated rows are dropped.
+func encodeRows(t *ftree.T, rows []relation.Tuple) *Enc {
 	if len(rows) == 0 {
 		return NewEmptyEnc(t)
 	}
@@ -486,10 +403,7 @@ func encodeRows(t *ftree.T, rows []relation.Tuple, keepDup bool) *Enc {
 				cp++
 			}
 			if cp == n { // duplicate row
-				if !keepDup {
-					continue
-				}
-				cp = n - 1
+				continue
 			}
 			for l := n - 1; l > cp; l-- {
 				b.CloseUnion(l)

@@ -62,8 +62,6 @@ func refRows(op setOp, a, b *relation.Relation, order relation.Schema) []relatio
 				rows = append(rows, t)
 			}
 		}
-	case opUnionAll:
-		rows = append(append(rows, pa.Tuples...), pb.Tuples...)
 	case opExcept:
 		for _, t := range pa.Tuples {
 			if !inB[key(t)] {
@@ -96,10 +94,9 @@ func gotRows(e *Enc, order relation.Schema) []relation.Tuple {
 // reindex and rebuild alignment tiers) matches the flat reference.
 func TestSetOpsMatchFlatReference(t *testing.T) {
 	schema := relation.Schema{"A", "B", "C"}
-	ops := []setOp{opUnion, opUnionAll, opExcept, opIntersect}
+	ops := []setOp{opUnion, opExcept, opIntersect}
 	apply := map[setOp]func(a, b *Enc) (*Enc, error){
 		opUnion:     SetUnionEnc,
-		opUnionAll:  BagUnionEnc,
 		opExcept:    ExceptEnc,
 		opIntersect: IntersectEnc,
 	}
@@ -122,12 +119,8 @@ func TestSetOpsMatchFlatReference(t *testing.T) {
 			if int64(len(refRows(op, ra, rb, schema))) != out.Count() {
 				t.Fatalf("seed %d %s: Count %d, reference %d", seed, op, out.Count(), len(want))
 			}
-			if op != opUnionAll {
-				if err := out.Validate(); err != nil {
-					t.Fatalf("seed %d %s: result does not validate: %v", seed, op, err)
-				}
-			} else if dd := DedupEnc(out); dd.Validate() != nil {
-				t.Fatalf("seed %d union all: dedup does not validate: %v", seed, dd.Validate())
+			if err := out.Validate(); err != nil {
+				t.Fatalf("seed %d %s: result does not validate: %v", seed, op, err)
 			}
 		}
 	}
@@ -178,13 +171,13 @@ func TestSetOpsBranchingDecomposability(t *testing.T) {
 	ra := joinRel(map[relation.Value][]relation.Value{1: {1, 2}}, map[relation.Value][]relation.Value{1: {5, 6}})
 	rb := joinRel(map[relation.Value][]relation.Value{1: {2, 3}}, map[relation.Value][]relation.Value{1: {5, 6}})
 	ea, eb := branchingPair(t, ra, rb)
-	if _, err := setOpStructural(opUnion, DedupEnc(ea), DedupEnc(eb)); err != nil {
+	if _, err := setOpStructural(opUnion, ea, eb); err != nil {
 		t.Fatalf("one differing child should merge structurally: %v", err)
 	}
 	// Two differing children must abort the structural walk...
 	rc := joinRel(map[relation.Value][]relation.Value{1: {2, 3}}, map[relation.Value][]relation.Value{1: {6, 7}})
 	ec, _ := branchingPair(t, rc, rc)
-	if _, err := setOpStructural(opUnion, DedupEnc(ea), DedupEnc(ec)); !errors.Is(err, errNonDecomposable) {
+	if _, err := setOpStructural(opUnion, ea, ec); !errors.Is(err, errNonDecomposable) {
 		t.Fatalf("two differing children: want errNonDecomposable, got %v", err)
 	}
 	// ...while the public operator falls back to the rebuild and stays right.
@@ -199,7 +192,6 @@ func TestSetOpsBranchingDecomposability(t *testing.T) {
 		{opExcept, ExceptEnc, rb, eb},
 		{opExcept, ExceptEnc, rc, ec},
 		{opIntersect, IntersectEnc, rc, ec},
-		{opUnionAll, BagUnionEnc, rc, ec},
 	} {
 		out, err := tc.apply(ea, tc.enc)
 		if err != nil {
@@ -208,26 +200,6 @@ func TestSetOpsBranchingDecomposability(t *testing.T) {
 		schema := relation.Schema{"A", "B", "C"}
 		if got, want := gotRows(out, schema), refRows(tc.op, ra, tc.other, schema); !tuplesEqual(got, want) {
 			t.Fatalf("%s: got %v want %v", tc.op, got, want)
-		}
-	}
-	// Distinct over the bag union is the set union on both shapes: same-value
-	// entries that differ in both children must not merge child by child
-	// (that would represent the product of the per-child unions instead).
-	for _, tc := range []struct {
-		other *relation.Relation
-		enc   *Enc
-	}{{rb, eb}, {rc, ec}} {
-		bag, err := BagUnionEnc(ea, tc.enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dd := DedupEnc(bag)
-		if err := dd.Validate(); err != nil {
-			t.Fatalf("dedup(A⊎B) does not validate: %v", err)
-		}
-		schema := relation.Schema{"A", "B", "C"}
-		if got, want := gotRows(dd, schema), refRows(opUnion, ra, tc.other, schema); !tuplesEqual(got, want) {
-			t.Fatalf("dedup(A⊎B): got %v want %v", got, want)
 		}
 	}
 }
@@ -271,7 +243,7 @@ func TestSetOpsForest(t *testing.T) {
 				op    setOp
 				apply func(a, b *Enc) (*Enc, error)
 			}{
-				{opUnion, SetUnionEnc}, {opUnionAll, BagUnionEnc}, {opExcept, ExceptEnc}, {opIntersect, IntersectEnc},
+				{opUnion, SetUnionEnc}, {opExcept, ExceptEnc}, {opIntersect, IntersectEnc},
 			} {
 				out, err := tc.apply(ea, eb)
 				if err != nil {
@@ -293,8 +265,8 @@ func TestSetOpsForest(t *testing.T) {
 }
 
 // Edge cases: schema mismatch is a loud error; empty operands short-circuit
-// with the right identities; union all of an operand with itself doubles
-// Count and dedups back to the operand.
+// with the right identities; an operand against itself is the identity of
+// union and intersect and empties except.
 func TestSetOpsEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ra := setOpRel(rng, relation.Schema{"A", "B", "C"}, 8, 3)
@@ -315,7 +287,6 @@ func TestSetOpsEdges(t *testing.T) {
 		{"A−∅", func() (*Enc, error) { return ExceptEnc(ea, empty) }, ea.Count()},
 		{"∅−A", func() (*Enc, error) { return ExceptEnc(empty, ea) }, 0},
 		{"A∩∅", func() (*Enc, error) { return IntersectEnc(ea, empty) }, 0},
-		{"A⊎∅", func() (*Enc, error) { return BagUnionEnc(ea, empty) }, ea.Count()},
 	} {
 		out, err := tc.out()
 		if err != nil {
@@ -325,19 +296,12 @@ func TestSetOpsEdges(t *testing.T) {
 			t.Fatalf("%s: Count %d, want %d", tc.name, out.Count(), tc.want)
 		}
 	}
-	all, err := BagUnionEnc(ea, ea)
+	union, err := SetUnionEnc(ea, ea)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if all.Count() != 2*ea.Count() {
-		t.Fatalf("A⊎A: Count %d, want %d", all.Count(), 2*ea.Count())
-	}
-	if !all.HasDupEntries() {
-		t.Fatal("A⊎A should carry duplicate entries")
-	}
-	dd := DedupEnc(all)
-	if dd.Count() != ea.Count() {
-		t.Fatalf("dedup(A⊎A): Count %d, want %d", dd.Count(), ea.Count())
+	if union.Count() != ea.Count() {
+		t.Fatalf("A∪A: Count %d, want %d", union.Count(), ea.Count())
 	}
 	sect, err := IntersectEnc(ea, ea)
 	if err != nil {

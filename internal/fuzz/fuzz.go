@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -82,6 +83,7 @@ type Case struct {
 	// sels2, joined by union (1), union all (2), except (3) or intersect (4).
 	setOp int
 	sels2 []core.ConstSel
+	dom   int // value domain [1, dom]
 }
 
 // NewCase derives a case from the seed.
@@ -98,6 +100,7 @@ func NewCase(seed int64) (*Case, error) {
 	if rng.Intn(3) == 0 {
 		dist = gen.Zipf
 	}
+	c.dom = m
 
 	sch, err := gen.RandomSchema(rng, r, a)
 	if err != nil {
@@ -801,9 +804,11 @@ func (c *Case) comparePlain(res *fdb.Result, want *relation.Relation, fail func(
 }
 
 // checkSet runs the case's set operation over the two legs' results with
-// the Result method, finishes it with the case's retrieval clauses through
-// Where, and compares against the flat rdb set-algebra mirror over the two
-// legs' oracle results.
+// the Result method, refines it with one Where clause (drawRefinement) and
+// finishes it with the case's retrieval clauses in that Where, and compares
+// against the flat rdb set-algebra mirror over the two legs' oracle
+// results. A bag union is refined operand by operand, so the mirror refines
+// each leg before rdb.UnionAll; the set operations are refined after.
 func (c *Case) checkSet(db *fdb.DB, base []fdb.Clause, flat1 *relation.Relation, fail func(string, ...interface{}) error) error {
 	flat2, err := c.oracleFlat(c.sels2)
 	if err != nil {
@@ -835,15 +840,6 @@ func (c *Case) checkSet(db *fdb.DB, base []fdb.Clause, flat1 *relation.Relation,
 		4: {"intersect", (*fdb.Result).Intersect, rdb.Intersect},
 	}
 	op := ops[c.setOp]
-	want, err := op.ref(want1, want2)
-	if err != nil {
-		return fail("%s reference: %v", op.name, err)
-	}
-	if c.distinct {
-		want = want.Clone()
-		want.Dedup() // trailing Distinct normalises a union-all bag
-	}
-
 	r1, err := leg(c.sels)
 	if err != nil {
 		return fail("query leg 1: %v", err)
@@ -852,17 +848,97 @@ func (c *Case) checkSet(db *fdb.DB, base []fdb.Clause, flat1 *relation.Relation,
 	if err != nil {
 		return fail("query leg 2: %v", err)
 	}
+	refine := c.drawRefinement(r1.Enc().Tree)
+	if c.setOp == 2 {
+		want1, want2 = refine.flat(want1), refine.flat(want2)
+	}
+	want, err := op.ref(want1, want2)
+	if err != nil {
+		return fail("%s reference: %v", op.name, err)
+	}
+	if c.setOp != 2 {
+		want = refine.flat(want)
+	}
+	if c.distinct {
+		want = want.Clone()
+		want.Dedup() // trailing Distinct folds a union-all bag into a set
+	}
 	res, err := op.meth(r1, r2)
 	if err != nil {
 		return fail("result %s: %v", op.name, err)
 	}
-	if res, err = res.Where(c.retrievalClauses()...); err != nil {
-		return fail("%s: where: %v", op.name, err)
+	if res, err = res.Where(append([]fdb.Clause{refine.clause}, c.retrievalClauses()...)...); err != nil {
+		return fail("%s: where %s: %v", op.name, refine.label, err)
 	}
 	if err := c.comparePlain(res, want, fail); err != nil {
-		return fmt.Errorf("%s: %w", op.name, err)
+		return fmt.Errorf("%s, where %s: %w", op.name, refine.label, err)
 	}
 	return nil
+}
+
+// refinement is one Where clause over a set operation's result with its
+// flat counterpart.
+type refinement struct {
+	label  string
+	clause fdb.Clause
+	flat   func(*relation.Relation) *relation.Relation
+}
+
+// drawRefinement draws checkSet's refinement over the legs' output
+// attributes: a constant selection, an equality between two attributes on
+// different nodes of t (a selection when there are none), or a projection
+// that keeps the order keys. It draws from its own random stream, so the
+// case derivation (and every recorded seed) is unchanged by it.
+func (c *Case) drawRefinement(t *ftree.T) refinement {
+	rng := rand.New(rand.NewSource(c.Seed ^ 0x5e7e9))
+	out := c.project
+	if out == nil {
+		for _, rel := range c.rels {
+			out = append(out, rel.Schema...)
+		}
+	}
+	kind := rng.Intn(3)
+	var pairs [][2]relation.Attribute
+	for i, a := range out {
+		for _, b := range out[i+1:] {
+			if kind == 1 && t.NodeOf(a) != t.NodeOf(b) {
+				pairs = append(pairs, [2]relation.Attribute{a, b})
+			}
+		}
+	}
+	if len(pairs) > 0 {
+		p := pairs[rng.Intn(len(pairs))]
+		return refinement{fmt.Sprintf("%s=%s", p[0], p[1]), fdb.Eq(string(p[0]), string(p[1])),
+			func(r *relation.Relation) *relation.Relation {
+				i, j := r.Schema.Index(p[0]), r.Schema.Index(p[1])
+				return r.Filter(func(t relation.Tuple) bool { return t[i] == t[j] })
+			}}
+	}
+	if kind == 2 {
+		var attrs []relation.Attribute
+		for _, i := range rng.Perm(len(out))[:1+rng.Intn(len(out))] {
+			attrs = append(attrs, out[i])
+		}
+		for _, k := range c.orderBy {
+			if !slices.Contains(attrs, k.Attr) {
+				attrs = append(attrs, k.Attr)
+			}
+		}
+		return refinement{fmt.Sprintf("project %v", attrs), projectClause(attrs),
+			func(r *relation.Relation) *relation.Relation { return r.Project(attrs) }}
+	}
+	ops := []fdb.CmpOp{fdb.EQ, fdb.NE, fdb.LT, fdb.LE, fdb.GT, fdb.GE}
+	sel := core.ConstSel{A: out[rng.Intn(len(out))], Op: ops[rng.Intn(len(ops))], C: relation.Value(1 + rng.Intn(c.dom))}
+	return refinement{fmt.Sprintf("%s %s %d", sel.A, sel.Op, sel.C), c.selClauses([]core.ConstSel{sel})[0],
+		func(r *relation.Relation) *relation.Relation {
+			i := r.Schema.Index(sel.A)
+			return r.Filter(func(t relation.Tuple) bool {
+				if c.strs != nil && sel.Op != fdb.EQ && sel.Op != fdb.NE {
+					return c.strRangeMatch(t[i], sel)
+				}
+				return sel.Op.Eval(t[i], sel.C)
+			})
+		}}
 }
 
 // checkAgg compares QueryAgg rows against a straight fold over the flat

@@ -118,6 +118,8 @@ func FuzzDifferential(f *testing.F) {
 	f.Add(int64(32))
 	f.Add(int64(58))   // regression: union-all bag under ordered retrieval
 	f.Add(int64(2815)) // regression: Distinct over a union-all bag on a branching tree
+	f.Add(int64(1655)) // regression: an equality over a union-all bag kept too few duplicates
+	f.Add(int64(1923)) // regression: a projection over a union-all bag collapsed its operands
 	f.Add(int64(319))
 	f.Add(int64(2))
 	f.Add(int64(4))

@@ -137,6 +137,9 @@ func promoteToAncestor(t *ftree.T, a, b relation.Attribute) ([]fplan.Op, error) 
 // of their lowest common ancestor, or both roots when in different trees.
 func promoteToSiblings(t *ftree.T, a, b relation.Attribute) ([]fplan.Op, error) {
 	w := t.Clone()
+	if w.NodeOf(a) == nil || w.NodeOf(b) == nil {
+		return nil, fmt.Errorf("opt: attribute missing")
+	}
 	var ops []fplan.Op
 	raise := func(x relation.Attribute, stop func() bool) error {
 		for !stop() {

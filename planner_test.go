@@ -390,6 +390,9 @@ func TestWherePlanFallback(t *testing.T) {
 	if _, err := opt.ExhaustivePlan(tree, bad, opt.PlanSearchOptions{}); err == nil || errors.Is(err, opt.ErrBudget) {
 		t.Fatalf("search over a missing attribute: err = %v, want a non-budget error", err)
 	}
+	if _, err := opt.GreedyPlan(tree, bad); err == nil {
+		t.Fatal("greedy plan over a missing attribute: want an error")
+	}
 	before = db.CacheStats()
 	if got, err := db.planConds(tree, bad); err == nil || errors.Is(err, opt.ErrBudget) || got != nil {
 		t.Fatalf("planConds over a missing attribute = %v, %v; want the search's own error", got, err)

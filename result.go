@@ -3,6 +3,7 @@ package fdb
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,10 +20,13 @@ import (
 // on the encoded representation, using the optimisers to pick cheap
 // f-plans. Where is the one way to refine a result, and the last Where
 // finishes it: OrderBy, Offset, Limit and Distinct given there set how its
-// tuples leave.
+// tuples leave. A UnionAll result is a bag: it keeps its operands' set
+// encodings side by side, and every method reads it as their bag union.
 type Result struct {
-	db  *DB
-	enc *frep.Enc
+	db *DB
+	// The set encodings whose bag union the result is: one, or a bag's two
+	// or more operands over the same visible attributes.
+	parts []*frep.Enc
 	// Retrieval clauses (OrderBy/Offset/Limit): the representation itself
 	// stays factorised and unsorted, only the way out of it changes.
 	order  []frep.OrderKey
@@ -40,7 +44,7 @@ type Result struct {
 // off the structure, the sorted rows when it cannot. Offset and Limit clip
 // whichever cursor it hands out.
 type retrieval struct {
-	enc      *frep.Enc        // encoding walked; a sibling-reordered view of Result.enc when the order needed one
+	enc      *frep.Enc        // encoding walked (a sibling-reordered view when the order needed one), or whose column order rows take
 	plan     *frep.EncOrder   // nil: stored order
 	streamed bool             // false: rows holds the answer, sorted once
 	rows     []relation.Tuple // sort fallback: the first offset+limit tuples in retrieval order
@@ -54,32 +58,42 @@ func (rt *retrieval) cursor() frep.TupleIter {
 	return frep.NewEncIterator(rt.enc, rt.plan)
 }
 
-// newResult wraps an encoded representation in an (unordered, unlimited)
-// result. Limit uses -1 as "none", so every construction site must go
-// through here rather than a bare literal.
-func newResult(db *DB, enc *frep.Enc) *Result {
-	return &Result{db: db, enc: enc, limit: -1}
+// newResult wraps set encodings in the (unordered, unlimited) result that
+// is their bag union. Limit uses -1 as "none", so every construction site
+// must go through here rather than a bare literal.
+func newResult(db *DB, parts ...*frep.Enc) *Result {
+	return &Result{db: db, parts: parts, limit: -1}
 }
 
-// dress wraps a finished encoding in the result its retrieval clauses
-// describe: Distinct normalises the representation, OrderBy/Offset/Limit set
-// how the tuples leave it.
-func (db *DB) dress(enc *frep.Enc, out outClauses) (*Result, error) {
-	if out.distinct {
-		// Projection already yields set semantics; δ normalises and makes the
-		// guarantee explicit (a no-op pass on every engine-built rep but
-		// UnionAll's bags, which it makes sets).
+// set returns the result's tuples as one set encoding: a bag's operands
+// folded by set union, in the first operand's column order.
+func (r *Result) set() (*frep.Enc, error) {
+	acc := r.parts[0]
+	for _, e := range r.parts[1:] {
 		var err error
-		if enc, err = fplan.ApplyEnc(fplan.Distinct{}, enc); err != nil {
+		if acc, err = frep.SetUnionEnc(acc, e); err != nil {
 			return nil, err
 		}
 	}
-	res := newResult(db, enc)
-	res.order, res.offset, res.limit = out.order, out.offset, out.limit
-	if res.ordered() {
-		res.less = db.orderLess()
+	return acc, nil
+}
+
+// dress finishes a fresh result with its retrieval clauses: Distinct folds
+// a bag into one set (every encoding already is one), OrderBy/Offset/Limit
+// set how the tuples leave.
+func (r *Result) dress(out outClauses) (*Result, error) {
+	if out.distinct && len(r.parts) > 1 {
+		enc, err := r.set()
+		if err != nil {
+			return nil, err
+		}
+		r = newResult(r.db, enc)
 	}
-	return res, nil
+	r.order, r.offset, r.limit = out.order, out.offset, out.limit
+	if r.ordered() {
+		r.less = r.db.orderLess()
+	}
+	return r, nil
 }
 
 // ordered reports whether retrieval goes through the order/offset/limit
@@ -90,28 +104,27 @@ func (r *Result) ordered() bool { return len(r.order) > 0 || r.offset > 0 || r.l
 // that label the pre-order prefix (directly, or after the root and sibling
 // arrangement of streamPlan), enumeration streams off the encoding.
 // Otherwise it sorts: an order the tree cannot stream goes through the
-// bounded heap, and so does every retrieval over a bag — UnionAll leaves
-// duplicate union entries whose subtrees differ; streaming would emit each
-// subtree in order but not the merge of the two (canonical schema order
-// when there are no keys).
+// bounded heap, and so does every retrieval over a bag, in its first
+// operand's column order — each operand streams in order, their
+// concatenation does not (canonical schema order when there are no keys).
 func (r *Result) retrieval() *retrieval {
 	r.once.Do(func() {
 		rt := &r.out
-		rt.enc = r.enc
+		rt.enc = r.parts[0]
 		switch {
-		case r.enc.HasDupEntries():
+		case len(r.parts) > 1:
 			// a bag: sorted below, whatever the keys
 		case len(r.order) == 0:
 			rt.streamed = true
 		default:
-			rt.enc, rt.plan, rt.streamed = streamPlan(r.enc, r.order, r.less)
+			rt.enc, rt.plan, rt.streamed = streamPlan(rt.enc, r.order, r.less)
 		}
 		if !rt.streamed {
 			k := -1
 			if r.limit >= 0 {
 				k = r.offset + r.limit
 			}
-			rt.rows = frep.SortedRows(r.enc, r.order, r.less, k)
+			rt.rows = frep.SortedRows(r.parts, r.order, r.less, k)
 		}
 	})
 	return &r.out
@@ -140,13 +153,24 @@ func streamPlan(e *frep.Enc, keys []frep.OrderKey, less frep.ValueLess) (*frep.E
 // for any restructuring the projection applied.
 func (r *Result) OrderStreamed() bool { return len(r.order) > 0 && r.retrieval().streamed }
 
-// Size returns the number of singletons (the paper's |E|).
-func (r *Result) Size() int { return r.enc.Size() }
+// Size returns the number of singletons (the paper's |E|), summed over a
+// bag's operands.
+func (r *Result) Size() int {
+	var n int64
+	for _, e := range r.parts {
+		n = frep.SatAdd(n, int64(e.Size()))
+	}
+	return int(n)
+}
 
-// Count returns the number of retrievable tuples: the represented count,
-// clipped by Offset and Limit.
+// Count returns the number of retrievable tuples: the represented count
+// (summed over a bag's operands, saturating at math.MaxInt64), clipped by
+// Offset and Limit.
 func (r *Result) Count() int64 {
-	c := r.enc.Count()
+	var c int64
+	for _, e := range r.parts {
+		c = frep.SatAdd(c, e.Count())
+	}
 	if r.offset > 0 {
 		c -= int64(r.offset)
 		if c < 0 {
@@ -162,16 +186,20 @@ func (r *Result) Count() int64 {
 // Empty reports whether the result has no tuples (an empty relation, an
 // Offset past the end, or Limit(0)).
 func (r *Result) Empty() bool {
-	if r.enc.IsEmpty() {
-		return true
+	for _, e := range r.parts {
+		if !e.IsEmpty() {
+			return r.ordered() && r.Count() == 0
+		}
 	}
-	return r.ordered() && r.Count() == 0
+	return true
 }
 
 // FlatSize returns Count() times the number of visible attributes: the
 // number of data elements a flat representation of the retrievable result
 // would hold. Like Count it saturates at math.MaxInt64.
-func (r *Result) FlatSize() int64 { return frep.SatMul(r.Count(), int64(len(r.enc.Schema()))) }
+func (r *Result) FlatSize() int64 {
+	return frep.SatMul(r.Count(), int64(len(r.parts[0].Schema())))
+}
 
 // Schema lists the result attributes in enumeration order.
 func (r *Result) Schema() []string {
@@ -183,12 +211,29 @@ func (r *Result) Schema() []string {
 	return out
 }
 
-// FTree renders the result's factorisation tree.
-func (r *Result) FTree() string { return r.retrieval().enc.Tree.String() }
+// FTree renders the result's factorisation tree; a bag's operands' trees
+// joined by ⊎.
+func (r *Result) FTree() string {
+	if len(r.parts) == 1 {
+		return r.retrieval().enc.Tree.String()
+	}
+	return r.render(func(e *frep.Enc) string { return e.Tree.String() })
+}
 
 // String renders the factorised representation in the paper's notation,
-// decoding dictionary values.
-func (r *Result) String() string { return r.enc.StringDict(r.db.dict) }
+// decoding dictionary values; a bag's operands joined by ⊎.
+func (r *Result) String() string {
+	return r.render(func(e *frep.Enc) string { return e.StringDict(r.db.dict) })
+}
+
+// render joins f over the result's encodings with ⊎.
+func (r *Result) render(f func(*frep.Enc) string) string {
+	out := make([]string, len(r.parts))
+	for i, e := range r.parts {
+		out[i] = f(e)
+	}
+	return strings.Join(out, " ⊎ ")
+}
 
 // Each enumerates the tuples as string-decoded rows until fn returns false,
 // honouring OrderBy, Offset and Limit. The row slice is reused between calls
@@ -224,8 +269,13 @@ func (r *Result) Rows(limit int) [][]string {
 }
 
 // Enc exposes the underlying encoded representation (advanced use: direct
-// access to the internal packages).
-func (r *Result) Enc() *frep.Enc { return r.enc }
+// access to the internal packages). A bag has none: it returns nil.
+func (r *Result) Enc() *frep.Enc {
+	if len(r.parts) > 1 {
+		return nil
+	}
+	return r.parts[0]
+}
 
 // Dict returns the dictionary the result's values decode under: Iter's raw
 // values rendered with relation.AppendDecoded against one Dict().Snapshot()
@@ -253,8 +303,10 @@ func (r *Result) Iter() frep.TupleIter {
 // returned). A plan depends on the exact f-tree and the conditions alone, so
 // the plan cache keeps it for every same-shaped Where or Join; a search past
 // its budget serves the greedy plan and counts in
-// CacheStats.BudgetFallbacks. An ordered or clipped result is finished: it
-// takes no further Where, Join or set operation.
+// CacheStats.BudgetFallbacks. On a bag, every operand is refined (a
+// projection is a set projection per operand) and the result stays a bag;
+// the retrieval clauses apply to the whole bag. An ordered or clipped
+// result is finished: it takes no further Where, Join or set operation.
 func (r *Result) Where(clauses ...Clause) (*Result, error) {
 	if r.ordered() {
 		return nil, fmt.Errorf("fdb: Where on an ordered/limited result is not supported; put OrderBy/Offset/Limit in the last Where")
@@ -263,10 +315,22 @@ func (r *Result) Where(clauses ...Clause) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	enc := r.enc
+	out := make([]*frep.Enc, len(r.parts))
+	for i, enc := range r.parts {
+		if out[i], err = r.db.refine(enc, s); err != nil {
+			return nil, err
+		}
+	}
+	return newResult(r.db, out...).dress(s.outClauses)
+}
+
+// refine applies Where's selections, equality conditions and projection to
+// one set encoding, and checks the order keys against what is left.
+func (db *DB) refine(enc *frep.Enc, s *spec) (*frep.Enc, error) {
+	var err error
 	// Selections first (cheapest, Section 4), each compiled by selPred.
 	for _, sel := range s.sels {
-		keep, pinned := r.db.selPred(sel.op, sel.val)
+		keep, pinned := db.selPred(sel.op, sel.val)
 		op := fplan.Select{A: sel.attr, Keep: keep, Const: pinned, Label: fmt.Sprintf("%s %#v", sel.op, sel.val)}
 		if enc, err = fplan.ApplyEnc(op, enc); err != nil {
 			return nil, err
@@ -282,7 +346,7 @@ func (r *Result) Where(clauses ...Clause) (*Result, error) {
 		}
 	}
 	if len(conds) > 0 {
-		res, err := r.db.planConds(enc.Tree, conds)
+		res, err := db.planConds(enc.Tree, conds)
 		if err != nil {
 			return nil, err
 		}
@@ -291,8 +355,7 @@ func (r *Result) Where(clauses ...Clause) (*Result, error) {
 		}
 	}
 	if s.project != nil {
-		enc, err = fplan.ApplyEnc(fplan.Project{Attrs: s.project}, enc)
-		if err != nil {
+		if enc, err = fplan.ApplyEnc(fplan.Project{Attrs: s.project}, enc); err != nil {
 			return nil, err
 		}
 	}
@@ -301,29 +364,30 @@ func (r *Result) Where(clauses ...Clause) (*Result, error) {
 			return nil, err
 		}
 	}
-	return r.db.dress(enc, s.outClauses)
+	return enc, nil
 }
 
 // Join combines two factorised results over disjoint attributes and refines
 // the product with Where's clauses — the Q1 ⋈ Q2 scenario of Example 2. Both
 // results must come from the same DB: values are dictionary-encoded per
 // database, so joining across databases would silently compare unrelated
-// codes and decode garbage.
+// codes and decode garbage. A bag joins operand by operand (the product
+// distributes over the bag union), and the result is a bag.
 func (r *Result) Join(other *Result, clauses ...Clause) (*Result, error) {
-	if other == nil {
-		return nil, fmt.Errorf("fdb: Join with nil result")
-	}
-	if r.db != other.db {
-		return nil, fmt.Errorf("fdb: Join across different DB instances: the dictionary encodings are incompatible")
-	}
-	if r.ordered() || other.ordered() {
-		return nil, fmt.Errorf("fdb: Join of an ordered/limited result is not supported; put OrderBy/Offset/Limit in the last Where")
-	}
-	prod, err := fplan.ProductEnc(r.enc, other.enc)
-	if err != nil {
+	if err := r.combinable("Join", other); err != nil {
 		return nil, err
 	}
-	joined := newResult(r.db, prod)
+	var prods []*frep.Enc
+	for _, a := range r.parts {
+		for _, b := range other.parts {
+			prod, err := fplan.ProductEnc(a, b)
+			if err != nil {
+				return nil, err
+			}
+			prods = append(prods, prod)
+		}
+	}
+	joined := newResult(r.db, prods...)
 	if len(clauses) == 0 {
 		return joined, nil
 	}
@@ -340,11 +404,18 @@ func (r *Result) Union(other *Result) (*Result, error) {
 	return r.setOp("Union", frep.SetUnionEnc, other)
 }
 
-// UnionAll returns the bag union of two factorised results: every tuple of
-// both operands, duplicates preserved. The duplicates live as doubled
-// entries in the encoding — Distinct (or Union) restores set semantics.
+// UnionAll returns the bag union of two factorised results over the same
+// visible attributes: every tuple of both operands, duplicates preserved.
+// It builds nothing: the result keeps both operands' set encodings (a bag
+// operand's own operands), and Distinct (or Union) folds them into a set.
 func (r *Result) UnionAll(other *Result) (*Result, error) {
-	return r.setOp("UnionAll", frep.BagUnionEnc, other)
+	if err := r.combinable("UnionAll", other); err != nil {
+		return nil, err
+	}
+	if err := frep.CheckSetSchemas("union all", r.parts[0], other.parts[0]); err != nil {
+		return nil, err
+	}
+	return newResult(r.db, slices.Concat(r.parts, other.parts)...), nil
 }
 
 // Except returns the set difference r − other over the same visible
@@ -359,25 +430,43 @@ func (r *Result) Intersect(other *Result) (*Result, error) {
 	return r.setOp("Intersect", frep.IntersectEnc, other)
 }
 
-// setOp is the shared guard path of the four set operations: same database
-// (values are dictionary-encoded per DB, so cross-database operands would
-// silently compare unrelated codes), unordered operands (order and clipping
-// belong in the last Where, not on intermediate algebra).
+// setOp runs one of the set operations Union, Except and Intersect. A bag
+// operand is folded into a set first.
 func (r *Result) setOp(name string, op func(a, b *frep.Enc) (*frep.Enc, error), other *Result) (*Result, error) {
-	if other == nil {
-		return nil, fmt.Errorf("fdb: %s with nil result", name)
+	if err := r.combinable(name, other); err != nil {
+		return nil, err
 	}
-	if r.db != other.db {
-		return nil, fmt.Errorf("fdb: %s across different DB instances: the dictionary encodings are incompatible", name)
+	a, err := r.set()
+	if err != nil {
+		return nil, err
 	}
-	if r.ordered() || other.ordered() {
-		return nil, fmt.Errorf("fdb: %s of an ordered/limited result is not supported; put OrderBy/Offset/Limit in the last Where", name)
+	b, err := other.set()
+	if err != nil {
+		return nil, err
 	}
-	enc, err := op(r.enc, other.enc)
+	enc, err := op(a, b)
 	if err != nil {
 		return nil, err
 	}
 	return newResult(r.db, enc), nil
+}
+
+// combinable is the shared guard of Join and the set operations: a non-nil
+// operand from the same database (values are dictionary-encoded per DB, so
+// cross-database operands would silently compare unrelated codes), and
+// unordered operands (order and clipping belong in the last Where, not on
+// intermediate algebra).
+func (r *Result) combinable(name string, other *Result) error {
+	if other == nil {
+		return fmt.Errorf("fdb: %s with nil result", name)
+	}
+	if r.db != other.db {
+		return fmt.Errorf("fdb: %s across different DB instances: the dictionary encodings are incompatible", name)
+	}
+	if r.ordered() || other.ordered() {
+		return fmt.Errorf("fdb: %s of an ordered/limited result is not supported; put OrderBy/Offset/Limit in the last Where", name)
+	}
+	return nil
 }
 
 // Table renders the enumerated result (up to limit rows) as a tab-separated

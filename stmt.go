@@ -242,7 +242,7 @@ func (st *Stmt) ExecContext(ctx context.Context, args ...NamedArg) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	return st.db.dress(fr, st.outClauses)
+	return newResult(st.db, fr).dress(st.outClauses)
 }
 
 // ExecAgg runs a compiled aggregation statement (one with Agg clauses,

@@ -620,3 +620,43 @@ func TestRefusedUpsertMintsNoCode(t *testing.T) {
 		t.Fatalf("after the refused batch: %v, want %v", got, want)
 	}
 }
+
+// TestUpsertKeysCompareAsStored: keys that differ as given but are stored as
+// one value — a string and the integer equal to its dictionary code, or to
+// the code the batch would mint for it — make the batch ambiguous: it is
+// refused whole and mints nothing.
+func TestUpsertKeysCompareAsStored(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		batch [][]interface{}
+	}{
+		{"a known string and its code", [][]interface{}{{"Milk", 2}, {0, 3}}},
+		{"an unseen string and the code it would get", [][]interface{}{{"Cheese", 2}, {1, 3}}},
+	} {
+		db := New()
+		db.MustCreate("R", "k", "v")
+		db.MustInsert("R", "Milk", 1)
+		err := db.UpsertBatch("R", 1, c.batch)
+		if err == nil || !strings.Contains(err.Error(), "two rows with key") {
+			t.Fatalf("%s: err = %v, want a repeated-key refusal", c.name, err)
+		}
+		if n := db.Dict().Len(); n != 1 {
+			t.Fatalf("%s: the refused batch left %d strings in the dictionary, want 1", c.name, n)
+		}
+		res := mustQuery(t, func() (*Result, error) { return db.Query(From("R")) })
+		if got, want := res.Rows(0), [][]string{{"Milk", "1"}}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: after the refused batch: %v, want %v", c.name, got, want)
+		}
+	}
+	// Distinct stored keys still upsert, the unseen string's included.
+	db := New()
+	db.MustCreate("R", "k", "v")
+	db.MustInsert("R", "Milk", 1)
+	if err := db.UpsertBatch("R", 1, [][]interface{}{{"Cheese", 2}, {2, 3}, {"Milk", 4}}); err != nil {
+		t.Fatal(err)
+	}
+	res := mustQuery(t, func() (*Result, error) { return db.Query(From("R")) })
+	if got := res.Count(); got != 3 {
+		t.Fatalf("after the upsert: %d tuples %v, want 3", got, res.Rows(0))
+	}
+}
