@@ -1,7 +1,11 @@
 package fbuild
 
 import (
+	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ftree"
 	"repro/internal/relation"
@@ -69,41 +73,66 @@ func pointInputs(tb testing.TB, n int) []*relation.Relation {
 	return rels
 }
 
-// TestBuildAllocsFlat: building four times the singletons over the same
-// tree allocates only what the output columns' append growth adds, a few
-// allocations per tree node, and nothing per union or per value — memo
-// hits included, on item_point's tree.
+// TestBuildAllocsFlat: once a build has warmed the column pool, building
+// four times the singletons over the same tree makes as many allocations,
+// a few per tree node and none per union or per value (memo hits
+// included, on item_point's tree), and allocates the output arena plus a
+// slack that does not grow with the data: every builder column comes from
+// the pool with room to spare, so no column grows.
 func TestBuildAllocsFlat(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		tree   *ftree.T
 		inputs func(testing.TB, int) []*relation.Relation
 	}{{"q1", q1Tree(), q1Inputs}, {"point", pointTree(), pointInputs}} {
-		build := func(n int) (allocs float64, singletons int) {
+		build := func(n int) (allocs, overArena float64, singletons int) {
 			rels := c.inputs(t, n)
 			e, err := BuildEnc(rels, c.tree)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return testing.AllocsPerRun(10, func() {
-				if _, err := BuildEnc(rels, c.tree); err != nil {
-					t.Fatal(err)
-				}
-			}), e.Size()
+			allocs, bytes := warmBuild(t, rels, c.tree)
+			arena := cap(e.A.Vals)*int(unsafe.Sizeof(e.A.Vals[0])) + cap(e.A.Offs)*int(unsafe.Sizeof(e.A.Offs[0]))
+			return allocs, bytes - float64(arena), e.Size()
 		}
-		small, ss := build(500)
-		large, ls := build(2000)
+		small, sOver, ss := build(500)
+		large, lOver, ls := build(2000)
 		if ls < 4*ss {
 			t.Fatalf("%s: %d singletons are not 4x %d", c.name, ls, ss)
 		}
-		t.Logf("%s: %v allocs for %d singletons, %v for %d", c.name, small, ss, large, ls)
-		// Large slices grow by about 1.25x, so a 4x longer column takes about
-		// seven more growth steps; each node has a value and an offset column.
-		const perNode = 16
-		if nodes := 4.0; large-small > perNode*nodes {
+		t.Logf("%s: %v allocs and arena + %v B for %d singletons, %v and arena + %v B for %d",
+			c.name, small, sOver, ss, large, lOver, ls)
+		const allocSlack, byteSlack = 4, 32 << 10
+		if large > small+allocSlack {
 			t.Fatalf("%s: allocations grow with the data: %v for %d singletons, %v for %d", c.name, small, ss, large, ls)
 		}
+		if lOver > byteSlack {
+			t.Fatalf("%s: a warm build of %d singletons allocates %v B past its arena (at most %d)", c.name, ls, lOver, byteSlack)
+		}
 	}
+}
+
+// warmBuild returns the allocations and bytes of a warm build of rels
+// over tr: the least over 31 builds, the first of which fills the column
+// pool. Like testing.AllocsPerRun it runs on one P, whose pool the builds
+// share, and it pauses the GC, which would empty the pool. The least, not
+// the mean: under the race detector sync.Pool drops a random quarter of
+// what it is given, and a build that finds no columns grows them afresh.
+func warmBuild(t *testing.T, rels []*relation.Relation, tr *ftree.T) (allocs, bytes float64) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	allocs, bytes = math.Inf(1), math.Inf(1)
+	for range 31 {
+		runtime.ReadMemStats(&before)
+		if _, err := BuildEnc(rels, tr); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		allocs = math.Min(allocs, float64(after.Mallocs-before.Mallocs))
+		bytes = math.Min(bytes, float64(after.TotalAlloc-before.TotalAlloc))
+	}
+	return allocs, bytes
 }
 
 // BenchmarkBuildEnc times the serial build of Q1 over inputs sorted

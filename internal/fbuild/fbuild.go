@@ -11,7 +11,9 @@
 // sorted index ranges (galloping seeks), and emits union entries whose
 // subtrees are all non-empty (semijoin reduction comes for free). Scratch
 // lives in one frame per tree node and states are routed by pre-order
-// index, so the build allocates nothing per union or value but its output.
+// index, so the build allocates nothing per union or value. The column
+// builders draw their columns from frep's pool, and packing puts them back,
+// so a build that repeats a tree allocates its arena and little else.
 //
 // A node's subtree depends only on its key (Olteanu and Závodný): the
 // ranges of the relations routed to it, less those whose columns below it
@@ -70,9 +72,10 @@ type builder struct {
 	err  error
 	// eb receives the entries and numbers the tree in pre-order, once per
 	// build: the driver's builder takes the other roots, and each morsel's
-	// is a Fresh one over the same numbering. frames[ni] is the scratch of
-	// the union being built for node ni, reused by every union of ni, so a
-	// build allocates no scratch per union or per value.
+	// is a Fresh one over the same numbering; all take their columns from
+	// frep's pool, and the driver's Finish puts them back. frames[ni] is the
+	// scratch of the union being built for node ni, reused by every union
+	// of ni, so a build allocates no scratch per union or per value.
 	eb     *frep.EncBuilder
 	frames []frame
 	// memo[i]: node i memoises its unions (see memoise), shared read-only

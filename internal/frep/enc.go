@@ -38,6 +38,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/ftree"
 	"repro/internal/relation"
@@ -191,7 +192,8 @@ func (e *Enc) DropLeaf(t *ftree.T, ni int) *Enc {
 // ConcatEnc combines two encoded representations into one over tree t,
 // whose roots must be a's roots followed by b's roots (same shapes). Used
 // by the Cartesian product operator: a builder whose columns are a's
-// nodes, then b's, aliased rather than copied, goes through the packer.
+// nodes, then b's, aliased rather than copied, goes through the packer,
+// which does not own them and so never puts them in the pool.
 func ConcatEnc(t *ftree.T, a, b *Enc) *Enc {
 	cols := &EncBuilder{tree: t, ti: indexTree(t)}
 	for _, src := range []*Enc{a, b} {
@@ -211,13 +213,27 @@ func ConcatEnc(t *ftree.T, a, b *Enc) *Enc {
 // child node must be closed in the order of its parent's entries, one per
 // parent entry), and Mark/Rollback undo a partially-emitted entry whose
 // subtree turned out empty. Finish packs the per-node columns into a single
-// arena.
+// arena and spends the builder: its columns go back to a pool that later
+// builders draw theirs from, and any further Append, CloseUnion,
+// CopyUnions, CopyEntries or Finish panics.
 type EncBuilder struct {
 	tree *ftree.T
 	ti   *treeIndex
+	vals [][]relation.Value // buf's columns, one per node
+	offs [][]int32
+	buf  *colBuf // nil once spent, and in ConcatEnc's builder, which owns no columns
+}
+
+// colBuf holds one builder's per-node column pairs. A builder takes one
+// from colPool and pack puts it back, its columns emptied with their
+// capacity kept, so a repeated build appends into columns that already
+// fit and allocates little but its arena. The GC empties an idle pool.
+type colBuf struct {
 	vals [][]relation.Value
 	offs [][]int32
 }
+
+var colPool = sync.Pool{New: func() any { return new(colBuf) }}
 
 // NewEncBuilder prepares a builder for representations over t.
 func NewEncBuilder(t *ftree.T) *EncBuilder { return newEncBuilder(t, indexTree(t)) }
@@ -227,13 +243,22 @@ func NewEncBuilder(t *ftree.T) *EncBuilder { return newEncBuilder(t, indexTree(t
 func (b *EncBuilder) Fresh() *EncBuilder { return newEncBuilder(b.tree, b.ti) }
 
 func newEncBuilder(t *ftree.T, ti *treeIndex) *EncBuilder {
-	b := &EncBuilder{tree: t, ti: ti,
-		vals: make([][]relation.Value, len(ti.nodes)),
-		offs: make([][]int32, len(ti.nodes))}
+	c := colPool.Get().(*colBuf)
+	for len(c.vals) < len(ti.nodes) {
+		c.vals, c.offs = append(c.vals, nil), append(c.offs, nil)
+	}
+	b := &EncBuilder{tree: t, ti: ti, vals: c.vals[:len(ti.nodes)], offs: c.offs[:len(ti.nodes)], buf: c}
 	for i := range b.offs {
 		b.offs[i] = append(b.offs[i], 0)
 	}
 	return b
+}
+
+// live panics if Finish has spent b: its columns may be another build's now.
+func (b *EncBuilder) live(op string) {
+	if b.buf == nil {
+		panic("frep: EncBuilder." + op + " after Finish: Finish spent the builder and put its columns back in the pool")
+	}
 }
 
 // Idx returns the pre-order index of n (which must be a node of the
@@ -268,11 +293,13 @@ func (b *EncBuilder) Entries(ni int) int { return len(b.vals[ni]) }
 
 // Append adds one entry value at node ni (to the currently open union).
 func (b *EncBuilder) Append(ni int, v relation.Value) {
+	b.live("Append")
 	b.vals[ni] = append(b.vals[ni], v)
 }
 
 // CloseUnion seals the currently open union at node ni.
 func (b *EncBuilder) CloseUnion(ni int) {
+	b.live("CloseUnion")
 	b.offs[ni] = append(b.offs[ni], i32(len(b.vals[ni])))
 }
 
@@ -314,6 +341,7 @@ func (b *EncBuilder) Offs(ni int) []int32 { return b.offs[ni] }
 // returns the number of entries copied over all nodes. The subtree shapes
 // below sni and dni must match child-for-child.
 func (b *EncBuilder) CopyUnions(src Columns, sni, dni, ulo, uhi int) int {
+	b.live("CopyUnions")
 	so := src.Offs(sni)
 	base := i32(len(b.vals[dni])) - so[ulo]
 	for u := ulo; u < uhi; u++ {
@@ -330,6 +358,7 @@ func (b *EncBuilder) CopyUnions(src Columns, sni, dni, ulo, uhi int) int {
 // set-algebra merges interleave entries from either operand with it. src
 // may be b itself: the copied range lies below each column's length.
 func (b *EncBuilder) CopyEntries(src Columns, sni, dni, elo, ehi int) int {
+	b.live("CopyEntries")
 	b.vals[dni] = append(b.vals[dni], src.Vals(sni)[elo:ehi]...)
 	n := ehi - elo
 	for k, sc := range src.Kids(sni) {
@@ -345,7 +374,12 @@ func (b *EncBuilder) CopyEntries(src Columns, sni, dni, elo, ehi int) int {
 // into one build: each leaves that root's union open, and a root union
 // none of them closed is closed once, over all of them. Emptiness is
 // detected from the roots (any root union without entries represents ∅).
+// Finish spends b and every builder in more (see EncBuilder).
 func (b *EncBuilder) Finish(more ...*EncBuilder) *Enc {
+	b.live("Finish")
+	for _, p := range more {
+		p.live("Finish")
+	}
 	return pack(b.tree, b.ti, false, append([]*EncBuilder{b}, more...))
 }
 
@@ -353,7 +387,9 @@ func (b *EncBuilder) Finish(more ...*EncBuilder) *Enc {
 // parts' columns at ni back to back, each part's offsets past its leading
 // 0 rebased by the entries before it; a root that no part closed a union
 // at gets one union over all its entries. The result is empty if empty is
-// set or any root union has no entries.
+// set or any root union has no entries. Once the arena is written, pack
+// spends every part and puts each part's columns that it owns back in the
+// pool: no arena aliases them, and no other code reads a spent part.
 func pack(t *ftree.T, ti *treeIndex, empty bool, parts []*EncBuilder) *Enc {
 	nv, no := 0, 0
 	for ni := range ti.nodes {
@@ -391,6 +427,15 @@ func pack(t *ftree.T, ti *treeIndex, empty bool, parts []*EncBuilder) *Enc {
 		if ti.par[ni] < 0 && e.NumEntries(ni) == 0 {
 			e.Empty = true
 		}
+	}
+	for _, p := range parts {
+		if p.buf != nil {
+			for ni := range p.vals {
+				p.vals[ni], p.offs[ni] = p.vals[ni][:0], p.offs[ni][:0]
+			}
+			colPool.Put(p.buf)
+		}
+		p.vals, p.offs, p.buf = nil, nil, nil
 	}
 	return e
 }
