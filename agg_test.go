@@ -95,7 +95,7 @@ func foldOver(t *testing.T, res *Result, groupBy []string, specs []frep.AggSpec)
 }
 
 func TestQueryAggMatchesEnumerateFold(t *testing.T) {
-	db := grocery(t)
+	db := groceryNumbered(t)
 	specs := []frep.AggSpec{
 		{Fn: frep.AggCount},
 		{Fn: frep.AggSum, Attr: "Orders.oid"},

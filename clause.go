@@ -163,9 +163,12 @@ func (c constClause) apply(s *spec) error {
 // Cmp adds the selection attr θ value; value may be int, int64, string, or
 // a Param placeholder bound at Exec time. A selection whose value is known
 // at Prepare — an integer or a string, with any operator — is baked into its
-// input; a Param is bound per Exec. A string constant never grows the
-// dictionary: an equality compares its code (it has none: nothing is
-// equal), and a range compares in decoded order, the order OrderBy uses.
+// input; a Param is bound per Exec. The value must be of attr's kind: an
+// integer for an integer attribute, a string for a string attribute
+// (Prepare refuses the other kind when attr's relation has been written,
+// Exec otherwise). A string constant never grows the dictionary: an
+// equality compares its code (it has none: nothing is equal), and a range
+// compares strings, the order OrderBy uses.
 func Cmp(attr string, op CmpOp, value interface{}) Clause {
 	return constClause{attr: attr, op: op, val: value}
 }
@@ -188,9 +191,9 @@ func Project(attrs ...string) Clause { return projClause(attrs) }
 // AggFn selects an aggregate function for Agg.
 type AggFn = frep.AggFunc
 
-// Aggregate functions for Agg clauses. Sum, Min and Max operate on the
-// engine's int64 values; on dictionary-encoded string attributes Min and
-// Max order by dictionary code, not lexicographically.
+// Aggregate functions for Agg clauses. Sum, Min and Max fold an integer
+// attribute; over a string attribute they are refused. Count and
+// CountDistinct count any attribute's values.
 const (
 	Count         = frep.AggCount
 	Sum           = frep.AggSum
@@ -293,12 +296,12 @@ func (o orderByClause) apply(s *spec) error {
 // equal cost, restructures the tree to make it so), the result streams in
 // order straight from the factorised representation — no sort — and Limit
 // short-circuits after n tuples; otherwise retrieval falls back to a bounded
-// heap (with Limit) or a full sort of the enumeration. Key values compare in
-// dictionary-decoded order when the database dictionary is in use,
-// numerically otherwise. Ties beyond the keys break by the remaining result
-// columns ascending in stored (engine value) order — deterministic for a
-// given database, though for dictionary-encoded columns that is insertion
-// order, not alphabetical; name a column as a key to sort it decoded.
+// heap (with Limit) or a full sort of the enumeration. An integer key sorts
+// numerically, a string key lexicographically. Ties beyond the keys break by
+// the remaining result columns ascending in stored (engine value) order —
+// deterministic for a given database, though for a string column that is
+// insertion order, not alphabetical; name a column as a key to sort it
+// lexicographically.
 func OrderBy(keys ...interface{}) Clause { return orderByClause(keys) }
 
 type limitClause int

@@ -29,11 +29,13 @@
 // verbs and the query grammar.
 //
 // A relation file's first line is "Name<TAB>attr1<TAB>attr2…"; every other
-// line is one tuple; integer fields are stored as numbers, anything else is
-// dictionary-encoded. save writes a zero-copy snapshot file that open maps
-// back in, skipping the TSV parse and encode; the encodings of live
-// statements ride along, so the reopened database serves them without a
-// build.
+// line is one tuple. A column whose every field is an integer is an integer
+// column; any other column is a string column, dictionary-encoded. An
+// attribute keeps the kind its relation's first write gave it, so an
+// insert of the other kind is refused. save writes a zero-copy snapshot
+// file that open maps back in, skipping the TSV parse and encode; the
+// encodings of live statements ride along, so the reopened database serves
+// them without a build.
 package main
 
 import (
@@ -47,6 +49,7 @@ import (
 	"strings"
 
 	"repro"
+	"repro/internal/relation"
 	"repro/internal/wire"
 )
 
@@ -361,6 +364,10 @@ func (s *session) write(verb string, rest []string) error {
 			return fmt.Errorf("bad key column count %q", rest[1])
 		}
 		err = s.db.Upsert(rest[0], key, vals...)
+	}
+	var kerr *fdb.KindError
+	if errors.As(err, &kerr) && kerr.Want == relation.KindStr && kerr.Got == relation.KindInt {
+		return fmt.Errorf(`%w (an unquoted number is an integer: quote it, as in "42", to write a string)`, err)
 	}
 	if err != nil {
 		return err

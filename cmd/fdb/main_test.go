@@ -463,4 +463,9 @@ func TestScriptQuoting(t *testing.T) {
 			t.Errorf("%q accepted", line)
 		}
 	}
+	// Orders.item is a string attribute: an unquoted number is an integer,
+	// refused with a hint to quote it.
+	if _, err := runLines(`load "`+tsv+`"`, `insert Orders o4 42`); err == nil || !strings.Contains(err.Error(), `quote it, as in "42"`) {
+		t.Errorf("an unquoted number into a string attribute: err = %v, want a hint to quote it", err)
+	}
 }

@@ -71,7 +71,7 @@ func run(args []string, out io.Writer) error {
 		path := filepath.Join(*outDir, strings.ToLower(rel.Name)+".tsv")
 		// Attribute names are global (X1..XA) and carry no "Name." prefix,
 		// so they are written as they are; the fdb loader qualifies them.
-		if err := csvio.WriteFile(path, rel, nil); err != nil {
+		if err := csvio.WriteFile(path, rel, nil, nil); err != nil {
 			return err
 		}
 		loads = append(loads, "'load "+path+"'")

@@ -119,6 +119,9 @@ func (db *DB) bind(s *spec) (*boundSpec, error) {
 			return nil, err
 		}
 	}
+	if err := db.checkKinds(s, nil); err != nil {
+		return nil, err
+	}
 	return b, nil
 }
 
@@ -210,6 +213,7 @@ func (db *DB) plan(b *boundSpec) (*Stmt, error) {
 	q := b.query
 	p := stmtPlan{
 		db:         db,
+		clauses:    b.spec,
 		params:     b.params(),
 		project:    b.project,
 		groupBy:    b.groupBy,

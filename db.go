@@ -2,8 +2,10 @@ package fdb
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"weak"
@@ -18,12 +20,13 @@ import (
 )
 
 // DB is an in-memory factorised database: named relations plus a shared
-// string dictionary. Each relation lives in a delta.Store — an append-only
-// chain of immutable versions (base snapshot + delta batches) behind an
-// atomic pointer — so readers never block writers: Query, Prepare and
-// Stmt.Exec read a consistent version lock-free while Insert/Delete/Upsert
-// append under the write lock, and Snapshot pins a database-wide version
-// for as long as the caller holds it.
+// string dictionary. Each attribute has one kind, integer or string, fixed
+// by the first write into its relation (see kinds). Each relation lives in
+// a delta.Store — an append-only chain of immutable versions (base
+// snapshot + delta batches) behind an atomic pointer — so readers never
+// block writers: Query, Prepare and Stmt.Exec read a consistent version
+// lock-free while Insert/Delete/Upsert append under the write lock, and
+// Snapshot pins a database-wide version for as long as the caller holds it.
 type DB struct {
 	mu     sync.RWMutex
 	dict   *relation.Dict
@@ -31,6 +34,9 @@ type DB struct {
 	ord    []string
 	ver    uint64 // global write version; bumps once per committed mutation
 	cache  *planCache
+	// attrKinds is each written attribute's kind: an immutable map, which a
+	// write that fixes a kind replaces under mu before it publishes data.
+	attrKinds atomic.Pointer[map[relation.Attribute]relation.Kind]
 	// srcs hands statements that compile to the same inputs, baked filters
 	// and f-tree one data holder (see srcRegistry).
 	srcs *srcRegistry
@@ -54,12 +60,14 @@ type DB struct {
 
 // New returns an empty database.
 func New() *DB {
-	return &DB{
+	db := &DB{
 		dict:   relation.NewDict(),
 		stores: map[string]*delta.Store{},
 		cache:  newPlanCache(),
 		srcs:   &srcRegistry{m: map[string]weak.Pointer[stmtSrc]{}},
 	}
+	db.attrKinds.Store(&map[relation.Attribute]relation.Kind{})
+	return db
 }
 
 // Create adds a relation with the given attribute names (unqualified; they
@@ -94,7 +102,9 @@ func (db *DB) MustCreate(name string, attrs ...string) {
 }
 
 // Insert adds one tuple; values may be int, int64 or string (strings are
-// dictionary-encoded). Writes commit as delta batches: running statements
+// dictionary-encoded). The first tuple written into a relation fixes each
+// attribute's kind, integer or string, and a value of the other kind is
+// refused (a *KindError). Writes commit as delta batches: running statements
 // and open snapshots keep reading the version they hold, while statements
 // executed after Insert returns see the new tuple (read-your-writes —
 // prepared statements refresh their inputs incrementally per Exec).
@@ -145,10 +155,10 @@ func (db *DB) UpsertBatch(name string, keyCols int, rows [][]interface{}) error 
 // mutate is the shared write path: validate the rows, encode them, derive
 // the delta batch (an upsert removes the live tuples that share its key),
 // bump the global version and publish the relation's successor state. A
-// batch is checked whole — arity, value types, repeated upsert keys —
+// batch is checked whole — arity, value kinds, repeated upsert keys —
 // before any string is encoded, and a removal only looks strings up, so a
-// refused or no-op write mints no dictionary code: a minted code would
-// render the integers equal to it as that string.
+// refused or no-op write mints no dictionary code. The first insertion into
+// a relation fixes its attributes' kinds.
 func (db *DB) mutate(name string, addRows, delRows [][]interface{}, upsertKey int) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -159,46 +169,42 @@ func (db *DB) mutate(name string, addRows, delRows [][]interface{}, upsertKey in
 	if upsertKey > len(s.Schema) {
 		return fmt.Errorf("fdb: relation %q has arity %d, upsert key has %d columns", name, len(s.Schema), upsertKey)
 	}
-	keys := map[string]bool{}            // an upsert's keys, as they will be stored
-	fresh := map[string]relation.Value{} // the upsert's strings without a code, by the code each will get
-	for _, row := range slices.Concat(addRows, delRows) {
+	kinds := kindsOf(db.kinds(), s.Schema)
+	keys := map[string]bool{} // an upsert's keys
+	for i, row := range slices.Concat(addRows, delRows) {
 		if len(row) != len(s.Schema) {
 			return fmt.Errorf("fdb: relation %q has arity %d, got %d values", name, len(s.Schema), len(row))
 		}
-		for _, v := range row {
-			if _, isStr := v.(string); !isStr {
-				if _, ok := toValue(v); !ok {
-					return fmt.Errorf("fdb: unsupported value type %T", v)
-				}
+		for c, v := range row {
+			switch k := kindOf(v); {
+			case k == relation.KindNone:
+				return fmt.Errorf("fdb: unsupported value type %T", v)
+			case kinds[c] == relation.KindNone && i < len(addRows):
+				kinds[c] = k
+			case kinds[c] != relation.KindNone && kinds[c] != k:
+				return &KindError{Attr: string(s.Schema[c]), Want: kinds[c], Got: k, Operand: fmt.Sprintf("the value %#v", v)}
 			}
 		}
 		if upsertKey == 0 {
 			continue
 		}
-		// Two rows with one stored key would each survive the other's
-		// displacement, leaving the key twice: refuse the batch whole. Keys
-		// compare as stored, a string by its code or by the one minting
-		// will give it: the dictionary's length plus its rank among the
-		// batch's unseen strings (minting holds db.mu, as this does).
-		key := make(relation.Tuple, 0, upsertKey)
-		for _, v := range row {
-			code, known := db.value(v, false)
-			if str, _ := v.(string); !known {
-				if code, known = fresh[str]; !known {
-					code = relation.Value(db.dict.Len() + len(fresh))
-					fresh[str] = code
-				}
-			}
-			if len(key) < upsertKey {
-				key = append(key, code)
+		// Two rows with one key would each survive the other's
+		// displacement, leaving the key twice: refuse the batch whole. A
+		// column holds one kind, so keys compare as given.
+		key := make([]interface{}, upsertKey)
+		for c, v := range row[:upsertKey] {
+			key[c] = v
+			if n, ok := toValue(v); ok {
+				key[c] = n
 			}
 		}
-		k := fmt.Sprint(key)
+		k := fmt.Sprintf("%#v", key)
 		if keys[k] {
 			return fmt.Errorf("fdb: upsert batch on %q has two rows with key %v", name, row[:upsertKey])
 		}
 		keys[k] = true
 	}
+	db.fixKinds(s.Schema, kinds)
 	tuples := func(rows [][]interface{}, mint bool) []relation.Tuple {
 		out := make([]relation.Tuple, 0, len(rows))
 	next:
@@ -267,9 +273,11 @@ func (db *DB) OpenSnapshots() int { return int(db.snaps.Load()) }
 
 // LoadTSV reads one relation from a tab-separated file (first line
 // "Name<TAB>attr…", see internal/csvio) into the database and returns its
-// name. A file with a malformed line or a taken name is refused before
-// any of its strings is encoded: a minted code would render the integers
-// equal to it as that string.
+// name. A column is an integer column when every one of its fields parses
+// as an int64, and a string column otherwise; a file without tuples fixes
+// no kind. A file with a malformed line, a taken name or a column of the
+// other kind than its attribute already has is refused before any of its
+// strings is encoded.
 func (db *DB) LoadTSV(path string) (string, error) {
 	tab, err := csvio.ReadFile(path)
 	if err != nil {
@@ -280,6 +288,13 @@ func (db *DB) LoadTSV(path string) (string, error) {
 	if _, ok := db.stores[tab.Name]; ok {
 		return "", fmt.Errorf("fdb: relation %q already exists", tab.Name)
 	}
+	known := db.kinds()
+	for c, a := range tab.Schema {
+		if k := known[a]; k != relation.KindNone && tab.Kinds[c] != relation.KindNone && k != tab.Kinds[c] {
+			return "", &KindError{Attr: string(a), Want: k, Got: tab.Kinds[c], Operand: "the column in " + path}
+		}
+	}
+	db.fixKinds(tab.Schema, tab.Kinds)
 	rel := tab.Encode(db.dict)
 	db.ver++
 	db.stores[rel.Name] = delta.FromRelation(rel, db.ver)
@@ -388,22 +403,31 @@ func (db *DB) CacheStats() CacheStats {
 // execution starts. GOMAXPROCS=1 builds one morsel and aggregates serially.
 func (db *DB) Parallelism() int { return runtime.GOMAXPROCS(0) }
 
-// orderLess returns the value comparator ORDER BY uses, mirroring how
-// results render: values compare as relation.DecodeValue decodes them
-// (Decoded.Less). With an empty dictionary (pure integer data) it returns
-// nil — native value order already is decoded order, so ordered iteration
-// needs no permutations.
-func (db *DB) orderLess() frep.ValueLess {
-	// Snapshot the append-only dictionary once: every code in the result
-	// predates this call, and the comparator runs O(N log N) times on the
-	// sort paths — a lock round-trip per comparison would dominate.
-	strs := db.dict.Snapshot()
-	if len(strs) == 0 {
-		return nil
+// orderLess returns the comparators ORDER BY uses, one per key: a string
+// key's values compare as the strings they render as, and an integer key
+// has none — its values already are stored in key order, so ordered
+// iteration needs no permutations. The slice is nil when no key is a
+// string key.
+func (db *DB) orderLess(keys []frep.OrderKey) []frep.ValueLess {
+	var less []frep.ValueLess
+	kinds := db.kinds()
+	for i, k := range keys {
+		if kinds[k.Attr] != relation.KindStr {
+			continue
+		}
+		if less == nil {
+			less = make([]frep.ValueLess, len(keys))
+		}
+		// Snapshot the append-only dictionary once: every code in the
+		// result predates this call, and the comparator runs O(N log N)
+		// times on the sort paths — a lock round-trip per comparison would
+		// dominate.
+		snap := db.dict.Snapshot()
+		less[i] = func(a, b relation.Value) bool {
+			return relation.Cell(snap, a, relation.KindStr) < relation.Cell(snap, b, relation.KindStr)
+		}
 	}
-	return func(a, b relation.Value) bool {
-		return relation.DecodeValue(strs, a).Less(relation.DecodeValue(strs, b))
-	}
+	return less
 }
 
 // selPred is the one compiler of a selection: it turns op val into a column
@@ -411,12 +435,13 @@ func (db *DB) orderLess() frep.ValueLess {
 // selection is compiled each time it filters its input (at load and at every
 // delta fold), a parameter each time an Exec binds it, and Result.Where
 // compiles its own; each call comes after the data it filters was read, so
-// every string code in that data is already in the dictionary. An integer
-// compares as itself. A string never gets a code here: an equality or
-// inequality compares the code the string has (none: EQ matches nothing and
-// NE everything), and a range compares in decoded order, the order ORDER BY
-// uses. pinned reports an equality on one value code, which leaves the
-// selected node constant. Cmp and Exec have checked val's type.
+// every string code in that data is already in the dictionary. checkKinds
+// has matched val's kind to the attribute's: an integer compares as itself.
+// A string never gets a code here: an equality or inequality compares the
+// code the string has (none: EQ matches nothing and NE everything), and a
+// range compares the strings the codes render as, the order ORDER BY uses.
+// pinned reports an equality on one value code, which leaves the selected
+// node constant.
 func (db *DB) selPred(op fplan.Cmp, val interface{}) (pred func(relation.Value) bool, pinned bool) {
 	s, ok := val.(string)
 	if !ok {
@@ -431,10 +456,82 @@ func (db *DB) selPred(op fplan.Cmp, val interface{}) (pred func(relation.Value) 
 		}
 		return core.ConstSel{Op: op, C: c}.Match, op == fplan.Eq
 	}
-	strs, bound := db.dict.Snapshot(), relation.Decoded{Str: s, IsStr: true}
+	snap := db.dict.Snapshot()
 	return func(v relation.Value) bool {
-		return op.Eval(relation.Value(relation.DecodeValue(strs, v).Compare(bound)), 0)
+		return op.Eval(relation.Value(strings.Compare(relation.Cell(snap, v, relation.KindStr), s)), 0)
 	}, false
+}
+
+// KindError refuses an operand whose kind is not its attribute's: a value
+// written into the attribute, a constant or bound parameter compared with
+// it, or an attribute of the other kind equated with it.
+type KindError struct {
+	Attr    string        // the attribute
+	Want    relation.Kind // the attribute's kind
+	Got     relation.Kind // the operand's kind
+	Operand string        // the operand, as the message names it
+}
+
+func (e *KindError) Error() string {
+	name := [...]string{"an unset", "an integer", "a string"}
+	return fmt.Sprintf("fdb: %s is %s attribute, but %s is %s", e.Attr, name[e.Want], e.Operand, name[e.Got])
+}
+
+// kinds returns every written attribute's kind. The map is immutable; an
+// attribute missing from it has no kind yet.
+func (db *DB) kinds() map[relation.Attribute]relation.Kind { return *db.attrKinds.Load() }
+
+// fixKinds records the kinds of schema's attributes that have none yet
+// (ks[i], for schema[i], where it is not KindNone). The caller holds the
+// write lock and calls it before it publishes the data that fixes them.
+func (db *DB) fixKinds(schema relation.Schema, ks []relation.Kind) {
+	known := db.kinds()
+	var next map[relation.Attribute]relation.Kind
+	for i, a := range schema {
+		if _, ok := known[a]; !ok && ks[i] != relation.KindNone {
+			if next == nil {
+				next = maps.Clone(known)
+			}
+			next[a] = ks[i]
+		}
+	}
+	if next != nil {
+		db.attrKinds.Store(&next)
+	}
+}
+
+// checkKinds refuses what the attributes' kinds rule out in s: a selection
+// whose constant — or parameter, bound in args — is of the other kind, an
+// equality between attributes of different kinds, and SUM, MIN or MAX over
+// a string attribute. An attribute whose relation has not been written has
+// no kind and passes. Prepare and Where check with args nil; every Exec
+// checks again with its bindings, after it has read its data, so the kinds
+// it checks against cover every value it read.
+func (db *DB) checkKinds(s *spec, args map[string]interface{}) error {
+	kinds := db.kinds()
+	for _, sel := range s.sels {
+		v, operand := sel.val, "the constant "
+		if p, ok := v.(ParamValue); ok {
+			if args == nil {
+				continue
+			}
+			v, operand = args[p.name], "parameter $"+p.name+" = "
+		}
+		if want, got := kinds[sel.attr], kindOf(v); want != relation.KindNone && want != got {
+			return &KindError{Attr: string(sel.attr), Want: want, Got: got, Operand: operand + fmt.Sprintf("%#v", v)}
+		}
+	}
+	for _, e := range s.eqs {
+		if ka, kb := kinds[e.A], kinds[e.B]; ka != relation.KindNone && kb != relation.KindNone && ka != kb {
+			return &KindError{Attr: string(e.A), Want: ka, Got: kb, Operand: fmt.Sprintf("%s in Eq(%s, %s)", e.B, e.A, e.B)}
+		}
+	}
+	for _, a := range s.aggs {
+		if a.Fn != frep.AggCount && a.Fn != frep.AggCountDistinct && kinds[a.Attr] == relation.KindStr {
+			return fmt.Errorf("fdb: %s needs an integer attribute, but %s is a string attribute", a.Label(), a.Attr)
+		}
+	}
+	return nil
 }
 
 // value turns a value mutate has checked into an engine Value. A string
@@ -454,6 +551,17 @@ func (db *DB) value(v interface{}, mint bool) (val relation.Value, known bool) {
 		return db.dict.Encode(s), true
 	}
 	return db.dict.Lookup(s)
+}
+
+// kindOf returns the kind of a value a write, constant or binding carries:
+// KindNone for a type the engine does not take.
+func kindOf(v interface{}) relation.Kind {
+	if _, ok := v.(string); ok {
+		return relation.KindStr
+	} else if _, ok := toValue(v); ok {
+		return relation.KindInt
+	}
+	return relation.KindNone
 }
 
 // toValue converts an integer constant to its engine Value.

@@ -16,7 +16,7 @@
 //
 //	db := fdb.New()
 //	db.MustCreate("Orders", "oid", "item")
-//	db.MustInsert("Orders", "01", "Milk")
+//	db.MustInsert("Orders", 1, "Milk")
 //	...
 //	stmt, err := db.Prepare(
 //		fdb.From("Orders", "Store", "Disp"),
@@ -77,5 +77,7 @@
 // factorised form by f-plans of restructuring and selection operators.
 //
 // Attribute names are written "Relation.attr" and kept globally unique
-// internally.
+// internally. Each attribute has one kind, integer or string, which the
+// first write into its relation fixes; a value, constant, parameter or
+// equality of the other kind is refused with a *KindError.
 package fdb

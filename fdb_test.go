@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -17,10 +18,25 @@ import (
 // grocery loads Figure 1 through the public API.
 func grocery(t *testing.T) *DB {
 	t.Helper()
+	return newGrocery(false)
+}
+
+// groceryNumbered is grocery with integer order ids (1 for "01"), for tests
+// that compare Orders.oid with integers or sum it.
+func groceryNumbered(t *testing.T) *DB {
+	t.Helper()
+	return newGrocery(true)
+}
+
+func newGrocery(numbered bool) *DB {
 	db := New()
 	db.MustCreate("Orders", "oid", "item")
 	for _, r := range [][2]string{{"01", "Milk"}, {"01", "Cheese"}, {"02", "Melon"}, {"03", "Cheese"}, {"03", "Melon"}} {
-		db.MustInsert("Orders", r[0], r[1])
+		var oid interface{} = r[0]
+		if numbered {
+			oid, _ = strconv.Atoi(r[0])
+		}
+		db.MustInsert("Orders", oid, r[1])
 	}
 	db.MustCreate("Store", "location", "item")
 	for _, r := range [][2]string{{"Istanbul", "Milk"}, {"Istanbul", "Cheese"}, {"Istanbul", "Melon"},
@@ -217,7 +233,7 @@ func TestJoinThenOrder(t *testing.T) {
 				}
 				want = append(want, row)
 			}
-			cmp := frep.TupleCompare(schema, c.keys, db.orderLess())
+			cmp := frep.TupleCompare(schema, c.keys, db.orderLess(c.keys))
 			sort.Slice(want, func(i, j int) bool { return cmp(want[i], want[j]) < 0 })
 			if len(want) < offset+limit {
 				t.Fatalf("fixture has %d tuples, the window needs %d", len(want), offset+limit)
@@ -367,9 +383,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 // TestLoadTSVRefusedLeavesDict: a load refused for a taken name or a
-// malformed line encodes none of its strings. Integers and dictionary
-// codes share one value space, so a code minted by a refused load would
-// render the integers 0 and 1 already stored as its strings.
+// malformed line encodes none of its strings.
 func TestLoadTSVRefusedLeavesDict(t *testing.T) {
 	dir := t.TempDir()
 	load := func(db *DB, name, text string) error {

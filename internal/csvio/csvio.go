@@ -3,9 +3,10 @@
 // the plain text format", Section 5) and by cmd/fdb and cmd/fdgen.
 //
 // Format: the first line is "Name<TAB>attr1<TAB>attr2…"; every following
-// non-empty line is one tuple. Fields that parse as signed 64-bit integers
-// are stored numerically; all other fields are dictionary-encoded through
-// the supplied Dict, once the whole file has parsed (Table.Encode).
+// non-empty line is one tuple. A column is an integer column when every one
+// of its fields parses as a signed 64-bit integer, and a string column
+// otherwise: its fields, numerals too, are dictionary-encoded through the
+// supplied Dict once the whole file has parsed (Table.Encode).
 package csvio
 
 import (
@@ -19,12 +20,14 @@ import (
 	"repro/internal/relation"
 )
 
-// Table is one parsed relation file: its name, its qualified schema and
-// its rows, still text. Read checks every line before it returns a Table,
-// so nothing is dictionary-encoded until Encode, which cannot fail.
+// Table is one parsed relation file: its name, its qualified schema, each
+// column's kind (none for a file without tuples) and its rows, still text.
+// Read checks every line before it returns a Table, so nothing is
+// dictionary-encoded until Encode, which cannot fail.
 type Table struct {
 	Name   string
 	Schema relation.Schema
+	Kinds  []relation.Kind
 	rows   [][]string
 }
 
@@ -43,7 +46,7 @@ func Read(r io.Reader) (*Table, error) {
 	if len(head) < 2 {
 		return nil, fmt.Errorf("csvio: header %q needs a name and at least one attribute", sc.Text())
 	}
-	t := &Table{Name: head[0], Schema: make(relation.Schema, len(head)-1)}
+	t := &Table{Name: head[0], Schema: make(relation.Schema, len(head)-1), Kinds: make([]relation.Kind, len(head)-1)}
 	for i, a := range head[1:] {
 		if a == "" {
 			return nil, fmt.Errorf("csvio: empty attribute name in header")
@@ -64,6 +67,14 @@ func Read(r io.Reader) (*Table, error) {
 		if len(fields) != len(t.Schema) {
 			return nil, fmt.Errorf("csvio: line %d has %d fields, schema has %d", line, len(fields), len(t.Schema))
 		}
+		for i, f := range fields {
+			if t.Kinds[i] != relation.KindStr {
+				t.Kinds[i] = relation.KindInt
+				if _, err := strconv.ParseInt(f, 10, 64); err != nil {
+					t.Kinds[i] = relation.KindStr
+				}
+			}
+		}
 		t.rows = append(t.rows, fields)
 	}
 	if err := sc.Err(); err != nil {
@@ -72,15 +83,15 @@ func Read(r io.Reader) (*Table, error) {
 	return t, nil
 }
 
-// Encode returns the table as a relation: fields that parse as signed
-// 64-bit integers are stored numerically, all others dictionary-encoded
-// through dict.
+// Encode returns the table as a relation: an integer column's fields are
+// stored numerically, a string column's dictionary-encoded through dict.
 func (t *Table) Encode(dict *relation.Dict) *relation.Relation {
 	rel := relation.New(t.Name, t.Schema)
 	for _, fields := range t.rows {
 		tp := make(relation.Tuple, len(fields))
 		for i, f := range fields {
-			if n, err := strconv.ParseInt(f, 10, 64); err == nil {
+			if t.Kinds[i] == relation.KindInt {
+				n, _ := strconv.ParseInt(f, 10, 64)
 				tp[i] = relation.Value(n)
 			} else {
 				tp[i] = dict.Encode(f)
@@ -105,11 +116,11 @@ func ReadFile(path string) (*Table, error) {
 	return t, nil
 }
 
-// Write renders the relation in the text format. Values present in dict
-// decode to their strings (pass nil for purely numeric output). Attribute
-// names are written unqualified (the "Name." prefix, if present, is
-// stripped).
-func Write(w io.Writer, rel *relation.Relation, dict *relation.Dict) error {
+// Write renders the relation in the text format, each value as
+// relation.AppendCell renders it under snap (a dictionary snapshot) and its
+// column's kind in kinds (nil: every column numeric). Attribute names are
+// written unqualified (the "Name." prefix, if present, is stripped).
+func Write(w io.Writer, rel *relation.Relation, snap []string, kinds []relation.Kind) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(rel.Name); err != nil {
 		return err
@@ -123,16 +134,18 @@ func Write(w io.Writer, rel *relation.Relation, dict *relation.Dict) error {
 		bw.WriteString(name)
 	}
 	bw.WriteByte('\n')
+	var cell []byte
 	for _, t := range rel.Tuples {
 		for i, v := range t {
 			if i > 0 {
 				bw.WriteByte('\t')
 			}
-			if dict != nil {
-				bw.WriteString(dict.Decode(v))
-			} else {
-				bw.WriteString(strconv.FormatInt(int64(v), 10))
+			k := relation.KindInt
+			if kinds != nil {
+				k = kinds[i]
 			}
+			cell = relation.AppendCell(cell[:0], snap, v, k)
+			bw.Write(cell)
 		}
 		bw.WriteByte('\n')
 	}
@@ -140,12 +153,12 @@ func Write(w io.Writer, rel *relation.Relation, dict *relation.Dict) error {
 }
 
 // WriteFile writes the relation to path.
-func WriteFile(path string, rel *relation.Relation, dict *relation.Dict) error {
+func WriteFile(path string, rel *relation.Relation, snap []string, kinds []relation.Kind) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := Write(f, rel, dict); err != nil {
+	if err := Write(f, rel, snap, kinds); err != nil {
 		_ = f.Close()
 		return err
 	}

@@ -3,6 +3,7 @@ package csvio
 import (
 	"bytes"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -35,6 +36,34 @@ func TestReadBasic(t *testing.T) {
 	if r.Tuples[0][1] != r.Tuples[2][1] {
 		t.Fatal("dictionary not shared across rows")
 	}
+	if want := []relation.Kind{relation.KindInt, relation.KindStr}; !slices.Equal(tab.Kinds, want) {
+		t.Fatalf("kinds = %v, want %v", tab.Kinds, want)
+	}
+}
+
+// TestColumnKind: one field that does not parse as an integer makes the
+// whole column a string column, whose numerals are strings too; a file
+// without tuples fixes no kind.
+func TestColumnKind(t *testing.T) {
+	tab, err := Read(strings.NewReader("R\ta\tb\n7\t1\n8\tMilk\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []relation.Kind{relation.KindInt, relation.KindStr}; !slices.Equal(tab.Kinds, want) {
+		t.Fatalf("kinds = %v, want %v", tab.Kinds, want)
+	}
+	d := relation.NewDict()
+	r := tab.Encode(d)
+	if d.Len() != 2 || d.Decode(r.Tuples[0][1]) != "1" || r.Tuples[0][0] != 7 {
+		t.Fatalf("tuples %v over %d strings: the string column's numeral is not a string", r.Tuples, d.Len())
+	}
+	empty, err := Read(strings.NewReader("R\ta\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []relation.Kind{relation.KindNone}; !slices.Equal(empty.Kinds, want) {
+		t.Fatalf("kinds of an empty file = %v, want %v", empty.Kinds, want)
+	}
 }
 
 func TestReadErrors(t *testing.T) {
@@ -55,11 +84,14 @@ func TestReadErrors(t *testing.T) {
 func TestRoundTrip(t *testing.T) {
 	d := relation.NewDict()
 	r := relation.New("R", relation.Schema{"R.a", "R.b"})
-	r.Append(1, d.Encode("x"))
+	r.Append(0, d.Encode("x"))
 	r.Append(2, d.Encode("y"))
 	var buf bytes.Buffer
-	if err := Write(&buf, r, d); err != nil {
+	if err := Write(&buf, r, d.Snapshot(), []relation.Kind{relation.KindInt, relation.KindStr}); err != nil {
 		t.Fatal(err)
+	}
+	if got, want := buf.String(), "R\ta\tb\n0\tx\n2\ty\n"; got != want {
+		t.Fatalf("Write = %q, want %q", got, want)
 	}
 	d2 := relation.NewDict()
 	tab, err := Read(&buf)
@@ -80,7 +112,7 @@ func TestRoundTripNumericNilDict(t *testing.T) {
 	r.Append(-7)
 	r.Append(42)
 	var buf bytes.Buffer
-	if err := Write(&buf, r, nil); err != nil {
+	if err := Write(&buf, r, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	tab, err := Read(&buf)
@@ -99,7 +131,7 @@ func TestFileRoundTrip(t *testing.T) {
 	d := relation.NewDict()
 	r := relation.New("R", relation.Schema{"R.a"})
 	r.Append(d.Encode("hello"))
-	if err := WriteFile(path, r, d); err != nil {
+	if err := WriteFile(path, r, d.Snapshot(), []relation.Kind{relation.KindStr}); err != nil {
 		t.Fatal(err)
 	}
 	tab, err := ReadFile(path)

@@ -61,8 +61,8 @@ func (c Cmp) Eval(a, b relation.Value) bool {
 // the entries of A's node whose value fails Keep, with empty unions
 // annihilating their enclosing products. Keep is the selection compiled to
 // a value predicate, so a comparison whose order is not native value order
-// (a range on dictionary-encoded strings, which compares in decoded order
-// while codes carry insertion order) is one like any other. Const marks an
+// (a range on a string attribute, which compares strings while codes carry
+// insertion order) is one like any other. Const marks an
 // equality with one value: the node becomes constant, stops carrying
 // correlation, so the tree re-normalises (the node floats up) and s(T)
 // ignores it. Label renders the predicate in plans.

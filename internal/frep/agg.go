@@ -126,8 +126,11 @@ func newAggEval(ctx context.Context, e *Enc, groupBy []relation.Attribute, specs
 	ev := &aggEval{nKey: len(groupBy), specs: specs, ctx: ctx,
 		groupBelow: make([]bool, n), specBelow: make([]bool, n),
 		keysAt: make([][]int, n), specsAt: make([][]int, n), setNode: make([]int, len(specs))}
-	for i := range specs {
+	for i, s := range specs {
 		ev.setNode[i] = -1
+		if s.Fn == AggCountDistinct {
+			ev.distinct = append(ev.distinct, i)
+		}
 	}
 	// Children follow their parent in pre-order, so a reverse walk sees
 	// every subtree before its root.
@@ -211,6 +214,7 @@ type aggEval struct {
 	keysAt     [][]int // group-key slots of the node's own attributes
 	specsAt    [][]int // non-COUNT specs over the node's own attributes
 	setNode    []int   // per spec: its attribute's node if COUNT DISTINCT, else -1
+	distinct   []int   // the COUNT DISTINCT specs
 	// Per-depth scratch accumulators for the scalar path: one union total
 	// and one entry partial per recursion depth, reused across the whole
 	// pass so the hot path allocates nothing. Results are consumed (sets
@@ -237,7 +241,9 @@ func (ev *aggEval) stopped() bool {
 	return ev.err != nil
 }
 
-// scratchAt returns the reset scratch partial for depth d from pool.
+// scratchAt returns the reset scratch partial for depth d from pool. The
+// reset writes the pointer-free fields of every state and the sets of the
+// COUNT DISTINCT specs only, so it needs no write barrier per spec.
 func (ev *aggEval) scratchAt(pool *[]*partial, d int, cnt int64) *partial {
 	for len(*pool) <= d {
 		*pool = append(*pool, &partial{st: make([]aggState, len(ev.specs))})
@@ -245,7 +251,10 @@ func (ev *aggEval) scratchAt(pool *[]*partial, d int, cnt int64) *partial {
 	p := (*pool)[d]
 	p.cnt = cnt
 	for i := range p.st {
-		p.st[i] = aggState{}
+		p.st[i].sum, p.st[i].m, p.st[i].mSet = 0, 0, false
+	}
+	for _, i := range ev.distinct {
+		p.st[i].set = nil
 	}
 	return p
 }

@@ -36,7 +36,6 @@ package frep
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -507,7 +506,11 @@ func (e *Enc) FlatSize() int64 {
 // enumeration order: depth-first over the f-tree, attributes within a node
 // in sorted order, roots left to right.
 func (e *Enc) Schema() relation.Schema {
-	var out relation.Schema
+	size := 0
+	for _, n := range e.ti.nodes {
+		size += len(n.Attrs)
+	}
+	out := make(relation.Schema, 0, size)
 	for _, n := range e.ti.nodes {
 		for _, a := range n.Attrs {
 			if !e.Tree.Hidden.Has(a) {
@@ -530,11 +533,13 @@ func (e *Enc) Relation(name string) *relation.Relation {
 
 // String renders the representation in the paper's notation, e.g.
 // ⟨item:2⟩×(⟨oid:1⟩∪⟨oid:3⟩). Values print numerically; use StringDict for
-// dictionary-decoded output.
-func (e *Enc) String() string { return e.StringDict(nil) }
+// rendered output.
+func (e *Enc) String() string { return e.StringDict(nil, nil) }
 
-// StringDict renders with values decoded through d (nil: numerically).
-func (e *Enc) StringDict(d *relation.Dict) string {
+// StringDict renders every value as relation.Cell renders it under snap (a
+// dictionary snapshot) and its attribute's kind in kinds; an attribute
+// missing from kinds prints numerically.
+func (e *Enc) StringDict(snap []string, kinds map[relation.Attribute]relation.Kind) string {
 	if e.IsEmpty() {
 		return "∅"
 	}
@@ -546,7 +551,7 @@ func (e *Enc) StringDict(d *relation.Dict) string {
 		if i > 0 {
 			b.WriteString(" × ")
 		}
-		e.renderUnion(&b, ri, 0, d)
+		e.renderUnion(&b, ri, 0, snap, kinds)
 	}
 	return b.String()
 }
@@ -554,7 +559,7 @@ func (e *Enc) StringDict(d *relation.Dict) string {
 // renderUnion writes union u of node ni: its entries joined by ∪ (in
 // parentheses when there are several), each entry the product of the node's
 // singletons and its child unions.
-func (e *Enc) renderUnion(b *strings.Builder, ni, u int, d *relation.Dict) {
+func (e *Enc) renderUnion(b *strings.Builder, ni, u int, snap []string, kinds map[relation.Attribute]relation.Kind) {
 	lo, hi := e.UnionSpan(ni, u)
 	if hi-lo > 1 {
 		b.WriteString("(")
@@ -563,12 +568,9 @@ func (e *Enc) renderUnion(b *strings.Builder, ni, u int, d *relation.Dict) {
 		if j > lo {
 			b.WriteString(" ∪ ")
 		}
-		v := e.Vals(ni)[j]
-		val := strconv.FormatInt(int64(v), 10)
-		if d != nil {
-			val = d.Decode(v)
-		}
-		for i, a := range e.ti.nodes[ni].Attrs {
+		attrs := e.ti.nodes[ni].Attrs
+		val := relation.Cell(snap, e.Vals(ni)[j], kinds[attrs[0]])
+		for i, a := range attrs {
 			if i > 0 {
 				b.WriteString("×")
 			}
@@ -576,7 +578,7 @@ func (e *Enc) renderUnion(b *strings.Builder, ni, u int, d *relation.Dict) {
 		}
 		for _, ci := range e.ti.kids[ni] {
 			b.WriteString("×")
-			e.renderUnion(b, ci, int(j), d)
+			e.renderUnion(b, ci, int(j), snap, kinds)
 		}
 	}
 	if hi-lo > 1 {

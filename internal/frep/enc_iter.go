@@ -50,7 +50,7 @@ func (e *Enc) Enumerate(yield func(relation.Tuple) bool) {
 // plus the bounds of its current union — an odometer over flat arrays. It is
 // the only odometer: without an order plan every union is walked in stored
 // order (lexicographic over Schema()); with one (see ResolveOrder) the
-// plan's covered prefix nodes walk their unions by direction and decoded-order
+// plan's covered prefix nodes walk their unions by direction and key-order
 // permutation, which is ORDER BY retrieval with no sort of the output. The
 // iterator is only valid while e is alive (Encs are immutable, so there is no
 // invalidation-by-mutation hazard).
@@ -125,7 +125,7 @@ func (it *EncIterator) span(ni int) (lo, hi int32) {
 
 // entryAt maps a walk position of covered prefix node ni to its absolute
 // entry index: backwards for a descending key, through the union's
-// decoded-order permutation when it has one.
+// key-order permutation when it has one.
 func (it *EncIterator) entryAt(ni int, pos int32) int32 {
 	if it.ord.desc[ni] {
 		pos = it.hi[ni] - it.lo[ni] - 1 - pos
@@ -140,7 +140,7 @@ func (it *EncIterator) entryAt(ni int, pos int32) int32 {
 // the comparator, in the node's reused buffer — empty when stored order
 // already is key order (no comparator, or no inversion between neighbours).
 func (it *EncIterator) keyOrder(ni int, lo, hi int32) []int32 {
-	less, vals, p := it.ord.less, it.e.Vals(ni), it.perm[ni][:0]
+	less, vals, p := it.ord.less[ni], it.e.Vals(ni), it.perm[ni][:0]
 	j := lo + 1
 	for less != nil && j < hi && !less(vals[j], vals[j-1]) {
 		j++

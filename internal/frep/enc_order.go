@@ -7,9 +7,9 @@
 // available beyond native value order:
 //
 //   - per-union sort permutations: dictionary codes are insertion-ordered, so
-//     decoded (e.g. lexicographic string) order is a per-union permutation of
-//     the stored order. EncIterator sorts a union's entries when it first
-//     seats that union, so a LIMIT pays for the unions it reads, not for the
+//     a string key's lexicographic order is a per-union permutation of the
+//     stored order. EncIterator sorts a union's entries when it first seats
+//     that union, so a LIMIT pays for the unions it reads, not for the
 //     column;
 //   - per-node direction: descending keys walk their union (or permutation)
 //     backwards, which reverses exactly that digit of the odometer.
@@ -45,9 +45,18 @@ func (k OrderKey) String() string {
 
 // ValueLess is a strict weak order on engine values. A nil ValueLess means
 // native int64 order — the order unions are stored in. A non-nil comparator
-// (e.g. dictionary-decoded lexicographic order) makes EncIterator sort the
-// key unions it seats.
+// (a string key's lexicographic order) makes EncIterator sort the key unions
+// it seats. Order functions take one comparator per key, nil for a key that
+// sorts natively (an integer key), and a nil slice when every key does.
 type ValueLess func(a, b relation.Value) bool
+
+// lessAt is key i's comparator in less.
+func lessAt(less []ValueLess, i int) ValueLess {
+	if less == nil {
+		return nil
+	}
+	return less[i]
+}
 
 // TupleIter is a resumable iterator over result tuples. EncIterator, the
 // sort-fallback replay and Clip all implement it; the tuple returned by Next
@@ -61,13 +70,13 @@ type TupleIter interface {
 // EncOrder is a resolved order plan for one f-tree, and so for every Enc
 // over it: the ORDER BY keys were matched against the pre-order node
 // sequence, so the first Prefix nodes stream in key order (per-node
-// direction, under less) and every deeper node streams natively. It holds
-// no data-sized state: the iterator puts each covered union in key order as
-// it seats it.
+// direction and comparator) and every deeper node streams natively. It
+// holds no data-sized state: the iterator puts each covered union in key
+// order as it seats it.
 type EncOrder struct {
 	Prefix int
-	desc   []bool    // per covered node
-	less   ValueLess // nil: stored order is key order
+	desc   []bool      // per covered node
+	less   []ValueLess // per covered node; nil: stored order is key order
 }
 
 // ResolveOrder is the one order decision: it finds an arrangement of t's
@@ -83,7 +92,7 @@ type EncOrder struct {
 // any arrangement does. ok == false: none does, t comes back as it was, and
 // the caller sorts (SortedRows) or plans another shape
 // (opt.OptimalFTreeOrdered). t is never mutated.
-func ResolveOrder(t *ftree.T, keys []OrderKey, less ValueLess) (*ftree.T, *EncOrder, bool) {
+func ResolveOrder(t *ftree.T, keys []OrderKey, less []ValueLess) (*ftree.T, *EncOrder, bool) {
 	if ord, ok := matchOrder(t, keys, less); ok {
 		return t, ord, true
 	}
@@ -120,14 +129,15 @@ func ResolveOrder(t *ftree.T, keys []OrderKey, less ValueLess) (*ftree.T, *EncOr
 // pre-order node; keys on constant nodes impose nothing and are skipped,
 // as are keys whose node an earlier key already pinned (their digits are
 // tie-free), and constant nodes between two keys are covered ascending.
-func matchOrder(t *ftree.T, keys []OrderKey, less ValueLess) (*EncOrder, bool) {
+func matchOrder(t *ftree.T, keys []OrderKey, less []ValueLess) (*EncOrder, bool) {
 	ti := indexTree(t)
-	ord := &EncOrder{less: less}
-	cover := func(desc bool) {
+	ord := &EncOrder{}
+	cover := func(desc bool, less ValueLess) {
 		ord.desc = append(ord.desc, desc)
+		ord.less = append(ord.less, less)
 		ord.Prefix++
 	}
-	for _, k := range keys {
+	for i, k := range keys {
 		n := t.NodeOf(k.Attr)
 		if n == nil || t.Hidden.Has(k.Attr) {
 			return nil, false
@@ -137,12 +147,12 @@ func matchOrder(t *ftree.T, keys []OrderKey, less ValueLess) (*EncOrder, bool) {
 			continue
 		}
 		for ord.Prefix < ni && t.AllConst(ti.nodes[ord.Prefix]) {
-			cover(false)
+			cover(false, nil)
 		}
 		if ord.Prefix != ni {
 			return nil, false
 		}
-		cover(k.Desc)
+		cover(k.Desc, lessAt(less, i))
 	}
 	return ord, true
 }
@@ -198,17 +208,17 @@ func (c *clipIter) Reset() {
 // ------------------------------------------------------------ sort fallback
 
 // TupleCompare returns the three-way comparison ORDER BY retrieval uses: the
-// keys in order (honouring direction and the comparator), then every schema
-// column ascending in native (stored value) order — a deterministic total
-// order on distinct tuples, identical to the structural streaming order
-// whenever that order exists (non-key digits stream in stored order, which
-// for dictionary codes is insertion order, not decoded order).
-func TupleCompare(schema relation.Schema, keys []OrderKey, less ValueLess) func(a, b relation.Tuple) int {
+// keys in order (honouring direction and each key's comparator), then every
+// schema column ascending in native (stored value) order — a deterministic
+// total order on distinct tuples, identical to the structural streaming
+// order whenever that order exists (non-key digits stream in stored order,
+// which for dictionary codes is insertion order, not lexicographic order).
+func TupleCompare(schema relation.Schema, keys []OrderKey, less []ValueLess) func(a, b relation.Tuple) int {
 	cols := make([]int, len(keys))
 	for i, k := range keys {
 		cols[i] = schema.Index(k.Attr)
 	}
-	cmpVal := func(x, y relation.Value) int {
+	cmpVal := func(less ValueLess, x, y relation.Value) int {
 		if less != nil {
 			switch {
 			case less(x, y):
@@ -231,7 +241,7 @@ func TupleCompare(schema relation.Schema, keys []OrderKey, less ValueLess) func(
 			if c < 0 {
 				continue
 			}
-			d := cmpVal(a[c], b[c])
+			d := cmpVal(lessAt(less, i), a[c], b[c])
 			if d != 0 {
 				if keys[i].Desc {
 					return -d
@@ -285,7 +295,7 @@ func ReplayIter(schema relation.Schema, rows []relation.Tuple) TupleIter {
 // memory — the top-k never materialises the flat result); without one it
 // sorts everything. Callers clip an OFFSET off the front (Clip over
 // ReplayIter) and so ask for offset+limit rows.
-func SortedRows(es []*Enc, keys []OrderKey, less ValueLess, k int) []relation.Tuple {
+func SortedRows(es []*Enc, keys []OrderKey, less []ValueLess, k int) []relation.Tuple {
 	if k == 0 {
 		return nil
 	}

@@ -64,7 +64,7 @@ func collect(it TupleIter) []relation.Tuple {
 }
 
 // refSorted enumerates e unordered and sorts with the retrieval comparator.
-func refSorted(e *Enc, keys []OrderKey, less ValueLess) []relation.Tuple {
+func refSorted(e *Enc, keys []OrderKey, less []ValueLess) []relation.Tuple {
 	var out []relation.Tuple
 	e.Enumerate(func(tp relation.Tuple) bool {
 		out = append(out, tp.Clone())
@@ -88,7 +88,7 @@ func tuplesEqual(a, b []relation.Tuple) bool {
 }
 
 // zigzagLess is a non-native total order (rank by value mod 3, ties by
-// value): it stands in for dictionary-decoded order and forces real sort
+// value): it stands in for a string key's order and forces real sort
 // permutations.
 func zigzagLess(a, b relation.Value) bool {
 	if a%3 != b%3 {
@@ -99,7 +99,8 @@ func zigzagLess(a, b relation.Value) bool {
 
 // Property: when ResolveOrder accepts the keys, ordered enumeration is
 // exactly the unordered enumeration sorted by the retrieval comparator —
-// for native order, decoded (permuted) order, and mixed directions alike.
+// for native order, permuted order, and mixed directions and comparators
+// alike.
 func TestOrderedEnumerationIsSortedPermutation(t *testing.T) {
 	for seed := int64(1); seed <= 120; seed++ {
 		rng := rand.New(rand.NewSource(seed * 77))
@@ -112,9 +113,14 @@ func TestOrderedEnumerationIsSortedPermutation(t *testing.T) {
 		for i := 0; i < k; i++ {
 			keys = append(keys, OrderKey{Attr: schema[i], Desc: rng.Intn(2) == 1})
 		}
-		var less ValueLess
+		var less []ValueLess
 		if rng.Intn(2) == 1 {
-			less = zigzagLess
+			less = make([]ValueLess, k)
+			for i := range less {
+				if rng.Intn(2) == 1 {
+					less[i] = zigzagLess
+				}
+			}
 		}
 		_, ord, ok := ResolveOrder(e.Tree, keys, less)
 		if !ok {
@@ -132,22 +138,12 @@ func TestOrderedEnumerationIsSortedPermutation(t *testing.T) {
 // strBase is where the "strings" of scrambledLess begin.
 const strBase = 1000
 
-// scrambledLess stands in for decoded dictionary order: values from strBase
-// up rank by a fixed scramble of their code and after every smaller value,
-// which keep native order. It counts in *n the calls that compare two values
-// from counted up.
-func scrambledLess(counted relation.Value, n *int) ValueLess {
+// scrambledLess stands in for a string key's order: values rank by a fixed
+// scramble of their code. It counts its calls in *n.
+func scrambledLess(n *int) ValueLess {
 	scramble := func(v relation.Value) relation.Value { return v * 7919 % 10007 }
 	return func(a, b relation.Value) bool {
-		if a >= counted && b >= counted {
-			*n++
-		}
-		switch sa, sb := a >= strBase, b >= strBase; {
-		case sa != sb:
-			return sb
-		case !sa:
-			return a < b
-		}
+		*n++
 		return scramble(a) < scramble(b)
 	}
 }
@@ -182,7 +178,7 @@ func stringKeyEnc(u, width int, second bool) *Enc {
 	return b.Finish()
 }
 
-// Ordered retrieval puts a union in decoded order when the odometer seats it,
+// Ordered retrieval puts a union in key order when the odometer seats it,
 // not up front: Limit(k) over U ≫ k unions of a scrambled string key does sort
 // work independent of U, in both directions — and so it does not pay for
 // unions it never reads. A full drain sorts each union once: reseating a
@@ -193,12 +189,12 @@ func TestOrderedLimitSortsOnlyVisitedUnions(t *testing.T) {
 		limited := func(u int) int {
 			n := 0
 			e := stringKeyEnc(u, 8, false)
-			_, ord, ok := ResolveOrder(e.Tree, keys, scrambledLess(strBase, &n))
+			_, ord, ok := ResolveOrder(e.Tree, keys, []ValueLess{nil, scrambledLess(&n)})
 			if !ok {
 				t.Fatal("keys did not resolve")
 			}
 			got := collect(Clip(NewEncIterator(e, ord), 0, 20))
-			if want := refSorted(e, keys, scrambledLess(strBase, new(int)))[:20]; !tuplesEqual(got, want) {
+			if want := refSorted(e, keys, []ValueLess{nil, scrambledLess(new(int))})[:20]; !tuplesEqual(got, want) {
 				t.Fatalf("desc=%v U=%d: Limit(20) is not the ordered prefix", desc, u)
 			}
 			return n
@@ -213,11 +209,12 @@ func TestOrderedLimitSortsOnlyVisitedUnions(t *testing.T) {
 		drained := func(u int) int {
 			n := 0
 			e := stringKeyEnc(u, 8, true)
-			_, ord, ok := ResolveOrder(e.Tree, keys, scrambledLess(2*strBase, &n))
+			_, ord, ok := ResolveOrder(e.Tree, keys, []ValueLess{nil, scrambledLess(new(int)), scrambledLess(&n)})
 			if !ok {
 				t.Fatal("keys did not resolve")
 			}
-			if got := collect(NewEncIterator(e, ord)); !tuplesEqual(got, refSorted(e, keys, scrambledLess(strBase, new(int)))) {
+			ref := refSorted(e, keys, []ValueLess{nil, scrambledLess(new(int)), scrambledLess(new(int))})
+			if got := collect(NewEncIterator(e, ord)); !tuplesEqual(got, ref) {
 				t.Fatalf("desc=%v U=%d: full ordered drain diverges from the reference", desc, u)
 			}
 			return n

@@ -125,7 +125,7 @@ func TestExample1Sizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if f1.Size() != 23 {
-		t.Fatalf("size over T1 = %d, want 23\n%s", f1.Size(), f1.StringDict(g.dict))
+		t.Fatalf("size over T1 = %d, want 23\n%s", f1.Size(), f1.String())
 	}
 	if f1.Count() != 14 {
 		t.Fatalf("count over T1 = %d, want 14", f1.Count())
@@ -135,7 +135,7 @@ func TestExample1Sizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if f2.Size() != 22 {
-		t.Fatalf("size over T2 = %d, want 22\n%s", f2.Size(), f2.StringDict(g.dict))
+		t.Fatalf("size over T2 = %d, want 22\n%s", f2.Size(), f2.String())
 	}
 	// Both factorisations represent the same relation (align schemas, since
 	// enumeration order follows each tree's own attribute order).
@@ -153,7 +153,7 @@ func TestExample1Q2OverT3(t *testing.T) {
 		t.Fatal(err)
 	}
 	if f3.Size() != 12 {
-		t.Fatalf("size over T3 = %d, want 12\n%s", f3.Size(), f3.StringDict(g.dict))
+		t.Fatalf("size over T3 = %d, want 12\n%s", f3.Size(), f3.String())
 	}
 	if !f3.Relation("r").Equal(q2) {
 		t.Fatal("T3 factorisation does not round-trip to Q2")

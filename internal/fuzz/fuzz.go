@@ -400,6 +400,9 @@ func (c *Case) run(persist func(*fdb.DB, []fdb.Clause) (*fdb.DB, error)) error {
 		}
 		db = ndb
 	}
+	if err := c.checkKinds(db, fail); err != nil {
+		return err
+	}
 
 	// Oracle: the flat relational engine on the same qualified query.
 	flat, err := c.oracleFlat(c.sels)
@@ -751,7 +754,7 @@ func (c *Case) comparePlain(res *fdb.Result, want *relation.Relation, fail func(
 		}
 		ref[i] = nt
 	}
-	var less frep.ValueLess
+	var less []frep.ValueLess
 	if c.strs != nil {
 		code := c.codes()
 		str := make(map[relation.Value]string, len(code))
@@ -763,7 +766,10 @@ func (c *Case) comparePlain(res *fdb.Result, want *relation.Relation, fail func(
 				t[i] = code[v]
 			}
 		}
-		less = func(a, b relation.Value) bool { return str[a] < str[b] }
+		less = make([]frep.ValueLess, len(c.orderBy))
+		for i := range less {
+			less[i] = func(a, b relation.Value) bool { return str[a] < str[b] }
+		}
 	}
 	cmp := frep.TupleCompare(gotSchema, c.orderBy, less)
 	sort.SliceStable(ref, func(i, j int) bool { return cmp(ref[i], ref[j]) < 0 })

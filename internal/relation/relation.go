@@ -254,26 +254,3 @@ func (r *Relation) String() string {
 	}
 	return b.String()
 }
-
-// StringDict renders the relation using d to decode values.
-func (r *Relation) StringDict(d *Dict) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s(", r.Name)
-	for i, a := range r.Schema {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(string(a))
-	}
-	b.WriteString(")\n")
-	for _, t := range r.Tuples {
-		for i, v := range t {
-			if i > 0 {
-				b.WriteString("\t")
-			}
-			b.WriteString(d.Decode(v))
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}

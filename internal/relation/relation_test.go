@@ -97,36 +97,28 @@ func TestDictRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodedOrder: under a snapshot, a value with a code is its string and
-// any other value an integer; integers sort numerically before every
-// string, strings lexicographically, and Compare agrees with Less.
-func TestDecodedOrder(t *testing.T) {
-	snap := []string{"pear", "apple", "quince"}
-	// Ascending: -5 and 3 are integers (no code), then apple, pear, quince.
-	order := []Value{-5, 3, 1, 0, 2}
-	for i, a := range order {
-		for j, b := range order {
-			da, db := DecodeValue(snap, a), DecodeValue(snap, b)
-			if da.Less(db) != (i < j) {
-				t.Errorf("%v < %v: %v", da, db, da.Less(db))
-			}
-			want := 0
-			switch {
-			case i < j:
-				want = -1
-			case i > j:
-				want = 1
-			}
-			if da.Compare(db) != want {
-				t.Errorf("Compare(%v, %v) = %d, want %d", da, db, da.Compare(db), want)
-			}
+// TestCell: a string attribute's value renders as its code's string, an
+// integer attribute's value in decimal, whatever the snapshot holds, and a
+// code the snapshot does not cover in decimal too.
+func TestCell(t *testing.T) {
+	snap := []string{"pear", "apple"}
+	for _, c := range []struct {
+		v    Value
+		k    Kind
+		want string
+	}{
+		{1, KindStr, "apple"},
+		{1, KindInt, "1"},
+		{0, KindNone, "0"},
+		{2, KindStr, "2"},
+		{-3, KindStr, "-3"},
+	} {
+		if got := Cell(snap, c.v, c.k); got != c.want {
+			t.Errorf("Cell(%d, %s) = %q, want %q", c.v, c.k, got, c.want)
 		}
-	}
-	if d := DecodeValue(snap, 3); d.IsStr || AppendDecoded(nil, snap, 3)[0] != '3' {
-		t.Errorf("a value past the snapshot decodes as %+v", d)
-	}
-	if d := (Decoded{Str: "banana", IsStr: true}); !DecodeValue(snap, 1).Less(d) || !d.Less(DecodeValue(snap, 0)) {
-		t.Error("a string outside the snapshot does not sort between apple and pear")
+		if got := string(AppendCell([]byte("x"), snap, c.v, c.k)); got != "x"+c.want {
+			t.Errorf("AppendCell(%d, %s) = %q, want %q", c.v, c.k, got, "x"+c.want)
+		}
 	}
 }
 

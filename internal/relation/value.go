@@ -5,7 +5,11 @@
 //
 // The paper's experiments hold each data value in an 8-byte integer; string
 // data is supported through per-database dictionary encoding (see Dict), so
-// the engine core only ever manipulates Value (int64).
+// the engine core only ever manipulates Value (int64). Each attribute has
+// one Kind, integer or string, and the kind alone says what a value means:
+// an integer attribute's value is the integer, a string attribute's value
+// is a dictionary code. Cells render through AppendCell and Cell, which
+// take the kind.
 package relation
 
 import (
@@ -203,74 +207,61 @@ func (d *Dict) Lookup(s string) (Value, bool) {
 	return v, ok
 }
 
-// Decode returns the string for v, or a numeric rendering if v was never
-// assigned by this dictionary. Rendering many values, take one Snapshot and
-// use DecodeIn: one lock for the lot, and every value rendered against the
-// same code table.
-func (d *Dict) Decode(v Value) string { return DecodeIn(d.Snapshot(), v) }
+// Decode returns the string assigned to code v, or v's decimal form if
+// this dictionary never assigned it: Cell for a string attribute. Rendering
+// many values, take one Snapshot and use Cell.
+func (d *Dict) Decode(v Value) string { return Cell(d.Snapshot(), v, KindStr) }
 
-// AppendDecoded appends v's rendering under snap (a Snapshot) to dst: the
-// string snap assigns to code v, or v's decimal form when snap does not
-// cover it (DecodeValue). Decode, DecodeIn and the wire's reply writer all
-// go through it, so no two surfaces can render a cell differently.
-func AppendDecoded(dst []byte, snap []string, v Value) []byte {
-	if d := DecodeValue(snap, v); d.IsStr {
-		return append(dst, d.Str...)
+// Kind is an attribute's value space. The first write into a relation fixes
+// the kind of each of its attributes, and every later value, constant,
+// parameter and equality over the attribute must be of that kind.
+type Kind uint8
+
+// The kinds. An attribute whose relation was never written has none yet.
+const (
+	KindNone Kind = iota
+	KindInt
+	KindStr
+)
+
+func (k Kind) String() string {
+	switch k {
+	case KindInt:
+		return "integer"
+	case KindStr:
+		return "string"
+	}
+	return "unset"
+}
+
+// AppendCell appends the rendering of value v of an attribute of kind k
+// under snap (a Snapshot) to dst: a string attribute's value renders as the
+// string snap assigns to it, any other value (and a code snap does not
+// cover) in decimal. Every surface that renders a cell goes through it or
+// Cell, so no two can render one differently.
+func AppendCell(dst []byte, snap []string, v Value, k Kind) []byte {
+	if s, ok := str(snap, v, k); ok {
+		return append(dst, s...)
 	}
 	return strconv.AppendInt(dst, int64(v), 10)
 }
 
-// DecodeIn is AppendDecoded as a string: an assigned code costs no
-// allocation, a decimal rendering one.
-func DecodeIn(snap []string, v Value) string {
-	if d := DecodeValue(snap, v); d.IsStr {
-		return d.Str
+// Cell is AppendCell as a string: a string attribute's value costs no
+// allocation.
+func Cell(snap []string, v Value, k Kind) string {
+	if s, ok := str(snap, v, k); ok {
+		return s
 	}
-	var buf [20]byte
-	return string(AppendDecoded(buf[:0], snap, v))
+	return strconv.FormatInt(int64(v), 10)
 }
 
-// Decoded is a value as results show it under one dictionary snapshot: the
-// value itself (Int) and, when the snapshot assigns its code a string, that
-// string (Str, IsStr); a value without one is the integer Int.
-type Decoded struct {
-	Int   Value
-	Str   string
-	IsStr bool
-}
-
-// DecodeValue is the one rule for whether v is a dictionary string under
-// snap: it is when snap assigns its code a string, and an integer
-// otherwise. How a cell renders (AppendDecoded), how ORDER BY sorts and how
-// a range selection on a string compares (Decoded.Less) all follow it.
-func DecodeValue(snap []string, v Value) Decoded {
-	if v >= 0 && int64(v) < int64(len(snap)) {
-		return Decoded{Int: v, Str: snap[v], IsStr: true}
+// str returns the string snap assigns to v when v is a string attribute's
+// value.
+func str(snap []string, v Value, k Kind) (string, bool) {
+	if k == KindStr && v >= 0 && int64(v) < int64(len(snap)) {
+		return snap[v], true
 	}
-	return Decoded{Int: v}
-}
-
-// Less is the order of decoded values: integers numerically, strings
-// lexicographically, and every integer before every string.
-func (a Decoded) Less(b Decoded) bool {
-	if a.IsStr && b.IsStr {
-		return a.Str < b.Str
-	}
-	if a.IsStr == b.IsStr {
-		return a.Int < b.Int
-	}
-	return b.IsStr
-}
-
-// Compare is Less as a three-way comparison.
-func (a Decoded) Compare(b Decoded) int {
-	switch {
-	case a.Less(b):
-		return -1
-	case b.Less(a):
-		return 1
-	}
-	return 0
+	return "", false
 }
 
 // Snapshot returns a read-only view of the assigned strings, indexed by

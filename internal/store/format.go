@@ -18,7 +18,8 @@
 //	             union-offset columns (int32)
 //	[metaOff)    meta blob (8-aligned, after the last data section):
 //	             dictionary strings; per-relation name, delta-store version,
-//	             schema, row count and data-section ref; per-enc data
+//	             schema with each attribute's kind (format version 2), row
+//	             count and data-section ref; per-enc data
 //	             holder key, serialised f-tree, input (name, version)
 //	             list, pre-order node spans, and value/offset section refs
 //
@@ -41,7 +42,7 @@ import (
 // Format geometry and identification.
 const (
 	magic      = "FDBSNAP1"
-	version    = 1
+	version    = 2
 	headerSize = 64
 	pageSize   = 4096
 

@@ -32,7 +32,7 @@ func fuzzSet() *Set {
 	return &Set{
 		Ver:  7,
 		Dict: []string{"apple", "pear"},
-		Rels: []Relation{{Ver: 5, Rel: r}},
+		Rels: []Relation{{Ver: 5, Rel: r, Kinds: []relation.Kind{relation.KindInt, relation.KindStr}}},
 		Encs: []Enc{{Key: "q1", Inputs: []Input{{Name: "R", Ver: 5}}, Enc: enc}},
 	}
 }

@@ -234,7 +234,7 @@ func parseRelation(d *decoder, data []byte) (Relation, error) {
 	if err != nil {
 		return Relation{}, err
 	}
-	arity, err := d.count("relation "+name+" schema", maxArity, 4)
+	arity, err := d.count("relation "+name+" schema", maxArity, 8)
 	if err != nil {
 		return Relation{}, err
 	}
@@ -242,12 +242,21 @@ func parseRelation(d *decoder, data []byte) (Relation, error) {
 		return Relation{}, badf("relation %q has no attributes", name)
 	}
 	schema := make(relation.Schema, arity)
+	kinds := make([]relation.Kind, arity)
 	for i := range schema {
 		a, err := d.str("relation " + name + " attribute")
 		if err != nil {
 			return Relation{}, err
 		}
 		schema[i] = relation.Attribute(a)
+		k, err := d.u32("relation " + name + " attribute kind")
+		if err != nil {
+			return Relation{}, err
+		}
+		if k > uint32(relation.KindStr) {
+			return Relation{}, badf("relation %q attribute %q has unknown kind %d", name, a, k)
+		}
+		kinds[i] = relation.Kind(k)
 	}
 	if err := schema.Validate(); err != nil {
 		return Relation{}, badf("relation %q: %v", name, err)
@@ -277,7 +286,7 @@ func parseRelation(d *decoder, data []byte) (Relation, error) {
 	for i := range rel.Tuples {
 		rel.Tuples[i] = relation.Tuple(vals[i*arity : (i+1)*arity : (i+1)*arity])
 	}
-	return Relation{Ver: ver, Rel: rel}, nil
+	return Relation{Ver: ver, Rel: rel, Kinds: kinds}, nil
 }
 
 func parseEnc(d *decoder, data []byte, relNames map[string]bool) (Enc, error) {

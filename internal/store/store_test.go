@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/fbuild"
@@ -14,7 +16,8 @@ import (
 )
 
 // testSet builds a small but fully featured snapshot: a dictionary, two
-// relations (one empty), and a pre-built enc over a two-level tree.
+// relations (one empty, its kinds not fixed), and a pre-built enc over a
+// two-level tree.
 func testSet(t *testing.T) *Set {
 	t.Helper()
 	r := relation.New("R", relation.Schema{"a", "b"})
@@ -33,7 +36,7 @@ func testSet(t *testing.T) *Set {
 	return &Set{
 		Ver:  7,
 		Dict: []string{"apple", "pear", "plum"},
-		Rels: []Relation{{Ver: 5, Rel: r}, {Ver: 2, Rel: empty}},
+		Rels: []Relation{{Ver: 5, Rel: r, Kinds: []relation.Kind{relation.KindInt, relation.KindStr}}, {Ver: 2, Rel: empty}},
 		Encs: []Enc{{Key: "q1", Inputs: []Input{{Name: "R", Ver: 5}}, Enc: enc}},
 	}
 }
@@ -64,6 +67,13 @@ func checkFile(t *testing.T, set *Set, f *File) {
 		got := f.Rels[i]
 		if got.Ver != want.Ver || got.Rel.Name != want.Rel.Name || !got.Rel.Schema.Equal(want.Rel.Schema) {
 			t.Fatalf("relation %d header mismatch: %+v", i, got)
+		}
+		wantKinds := want.Kinds
+		if wantKinds == nil {
+			wantKinds = make([]relation.Kind, len(want.Rel.Schema))
+		}
+		if !slices.Equal(got.Kinds, wantKinds) {
+			t.Fatalf("relation %q kinds %v, want %v", want.Rel.Name, got.Kinds, wantKinds)
 		}
 		if len(got.Rel.Tuples) != len(want.Rel.Tuples) {
 			t.Fatalf("relation %q has %d tuples, want %d", want.Rel.Name, len(got.Rel.Tuples), len(want.Rel.Tuples))
@@ -144,6 +154,31 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 	if string(a) != string(b) {
 		t.Fatal("two encodings of the same set differ")
+	}
+}
+
+// TestOpenRefusesVersion1: a file in format version 1, which records no
+// attribute kinds, is refused as malformed.
+func TestOpenRefusesVersion1(t *testing.T) {
+	buf, err := Encode(testSet(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(buf[8:], 1)
+	binary.LittleEndian.PutUint64(buf[headerSize-8:], checksum(buf[:headerSize-8]))
+	f, err := OpenBytes(buf)
+	if f != nil || !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("version-1 image: file %v, err %v; want an ErrFormat naming version 1", f, err)
+	}
+}
+
+// TestEncodeRefusesKindArity: a relation's kinds, when given, are one per
+// attribute.
+func TestEncodeRefusesKindArity(t *testing.T) {
+	set := testSet(t)
+	set.Rels[0].Kinds = set.Rels[0].Kinds[:1]
+	if _, err := Encode(set); err == nil {
+		t.Fatal("one kind for a two-attribute relation was encoded")
 	}
 }
 

@@ -10,11 +10,12 @@ import (
 	"repro/internal/relation"
 )
 
-// Relation is one persisted relation: its tuples plus the delta-store
-// version the snapshot cut it at.
+// Relation is one persisted relation: its tuples, the delta-store version
+// the snapshot cut it at, and each attribute's kind (nil: none fixed).
 type Relation struct {
-	Ver uint64
-	Rel *relation.Relation
+	Ver   uint64
+	Rel   *relation.Relation
+	Kinds []relation.Kind
 }
 
 // Enc is one persisted encoded representation: the key of the data holder
@@ -79,6 +80,9 @@ func Encode(s *Set) ([]byte, error) {
 		if arity == 0 || arity > maxArity {
 			return nil, fmt.Errorf("store: relation %q arity %d out of range", sr.Rel.Name, arity)
 		}
+		if sr.Kinds != nil && len(sr.Kinds) != arity {
+			return nil, fmt.Errorf("store: relation %q has %d kinds for arity %d", sr.Rel.Name, len(sr.Kinds), arity)
+		}
 		for _, tp := range sr.Rel.Tuples {
 			if len(tp) != arity {
 				return nil, fmt.Errorf("store: relation %q tuple arity %d != schema arity %d",
@@ -142,8 +146,13 @@ func Encode(s *Set) ([]byte, error) {
 		m.str(sr.Rel.Name)
 		m.u64(sr.Ver)
 		m.u32(uint32(len(sr.Rel.Schema)))
-		for _, a := range sr.Rel.Schema {
+		for j, a := range sr.Rel.Schema {
 			m.str(string(a))
+			k := relation.KindNone
+			if sr.Kinds != nil {
+				k = sr.Kinds[j]
+			}
+			m.u32(uint32(k))
 		}
 		m.u64(uint64(len(sr.Rel.Tuples)))
 		m.u64(relSecs[i].off)

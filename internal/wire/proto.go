@@ -522,10 +522,9 @@ func DecodeExecReq(b []byte) (*ExecReq, error) {
 	return e, nil
 }
 
-// Rows is the response body of VerbExec: the result schema and the
-// dictionary-decoded rows, rendered exactly as the library API's Rows
-// surface renders them (the differential harness compares the two byte for
-// byte).
+// Rows is the response body of VerbExec: the result schema and the rows,
+// rendered exactly as the library API's Rows surface renders them (the
+// differential harness compares the two byte for byte).
 type Rows struct {
 	Schema []string
 	Rows   [][]string
@@ -563,6 +562,7 @@ func ExecReply(ctx context.Context, st *fdb.Stmt, args []Arg, maxRows, maxFrame 
 // tupleReply writes a tuple result's reply body.
 func tupleReply(res *fdb.Result, maxRows, maxFrame int) ([]byte, error) {
 	w := newReply(res.Schema(), res.Dict().Snapshot(), maxFrame)
+	kinds := res.Kinds()
 	rows := res.Count()
 	if maxRows > 0 {
 		rows = min(rows, int64(maxRows))
@@ -575,8 +575,8 @@ func tupleReply(res *fdb.Result, maxRows, maxFrame int) ([]byte, error) {
 		}
 		at := len(w.b)
 		w.row(len(t))
-		for _, v := range t {
-			w.cell(v)
+		for i, v := range t {
+			w.cell(v, kinds[i])
 		}
 		if err := w.check(); err != nil {
 			return nil, err
@@ -589,10 +589,12 @@ func tupleReply(res *fdb.Result, maxRows, maxFrame int) ([]byte, error) {
 }
 
 // aggReply writes an aggregate result's reply body: per group, the key
-// cells dictionary-rendered, then the aggregate values in decimal.
+// cells rendered as Result.Each renders them, then the aggregate values in
+// decimal.
 func aggReply(res *fdb.AggResult, maxRows, maxFrame int) ([]byte, error) {
 	schema := res.Schema()
 	w := newReply(schema, res.Dict().Snapshot(), maxFrame)
+	kinds := res.Kinds()
 	n := res.Len()
 	if maxRows > 0 && maxRows < n {
 		n = maxRows
@@ -600,8 +602,8 @@ func aggReply(res *fdb.AggResult, maxRows, maxFrame int) ([]byte, error) {
 	for i := 0; i < n; i++ {
 		key := res.KeyValues(i)
 		w.row(len(schema))
-		for _, v := range key {
-			w.cell(v)
+		for j, v := range key {
+			w.cell(v, kinds[j])
 		}
 		for j := 0; j < len(schema)-len(key); j++ {
 			w.intCell(res.Value(i, j))
@@ -653,10 +655,11 @@ func (w *reply) row(n int) {
 	w.rows++
 }
 
-// cell appends one value rendered as Result.Each renders it.
-func (w *reply) cell(v relation.Value) {
+// cell appends one value of an attribute of kind k, rendered as
+// Result.Each renders it.
+func (w *reply) cell(v relation.Value, k relation.Kind) {
 	at := w.reserve()
-	w.b = relation.AppendDecoded(w.b, w.snap, v)
+	w.b = relation.AppendCell(w.b, w.snap, v, k)
 	w.patch(at)
 }
 

@@ -334,6 +334,51 @@ func TestWritesOverWire(t *testing.T) {
 	}
 }
 
+// TestWrongKindOverWire: a wrong-kind INSERT and a wrong-kind EXEC binding
+// each get a typed QUERY error naming the attribute and both kinds, mint no
+// dictionary code, and leave the connection serving the next request.
+func TestWrongKindOverWire(t *testing.T) {
+	_, db, addr := newTestServer(t, Options{})
+	cl := dialTest(t, addr)
+	sp := NewSpec("Orders")
+	sp.Sels = []Sel{SelParam("Orders.item", OpEQ, "item")}
+	rs, err := cl.Prepare(&sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strs, ver := db.Dict().Len(), db.Version()
+	for _, c := range []struct {
+		name string
+		do   func() error
+	}{
+		{"INSERT", func() error { _, err := cl.Insert("Orders", [][]Value{{Int(90001), Str("Milk")}}); return err }},
+		{"EXEC", func() error { _, err := rs.Exec(0, 0, Arg{Name: "item", Val: Str("Milk")}); return err }},
+	} {
+		err := c.do()
+		if asCode(err) != CodeQuery {
+			t.Fatalf("wrong-kind %s: want CodeQuery, got %v", c.name, err)
+		}
+		for _, word := range []string{"Orders.item", "integer", "string"} {
+			if !strings.Contains(err.Error(), word) {
+				t.Fatalf("wrong-kind %s: error %q does not name %q", c.name, err, word)
+			}
+		}
+		if n := db.Dict().Len(); n != strs {
+			t.Fatalf("wrong-kind %s grew the dictionary from %d to %d strings", c.name, strs, n)
+		}
+		if db.Version() != ver {
+			t.Fatalf("wrong-kind %s bumped the version %d -> %d", c.name, ver, db.Version())
+		}
+		got, err := rs.Exec(0, 0, Arg{Name: "item", Val: Int(3)})
+		if err != nil {
+			t.Fatalf("after the wrong-kind %s, the connection refused the next EXEC: %v", c.name, err)
+		}
+		if want := libRows(t, db, &sp, []Arg{{Name: "item", Val: Int(3)}}); sameRows(got, want) != nil {
+			t.Fatalf("after the wrong-kind %s: %v", c.name, sameRows(got, want))
+		}
+	}
+}
+
 // TestAdmissionControl: with one execution slot and a one-deep queue, a
 // third concurrent request is shed with CodeOverload and counted.
 func TestAdmissionControl(t *testing.T) {

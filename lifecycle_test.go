@@ -39,7 +39,7 @@ var goldenFingerprints = []struct {
 }
 
 func TestFingerprintGolden(t *testing.T) {
-	db := grocery(t)
+	db := groceryNumbered(t)
 	// cacheKey reads the key the plan cache holds st under.
 	cacheKey := func(st *Stmt) string {
 		for _, ce := range cacheEntries(db) {
@@ -110,7 +110,7 @@ var goldenHolderKeys = []struct {
 }
 
 func TestHolderKeyGolden(t *testing.T) {
-	db := grocery(t)
+	db := groceryNumbered(t)
 	key := func(clauses ...Clause) string {
 		st, err := db.Prepare(clauses...)
 		if err != nil {

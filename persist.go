@@ -11,19 +11,20 @@ import (
 
 // SaveSnapshot writes the database to path in the zero-copy snapshot format
 // (internal/store): the dictionary's code table, every relation's live
-// tuples at one consistent version cut, and one arena per live data holder
-// whose memoised encoded representation reflects exactly that cut, named by
-// the holder's key (srcKey) — so a database reopened from the file serves
-// the first query of any statement over that data without a build, however
-// it was prepared. A holder lives while a statement holds it: the plan cache
-// keeps cached statements', a caller keeps the ones it prepared. The write
-// is atomic (temp file + rename) and the file records the global write
-// version and each relation's delta-store version, which OpenSnapshotFile
-// restores verbatim.
+// tuples at one consistent version cut and its attributes' kinds, and one
+// arena per live data holder whose memoised encoded representation
+// reflects exactly that cut, named by the holder's key (srcKey) — so a
+// database reopened from the file serves the first query of any statement
+// over that data without a build, however it was prepared. A holder lives
+// while a statement holds it: the plan cache keeps cached statements', a
+// caller keeps the ones it prepared. The write is atomic (temp file +
+// rename) and the file records the global write version and each
+// relation's delta-store version, which OpenSnapshotFile restores verbatim.
 func (db *DB) SaveSnapshot(path string) error {
 	snap := db.Snapshot()
 	defer snap.Close()
 	set := &store.Set{Ver: snap.ver, Dict: db.dict.Snapshot()}
+	kinds := db.kinds()
 	for _, name := range snap.Relations() {
 		st := snap.states[name]
 		live := st.Live()
@@ -31,7 +32,7 @@ func (db *DB) SaveSnapshot(path string) error {
 		// only reads, and the version chain is never mutated in place.
 		rel := relation.New(live.Name, live.Schema)
 		rel.Tuples = live.Tuples[:len(live.Tuples):len(live.Tuples)]
-		set.Rels = append(set.Rels, store.Relation{Ver: st.Ver, Rel: rel})
+		set.Rels = append(set.Rels, store.Relation{Ver: st.Ver, Rel: rel, Kinds: kindsOf(kinds, rel.Schema)})
 	}
 	for _, src := range db.srcs.live() {
 		if se, ok := persistableEnc(src, snap.states); ok {
@@ -100,7 +101,8 @@ func OpenSnapshotFile(path string) (*DB, error) {
 }
 
 // newFromStore builds a DB over an opened store.File, cross-checking the
-// file's version bookkeeping before adopting anything.
+// file's version bookkeeping before adopting anything. The file fixes the
+// attributes' kinds; values it records no kind for are integers.
 func newFromStore(f *store.File) (*DB, error) {
 	db := New()
 	dict, err := relation.NewDictFromStrings(f.Dict)
@@ -113,6 +115,12 @@ func newFromStore(f *store.File) (*DB, error) {
 			return nil, fmt.Errorf("fdb: open snapshot: relation %q version %d exceeds database version %d",
 				sr.Rel.Name, sr.Ver, f.Ver)
 		}
+		for c, k := range sr.Kinds {
+			if k == relation.KindNone && len(sr.Rel.Tuples) > 0 {
+				sr.Kinds[c] = relation.KindInt
+			}
+		}
+		db.fixKinds(sr.Rel.Schema, sr.Kinds)
 		db.stores[sr.Rel.Name] = delta.FromRelation(sr.Rel, sr.Ver)
 		db.ord = append(db.ord, sr.Rel.Name)
 	}

@@ -32,7 +32,7 @@ type Result struct {
 	order  []frep.OrderKey
 	offset int
 	limit  int // -1: no limit
-	less   frep.ValueLess
+	less   []frep.ValueLess
 	// How the tuples leave: resolved on the first retrieval call, immutable
 	// from then on, read by every enumeration surface.
 	once sync.Once
@@ -91,7 +91,7 @@ func (r *Result) dress(out outClauses) (*Result, error) {
 	}
 	r.order, r.offset, r.limit = out.order, out.offset, out.limit
 	if r.ordered() {
-		r.less = r.db.orderLess()
+		r.less = r.db.orderLess(r.order)
 	}
 	return r, nil
 }
@@ -135,7 +135,7 @@ func (r *Result) retrieval() *retrieval {
 // a view over the root and sibling arrangement frep.ResolveOrder picks
 // (Reindex shares the arena) otherwise. ok == false: no arrangement
 // streams, the caller sorts.
-func streamPlan(e *frep.Enc, keys []frep.OrderKey, less frep.ValueLess) (*frep.Enc, *frep.EncOrder, bool) {
+func streamPlan(e *frep.Enc, keys []frep.OrderKey, less []frep.ValueLess) (*frep.Enc, *frep.EncOrder, bool) {
 	t, p, ok := frep.ResolveOrder(e.Tree, keys, less)
 	if !ok || t == e.Tree {
 		return e, p, ok
@@ -221,9 +221,10 @@ func (r *Result) FTree() string {
 }
 
 // String renders the factorised representation in the paper's notation,
-// decoding dictionary values; a bag's operands joined by ⊎.
+// each value as Each renders it; a bag's operands joined by ⊎.
 func (r *Result) String() string {
-	return r.render(func(e *frep.Enc) string { return e.StringDict(r.db.dict) })
+	snap, kinds := r.db.dict.Snapshot(), r.db.kinds()
+	return r.render(func(e *frep.Enc) string { return e.StringDict(snap, kinds) })
 }
 
 // render joins f over the result's encodings with ⊎.
@@ -235,22 +236,22 @@ func (r *Result) render(f func(*frep.Enc) string) string {
 	return strings.Join(out, " ⊎ ")
 }
 
-// Each enumerates the tuples as string-decoded rows until fn returns false,
-// honouring OrderBy, Offset and Limit. The row slice is reused between calls
-// — clone it to retain (Rows does). Every row of one call renders against
-// one dictionary snapshot, so a concurrent insert cannot change how a value
-// renders halfway through.
+// Each enumerates the tuples as rendered rows until fn returns false,
+// honouring OrderBy, Offset and Limit: an integer attribute's value in
+// decimal, a string attribute's as its string. The row slice is reused
+// between calls — clone it to retain (Rows does). Every row of one call
+// renders against one dictionary snapshot.
 func (r *Result) Each(fn func(row []string) bool) {
 	it := r.Iter()
-	snap := r.db.dict.Snapshot()
-	row := make([]string, len(it.Schema()))
+	snap, kinds := r.db.dict.Snapshot(), r.Kinds()
+	row := make([]string, len(kinds))
 	for {
 		t, ok := it.Next()
 		if !ok {
 			return
 		}
 		for i, v := range t {
-			row[i] = relation.DecodeIn(snap, v)
+			row[i] = relation.Cell(snap, v, kinds[i])
 		}
 		if !fn(row) {
 			return
@@ -277,13 +278,26 @@ func (r *Result) Enc() *frep.Enc {
 	return r.parts[0]
 }
 
-// Dict returns the dictionary the result's values decode under: Iter's raw
-// values rendered with relation.AppendDecoded against one Dict().Snapshot()
-// are exactly Each's cells.
+// Dict returns the dictionary the result's string values decode under:
+// Iter's raw values rendered with relation.AppendCell against one
+// Dict().Snapshot() and their column's kind in Kinds are exactly Each's
+// cells.
 func (r *Result) Dict() *relation.Dict { return r.db.dict }
 
+// Kinds returns the kind of each column of Schema (see Dict).
+func (r *Result) Kinds() []relation.Kind { return kindsOf(r.db.kinds(), r.retrieval().enc.Schema()) }
+
+// kindsOf looks each attribute's kind up in kinds.
+func kindsOf(kinds map[relation.Attribute]relation.Kind, attrs []relation.Attribute) []relation.Kind {
+	out := make([]relation.Kind, len(attrs))
+	for i, a := range attrs {
+		out[i] = kinds[a]
+	}
+	return out
+}
+
 // Iter returns a resumable iterator over the result's tuples (raw values;
-// use Each/Rows for dictionary-decoded output), honouring OrderBy, Offset
+// use Each/Rows for rendered output), honouring OrderBy, Offset
 // and Limit. Unordered results and order-compatible OrderBys walk the
 // encoded columns directly with constant delay and no per-tuple allocation
 // (with a Limit, retrieval visits O(offset+limit) entries and stops);
@@ -313,6 +327,9 @@ func (r *Result) Where(clauses ...Clause) (*Result, error) {
 	}
 	s, err := compileSpec(modeWhere, clauses)
 	if err != nil {
+		return nil, err
+	}
+	if err := r.db.checkKinds(s, nil); err != nil {
 		return nil, err
 	}
 	out := make([]*frep.Enc, len(r.parts))
@@ -487,7 +504,7 @@ func tabTable(schema []string, rows [][]string) string {
 
 // AggResult is the result of an aggregation statement's ExecAgg (which
 // QueryAgg runs after Prepare): one row per group, sorted by group key, with
-// dictionary-decoded key accessors and typed aggregate values. A global
+// rendered key accessors and typed aggregate values. A global
 // aggregate (no GroupBy) has one row with an empty key — or zero rows if
 // the query result is empty.
 type AggResult struct {
@@ -513,15 +530,16 @@ func (r *AggResult) Schema() []string {
 	return out
 }
 
-// Key returns row i's group key, dictionary-decoded (empty for a global
-// aggregate).
-func (r *AggResult) Key(i int) []string { return r.key(r.db.dict.Snapshot(), i) }
+// Key returns row i's group key, rendered as Result.Each renders cells
+// (empty for a global aggregate).
+func (r *AggResult) Key(i int) []string { return r.key(r.db.dict.Snapshot(), r.Kinds(), i) }
 
-// key decodes row i's group key against a dictionary snapshot.
-func (r *AggResult) key(snap []string, i int) []string {
+// key renders row i's group key against a dictionary snapshot and the
+// group-by attributes' kinds.
+func (r *AggResult) key(snap []string, kinds []relation.Kind, i int) []string {
 	out := make([]string, len(r.rows[i].Key))
 	for j, v := range r.rows[i].Key {
-		out[j] = relation.DecodeIn(snap, v)
+		out[j] = relation.Cell(snap, v, kinds[j])
 	}
 	return out
 }
@@ -530,8 +548,13 @@ func (r *AggResult) key(snap []string, i int) []string {
 // them).
 func (r *AggResult) KeyValues(i int) []relation.Value { return r.rows[i].Key }
 
-// Dict returns the dictionary the group keys decode under.
+// Dict returns the dictionary the group keys' string values decode under:
+// KeyValues rendered with relation.AppendCell against one Dict().Snapshot()
+// and their column's kind in Kinds are exactly Key's cells.
 func (r *AggResult) Dict() *relation.Dict { return r.db.dict }
+
+// Kinds returns the kind of each group-by attribute.
+func (r *AggResult) Kinds() []relation.Kind { return kindsOf(r.db.kinds(), r.groupBy) }
 
 // Value returns row i's value for the j-th Agg clause.
 func (r *AggResult) Value(i, j int) int64 { return r.rows[i].Vals[j] }
@@ -547,13 +570,13 @@ func (r *AggResult) Int(i int, label string) (int64, error) {
 	return 0, fmt.Errorf("fdb: no aggregate %q in result (have %v)", label, r.Schema()[len(r.groupBy):])
 }
 
-// Group returns the row index of the given decoded group key, or -1.
-// (Comparison is on decoded strings, so looking up an unknown key never
+// Group returns the row index of the given rendered group key, or -1.
+// (Comparison is on rendered strings, so looking up an unknown key never
 // grows the dictionary.)
 func (r *AggResult) Group(key ...string) int {
-	snap := r.db.dict.Snapshot()
+	snap, kinds := r.db.dict.Snapshot(), r.Kinds()
 	for i := range r.rows {
-		k := r.key(snap, i)
+		k := r.key(snap, kinds, i)
 		if len(k) != len(key) {
 			continue
 		}
@@ -571,7 +594,7 @@ func (r *AggResult) Group(key ...string) int {
 	return -1
 }
 
-// Rows materialises up to limit rows (limit <= 0: all) as decoded strings:
+// Rows materialises up to limit rows (limit <= 0: all) as rendered strings:
 // group keys followed by aggregate values.
 func (r *AggResult) Rows(limit int) [][]string {
 	n := len(r.rows)
@@ -579,10 +602,10 @@ func (r *AggResult) Rows(limit int) [][]string {
 		n = limit
 	}
 	out := make([][]string, 0, n)
-	snap := r.db.dict.Snapshot()
+	snap, kinds := r.db.dict.Snapshot(), r.Kinds()
 	for i := 0; i < n; i++ {
 		row := make([]string, 0, len(r.groupBy)+len(r.specs))
-		row = append(row, r.key(snap, i)...)
+		row = append(row, r.key(snap, kinds, i)...)
 		for _, v := range r.rows[i].Vals {
 			row = append(row, strconv.FormatInt(v, 10))
 		}

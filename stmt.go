@@ -67,6 +67,7 @@ type stmtSrc struct {
 // (see pin).
 type stmtPlan struct {
 	db      *DB
+	clauses *spec                // the compiled clauses, checked against the attributes' kinds per Exec
 	params  []string             // distinct parameter names, declaration order
 	project []relation.Attribute // nil: keep all attributes
 	groupBy []relation.Attribute // aggregation statements: group-by attributes
@@ -384,9 +385,7 @@ func (st *Stmt) buildContext(ctx context.Context, args []NamedArg) (*frep.Enc, e
 		if _, dup := bound[a.Name]; dup {
 			return nil, fmt.Errorf("fdb: parameter %q bound twice", a.Name)
 		}
-		switch a.Value.(type) {
-		case int, int64, relation.Value, string:
-		default:
+		if kindOf(a.Value) == relation.KindNone {
 			return nil, fmt.Errorf("fdb: unsupported value type %T", a.Value)
 		}
 		bound[a.Name] = a.Value
@@ -399,6 +398,9 @@ func (st *Stmt) buildContext(ctx context.Context, args []NamedArg) (*frep.Enc, e
 
 	d, err := st.refresh(ctx)
 	if err != nil {
+		return nil, err
+	}
+	if err := st.db.checkKinds(st.clauses, bound); err != nil {
 		return nil, err
 	}
 

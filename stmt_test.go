@@ -375,7 +375,7 @@ func TestConcurrentInsertsAndQueries(t *testing.T) {
 			for range r.Tuples {
 				n++
 			}
-			if err := csvio.WriteFile(tsv, r, db.Dict()); err != nil {
+			if err := csvio.WriteFile(tsv, r, db.Dict().Snapshot(), kindsOf(db.kinds(), r.Schema)); err != nil {
 				errs <- err
 				return
 			}

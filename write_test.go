@@ -1,11 +1,14 @@
 package fdb
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/relation"
 )
 
 // TestWriteSetSemantics: duplicate inserts and absent deletes are no-ops;
@@ -558,46 +561,53 @@ func TestBatchWrites(t *testing.T) {
 }
 
 // TestDeleteUnknownStringMatchesNothing: a removal naming a string the
-// dictionary has never seen removes nothing and mints no code. Integers and
-// codes share one value space, so a minted code would equal the stored
-// integer 0 and delete it.
+// dictionary has never seen removes nothing and mints no code, and a
+// removal naming a string in an integer attribute is refused for its kind.
 func TestDeleteUnknownStringMatchesNothing(t *testing.T) {
 	db := New()
 	db.MustCreate("R", "a")
 	db.MustInsert("R", 0)
 	db.MustInsert("R", 5)
-	if err := db.Delete("R", "ghost"); err != nil {
+	db.MustCreate("S", "b")
+	db.MustInsert("S", "x")
+	var kerr *KindError
+	if err := db.Delete("R", "ghost"); !errors.As(err, &kerr) {
+		t.Fatalf("deleting a string from an integer attribute: err = %v, want a *KindError", err)
+	}
+	if err := db.Delete("S", "ghost"); err != nil {
 		t.Fatal(err)
 	}
-	if n := db.Dict().Len(); n != 0 {
-		t.Fatalf("the delete left %d strings in the dictionary", n)
+	if n := db.Dict().Len(); n != 1 {
+		t.Fatalf("the deletes left %d strings in the dictionary, want 1", n)
 	}
-	res := mustQuery(t, func() (*Result, error) { return db.Query(From("R")) })
-	if got, want := res.Rows(0), [][]string{{"0"}, {"5"}}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("after deleting an unknown string: %v, want %v", got, want)
+	for name, want := range map[string][][]string{"R": {{"0"}, {"5"}}, "S": {{"x"}}} {
+		res := mustQuery(t, func() (*Result, error) { return db.Query(From(name)) })
+		if got := res.Rows(0); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s after deleting an unknown string: %v, want %v", name, got, want)
+		}
 	}
 }
 
 // TestRefusedInsertMintsNoCode: a batch refused at a later row — for its
-// arity or a value's type — encodes none of its strings, so the stored
-// integers keep rendering as numbers.
+// arity, a value's type or a value's kind — encodes none of its strings.
 func TestRefusedInsertMintsNoCode(t *testing.T) {
 	db := New()
 	db.MustCreate("R", "a", "b")
-	db.MustInsert("R", 0, 0)
+	db.MustInsert("R", "a0", "b0")
 	for _, rows := range [][][]interface{}{
-		{{"fresh", "fresh"}, {1}},
-		{{"fresh", "fresh"}, {1, struct{}{}}},
+		{{"fresh", "fresh"}, {"x"}},
+		{{"fresh", "fresh"}, {"x", struct{}{}}},
+		{{"fresh", "fresh"}, {"x", 1}},
 	} {
 		if err := db.InsertBatch("R", rows); err == nil {
 			t.Fatalf("batch %v accepted", rows)
 		}
-		if n := db.Dict().Len(); n != 0 {
-			t.Fatalf("refused batch %v left %d strings in the dictionary", rows, n)
+		if n := db.Dict().Len(); n != 2 {
+			t.Fatalf("refused batch %v left %d strings in the dictionary, want 2", rows, n)
 		}
 	}
 	res := mustQuery(t, func() (*Result, error) { return db.Query(From("R")) })
-	if got, want := res.Rows(0), [][]string{{"0", "0"}}; !reflect.DeepEqual(got, want) {
+	if got, want := res.Rows(0), [][]string{{"a0", "b0"}}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("after the refused batches: %v, want %v", got, want)
 	}
 }
@@ -607,24 +617,25 @@ func TestRefusedInsertMintsNoCode(t *testing.T) {
 func TestRefusedUpsertMintsNoCode(t *testing.T) {
 	db := New()
 	db.MustCreate("R", "k", "v")
-	db.MustInsert("R", 1, 2)
+	db.MustInsert("R", "k0", "v0")
 	err := db.UpsertBatch("R", 1, [][]interface{}{{"a", "x"}, {"b", "y"}, {"a", "z"}})
 	if err == nil || !strings.Contains(err.Error(), "key [a]") {
 		t.Fatalf("repeated-key upsert batch: err = %v, want one naming key [a]", err)
 	}
-	if n := db.Dict().Len(); n != 0 {
-		t.Fatalf("the refused batch left %d strings in the dictionary", n)
+	if n := db.Dict().Len(); n != 2 {
+		t.Fatalf("the refused batch left %d strings in the dictionary, want 2", n)
 	}
 	res := mustQuery(t, func() (*Result, error) { return db.Query(From("R")) })
-	if got, want := res.Rows(0), [][]string{{"1", "2"}}; !reflect.DeepEqual(got, want) {
+	if got, want := res.Rows(0), [][]string{{"k0", "v0"}}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("after the refused batch: %v, want %v", got, want)
 	}
 }
 
-// TestUpsertKeysCompareAsStored: keys that differ as given but are stored as
-// one value — a string and the integer equal to its dictionary code, or to
-// the code the batch would mint for it — make the batch ambiguous: it is
-// refused whole and mints nothing.
+// TestUpsertKeysCompareAsStored: an attribute holds one kind, so upsert
+// keys compare as given. A batch that mixes a string key with an integer
+// one — the integer equal to the string's code, or to the code minting
+// would give it — is refused for its kind, whole, and mints nothing; two
+// spellings of one integer key are one key.
 func TestUpsertKeysCompareAsStored(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -637,8 +648,9 @@ func TestUpsertKeysCompareAsStored(t *testing.T) {
 		db.MustCreate("R", "k", "v")
 		db.MustInsert("R", "Milk", 1)
 		err := db.UpsertBatch("R", 1, c.batch)
-		if err == nil || !strings.Contains(err.Error(), "two rows with key") {
-			t.Fatalf("%s: err = %v, want a repeated-key refusal", c.name, err)
+		var kerr *KindError
+		if !errors.As(err, &kerr) || kerr.Attr != "R.k" || kerr.Want != relation.KindStr || kerr.Got != relation.KindInt {
+			t.Fatalf("%s: err = %v, want R.k's kind refusal", c.name, err)
 		}
 		if n := db.Dict().Len(); n != 1 {
 			t.Fatalf("%s: the refused batch left %d strings in the dictionary, want 1", c.name, n)
@@ -648,11 +660,15 @@ func TestUpsertKeysCompareAsStored(t *testing.T) {
 			t.Fatalf("%s: after the refused batch: %v, want %v", c.name, got, want)
 		}
 	}
-	// Distinct stored keys still upsert, the unseen string's included.
 	db := New()
+	db.MustCreate("N", "k", "v")
+	if err := db.UpsertBatch("N", 1, [][]interface{}{{1, 2}, {int64(1), 3}}); err == nil || !strings.Contains(err.Error(), "two rows with key") {
+		t.Fatalf("int and int64 spellings of one key: err = %v, want a repeated-key refusal", err)
+	}
+	// Distinct keys still upsert, the unseen string's included.
 	db.MustCreate("R", "k", "v")
 	db.MustInsert("R", "Milk", 1)
-	if err := db.UpsertBatch("R", 1, [][]interface{}{{"Cheese", 2}, {2, 3}, {"Milk", 4}}); err != nil {
+	if err := db.UpsertBatch("R", 1, [][]interface{}{{"Cheese", 2}, {"Pear", 3}, {"Milk", 4}}); err != nil {
 		t.Fatal(err)
 	}
 	res := mustQuery(t, func() (*Result, error) { return db.Query(From("R")) })
