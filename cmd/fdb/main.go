@@ -108,6 +108,18 @@ func parseConst(word string) (interface{}, error) {
 	return word, nil
 }
 
+// quoteHint adds a hint to a refusal of an unquoted number, which parseConst
+// and wire.ParseSpec read as an integer, for a string attribute: a written
+// value, a where constant or an exec binding. An equality between two
+// attributes gets none.
+func quoteHint(err error) error {
+	var kerr *fdb.KindError
+	if errors.As(err, &kerr) && !kerr.Eq && kerr.Want == relation.KindStr && kerr.Got == relation.KindInt {
+		return fmt.Errorf(`%w (an unquoted number is an integer: quote it, as in "42", for a string)`, err)
+	}
+	return err
+}
+
 // parseArgs turns name=value tokens into Exec arguments.
 func parseArgs(tokens []string) ([]fdb.NamedArg, error) {
 	var args []fdb.NamedArg
@@ -251,17 +263,17 @@ func (s *session) do(line string) (quit bool, err error) {
 			fmt.Fprintf(s.out, "  %s%v: %d tuples\n", name, r.Schema, r.Cardinality())
 		}
 	case "prepare":
-		err = s.prepareNamed(rest)
+		err = quoteHint(s.prepareNamed(rest))
 	case "exec":
-		err = s.exec(rest)
+		err = quoteHint(s.exec(rest))
 	case "query":
-		err = s.query(rest)
+		err = quoteHint(s.query(rest))
 	case "insert", "delete", "upsert":
-		err = s.write(cmd, rest)
+		err = quoteHint(s.write(cmd, rest))
 	case "snapshot":
 		err = s.snapshot(rest)
 	case "squery":
-		err = s.snapQuery(rest)
+		err = quoteHint(s.snapQuery(rest))
 	case "release":
 		err = s.release(rest)
 	case "compact":
@@ -364,10 +376,6 @@ func (s *session) write(verb string, rest []string) error {
 			return fmt.Errorf("bad key column count %q", rest[1])
 		}
 		err = s.db.Upsert(rest[0], key, vals...)
-	}
-	var kerr *fdb.KindError
-	if errors.As(err, &kerr) && kerr.Want == relation.KindStr && kerr.Got == relation.KindInt {
-		return fmt.Errorf(`%w (an unquoted number is an integer: quote it, as in "42", to write a string)`, err)
 	}
 	if err != nil {
 		return err

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -464,8 +465,28 @@ func TestScriptQuoting(t *testing.T) {
 		}
 	}
 	// Orders.item is a string attribute: an unquoted number is an integer,
-	// refused with a hint to quote it.
-	if _, err := runLines(`load "`+tsv+`"`, `insert Orders o4 42`); err == nil || !strings.Contains(err.Error(), `quote it, as in "42"`) {
-		t.Errorf("an unquoted number into a string attribute: err = %v, want a hint to quote it", err)
+	// refused with a hint to quote it, as a written value, a where constant
+	// or an exec binding. An equality with an integer attribute is refused
+	// without the hint: quoting cannot mend it.
+	nums := filepath.Join(dir, "nums.tsv")
+	if err := os.WriteFile(nums, []byte("Nums\tn\n5\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		line string
+		hint bool
+	}{
+		{`insert Orders o4 42`, true},
+		{`exec p item=42`, true},
+		{`query from Orders where Orders.item=42`, true},
+		{`query from Orders,Nums eq Orders.item=Nums.n`, false},
+	} {
+		_, err := runLines(`load "`+tsv+`"`, `load "`+nums+`"`, `prepare p from Orders where Orders.item=$item`, c.line)
+		var kerr *fdb.KindError
+		if !errors.As(err, &kerr) {
+			t.Errorf("%q on a string attribute: err = %v, want a KindError", c.line, err)
+		} else if hint := strings.Contains(err.Error(), `quote it, as in "42"`); hint != c.hint {
+			t.Errorf("%q: err = %v, hint to quote it %v, want %v", c.line, err, hint, c.hint)
+		}
 	}
 }

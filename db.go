@@ -470,6 +470,7 @@ type KindError struct {
 	Want    relation.Kind // the attribute's kind
 	Got     relation.Kind // the operand's kind
 	Operand string        // the operand, as the message names it
+	Eq      bool          // the operand is an attribute equated with Attr, not a value
 }
 
 func (e *KindError) Error() string {
@@ -523,7 +524,7 @@ func (db *DB) checkKinds(s *spec, args map[string]interface{}) error {
 	}
 	for _, e := range s.eqs {
 		if ka, kb := kinds[e.A], kinds[e.B]; ka != relation.KindNone && kb != relation.KindNone && ka != kb {
-			return &KindError{Attr: string(e.A), Want: ka, Got: kb, Operand: fmt.Sprintf("%s in Eq(%s, %s)", e.B, e.A, e.B)}
+			return &KindError{Attr: string(e.A), Want: ka, Got: kb, Operand: fmt.Sprintf("%s in Eq(%s, %s)", e.B, e.A, e.B), Eq: true}
 		}
 	}
 	for _, a := range s.aggs {

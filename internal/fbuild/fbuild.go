@@ -9,11 +9,15 @@
 // builder then descends the f-tree, unifying the candidate values of each
 // class across the participating relations with a leapfrog merge over
 // sorted index ranges (galloping seeks), and emits union entries whose
-// subtrees are all non-empty (semijoin reduction comes for free). Scratch
-// lives in one frame per tree node and states are routed by pre-order
-// index, so the build allocates nothing per union or value. The column
-// builders draw their columns from frep's pool, and packing puts them back,
-// so a build that repeats a tree allocates its arena and little else.
+// subtrees are all non-empty (semijoin reduction comes for free). A leaf
+// whose class is one column of the one relation routed to it needs no
+// merge: every other class of that relation is bound, so its union is the
+// relation's range of that column, already sorted, and it is gathered —
+// copied less adjacent repeats. Scratch lives in one frame per tree node
+// and states are routed by pre-order index, so the build allocates nothing
+// per union or value. The column builders draw their columns from frep's
+// pool, and packing puts them back, so a build that repeats a tree
+// allocates its arena and little else.
 //
 // A node's subtree depends only on its key (Olteanu and Závodný): the
 // ranges of the relations routed to it, less those whose columns below it
@@ -22,7 +26,8 @@
 // ancestor that binds no keyed relation, meets each key once per entry of
 // that ancestor; it memoises key → the entry span its union produced and
 // copies the span, subtree and all, on a repeat. Leaves are not memoised:
-// their keys mostly miss, and a leaf union is cheap to rebuild.
+// their keys mostly miss, and a leaf union is cheap to rebuild — a gathered
+// one costs one load per tuple.
 //
 // A build has one driver, BuildEncParallelContext (parallel.go): the other
 // roots are built into one column builder, the pivot root's values split
@@ -117,22 +122,25 @@ type frame struct {
 
 type span struct{ lo, hi int }
 
-// checkTick is how many leapfrog rounds pass between context polls.
+// checkTick is how many leapfrog rounds, or gathered tuples, pass between
+// context polls.
 const checkTick = 1024
 
-// checkpoint polls the build's context once every checkTick calls and
-// reports whether the build has been cancelled.
-func (b *builder) checkpoint() bool {
+// checkpoint advances the build's tick by n, polls its context whenever
+// the tick passes a multiple of checkTick, and reports whether the build
+// has been cancelled.
+func (b *builder) checkpoint(n uint) bool {
 	if b.err != nil {
 		return true
 	}
-	b.tick++
-	if b.tick%checkTick == 0 {
+	tick := b.tick + n
+	if tick/checkTick != b.tick/checkTick {
 		if err := b.ctx.Err(); err != nil {
 			b.err = err
 			return true
 		}
 	}
+	b.tick = tick
 	return false
 }
 
@@ -326,7 +334,9 @@ func (f *frame) drop(n int) (dropped int) {
 // here, emitting entries straight into the column builder; it returns the
 // number of entries emitted into the (still open) union of ni. Relations
 // in states either have ni as their next class (active) or start deeper
-// (dormant). Entries whose subtree empties are rolled back.
+// (dormant). A leaf with one active relation, whose class there is one
+// column, is gathered; every other union is a leapfrog merge, and its
+// entries whose subtree empties are rolled back.
 func (b *builder) buildUnionEnc(ni int, states []*relState) int {
 	f := &b.frames[ni]
 	f.active, f.cur, f.save = f.active[:0], f.cur[:0], f.save[:0]
@@ -342,6 +352,9 @@ func (b *builder) buildUnionEnc(ni int, states []*relState) int {
 		// No relation constrains this class: impossible for query-derived
 		// trees (every class stems from some relation), so treat as empty.
 		return 0
+	}
+	if st := active[0]; len(active) == 1 && b.eb.End(ni) == ni+1 && len(st.cols[st.next]) == 1 {
+		return b.gather(ni, st)
 	}
 	// Route the states to the children once: which child a state goes to
 	// depends only on the class it binds next, the same for every value.
@@ -362,7 +375,7 @@ func (b *builder) buildUnionEnc(ni int, states []*relState) int {
 	count := 0
 	// Leapfrog over the active relations' first class column.
 	for {
-		if b.checkpoint() {
+		if b.checkpoint(1) {
 			return count
 		}
 		// Propose the maximum of the current values; any relation exhausted
@@ -448,6 +461,22 @@ func (b *builder) buildUnionEnc(ni int, states []*relState) int {
 			st.next--
 		}
 	}
+}
+
+// gather is the union at a leaf bound by one state whose class there is one
+// column: every other class of the state is bound, so the union is the
+// state's range of that column, which is sorted, less adjacent repeats. It
+// appends checkTick tuples at a time, polling the context between chunks.
+func (b *builder) gather(ni int, st *relState) int {
+	col, count := st.cols[st.next][0], 0
+	for lo := st.lo; lo < st.hi; lo += checkTick {
+		hi := min(lo+checkTick, st.hi)
+		if b.checkpoint(uint(hi - lo)) {
+			break
+		}
+		count += b.eb.AppendDistinct(ni, st.rel.Tuples[lo:hi], col)
+	}
+	return count
 }
 
 // newState sorts the relation by its classes in path order and prepares its

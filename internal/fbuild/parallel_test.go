@@ -2,11 +2,13 @@ package fbuild
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"runtime"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ftree"
 	"repro/internal/gen"
 	"repro/internal/opt"
 	"repro/internal/relation"
@@ -90,6 +92,37 @@ func TestBuildEncParallelCancel(t *testing.T) {
 	cancel()
 	if _, err := BuildEncParallelContext(ctx, cloneRels(q.Relations), tr, 4); err == nil {
 		t.Fatal("cancelled parallel build did not fail")
+	}
+}
+
+// pollCtx is a context whose Err turns non-nil from its failAt-th poll on.
+type pollCtx struct {
+	context.Context
+	polls, failAt int
+}
+
+var errPolled = errors.New("cancelled at a poll")
+
+func (c *pollCtx) Err() error {
+	if c.polls++; c.polls >= c.failAt {
+		return errPolled
+	}
+	return nil
+}
+
+// TestGatherPollsContext: a one-attribute relation is one gathered leaf
+// union, which must still poll the context every checkTick values.
+// BuildEncParallelContext polls once before it builds, so a context that
+// fails on its second poll fails the build only if the gather polls.
+func TestGatherPollsContext(t *testing.T) {
+	r := relation.New("R", relation.Schema{"a"})
+	for v := range relation.Value(4 * checkTick) {
+		r.Append(v)
+	}
+	tr := ftree.New([]*ftree.Node{ftree.NewNode("a")}, []relation.AttrSet{relation.NewAttrSet("a")})
+	ctx := &pollCtx{Context: context.Background(), failAt: 2}
+	if _, err := BuildEncParallelContext(ctx, []*relation.Relation{r}, tr, 1); err != errPolled {
+		t.Fatalf("build of %d gathered values: err %v after %d polls, want the context's error", 4*checkTick, err, ctx.polls)
 	}
 }
 

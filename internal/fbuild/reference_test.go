@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -350,6 +351,75 @@ func TestBuildMatchesReference(t *testing.T) {
 	if memo.hits.Load() == 0 || memo.dropped.Load() == 0 {
 		t.Fatalf("memo hits %d and dropped records %d: both must happen", memo.hits.Load(), memo.dropped.Load())
 	}
+
+	// Leaves bound by one input are gathered (see gather). Bag inputs
+	// repeat tuples, so a gathered range repeats values; a leaf class
+	// holding two columns of one relation takes the leapfrog beside a
+	// gathered sibling; and on item_point's tree the gathered dispatcher
+	// leaf is built before its item sibling, whose union empties where a
+	// location stocks no ordered item, so rollbacks of the memoised
+	// location truncate gathered entries.
+	rng = rand.New(rand.NewSource(7))
+	for trial := 0; trial < 150; trial++ {
+		var q *core.Query
+		var tr *ftree.T
+		switch trial % 3 {
+		case 0:
+			r := 1 + rng.Intn(3)
+			a := r + 1 + rng.Intn(3)
+			var err error
+			q, err = gen.RandomQuery(rng, r, a, 1+rng.Intn(40), rng.Intn(min(a-1, 3)+1), gen.Uniform, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr, _, err = opt.OptimalFTree(q.Classes(), q.Schemas(), opt.TreeSearchOptions{}); err != nil {
+				continue
+			}
+		case 1:
+			q, tr = twoColLeafQuery(rng)
+		case 2:
+			q, tr = pointQuery(rng, trial%6 == 5)
+		}
+		for _, r := range q.Relations {
+			repeatTuples(rng, r)
+		}
+		want, err := refBuildEnc(cloneRels(q.Relations), tr)
+		if err != nil {
+			t.Fatalf("gather trial %d: reference: %v", trial, err)
+		}
+		for _, p := range []int{1, 2, 3} {
+			got, err := BuildEncParallel(cloneRels(q.Relations), tr, p)
+			if err != nil {
+				t.Fatalf("gather trial %d (p=%d): %v", trial, p, err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("gather trial %d (p=%d): build differs from the reference\ntree:\n%s", trial, p, tr)
+			}
+		}
+	}
+}
+
+// repeatTuples makes r a bag: it appends copies of random tuples of r.
+func repeatTuples(rng *rand.Rand, r *relation.Relation) {
+	for n := len(r.Tuples); n > 0 && rng.Intn(4) > 0; {
+		r.AppendTuple(slices.Clone(r.Tuples[rng.Intn(n)]))
+	}
+}
+
+// twoColLeafQuery is R(r_a, r_b, r_c) ⋈ S(s_a, s_d) over the tree
+// a → {{r_b, r_c}, s_d}: R's leaf class holds two of its columns, a
+// selection b = c that the leapfrog evaluates, beside S's gathered leaf.
+func twoColLeafQuery(rng *rand.Rand) (*core.Query, *ftree.T) {
+	r := relation.New("R", relation.Schema{"r_a", "r_b", "r_c"})
+	s := relation.New("S", relation.Schema{"s_a", "s_d"})
+	v := func(n int) relation.Value { return relation.Value(rng.Intn(n)) }
+	for i := 0; i < 1+rng.Intn(40); i++ {
+		r.Append(v(5), v(3), v(3))
+		s.Append(v(5), v(8))
+	}
+	a := ftree.NewNode("r_a", "s_a").Add(ftree.NewNode("r_b", "r_c"), ftree.NewNode("s_d"))
+	return &core.Query{Relations: []*relation.Relation{r, s}}, ftree.New([]*ftree.Node{a},
+		[]relation.AttrSet{relation.NewAttrSet(r.Schema...), relation.NewAttrSet(s.Schema...)})
 }
 
 // memoCounts sums the memo counters of every builder, morsel workers

@@ -211,9 +211,10 @@ func ConcatEnc(t *ftree.T, a, b *Enc) *Enc {
 // entry value at a node, CloseUnion seals the current union (unions of a
 // child node must be closed in the order of its parent's entries, one per
 // parent entry), and Mark/Rollback undo a partially-emitted entry whose
-// subtree turned out empty. Finish packs the per-node columns into a single
-// arena and spends the builder: its columns go back to a pool that later
-// builders draw theirs from, and any further Append, CloseUnion,
+// subtree turned out empty; AppendDistinct appends a sorted run of values
+// at once. Finish packs the per-node columns into a single arena and
+// spends the builder: its columns go back to a pool that later builders
+// draw theirs from, and any further Append, AppendDistinct, CloseUnion,
 // CopyUnions, CopyEntries or Finish panics.
 type EncBuilder struct {
 	tree *ftree.T
@@ -294,6 +295,30 @@ func (b *EncBuilder) Entries(ni int) int { return len(b.vals[ni]) }
 func (b *EncBuilder) Append(ni int, v relation.Value) {
 	b.live("Append")
 	b.vals[ni] = append(b.vals[ni], v)
+}
+
+// AppendDistinct appends column col of ts, which must be sorted by it, to
+// the open union at node ni, skipping each value equal to the union's last
+// entry, and returns the number of entries it appended. Chunks of one
+// sorted range, appended in order, give the range's distinct values.
+func (b *EncBuilder) AppendDistinct(ni int, ts []relation.Tuple, col int) int {
+	b.live("AppendDistinct")
+	if len(ts) == 0 {
+		return 0
+	}
+	vals := b.vals[ni]
+	n := len(vals)
+	if n == int(b.offs[ni][len(b.offs[ni])-1]) {
+		vals, ts = append(vals, ts[0][col]), ts[1:] // the union is empty
+	}
+	last := vals[len(vals)-1]
+	for _, t := range ts {
+		if v := t[col]; v != last {
+			vals, last = append(vals, v), v
+		}
+	}
+	b.vals[ni] = vals
+	return len(vals) - n
 }
 
 // CloseUnion seals the currently open union at node ni.

@@ -132,6 +132,7 @@ func TestSpentBuilderPanics(t *testing.T) {
 	tr := chainTree(relation.Schema{"A"})
 	for name, misuse := range map[string]func(b *EncBuilder){
 		"Append":         func(b *EncBuilder) { b.Append(0, 1) },
+		"AppendDistinct": func(b *EncBuilder) { b.AppendDistinct(0, nil, 0) },
 		"CloseUnion":     func(b *EncBuilder) { b.CloseUnion(0) },
 		"CopyUnions":     func(b *EncBuilder) { b.CopyUnions(NewEmptyEnc(tr), 0, 0, 0, 1) },
 		"CopyEntries":    func(b *EncBuilder) { b.CopyEntries(NewEmptyEnc(tr), 0, 0, 0, 0) },
@@ -150,5 +151,48 @@ func TestSpentBuilderPanics(t *testing.T) {
 			}()
 			misuse(b)
 		}()
+	}
+}
+
+// TestAppendDistinct: chunks of one sorted range, appended in turn, give
+// the range's distinct values: a value equal to the open union's last
+// entry is skipped, across chunk boundaries too, but a union opened by
+// CloseUnion starts afresh, whatever the previous union ended with. The
+// values come from the named column only.
+func TestAppendDistinct(t *testing.T) {
+	tr := chainTree(relation.Schema{"A", "B"})
+	b := NewEncBuilder(tr)
+	chunk := func(vs ...relation.Value) []relation.Tuple {
+		var ts []relation.Tuple
+		for i, v := range vs {
+			ts = append(ts, relation.Tuple{relation.Value(100 + i), v})
+		}
+		return ts
+	}
+	for _, c := range []struct {
+		a      relation.Value
+		chunks [][]relation.Tuple
+		want   []int
+	}{
+		{1, [][]relation.Tuple{chunk(3, 3, 4), chunk(4, 4, 5), nil, chunk(5)}, []int{2, 1, 0, 0}},
+		{2, [][]relation.Tuple{nil, chunk(5, 5, 6)}, []int{0, 2}}, // 5 again: a fresh union
+		{3, [][]relation.Tuple{chunk(6), chunk(6, 7)}, []int{1, 1}},
+	} {
+		b.Append(0, c.a)
+		for i, ts := range c.chunks {
+			if got := b.AppendDistinct(1, ts, 1); got != c.want[i] {
+				t.Errorf("A=%d, chunk %d %v: appended %d, want %d", c.a, i, ts, got, c.want[i])
+			}
+		}
+		b.CloseUnion(1)
+	}
+	b.CloseUnion(0)
+	e := b.Finish()
+	if err := e.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	want := []relation.Tuple{{1, 3}, {1, 4}, {1, 5}, {2, 5}, {2, 6}, {3, 6}, {3, 7}}
+	if got := rowsOf(e, relation.Schema{"A", "B"}); !tuplesEqual(got, want) {
+		t.Fatalf("rows %v, want %v", got, want)
 	}
 }
