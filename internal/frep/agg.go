@@ -1,6 +1,6 @@
 // Aggregation on factorised representations: COUNT, SUM, MIN, MAX and
-// COUNT DISTINCT, optionally grouped, evaluated in one recursive pass over
-// the representation — never over its flattening.
+// COUNT DISTINCT, optionally grouped, evaluated in one pass over the
+// representation — never over its flattening.
 //
 // The evaluator follows the algebraic structure of the representation. A
 // union is a disjoint union of relations, so partial aggregates of its
@@ -15,34 +15,35 @@
 // (an attribute labels exactly one node, so one of the two sums is zero);
 // minima, maxima and distinct sets pass through unchanged from the side
 // holding the attribute, because every partial represents at least one
-// tuple (the reduction invariant). Grouping keys are collected along the
-// way: each partial carries the group-attribute values fixed in its
-// subtree, and partials merge keyed by them.
+// tuple (the reduction invariant).
 //
-// The pass runs in time proportional to the representation size times the
-// number of distinct partial groups met per union. When the group-by
-// attributes label nodes above all aggregated ones (the layout the query
-// compiler arranges with fplan.Lift), every union below the group zone
-// holds exactly one partial group and the pass is linear in |E|.
+// Grouping needs the lifted layout (fplan.Lift): every ancestor of a node
+// holding a group-by attribute holds one too. The group zone — the nodes
+// holding group-by attributes — is then the top of the tree, its unions
+// hold distinct values, and each combination of zone entries, one per zone
+// node and each below its parent's, is exactly one group. The pass folds
+// every subtree outside the zone into one partial (the scalar zone), then
+// walks the combinations of the zone, crossing in each entry's own partial
+// (its value times the scalar partials of its subtrees outside the zone,
+// computed once per pass), and emits one row per combination. There are no
+// maps and nothing merges by key: the cost is linear in |E| plus the
+// number of groups times the number of zone nodes.
 //
-// Nothing below the group zone allocates per entry. A distinct set is a
+// Nothing in the scalar zone allocates per entry. A distinct set is a
 // sorted slice, and mostly a view of the arena: union values are sorted
 // and distinct, so the set of a union at the node carrying a COUNT
 // DISTINCT attribute is the union's own value span, and its distinct count
 // is the span's length. Deeper down, the values below a run of entries are
 // still one contiguous run of the attribute's column, sorted once per span.
-// Sets merge pairwise only where partials of one group meet: across the
-// roots, the parallel chunks and (in trees where a non-group node sits
-// above a group attribute) the group zone's entries.
+// Sets merge pairwise only where the parallel chunks of a root outside the
+// zone add up.
 package frep
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/relation"
 )
@@ -77,8 +78,8 @@ func (f AggFunc) String() string {
 
 // AggSpec is one aggregate to compute: a function and, except for AggCount,
 // the attribute it folds over. SUM, MIN and MAX operate on the engine's
-// int64 values; on dictionary-encoded string attributes they order by
-// dictionary code, not lexicographically.
+// int64 values and are meant for integer attributes: the engine refuses
+// them over string attributes, whose values here are dictionary codes.
 type AggSpec struct {
 	Fn   AggFunc
 	Attr relation.Attribute // ignored for AggCount
@@ -101,7 +102,7 @@ type AggRow struct {
 
 // newAggEval validates the aggregation request against e's tree and
 // prepares the evaluation context, with its per-node tables indexed by e's
-// pre-order node index.
+// pre-order node index. It refuses a tree that is not lifted for groupBy.
 func newAggEval(ctx context.Context, e *Enc, groupBy []relation.Attribute, specs []AggSpec) (*aggEval, error) {
 	t := e.Tree
 	slot := make(map[relation.Attribute]int, len(groupBy))
@@ -123,9 +124,9 @@ func newAggEval(ctx context.Context, e *Enc, groupBy []relation.Attribute, specs
 		}
 	}
 	n := len(e.ti.nodes)
-	ev := &aggEval{nKey: len(groupBy), specs: specs, ctx: ctx,
-		groupBelow: make([]bool, n), specBelow: make([]bool, n),
-		keysAt: make([][]int, n), specsAt: make([][]int, n), setNode: make([]int, len(specs))}
+	ev := &aggEval{nKey: len(groupBy), specs: specs, ctx: ctx, pivot: -1, specBelow: make([]bool, n),
+		keysAt: make([][]int, n), specsAt: make([][]int, n), setNode: make([]int, len(specs)),
+		seat: make([]int32, n)}
 	for i, s := range specs {
 		ev.setNode[i] = -1
 		if s.Fn == AggCountDistinct {
@@ -148,85 +149,65 @@ func newAggEval(ctx context.Context, e *Enc, groupBy []relation.Attribute, specs
 				}
 			}
 		}
-		g, sp := len(ev.keysAt[ni]) > 0, len(ev.specsAt[ni]) > 0
+		sp := len(ev.specsAt[ni]) > 0
 		for _, ci := range e.ti.kids[ni] {
-			g, sp = g || ev.groupBelow[ci], sp || ev.specBelow[ci]
+			sp = sp || ev.specBelow[ci]
+			if ev.zoned(ci) && !ev.zoned(ni) {
+				return nil, fmt.Errorf("frep: node %v holds no group-by attribute but %v below it does: lift the group-by attributes first (fplan.Lift)",
+					e.ti.nodes[ni].Attrs, e.ti.nodes[ci].Attrs)
+			}
 		}
-		ev.groupBelow[ni], ev.specBelow[ni] = g, sp
+		ev.specBelow[ni] = sp
+		if ev.zoned(ni) {
+			ev.zone = append(ev.zone, ni)
+		}
 	}
+	slices.Reverse(ev.zone) // into pre-order: parents before children
 	return ev, nil
 }
 
-// withScalar crosses the scalar partial into every keyed partial of cur, or
-// makes it the one keyed partial when there are none.
-func (ev *aggEval) withScalar(cur map[string]*partial, scalar *partial) map[string]*partial {
-	if cur == nil {
-		scalar.key = make([]relation.Value, ev.nKey)
-		cur = map[string]*partial{pkey(scalar.key): scalar}
-	} else if !scalar.isUnit() {
-		for _, p := range cur {
-			ev.crossScalar(p, scalar)
-		}
-	}
-	return cur
-}
-
-// finishRows folds the top-level scalar into the keyed partials and renders
-// the sorted output rows.
-func (ev *aggEval) finishRows(cur map[string]*partial, scalar *partial) []AggRow {
-	cur = ev.withScalar(cur, scalar)
-	rows := make([]AggRow, 0, len(cur))
-	for _, p := range cur {
-		row := AggRow{Key: p.key, Vals: make([]int64, len(ev.specs))}
-		for i, s := range ev.specs {
-			switch s.Fn {
-			case AggCount:
-				row.Vals[i] = p.cnt
-			case AggSum:
-				row.Vals[i] = p.st[i].sum
-			case AggMin, AggMax:
-				row.Vals[i] = p.st[i].m
-			case AggCountDistinct:
-				row.Vals[i] = int64(len(p.st[i].set))
-			}
-		}
-		rows = append(rows, row)
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		for k := range rows[i].Key {
-			if rows[i].Key[k] != rows[j].Key[k] {
-				return rows[i].Key[k] < rows[j].Key[k]
-			}
-		}
-		return false
-	})
-	return rows
-}
-
 // aggEval carries the evaluation context. The per-node tables are built
-// once per call and shared read-only by parallel workers; everything below
-// them is private to one worker.
+// once per call and shared read-only by parallel workers. The zone's own
+// partials are shared too: each is written once, before the workers start
+// or by the one worker whose chunk holds its entry. Everything else is
+// private to one worker.
 type aggEval struct {
-	nKey       int
-	specs      []AggSpec
-	groupBelow []bool  // node or a descendant holds a group attr
-	specBelow  []bool  // node or a descendant holds a spec attr
-	keysAt     [][]int // group-key slots of the node's own attributes
-	specsAt    [][]int // non-COUNT specs over the node's own attributes
-	setNode    []int   // per spec: its attribute's node if COUNT DISTINCT, else -1
-	distinct   []int   // the COUNT DISTINCT specs
-	// Per-depth scratch accumulators for the scalar path: one union total
-	// and one entry partial per recursion depth, reused across the whole
-	// pass so the hot path allocates nothing. Results are consumed (sets
-	// shared, values copied) before a slot is reused.
+	nKey      int
+	specs     []AggSpec
+	specBelow []bool  // node or a descendant holds a spec attr
+	keysAt    [][]int // group-key slots of the node's own attributes
+	specsAt   [][]int // non-COUNT specs over the node's own attributes
+	setNode   []int   // per spec: its attribute's node if COUNT DISTINCT, else -1
+	distinct  []int   // the COUNT DISTINCT specs
+	zone      []int   // the group zone's nodes, in pre-order
+	// own[ni][j] is the own partial of entry j of zone node ni (nil for
+	// other nodes): the entry's value crossed with the scalar partials of
+	// its child subtrees outside the zone.
+	own [][]partial
+	// Per-depth scratch accumulators: one union total and one entry
+	// partial per recursion depth of the scalar zone, and one partial per
+	// zone position of the walk, reused across the whole pass so the hot
+	// path allocates nothing. Results are consumed (sets shared, values
+	// copied) before a slot is reused.
 	uscratch []*partial
 	escratch []*partial
+	zscratch []*partial
+	// The walk's state: the entry each zone node is seated on, the range
+	// of its root's entries a worker walks (pivot -1: every root whole),
+	// and the rows emitted so far.
+	seat     []int32
+	pivot    int
+	plo, phi int32
+	rows     []AggRow
 	// Cancellation: ctx is polled every checkTick entries; a non-nil err
 	// ends every loop of the pass.
 	ctx  context.Context
 	tick uint
 	err  error
 }
+
+// zoned reports whether node ni is in the group zone.
+func (ev *aggEval) zoned(ni int) bool { return len(ev.keysAt[ni]) > 0 }
 
 // checkTick is how many entries pass between context polls.
 const checkTick = 1024
@@ -269,53 +250,11 @@ type aggState struct {
 	set  []relation.Value
 }
 
-// partial is the aggregate of one group over one subtree: the group-key
-// slots fixed so far (slots of attributes outside the subtree stay zero and
-// are uniform across a map), the tuple count, and one state per spec. A
-// partial always represents at least one tuple.
+// partial is the aggregate of one group over one subtree: the tuple count
+// and one state per spec. A partial always represents at least one tuple.
 type partial struct {
-	key []relation.Value
 	cnt int64
 	st  []aggState
-}
-
-// isUnit reports whether p is the aggregate of the nullary product: one
-// tuple, no key slot fixed, no spec state touched. Crossing with it is the
-// identity.
-func (p *partial) isUnit() bool {
-	if p.cnt != 1 {
-		return false
-	}
-	for _, v := range p.key {
-		if v != 0 {
-			return false
-		}
-	}
-	for i := range p.st {
-		if p.st[i].sum != 0 || p.st[i].mSet || len(p.st[i].set) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// pkey packs the group-key slots into a map key. All partials in one map
-// fix the same slot set, so packing every slot raw is unambiguous.
-func pkey(key []relation.Value) string {
-	if len(key) == 0 {
-		return ""
-	}
-	b := make([]byte, 8*len(key))
-	for i, v := range key {
-		binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
-	}
-	return string(b)
-}
-
-// unit is the scalar aggregate of the nullary product: one tuple, nothing
-// touched. (Its key stays nil until it enters a keyed map.)
-func (ev *aggEval) unit() *partial {
-	return &partial{cnt: 1, st: make([]aggState, len(ev.specs))}
 }
 
 // applyNode extends a partial by the value v of an entry of node ni for
@@ -351,32 +290,6 @@ func (ev *aggEval) crossScalar(p, q *partial) {
 		}
 	}
 	p.cnt = satMul(p.cnt, q.cnt)
-}
-
-// foldEntry finishes entry j of group-zone node ni: the top-level scalar
-// merges into the keyed partials, then the entry's own value extends every
-// partial's group slots and aggregate states, re-keying the map where the
-// node is "hot" (touches a key slot or a spec attribute).
-func (ev *aggEval) foldEntry(cur map[string]*partial, scalar *partial, e *Enc, ni int, j int32) map[string]*partial {
-	cur = ev.withScalar(cur, scalar)
-	if len(ev.keysAt[ni]) == 0 && len(ev.specsAt[ni]) == 0 {
-		return cur
-	}
-	vals := e.Vals(ni)
-	out := make(map[string]*partial, len(cur))
-	for _, p := range cur {
-		for _, si := range ev.keysAt[ni] {
-			p.key[si] = vals[j]
-		}
-		ev.applyNode(p, ni, vals[j], vals[j:j+1:j+1])
-		k := pkey(p.key)
-		if q, ok := out[k]; ok {
-			ev.add(q, p)
-		} else {
-			out[k] = p
-		}
-	}
-	return out
 }
 
 // add merges q into p: the union of two disjoint relations with the same
@@ -433,51 +346,6 @@ func unionSorted(x, y []relation.Value) []relation.Value {
 		}
 	}
 	return append(append(out, x...), y...)
-}
-
-// cross combines two independent partial maps (a Cartesian product):
-// counts multiply, sums cross-combine by count-weighting, min/max and
-// distinct sets pass through from the side holding the attribute, and the
-// disjoint key slots of both sides merge.
-func (ev *aggEval) cross(m1, m2 map[string]*partial) map[string]*partial {
-	// Identity fast paths: a lone unit partial (the seed of every product
-	// fold, and every subtree below the group zone that holds no aggregated
-	// attribute) multiplies counts by 1 and adds nothing.
-	if len(m2) == 1 {
-		for _, p2 := range m2 {
-			if p2.isUnit() {
-				return m1
-			}
-		}
-	}
-	if len(m1) == 1 {
-		for _, p1 := range m1 {
-			if p1.isUnit() {
-				return m2
-			}
-		}
-	}
-	out := make(map[string]*partial, len(m1)*len(m2))
-	for _, p1 := range m1 {
-		for _, p2 := range m2 {
-			np := &partial{
-				key: make([]relation.Value, ev.nKey),
-				cnt: p1.cnt,
-				st:  append([]aggState(nil), p1.st...),
-			}
-			for i := range np.key {
-				np.key[i] = p1.key[i] | p2.key[i] // slots are disjoint; unset is 0
-			}
-			ev.crossScalar(np, p2)
-			k := pkey(np.key)
-			if q, ok := out[k]; ok {
-				ev.add(q, np)
-			} else {
-				out[k] = np
-			}
-		}
-	}
-	return out
 }
 
 // SatMul and SatAdd multiply and add saturating at math.MaxInt64 —

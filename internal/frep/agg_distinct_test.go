@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/ftree"
@@ -61,13 +62,16 @@ func sessionTree() *ftree.T {
 
 // TestAggregateAllocsFlat: with the groups fixed, the aggregation pass
 // allocates the same whether each group holds k or 4k entries below it —
-// nothing below the group zone allocates per entry.
+// nothing below the group zone allocates per entry — and each further
+// group costs at most three allocations: its row's Key and Vals, and a
+// share of the growing row slice. The zone allocates no map or key per
+// entry.
 func TestAggregateAllocsFlat(t *testing.T) {
 	specs := []AggSpec{{Fn: AggCount}, {Fn: AggCountDistinct, Attr: "D"},
 		{Fn: AggSum, Attr: "X"}, {Fn: AggMax, Attr: "Y"}}
-	allocs := func(k int) float64 {
+	allocs := func(groups, k int) float64 {
 		e := buildEnc(sessionTree(), func(n *ftree.Node) []relation.Value {
-			w := map[relation.Attribute]int{"G": 8, "D": k}[n.Attrs[0]]
+			w := map[relation.Attribute]int{"G": groups, "D": k}[n.Attrs[0]]
 			if w == 0 {
 				w = 2
 			}
@@ -78,8 +82,8 @@ func TestAggregateAllocsFlat(t *testing.T) {
 			return out
 		})
 		rows, err := e.Aggregate([]relation.Attribute{"G"}, specs)
-		if err != nil || len(rows) != 8 || rows[0].Vals[1] != int64(k) {
-			t.Fatalf("k=%d: rows %v, err %v", k, rows, err)
+		if err != nil || len(rows) != groups || rows[0].Vals[1] != int64(k) {
+			t.Fatalf("%d groups, k=%d: rows %v, err %v", groups, k, rows, err)
 		}
 		return testing.AllocsPerRun(20, func() {
 			if _, err := e.Aggregate([]relation.Attribute{"G"}, specs); err != nil {
@@ -87,42 +91,53 @@ func TestAggregateAllocsFlat(t *testing.T) {
 			}
 		})
 	}
-	if small, large := allocs(10), allocs(40); small != large {
+	small := allocs(8, 10)
+	if large := allocs(8, 40); small != large {
 		t.Fatalf("allocations grow with entries: %v for 10 entries per group, %v for 40", small, large)
+	}
+	if many := allocs(32, 10); many-small > 3*(32-8) {
+		t.Fatalf("allocations per group: %v for 8 groups, %v for 32 (at most 3 more per group)", small, many)
 	}
 }
 
 // TestAggregateDistinctPlacements: COUNT DISTINCT agrees with
 // enumerate-then-fold wherever its attribute sits relative to the group
 // zone, serially and in parallel, and aggregation never writes through its
-// views of the arena.
+// views of the arena. A tree that is not lifted for the group-by
+// attributes is refused.
 func TestAggregateDistinctPlacements(t *testing.T) {
-	path := func(attrs ...relation.Attribute) *ftree.Node {
-		root := ftree.NewNode(attrs[0])
-		cur := root
-		for _, a := range attrs[1:] {
-			n := ftree.NewNode(a)
-			cur.Add(n)
-			cur = n
-		}
-		return root
-	}
+	branches := ftree.NewNode("G")
+	branches.Add(chain("G2", "D"))
+	branches.Add(chain("G3", "X"))
 	cases := []struct {
 		name    string
 		roots   []*ftree.Node
 		groupBy []relation.Attribute
+		refused bool
 	}{
-		{"under the group zone", []*ftree.Node{path("G", "D", "X")}, []relation.Attribute{"G"}},
-		{"two levels below", []*ftree.Node{path("G", "M", "D")}, []relation.Attribute{"G"}},
-		{"inside the group zone", []*ftree.Node{path("D", "G", "X")}, []relation.Attribute{"G"}},
-		{"in another root", []*ftree.Node{path("G", "X"), path("D", "M")}, []relation.Attribute{"G"}},
-		{"no group by", []*ftree.Node{path("G", "M", "D")}, nil},
+		{"under the group zone", []*ftree.Node{chain("G", "D", "X")}, []relation.Attribute{"G"}, false},
+		{"two levels below", []*ftree.Node{chain("G", "M", "D")}, []relation.Attribute{"G"}, false},
+		{"inside the group zone", []*ftree.Node{chain("D", "G", "X")}, []relation.Attribute{"G"}, true},
+		{"in another root", []*ftree.Node{chain("G", "X"), chain("D", "M")}, []relation.Attribute{"G"}, false},
+		{"no group by", []*ftree.Node{chain("G", "M", "D")}, nil, false},
+		{"two group branches", []*ftree.Node{branches}, []relation.Attribute{"G", "G2", "G3"}, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			// One relation per root-to-leaf path.
 			var rels []relation.AttrSet
+			var paths func(n *ftree.Node, above []relation.Attribute)
+			paths = func(n *ftree.Node, above []relation.Attribute) {
+				above = append(slices.Clip(above), n.Attrs...)
+				if len(n.Children) == 0 {
+					rels = append(rels, relation.NewAttrSet(above...))
+				}
+				for _, ch := range n.Children {
+					paths(ch, above)
+				}
+			}
 			for _, r := range c.roots {
-				rels = append(rels, relation.NewAttrSet(ftree.New([]*ftree.Node{r}, nil).Attrs().Sorted()...))
+				paths(r, nil)
 			}
 			tr := ftree.New(c.roots, rels)
 			specs := []AggSpec{{Fn: AggCount}, {Fn: AggCountDistinct, Attr: "D"}}
@@ -138,6 +153,12 @@ func TestAggregateDistinctPlacements(t *testing.T) {
 				want := foldAgg(e, c.groupBy, specs)
 				for _, p := range []int{1, 2, 3, 1} {
 					got, err := e.AggregateParallel(c.groupBy, specs, p)
+					if c.refused {
+						if err == nil || !strings.Contains(err.Error(), "fplan.Lift") || got != nil {
+							t.Fatalf("seed %d, p=%d: rows %v, err %v; want the error naming fplan.Lift", seed, p, got, err)
+						}
+						continue
+					}
 					if err != nil {
 						t.Fatal(err)
 					}

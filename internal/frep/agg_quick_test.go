@@ -1,7 +1,10 @@
 package frep
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -32,7 +35,7 @@ func foldAgg(fr *Enc, groupBy []relation.Attribute, specs []AggSpec) []AggRow {
 		for i, a := range groupBy {
 			key[i] = t[pos[a]]
 		}
-		k := pkey(key)
+		k := fmt.Sprint(key)
 		s, ok := groups[k]
 		if !ok {
 			s = &state{
@@ -117,6 +120,23 @@ func rowsEqual(a, b []AggRow) bool {
 	return true
 }
 
+// liftedOrder shuffles attrs with rng, the members of groupBy first: a
+// chain in this order is lifted for groupBy, the layout fplan.Lift
+// arranges and aggregation requires.
+func liftedOrder(rng *rand.Rand, attrs, groupBy []relation.Attribute) []relation.Attribute {
+	out := slices.Clone(attrs)
+	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	g := relation.NewAttrSet(groupBy...)
+	rank := func(a relation.Attribute) int {
+		if g.Has(a) {
+			return 0
+		}
+		return 1
+	}
+	slices.SortStableFunc(out, func(a, b relation.Attribute) int { return cmp.Compare(rank(a), rank(b)) })
+	return out
+}
+
 // groupSubset derives a deterministic subset of attrs (possibly empty).
 func groupSubset(attrs []relation.Attribute, mask int) []relation.Attribute {
 	var out []relation.Attribute
@@ -128,10 +148,36 @@ func groupSubset(attrs []relation.Attribute, mask int) []relation.Attribute {
 	return out
 }
 
-// Property: every aggregate over a random f-rep equals the same aggregate
-// folded over the enumeration of its flattening, for every group-by subset
-// — including the empty subset (global aggregates) and empty
-// representations (quickRel may yield zero tuples).
+// aggRel derives a random relation over {A,B,C} from a seed, its values
+// wide enough that a root union often splits among five workers.
+func aggRel(seed int64) *relation.Relation {
+	rng := rand.New(rand.NewSource(seed))
+	r := relation.New("R", relation.Schema{"A", "B", "C"})
+	for i := 0; i < rng.Intn(48); i++ {
+		r.Append(relation.Value(rng.Intn(12)), relation.Value(rng.Intn(12)), relation.Value(rng.Intn(12)))
+	}
+	r.Dedup()
+	return r
+}
+
+// matchesFold reports whether fr aggregates to the enumerate-then-fold rows
+// serially and with 2, 3 and 5 workers.
+func matchesFold(fr *Enc, groupBy []relation.Attribute, specs []AggSpec) bool {
+	want := foldAgg(fr, groupBy, specs)
+	for _, p := range []int{1, 2, 3, 5} {
+		got, err := fr.AggregateParallel(groupBy, specs, p)
+		if err != nil || !rowsEqual(got, want) {
+			return false
+		}
+	}
+	return true
+}
+
+// Property: every aggregate over a random f-rep, lifted for the group-by
+// attributes, equals the same aggregate folded over the enumeration of its
+// flattening, for every group-by subset — including the empty subset
+// (global aggregates) and empty representations (aggRel may yield zero
+// tuples).
 func TestQuickAggregateMatchesFold(t *testing.T) {
 	attrs := []relation.Attribute{"A", "B", "C"}
 	specs := []AggSpec{
@@ -142,17 +188,10 @@ func TestQuickAggregateMatchesFold(t *testing.T) {
 		{Fn: AggCountDistinct, Attr: "B"},
 	}
 	f := func(seed int64, mask uint8) bool {
-		r := quickRel(seed)
-		fr, err := fromRelation(quickTree(seed), r)
-		if err != nil {
-			return false
-		}
 		groupBy := groupSubset(attrs, int(mask)%8)
-		got, err := fr.Aggregate(groupBy, specs)
-		if err != nil {
-			return false
-		}
-		return rowsEqual(got, foldAgg(fr, groupBy, specs))
+		order := liftedOrder(rand.New(rand.NewSource(seed^0x5eed)), attrs, groupBy)
+		fr, err := fromRelation(pathTree(order...), aggRel(seed))
+		return err == nil && matchesFold(fr, groupBy, specs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
@@ -160,8 +199,8 @@ func TestQuickAggregateMatchesFold(t *testing.T) {
 }
 
 // Property: the same, over a forest-shaped representation (a true product
-// of two independently factorised relations), exercising the
-// count-weighting recurrence across roots.
+// of two independently factorised relations, each root's chain lifted),
+// exercising the count-weighting recurrence across roots.
 func TestQuickAggregateProductMatchesFold(t *testing.T) {
 	attrs := []relation.Attribute{"A", "B", "C", "D"}
 	specs := []AggSpec{
@@ -174,44 +213,28 @@ func TestQuickAggregateProductMatchesFold(t *testing.T) {
 	f := func(seed int64, mask uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		left := relation.New("L", relation.Schema{"A", "B"})
-		for i := 0; i < rng.Intn(8); i++ {
-			left.Append(relation.Value(rng.Intn(3)), relation.Value(rng.Intn(3)))
+		for i := 0; i < rng.Intn(16); i++ {
+			left.Append(relation.Value(rng.Intn(8)), relation.Value(rng.Intn(8)))
 		}
 		left.Dedup()
 		right := relation.New("R", relation.Schema{"C", "D"})
-		for i := 0; i < rng.Intn(8); i++ {
-			right.Append(relation.Value(rng.Intn(3)), relation.Value(rng.Intn(3)))
+		for i := 0; i < rng.Intn(16); i++ {
+			right.Append(relation.Value(rng.Intn(8)), relation.Value(rng.Intn(8)))
 		}
 		right.Dedup()
-		// The product relation over the forest {A->B} | {C->D}.
+		// The product relation over the forest {A,B} | {C,D}.
 		prod := relation.New("P", relation.Schema{"A", "B", "C", "D"})
 		for _, lt := range left.Tuples {
 			for _, rt := range right.Tuples {
 				prod.Append(lt[0], lt[1], rt[0], rt[1])
 			}
 		}
-		tr := ftree.New(
-			[]*ftree.Node{ftree.NewNode("A").Add(ftree.NewNode("B")), ftree.NewNode("C").Add(ftree.NewNode("D"))},
-			[]relation.AttrSet{relation.NewAttrSet("A", "B"), relation.NewAttrSet("C", "D")})
-		if prod.Cardinality() == 0 {
-			// Empty product: FromRelation yields the empty representation.
-			fr, err := fromRelation(tr, prod)
-			if err != nil {
-				return false
-			}
-			rows, err := fr.Aggregate(nil, specs)
-			return err == nil && len(rows) == 0
-		}
-		fr, err := fromRelation(tr, prod)
-		if err != nil {
-			return false
-		}
 		groupBy := groupSubset(attrs, int(mask)%16)
-		got, err := fr.Aggregate(groupBy, specs)
-		if err != nil {
-			return false
-		}
-		return rowsEqual(got, foldAgg(fr, groupBy, specs))
+		tr := ftree.New(
+			[]*ftree.Node{chain(liftedOrder(rng, attrs[:2], groupBy)...), chain(liftedOrder(rng, attrs[2:], groupBy)...)},
+			[]relation.AttrSet{relation.NewAttrSet("A", "B"), relation.NewAttrSet("C", "D")})
+		fr, err := fromRelation(tr, prod)
+		return err == nil && matchesFold(fr, groupBy, specs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)

@@ -8,20 +8,22 @@ import (
 	"repro/internal/relation"
 )
 
+// chain builds the path attrs[0] -> attrs[1] -> ... and returns its root.
+func chain(attrs ...relation.Attribute) *ftree.Node {
+	root := ftree.NewNode(attrs[0])
+	cur := root
+	for _, a := range attrs[1:] {
+		n := ftree.NewNode(a)
+		cur.Add(n)
+		cur = n
+	}
+	return root
+}
+
 // pathTree builds the path A1 -> A2 -> ... with a single dependency set
 // covering all attributes (one relation).
 func pathTree(attrs ...relation.Attribute) *ftree.T {
-	var root, cur *ftree.Node
-	for _, a := range attrs {
-		n := ftree.NewNode(a)
-		if root == nil {
-			root = n
-		} else {
-			cur.Add(n)
-		}
-		cur = n
-	}
-	return ftree.New([]*ftree.Node{root}, []relation.AttrSet{relation.NewAttrSet(attrs...)})
+	return ftree.New([]*ftree.Node{chain(attrs...)}, []relation.AttrSet{relation.NewAttrSet(attrs...)})
 }
 
 func mustFromRelation(t *testing.T, tr *ftree.T, r *relation.Relation) *Enc {

@@ -1,6 +1,7 @@
 // The aggregation walk: the algebraic evaluator of agg.go — unions add
 // partials, products multiply counts and cross-combine sums — driven over
-// value columns and offset spans with index arithmetic.
+// value columns and offset spans with index arithmetic, and the walk of the
+// group zone that turns each combination of zone entries into one row.
 package frep
 
 import (
@@ -11,7 +12,10 @@ import (
 
 // Aggregate computes the given aggregates over the represented relation,
 // grouped by the groupBy attributes, in one pass over the columns — never
-// over the flattening. Rows come back sorted by group key. An empty
+// over the flattening. The tree must be lifted for groupBy: every ancestor
+// of a node holding a group-by attribute holds one too (fplan.Lift arranges
+// it; the query compiler lifts every grouped statement), and any other tree
+// is refused with an error. Rows come back sorted by group key. An empty
 // representation yields no rows (also for global aggregates, where SQL would
 // return one NULL-ish row).
 //
@@ -21,37 +25,14 @@ func (e *Enc) Aggregate(groupBy []relation.Attribute, specs []AggSpec) ([]AggRow
 	return e.AggregateParallelContext(context.Background(), groupBy, specs, 1)
 }
 
-// foldRoots folds every root union of e except skip (-1: none), in root
-// order, into the scalar partial and the keyed partials cur, and returns the
-// updated keyed partials. Roots are independent factors, so partials cross.
-// Subtrees without group attributes need no key bookkeeping: they fold into
-// the scalar partial (and, without aggregated attributes either, into a
-// bare count). The group zone alone pays for maps.
-func (ev *aggEval) foldRoots(e *Enc, skip int, scalar *partial, cur map[string]*partial) map[string]*partial {
-	for _, ri := range e.ti.roots {
-		if ri == skip {
-			continue
-		}
-		lo, hi := int32(0), int32(e.NumEntries(ri))
-		if !ev.groupBelow[ri] {
-			ev.crossScalar(scalar, ev.encScalarSpan(e, ri, lo, hi, 0))
-		} else if m := ev.encSpan(e, ri, lo, hi); cur == nil {
-			cur = m
-		} else {
-			cur = ev.cross(cur, m)
-		}
-	}
-	return cur
-}
-
 // encScalarSpan aggregates entries [lo,hi) of node ni — a subtree holding
-// no group attribute — into a single partial: no maps, no keys, no
-// allocation per entry. The returned partial lives in the depth-d scratch
-// slot; the caller must consume it before the next encScalarSpan call at
-// that depth. Distinct sets skip the per-entry work: the values of a
-// descendant below a run of entries are one contiguous run of its column,
-// so the top of the scalar zone (d == 0) reads each set off the arena —
-// as a view when the run is one union, sorted and distinct already.
+// no group attribute — into a single partial, with no allocation per entry.
+// The returned partial lives in the depth-d scratch slot; the caller must
+// consume it before the next encScalarSpan call at that depth. Distinct
+// sets skip the per-entry work: the values of a descendant below a run of
+// entries are one contiguous run of its column, so the top of the scalar
+// zone (d == 0) reads each set off the arena — as a view when the run is
+// one union, sorted and distinct already.
 func (ev *aggEval) encScalarSpan(e *Enc, ni int, lo, hi int32, d int) *partial {
 	if !ev.specBelow[ni] {
 		return ev.scratchAt(&ev.uscratch, d, e.countSpan(ni, lo, hi))
@@ -94,37 +75,73 @@ func (e *Enc) below(ni, nd int, lo, hi int32) (int32, int32) {
 	return o[lo], o[hi]
 }
 
-// encSpan aggregates entries [lo,hi) of node ni (one union of the group
-// zone), keyed by the group slots fixed inside the subtree.
-func (ev *aggEval) encSpan(e *Enc, ni int, lo, hi int32) map[string]*partial {
-	out := make(map[string]*partial, 1)
+// fill computes the own partial of entries [lo,hi) of zone node ni and of
+// every zone entry below them: the entry's value crossed with the scalar
+// partials of its child subtrees outside the zone.
+func (ev *aggEval) fill(e *Enc, ni int, lo, hi int32) {
+	vals := e.Vals(ni)
 	for j := lo; j < hi && !ev.stopped(); j++ {
-		for k, p := range ev.encEntry(e, ni, j) {
-			if q, ok := out[k]; ok {
-				ev.add(q, p)
-			} else {
-				out[k] = p
+		p := &ev.own[ni][j]
+		p.cnt = 1
+		for _, ci := range e.ti.kids[ni] {
+			if !ev.zoned(ci) {
+				clo, chi := e.UnionSpan(ci, int(j))
+				ev.crossScalar(p, ev.encScalarSpan(e, ci, clo, chi, 0))
 			}
 		}
+		ev.applyNode(p, ni, vals[j], vals[j:j+1:j+1])
 	}
-	return out
-}
-
-// encEntry aggregates one group-zone entry: the product of its child
-// unions (scalar for group-free children, keyed for the rest), finished by
-// foldEntry.
-func (ev *aggEval) encEntry(e *Enc, ni int, j int32) map[string]*partial {
-	scalar := ev.unit()
-	var cur map[string]*partial
 	for _, ci := range e.ti.kids[ni] {
-		clo, chi := e.UnionSpan(ci, int(j))
-		if !ev.groupBelow[ci] {
-			ev.crossScalar(scalar, ev.encScalarSpan(e, ci, clo, chi, 0))
-		} else if m := ev.encSpan(e, ci, clo, chi); cur == nil {
-			cur = m
-		} else {
-			cur = ev.cross(cur, m)
+		if ev.zoned(ci) {
+			o := e.Offs(ci)
+			ev.fill(e, ci, o[lo], o[hi])
 		}
 	}
-	return ev.foldEntry(cur, scalar, e, ni, j)
+}
+
+// walk seats zone position k on each entry of its union under the seated
+// parent, crossing the entry's own partial into acc, and recurses; past the
+// last position acc is the aggregate of one group and becomes a row.
+func (ev *aggEval) walk(e *Enc, k int, acc *partial) {
+	if k == len(ev.zone) {
+		ev.rows = append(ev.rows, ev.row(e, acc))
+		return
+	}
+	ni := ev.zone[k]
+	lo, hi := int32(0), int32(e.NumEntries(ni))
+	if pa := e.ti.par[ni]; pa >= 0 {
+		lo, hi = e.UnionSpan(ni, int(ev.seat[pa]))
+	} else if ni == ev.pivot {
+		lo, hi = ev.plo, ev.phi
+	}
+	for j := lo; j < hi && !ev.stopped(); j++ {
+		ev.seat[ni] = j
+		p := ev.scratchAt(&ev.zscratch, k, acc.cnt)
+		copy(p.st, acc.st)
+		ev.crossScalar(p, &ev.own[ni][j])
+		ev.walk(e, k+1, p)
+	}
+}
+
+// row renders the aggregate p of the group the zone is seated on.
+func (ev *aggEval) row(e *Enc, p *partial) AggRow {
+	row := AggRow{Key: make([]relation.Value, ev.nKey), Vals: make([]int64, len(ev.specs))}
+	for _, ni := range ev.zone {
+		for _, si := range ev.keysAt[ni] {
+			row.Key[si] = e.Vals(ni)[ev.seat[ni]]
+		}
+	}
+	for i, s := range ev.specs {
+		switch s.Fn {
+		case AggCount:
+			row.Vals[i] = p.cnt
+		case AggSum:
+			row.Vals[i] = p.st[i].sum
+		case AggMin, AggMax:
+			row.Vals[i] = p.st[i].m
+		case AggCountDistinct:
+			row.Vals[i] = int64(len(p.st[i].set))
+		}
+	}
+	return row
 }

@@ -1,112 +1,126 @@
 // Parallel evaluation over the encoded representation. Encs are immutable,
 // so concurrent readers need no synchronisation; the unit of parallelism is
 // a contiguous run of entries of one root's union — the same partitioning
-// the parallel build uses — and partial results combine with the evaluator's
-// own union/product combinators (unions add partials, products cross them).
+// the parallel build uses. Chunks of a root outside the group zone add their
+// partials (unions add); chunks of a zone root hold disjoint groups, so
+// their rows concatenate.
 package frep
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sync"
 
 	"repro/internal/relation"
 )
-
-// aggChunk is one worker's share of the pivot root: entries [lo, hi).
-type aggChunk struct {
-	lo, hi int32
-	// Exactly one of the two is set, depending on whether the pivot subtree
-	// holds group attributes.
-	scalar *partial
-	keyed  map[string]*partial
-}
 
 // AggregateParallel is AggregateParallelContext without cancellation.
 func (e *Enc) AggregateParallel(groupBy []relation.Attribute, specs []AggSpec, p int) ([]AggRow, error) {
 	return e.AggregateParallelContext(context.Background(), groupBy, specs, p)
 }
 
-// AggregateParallelContext is Aggregate evaluated by p workers: the entries
-// of the largest root union split into contiguous chunks, each worker folds
-// its chunk with private scratch over the shared per-node tables, and the
-// per-chunk partials combine with the additive union combinator before the
-// remaining roots (if any) are folded in serially. p <= 1, empty
-// representations and roots too small to split all take the serial pass;
-// results are identical to Aggregate in every case. Every pass polls ctx
-// once per 1024 entries and aborts with its error.
+// AggregateParallelContext is Aggregate evaluated by p workers, over a tree
+// lifted for groupBy (fplan.Lift) like Aggregate's: any other tree is
+// refused. The entries of the largest root union split into contiguous
+// chunks and each worker takes one, with private scratch over the shared
+// per-node tables. A root outside the group zone folds into one partial per
+// chunk, and the chunk partials add; a zone root's chunks each walk their
+// own groups, and the rows concatenate. The other roots fold serially. p <=
+// 1, empty representations and roots too small to split all take the serial
+// pass; results are identical to Aggregate in every case. Every pass polls
+// ctx once per 1024 entries and aborts with its error.
 func (e *Enc) AggregateParallelContext(ctx context.Context, groupBy []relation.Attribute, specs []AggSpec, p int) ([]AggRow, error) {
 	ev, err := newAggEval(ctx, e, groupBy, specs)
 	if err != nil || e.IsEmpty() {
 		return nil, err
 	}
-	scalar := ev.unit()
-	var cur map[string]*partial
 	pivot, n := e.largestRoot()
 	if p <= 1 || int(n) < 2*p {
 		pivot = -1
-	} else if cur, err = ev.foldChunks(e, pivot, n, p, scalar); err != nil {
-		return nil, err
 	}
-	// Remaining roots fold in serially.
-	cur = ev.foldRoots(e, pivot, scalar, cur)
+	// Roots outside the zone fold into one scalar partial, starting from
+	// the nullary product's: one tuple, nothing touched. Zone roots fill
+	// their own partials; a zone pivot's chunks fill theirs below.
+	scalar := &partial{cnt: 1, st: make([]aggState, len(specs))}
+	ev.allocOwn(e)
+	for _, ri := range e.ti.roots {
+		switch {
+		case ev.zoned(ri) && ri == pivot:
+		case ev.zoned(ri):
+			ev.fill(e, ri, 0, int32(e.NumEntries(ri)))
+		case ri == pivot:
+			parts := make([]*partial, p)
+			ev.chunks(n, p, func(i int, w *aggEval, lo, hi int32) {
+				// The worker's scratch dies with it, so its slot is the
+				// chunk's result.
+				parts[i] = w.encScalarSpan(e, ri, lo, hi, 0)
+			})
+			for _, q := range parts[1:] {
+				ev.add(parts[0], q)
+			}
+			ev.crossScalar(scalar, parts[0])
+		default:
+			ev.crossScalar(scalar, ev.encScalarSpan(e, ri, 0, int32(e.NumEntries(ri)), 0))
+		}
+	}
+	// One row per combination of zone entries.
+	var rows []AggRow
+	if pivot >= 0 && ev.zoned(pivot) {
+		parts := make([][]AggRow, p)
+		ev.chunks(n, p, func(i int, w *aggEval, lo, hi int32) {
+			w.fill(e, pivot, lo, hi)
+			w.pivot, w.plo, w.phi = pivot, lo, hi
+			w.walk(e, 0, scalar)
+			parts[i] = w.rows
+		})
+		rows = slices.Concat(parts...)
+	} else {
+		ev.walk(e, 0, scalar)
+		rows = ev.rows
+	}
 	if ev.err != nil {
 		return nil, ev.err
 	}
-	return ev.finishRows(cur, scalar), nil
+	slices.SortFunc(rows, func(a, b AggRow) int { return slices.Compare(a.Key, b.Key) })
+	return rows, nil
 }
 
-// foldChunks folds the n entries of root pivot with p workers into scalar
-// and the returned keyed partials. ev must be fresh: each worker runs on a
-// copy, which shares its read-only tables and owns its scratch.
-func (ev *aggEval) foldChunks(e *Enc, pivot int, n int32, p int, scalar *partial) (map[string]*partial, error) {
-	chunks := make([]*aggChunk, p)
-	for i := range chunks {
-		chunks[i] = &aggChunk{lo: chunkBound(n, i, p), hi: chunkBound(n, i+1, p)}
+// allocOwn makes the own partials of every zone entry.
+func (ev *aggEval) allocOwn(e *Enc) {
+	ev.own = make([][]partial, len(e.ti.nodes))
+	for _, ni := range ev.zone {
+		n, ns := e.NumEntries(ni), len(ev.specs)
+		ps, st := make([]partial, n), make([]aggState, n*ns)
+		for j := range ps {
+			ps[j].st = st[j*ns : (j+1)*ns : (j+1)*ns]
+		}
+		ev.own[ni] = ps
 	}
+}
+
+// chunks runs f on p workers, the i-th over the i-th of p contiguous chunks
+// of [0, n). Each worker is a copy of ev that shares its read-only tables
+// and own partials and owns its scratch, seats and rows; the first worker
+// error becomes ev's.
+func (ev *aggEval) chunks(n int32, p int, f func(i int, w *aggEval, lo, hi int32)) {
+	ws := make([]aggEval, p)
 	var wg sync.WaitGroup
-	errs := make([]error, p)
-	for i, c := range chunks {
+	for i := range ws {
+		w := &ws[i]
+		*w = *ev
+		w.uscratch, w.escratch, w.zscratch, w.rows = nil, nil, nil, nil
+		w.seat = make([]int32, len(ev.seat))
 		wg.Add(1)
-		go func(i int, c *aggChunk) {
+		go func() {
 			defer wg.Done()
-			wev := *ev
-			if !wev.groupBelow[pivot] {
-				// The worker's scratch dies with it, so its slot is the
-				// chunk's result.
-				c.scalar = wev.encScalarSpan(e, pivot, c.lo, c.hi, 0)
-			} else {
-				c.keyed = wev.encSpan(e, pivot, c.lo, c.hi)
-			}
-			errs[i] = wev.err
-		}(i, c)
+			f(i, w, chunkBound(n, i, p), chunkBound(n, i+1, p))
+		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	for i := range ws {
+		ev.err = cmp.Or(ev.err, ws[i].err)
 	}
-
-	// Combine the chunks — they partition one union, so partials add.
-	if !ev.groupBelow[pivot] {
-		total := &partial{st: make([]aggState, len(ev.specs))}
-		for _, c := range chunks {
-			ev.add(total, c.scalar)
-		}
-		ev.crossScalar(scalar, total)
-		return nil, nil
-	}
-	cur := chunks[0].keyed
-	for _, c := range chunks[1:] {
-		for k, q := range c.keyed {
-			if pp, ok := cur[k]; ok {
-				ev.add(pp, q)
-			} else {
-				cur[k] = q
-			}
-		}
-	}
-	return cur, nil
 }
 
 // chunkBound returns the i-th of p boundaries over [0, n) — in 64-bit, since
