@@ -5,17 +5,17 @@
 // The evaluator follows the algebraic structure of the representation. A
 // union is a disjoint union of relations, so partial aggregates of its
 // entries combine additively: counts and sums add, minima and maxima
-// combine by min/max, distinct-value sets union by a sorted merge. A
-// product is a Cartesian product of independent relations, so counts
-// multiply and sums cross-combine by count-weighting:
+// combine by min/max. A product is a Cartesian product of independent
+// relations, so counts multiply and sums cross-combine by count-weighting:
 //
 //	cnt(X × Y)   = cnt(X) · cnt(Y)
 //	sum_A(X × Y) = sum_A(X) · cnt(Y) + sum_A(Y) · cnt(X)
 //
 // (an attribute labels exactly one node, so one of the two sums is zero);
-// minima, maxima and distinct sets pass through unchanged from the side
+// minima, maxima and distinct counts pass through unchanged from the side
 // holding the attribute, because every partial represents at least one
-// tuple (the reduction invariant).
+// tuple (the reduction invariant). Distinct counts do not add: a union's
+// count is taken from the values themselves, below.
 //
 // Grouping needs the lifted layout (fplan.Lift): every ancestor of a node
 // holding a group-by attribute holds one too. The group zone — the nodes
@@ -29,14 +29,13 @@
 // maps and nothing merges by key: the cost is linear in |E| plus the
 // number of groups times the number of zone nodes.
 //
-// Nothing in the scalar zone allocates per entry. A distinct set is a
-// sorted slice, and mostly a view of the arena: union values are sorted
-// and distinct, so the set of a union at the node carrying a COUNT
-// DISTINCT attribute is the union's own value span, and its distinct count
-// is the span's length. Deeper down, the values below a run of entries are
-// still one contiguous run of the attribute's column, sorted once per span.
-// Sets merge pairwise only where the parallel chunks of a root outside the
-// zone add up.
+// Nothing in the scalar zone allocates per entry, and no partial holds a
+// pointer. COUNT DISTINCT is a count: a zone entry holding the attribute
+// counts 1, and the values below a run of entries outside the zone are one
+// contiguous run of the attribute's column, counted once at the top of the
+// scalar zone — its length when the run is one union (sorted and
+// distinct), else over a sorted copy in a reused buffer. A root outside the
+// zone split among workers is recounted whole after its chunks add up.
 package frep
 
 import (
@@ -125,13 +124,10 @@ func newAggEval(ctx context.Context, e *Enc, groupBy []relation.Attribute, specs
 	}
 	n := len(e.ti.nodes)
 	ev := &aggEval{nKey: len(groupBy), specs: specs, ctx: ctx, pivot: -1, specBelow: make([]bool, n),
-		keysAt: make([][]int, n), specsAt: make([][]int, n), setNode: make([]int, len(specs)),
+		keysAt: make([][]int, n), specsAt: make([][]int, n), distinctNode: make([]int, len(specs)),
 		seat: make([]int32, n)}
-	for i, s := range specs {
-		ev.setNode[i] = -1
-		if s.Fn == AggCountDistinct {
-			ev.distinct = append(ev.distinct, i)
-		}
+	for i := range specs {
+		ev.distinctNode[i] = -1
 	}
 	// Children follow their parent in pre-order, so a reverse walk sees
 	// every subtree before its root.
@@ -145,7 +141,7 @@ func newAggEval(ctx context.Context, e *Enc, groupBy []relation.Attribute, specs
 			if s.Fn != AggCount && e.ti.nodes[ni].HasAttr(s.Attr) {
 				ev.specsAt[ni] = append(ev.specsAt[ni], i)
 				if s.Fn == AggCountDistinct {
-					ev.setNode[i] = ni
+					ev.distinctNode[i] = ni
 				}
 			}
 		}
@@ -172,14 +168,13 @@ func newAggEval(ctx context.Context, e *Enc, groupBy []relation.Attribute, specs
 // or by the one worker whose chunk holds its entry. Everything else is
 // private to one worker.
 type aggEval struct {
-	nKey      int
-	specs     []AggSpec
-	specBelow []bool  // node or a descendant holds a spec attr
-	keysAt    [][]int // group-key slots of the node's own attributes
-	specsAt   [][]int // non-COUNT specs over the node's own attributes
-	setNode   []int   // per spec: its attribute's node if COUNT DISTINCT, else -1
-	distinct  []int   // the COUNT DISTINCT specs
-	zone      []int   // the group zone's nodes, in pre-order
+	nKey         int
+	specs        []AggSpec
+	specBelow    []bool  // node or a descendant holds a spec attr
+	keysAt       [][]int // group-key slots of the node's own attributes
+	specsAt      [][]int // non-COUNT specs over the node's own attributes
+	distinctNode []int   // per spec: its attribute's node if COUNT DISTINCT, else -1
+	zone         []int   // the group zone's nodes, in pre-order
 	// own[ni][j] is the own partial of entry j of zone node ni (nil for
 	// other nodes): the entry's value crossed with the scalar partials of
 	// its child subtrees outside the zone.
@@ -187,11 +182,13 @@ type aggEval struct {
 	// Per-depth scratch accumulators: one union total and one entry
 	// partial per recursion depth of the scalar zone, and one partial per
 	// zone position of the walk, reused across the whole pass so the hot
-	// path allocates nothing. Results are consumed (sets shared, values
-	// copied) before a slot is reused.
+	// path allocates nothing. Results are consumed before a slot is
+	// reused. buf holds the sorted copy of a column run whose distinct
+	// values are counted.
 	uscratch []*partial
 	escratch []*partial
 	zscratch []*partial
+	buf      []relation.Value
 	// The walk's state: the entry each zone node is seated on, the range
 	// of its root's entries a worker walks (pivot -1: every root whole),
 	// and the rows emitted so far.
@@ -222,32 +219,23 @@ func (ev *aggEval) stopped() bool {
 	return ev.err != nil
 }
 
-// scratchAt returns the reset scratch partial for depth d from pool. The
-// reset writes the pointer-free fields of every state and the sets of the
-// COUNT DISTINCT specs only, so it needs no write barrier per spec.
+// scratchAt returns the reset scratch partial for depth d from pool.
 func (ev *aggEval) scratchAt(pool *[]*partial, d int, cnt int64) *partial {
 	for len(*pool) <= d {
 		*pool = append(*pool, &partial{st: make([]aggState, len(ev.specs))})
 	}
 	p := (*pool)[d]
 	p.cnt = cnt
-	for i := range p.st {
-		p.st[i].sum, p.st[i].m, p.st[i].mSet = 0, 0, false
-	}
-	for _, i := range ev.distinct {
-		p.st[i].set = nil
-	}
+	clear(p.st)
 	return p
 }
 
-// aggState is the running value of one AggSpec inside a partial. A
-// distinct set is sorted ascending and immutable once stored, so partials
-// share sets freely; most are views of the arena's value columns.
+// aggState is the running value of one AggSpec inside a partial. It holds
+// no pointer, so partials copy and reset as plain memory.
 type aggState struct {
 	sum  int64
-	m    int64 // min or max of the subtree
+	m    int64 // min, max or distinct count of the subtree
 	mSet bool  // m holds a value (the spec's attribute is in the subtree)
-	set  []relation.Value
 }
 
 // partial is the aggregate of one group over one subtree: the tuple count
@@ -260,9 +248,9 @@ type partial struct {
 // applyNode extends a partial by the value v of an entry of node ni for
 // every aggregated attribute of the node. The attribute labels only this
 // node, so the corresponding spec state is untouched below and the updates
-// are first-writes (sum was 0, mSet false, set empty). Distinct specs take
-// set, the entry's arena view; a nil set leaves them to the caller.
-func (ev *aggEval) applyNode(p *partial, ni int, v relation.Value, set []relation.Value) {
+// are first-writes (sum was 0, mSet false). The entry holds one distinct
+// value.
+func (ev *aggEval) applyNode(p *partial, ni int, v relation.Value) {
 	for _, i := range ev.specsAt[ni] {
 		st := &p.st[i]
 		switch ev.specs[i].Fn {
@@ -271,13 +259,13 @@ func (ev *aggEval) applyNode(p *partial, ni int, v relation.Value, set []relatio
 		case AggMin, AggMax:
 			st.m, st.mSet = int64(v), true
 		case AggCountDistinct:
-			st.set = set
+			st.m, st.mSet = 1, true
 		}
 	}
 }
 
 // crossScalar folds the independent scalar q into p in place. Attributes
-// are disjoint, so at most one side holds each state; sets are shared.
+// are disjoint, so at most one side holds each state.
 func (ev *aggEval) crossScalar(p, q *partial) {
 	for i := range p.st {
 		a, b := &p.st[i], &q.st[i]
@@ -285,16 +273,14 @@ func (ev *aggEval) crossScalar(p, q *partial) {
 		if !a.mSet && b.mSet {
 			a.m, a.mSet = b.m, true
 		}
-		if len(b.set) > 0 {
-			a.set = b.set
-		}
 	}
 	p.cnt = satMul(p.cnt, q.cnt)
 }
 
 // add merges q into p: the union of two disjoint relations with the same
-// group key. Sets union by one sorted merge into a fresh slice (never in
-// place: both sides may be shared, or views of the arena).
+// group key. A distinct count does not add (the two sides may share
+// values): p keeps its own, and the caller recounts the union's values
+// (countDistinct).
 func (ev *aggEval) add(p, q *partial) {
 	p.cnt = satAdd(p.cnt, q.cnt)
 	for i := range p.st {
@@ -310,42 +296,7 @@ func (ev *aggEval) add(p, q *partial) {
 				a.m = b.m
 			}
 		}
-		if len(a.set) == 0 {
-			a.set = b.set
-		} else if len(b.set) > 0 {
-			a.set = unionSorted(a.set, b.set)
-		}
 	}
-}
-
-// distinctIn returns the sorted distinct values of vals: vals itself,
-// capacity clipped, when it is strictly increasing (as one union is),
-// otherwise a sorted, compacted copy.
-func distinctIn(vals []relation.Value) []relation.Value {
-	for k := 1; k < len(vals); k++ {
-		if vals[k] <= vals[k-1] {
-			out := slices.Clone(vals)
-			slices.Sort(out)
-			return slices.Compact(out)
-		}
-	}
-	return vals[:len(vals):len(vals)]
-}
-
-// unionSorted merges two sorted distinct slices into a fresh one.
-func unionSorted(x, y []relation.Value) []relation.Value {
-	out := make([]relation.Value, 0, len(x)+len(y))
-	for len(x) > 0 && len(y) > 0 {
-		switch {
-		case x[0] < y[0]:
-			out, x = append(out, x[0]), x[1:]
-		case y[0] < x[0]:
-			out, y = append(out, y[0]), y[1:]
-		default:
-			out, x, y = append(out, x[0]), x[1:], y[1:]
-		}
-	}
-	return append(append(out, x...), y...)
 }
 
 // SatMul and SatAdd multiply and add saturating at math.MaxInt64 —

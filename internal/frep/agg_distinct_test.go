@@ -35,8 +35,8 @@ func buildEnc(t *ftree.T, vals func(n *ftree.Node) []relation.Value) *Enc {
 }
 
 // randomVals draws 1..width distinct sorted values from [0, span): unions
-// of sibling entries overlap, so distinct sets from sibling unions share
-// values when they merge.
+// of sibling entries overlap, so a run spanning sibling unions repeats
+// values that a distinct count must count once.
 func randomVals(rng *rand.Rand, width, span int) func(*ftree.Node) []relation.Value {
 	return func(*ftree.Node) []relation.Value {
 		perm := rng.Perm(span)[:1+rng.Intn(width)]
@@ -65,12 +65,14 @@ func sessionTree() *ftree.T {
 // nothing below the group zone allocates per entry — and each further
 // group costs at most three allocations: its row's Key and Vals, and a
 // share of the growing row slice. The zone allocates no map or key per
-// entry.
+// entry. With the distinct attribute two levels below the group (its run
+// spans several unions, so it is counted over a sorted copy), the copy
+// reuses one buffer: at most 2.5 allocations per further group.
 func TestAggregateAllocsFlat(t *testing.T) {
-	specs := []AggSpec{{Fn: AggCount}, {Fn: AggCountDistinct, Attr: "D"},
+	sessionSpecs := []AggSpec{{Fn: AggCount}, {Fn: AggCountDistinct, Attr: "D"},
 		{Fn: AggSum, Attr: "X"}, {Fn: AggMax, Attr: "Y"}}
-	allocs := func(groups, k int) float64 {
-		e := buildEnc(sessionTree(), func(n *ftree.Node) []relation.Value {
+	allocs := func(tr func() *ftree.T, specs []AggSpec, groups, k int) float64 {
+		e := buildEnc(tr(), func(n *ftree.Node) []relation.Value {
 			w := map[relation.Attribute]int{"G": groups, "D": k}[n.Attrs[0]]
 			if w == 0 {
 				w = 2
@@ -91,20 +93,30 @@ func TestAggregateAllocsFlat(t *testing.T) {
 			}
 		})
 	}
-	small := allocs(8, 10)
-	if large := allocs(8, 40); small != large {
+	small := allocs(sessionTree, sessionSpecs, 8, 10)
+	if large := allocs(sessionTree, sessionSpecs, 8, 40); small != large {
 		t.Fatalf("allocations grow with entries: %v for 10 entries per group, %v for 40", small, large)
 	}
-	if many := allocs(32, 10); many-small > 3*(32-8) {
+	if many := allocs(sessionTree, sessionSpecs, 32, 10); many-small > 3*(32-8) {
 		t.Fatalf("allocations per group: %v for 8 groups, %v for 32 (at most 3 more per group)", small, many)
+	}
+
+	deep := func() *ftree.T { return pathTree("G", "M", "D") }
+	deepSpecs := []AggSpec{{Fn: AggCount}, {Fn: AggCountDistinct, Attr: "D"}}
+	small = allocs(deep, deepSpecs, 8, 10)
+	if large := allocs(deep, deepSpecs, 8, 40); small != large {
+		t.Fatalf("D two levels below G: allocations grow with entries: %v for 10 entries per union, %v for 40", small, large)
+	}
+	if many := allocs(deep, deepSpecs, 32, 10); many-small > 2.5*(32-8) {
+		t.Fatalf("D two levels below G: allocations per group: %v for 8 groups, %v for 32 (at most 2.5 more per group)", small, many)
 	}
 }
 
 // TestAggregateDistinctPlacements: COUNT DISTINCT agrees with
 // enumerate-then-fold wherever its attribute sits relative to the group
-// zone, serially and in parallel, and aggregation never writes through its
-// views of the arena. A tree that is not lifted for the group-by
-// attributes is refused.
+// zone, serially and in parallel, and aggregation never writes into the
+// arena (distinct values are counted in place or over a private copy). A
+// tree that is not lifted for the group-by attributes is refused.
 func TestAggregateDistinctPlacements(t *testing.T) {
 	branches := ftree.NewNode("G")
 	branches.Add(chain("G2", "D"))

@@ -6,6 +6,7 @@ package frep
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/relation"
 )
@@ -29,10 +30,8 @@ func (e *Enc) Aggregate(groupBy []relation.Attribute, specs []AggSpec) ([]AggRow
 // no group attribute — into a single partial, with no allocation per entry.
 // The returned partial lives in the depth-d scratch slot; the caller must
 // consume it before the next encScalarSpan call at that depth. Distinct
-// sets skip the per-entry work: the values of a descendant below a run of
-// entries are one contiguous run of its column, so the top of the scalar
-// zone (d == 0) reads each set off the arena — as a view when the run is
-// one union, sorted and distinct already.
+// counts skip the per-entry work: the top of the scalar zone (d == 0)
+// counts them off the arena (countDistinct).
 func (ev *aggEval) encScalarSpan(e *Enc, ni int, lo, hi int32, d int) *partial {
 	if !ev.specBelow[ni] {
 		return ev.scratchAt(&ev.uscratch, d, e.countSpan(ni, lo, hi))
@@ -41,16 +40,34 @@ func (ev *aggEval) encScalarSpan(e *Enc, ni int, lo, hi int32, d int) *partial {
 	for j := lo; j < hi && !ev.stopped(); j++ {
 		ev.add(total, ev.encScalarEntry(e, ni, j, d))
 	}
-	if d > 0 {
-		return total
-	}
-	for i, nd := range ev.setNode {
-		if ni <= nd && nd < e.ti.sub[ni] {
-			dlo, dhi := e.below(ni, nd, lo, hi)
-			total.st[i].set = distinctIn(e.Vals(nd)[dlo:dhi])
-		}
+	if d == 0 {
+		ev.countDistinct(e, ni, lo, hi, total)
 	}
 	return total
+}
+
+// countDistinct sets p's COUNT DISTINCT states to the counts of entries
+// [lo,hi) of node ni. The values of a descendant below a run of entries are
+// one contiguous run of its column: its length counts them when the run is
+// strictly increasing (one union), else a sorted copy in ev.buf does.
+func (ev *aggEval) countDistinct(e *Enc, ni int, lo, hi int32, p *partial) {
+	for i, nd := range ev.distinctNode {
+		if nd < ni || nd >= e.ti.sub[ni] {
+			continue
+		}
+		dlo, dhi := e.below(ni, nd, lo, hi)
+		vals := e.Vals(nd)[dlo:dhi]
+		n := len(vals)
+		for k := 1; k < len(vals); k++ {
+			if vals[k] <= vals[k-1] {
+				ev.buf = append(ev.buf[:0], vals...)
+				slices.Sort(ev.buf)
+				n = len(slices.Compact(ev.buf))
+				break
+			}
+		}
+		p.st[i].m, p.st[i].mSet = int64(n), true
+	}
 }
 
 // encScalarEntry aggregates one entry (absolute index j) of node ni.
@@ -60,7 +77,7 @@ func (ev *aggEval) encScalarEntry(e *Enc, ni int, j int32, d int) *partial {
 		clo, chi := e.UnionSpan(ci, int(j))
 		ev.crossScalar(p, ev.encScalarSpan(e, ci, clo, chi, d+1))
 	}
-	ev.applyNode(p, ni, e.Vals(ni)[j], nil)
+	ev.applyNode(p, ni, e.Vals(ni)[j])
 	return p
 }
 
@@ -89,7 +106,7 @@ func (ev *aggEval) fill(e *Enc, ni int, lo, hi int32) {
 				ev.crossScalar(p, ev.encScalarSpan(e, ci, clo, chi, 0))
 			}
 		}
-		ev.applyNode(p, ni, vals[j], vals[j:j+1:j+1])
+		ev.applyNode(p, ni, vals[j])
 	}
 	for _, ci := range e.ti.kids[ni] {
 		if ev.zoned(ci) {
@@ -137,10 +154,8 @@ func (ev *aggEval) row(e *Enc, p *partial) AggRow {
 			row.Vals[i] = p.cnt
 		case AggSum:
 			row.Vals[i] = p.st[i].sum
-		case AggMin, AggMax:
+		case AggMin, AggMax, AggCountDistinct:
 			row.Vals[i] = p.st[i].m
-		case AggCountDistinct:
-			row.Vals[i] = int64(len(p.st[i].set))
 		}
 	}
 	return row

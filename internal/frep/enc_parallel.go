@@ -2,8 +2,8 @@
 // so concurrent readers need no synchronisation; the unit of parallelism is
 // a contiguous run of entries of one root's union — the same partitioning
 // the parallel build uses. Chunks of a root outside the group zone add their
-// partials (unions add); chunks of a zone root hold disjoint groups, so
-// their rows concatenate.
+// partials (unions add) and the root's distinct values are counted whole;
+// chunks of a zone root hold disjoint groups, so their rows concatenate.
 package frep
 
 import (
@@ -25,7 +25,8 @@ func (e *Enc) AggregateParallel(groupBy []relation.Attribute, specs []AggSpec, p
 // refused. The entries of the largest root union split into contiguous
 // chunks and each worker takes one, with private scratch over the shared
 // per-node tables. A root outside the group zone folds into one partial per
-// chunk, and the chunk partials add; a zone root's chunks each walk their
+// chunk, the chunk partials add, and its whole run's distinct values are
+// counted once; a zone root's chunks each walk their
 // own groups, and the rows concatenate. The other roots fold serially. p <=
 // 1, empty representations and roots too small to split all take the serial
 // pass; results are identical to Aggregate in every case. Every pass polls
@@ -59,6 +60,7 @@ func (e *Enc) AggregateParallelContext(ctx context.Context, groupBy []relation.A
 			for _, q := range parts[1:] {
 				ev.add(parts[0], q)
 			}
+			ev.countDistinct(e, ri, 0, n, parts[0])
 			ev.crossScalar(scalar, parts[0])
 		default:
 			ev.crossScalar(scalar, ev.encScalarSpan(e, ri, 0, int32(e.NumEntries(ri)), 0))
@@ -109,7 +111,7 @@ func (ev *aggEval) chunks(n int32, p int, f func(i int, w *aggEval, lo, hi int32
 	for i := range ws {
 		w := &ws[i]
 		*w = *ev
-		w.uscratch, w.escratch, w.zscratch, w.rows = nil, nil, nil, nil
+		w.uscratch, w.escratch, w.zscratch, w.buf, w.rows = nil, nil, nil, nil, nil
 		w.seat = make([]int32, len(ev.seat))
 		wg.Add(1)
 		go func() {
