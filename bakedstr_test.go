@@ -197,7 +197,7 @@ func TestBakedStringSaveSnapshotAdopts(t *testing.T) {
 			t.Fatal(err)
 		}
 		// An empty arena aliases nothing, so only a non-empty one shows.
-		if !res.Empty() && !st2.servesSavedArena() {
+		if !res.Empty() && !st2.Explain().Adopted {
 			t.Errorf("statement %d rebuilt instead of adopting the carried arena", i)
 		}
 	}
@@ -236,7 +236,7 @@ func TestBakedStringKeyOutlivesInsert(t *testing.T) {
 	if got := names(t, res); got != "durian" {
 		t.Fatalf("reopened: %q, want durian", got)
 	}
-	if !st2.servesSavedArena() {
+	if !st2.Explain().Adopted {
 		t.Fatalf("reopened, the statement keys %q and rebuilt instead of adopting", st2.src.key)
 	}
 }

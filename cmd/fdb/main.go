@@ -180,6 +180,8 @@ const replHelp = `commands:
   rels                             list relations
   prepare <name> <query>           compile a statement through the plan cache ($x in where = parameter)
   exec <name> [k=v ...]            run a prepared statement
+  explain <name>                   show a prepared statement's plan: f-tree, s(T),
+                                   search, order, selections, data holder
   query <query>                    run an ad-hoc query (through the plan cache)
   insert <Rel> v1 v2 ...           add a tuple (set semantics; visible to the next query)
   delete <Rel> v1 v2 ...           remove the exact tuple (absent: no-op)
@@ -266,6 +268,8 @@ func (s *session) do(line string) (quit bool, err error) {
 		err = quoteHint(s.prepareNamed(rest))
 	case "exec":
 		err = quoteHint(s.exec(rest))
+	case "explain":
+		err = s.explain(rest)
 	case "query":
 		err = quoteHint(s.query(rest))
 	case "insert", "delete", "upsert":
@@ -317,9 +321,9 @@ func (s *session) prepareNamed(rest []string) error {
 	}
 	s.stmts[rest[0]] = stmt
 	if aggs := stmt.Aggregates(); len(aggs) > 0 {
-		fmt.Fprintf(s.out, "  %s compiled: s(T)=%.1f, params %v, aggregates %v\n", rest[0], stmt.Cost(), stmt.Params(), aggs)
+		fmt.Fprintf(s.out, "  %s compiled: s(T)=%.1f, params %v, aggregates %v\n", rest[0], stmt.Explain().Cost, stmt.Params(), aggs)
 	} else {
-		fmt.Fprintf(s.out, "  %s compiled: s(T)=%.1f, params %v\n", rest[0], stmt.Cost(), stmt.Params())
+		fmt.Fprintf(s.out, "  %s compiled: s(T)=%.1f, params %v\n", rest[0], stmt.Explain().Cost, stmt.Params())
 	}
 	return nil
 }
@@ -337,6 +341,23 @@ func (s *session) exec(rest []string) error {
 		return err
 	}
 	return execAndReport(s.out, stmt, args, s.rows)
+}
+
+// explain prints a prepared statement's Explain rendering: its f-tree and
+// cost, how the planner chose them, whether its ORDER BY streams, its
+// inputs' selections and path orders, and its data holder.
+func (s *session) explain(rest []string) error {
+	if len(rest) != 1 {
+		return fmt.Errorf("usage: explain <name>")
+	}
+	stmt, ok := s.stmts[rest[0]]
+	if !ok {
+		return fmt.Errorf("no prepared statement %q", rest[0])
+	}
+	for _, line := range strings.Split(strings.TrimSuffix(stmt.Explain().String(), "\n"), "\n") {
+		fmt.Fprintln(s.out, "  "+line)
+	}
+	return nil
 }
 
 func (s *session) query(rest []string) error {

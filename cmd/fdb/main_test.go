@@ -244,23 +244,25 @@ func TestSaveOpenGolden(t *testing.T) {
 	}
 }
 
-// TestScriptSaveOpenRoundTrip: a run that loads and saves, then a new run
-// that opens the file and queries it; a corrupted file fails the open line.
+// TestScriptSaveOpenRoundTrip: a run that loads, queries and saves, then a
+// new run that opens the file, queries it and explains the query, which
+// serves the arena the file carried; a corrupted file fails the open line.
 func TestScriptSaveOpenRoundTrip(t *testing.T) {
 	orders, _, _ := writeTSVs(t)
 	snap := filepath.Join(t.TempDir(), "orders.fdb")
-	out, err := runLines("load "+orders, "save "+snap)
+	query := "from Orders orderby Orders.oid,Orders.item"
+	out, err := runLines("load "+orders, "query "+query, "save "+snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "saved snapshot ") {
 		t.Fatalf("save line did not report the file:\n%s", out)
 	}
-	reopened, err := runLines("open "+snap, "query from Orders orderby Orders.oid,Orders.item")
+	reopened, err := runLines("open "+snap, "query "+query, "prepare q "+query, "explain q")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"o1\tMilk", "o3\tMelon"} {
+	for _, want := range []string{"o1\tMilk", "o3\tMelon", "order: streams as planned", "adopted: yes"} {
 		if !strings.Contains(reopened, want) {
 			t.Fatalf("reopened rows missing %q:\n%s", want, reopened)
 		}
@@ -329,6 +331,7 @@ func TestRunErrors(t *testing.T) {
 		"unknown word":  "query from Orders select Orders.oid",
 		"unknown verb":  "select from Orders",
 		"unknown stmt":  "exec q",
+		"explain stmt":  "explain q",
 		"bad binding":   "prepare q from Orders where Orders.oid=$n\nexec q n",
 		"unknown snap":  "squery s from Orders",
 		"missing path":  "load",

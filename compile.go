@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"weak"
 
 	"repro/internal/core"
@@ -15,7 +16,6 @@ import (
 	"repro/internal/fplan"
 	"repro/internal/frep"
 	"repro/internal/opt"
-	"repro/internal/probe"
 	"repro/internal/relation"
 	"repro/internal/store"
 )
@@ -228,8 +228,11 @@ func (db *DB) plan(b *boundSpec) (*Stmt, error) {
 		p.inputs[sel.rel].sels = append(p.inputs[sel.rel].sels, sel)
 	}
 	classes, schemas := q.Classes(), q.Schemas()
-	var err error
-	if p.tree, p.cost, err = db.planTree(classes, schemas, nil); err != nil {
+	var (
+		cost float64 // s(T) of the planned tree, which PreferOrdered weighs the ordered one against
+		err  error
+	)
+	if p.tree, cost, p.search, err = db.planTree(classes, schemas, nil); err != nil {
 		return nil, err
 	}
 	// Grouped aggregation: restructure the optimal tree once, at compile
@@ -252,19 +255,23 @@ func (db *DB) plan(b *boundSpec) (*Stmt, error) {
 	// the data holder of its unordered twin, and retrieval falls back to a
 	// bounded heap at Exec time.
 	if len(b.order) > 0 {
-		p.tree, _, p.streamable = frep.ResolveOrder(p.tree, b.order, nil)
-		if !p.streamable {
-			ot, ocost, oerr := db.planTree(classes, schemas, orderChain(classes, b.order))
+		var ok bool
+		if p.tree, _, ok = frep.ResolveOrder(p.tree, b.order, nil); ok {
+			p.order = OrderStreams
+		} else {
+			ot, ocost, osearch, oerr := db.planTree(classes, schemas, orderChain(classes, b.order))
 			switch {
 			case oerr == nil:
-				if opt.PreferOrdered(p.cost, ocost, b.limit >= 0) {
+				p.order, p.orderedCost = OrderDeclined, ocost
+				if opt.PreferOrdered(cost, ocost, b.limit >= 0) {
 					if ot, _, ok := frep.ResolveOrder(ot, b.order, nil); ok {
-						p.tree, p.cost, p.streamable = ot, ocost, true
+						p.tree, p.search, p.order = ot, osearch, OrderStreamsAdopted
 					}
 				}
 			case errors.Is(oerr, opt.ErrOrderIncompatible):
 				// No f-tree of this query streams the requested order;
 				// retrieval falls back to the bounded heap at Exec time.
+				p.order = OrderIncompatible
 			default:
 				return nil, oerr
 			}
@@ -332,8 +339,15 @@ func srcKey(p *stmtPlan) (string, []string) {
 // over the registry, and a cleanup that reached the DB would keep the
 // database, and with it every statement, alive.
 type srcRegistry struct {
-	mu sync.Mutex
-	m  map[string]weak.Pointer[stmtSrc]
+	mu     sync.Mutex
+	m      map[string]weak.Pointer[stmtSrc]
+	minted atomic.Uint64 // holders made, the registry's and the snapshots'
+}
+
+// mint makes a holder over the named inputs with the database's next serial
+// number, which no other holder of the database has.
+func (r *srcRegistry) mint(key string, names []string) *stmtSrc {
+	return &stmtSrc{serial: r.minted.Add(1), key: key, names: names}
 }
 
 // get returns the live holder registered under key, or registers a new one
@@ -344,7 +358,7 @@ func (r *srcRegistry) get(key string, names []string) *stmtSrc {
 	if src := r.m[key].Value(); src != nil {
 		return src
 	}
-	src := &stmtSrc{key: key, names: names}
+	src := r.mint(key, names)
 	r.m[key] = weak.Make(src)
 	runtime.AddCleanup(src, r.drop, key)
 	return src
@@ -372,14 +386,6 @@ func (r *srcRegistry) drop(key string) {
 	if r.m[key].Value() == nil {
 		delete(r.m, key)
 	}
-}
-
-// The fuzz harness checks that a statement and its same-tree twin share a
-// holder, as do two binds of a statement to one snapshot, and that a
-// reopened database adopts the arenas its file carried.
-func init() {
-	probe.SharesData = func(a, b any) bool { return a.(*Stmt).src == b.(*Stmt).src }
-	probe.ServesSnapshotArena = func(st any) bool { return st.(*Stmt).servesSavedArena() }
 }
 
 // orderChain maps the ORDER BY keys to their attribute-class indices, in key

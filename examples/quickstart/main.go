@@ -79,7 +79,7 @@ func main() {
 		fdb.Eq("Store.location", "Disp.location"),
 		fdb.Cmp("Orders.item", fdb.EQ, fdb.Param("item")))
 	must(err)
-	fmt.Printf("\nprepared Q1(item): s(T)=%.0f, params %v\n", stmt.Cost(), stmt.Params())
+	fmt.Printf("\nprepared Q1(item): s(T)=%.0f, params %v\n", stmt.Explain().Cost, stmt.Params())
 	for _, item := range []string{"Milk", "Cheese", "Melon"} {
 		r, err := stmt.Exec(fdb.Arg("item", item))
 		must(err)

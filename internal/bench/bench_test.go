@@ -137,7 +137,7 @@ func BenchmarkTopKRetailer(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if !st.OrderStreamable() {
+	if !st.Explain().Order.Streams() {
 		b.Fatal("top-k leg must stream")
 	}
 	b.ReportAllocs()

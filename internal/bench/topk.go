@@ -85,9 +85,8 @@ func topKPoint(q *core.Query, keys []frep.OrderKey, k int, wantStream bool) ([]f
 	if err != nil {
 		return nil, err
 	}
-	if st.OrderStreamable() != wantStream {
-		return nil, fmt.Errorf("OrderStreamable() = %v, want %v (the experiment's legs depend on it)",
-			st.OrderStreamable(), wantStream)
+	if got := st.Explain().Order; got.Streams() != wantStream {
+		return nil, fmt.Errorf("order %s, want streaming %v (the experiment's legs depend on it)", got, wantStream)
 	}
 	stPlain, err := db.Prepare(join...)
 	if err != nil {

@@ -35,7 +35,6 @@ import (
 	"repro/internal/ftree"
 	"repro/internal/gen"
 	"repro/internal/opt"
-	"repro/internal/probe"
 	"repro/internal/rdb"
 	"repro/internal/relation"
 )
@@ -350,7 +349,7 @@ func CheckPersisted(seed int64, dir string) error {
 		if err != nil {
 			return nil, err
 		}
-		if !probe.ServesSnapshotArena(st) {
+		if !st.Explain().Adopted {
 			flat, err := c.oracleFlat(c.sels)
 			if err != nil {
 				return nil, err

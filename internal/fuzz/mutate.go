@@ -18,7 +18,6 @@ import (
 	fdb "repro"
 	"repro/internal/core"
 	"repro/internal/frep"
-	"repro/internal/probe"
 	"repro/internal/rdb"
 	"repro/internal/relation"
 )
@@ -96,7 +95,7 @@ func CheckMutations(seed int64) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("fuzz: mutation seed %d: prepare twin: %v", seed, err)
 	}
-	if !probe.SharesData(cached, twinStmt) {
+	if cached.Explain().Holder != twinStmt.Explain().Holder {
 		return 0, fmt.Errorf("fuzz: mutation seed %d: the same-tree twin does not share the query's data holder", seed)
 	}
 	checkTwin := func(flat *relation.Relation, tag string) error {
@@ -202,7 +201,7 @@ func CheckMutations(seed int64) (int, error) {
 			// key, as the live ones share the database's.
 			a, errA := snap.Bind(cached)
 			b, errB := snap.Bind(cached)
-			if errA != nil || errB != nil || !probe.SharesData(a, b) {
+			if errA != nil || errB != nil || a.Explain().Holder != b.Explain().Holder {
 				return queries, fmt.Errorf("fuzz: mutation seed %d: step %d: two binds to one snapshot do not share a data holder (%v, %v)", seed, step, errA, errB)
 			}
 			pins = append(pins, pin{snap: snap, flat: flat, step: step})

@@ -36,8 +36,8 @@ func TestOrderByStreamsOnRootKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.OrderStreamable() {
-		t.Fatal("join-class key should stream off the optimal tree")
+	if o := st.Explain().Order; o != fdb.OrderStreams {
+		t.Fatalf("join-class key should stream off the optimal tree: order %s", o)
 	}
 	res, err := st.Exec()
 	if err != nil {
@@ -60,8 +60,8 @@ func TestOrderByHeapFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.OrderStreamable() {
-		t.Fatal("a below the join class: streaming would need a costlier tree, expected fallback")
+	if o := st.Explain().Order; o != fdb.OrderDeclined {
+		t.Fatalf("a below the join class: streaming would need a costlier tree, expected fallback: order %s", o)
 	}
 	res, err := st.Exec()
 	if err != nil {

@@ -165,18 +165,3 @@ func (st *Stmt) adoptSaved(d *stmtData) *frep.Enc {
 	}
 	return se.Enc.ReTree(st.tree.Clone())
 }
-
-// servesSavedArena reports whether the statement's holder serves the arena
-// the snapshot file carried under its key: the memoised encoding aliases the
-// carried arena's storage. An empty arena aliases nothing, so it never does.
-func (st *Stmt) servesSavedArena() bool {
-	se, ok := st.db.adopted[st.src.key]
-	d := st.src.data.Load()
-	if !ok || d == nil || len(se.Enc.A.Vals) == 0 {
-		return false
-	}
-	d.mu.Lock()
-	enc := d.enc
-	d.mu.Unlock()
-	return enc != nil && len(enc.A.Vals) > 0 && &enc.A.Vals[0] == &se.Enc.A.Vals[0]
-}

@@ -207,7 +207,7 @@ func TestOpenedSnapshotAdoptsEnc(t *testing.T) {
 	if _, err := st2.Exec(); err != nil {
 		t.Fatal(err)
 	}
-	if !st2.servesSavedArena() {
+	if !st2.Explain().Adopted {
 		t.Fatal("the first execution rebuilt instead of adopting the snapshot-carried arena")
 	}
 }
@@ -270,7 +270,7 @@ func TestSaveSnapshotOneArenaPerHolder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !st.servesSavedArena() {
+		if !st.Explain().Adopted {
 			t.Fatalf("statement %d rebuilt instead of adopting the carried arena", i)
 		}
 		if got := res.Table(-1); got != want[i] {
@@ -436,7 +436,7 @@ func TestOpenedSnapshotPinnedAdopts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.servesSavedArena() {
+	if !st.Explain().Adopted {
 		t.Fatal("the pinned statement rebuilt instead of adopting the snapshot-carried arena")
 	}
 	if got, want := res.Table(-1), queryTable(t, db, join); got != want {

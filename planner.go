@@ -34,23 +34,25 @@ const costEps = 1e-9
 // tree stays a function of the query alone rather than of which search
 // happened to finish. Budget exhaustion is counted and keeps the
 // incumbent — opt.ErrBudget never escapes; opt.ErrOrderIncompatible does
-// (the caller falls back to heap-sorted retrieval).
-func (db *DB) planTree(classes, schemas []relation.AttrSet, chain []int) (*ftree.T, float64, error) {
+// (the caller falls back to heap-sorted retrieval). Which of the three
+// endings it was is returned beside the tree, for Stmt.Explain.
+func (db *DB) planTree(classes, schemas []relation.AttrSet, chain []int) (*ftree.T, float64, PlanSearch, error) {
 	tr, cost, err := opt.GreedyFTreeOrdered(classes, schemas, chain)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	best, bestCost, err := opt.OptimalFTreeOrdered(classes, schemas, chain,
 		opt.TreeSearchOptions{Budget: planBudget, Below: cost - costEps})
 	switch {
 	case err == nil:
-		return best, bestCost, nil
+		return best, bestCost, SearchAdopted, nil
 	case errors.Is(err, opt.ErrBudget):
 		db.budgetFallbacks.Add(1)
+		return tr, cost, SearchCut, nil
 	case !errors.Is(err, opt.ErrNoCheaper):
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
-	return tr, cost, nil
+	return tr, cost, GreedyKept, nil
 }
 
 // fplanBudget caps the states one Where/Join f-plan search explores before the

@@ -131,8 +131,8 @@ func TestPlanAdoptsStrictlyCheaperTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Cost() != 1 {
-		t.Fatalf("first Prepare compiled s(T)=%v, want the optimum 1", st.Cost())
+	if e := st.Explain(); e.Cost != 1 || e.Search != SearchAdopted {
+		t.Fatalf("first Prepare compiled s(T)=%v (%s), want the search's optimum 1", e.Cost, e.Search)
 	}
 	res, err := st.Exec()
 	if err != nil {
@@ -154,7 +154,8 @@ func TestPlanAdoptsStrictlyCheaperTree(t *testing.T) {
 // TestPlanTiesKeepGreedyTree: when the search cannot get strictly below the
 // greedy cost the statement keeps the greedy tree itself, not an
 // equal-cost sibling — the property benchmark/'s frozen shadow check
-// (opt.GreedyFTree == Stmt.FTree()) relies on.
+// (opt.GreedyFTree == Stmt.FTree()) relies on. Explain says so, and a
+// grouped statement's Explain costs its lifted tree.
 func TestPlanTiesKeepGreedyTree(t *testing.T) {
 	db, clauses, q := chainDB(t, 5)
 	gt, gcost, err := opt.GreedyFTree(q.Classes(), q.Schemas())
@@ -175,8 +176,17 @@ func TestPlanTiesKeepGreedyTree(t *testing.T) {
 	if st.FTree() != gt.String() {
 		t.Fatalf("tie did not keep the greedy tree:\ncompiled:\n%s\ngreedy:\n%s", st.FTree(), gt)
 	}
+	if e := st.Explain(); e.Search != GreedyKept || e.Cost != gcost {
+		t.Fatalf("tie explained as %s at s(T)=%v, want greedy kept at %v", e.Search, e.Cost, gcost)
+	}
 	if cs := db.CacheStats(); cs.BudgetFallbacks != 0 {
 		t.Fatalf("chain-5 search blew the default budget: %+v", cs)
+	}
+	// Grouping by the chain's end lifts R1.A over the tree: Explain costs
+	// the lifted tree it shows (3), not the planned one (2).
+	grouped := mustPrepare(t, db, append(clauses[:len(clauses):len(clauses)], GroupBy("R1.A"), Agg(Count, ""))...)
+	if e := grouped.Explain(); e.Cost != 3 || e.Cost != grouped.tree.S() {
+		t.Fatalf("grouped by R1.A: explained s(T)=%v, want the lifted tree's 3:\n%s", e.Cost, e.FTree)
 	}
 }
 
@@ -224,8 +234,8 @@ func TestWidePrepareStopsAtBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("wide Prepare: %v", err)
 	}
-	if st.FTree() != gt.String() || st.Cost() != gcost {
-		t.Fatalf("budget fallback did not keep the greedy tree (cost %v vs %v)", st.Cost(), gcost)
+	if e := st.Explain(); st.FTree() != gt.String() || e.Cost != gcost || e.Search != SearchCut {
+		t.Fatalf("budget fallback did not keep the greedy tree (cost %v vs %v, %s)", e.Cost, gcost, e.Search)
 	}
 	if cs := db.CacheStats(); cs.BudgetFallbacks != 1 {
 		t.Fatalf("BudgetFallbacks = %d, want 1", cs.BudgetFallbacks)

@@ -149,7 +149,7 @@ func streamPlan(e *frep.Enc, keys []frep.OrderKey, less []frep.ValueLess) (*frep
 // OrderStreamed reports whether this result's ordered retrieval streams
 // structurally off the factorised representation (no sort). It is false for
 // unordered results and for the bounded-heap fallback. Unlike the
-// plan-time Stmt.OrderStreamable, this is the exec-time truth: it accounts
+// plan-time Stmt.Explain().Order, this is the exec-time truth: it accounts
 // for any restructuring the projection applied.
 func (r *Result) OrderStreamed() bool { return len(r.order) > 0 && r.retrieval().streamed }
 

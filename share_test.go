@@ -162,6 +162,21 @@ func checkDispatchers(t *testing.T, db *DB, agg, top *Stmt, offset, limit int) {
 	}
 }
 
+// sameHolder reports whether two statements of one database execute over
+// one data holder, and fails the test unless Explain says the same: equal
+// holder numbers exactly when the holder is one, equal key hashes exactly
+// when the keys are.
+func sameHolder(t *testing.T, a, b *Stmt) bool {
+	t.Helper()
+	ea, eb := a.Explain(), b.Explain()
+	same, sameKey := a.src == b.src, a.src.key == b.src.key
+	if (ea.Holder == eb.Holder) != same || (ea.HolderKey == eb.HolderKey) != sameKey {
+		t.Fatalf("Explain: holders #%d, #%d keyed %s, %s; want shared %v, same key %v",
+			ea.Holder, eb.Holder, ea.HolderKey, eb.HolderKey, same, sameKey)
+	}
+	return same
+}
+
 // TestStmtsShareData: statements that compile to the same inputs, baked
 // selections and f-tree share one data holder — a write is folded and the
 // encoding rebuilt once for all of them — and nothing else shares: not a
@@ -179,7 +194,7 @@ func TestStmtsShareData(t *testing.T) {
 	if agg.FTree() != top.FTree() {
 		t.Fatalf("the two shapes compile to different trees:\n%s\n%s", agg.FTree(), top.FTree())
 	}
-	if agg.src != top.src {
+	if !sameHolder(t, agg, top) {
 		t.Fatal("statements with one f-tree over the same inputs do not share a data holder")
 	}
 	checkDispatchers(t, db, agg, top, 1, 4)
@@ -218,11 +233,11 @@ func TestStmtsShareData(t *testing.T) {
 			if name == "another tree" && st.FTree() == milk.FTree() {
 				t.Fatalf("%s: ORDER BY Orders.oid kept the tree", name)
 			}
-			if st.src == milk.src {
+			if sameHolder(t, st, milk) {
 				t.Errorf("%s: shares a data holder", name)
 			}
 		}
-		if st := planFresh(t, db, withJoin(Cmp("Orders.item", EQ, "Milk"))...); st.src != milk.src {
+		if st := planFresh(t, db, withJoin(Cmp("Orders.item", EQ, "Milk"))...); !sameHolder(t, st, milk) {
 			t.Error("the same baked constant does not share a data holder")
 		}
 		if st := planFresh(t, grocery(t), withJoin(Cmp("Orders.item", EQ, "Milk"))...); st.src == milk.src {
@@ -239,10 +254,10 @@ func TestStmtsShareData(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pinned.src != bound.src {
+		if !sameHolder(t, pinned, bound) {
 			t.Error("statements pinned to one snapshot with one key do not share a data holder")
 		}
-		if bound.src == milk.src {
+		if sameHolder(t, bound, milk) {
 			t.Error("a pinned statement shares a live statement's data holder")
 		}
 		snap2 := db.Snapshot()
@@ -251,7 +266,7 @@ func TestStmtsShareData(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if other.src == bound.src || other.src == milk.src {
+		if sameHolder(t, other, bound) || sameHolder(t, other, milk) {
 			t.Error("statements pinned to two snapshots share a data holder")
 		}
 	})
@@ -300,8 +315,8 @@ func TestUnstreamableOrderSharesHolder(t *testing.T) {
 	plain := mustPrepare(t, db, From("R", "S"))
 	// S.d lies below S.c, so R.a cannot come between them in pre-order.
 	st := mustPrepare(t, db, From("R", "S"), OrderBy("S.c", "R.a", "S.d"))
-	if st.OrderStreamable() {
-		t.Fatal("S.c, R.a, S.d streams over a tree with S.d below S.c")
+	if o := st.Explain().Order; o != OrderIncompatible {
+		t.Fatalf("S.c, R.a, S.d over a tree with S.d below S.c: order %s", o)
 	}
 	if st.FTree() != plain.FTree() {
 		t.Fatalf("the ordered statement left the planned tree:\n%s\nwant\n%s", st.FTree(), plain.FTree())
@@ -376,7 +391,8 @@ func eventually(t *testing.T, what string, cond func() bool) {
 // TestSharedStmtsConcurrentWrites: two statements sharing one data holder
 // execute from goroutines while a writer inserts; every reply reflects at
 // least the writes finished before its execution started and at most those
-// begun before it returned. Run under -race.
+// begun before it returned, and Explain, reading the holder as it changes,
+// reports one holder for both. Run under -race.
 func TestSharedStmtsConcurrentWrites(t *testing.T) {
 	const (
 		keys   = 8
@@ -392,7 +408,7 @@ func TestSharedStmtsConcurrentWrites(t *testing.T) {
 	join := []Clause{From("R", "S"), Eq("R.b", "S.b")}
 	count := mustPrepare(t, db, append(join[:len(join):len(join)], Agg(Count, ""))...)
 	rows := mustPrepare(t, db, append(join[:len(join):len(join)], Project("R.a"))...)
-	if count.src != rows.src {
+	if count.Explain().Holder != rows.Explain().Holder {
 		t.Fatal("the count and the projection do not share a data holder")
 	}
 
@@ -431,6 +447,13 @@ func TestSharedStmtsConcurrentWrites(t *testing.T) {
 				}
 				if hi := started.Load(); got < lo || got > hi {
 					errs <- fmt.Errorf("statement %d saw %d writes, want within [%d, %d]", g, got, lo, hi)
+					return
+				}
+				// Explain reads the shared holder while the writes publish
+				// to it; the database was opened from no file, so nothing
+				// is adopted.
+				if ec, er := count.Explain(), rows.Explain(); ec.Holder != er.Holder || ec.Adopted || er.Adopted {
+					errs <- fmt.Errorf("statement %d: explained holders #%d and #%d, adopted %v, %v", g, ec.Holder, er.Holder, ec.Adopted, er.Adopted)
 					return
 				}
 			}

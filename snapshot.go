@@ -75,7 +75,7 @@ func (s *Snapshot) holder(key string, names []string) *stmtSrc {
 	}
 	src := s.srcs[key]
 	if src == nil {
-		src = &stmtSrc{key: key, names: names}
+		src = s.db.srcs.mint(key, names)
 		s.srcs[key] = src
 	}
 	return src

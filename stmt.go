@@ -54,8 +54,9 @@ type Stmt struct {
 // in a snapshot file: SaveSnapshot writes the database's holders, and any
 // holder, live or pinned, adopts a carried arena under its key.
 type stmtSrc struct {
-	key   string
-	names []string
+	serial uint64 // per database, unique to this holder (srcRegistry.mint)
+	key    string
+	names  []string
 
 	data      atomic.Pointer[stmtData]
 	refreshMu sync.Mutex
@@ -74,10 +75,11 @@ type stmtPlan struct {
 	aggs    []frep.AggSpec       // aggregation statements: aggregates to compute
 	outClauses
 
-	tree       *ftree.T    // the f-tree planTree chose
-	inputs     []stmtInput // per-input selections and path-sort permutations for that tree
-	cost       float64     // s(T) of the compiled f-tree
-	streamable bool        // the tree streams the statement's ORDER BY
+	tree        *ftree.T    // the f-tree planTree chose
+	inputs      []stmtInput // per-input selections and path-sort permutations for that tree
+	search      PlanSearch  // how planTree ended for that tree
+	order       OrderPlan   // how the ORDER BY leaves the statement
+	orderedCost float64     // OrderDeclined: s(T) of the order-compatible tree
 }
 
 // stmtInput is one compiled input relation: its backing store, the
@@ -212,16 +214,6 @@ func (st *Stmt) Aggregates() []string {
 	}
 	return out
 }
-
-// Cost returns the cost s(T) of the statement's compiled f-tree.
-func (st *Stmt) Cost() float64 { return st.cost }
-
-// OrderStreamable reports whether the compiled f-tree streams the
-// statement's ORDER BY structurally (no sort; Limit short-circuits). It is
-// trivially false without an OrderBy clause. A projection applied at Exec
-// time can still restructure the tree, in which case retrieval re-checks and
-// may fall back to the bounded-heap sort.
-func (st *Stmt) OrderStreamable() bool { return st.streamable }
 
 // FTree renders the statement's compiled f-tree.
 func (st *Stmt) FTree() string { return st.tree.String() }
