@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/ftree"
@@ -110,6 +111,14 @@ func TestAggregateAllocsFlat(t *testing.T) {
 	if many := allocs(deep, deepSpecs, 32, 10); many-small > 2.5*(32-8) {
 		t.Fatalf("D two levels below G: allocations per group: %v for 8 groups, %v for 32 (at most 2.5 more per group)", small, many)
 	}
+
+	// The point workload's shape: a count and the maximum of a leaf below
+	// the group node.
+	leaf := func() *ftree.T { return pathTree("G", "D") }
+	leafSpecs := []AggSpec{{Fn: AggCount}, {Fn: AggMax, Attr: "D"}}
+	if small, large := allocs(leaf, leafSpecs, 8, 10), allocs(leaf, leafSpecs, 8, 40); small != large {
+		t.Fatalf("MAX over a leaf below G: allocations grow with entries: %v for 10 entries per union, %v for 40", small, large)
+	}
 }
 
 // TestAggregateDistinctPlacements: COUNT DISTINCT agrees with
@@ -186,8 +195,12 @@ func TestAggregateDistinctPlacements(t *testing.T) {
 	}
 }
 
-// TestAggregateContextCancelled: an already-cancelled context aborts a
-// large grouped aggregate with its error, serially and with two workers.
+// TestAggregateContextCancelled: a cancelled context aborts an aggregate
+// with its error, serially and with two workers: one cancelled before the
+// pass, and one that turns cancelled after its first two polls, in a
+// grouped pass over thousands of zone entries and in a global pass over
+// several roots. The pass polls once before it starts, so the second only
+// aborts if the pass polls as it goes.
 func TestAggregateContextCancelled(t *testing.T) {
 	e := buildEnc(sessionTree(), randomVals(rand.New(rand.NewSource(1)), 60, 64))
 	ctx, cancel := context.WithCancel(context.Background())
@@ -201,4 +214,66 @@ func TestAggregateContextCancelled(t *testing.T) {
 			}
 		})
 	}
+
+	seq := func(k int) []relation.Value {
+		out := make([]relation.Value, k)
+		for i := range out {
+			out[i] = relation.Value(i)
+		}
+		return out
+	}
+	grouped := buildEnc(pathTree("G", "X"), func(n *ftree.Node) []relation.Value {
+		if n.Attrs[0] == "G" {
+			return seq(4 * checkTick)
+		}
+		return seq(3)
+	})
+	var roots []*ftree.Node
+	var rels []relation.AttrSet
+	for _, a := range []relation.Attribute{"P", "Q", "R", "S"} {
+		roots = append(roots, chain(a, a+"2"))
+		rels = append(rels, relation.NewAttrSet(a, a+"2"))
+	}
+	below := randomVals(rand.New(rand.NewSource(2)), 4, 9)
+	global := buildEnc(ftree.New(roots, rels), func(n *ftree.Node) []relation.Value {
+		if len(n.Attrs[0]) == 1 { // a root
+			return seq(1500)
+		}
+		return below(n)
+	})
+	cases := []struct {
+		name    string
+		e       *Enc
+		groupBy []relation.Attribute
+		specs   []AggSpec
+	}{
+		{"grouped mid-pass", grouped, []relation.Attribute{"G"}, []AggSpec{{Fn: AggCount}, {Fn: AggSum, Attr: "X"}}},
+		{"global mid-pass", global, nil, []AggSpec{{Fn: AggCount}, {Fn: AggMax, Attr: "Q2"}, {Fn: AggCountDistinct, Attr: "S2"}}},
+	}
+	for _, c := range cases {
+		for _, p := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s, p=%d", c.name, p), func(t *testing.T) {
+				ctx := &pollCtx{Context: context.Background()}
+				ctx.left.Store(2)
+				rows, err := c.e.AggregateParallelContext(ctx, c.groupBy, c.specs, p)
+				if !errors.Is(err, context.Canceled) || rows != nil {
+					t.Fatalf("rows %v, err %v after %d polls; want context.Canceled", rows, err, 2-ctx.left.Load())
+				}
+			})
+		}
+	}
+}
+
+// pollCtx is a context whose Err turns context.Canceled once its left
+// polls are spent; workers poll it concurrently.
+type pollCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *pollCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
 }

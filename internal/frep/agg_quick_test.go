@@ -173,11 +173,36 @@ func matchesFold(fr *Enc, groupBy []relation.Attribute, specs []AggSpec) bool {
 	return true
 }
 
+// branchEnc factorises π_{A,B} r ⋈ π_{A,C} r over the branching tree
+// A → {B, C}, lifted for groupBy: a group subset that takes B or C but not
+// A puts them above A, into a chain.
+func branchEnc(rng *rand.Rand, r *relation.Relation, groupBy []relation.Attribute) (*Enc, error) {
+	join := relation.New("J", relation.Schema{"A", "B", "C"})
+	for _, x := range r.Tuples {
+		for _, y := range r.Tuples {
+			if x[0] == y[0] {
+				join.Append(x[0], x[1], y[2])
+			}
+		}
+	}
+	root := chain("A")
+	root.Add(ftree.NewNode("B"))
+	root.Add(ftree.NewNode("C"))
+	if len(groupBy) > 0 && !slices.Contains(groupBy, "A") {
+		root = chain(liftedOrder(rng, join.Schema, groupBy)...)
+	}
+	return fromRelation(ftree.New([]*ftree.Node{root},
+		[]relation.AttrSet{relation.NewAttrSet("A", "B"), relation.NewAttrSet("A", "C")}), join)
+}
+
 // Property: every aggregate over a random f-rep, lifted for the group-by
 // attributes, equals the same aggregate folded over the enumeration of its
 // flattening, for every group-by subset — including the empty subset
 // (global aggregates) and empty representations (aggRel may yield zero
-// tuples).
+// tuples). Each draw checks a chain and the branching tree of branchEnc,
+// whose specs sit on both branches: a sum weighs each value by its
+// sibling's tuple counts, and minima, maxima and distinct counts reduce
+// runs that sit beside another branch.
 func TestQuickAggregateMatchesFold(t *testing.T) {
 	attrs := []relation.Attribute{"A", "B", "C"}
 	specs := []AggSpec{
@@ -187,11 +212,27 @@ func TestQuickAggregateMatchesFold(t *testing.T) {
 		{Fn: AggMax, Attr: "C"},
 		{Fn: AggCountDistinct, Attr: "B"},
 	}
+	branchSpecs := []AggSpec{
+		{Fn: AggCount},
+		{Fn: AggSum, Attr: "A"},
+		{Fn: AggSum, Attr: "B"},
+		{Fn: AggSum, Attr: "C"},
+		{Fn: AggMin, Attr: "B"},
+		{Fn: AggMax, Attr: "B"},
+		{Fn: AggMax, Attr: "C"},
+		{Fn: AggCountDistinct, Attr: "B"},
+		{Fn: AggCountDistinct, Attr: "C"},
+	}
 	f := func(seed int64, mask uint8) bool {
 		groupBy := groupSubset(attrs, int(mask)%8)
-		order := liftedOrder(rand.New(rand.NewSource(seed^0x5eed)), attrs, groupBy)
+		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+		order := liftedOrder(rng, attrs, groupBy)
 		fr, err := fromRelation(pathTree(order...), aggRel(seed))
-		return err == nil && matchesFold(fr, groupBy, specs)
+		if err != nil || !matchesFold(fr, groupBy, specs) {
+			return false
+		}
+		br, err := branchEnc(rng, aggRel(seed), groupBy)
+		return err == nil && matchesFold(br, groupBy, branchSpecs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)

@@ -480,7 +480,8 @@ func (e *Enc) Count() int64 {
 }
 
 // countSpan counts the tuples represented by entries [lo,hi) of node ni
-// (also the count-only fast path of the aggregation evaluator).
+// (also COUNT's closed form in the aggregation evaluator, and the weights of
+// its sums: sumSpan).
 func (e *Enc) countSpan(ni int, lo, hi int32) int64 {
 	kid := e.ti.kids[ni]
 	if len(kid) == 0 {

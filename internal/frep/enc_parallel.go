@@ -2,8 +2,9 @@
 // so concurrent readers need no synchronisation; the unit of parallelism is
 // a contiguous run of entries of one root's union — the same partitioning
 // the parallel build uses. Chunks of a root outside the group zone add their
-// partials (unions add) and the root's distinct values are counted whole;
-// chunks of a zone root hold disjoint groups, so their rows concatenate.
+// counts and sums, and the root's minima, maxima and distinct counts reduce
+// its whole column runs once; chunks of a zone root hold disjoint groups, so
+// their rows concatenate.
 package frep
 
 import (
@@ -24,13 +25,13 @@ func (e *Enc) AggregateParallel(groupBy []relation.Attribute, specs []AggSpec, p
 // lifted for groupBy (fplan.Lift) like Aggregate's: any other tree is
 // refused. The entries of the largest root union split into contiguous
 // chunks and each worker takes one, with private scratch over the shared
-// per-node tables. A root outside the group zone folds into one partial per
-// chunk, the chunk partials add, and its whole run's distinct values are
-// counted once; a zone root's chunks each walk their
-// own groups, and the rows concatenate. The other roots fold serially. p <=
-// 1, empty representations and roots too small to split all take the serial
-// pass; results are identical to Aggregate in every case. Every pass polls
-// ctx once per 1024 entries and aborts with its error.
+// per-node tables. A root outside the group zone weighs each chunk's count
+// and sums, which add up, and reduces its whole column runs once; a zone
+// root's chunks each walk their own groups, and the rows concatenate. The
+// other roots are aggregated serially. p <= 1, empty representations and
+// roots too small to split all take the serial pass; results are identical
+// to Aggregate in every case. Every pass polls ctx once per 1024 entries it
+// spans and aborts with its error.
 func (e *Enc) AggregateParallelContext(ctx context.Context, groupBy []relation.Attribute, specs []AggSpec, p int) ([]AggRow, error) {
 	ev, err := newAggEval(ctx, e, groupBy, specs)
 	if err != nil || e.IsEmpty() {
@@ -40,9 +41,9 @@ func (e *Enc) AggregateParallelContext(ctx context.Context, groupBy []relation.A
 	if p <= 1 || int(n) < 2*p {
 		pivot = -1
 	}
-	// Roots outside the zone fold into one scalar partial, starting from
-	// the nullary product's: one tuple, nothing touched. Zone roots fill
-	// their own partials; a zone pivot's chunks fill theirs below.
+	// Roots outside the zone cross into one scalar partial, starting from
+	// the nullary product's. Zone roots fill their own partials; a zone
+	// pivot's chunks fill theirs below.
 	scalar := &partial{cnt: 1, st: make([]aggState, len(specs))}
 	ev.allocOwn(e)
 	for _, ri := range e.ti.roots {
@@ -51,19 +52,24 @@ func (e *Enc) AggregateParallelContext(ctx context.Context, groupBy []relation.A
 		case ev.zoned(ri):
 			ev.fill(e, ri, 0, int32(e.NumEntries(ri)))
 		case ri == pivot:
-			parts := make([]*partial, p)
+			parts := make([]partial, p)
 			ev.chunks(n, p, func(i int, w *aggEval, lo, hi int32) {
-				// The worker's scratch dies with it, so its slot is the
-				// chunk's result.
-				parts[i] = w.encScalarSpan(e, ri, lo, hi, 0)
+				parts[i] = partial{cnt: 1, st: make([]aggState, len(specs))}
+				if !w.checkpoint(hi - lo) {
+					w.weigh(e, ri, lo, hi, &parts[i])
+				}
 			})
+			root := &parts[0]
 			for _, q := range parts[1:] {
-				ev.add(parts[0], q)
+				root.cnt = satAdd(root.cnt, q.cnt)
+				for i, s := range q.st {
+					root.st[i].sum = satAddI(root.st[i].sum, s.sum)
+				}
 			}
-			ev.countDistinct(e, ri, 0, n, parts[0])
-			ev.crossScalar(scalar, parts[0])
+			ev.reduce(e, ri, 0, n, root)
+			ev.cross(scalar, root)
 		default:
-			ev.crossScalar(scalar, ev.encScalarSpan(e, ri, 0, int32(e.NumEntries(ri)), 0))
+			ev.span(e, ri, 0, int32(e.NumEntries(ri)), scalar)
 		}
 	}
 	// One row per combination of zone entries.
@@ -111,7 +117,7 @@ func (ev *aggEval) chunks(n int32, p int, f func(i int, w *aggEval, lo, hi int32
 	for i := range ws {
 		w := &ws[i]
 		*w = *ev
-		w.uscratch, w.escratch, w.zscratch, w.buf, w.rows = nil, nil, nil, nil, nil
+		w.scratch, w.buf, w.rows = nil, nil, nil
 		w.seat = make([]int32, len(ev.seat))
 		wg.Add(1)
 		go func() {
